@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import NormedSpaceSpec, as_point, norm_many
-
 CONSTANT = "constant"
 MIXED = "mixed"
 TABLE = "table"
@@ -85,14 +83,6 @@ class ControlFunctionSpec:
         if self.kind == TABLE and self.table is None:
             raise ControlError("table control needs a RadialControlTable")
 
-    def with_epsilon(self, epsilon: float) -> "ControlFunctionSpec":
-        """Same shape with the constant part replaced (used for measured ε)."""
-        if self.kind == TABLE:
-            raise ControlError("table controls have no constant part to replace")
-        return ControlFunctionSpec(
-            kind=self.kind, epsilon=epsilon, delta=self.delta, p=self.p
-        )
-
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "epsilon": self.epsilon}
         if self.kind == MIXED:
@@ -118,10 +108,6 @@ def constant_control(epsilon: float) -> ControlFunctionSpec:
     return ControlFunctionSpec(kind=CONSTANT, epsilon=epsilon)
 
 
-def mixed_control(epsilon: float, delta: float, p: float) -> ControlFunctionSpec:
-    return ControlFunctionSpec(kind=MIXED, epsilon=epsilon, delta=delta, p=p)
-
-
 def _powered(nrm: np.ndarray, p: float) -> np.ndarray:
     # 0^p := 0 for every p in [0, 1), including p = 0.
     return np.where(nrm > 0.0, nrm**p, 0.0)
@@ -136,10 +122,3 @@ def control_phi_norms(spec: ControlFunctionSpec, nx: np.ndarray, ny: np.ndarray)
     if spec.kind == MIXED:
         return spec.epsilon + spec.delta * (_powered(nx, spec.p) + _powered(ny, spec.p))
     return spec.table.eval_many(nx) + spec.table.eval_many(ny)
-
-
-def control_phi_eval(spec: ControlFunctionSpec, space: NormedSpaceSpec, x, y) -> float:
-    """φ(x, y) for a single pair of domain vectors."""
-    nx = norm_many(space, as_point(x, space.dim)[None, :])[0]
-    ny = norm_many(space, as_point(y, space.dim)[None, :])[0]
-    return float(control_phi_norms(spec, np.asarray([nx]), np.asarray([ny]))[0])

@@ -85,8 +85,10 @@ from .series import (
     DYADIC_N_MAX,
     TRIADIC_N_MAX,
     dyadic_limit_many,
+    cor22_bound_norms,
     pexider_triadic_limit_many,
-    phi_tilde_dyadic,
+    phi_tilde_dyadic_norms,
+    phi_tilde_triadic_norms,
     quadratic_limit_many,
 )
 from .spaces import (
@@ -612,57 +614,7 @@ def _phi_components(control: ControlFunctionSpec, eps_hat: float) -> list:
 
 
 def _phi_norms(comps, nx, ny):
-    total = np.zeros(np.broadcast(np.asarray(nx), np.asarray(ny)).shape)
-    for c in comps:
-        total = total + control_phi_norms(c, nx, ny)
-    return total
-
-
-def _powered_arr(n, p):
-    n = np.asarray(n, dtype=np.float64)
-    return np.where(n > 0.0, n**p, 0.0)
-
-
-def _phi_tilde_dyadic_norms(comps, params, space, nx, ny):
-    r, s, t = params.r, params.s, params.t
-    nx = np.asarray(nx, dtype=np.float64)
-    ny = np.asarray(ny, dtype=np.float64)
-    total = np.zeros(np.broadcast(nx, ny).shape)
-    for c in comps:
-        if c.kind == CONSTANT:
-            total = total + 3.0 * c.epsilon / r
-        elif c.kind == MIXED:
-            geo = 1.0 / (1.0 - 2.0 ** (c.p - 1.0))
-            total = total + 3.0 * c.epsilon / r + (c.delta / r) * geo * (
-                _powered_arr((r / s) * nx, c.p) + _powered_arr((r / t) * ny, c.p)
-            )
-        else:
-            e1 = np.zeros(space.dim)
-            e1[0] = 1.0
-            vals = [
-                phi_tilde_dyadic(c, space, params, a * e1, b * e1).upper
-                for a, b in zip(np.ravel(nx), np.ravel(ny))
-            ]
-            total = total + np.asarray(vals).reshape(total.shape)
-    return total
-
-
-def _phi_tilde_triadic_norms(comps, space, nx, ny):
-    nx = np.asarray(nx, dtype=np.float64)
-    ny = np.asarray(ny, dtype=np.float64)
-    total = np.zeros(np.broadcast(nx, ny).shape)
-    for c in comps:
-        if c.kind == CONSTANT:
-            total = total + 3.0 * c.epsilon
-        elif c.kind == MIXED:
-            geo = 2.0**-c.p / (1.0 - 3.0 ** (c.p - 1.0))
-            total = total + 3.0 * c.epsilon + (2.0 / 3.0) * c.delta * geo * (
-                (2.0 * 3.0**c.p + 1.0) * _powered_arr(nx, c.p)
-                + (3.0**c.p + 2.0) * _powered_arr(ny, c.p)
-            )
-        else:
-            raise ConfigError("table controls are not supported on punctured domains")
-    return total
+    return sum(control_phi_norms(c, nx, ny) for c in comps)
 
 
 def measure_epsilon(cfg: ExperimentConfig, f, g, h, X, Y, scale_y: float = 1.0):
@@ -700,44 +652,38 @@ def bound_formula(
     """
     comps = _phi_components(control, control.epsilon if control.kind != TABLE else 0.0)
     nx = np.asarray([norm_many(space, np.asarray(x, dtype=np.float64)[None, :])[0]])
-    vals = _bound_norms(theorem_id, params, comps, space, nx, role)
+    vals = _bound_norms(theorem_id, params, comps, nx, role)
     return float(vals[0])
 
 
-def _bound_norms(tid, params, comps, space, nx, role):
+def _bound_norms(tid, params, comps, nx, role):
     r, s, t = params.r, params.s, params.t
-    if tid in ("thm2_1",):
+
+    def dyadic(m):  # φ~(m, m) of the effective control: the sum over its components
+        return sum(phi_tilde_dyadic_norms(c, params, m, m).upper for c in comps)
+
+    def triadic(m):
+        return sum(phi_tilde_triadic_norms(c, m, m).upper for c in comps)
+
+    if tid == "thm2_1":
+        zero = np.zeros_like(nx)
         if role == "f":
-            return _phi_tilde_dyadic_norms(comps, params, space, nx, nx)
+            return dyadic(nx)
         if role == "g":
-            return (1.0 / s) * _phi_norms(comps, nx, np.zeros_like(nx)) + (
-                r / s
-            ) * _phi_tilde_dyadic_norms(comps, params, space, (s / r) * nx, (s / r) * nx)
-        return (1.0 / t) * _phi_norms(comps, np.zeros_like(nx), nx) + (
-            r / t
-        ) * _phi_tilde_dyadic_norms(comps, params, space, (t / r) * nx, (t / r) * nx)
+            return (1.0 / s) * _phi_norms(comps, nx, zero) + (r / s) * dyadic((s / r) * nx)
+        return (1.0 / t) * _phi_norms(comps, zero, nx) + (r / t) * dyadic((t / r) * nx)
     if tid == "cor2_2":
-        eps = comps[0].epsilon
-        delta = p = 0.0
-        for c in comps[1:]:
-            if c.kind == MIXED:
-                delta, p = c.delta, c.p
-        geo = 1.0 / (1.0 - 2.0 ** (p - 1.0))
-        coeff = ((r / s) ** p + (r / t) ** p) * 2.0 * delta * geo / r
-        return 3.0 * eps / r + coeff * _powered_arr(nx, p)
+        # comps[-1] is the mixed part, or the constant itself (δ = p = 0)
+        return cor22_bound_norms(params, comps[0].epsilon, comps[-1].delta, comps[-1].p, nx)
     if tid == "thm3_1":
         return np.full_like(nx, 15.0 * comps[0].epsilon / r)
     if tid == "prop4_1":
         if role == "f":
-            return (1.0 / r) * _phi_tilde_triadic_norms(comps, space, (r / s) * nx, (r / s) * nx)
+            return (1.0 / r) * triadic((r / s) * nx)
         if role == "g":
-            return (1.0 / (2.0 * s)) * (
-                2.0 * _phi_norms(comps, nx, nx)
-                + _phi_tilde_triadic_norms(comps, space, 2.0 * nx, 2.0 * nx)
-            )
+            return (1.0 / (2.0 * s)) * (2.0 * _phi_norms(comps, nx, nx) + triadic(2.0 * nx))
         return (1.0 / (2.0 * t)) * (
-            2.0 * _phi_norms(comps, (t / s) * nx, (t / s) * nx)
-            + _phi_tilde_triadic_norms(comps, space, (2.0 * t / s) * nx, (2.0 * t / s) * nx)
+            2.0 * _phi_norms(comps, (t / s) * nx, (t / s) * nx) + triadic((2.0 * t / s) * nx)
         )
     if tid == "prop4_2":
         if role == "f":
@@ -988,14 +934,14 @@ def _run_dyadic_family(cfg: ExperimentConfig):
 
     dev_f = norm_many(cfg.codomain, f.eval_many(X0) - T_vals)
     if cfg.theorem_id == "cor2_2":
-        role_data = [("f", dev_f, _bound_norms("cor2_2", cfg.params, comps, cfg.space, nx, "f"))]
+        role_data = [("f", dev_f, _bound_norms("cor2_2", cfg.params, comps, nx, "f"))]
     else:
         dev_g = norm_many(cfg.codomain, g.eval_many(X0) - T_vals)
         dev_h = norm_many(cfg.codomain, h.eval_many(X0) - T_vals)
         role_data = [
-            ("f", dev_f, _bound_norms("thm2_1", cfg.params, comps, cfg.space, nx, "f")),
-            ("g", dev_g, _bound_norms("thm2_1", cfg.params, comps, cfg.space, nx, "g")),
-            ("h", dev_h, _bound_norms("thm2_1", cfg.params, comps, cfg.space, nx, "h")),
+            ("f", dev_f, _bound_norms("thm2_1", cfg.params, comps, nx, "f")),
+            ("g", dev_g, _bound_norms("thm2_1", cfg.params, comps, nx, "g")),
+            ("h", dev_h, _bound_norms("thm2_1", cfg.params, comps, nx, "h")),
         ]
     samples, max_dev, bound_value, max_ratio, wits = _assemble_rows(X0, role_data, cfg.limits.tol)
     details = {"hypothesis_witness": wit, "pair_count": int(X.shape[0])}
@@ -1029,7 +975,8 @@ def _run_thm3_1(cfg: ExperimentConfig):
     n_max = _auto_n_max(cfg, 2.0)
     T_vals, iters, gaps, conv = dyadic_limit_many(f, X0, n_max=n_max, tol=cfg.limits.tol)
     dev = norm_many(cfg.codomain, f.eval_many(X0) - T_vals)
-    bounds = np.full(X0.shape[0], 15.0 * eps_hat / cfg.params.r)
+    comps = _phi_components(cfg.control, eps_hat)
+    bounds = _bound_norms("thm3_1", cfg.params, comps, norm_many(cfg.space, X0), "f")
     samples, max_dev, bound_value, max_ratio, wits = _assemble_rows(
         X0, [("f", dev, bounds)], cfg.limits.tol
     )
@@ -1103,8 +1050,8 @@ def _run_punctured(cfg: ExperimentConfig):
             g.eval_many(X0) - (params.t / params.s) * h.eval_many(Sx),
         )
         role_data = [
-            ("f", dev_f, _bound_norms(tid, params, comps, cfg.space, nx, "f")),
-            ("g_h", dev_gh, _bound_norms(tid, params, comps, cfg.space, nx, "g_h")),
+            ("f", dev_f, _bound_norms(tid, params, comps, nx, "f")),
+            ("g_h", dev_gh, _bound_norms(tid, params, comps, nx, "g_h")),
         ]
         samples, max_dev, bound_value, max_ratio, wits = _assemble_rows(
             X0, role_data, cfg.limits.tol
@@ -1129,18 +1076,18 @@ def _run_punctured(cfg: ExperimentConfig):
         dev_g = norm_many(cfg.codomain, g.eval_many(X0) - A_vals)
         dev_h = norm_many(cfg.codomain, h.eval_many(X0) - A_vals)
         role_data = [
-            ("f", dev_f, _bound_norms(tid, params, comps, cfg.space, nx, "f")),
-            ("g", dev_g, _bound_norms(tid, params, comps, cfg.space, nx, "g")),
-            ("h", dev_h, _bound_norms(tid, params, comps, cfg.space, nx, "h")),
+            ("f", dev_f, _bound_norms(tid, params, comps, nx, "f")),
+            ("g", dev_g, _bound_norms(tid, params, comps, nx, "g")),
+            ("h", dev_h, _bound_norms(tid, params, comps, nx, "h")),
         ]
     else:
         dev_odd = norm_many(cfg.codomain, subject.eval_many(X0) - A_vals)
         dev_even = norm_many(cfg.codomain, f_even.eval_many(X0))
         dev_total = norm_many(cfg.codomain, f.eval_many(X0) - A_vals)
         role_data = [
-            ("odd", dev_odd, _bound_norms(tid, params, comps, cfg.space, nx, "odd")),
-            ("even", dev_even, _bound_norms(tid, params, comps, cfg.space, nx, "even")),
-            ("total", dev_total, _bound_norms(tid, params, comps, cfg.space, nx, "total")),
+            ("odd", dev_odd, _bound_norms(tid, params, comps, nx, "odd")),
+            ("even", dev_even, _bound_norms(tid, params, comps, nx, "even")),
+            ("total", dev_total, _bound_norms(tid, params, comps, nx, "total")),
         ]
     samples, max_dev, bound_value, max_ratio, wits = _assemble_rows(X0, role_data, cfg.limits.tol)
     extra_ok = bool(np.all(conv))
@@ -1182,9 +1129,9 @@ def _run_thm5_2(cfg: ExperimentConfig):
     comps = [constant_control(eps_hat)]
     nx = norm_many(cfg.space, X0)
     role_data = [
-        ("f", dev_f, _bound_norms("thm5_2", params, comps, cfg.space, nx, "f")),
-        ("g", dev_g, _bound_norms("thm5_2", params, comps, cfg.space, nx, "g")),
-        ("h", dev_h, _bound_norms("thm5_2", params, comps, cfg.space, nx, "h")),
+        ("f", dev_f, _bound_norms("thm5_2", params, comps, nx, "f")),
+        ("g", dev_g, _bound_norms("thm5_2", params, comps, nx, "g")),
+        ("h", dev_h, _bound_norms("thm5_2", params, comps, nx, "h")),
     ]
     samples, max_dev, bound_value, max_ratio, wits = _assemble_rows(X0, role_data, cfg.limits.tol)
     iters = np.concatenate([it_T, it_Q])

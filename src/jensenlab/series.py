@@ -10,6 +10,8 @@ Series: the dyadic comparison series
 its closed forms for constant and mixed controls, the matching single-variable
 bound cor22_bound, and the triadic analogue built from the five-term
 combination ψ.  Constant control gives φ~ = 3ε/r (dyadic) and 3ε (triadic).
+Controls are radial, so the ``*_norms`` forms take arrays of ‖x‖ and ‖y‖; the
+vector-argument forms are one-row wrappers around them.
 
 Limits: the scaling iterations a_n = gain^n · f(arg^n · x) behind the direct
 method (dyadic arg 2 / gain 1/2, triadic arg 3 / gain 1/3, quadratic arg 2 /
@@ -23,9 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import CONSTANT, MIXED, ControlError, ControlFunctionSpec, control_phi_norms
+from .control import (
+    CONSTANT,
+    MIXED,
+    ControlError,
+    ControlFunctionSpec,
+    _powered,
+    control_phi_norms,
+)
 from .models import JensenParams, ScaledModel
-from .spaces import NormedSpaceSpec, as_batch, as_point, norm, norm_many
+from .spaces import NormedSpaceSpec, as_batch, norm, norm_many
 
 DYADIC_N_MAX = 40
 TRIADIC_N_MAX = 25
@@ -36,57 +45,50 @@ _OVERFLOW_LIMIT = 1e120
 
 @dataclass
 class SeriesValue:
-    """A series evaluation: closed form (exact) or truncation plus tail bound."""
+    """A series evaluation: closed form (exact) or truncation plus tail bound.
 
-    value: float
-    terms_used: int
-    tail_bound: float
+    The ``*_norms`` forms hold one array entry per row, the wrappers plain numbers.
+    """
+
+    value: float | np.ndarray
+    terms_used: int | np.ndarray
+    tail_bound: float | np.ndarray
     exact: bool
 
     @property
-    def upper(self) -> float:
+    def upper(self) -> float | np.ndarray:
         return self.value + self.tail_bound
 
 
-@dataclass
-class LimitEstimate:
-    value: np.ndarray
-    iterations: int
-    last_gap: float
-    converged: bool
+def _closed(value: np.ndarray) -> SeriesValue:
+    return SeriesValue(value, np.zeros(value.shape, dtype=np.int64), np.zeros(value.shape), True)
 
 
-def _powered(v: float, p: float) -> float:
-    return v**p if v > 0.0 else 0.0
+def _first_row(sv: SeriesValue) -> SeriesValue:
+    row = (float(sv.value[0]), int(sv.terms_used[0]), float(sv.tail_bound[0]))
+    return SeriesValue(*row, sv.exact)
 
 
-def phi_tilde_dyadic(
-    spec: ControlFunctionSpec,
-    space: NormedSpaceSpec,
-    params: JensenParams,
-    x,
-    y,
-) -> SeriesValue:
-    """Evaluate the dyadic comparison series φ~(x, y).
+def phi_tilde_dyadic_norms(spec: ControlFunctionSpec, params: JensenParams, nx, ny) -> SeriesValue:
+    """Dyadic comparison series φ~ at argument norms ‖x‖ = nx, ‖y‖ = ny.
 
     Constant and mixed controls sum in closed form; table controls are
     truncated once every scaled argument is in the power-law regime, where the
     remainder is geometric with ratio 2^(q-1) and summed exactly.
     """
     r, s, t = params.r, params.s, params.t
-    nx = norm(space, x)
-    ny = norm(space, y)
-    a = (r / s) * nx
-    b = (r / t) * ny
+    a = (r / s) * np.asarray(nx, dtype=np.float64)
+    b = (r / t) * np.asarray(ny, dtype=np.float64)
     if spec.kind == CONSTANT:
-        return SeriesValue(3.0 * spec.epsilon / r, 0, 0.0, True)
+        return _closed(np.full(np.broadcast(a, b).shape, 3.0 * spec.epsilon / r))
     if spec.kind == MIXED:
         geo = 1.0 / (1.0 - 2.0 ** (spec.p - 1.0))
-        power = (spec.delta / r) * (_powered(a, spec.p) + _powered(b, spec.p)) * geo
-        return SeriesValue(3.0 * spec.epsilon / r + power, 0, 0.0, True)
+        power = (spec.delta / r) * geo * (_powered(a, spec.p) + _powered(b, spec.p))
+        return _closed(3.0 * spec.epsilon / r + power)
     return _table_series(
-        spec,
-        scaled_args=[(2.0, a), (2.0, b)],
+        spec.table,
+        coefs=(2.0, 2.0),
+        args=(a, b),
         const_count=2,
         prefactor=1.0 / (2.0 * r),
         ratio_base=2.0,
@@ -94,15 +96,16 @@ def phi_tilde_dyadic(
     )
 
 
-def cor22_bound(
-    params: JensenParams,
-    epsilon: float,
-    delta: float,
-    p: float,
-    space: NormedSpaceSpec,
-    x,
-) -> float:
-    """Single-variable mixed-control bound (3/r)ε + (2δ‖x‖^p / r(1−2^{p−1}))·[(r/s)^p + (r/t)^p].
+def phi_tilde_dyadic(
+    spec: ControlFunctionSpec, space: NormedSpaceSpec, params: JensenParams, x, y
+) -> SeriesValue:
+    """phi_tilde_dyadic_norms at one pair of vectors."""
+    return _first_row(phi_tilde_dyadic_norms(spec, params, [norm(space, x)], [norm(space, y)]))
+
+
+def cor22_bound_norms(params: JensenParams, epsilon: float, delta: float, p: float, nx):
+    """Single-variable mixed-control bound (3/r)ε + (2δ‖x‖^p / r(1−2^{p−1}))·[(r/s)^p + (r/t)^p]
+    at argument norms ‖x‖ = nx.
 
     This dominates φ~(x, x) for the same ε, δ, p (it is loose by a factor of
     two in the power part).
@@ -110,10 +113,16 @@ def cor22_bound(
     if not (0.0 <= p < 1.0):
         raise ControlError(f"bound needs p in [0, 1), got {p}")
     r, s, t = params.r, params.s, params.t
-    nx = norm(space, x)
     geo = 1.0 / (1.0 - 2.0 ** (p - 1.0))
     coeff = ((r / s) ** p + (r / t) ** p) * 2.0 * delta * geo / r
-    return 3.0 * epsilon / r + coeff * _powered(nx, p)
+    return 3.0 * epsilon / r + coeff * _powered(np.asarray(nx, dtype=np.float64), p)
+
+
+def cor22_bound(
+    params: JensenParams, epsilon: float, delta: float, p: float, space: NormedSpaceSpec, x
+) -> float:
+    """cor22_bound_norms at one vector."""
+    return float(cor22_bound_norms(params, epsilon, delta, p, [norm(space, x)])[0])
 
 
 def psi_eval(spec: ControlFunctionSpec, space: NormedSpaceSpec, x) -> float:
@@ -134,23 +143,19 @@ def psi_eval(spec: ControlFunctionSpec, space: NormedSpaceSpec, x) -> float:
     return float(np.dot(weights, phis))
 
 
-def phi_tilde_triadic(
-    spec: ControlFunctionSpec,
-    space: NormedSpaceSpec,
-    x,
-    y,
-) -> SeriesValue:
+def phi_tilde_triadic_norms(spec: ControlFunctionSpec, nx, ny) -> SeriesValue:
     """Triadic comparison series
 
     (2/3) Σ_{n≥0} 3^{-n} [ φ(A_n x, −B_n y) + ½φ(A_n x, ±A_n y) + ½φ(B_n x, ±B_n y) ]
 
-    with A_n = 3^{n+1}/2, B_n = 3^n/2 (both sign choices appear with weight ½).
-    Satisfies φ~(x, x) = Σ 3^{-k} ψ(3^k x), and equals 3ε for constant ε.
+    with A_n = 3^{n+1}/2, B_n = 3^n/2 (both sign choices appear with weight ½),
+    at argument norms ‖x‖ = nx, ‖y‖ = ny.  Satisfies φ~(x, x) = Σ 3^{-k} ψ(3^k x),
+    and equals 3ε for constant ε.
     """
-    nx = norm(space, x)
-    ny = norm(space, y)
+    nx = np.asarray(nx, dtype=np.float64)
+    ny = np.asarray(ny, dtype=np.float64)
     if spec.kind == CONSTANT:
-        return SeriesValue(3.0 * spec.epsilon, 0, 0.0, True)
+        return _closed(np.full(np.broadcast(nx, ny).shape, 3.0 * spec.epsilon))
     if spec.kind == MIXED:
         p = spec.p
         geo = 2.0**-p / (1.0 - 3.0 ** (p - 1.0))
@@ -160,11 +165,12 @@ def phi_tilde_triadic(
             * geo
             * ((2.0 * 3.0**p + 1.0) * _powered(nx, p) + (3.0**p + 2.0) * _powered(ny, p))
         )
-        return SeriesValue(3.0 * spec.epsilon + power, 0, 0.0, True)
+        return _closed(3.0 * spec.epsilon + power)
     # Norm-form bracket: 2w(A_n nx) + w(B_n nx) + w(A_n ny) + 2w(B_n ny).
     return _table_series(
-        spec,
-        scaled_args=[(2.0, 1.5 * nx), (1.0, 0.5 * nx), (1.0, 1.5 * ny), (2.0, 0.5 * ny)],
+        spec.table,
+        coefs=(2.0, 1.0, 1.0, 2.0),
+        args=(1.5 * nx, 0.5 * nx, 1.5 * ny, 0.5 * ny),
         const_count=0,
         prefactor=2.0 / 3.0,
         ratio_base=3.0,
@@ -172,38 +178,47 @@ def phi_tilde_triadic(
     )
 
 
-def _table_series(spec, scaled_args, const_count, prefactor, ratio_base, const_geo):
-    """Truncate Σ prefactor·base^{-n}·[Σ coef·w(arg·base^n) + const_count·w(0)]."""
-    table = spec.table
-    w0 = float(table.eval_many(np.asarray([0.0]))[0])
-    const_sum = const_count * w0
-    scaling = [(coef, arg) for coef, arg in scaled_args if arg > 0.0]
-    const_sum += sum(coef for coef, arg in scaled_args if arg == 0.0) * w0
+def phi_tilde_triadic(spec: ControlFunctionSpec, space: NormedSpaceSpec, x, y) -> SeriesValue:
+    """phi_tilde_triadic_norms at one pair of vectors."""
+    return _first_row(phi_tilde_triadic_norms(spec, [norm(space, x)], [norm(space, y)]))
 
+
+def _table_series(table, coefs, args, const_count, prefactor, ratio_base, const_geo):
+    """Truncate Σ prefactor·base^{-n}·[Σ coef·w(arg·base^n) + const_count·w(0)] per row.
+
+    A zero arg contributes coef·w(0) to the constant part.  Each row stops at
+    its own n_stop and adds its terms in the order n = 0, 1, ..., so its value
+    does not depend on the other rows.
+    """
+    args = np.stack(np.broadcast_arrays(*args))
+    scaling = args > 0.0
+    zero_coefs = sum(np.where(scaling_k, 0.0, coef) for coef, scaling_k in zip(coefs, scaling))
+    const_sum = (const_count + zero_coefs) * table.values[0]  # w(0) = values[0]
+
+    # A row with no positive arg below the last knot gets the minimum n_stop of 8.
     rmax = table.radii[-1]
-    if scaling:
-        smallest = min(arg for _, arg in scaling)
-        n_stop = max(8, int(np.ceil(np.log(rmax / smallest) / np.log(ratio_base))) + 1)
-    else:
-        n_stop = 8
-    if n_stop > _SERIES_HARD_CAP:
+    smallest = np.min(np.where(scaling, args, rmax), axis=0)
+    steps = np.ceil(np.log(rmax / smallest) / np.log(ratio_base)).astype(np.int64)
+    n_stop = np.maximum(8, steps + 1)
+    if np.any(n_stop > _SERIES_HARD_CAP):
         raise ControlError("table series truncation exceeds the hard cap")
 
-    total = 0.0
-    for n in range(n_stop):
+    total, s_tail, tail_scale = np.zeros((3,) + n_stop.shape)
+    for n in range(int(n_stop.max()) + 1):
         scale = ratio_base**n
-        bracket = const_sum
-        for coef, arg in scaling:
-            bracket += coef * float(table.eval_many(np.asarray([arg * scale]))[0])
-        total += prefactor * bracket / scale
+        w = table.eval_many(args * scale)
+        # rows before n_stop add a term; rows at n_stop keep the scaling part for the tail
+        summing = n < n_stop
+        bracket = np.where(summing, const_sum, 0.0)
+        for coef, w_k, scaling_k in zip(coefs, w, scaling):
+            bracket = bracket + np.where(scaling_k, coef * w_k, 0.0)
+        total = np.where(summing, total + prefactor * bracket / scale, total)
+        s_tail = np.where(n == n_stop, bracket, s_tail)
+        tail_scale = np.where(n == n_stop, scale, tail_scale)
     # Beyond n_stop every scaled argument is in the power-law regime, so the
     # scaling part is geometric with ratio base^(q-1); the w(0) part with base^-1.
-    scale = ratio_base**n_stop
-    s_tail = 0.0
-    for coef, arg in scaling:
-        s_tail += coef * float(table.eval_many(np.asarray([arg * scale]))[0])
     geo = 1.0 / (1.0 - ratio_base ** (table.q - 1.0))
-    tail = prefactor * (s_tail * geo + const_sum * const_geo) / scale
+    tail = prefactor * (s_tail * geo + const_sum * const_geo) / tail_scale
     return SeriesValue(total, n_stop, tail, False)
 
 
@@ -274,37 +289,8 @@ def power_limit_many(
     return values, iterations, last_gap, converged
 
 
-def _scalar_limit(f, x, arg_factor, gain, n_max, tol) -> LimitEstimate:
-    x = as_point(x, f.domain.dim)
-    v, it, gap, conv = power_limit_many(
-        f, x[None, :], arg_factor, gain, n_max=n_max, tol=tol
-    )
-    return LimitEstimate(
-        value=v[0], iterations=int(it[0]), last_gap=float(gap[0]), converged=bool(conv[0])
-    )
-
-
-def dyadic_limit(f, x, n_max: int = DYADIC_N_MAX, tol: float = DEFAULT_TOL) -> LimitEstimate:
-    """lim 2^{-n} f(2^n x); recovers the additive part of a perturbed model."""
-    return _scalar_limit(f, x, 2.0, 0.5, n_max, tol)
-
-
-def triadic_limit(f, x, n_max: int = TRIADIC_N_MAX, tol: float = DEFAULT_TOL) -> LimitEstimate:
-    """lim 3^{-n} f(3^n x)."""
-    return _scalar_limit(f, x, 3.0, 1.0 / 3.0, n_max, tol)
-
-
-def quadratic_limit(f, x, n_max: int = DYADIC_N_MAX, tol: float = DEFAULT_TOL) -> LimitEstimate:
-    """lim 4^{-n} f(2^n x); recovers the ‖·‖²-homogeneous part of an even model."""
-    return _scalar_limit(f, x, 2.0, 0.25, n_max, tol)
-
-
 def dyadic_limit_many(f, X, n_max: int = DYADIC_N_MAX, tol: float = DEFAULT_TOL):
     return power_limit_many(f, X, 2.0, 0.5, n_max, tol)
-
-
-def triadic_limit_many(f, X, n_max: int = TRIADIC_N_MAX, tol: float = DEFAULT_TOL):
-    return power_limit_many(f, X, 3.0, 1.0 / 3.0, n_max, tol)
 
 
 def quadratic_limit_many(f, X, n_max: int = DYADIC_N_MAX, tol: float = DEFAULT_TOL):
@@ -317,11 +303,3 @@ def pexider_triadic_limit_many(
     """Additive approximant A(x) = (1/s)·lim 3^{-n}·r·f(3^n (s/r) x) as arrays."""
     reduced = ScaledModel(f, arg_scale=params.s / params.r, out_scale=params.r / params.s)
     return power_limit_many(reduced, X, 3.0, 1.0 / 3.0, n_max, tol)
-
-
-def cauchy_gap(f, x, base: float, m: int, n: int) -> float:
-    """‖base^{-n} f(base^n x) − base^{-m} f(base^m x)‖ in the codomain norm."""
-    x = as_point(x, f.domain.dim)
-    vn = float(base) ** (-n) * f.eval_many((float(base) ** n * x)[None, :])[0]
-    vm = float(base) ** (-m) * f.eval_many((float(base) ** m * x)[None, :])[0]
-    return float(norm_many(f.codomain, (vn - vm)[None, :])[0])

@@ -1,0 +1,154 @@
+"""Golden report digests.
+
+Each config below runs through ``parse_config`` and ``run_experiment``; the
+sha256 of its canonical JSON report (``emit_report``) must equal the recorded
+value.  The configs cover every theorem id, a tabulated control (thm2_1) and a
+mixed control (thm2_1, cor2_2, prop4_1), each with at most 200 points, so any
+change to the numbers a report carries shows up here and not only in an
+end-to-end benchmark.
+
+The digests were recorded with CPython 3.11.7 and numpy 2.4.6 on x86-64.
+Elementary functions such as ``pow`` and ``log`` may round differently in
+other numpy builds; a mismatch there needs a look at the report, not
+necessarily a code fix.
+"""
+
+import hashlib
+
+import pytest
+
+from jensenlab.experiments import emit_report, parse_config, run_experiment
+
+E3 = {"dim": 3, "norm_kind": "euclidean"}
+E2 = {"dim": 2, "norm_kind": "euclidean"}
+E1 = {"dim": 1, "norm_kind": "euclidean"}
+MIXED = {"kind": "mixed", "epsilon": 0.3, "delta": 0.2, "p": 0.5}
+TABLE = {
+    "kind": "table",
+    "table": {
+        "radii": [0.0, 0.5, 1.0, 2.0, 4.0, 8.0],
+        "values": [0.3, 0.32, 0.36, 0.45, 0.6, 0.8],
+        "q": 0.5,
+    },
+}
+PUNCTURED = {"kind": "punctured"}
+
+
+def _const(eps):
+    return {"kind": "constant", "epsilon": eps}
+
+
+def _exp(tid, params, control, count=160, radius_range=(0.05, 6.0), **extra):
+    r, s, t = params
+    exp = {
+        "theorem_id": tid,
+        "space": E3,
+        "codomain": E2,
+        "params": {"r": r, "s": s, "t": t},
+        "control": control,
+        "sampler": {"count": count, "seed": 11, "radius_range": list(radius_range)},
+        "model": {"seed": 5},
+        "perturbation": [{"kind": "bounded", "amplitude": 0.05, "seed": 2}],
+    }
+    exp.update(extra)
+    return exp
+
+
+CONFIGS = {
+    "thm2_1-mixed": _exp(
+        "thm2_1",
+        (2, 1, 1),
+        MIXED,
+        perturbation=[
+            {"kind": "bounded", "amplitude": 0.075, "seed": 2},
+            {"kind": "power", "delta": 0.05, "p": 0.5, "seed": 3},
+        ],
+    ),
+    "thm2_1-table": _exp("thm2_1", (2, 1, 1), TABLE, count=200),
+    "cor2_2-constant": _exp("cor2_2", (2, 1, 1), _const(0.3)),
+    "cor2_2-mixed": _exp(
+        "cor2_2",
+        (3, 2, 1),
+        MIXED,
+        perturbation=[
+            {"kind": "bounded", "amplitude": 0.05, "seed": 2},
+            {"kind": "power", "delta": 0.05, "p": 0.5, "seed": 3},
+        ],
+    ),
+    "thm3_1": _exp(
+        "thm3_1",
+        (2, 1, 1),
+        _const(0.5),
+        domain={"kind": "exterior", "d": 1.5},
+        sampler={"count": 120, "seed": 11, "radius_range": [0.05, 8.0], "pair_count": 200},
+    ),
+    "cor3_2": _exp(
+        "cor3_2",
+        (2, 1, 1),
+        _const(0.3),
+        shells={"edges": [0.5, 1.0, 2.0, 4.0, 8.0], "samples_per_shell": 50},
+        expected_decay=False,
+    ),
+    "prop4_1-mixed": _exp(
+        "prop4_1",
+        (3, 2, 1),
+        MIXED,
+        radius_range=(0.2, 5.0),
+        domain=PUNCTURED,
+        perturbation=[
+            {"kind": "bounded", "amplitude": 0.05, "seed": 2},
+            {"kind": "power", "delta": 0.03, "p": 0.5, "seed": 3},
+        ],
+    ),
+    "prop4_2": _exp("prop4_2", (2, 1, 1), _const(0.3), radius_range=(0.2, 5.0), domain=PUNCTURED),
+    "thm4_3": _exp("thm4_3", (3, 2, 1), _const(0.4), radius_range=(0.2, 5.0), domain=PUNCTURED),
+    "thm5_2": _exp(
+        "thm5_2",
+        (1, 1, 1),
+        _const(0.3),
+        radius_range=(0.1, 4.0),
+        domain={"kind": "orthogonal", "relation": {"kind": "inner_product"}},
+        model={"seed": 5, "quadratic": [0.4, -0.2]},
+    ),
+    "thm6_1": _exp(
+        "thm6_1",
+        (2, 2, 2),
+        _const(0.0),
+        radius_range=(0.0, 1.0),
+        codomain=E1,
+        model={"seed": 5, "quadratic": [0.25]},
+        perturbation=[],
+        ball={"radius": 1.0, "exclude_origin": False},
+    ),
+    "thm6_2": _exp(
+        "thm6_2",
+        (4, 3, 3),
+        _const(0.0),
+        radius_range=(0.0, 1.0),
+        codomain=E1,
+        perturbation=[],
+        ball={"radius": 1.0, "exclude_origin": True},
+    ),
+}
+
+DIGESTS = {
+    "cor2_2-constant": "5bfab6098c37dd636f38a3e50feaf6e2638f36db663e899b30b1e06a586f3133",
+    "cor2_2-mixed": "8866712275112eb0ff1084d38050b328b40d71a5e553e24fa5ad648bde6f8564",
+    "cor3_2": "d60528d2d8205b8d3c0796a60bda7db7fa8c6ff274b74a71099bc499c2e78f11",
+    "prop4_1-mixed": "353004d44b8d872154b36652b8cc917c70b8285223ecbe1a30d8fed723992741",
+    "prop4_2": "67e989375c0eebcd6b58d1a9469eef3b538459dd43f28931e4b7ab01386f7383",
+    "thm2_1-mixed": "a2cd250e7436710c430fcd7d3fc19b52b3473316162e582501e62a26c094f4f6",
+    "thm2_1-table": "2db0f04ffc6b7b7f214a70b7f78434878fd3344fc65225ae0e18dd07e918afbc",
+    "thm3_1": "313be2a6cedc7705083b3fdc666b8fab36f09089b5e4a50b9e223a75579e6bbe",
+    "thm4_3": "082b3332416008fde0eb604983f0ba42e2a38a2242e023dfec35f691f9201deb",
+    "thm5_2": "e65a6708ed212a0c522b0ff8aded721d8174c8c29062c9a4ee5a501de9eb89f1",
+    "thm6_1": "4de92dfe8f058444b910425d3d72d07ce69f7a26c8985a26e7be505e8b0bcb02",
+    "thm6_2": "66bcfc4bc601ab586be0d798c547c4000f16981625f2c13b6f5069b568821df2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_digest(name):
+    (cfg,) = parse_config({"schema_version": 1, "experiments": [CONFIGS[name]]})
+    text = emit_report(run_experiment(cfg), fmt="json")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[name]

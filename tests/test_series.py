@@ -14,16 +14,17 @@ from jensenlab.models import (
     PerturbationSpec,
 )
 from jensenlab.series import (
-    cauchy_gap,
+    TRIADIC_N_MAX,
     cor22_bound,
-    dyadic_limit,
     dyadic_limit_many,
     pexider_triadic_limit_many,
     phi_tilde_dyadic,
+    phi_tilde_dyadic_norms,
     phi_tilde_triadic,
+    phi_tilde_triadic_norms,
+    power_limit_many,
     psi_eval,
     quadratic_limit_many,
-    triadic_limit_many,
 )
 from jensenlab.spaces import euclidean_space, norm_many
 
@@ -46,6 +47,21 @@ def _brute_phi_tilde_dyadic(spec, params, nx, ny, terms=400):
             + control_phi_norms(spec, zero, ay)[0]
         )
     return total / (2.0 * r)
+
+
+# kind -> (vector-argument form, norm-array form, r), both at JensenParams(2, 1, 1)
+TABLE_SERIES = {
+    "dyadic": (
+        lambda spec, x, y: phi_tilde_dyadic(spec, E3, JensenParams(2, 1, 1), x, y),
+        lambda spec, nx, ny: phi_tilde_dyadic_norms(spec, JensenParams(2, 1, 1), nx, ny),
+        2.0,
+    ),
+    "triadic": (
+        lambda spec, x, y: phi_tilde_triadic(spec, E3, x, y),
+        phi_tilde_triadic_norms,
+        1.0,
+    ),
+}
 
 
 class TestClosedForms:
@@ -119,16 +135,33 @@ class TestClosedForms:
         brute = sum(3.0**-k * psi_eval(spec, E3, 3.0**k * x) for k in range(60))
         assert sv.value == pytest.approx(brute, rel=1e-12)
 
-    def test_table_control_series(self):
-        """A constant-valued table reproduces the constant closed form via its tail."""
+    @pytest.mark.parametrize("kind", sorted(TABLE_SERIES))
+    def test_table_control_series(self, kind):
+        """A constant-valued table reproduces the constant closed form via its
+        tail, and over a batch of norms each row equals a one-row call."""
+        at_vectors, at_norms, r = TABLE_SERIES[kind]
         c = 0.5
         table = RadialControlTable(radii=[0.0, 100.0], values=[c, c], q=0.0)
         spec = ControlFunctionSpec(kind="table", table=table)
-        sv = phi_tilde_dyadic(spec, E3, JensenParams(2, 1, 1), UNIT_X, UNIT_Y)
+        sv = at_vectors(spec, UNIT_X, UNIT_Y)
         assert not sv.exact
         assert sv.tail_bound > 0.0
         assert sv.value <= sv.upper
-        assert sv.upper == pytest.approx(6.0 * c / 2.0, rel=1e-12)
+        assert sv.upper == pytest.approx(6.0 * c / r, rel=1e-12)
+
+        table = RadialControlTable(radii=[0.0, 0.5, 2.0, 8.0], values=[0.2, 0.3, 0.5, 0.9], q=0.5)
+        spec = ControlFunctionSpec(kind="table", table=table)
+        rng = np.random.default_rng(7)
+        nx = 10.0 ** rng.uniform(-3.0, 3.0, size=40)
+        ny = 10.0 ** rng.uniform(-3.0, 3.0, size=40)
+        nx[:5] = 0.0  # rows 3 and 4 have both norms zero: w(0) terms only
+        ny[3:8] = 0.0
+        batch = at_norms(spec, nx, ny)
+        assert len(set(batch.terms_used.tolist())) > 1
+        for i in range(nx.size):
+            row = at_norms(spec, nx[i : i + 1], ny[i : i + 1])
+            assert batch.value[i] == row.value[0]
+            assert batch.tail_bound[i] == row.tail_bound[0]
 
     def test_control_validation(self):
         with pytest.raises(ControlError):
@@ -194,7 +227,7 @@ class TestLimits:
     def test_triadic_recovers_linear(self):
         f = _additive()
         X = np.random.default_rng(5).uniform(-3.0, 3.0, size=(20, 3))
-        values, _, _, converged = triadic_limit_many(f, X)
+        values, _, _, converged = power_limit_many(f, X, 3.0, 1.0 / 3.0, n_max=TRIADIC_N_MAX)
         assert np.all(converged)
         assert np.max(norm_many(E2, values - X @ L23.T)) <= 1e-10
 
@@ -206,12 +239,6 @@ class TestLimits:
         assert np.all(converged)
         assert np.max(norm_many(E2, values - X @ L23.T)) <= 1e-8
 
-    def test_scalar_wrapper(self):
-        est = dyadic_limit(_additive(), np.array([1.0, 2.0, -1.0]))
-        assert est.converged
-        assert est.value.shape == (2,)
-        assert est.last_gap <= 1e-9
-
     @pytest.mark.parametrize(
         "base,factor", [(2.0, 1.5), (3.0, 4.0 / 3.0), (4.0, 5.0 / 4.0)]
     )
@@ -221,5 +248,8 @@ class TestLimits:
         f = _additive((PerturbationSpec(kind=BOUNDED, amplitude=amp, seed=11),))
         x = np.array([1.2, -0.3, 0.8])
         for n in range(0, 12, 3):
-            gap = cauchy_gap(f, x, base, n, n + 1)
+            _, _, last_gap, _ = power_limit_many(
+                f, x[None], base, 1.0 / base, n_max=n + 1, tol=0.0, n_start=[n]
+            )
+            gap = last_gap[0]
             assert gap <= factor * amp * base ** (-n) * (1.0 + 1e-12) + 1e-15
