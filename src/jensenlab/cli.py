@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .experiments import (
@@ -48,6 +49,12 @@ def _write(text: str, out: str | None):
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _select(configs, theorem: str | None):
@@ -88,6 +95,10 @@ def _cmd_verify(args) -> int:
 def _cmd_axioms(args) -> int:
     if args.norm == P_NORM and args.p is None:
         raise ConfigError("--norm p_norm needs --p")
+    if args.norm != P_NORM and args.p is not None:
+        raise ConfigError(f"--p only applies to --norm p_norm, not --norm {args.norm}")
+    if args.p is not None and not (1.0 <= args.p < math.inf):
+        raise ConfigError(f"--p must be a finite number >= 1, got {args.p}")
     space = NormedSpaceSpec(dim=args.dim, norm_kind=args.norm, p=args.p)
     rel = OrthogonalityRelation(kind=_RELATIONS[args.relation])
     report = check_ratz_axioms(rel, space, trials=args.trials, seed=args.seed)
@@ -142,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("axioms", help="check orthogonality axioms")
     a.add_argument("--relation", choices=sorted(_RELATIONS), required=True)
-    a.add_argument("--dim", type=int, default=3)
-    a.add_argument("--trials", type=int, default=200)
+    a.add_argument("--dim", type=_positive_int, default=3)
+    a.add_argument("--trials", type=_positive_int, default=200)
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--norm", choices=_NORMS, default=EUCLIDEAN)
     a.add_argument("--p", type=float, default=None)
@@ -153,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("search", help="adversarial search for bound violations")
     s.add_argument("--config", required=True)
     s.add_argument("--theorem", default=None)
-    s.add_argument("--iters", type=int, default=200)
-    s.add_argument("--restarts", type=int, default=1)
+    s.add_argument("--iters", type=_positive_int, default=200)
+    s.add_argument("--restarts", type=_positive_int, default=1)
     s.add_argument("--out", default=None)
     s.set_defaults(fn=_cmd_search)
 

@@ -57,13 +57,6 @@ class RadialControlTable:
             tail = vmax * (rho / rmax) ** self.q
         return np.where(rho <= rmax, inside, tail)
 
-    def to_dict(self) -> dict:
-        return {"radii": self.radii.tolist(), "values": self.values.tolist(), "q": self.q}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RadialControlTable":
-        return cls(radii=np.asarray(d["radii"]), values=np.asarray(d["values"]), q=d["q"])
-
 
 @dataclass(frozen=True)
 class ControlFunctionSpec:
@@ -82,26 +75,6 @@ class ControlFunctionSpec:
             raise ControlError(f"mixed control needs p in [0, 1), got {self.p}")
         if self.kind == TABLE and self.table is None:
             raise ControlError("table control needs a RadialControlTable")
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "epsilon": self.epsilon}
-        if self.kind == MIXED:
-            out["delta"] = self.delta
-            out["p"] = self.p
-        if self.kind == TABLE:
-            out = {"kind": self.kind, "table": self.table.to_dict()}
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ControlFunctionSpec":
-        if d.get("kind") == TABLE:
-            return cls(kind=TABLE, table=RadialControlTable.from_dict(d["table"]))
-        return cls(
-            kind=d.get("kind", CONSTANT),
-            epsilon=d.get("epsilon", 0.0),
-            delta=d.get("delta", 0.0),
-            p=d.get("p", 0.0),
-        )
 
 
 def constant_control(epsilon: float) -> ControlFunctionSpec:

@@ -17,7 +17,6 @@ The generalized Jensen defect measured throughout the lab is
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +54,6 @@ class JensenParams:
             if not isinstance(v, int) or v < 1:
                 raise ModelError(f"{name} must be a positive integer, got {v!r}")
 
-    def to_dict(self) -> dict:
-        return {"r": self.r, "s": self.s, "t": self.t}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "JensenParams":
-        return cls(r=d["r"], s=d["s"], t=d["t"])
-
 
 @dataclass(frozen=True)
 class PerturbationSpec:
@@ -90,25 +82,6 @@ class PerturbationSpec:
             raise ModelError("perturbation magnitudes must be nonnegative")
         if self.kind == POWER and not (0.0 <= self.p < 1.0):
             raise ModelError(f"power perturbation needs p in [0, 1), got {self.p}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "amplitude": self.amplitude,
-            "delta": self.delta,
-            "p": self.p,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PerturbationSpec":
-        return cls(
-            kind=d.get("kind", NONE),
-            amplitude=d.get("amplitude", 0.0),
-            delta=d.get("delta", 0.0),
-            p=d.get("p", 0.0),
-            seed=d.get("seed", 0),
-        )
 
 
 def _fnv1a_rows(seed: int, X: np.ndarray) -> np.ndarray:
@@ -200,13 +173,6 @@ class RadialTable:
         w = (u - k0) / (k1 - k0)
         return self.values[idx - 1] + w[:, None] * (self.values[idx] - self.values[idx - 1])
 
-    def to_dict(self) -> dict:
-        return {"knots": self.knots.tolist(), "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RadialTable":
-        return cls(knots=np.asarray(d["knots"]), values=np.asarray(d["values"]))
-
 
 def _coerce_perturbations(perturbations) -> tuple:
     if perturbations is None:
@@ -284,38 +250,6 @@ class FunctionModel:
             perturbations=(),
             fix_origin=self.fix_origin,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "domain": self.domain.to_dict(),
-            "codomain": self.codomain.to_dict(),
-            "linear": self.linear.tolist(),
-            "quadratic": None if self.quadratic is None else self.quadratic.tolist(),
-            "radial": None if self.radial is None else self.radial.to_dict(),
-            "perturbations": [p.to_dict() for p in self.perturbations],
-            "fix_origin": self.fix_origin,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionModel":
-        return cls(
-            domain=NormedSpaceSpec.from_dict(d["domain"]),
-            codomain=NormedSpaceSpec.from_dict(d["codomain"]),
-            linear=np.asarray(d["linear"]),
-            quadratic=None if d.get("quadratic") is None else np.asarray(d["quadratic"]),
-            radial=None if d.get("radial") is None else RadialTable.from_dict(d["radial"]),
-            perturbations=tuple(
-                PerturbationSpec.from_dict(p) for p in d.get("perturbations", [])
-            ),
-            fix_origin=d.get("fix_origin", True),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "FunctionModel":
-        return cls.from_dict(json.loads(s))
 
 
 def make_perturbed_additive(

@@ -17,7 +17,6 @@ Two constructions are implemented on top of the limit engine:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,32 +86,6 @@ class DecompositionResult:
     b_hat: RadialTable | None
     max_residual: float
     iterations: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "T_hat": self.T_hat.to_dict(),
-            "Q_hat": None if self.Q_hat is None else self.Q_hat.to_dict(),
-            "b_hat": None if self.b_hat is None else self.b_hat.to_dict(),
-            "max_residual": self.max_residual,
-            "iterations": self.iterations,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecompositionResult":
-        return cls(
-            T_hat=FunctionModel.from_dict(d["T_hat"]),
-            Q_hat=None if d.get("Q_hat") is None else FunctionModel.from_dict(d["Q_hat"]),
-            b_hat=None if d.get("b_hat") is None else RadialTable.from_dict(d["b_hat"]),
-            max_residual=d["max_residual"],
-            iterations=d["iterations"],
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "DecompositionResult":
-        return cls.from_dict(json.loads(s))
 
 
 def orthogonal_defect_sup(

@@ -1,10 +1,16 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jensenlab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _space(dim):
@@ -171,16 +177,167 @@ def test_profile_subcommand_csv(tmp_path, capsys):
     assert "decays=False" in capsys.readouterr().err
 
 
-def test_console_script(tmp_path):
+def _run_console(*args):
     exe = shutil.which("jensenlab")
-    if exe is None:
-        pytest.skip("console script not installed")
-    cfg = _write_config(tmp_path / "c.json", _cor2_2_experiment())
-    out = tmp_path / "report.json"
-    proc = subprocess.run(
-        [exe, "verify", "--config", cfg, "--out", str(out)],
+    cmd = [exe] if exe else [sys.executable, "-m", "jensenlab.cli"]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        cmd + list(args),
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_console_script(tmp_path):
+    cfg = _write_config(tmp_path / "c.json", _cor2_2_experiment())
+    out = tmp_path / "report.json"
+    proc = _run_console("verify", "--config", cfg, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["pass"] is True
+
+    bad = _cor2_2_experiment()
+    bad["sampler"]["count"] = 10.5
+    proc = _run_console("verify", "--config", _write_config(tmp_path / "bad.json", bad))
+    assert proc.returncode == 2
+    assert "sampler.count" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# One wrong value each in a 20-point cor2_2 config: (where, value, key that
+# stderr must name).  None of these may crash or run.
+CONFIG_PROBES = [
+    (("sampler", "radius_range"), 5, "sampler.radius_range"),
+    (("sampler", "count"), 10.5, "sampler.count"),
+    (("sampler", "count"), True, "sampler.count"),
+    (("sampler", "seed"), "x", "sampler.seed"),
+    (("sampler", "pair_count"), 0, "pair_count"),
+    (("space", "dim"), "3", "space.dim"),
+    (("space",), 3, "space"),
+    (("ball",), {}, "ball.radius"),
+    (("perturbation", 0, "amplitude"), float("inf"), "perturbation[0].amplitude"),
+    (("perturbation", 1, "amplitude"), "1", "perturbation[1].amplitude"),
+    (("model",), {"linear": [[1.0, 0.0, 0.0], [0.5, 2.0]]}, "model.linear"),
+    (("model",), {"quadratic": [1.0]}, "model.quadratic"),
+    (("control", "epsilon"), float("nan"), "control.epsilon"),
+    (("control", "epsilon"), float("inf"), "control.epsilon"),
+    (("params", "r"), True, "params.r"),
+    (("limits",), {"n_max": 2.5}, "limits.n_max"),
+    (("limits",), {"tol": float("nan")}, "limits.tol"),
+    (("residual_tol",), -1, "residual_tol"),
+    (("residual_tol",), 0, "residual_tol"),
+    (("residual_tol",), float("inf"), "residual_tol"),
+    (("decay_tol",), "a", "decay_tol"),
+    (("decay_tol",), 0.0, "decay_tol"),
+    (("decay_tol",), float("-inf"), "decay_tol"),
+    (("expected_decay",), 1, "expected_decay"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, value, key", CONFIG_PROBES, ids=[f"{k}={v!r}" for _, v, k in CONFIG_PROBES]
+)
+def test_malformed_config_exits_2(tmp_path, capsys, where, value, key):
+    exp = _cor2_2_experiment()
+    exp["sampler"]["count"] = 20
+    node = exp
+    for k in where[:-1]:
+        node = node[k]
+    node[where[-1]] = value
+    cfg = _write_config(tmp_path / "c.json", exp)
+    assert main(["verify", "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+
+
+AXIOMS = ["axioms", "--relation", "bj", "--dim", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (AXIOMS + ["--dim", "0"], "--dim"),
+        (AXIOMS + ["--norm", "p_norm", "--p", "0.5"], "--p"),
+        (AXIOMS + ["--norm", "sup", "--p", "2"], "--p"),
+        (AXIOMS + ["--trials", "0"], "--trials"),
+        (["search", "--config", "c.json", "--restarts", "0"], "--restarts"),
+    ],
+)
+def test_flag_errors_exit_2(capsys, argv, flag):
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
+def _fuzz_bases():
+    """Valid 8-point configs that between them use every config section."""
+    sampler = {"count": 8, "seed": 3, "radius_range": [0.2, 4.0]}
+    pert = [{"kind": "bounded", "amplitude": 0.02, "seed": 5},
+            {"kind": "power", "delta": 0.01, "p": 0.5, "seed": 6}]
+    cor2_2 = dict(
+        _cor2_2_experiment(),
+        space={"dim": 2, "norm_kind": "p_norm", "p": 3.0},
+        sampler=sampler,
+        perturbation=pert,
+        model={"linear": [[1.0, 0.5], [0.0, 2.0]], "linear_scale": 1.0, "seed": 4},
+        limits={"n_max": 30, "tol": 1e-9},
+        residual_tol=1e-6,
+        decay_tol=1e-3,
+    )
+    table = {"radii": [0.0, 1.0, 4.0], "values": [0.2, 0.3, 0.5], "q": 0.5}
+    thm2_1 = dict(cor2_2, theorem_id="thm2_1", control={"kind": "table", "table": table})
+    relation = {"kind": "inner_product", "tolerance": 1e-9,
+                "grid": {"lambda_min": -1e4, "lambda_max": 1e4, "steps": 4096}}
+    thm5_2 = {
+        "theorem_id": "thm5_2", "space": _space(3), "codomain": _space(2),
+        "params": {"r": 1, "s": 1, "t": 1}, "control": {"kind": "constant", "epsilon": 0.3},
+        "domain": {"kind": "orthogonal", "relation": relation}, "sampler": sampler,
+        "model": {"quadratic": [0.4, -0.2]}, "perturbation": pert[:1],
+    }
+    thm3_1 = dict(thm5_2, theorem_id="thm3_1", params={"r": 2, "s": 1, "t": 1},
+                  domain={"kind": "exterior", "d": 2.0},
+                  sampler=dict(sampler, pair_count=8))
+    thm6_2 = {
+        "theorem_id": "thm6_2", "space": _space(2), "codomain": _space(1),
+        "params": {"r": 4, "s": 3, "t": 3}, "domain": {"kind": "punctured"},
+        "sampler": dict(sampler, radius_range=[0.0, 1.0]),
+        "ball": {"radius": 1.0, "exclude_origin": True},
+    }
+    cor3_2 = dict(_cor3_2_experiment(expected_decay=False, noisy=True), sampler=sampler,
+                  shells={"edges": [0.5, 1.0, 2.0], "samples_per_shell": 8})
+    return [cor2_2, thm2_1, thm5_2, thm3_1, thm6_2, cor3_2]
+
+
+def _nodes(tree, where=()):
+    """Every (path, value) below the root of a JSON tree."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for k, v in items:
+        yield where + (k,), v
+        if isinstance(v, (dict, list)):
+            yield from _nodes(v, where + (k,))
+
+
+FUZZ_BASES = _fuzz_bases()
+FUZZ_VALUES = [True, False, None, "x", 1.5, 7, [1], {"a": 1},
+               float("nan"), float("inf"), float("-inf")]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    base=st.sampled_from(range(len(FUZZ_BASES))),
+    pick=st.integers(0, 10**6),
+    mutation=st.sampled_from(["delete", "extra_key"] + [("set", v) for v in FUZZ_VALUES]),
+)
+def test_verify_fuzz_exit_codes(tmp_path_factory, base, pick, mutation):
+    exp = json.loads(json.dumps(FUZZ_BASES[base]))
+    nodes = list(_nodes(exp))
+    where, value = nodes[pick % len(nodes)]
+    parent = exp
+    for k in where[:-1]:
+        parent = parent[k]
+    if mutation == "delete":
+        del parent[where[-1]]
+    elif mutation == "extra_key":
+        (value if isinstance(value, dict) else exp)["zz_extra"] = 1
+    else:
+        parent[where[-1]] = mutation[1]
+    cfg = _write_config(tmp_path_factory.mktemp("fuzz") / "c.json", exp)
+    assert main(["verify", "--config", cfg, "--out", os.devnull]) in (0, 1, 2)

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jensenlab import experiments
 from jensenlab.control import ControlFunctionSpec, RadialControlTable
 from jensenlab.domains import DomainRestriction
 from jensenlab.experiments import (
@@ -30,7 +33,13 @@ from jensenlab.sampling import rng_from, sample_pairs
 from jensenlab.series import cor22_bound
 from jensenlab.models import jensen_defect_many
 from jensenlab.control import control_phi_norms
-from jensenlab.spaces import NormedSpaceSpec, euclidean_space, norm_many
+from jensenlab.spaces import (
+    LambdaGrid,
+    NormedSpaceSpec,
+    OrthogonalityRelation,
+    euclidean_space,
+    norm_many,
+)
 
 E3 = euclidean_space(3)
 E2 = euclidean_space(2)
@@ -149,12 +158,152 @@ class TestBoundFormula:
             bound_formula("thm6_1", JensenParams(2, 2, 2), self.CONST, E3, X_PROBE)
 
 
+# Numbers as a config may write them: ints stay ints through a round trip.
+MAGNITUDE = st.integers(0, 5) | st.floats(0.0, 5.0)
+FINITE = st.integers(-10, 10) | st.floats(-1e6, 1e6)
+EXPONENT = st.just(0) | st.floats(0.0, 0.99)
+SEED = st.integers(0, 2**64 - 1)
+
+
+def _spaces(dim):
+    return st.builds(
+        NormedSpaceSpec, st.just(dim), st.sampled_from(["euclidean", "sup"])
+    ) | st.builds(NormedSpaceSpec, st.just(dim), st.just("p_norm"), st.integers(1, 4))
+
+
+def _vectors(n):
+    return st.lists(FINITE, min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def _configs(draw):
+    """Valid experiment configs for every theorem id."""
+    tid = draw(st.sampled_from(experiments.THEOREM_IDS))
+    dim, codim, s = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    if tid in ("thm6_1", "thm6_2"):  # s = t and 2(s/r)^2 > 1
+        params = JensenParams(draw(st.integers(1, s)), s, s)
+    else:
+        params = JensenParams(draw(st.integers(1, 5)), s, draw(st.integers(1, 4)))
+    kinds = ["constant", "mixed", "table"] if tid == "thm2_1" else ["constant", "mixed"]
+    kind = "constant" if tid in ("thm3_1", "thm4_3", "thm5_2") else draw(st.sampled_from(kinds))
+    if kind == "table":
+        radii = np.cumsum([0.0] + draw(st.lists(st.floats(0.01, 3.0), min_size=1, max_size=4)))
+        values = draw(st.lists(MAGNITUDE, min_size=radii.size, max_size=radii.size))
+        q = draw(st.integers(-2, 0) | st.floats(-2.0, 0.99))
+        control = ControlFunctionSpec(kind="table", table=RadialControlTable(radii, values, q))
+    else:
+        control = ControlFunctionSpec(
+            kind=kind, epsilon=draw(MAGNITUDE), delta=draw(MAGNITUDE), p=draw(EXPONENT)
+        )
+    domain = DomainRestriction(kind=draw(st.sampled_from(["full", "punctured"])))
+    if tid in ("thm2_1", "cor2_2"):
+        domain = DomainRestriction(kind="full")
+    if tid in ("prop4_1", "prop4_2", "thm4_3"):
+        domain = DomainRestriction(kind="punctured")
+    if tid == "thm3_1":
+        domain = DomainRestriction(kind="exterior", d=draw(st.integers(1, 5) | st.floats(0.1, 5.0)))
+    if tid == "thm5_2":
+        grid = LambdaGrid(
+            draw(st.integers(-100, -1) | st.floats(-1e4, -1e-3)),
+            draw(st.floats(1e-3, 1e4)),
+            draw(st.integers(1000, 5000)),
+        )
+        kind = draw(st.sampled_from(["trivial", "inner_product", "birkhoff_james"]))
+        relation = OrthogonalityRelation(kind, grid, draw(st.floats(1e-12, 1.0)))
+        domain = DomainRestriction(kind="orthogonal", relation=relation)
+    lo = draw(st.integers(1, 2) | st.floats(0.01, 2.0))
+    lo = lo if domain.kind == "punctured" else draw(st.just(0) | st.just(lo))
+    perturbation = st.builds(
+        PerturbationSpec,
+        st.sampled_from(["none", "bounded", "power", "decay"]),
+        MAGNITUDE, MAGNITUDE, EXPONENT, SEED,
+    )
+    cor3_2 = tid == "cor3_2" or draw(st.booleans())
+    return ExperimentConfig(
+        theorem_id=tid,
+        space=draw(_spaces(dim)),
+        codomain=draw(_spaces(codim)),
+        params=params,
+        control=control,
+        domain=domain,
+        sampler=SamplerSettings(
+            count=draw(st.integers(1, 10**6)),
+            seed=draw(SEED),
+            radius_range=(lo, lo + draw(st.integers(1, 10) | st.floats(0.01, 10.0))),
+            pair_count=draw(st.none() | st.integers(1, 1000)),
+        ),
+        limits=experiments.LimitSettings(
+            n_max=draw(st.none() | st.integers(1, 60)), tol=draw(st.floats(1e-15, 1.0))
+        ),
+        model=ModelSettings(
+            linear=draw(st.none() | st.lists(_vectors(dim), min_size=codim, max_size=codim).map(tuple)),
+            linear_scale=draw(FINITE),
+            quadratic=draw(st.none() | _vectors(codim)),
+            perturbations=tuple(draw(st.lists(perturbation, max_size=3))),
+            seed=draw(st.none() | SEED),
+        ),
+        ball=draw(
+            st.builds(BallSettings, st.integers(1, 5) | st.floats(0.1, 5.0), st.booleans())
+            if tid in ("thm6_1", "thm6_2") else st.none()
+        ),
+        residual_tol=draw(st.floats(1e-12, 1.0)),
+        decay_tol=draw(st.floats(1e-12, 1.0)),
+        expected_decay=draw(st.booleans()) if cor3_2 else None,
+        shells=ShellSettings(
+            edges=(0.5, 1, 2.5), samples_per_shell=draw(st.integers(1, 100))
+        ) if cor3_2 else None,
+    )
+
+
+def _schema_markdown() -> str:
+    """The README's config field tables, rendered from the schema."""
+    out, seen = [], set()
+
+    def walk(name, sec, prefix):
+        if id(sec) in seen:
+            return
+        seen.add(id(sec))
+        out.extend([f"#### `{name}`", "", "| key | type | default | constraint |",
+                    "|---|---|---|---|"])
+        for f in sec.fields:
+            default = "required" if f.default is experiments._REQUIRED else (
+                f"`{json.dumps(f.default, ensure_ascii=False)}`")
+            out.append(f"| `{f.key}` | {experiments._type_name(f.type)} | {default} | {f.note} |")
+        out.append("")
+        for f in sec.fields:
+            t = f.type[0] if isinstance(f.type, list) else f.type
+            if isinstance(t, experiments._Section):
+                child = prefix + f.key + ("[i]" if isinstance(f.type, list) else "")
+                walk(child, t, child + ".")
+
+    walk("experiment", experiments._EXPERIMENT, "")
+    return "\n".join(out)
+
+
 class TestConfigParsing:
     def test_round_trip(self):
         cfg = _cfg("cor2_2")
         d = config_to_dict(cfg)
         again = parse_experiment(json.loads(json.dumps(d)))
         assert config_to_dict(again) == d
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(cfg=_configs())
+    def test_round_trip_property(self, cfg):
+        text = json.dumps(config_to_dict(cfg), sort_keys=True)
+        again = config_to_dict(parse_experiment(json.loads(text)))
+        assert json.dumps(again, sort_keys=True) == text
+
+    def test_number_fields_keep_ints(self):
+        d = config_to_dict(_cfg("cor2_2"))
+        d["control"]["epsilon"] = 0
+        d["sampler"]["radius_range"] = [0, 6]
+        text = json.dumps(config_to_dict(parse_experiment(d)), sort_keys=True)
+        assert '"epsilon": 0,' in text and '"radius_range": [0, 6]' in text
+
+    def test_readme_field_tables_match_schema(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        assert _schema_markdown() in readme.read_text(encoding="utf-8")
 
     def test_unknown_key_rejected(self):
         d = config_to_dict(_cfg("cor2_2"))
@@ -181,6 +330,7 @@ class TestConfigParsing:
                 sampler=SamplerSettings(count=40, seed=1, radius_range=(0.0, 2.0)),
             ),
             _cfg("thm6_1", params=JensenParams(2, 2, 1)),
+            _cfg("thm6_2", params=JensenParams(7, 3, 3)),  # base 2(s/r)^2 <= 1
             _cfg("cor3_2", shells=None),
         ]
         for cfg in bad:
@@ -254,6 +404,14 @@ def test_run_experiment_smoke(tid):
     assert rep.theorem_id == tid
     assert rep.passed, (tid, rep.max_ratio, rep.details)
     assert rep.max_ratio <= 1.0 + 1e-7
+
+
+def test_huge_finite_perturbation_runs():
+    # 3·amplitude/tol overflows to inf in the iteration-count estimate
+    huge = PerturbationSpec(kind="bounded", amplitude=1e300, seed=1)
+    cfg = _cfg("cor2_2", model=ModelSettings(perturbations=(huge,)),
+               sampler=SamplerSettings(count=8, seed=1, radius_range=(0.1, 2.0)))
+    assert run_experiment(cfg).iterations["max_iterations"] <= 600
 
 
 def test_cor3_2_decay_verdict_for_exact_model():

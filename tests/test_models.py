@@ -20,7 +20,7 @@ from jensenlab.models import (
     odd_even_split,
     perturbation_values,
 )
-from jensenlab.spaces import euclidean_space, norm_many, sup_space
+from jensenlab.spaces import euclidean_space, norm_many
 
 E3 = euclidean_space(3)
 E2 = euclidean_space(2)
@@ -225,20 +225,6 @@ def test_make_perturbed_additive_and_exact_part():
     assert np.any(gap > 0.0)
     exact = f.exact_part()
     assert np.array_equal(exact.eval_many(X), X @ L.T)
-
-
-def test_model_json_round_trip():
-    f = FunctionModel(
-        domain=sup_space(2),
-        codomain=E2,
-        linear=[[1.0, 0.5], [0.0, 2.0]],
-        quadratic=[0.1, 0.0],
-        radial=RadialTable(knots=[0.0, 4.0], values=[[0.0, 0.0], [1.2, -0.4]]),
-        perturbations=(PerturbationSpec(kind=DECAY, amplitude=0.2, seed=21),),
-    )
-    g = FunctionModel.from_dict(f.to_dict())
-    X = np.random.default_rng(15).uniform(-3.0, 3.0, size=(20, 2))
-    assert np.array_equal(f.eval_many(X), g.eval_many(X))
 
 
 def test_model_shape_validation():
