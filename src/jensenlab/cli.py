@@ -109,6 +109,8 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.restarts > args.iters:
+        raise ConfigError(f"--restarts ({args.restarts}) must not exceed --iters ({args.iters})")
     configs = _select(load_config(args.config), args.theorem)
     if len(configs) != 1:
         raise ConfigError("search needs exactly one experiment; filter with --theorem")

@@ -97,7 +97,8 @@ from .series import (
 )
 from .spaces import (
     EUCLIDEAN,
-    LambdaGrid,
+    INNER_PRODUCT,
+    TRIVIAL,
     NormedSpaceSpec,
     OrthogonalityRelation,
     norm_many,
@@ -374,17 +375,20 @@ _CONTROL = _Section(
     _Field("p", float, 0.0, "in [0, 1) for mixed", emit=lambda c: c.kind == MIXED),
     _Field("table", _TABLE, None, "required for table", emit=lambda c: c.kind == TABLE),
 )
+# The Birkhoff-James search interval is worked out from the inputs; the λ
+# grid that schema-1 reports carry is still type-checked, then dropped.
 _GRID = _Section(
-    LambdaGrid,
-    _Field("lambda_min", float, -1e4, "< 0"),
-    _Field("lambda_max", float, 1e4, "> 0"),
-    _Field("steps", int, 4096, ">= 1000"),
+    lambda **kw: None,
+    _Field("lambda_min", float, -1e4, "ignored"),
+    _Field("lambda_max", float, 1e4, "ignored"),
+    _Field("steps", int, 4096, "ignored"),
 )
 _RELATION = _Section(
-    OrthogonalityRelation,
+    lambda grid, **kw: OrthogonalityRelation(**kw),
     _Field("kind", str, note="trivial, inner_product or birkhoff_james"),
-    _Field("tolerance", float, 1e-9, "> 0"),
-    _Field("grid", _GRID, {}, "λ grid of the birkhoff_james margin"),
+    _Field("tolerance", float, 1e-9,
+           "> 0, relative to ‖x‖‖y‖ (inner_product) or ‖x‖ (birkhoff_james)"),
+    _Field("grid", _GRID, {}, "ignored, never emitted", emit=lambda rel: False),
 )
 _DOMAIN = _Section(
     DomainRestriction,
@@ -484,6 +488,12 @@ def _validate_for_theorem(cfg: ExperimentConfig):
             raise ConfigError("thm5_2 needs an orthogonal domain")
         if cfg.control.kind != CONSTANT:
             raise ConfigError("thm5_2 needs a constant control")
+        rel = cfg.domain.relation.kind
+        if rel == INNER_PRODUCT and not cfg.space.has_inner_product:
+            raise ConfigError("inner_product pairs need a euclidean space")
+        if rel != TRIVIAL and cfg.space.dim < 2:
+            # on a line only y = 0 is orthogonal to x != 0
+            raise ConfigError(f"{rel} pairs need space.dim >= 2")
     if tid in ("thm6_1", "thm6_2"):
         if cfg.ball is None:
             raise ConfigError(f"{tid} needs a ball section")
@@ -630,6 +640,9 @@ def measure_epsilon(cfg: ExperimentConfig, f, g, h, X, Y, scale_y: float = 1.0):
     (the punctured propositions control the defect by φ(x, (t/s)y)).
     """
     defects = jensen_defect_many(f, g, h, cfg.params, X, Y)
+    if not np.all(np.isfinite(defects)):
+        raise ConfigError("the sampled Jensen defect overflows; lower sampler.radius_range, "
+                          "model.linear_scale or the perturbation amplitudes")
     base = _phi_components(cfg.control, 0.0)
     nonconst = _phi_norms(
         base, norm_many(cfg.space, X), norm_many(cfg.space, Y) * scale_y
@@ -1289,14 +1302,17 @@ def adversarial_search(cfg: ExperimentConfig, settings: SearchSettings | None = 
 
     The effective epsilon is re-measured for every candidate, so the search
     can only exceed ratio 1 by finding a genuine bound violation, not by
-    starving the hypothesis measurement.
+    starving the hypothesis measurement.  The search runs exactly
+    settings.iterations evaluations: iterations // restarts per restart, plus
+    one for each of the first iterations % restarts restarts.
     """
     settings = settings or SearchSettings()
     rng = rng_from(cfg.sampler.seed, "search")
     best = {"ratio": -1.0, "config": None, "witnesses": [], "theorem_id": cfg.theorem_id}
     evaluated = 0
-    per_restart = max(1, settings.iterations // max(1, settings.restarts))
-    for restart in range(settings.restarts):
+    per_restart, extra = divmod(settings.iterations, max(1, settings.restarts))
+    for restart in range(min(settings.restarts, settings.iterations)):
+        count = per_restart + (restart < extra)
         cur = cfg
         if restart > 0:
             cur = replace(
@@ -1312,8 +1328,8 @@ def adversarial_search(cfg: ExperimentConfig, settings: SearchSettings | None = 
         if cur_ratio > best["ratio"]:
             best.update(ratio=cur_ratio, config=config_to_dict(cur), witnesses=rep.witnesses)
         sched = settings.step_schedule
-        for it in range(per_restart - 1):
-            step = sched[min(it * len(sched) // max(1, per_restart - 1), len(sched) - 1)]
+        for it in range(count - 1):
+            step = sched[min(it * len(sched) // (count - 1), len(sched) - 1)]
             cand = _mutate(cur, rng, step, wit_norm)
             rep = run_experiment(cand)
             evaluated += 1

@@ -26,10 +26,9 @@ from .models import (
     JensenParams,
     ModelError,
     RadialTable,
-    jensen_defect_many,
     odd_even_split,
 )
-from .sampling import orthogonal_pairs, rng_from, sample_points, unit_directions
+from .sampling import rng_from, sample_points, unit_directions
 from .series import (
     DEFAULT_TOL,
     DYADIC_N_MAX,
@@ -39,7 +38,6 @@ from .series import (
 )
 from .spaces import (
     NormedSpaceSpec,
-    OrthogonalityRelation,
     as_batch,
     norm_many,
     o4_witness,
@@ -86,31 +84,6 @@ class DecompositionResult:
     b_hat: RadialTable | None
     max_residual: float
     iterations: dict
-
-
-def orthogonal_defect_sup(
-    f,
-    g,
-    h,
-    params: JensenParams,
-    rel: OrthogonalityRelation,
-    space: NormedSpaceSpec,
-    count: int,
-    radius_range,
-    seed: int,
-    axis_period: int = 8,
-) -> SupResult:
-    """Empirical sup of the defect over sampled relation-orthogonal pairs.
-
-    Axis pairs (x, 0) and (0, y) are orthogonal under every supported relation
-    and are woven into the sample, since the reduction arguments consume the
-    hypothesis at exactly those pairs.
-    """
-    rng = rng_from(seed, "orthogonal-defect")
-    X, Y = orthogonal_pairs(rel, space, count, radius_range, rng, axis_period=axis_period)
-    d = jensen_defect_many(f, g, h, params, X, Y)
-    i = int(np.argmax(d))
-    return SupResult(value=float(d[i]), x=X[i].copy(), y=Y[i].copy())
 
 
 def pexider_reduction_check(

@@ -14,12 +14,14 @@ import numpy as np
 
 from .spaces import (
     INNER_PRODUCT,
-    TRIVIAL,
     NormedSpaceSpec,
     OrthogonalityRelation,
-    is_orthogonal,
+    is_orthogonal_many,
     norm_many,
+    orthogonal_partners,
 )
+
+_PARTNER_TRIES = 128  # draws per row before orthogonal_pairs gives up
 
 
 def rng_from(seed: int, label: str) -> np.random.Generator:
@@ -57,13 +59,6 @@ def sample_pairs(space, n, radius_range, rng, axis_period: int = 0):
     X = sample_points(space, n, radius_range, rng)
     Y = sample_points(space, n, radius_range, rng)
     return _apply_axis_rows(X, Y, axis_period)
-
-
-def punctured_pairs(space, n, radius_range, rng):
-    lo, hi = radius_range
-    if not (lo > 0.0):
-        raise ValueError("punctured sampling needs a positive lower radius")
-    return sample_pairs(space, n, radius_range, rng, axis_period=0)
 
 
 def interior_pairs(space, d, n, rng):
@@ -118,54 +113,42 @@ def orthogonal_pairs(
 ):
     """Pairs that satisfy the relation, radii from radius_range.
 
-    Inner-product relations construct y in the orthogonal complement of x
-    (vectorized); the trivial and Birkhoff-James kinds draw candidates and
-    keep relation-verified ones, falling back to per-row repair.
+    All partners come from one orthogonal_partners call on Gaussian draws and
+    are checked by one is_orthogonal_many call; the rows that fail (or whose
+    partner is numerically zero) are drawn again together, up to 128 draws
+    per row.
     """
     X = sample_points(space, n, radius_range, rng)
+    # Each kind keeps the draw order of its former sampler (inner_product drew
+    # V before the radii, the others after), so sampled pairs keep their bytes.
     if rel.kind == INNER_PRODUCT:
-        lens = np.linalg.norm(X, axis=1)
-        safe = np.where(lens > 0.0, lens, 1.0)
-        Xhat = X / safe[:, None]
         V = rng.standard_normal((n, space.dim))
-        Yd = V - np.einsum("ij,ij->i", V, Xhat)[:, None] * Xhat
-        ylen = np.linalg.norm(Yd, axis=1)
-        thin = ylen < 1e-12
-        if np.any(thin):
-            # x swallowed the draw; use the basis direction least aligned with x.
-            k = np.argmin(np.abs(Xhat[thin]), axis=1)
-            E = np.zeros((int(np.count_nonzero(thin)), space.dim))
-            E[np.arange(E.shape[0]), k] = 1.0
-            Yd[thin] = E - np.einsum("ij,ij->i", E, Xhat[thin])[:, None] * Xhat[thin]
-            ylen[thin] = np.linalg.norm(Yd[thin], axis=1)
-        Y = Yd / ylen[:, None] * rng.uniform(*radius_range, size=n)[:, None]
-        return _apply_axis_rows(X, Y, axis_period)
-
+        radii = rng.uniform(*radius_range, size=n)
+    else:
+        radii = rng.uniform(*radius_range, size=n)
+        V = rng.standard_normal((n, space.dim))
     Y = np.empty_like(X)
-    radii = rng.uniform(*radius_range, size=n)
-    for i in range(n):
-        Y[i] = _relation_partner(rel, space, X[i], radii[i], rng)
-    return _apply_axis_rows(X, Y, axis_period)
-
-
-def _relation_partner(rel, space, x, radius, rng, tries: int = 128):
-    from .spaces import _norming_functional  # shared supporting-functional helper
-
-    x_zero = not np.any(x)
-    for _ in range(tries):
-        v = rng.standard_normal(space.dim)
-        if rel.kind == TRIVIAL or x_zero:
-            y = v
+    todo = np.arange(n)
+    for _ in range(_PARTNER_TRIES):
+        Xt = X[todo]
+        Yd = orthogonal_partners(rel, space, Xt, V)
+        if rel.kind == INNER_PRODUCT:
+            ylen = np.linalg.norm(Yd, axis=1)
+            thin = ylen < 1e-12
+            if np.any(thin):
+                # x swallowed the draw; use the basis direction least aligned with x.
+                E = np.zeros((int(np.count_nonzero(thin)), space.dim))
+                E[np.arange(E.shape[0]), np.argmin(np.abs(Xt[thin]), axis=1)] = 1.0
+                Yd[thin] = orthogonal_partners(rel, space, Xt[thin], E)
+                ylen[thin] = np.linalg.norm(Yd[thin], axis=1)
         else:
-            g = _norming_functional(space, x)
-            gx = float(np.dot(g, x))
-            if gx == 0.0:
-                continue
-            y = v - (float(np.dot(g, v)) / gx) * x
-        ny = norm_many(space, y[None, :])[0]
-        if ny < 1e-12:
-            continue
-        y = y / ny * radius
-        if is_orthogonal(rel, space, x, y):
-            return y
+            ylen = norm_many(space, Yd)
+        ok = ylen >= 1e-12
+        rows = todo[ok]
+        Y[rows] = Yd[ok] / ylen[ok, None] * radii[rows, None]
+        ok[ok] = is_orthogonal_many(rel, space, X[rows], Y[rows])
+        todo = todo[~ok]
+        if todo.size == 0:
+            return _apply_axis_rows(X, Y, axis_period)
+        V = rng.standard_normal((todo.size, space.dim))
     raise RuntimeError("could not construct an orthogonal partner")

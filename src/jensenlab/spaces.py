@@ -11,15 +11,18 @@ arrays.  On top of that this module provides three orthogonality relations
 together with the Ratz axiom checker (O1)-(O4) used to certify that a relation
 behaves like an orthogonality on a given space.
 
-The Birkhoff-James test minimizes λ ↦ ‖x + λy‖ over a signed log-spaced grid
-and then refines the bracket around the grid argmin by golden-section search;
-the map is convex in λ, so the grid argmin brackets the true minimizer.
+The Birkhoff-James test minimizes the convex map λ ↦ ‖x + λy‖ by
+golden-section search on [−2‖x‖/‖y‖, 2‖x‖/‖y‖], an interval worked out from
+the inputs that always holds the minimizer, and accepts x ⊥ y when the margin
+is at least −tolerance·‖x‖.  Both the interval and the threshold scale with
+x and y, so the verdict is homogeneous, as axiom (O3) requires.
+orthogonal_partners builds relation-orthogonal partners for a batch of rows
+and is_orthogonal_many checks them; the scalar functions wrap these.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,73 +136,34 @@ def inner(space: NormedSpaceSpec, x, y) -> float:
     return float(np.dot(as_point(x, space.dim), as_point(y, space.dim)))
 
 
-@dataclass(frozen=True)
-class LambdaGrid:
-    """Signed log-spaced scalar grid for the Birkhoff-James margin search.
+def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # Row-wise dot products through matmul, which rounds like np.dot on each
+    # row pair (einsum and sum(A * B) may differ in the last bit).
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
 
-    The grid covers [lambda_min, 0] and [0, lambda_max] with log-spaced
-    magnitudes down to 1e-12 of the endpoint magnitude, plus λ = 0 itself.
+
+def bj_margin_many(space: NormedSpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """min over λ of ‖x + λy‖ − ‖x‖ for each row pair, by golden-section search.
+
+    λ ↦ ‖x + λy‖ is convex, and ‖x + λy‖ ≥ |λ|‖y‖ − ‖x‖ > ‖x‖ once
+    |λ| > 2‖x‖/‖y‖, so the minimizer lies in [−2‖x‖/‖y‖, 2‖x‖/‖y‖] and the
+    search runs on that bracket.  The bracket scales with the inputs: the
+    margin of (αx, βy) is |α| times that of (x, y).  Nonpositive, since the
+    search starts from λ = 0; rows with y = 0 have margin 0.
     """
-
-    lambda_min: float = -1e4
-    lambda_max: float = 1e4
-    steps: int = 4096
-
-    def __post_init__(self):
-        if not (self.lambda_min < 0.0 < self.lambda_max):
-            raise SpaceError("grid must satisfy lambda_min < 0 < lambda_max")
-        if self.steps < 1000:
-            raise SpaceError(f"grid needs at least 1000 steps, got {self.steps}")
-
-
-@functools.lru_cache(maxsize=64)
-def _grid_points(grid: LambdaGrid) -> np.ndarray:
-    half = grid.steps // 2
-    neg = -np.logspace(np.log10(-grid.lambda_min * 1e-12), np.log10(-grid.lambda_min), half)
-    pos = np.logspace(np.log10(grid.lambda_max * 1e-12), np.log10(grid.lambda_max), half)
-    return np.concatenate([neg[::-1], [0.0], pos])
-
-
-def bj_margin_many(
-    space: NormedSpaceSpec,
-    X: np.ndarray,
-    Y: np.ndarray,
-    grid: LambdaGrid | None = None,
-    chunk: int = 256,
-) -> np.ndarray:
-    """min over λ of ‖x + λy‖ − ‖x‖ for each row pair, grid + golden refinement.
-
-    Nonpositive by construction (λ = 0 is on the grid).  A margin ≥ -tol means
-    x is Birkhoff-James orthogonal to y at tolerance tol.
-    """
-    grid = grid or LambdaGrid()
-    lams = _grid_points(grid)
     X = as_batch(X, space.dim)
     Y = as_batch(Y, space.dim)
     if X.shape != Y.shape:
         raise SpaceError("batch shapes differ")
-    n = X.shape[0]
-    out = np.empty(n)
-    for lo in range(0, n, chunk):
-        sl = slice(lo, min(lo + chunk, n))
-        out[sl] = _bj_margin_chunk(space, X[sl], Y[sl], lams)
-    return out
-
-
-def _bj_margin_chunk(space, X, Y, lams):
-    # values[i, k] = ‖x_i + λ_k y_i‖
-    V = X[:, None, :] + lams[None, :, None] * Y[:, None, :]
-    vals = norm_many(space, V.reshape(-1, X.shape[1])).reshape(X.shape[0], lams.size)
-    idx = np.argmin(vals, axis=1)
-    best = vals[np.arange(X.shape[0]), idx]
-
-    # Convexity: the true minimizer lies between the argmin's grid neighbors.
-    a = lams[np.maximum(idx - 1, 0)]
-    b = lams[np.minimum(idx + 1, lams.size - 1)]
+    nx = norm_many(space, X)
+    ny = norm_many(space, Y)
+    b = 2.0 * nx / np.where(ny > 0.0, ny, np.inf)
+    a = -b
 
     def f(lam):
         return norm_many(space, X + lam[:, None] * Y)
 
+    best = nx
     for _ in range(_GOLDEN_ITERS):
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
@@ -210,27 +174,27 @@ def _bj_margin_chunk(space, X, Y, lams):
         a = np.where(left, a, c)
         b = np.where(left, d, b)
     best = np.minimum(best, f((a + b) / 2.0))
-    return best - norm_many(space, X)
+    return best - nx
 
 
-def bj_margin(space: NormedSpaceSpec, x, y, grid: LambdaGrid | None = None) -> float:
+def bj_margin(space: NormedSpaceSpec, x, y) -> float:
     """Scalar Birkhoff-James margin; see bj_margin_many."""
     x = as_point(x, space.dim)
     y = as_point(y, space.dim)
-    return float(bj_margin_many(space, x[None, :], y[None, :], grid=grid)[0])
+    return float(bj_margin_many(space, x[None, :], y[None, :])[0])
 
 
 @dataclass(frozen=True)
 class OrthogonalityRelation:
-    """One of the three supported orthogonality relations plus its tolerances.
+    """One of the three supported orthogonality relations plus its tolerance.
 
-    grid is consulted only by the birkhoff_james kind; tolerance scales the
-    accept threshold of is_orthogonal for inner_product (relative to ‖x‖‖y‖)
-    and birkhoff_james (absolute on the margin).
+    tolerance is relative: inner_product accepts |⟨x, y⟩| ≤ tolerance·‖x‖‖y‖,
+    birkhoff_james accepts a margin ≥ −tolerance·‖x‖.  Both tests are
+    therefore unchanged when x and y are scaled.  The Birkhoff-James search
+    interval is worked out from ‖x‖/‖y‖ (see bj_margin_many).
     """
 
     kind: str
-    grid: LambdaGrid | None = field(default_factory=LambdaGrid)
     tolerance: float = 1e-9
 
     def __post_init__(self):
@@ -240,29 +204,81 @@ class OrthogonalityRelation:
             raise SpaceError("tolerance must be positive")
 
 
+def _independent_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Rows where {x, y} is linearly independent, judged on x/‖x‖ and y/‖y‖
+    so that scaling either vector does not change the verdict."""
+    U = np.stack([X, Y], axis=1)
+    lens = np.linalg.norm(U, axis=2, keepdims=True)
+    s = np.linalg.svd(U / np.where(lens > 0.0, lens, 1.0), compute_uv=False)
+    return s[:, -1] > INDEPENDENCE_RTOL * s[:, 0]
+
+
 def linearly_independent(x: np.ndarray, y: np.ndarray) -> bool:
-    s = np.linalg.svd(np.stack([x, y]), compute_uv=False)
-    return bool(s[-1] > INDEPENDENCE_RTOL * s[0])
+    return bool(_independent_many(np.asarray(x)[None, :], np.asarray(y)[None, :])[0])
 
 
-def is_orthogonal(rel: OrthogonalityRelation, space: NormedSpaceSpec, x, y) -> bool:
-    x = as_point(x, space.dim)
-    y = as_point(y, space.dim)
-    x_zero = not np.any(x)
-    y_zero = not np.any(y)
+def is_orthogonal_many(rel: OrthogonalityRelation, space: NormedSpaceSpec, X, Y) -> np.ndarray:
+    """x ⊥ y under rel for each row pair of the (n, dim) batches X and Y."""
+    X = as_batch(X, space.dim)
+    Y = as_batch(Y, space.dim)
+    if X.shape != Y.shape:
+        raise SpaceError("batch shapes differ")
     if rel.kind == TRIVIAL:
-        if x_zero or y_zero:
-            return True
-        return linearly_independent(x, y)
+        axis = ~np.any(X, axis=1) | ~np.any(Y, axis=1)
+        return axis | _independent_many(X, Y)
     if rel.kind == INNER_PRODUCT:
         if not space.has_inner_product:
             raise SpaceError("inner_product orthogonality needs an inner-product space")
-        if x_zero or y_zero:
-            return True
-        return abs(float(np.dot(x, y))) <= rel.tolerance * norm(space, x) * norm(space, y)
-    if rel.grid is None:
-        raise SpaceError("birkhoff_james orthogonality needs a lambda grid")
-    return bj_margin(space, x, y, grid=rel.grid) >= -rel.tolerance
+        limit = rel.tolerance * norm_many(space, X) * norm_many(space, Y)
+        return np.abs(np.einsum("ij,ij->i", X, Y)) <= limit
+    return bj_margin_many(space, X, Y) >= -rel.tolerance * norm_many(space, X)
+
+
+def is_orthogonal(rel: OrthogonalityRelation, space: NormedSpaceSpec, x, y) -> bool:
+    """Scalar form of is_orthogonal_many."""
+    x = as_point(x, space.dim)
+    y = as_point(y, space.dim)
+    return bool(is_orthogonal_many(rel, space, x[None, :], y[None, :])[0])
+
+
+def _norming_functionals(space: NormedSpaceSpec, X: np.ndarray) -> np.ndarray:
+    """Rows g with g(x) = ‖x‖ and dual norm 1 (zero for x = 0)."""
+    if space.norm_kind == EUCLIDEAN:
+        n = np.sqrt(_rowdot(X, X))
+        return X / np.where(n > 0.0, n, 1.0)[:, None]
+    A = np.abs(X)
+    if space.norm_kind == SUP:
+        top = A >= (1.0 - 1e-9) * np.max(A, axis=1, keepdims=True)
+        # Ties split evenly; any convex combination of the tied functionals supports.
+        return np.where(top, np.sign(X), 0.0) / np.count_nonzero(top, axis=1)[:, None]
+    # ‖x‖^(p-1) with the scalar pow: numpy's vectorized pow rounds differently
+    # in a few percent of cases, and sampled pairs must replay bit for bit.
+    e = (space.p - 1.0) / space.p
+    s = np.array([v**e if v > 0.0 else 1.0 for v in np.sum(A**space.p, axis=1).tolist()])
+    return np.sign(X) * A ** (space.p - 1.0) / s[:, None]
+
+
+def orthogonal_partners(rel: OrthogonalityRelation, space: NormedSpaceSpec, X, V) -> np.ndarray:
+    """Rows y with x ⊥ y under rel, one built from each draw v (rows of V).
+
+    trivial keeps v; inner_product projects v onto the complement of x;
+    birkhoff_james takes y = v − (g(v)/g(x))·x for the norming functional g
+    of x, so g(y) = 0 and ‖x + λy‖ ≥ g(x + λy) = ‖x‖ (James, Trans. AMS
+    1947).  Rows with x = 0 keep v.  A y that comes out (numerically) zero
+    or fails is_orthogonal_many is left for the caller to redraw.
+    """
+    X = as_batch(X, space.dim)
+    V = as_batch(V, space.dim)
+    if rel.kind == TRIVIAL:
+        return V.copy()
+    if rel.kind == INNER_PRODUCT:
+        lens = np.linalg.norm(X, axis=1)
+        Xhat = X / np.where(lens > 0.0, lens, 1.0)[:, None]
+        return V - np.einsum("ij,ij->i", V, Xhat)[:, None] * Xhat
+    G = _norming_functionals(space, X)
+    gx = _rowdot(G, X)
+    ratio = np.divide(_rowdot(G, V), gx, out=np.zeros_like(gx), where=gx != 0.0)
+    return V - ratio[:, None] * X
 
 
 def o4_witness(space: NormedSpaceSpec, plane, x, lam: float) -> np.ndarray:
@@ -340,51 +356,26 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed & (2**64 - 1), salt]))
 
 
-def _random_point(space, rng, lo=0.1, hi=3.0):
-    v = rng.standard_normal(space.dim)
-    n = norm_many(space, v[None, :])[0]
-    if n == 0.0:
-        v = np.zeros(space.dim)
-        v[0] = 1.0
-        n = norm_many(space, v[None, :])[0]
-    return v / n * rng.uniform(lo, hi)
-
-def _norming_functional(space, x):
-    # A supporting functional g with g(x) = ‖x‖ and ‖g‖* = 1; y with g(y) = 0
-    # is then Birkhoff-James orthogonal to x.
-    if space.norm_kind == EUCLIDEAN:
-        return x / np.linalg.norm(x)
-    if space.norm_kind == SUP:
-        g = np.zeros_like(x)
-        m = np.max(np.abs(x))
-        top = np.abs(x) >= (1.0 - 1e-9) * m
-        # Ties split evenly; any convex combination of the tied functionals supports.
-        g[top] = np.sign(x[top]) / np.count_nonzero(top)
-        return g
-    g = np.sign(x) * np.abs(x) ** (space.p - 1.0)
-    return g / np.sum(np.abs(x) ** space.p) ** ((space.p - 1.0) / space.p)
+def _random_points(space, rng, n, lo=0.1, hi=3.0):
+    """n points with Gaussian directions and norms uniform in [lo, hi)."""
+    V = rng.standard_normal((n, space.dim))
+    V[~np.any(V, axis=1), 0] = 1.0
+    return V / norm_many(space, V)[:, None] * rng.uniform(lo, hi, size=n)[:, None]
 
 
-def _orthogonal_partner(rel, space, x, rng, max_tries=64):
-    """Draw y != 0 with x ⊥ y under rel, or None if construction fails."""
-    for _ in range(max_tries):
-        v = _random_point(space, rng)
-        if rel.kind == TRIVIAL:
-            y = v
-        elif rel.kind == INNER_PRODUCT:
-            xhat = x / np.linalg.norm(x)
-            y = v - np.dot(v, xhat) * xhat
-        else:
-            g = _norming_functional(space, x)
-            gx = float(np.dot(g, x))
-            if gx == 0.0:
-                continue
-            y = v - (float(np.dot(g, v)) / gx) * x
-        if norm_many(space, y[None, :])[0] < 1e-9:
-            continue
-        if is_orthogonal(rel, space, x, y):
-            return y
-    return None
+def _partnered_points(rel, space, rng, n):
+    """Points x and partners y from orthogonal_partners, kept where x ⊥ y holds."""
+    X = _random_points(space, rng, n)
+    Y = orthogonal_partners(rel, space, X, _random_points(space, rng, n))
+    keep = (norm_many(space, Y) >= 1e-9) & is_orthogonal_many(rel, space, X, Y)
+    return X, Y, keep
+
+
+def _axiom_result(ok: np.ndarray, counterexample) -> AxiomResult:
+    """Result over the trials in ok; counterexample(i) describes failed trial i."""
+    bad = np.flatnonzero(~ok)
+    ce = counterexample(int(bad[0])) if bad.size else None
+    return AxiomResult(bad.size == 0 and ok.size > 0, int(ok.size), int(bad.size), ce)
 
 
 def check_ratz_axioms(
@@ -401,57 +392,42 @@ def check_ratz_axioms(
     O4: for every plane P, x in P, and lam > 0 there is y0 in P with
         x ⊥ y0 and (x + y0) ⊥ (lam·x − y0).
 
-    Witnesses for O4 come from o4_witness on inner-product spaces and from a
-    grid search over the plane otherwise.  Deterministic given the seed.
+    O1-O3 run on all trials at once; O2 and O3 use the pairs of
+    orthogonal_partners that pass is_orthogonal_many.  Witnesses for O4 come
+    from o4_witness on inner-product spaces and from a grid search over the
+    plane otherwise.  Deterministic given the seed.
     """
-    zero = np.zeros(space.dim)
     results = {}
 
-    rng = _rng(seed, 101)
-    fails, ce = 0, None
-    for _ in range(trials):
-        x = _random_point(space, rng)
-        ok = is_orthogonal(rel, space, x, zero) and is_orthogonal(rel, space, zero, x)
-        if not ok:
-            fails += 1
-            ce = ce or {"x": x.tolist()}
-    results["O1"] = AxiomResult(fails == 0, trials, fails, ce)
+    X = _random_points(space, _rng(seed, 101), trials)
+    Z = np.zeros_like(X)
+    ok = is_orthogonal_many(rel, space, X, Z) & is_orthogonal_many(rel, space, Z, X)
+    results["O1"] = _axiom_result(ok, lambda i: {"x": X[i].tolist()})
 
-    rng = _rng(seed, 102)
-    fails, ce, done = 0, None, 0
-    for _ in range(trials):
-        x = _random_point(space, rng)
-        y = _orthogonal_partner(rel, space, x, rng)
-        if y is None:
-            continue
-        done += 1
-        if not linearly_independent(x, y):
-            fails += 1
-            ce = ce or {"x": x.tolist(), "y": y.tolist()}
-    results["O2"] = AxiomResult(fails == 0 and done > 0, done, fails, ce)
+    X, Y, keep = _partnered_points(rel, space, _rng(seed, 102), trials)
+    X, Y = X[keep], Y[keep]
+    results["O2"] = _axiom_result(
+        _independent_many(X, Y), lambda i: {"x": X[i].tolist(), "y": Y[i].tolist()}
+    )
 
     rng = _rng(seed, 103)
-    fails, ce, done = 0, None, 0
-    for _ in range(trials):
-        x = _random_point(space, rng)
-        y = _orthogonal_partner(rel, space, x, rng)
-        if y is None:
-            continue
-        a, b = rng.uniform(-3.0, 3.0, size=2)
-        done += 1
-        if not is_orthogonal(rel, space, a * x, b * y):
-            fails += 1
-            ce = ce or {"x": x.tolist(), "y": y.tolist(), "alpha": a, "beta": b}
-    results["O3"] = AxiomResult(fails == 0 and done > 0, done, fails, ce)
+    X, Y, keep = _partnered_points(rel, space, rng, trials)
+    AB = rng.uniform(-3.0, 3.0, size=(trials, 2))
+    X, Y, AB = X[keep], Y[keep], AB[keep]
+    results["O3"] = _axiom_result(
+        is_orthogonal_many(rel, space, AB[:, :1] * X, AB[:, 1:] * Y),
+        lambda i: {"x": X[i].tolist(), "y": Y[i].tolist(),
+                   "alpha": float(AB[i, 0]), "beta": float(AB[i, 1])},
+    )
 
     rng = _rng(seed, 104)
-    fails, ce, done = 0, None, 0
+    found, cases = [], []
     o4_trials = max(1, trials // 4)  # witnesses are costlier to verify
     for _ in range(o4_trials):
         if space.dim < 2:
             break
-        p1 = _random_point(space, rng)
-        p2 = _random_point(space, rng)
+        p1 = _random_points(space, rng, 1)[0]
+        p2 = _random_points(space, rng, 1)[0]
         if not linearly_independent(p1, p2):
             continue
         coeffs = rng.uniform(-2.0, 2.0, size=2)
@@ -459,12 +435,9 @@ def check_ratz_axioms(
         if norm_many(space, x[None, :])[0] < 1e-6:
             continue
         lam = rng.uniform(0.1, 4.0)
-        done += 1
-        y0 = _find_o4_witness(rel, space, (p1, p2), x, lam)
-        if y0 is None:
-            fails += 1
-            ce = ce or {"plane": [p1.tolist(), p2.tolist()], "x": x.tolist(), "lam": lam}
-    results["O4"] = AxiomResult(fails == 0 and done > 0, done, fails, ce)
+        found.append(_find_o4_witness(rel, space, (p1, p2), x, lam) is not None)
+        cases.append({"plane": [p1.tolist(), p2.tolist()], "x": x.tolist(), "lam": lam})
+    results["O4"] = _axiom_result(np.array(found, dtype=bool), cases.__getitem__)
 
     return AxiomReport(relation=rel.kind, space=space, results=results)
 
@@ -505,11 +478,11 @@ def _find_o4_witness(rel, space, plane, x, lam):
 
     def m1_of(th):
         Y = rho0 * dirs(th)
-        return bj_margin_many(space, np.broadcast_to(x, Y.shape), Y, grid=rel.grid)
+        return bj_margin_many(space, np.broadcast_to(x, Y.shape), Y)
 
     def m2_of(th, lr):
         Y = (rho0 * 10.0 ** np.asarray(lr, float))[:, None] * dirs(th)
-        return bj_margin_many(space, x + Y, lam * x - Y, grid=rel.grid)
+        return bj_margin_many(space, x + Y, lam * x - Y)
 
     th_grid = np.linspace(0.0, 2.0 * np.pi, 721)[:-1]
     v = m1_of(th_grid)

@@ -165,6 +165,18 @@ def test_search_subcommand(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("iters, restarts", [(3, 2), (1, 1), (5, 3)])
+def test_search_runs_exactly_iters(tmp_path, capsys, iters, restarts):
+    exp = _cor2_2_experiment()
+    exp["sampler"]["count"] = 20
+    cfg = _write_config(tmp_path / "c.json", exp)
+    out = tmp_path / "search.json"
+    argv = ["search", "--config", cfg, "--iters", str(iters), "--restarts", str(restarts)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["evaluations"] == iters
+    assert f"after {iters} evaluations" in capsys.readouterr().err
+
+
 def test_profile_subcommand_csv(tmp_path, capsys):
     cfg = _write_config(
         tmp_path / "c.json", _cor3_2_experiment(expected_decay=False, noisy=True)
@@ -231,6 +243,12 @@ CONFIG_PROBES = [
     (("decay_tol",), 0.0, "decay_tol"),
     (("decay_tol",), float("-inf"), "decay_tol"),
     (("expected_decay",), 1, "expected_decay"),
+    # finite values whose defect overflows: a verdict on inf says nothing
+    (("sampler", "radius_range"), [0.05, 1e300], "sampler.radius_range"),
+    (("model",), {"linear_scale": 1e300}, "model.linear_scale"),
+    (("domain",), {"kind": "orthogonal", "relation": {"kind": "birkhoff_james",
+                                                      "grid": {"steps": "x"}}},
+     "domain.relation.grid.steps"),
 ]
 
 
@@ -246,7 +264,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, where, value, key):
     node[where[-1]] = value
     cfg = _write_config(tmp_path / "c.json", exp)
     assert main(["verify", "--config", cfg]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
 
 
 AXIOMS = ["axioms", "--relation", "bj", "--dim", "2"]
@@ -260,6 +279,7 @@ AXIOMS = ["axioms", "--relation", "bj", "--dim", "2"]
         (AXIOMS + ["--norm", "sup", "--p", "2"], "--p"),
         (AXIOMS + ["--trials", "0"], "--trials"),
         (["search", "--config", "c.json", "--restarts", "0"], "--restarts"),
+        (["search", "--config", "c.json", "--iters", "2", "--restarts", "3"], "--restarts"),
     ],
 )
 def test_flag_errors_exit_2(capsys, argv, flag):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +35,11 @@ from jensenlab.series import cor22_bound
 from jensenlab.models import jensen_defect_many
 from jensenlab.control import control_phi_norms
 from jensenlab.spaces import (
-    LambdaGrid,
     NormedSpaceSpec,
     OrthogonalityRelation,
     euclidean_space,
     norm_many,
+    sup_space,
 )
 
 E3 = euclidean_space(3)
@@ -202,14 +203,13 @@ def _configs(draw):
         domain = DomainRestriction(kind="punctured")
     if tid == "thm3_1":
         domain = DomainRestriction(kind="exterior", d=draw(st.integers(1, 5) | st.floats(0.1, 5.0)))
+    space = draw(_spaces(dim))
     if tid == "thm5_2":
-        grid = LambdaGrid(
-            draw(st.integers(-100, -1) | st.floats(-1e4, -1e-3)),
-            draw(st.floats(1e-3, 1e4)),
-            draw(st.integers(1000, 5000)),
-        )
-        kind = draw(st.sampled_from(["trivial", "inner_product", "birkhoff_james"]))
-        relation = OrthogonalityRelation(kind, grid, draw(st.floats(1e-12, 1.0)))
+        kinds = ["trivial"]
+        if dim > 1:  # on a line only y = 0 is orthogonal to x != 0
+            kinds += ["birkhoff_james"] + (["inner_product"] if space.has_inner_product else [])
+        kind = draw(st.sampled_from(kinds))
+        relation = OrthogonalityRelation(kind, draw(st.floats(1e-12, 1.0)))
         domain = DomainRestriction(kind="orthogonal", relation=relation)
     lo = draw(st.integers(1, 2) | st.floats(0.01, 2.0))
     lo = lo if domain.kind == "punctured" else draw(st.just(0) | st.just(lo))
@@ -221,7 +221,7 @@ def _configs(draw):
     cor3_2 = tid == "cor3_2" or draw(st.booleans())
     return ExperimentConfig(
         theorem_id=tid,
-        space=draw(_spaces(dim)),
+        space=space,
         codomain=draw(_spaces(codim)),
         params=params,
         control=control,
@@ -294,6 +294,16 @@ class TestConfigParsing:
         again = config_to_dict(parse_experiment(json.loads(text)))
         assert json.dumps(again, sort_keys=True) == text
 
+    def test_relation_grid_accepted_and_dropped(self):
+        d = config_to_dict(_cfg("thm5_2"))
+        grid = {"lambda_min": -1e4, "lambda_max": 1e4, "steps": 4096}
+        d["domain"]["relation"] = {"kind": "birkhoff_james", "grid": grid}
+        out = config_to_dict(parse_experiment(d))
+        assert out["domain"]["relation"] == {"kind": "birkhoff_james", "tolerance": 1e-9}
+        d["domain"]["relation"]["grid"] = {"steps": "x"}
+        with pytest.raises(ConfigError, match=r"domain\.relation\.grid\.steps"):
+            parse_experiment(d)
+
     def test_number_fields_keep_ints(self):
         d = config_to_dict(_cfg("cor2_2"))
         d["control"]["epsilon"] = 0
@@ -331,6 +341,8 @@ class TestConfigParsing:
             ),
             _cfg("thm6_1", params=JensenParams(2, 2, 1)),
             _cfg("thm6_2", params=JensenParams(7, 3, 3)),  # base 2(s/r)^2 <= 1
+            _cfg("thm5_2", space=sup_space(3)),  # inner_product needs a euclidean space
+            _cfg("thm5_2", space=euclidean_space(1)),  # no y != 0 is orthogonal to x != 0
             _cfg("cor3_2", shells=None),
         ]
         for cfg in bad:
@@ -407,11 +419,14 @@ def test_run_experiment_smoke(tid):
 
 
 def test_huge_finite_perturbation_runs():
-    # 3·amplitude/tol overflows to inf in the iteration-count estimate
+    # 3·amplitude/tol overflows to inf in the iteration-count estimate.  The
+    # sup norm keeps the defect finite; the euclidean one squares it to inf.
     huge = PerturbationSpec(kind="bounded", amplitude=1e300, seed=1)
-    cfg = _cfg("cor2_2", model=ModelSettings(perturbations=(huge,)),
+    cfg = _cfg("cor2_2", codomain=sup_space(2), model=ModelSettings(perturbations=(huge,)),
                sampler=SamplerSettings(count=8, seed=1, radius_range=(0.1, 2.0)))
     assert run_experiment(cfg).iterations["max_iterations"] <= 600
+    with pytest.raises(ConfigError, match="overflows"):
+        run_experiment(replace(cfg, codomain=E2))
 
 
 def test_cor3_2_decay_verdict_for_exact_model():

@@ -7,6 +7,13 @@ mixed control (thm2_1, cor2_2, prop4_1), each with at most 200 points, so any
 change to the numbers a report carries shows up here and not only in an
 end-to-end benchmark.
 
+The orthogonal-domain entries (thm5_2 with the inner_product, birkhoff_james
+and trivial relations) cover the pair samplers of all three relations.  Their
+reports once carried a ``config.domain.relation.grid`` block, now dropped:
+their digests are those of the earlier reports with that block deleted and
+the rest re-dumped as ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``,
+so the sampled pairs and every number are unchanged.
+
 The digests were recorded with CPython 3.11.7 and numpy 2.4.6 on x86-64.
 Elementary functions such as ``pow`` and ``log`` may round differently in
 other numpy builds; a mismatch there needs a look at the report, not
@@ -32,10 +39,16 @@ TABLE = {
     },
 }
 PUNCTURED = {"kind": "punctured"}
+SUP3 = {"dim": 3, "norm_kind": "sup"}
+P3 = {"dim": 3, "norm_kind": "p_norm", "p": 3.0}
 
 
 def _const(eps):
     return {"kind": "constant", "epsilon": eps}
+
+
+def _orthogonal(kind):
+    return {"kind": "orthogonal", "relation": {"kind": kind}}
 
 
 def _exp(tid, params, control, count=160, radius_range=(0.05, 6.0), **extra):
@@ -107,8 +120,20 @@ CONFIGS = {
         (1, 1, 1),
         _const(0.3),
         radius_range=(0.1, 4.0),
-        domain={"kind": "orthogonal", "relation": {"kind": "inner_product"}},
+        domain=_orthogonal("inner_product"),
         model={"seed": 5, "quadratic": [0.4, -0.2]},
+    ),
+    "thm5_2-bj-sup": _exp(
+        "thm5_2", (1, 1, 1), _const(0.3), radius_range=(0.1, 4.0),
+        domain=_orthogonal("birkhoff_james"), space=SUP3,
+    ),
+    "thm5_2-bj-p3": _exp(
+        "thm5_2", (1, 1, 1), _const(0.3), radius_range=(0.1, 4.0),
+        domain=_orthogonal("birkhoff_james"), space=P3,
+    ),
+    "thm5_2-trivial": _exp(
+        "thm5_2", (1, 1, 1), _const(0.3), radius_range=(0.1, 4.0),
+        domain=_orthogonal("trivial"),
     ),
     "thm6_1": _exp(
         "thm6_1",
@@ -141,7 +166,10 @@ DIGESTS = {
     "thm2_1-table": "2db0f04ffc6b7b7f214a70b7f78434878fd3344fc65225ae0e18dd07e918afbc",
     "thm3_1": "313be2a6cedc7705083b3fdc666b8fab36f09089b5e4a50b9e223a75579e6bbe",
     "thm4_3": "082b3332416008fde0eb604983f0ba42e2a38a2242e023dfec35f691f9201deb",
-    "thm5_2": "e65a6708ed212a0c522b0ff8aded721d8174c8c29062c9a4ee5a501de9eb89f1",
+    "thm5_2": "8e51fe81cdb12a80df7e2974f08db39b0c2afc3820b45c13ef64ec170d6ee8b3",
+    "thm5_2-bj-p3": "72ea8abbac94f0de43a13fe5c016223f4a7ee682e4e72bde2b0008863e71bafa",
+    "thm5_2-bj-sup": "a94a26cd17132d8ef24a1e9689442f9ea02d4fa789af71053e60464ee332f715",
+    "thm5_2-trivial": "ee81468feb80913fdb15a9e544edcb588a2708d9876adaed9a908fcb89a78821",
     "thm6_1": "4de92dfe8f058444b910425d3d72d07ce69f7a26c8985a26e7be505e8b0bcb02",
     "thm6_2": "66bcfc4bc601ab586be0d798c547c4000f16981625f2c13b6f5069b568821df2",
 }

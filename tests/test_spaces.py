@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jensenlab.spaces import (
-    LambdaGrid,
     NormedSpaceSpec,
     OrthogonalityRelation,
     SpaceError,
@@ -15,10 +14,12 @@ from jensenlab.spaces import (
     euclidean_space,
     inner,
     is_orthogonal,
+    is_orthogonal_many,
     linearly_independent,
     norm,
     norm_many,
     o4_witness,
+    orthogonal_partners,
     p_space,
     sup_space,
 )
@@ -118,6 +119,67 @@ def test_bj_margin_reversed_pair_value():
     assert got == pytest.approx(dense, abs=1e-5)
 
 
+def test_bj_margin_minimizer_far_out():
+    # min over lam of max(|1e5 + lam|, |lam|) is 5e4 at lam = -5e4
+    assert bj_margin(S2, [1e5, 0.0], [1.0, 1.0]) == pytest.approx(-5e4, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-14, 1.0, 1e14])
+def test_bj_verdict_ignores_scale_of_y(c):
+    """x = e1 is not orthogonal to c·(1, 1), whatever c."""
+    rel = OrthogonalityRelation(kind="birkhoff_james")
+    assert not is_orthogonal(rel, E2, [1.0, 0.0], [c, c])
+    assert bj_margin(E2, [1.0, 0.0], [c, c]) == pytest.approx(np.sqrt(0.5) - 1.0, rel=1e-12)
+
+
+RELATION_SPACES = [
+    (kind, space)
+    for kind in ("trivial", "inner_product", "birkhoff_james")
+    for space in (E3, sup_space(3), p_space(3, 3.0))
+    if kind != "inner_product" or space.has_inner_product
+]
+
+
+def _partner_batch(rel, space, seed, n=60):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, space.dim)) * np.exp(rng.uniform(-3.0, 3.0, (n, 1)))
+    X[::7] = 0.0
+    X[3, :] = [1.0, 1.0, 0.0]  # a sup-norm tie
+    V = rng.standard_normal((n, space.dim))
+    return X, V, orthogonal_partners(rel, space, X, V)
+
+
+@pytest.mark.parametrize("kind, space", RELATION_SPACES)
+def test_partners_are_orthogonal(kind, space):
+    rel = OrthogonalityRelation(kind=kind)
+    X, V, Y = _partner_batch(rel, space, 5)
+    assert np.all(is_orthogonal_many(rel, space, X, Y))
+    assert np.all(norm_many(space, Y) > 0.0)
+    zero = ~np.any(X, axis=1)
+    assert np.array_equal(Y[zero], V[zero])
+    Z = np.zeros_like(X)
+    for A, B in ((X, Y), (Y, X), (X, Z), (Z, Y), (X, X + Y)):
+        batch = is_orthogonal_many(rel, space, A, B)
+        assert batch.tolist() == [is_orthogonal(rel, space, a, b) for a, b in zip(A, B)]
+
+
+SCALES = st.floats(1e-12, 1e12) | st.floats(-1e12, -1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(RELATION_SPACES),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=SCALES,
+    beta=SCALES,
+)
+def test_orthogonality_is_homogeneous(case, seed, alpha, beta):
+    """x ⊥ y implies αx ⊥ βy (axiom O3) over 24 orders of magnitude."""
+    rel = OrthogonalityRelation(kind=case[0])
+    X, _, Y = _partner_batch(rel, case[1], seed, n=20)
+    assert np.all(is_orthogonal_many(rel, case[1], alpha * X, beta * Y))
+
+
 def test_bj_euclidean_agrees_with_inner_product():
     """In a euclidean plane the two relations mark the same pairs orthogonal."""
     rel_bj = OrthogonalityRelation(kind="birkhoff_james")
@@ -147,13 +209,6 @@ def test_relation_validation():
         OrthogonalityRelation(kind="birkhoff_james", tolerance=0.0)
     with pytest.raises(SpaceError):
         is_orthogonal(OrthogonalityRelation(kind="inner_product"), S2, [1, 0], [0, 1])
-
-
-def test_lambda_grid_validation():
-    with pytest.raises(SpaceError):
-        LambdaGrid(lambda_min=1.0)
-    with pytest.raises(SpaceError):
-        LambdaGrid(steps=100)
 
 
 def test_linearly_independent():
