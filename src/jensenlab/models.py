@@ -7,8 +7,19 @@ patterns are hashed with FNV-1a (64-bit), the hash seeds a splitmix64 stream
 that is expanded to codomain coordinates in [-1, 1), and the resulting vector
 is normalized in the *codomain norm* so the declared pointwise bound
 (amplitude, δ‖x‖^p, or amplitude/(1+‖x‖)) is exact in the working norm.
-Evaluation is bit-identical across runs, platforms, and batch shapes: the
-scalar path delegates to the batched kernel.
+
+The hashed message of a point x in R^d is 8 + 8d bytes: the seed reduced mod
+2^64 as a little-endian uint64, then each coordinate's IEEE-754 float64 bit
+pattern, little-endian, in coordinate order (so −0.0 and 0.0 hash apart).
+The seed bytes are the same for every row, so the FNV-1a state after them is
+computed once per call as a Python int; the coordinate bytes are then folded
+in one byte column at a time over the whole batch.
+
+Evaluation is bit-identical across runs, platforms, and batch shapes: each
+row's value depends on that row alone (a one-row linear part is padded to
+the matrix-product path), and the scalar path delegates to the batched
+kernel.  The scaling limits in ``series`` and the [X; −X] evaluation of
+OddPart/EvenPart rely on this.
 
 The generalized Jensen defect measured throughout the lab is
 
@@ -34,6 +45,7 @@ _FNV_PRIME = _U64(0x100000001B3)
 _SM_GAMMA = _U64(0x9E3779B97F4A7C15)
 _SM_MIX1 = _U64(0xBF58476D1CE4E5B9)
 _SM_MIX2 = _U64(0x94D049BB133111EB)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 class ModelError(ValueError):
@@ -86,32 +98,38 @@ class PerturbationSpec:
 
 def _fnv1a_rows(seed: int, X: np.ndarray) -> np.ndarray:
     """FNV-1a 64 over seed bytes then each coordinate's bit pattern, little-endian."""
-    bits = np.ascontiguousarray(X, dtype=np.float64).view(_U64)
-    n, dim = bits.shape
-    h = np.full(n, _FNV_OFFSET, dtype=_U64)
-    words = [np.full(n, _U64(seed & 0xFFFFFFFFFFFFFFFF), dtype=_U64)]
-    words += [bits[:, j] for j in range(dim)]
-    mask = _U64(0xFF)
-    for w in words:
-        for k in range(8):
-            h = (h ^ ((w >> _U64(8 * k)) & mask)) * _FNV_PRIME
+    prefix = int(_FNV_OFFSET)  # the seed bytes are the same for every row
+    for byte in (seed & _MASK64).to_bytes(8, "little"):
+        prefix = ((prefix ^ byte) * int(_FNV_PRIME)) & _MASK64
+    data = np.ascontiguousarray(X, dtype="<f8").view(np.uint8)
+    h = np.full(data.shape[0], prefix, dtype=_U64)
+    for column in data.T:
+        h ^= column
+        h *= _FNV_PRIME
     return h
 
 
 def _splitmix_expand(h: np.ndarray, k: int) -> np.ndarray:
     """Expand per-row hashes to (n, k) pseudo-uniform values in [-1, 1)."""
-    out = np.empty((h.shape[0], k), dtype=np.float64)
-    state = h.copy()
-    for j in range(k):
-        state = state + _SM_GAMMA
-        z = state.copy()
-        z ^= z >> _U64(30)
-        z *= _SM_MIX1
-        z ^= z >> _U64(27)
-        z *= _SM_MIX2
-        z ^= z >> _U64(31)
-        out[:, j] = (z >> _U64(11)).astype(np.float64) * 2.0**-52 - 1.0
-    return out
+    z = h[:, None] + _SM_GAMMA * np.arange(1, k + 1, dtype=_U64)
+    z ^= z >> _U64(30)
+    z *= _SM_MIX1
+    z ^= z >> _U64(27)
+    z *= _SM_MIX2
+    z ^= z >> _U64(31)
+    return (z >> _U64(11)).astype(np.float64) * 2.0**-52 - 1.0
+
+
+def _linear_rows(X: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Row-wise L·x as one matrix product, whatever the batch size.
+
+    numpy sends a one-row product through its vector–matrix path, which rounds
+    differently from the matrix–matrix path that every larger batch takes, so a
+    lone row is padded to two.
+    """
+    if X.shape[0] == 1:
+        return (np.concatenate([X, X]) @ L.T)[:1]
+    return X @ L.T
 
 
 def perturbation_values(
@@ -220,7 +238,7 @@ class FunctionModel:
 
     def eval_many(self, X) -> np.ndarray:
         X = as_batch(X, self.domain.dim)
-        Y = X @ self.linear.T
+        Y = _linear_rows(X, self.linear)
         if self.quadratic is not None or self.radial is not None:
             u = norm_many(self.domain, X) ** 2
             if self.quadratic is not None:
@@ -252,21 +270,6 @@ class FunctionModel:
         )
 
 
-def make_perturbed_additive(
-    linear,
-    domain: NormedSpaceSpec,
-    codomain: NormedSpaceSpec,
-    perturbations=(),
-) -> FunctionModel:
-    """Convenience constructor: L·x plus perturbation terms, origin fixed."""
-    return FunctionModel(
-        domain=domain,
-        codomain=codomain,
-        linear=np.asarray(linear, dtype=np.float64),
-        perturbations=_coerce_perturbations(perturbations),
-    )
-
-
 class _Wrapped:
     """Base for derived evaluable maps; exposes the FunctionModel eval protocol."""
 
@@ -280,6 +283,13 @@ class _Wrapped:
 
     def __call__(self, x):
         return self.eval(x)
+
+
+def _at_plus_minus(f: FunctionModel, X: np.ndarray):
+    """Each perturbation of f at X and at −X, from one evaluation on [X; −X]."""
+    XX = np.concatenate([X, -X])
+    for spec in f.perturbations:
+        yield np.split(perturbation_values(spec, XX, f.domain, f.codomain), 2)
 
 
 class OddPart(_Wrapped):
@@ -297,16 +307,14 @@ class OddPart(_Wrapped):
     def eval_many(self, X):
         X = as_batch(X, self.domain.dim)
         if self._structured:
-            Y = X @ self.base.linear.T
-            for spec in self.base.perturbations:
-                Y = Y + 0.5 * (
-                    perturbation_values(spec, X, self.domain, self.codomain)
-                    - perturbation_values(spec, -X, self.domain, self.codomain)
-                )
+            Y = _linear_rows(X, self.base.linear)
+            for P, Q in _at_plus_minus(self.base, X):
+                Y = Y + 0.5 * (P - Q)
             if self.base.fix_origin:
                 Y[~np.any(X, axis=1)] = 0.0
             return Y
-        return (self.base.eval_many(X) - self.base.eval_many(-X)) / 2.0
+        F, G = np.split(self.base.eval_many(np.concatenate([X, -X])), 2)
+        return (F - G) / 2.0
 
 
 class EvenPart(_Wrapped):
@@ -326,15 +334,13 @@ class EvenPart(_Wrapped):
                     Y = Y + u[:, None] * self.base.quadratic[None, :]
                 if self.base.radial is not None:
                     Y = Y + self.base.radial.eval_many(u)
-            for spec in self.base.perturbations:
-                Y = Y + 0.5 * (
-                    perturbation_values(spec, X, self.domain, self.codomain)
-                    + perturbation_values(spec, -X, self.domain, self.codomain)
-                )
+            for P, Q in _at_plus_minus(self.base, X):
+                Y = Y + 0.5 * (P + Q)
             if self.base.fix_origin:
                 Y[~np.any(X, axis=1)] = 0.0
             return Y
-        return (self.base.eval_many(X) + self.base.eval_many(-X)) / 2.0
+        F, G = np.split(self.base.eval_many(np.concatenate([X, -X])), 2)
+        return (F + G) / 2.0
 
 
 class ScaledModel(_Wrapped):
@@ -370,19 +376,15 @@ def jensen_defect_many(f, g, h, params: JensenParams, X, Y) -> np.ndarray:
     return norm_many(f.codomain, vals)
 
 
-def jensen_defect(f, g, h, params: JensenParams, x, y) -> float:
-    x = as_point(x, f.domain.dim)
-    y = as_point(y, f.domain.dim)
-    return float(jensen_defect_many(f, g, h, params, x[None, :], y[None, :])[0])
-
-
 def derive_seed(seed: int, index: int) -> int:
-    """Deterministic sub-seed stream (splitmix64 of seed advanced index+1 times)."""
-    mask = 0xFFFFFFFFFFFFFFFF
-    state = seed & mask
-    for _ in range(index + 1):
-        state = (state + int(_SM_GAMMA)) & mask
-    z = state
-    z = ((z ^ (z >> 30)) * int(_SM_MIX1)) & mask
-    z = ((z ^ (z >> 27)) * int(_SM_MIX2)) & mask
+    """Deterministic sub-seed stream: splitmix64 output of seed advanced index+1 times.
+
+    Each splitmix64 step adds γ to the state, so the state after k steps is
+    seed + k·γ mod 2^64 (Steele, Lea & Flood, OOPSLA 2014).
+    """
+    if index < 0:
+        raise ValueError(f"derive_seed needs index >= 0, got {index}")
+    z = (seed + (index + 1) * int(_SM_GAMMA)) & _MASK64
+    z = ((z ^ (z >> 30)) * int(_SM_MIX1)) & _MASK64
+    z = ((z ^ (z >> 27)) * int(_SM_MIX2)) & _MASK64
     return z ^ (z >> 31)

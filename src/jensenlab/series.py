@@ -41,6 +41,10 @@ TRIADIC_N_MAX = 25
 DEFAULT_TOL = 1e-9
 _SERIES_HARD_CAP = 4096
 _OVERFLOW_LIMIT = 1e120
+# Target rows per eval_many call in power_limit_many: small runs are bound by
+# per-call numpy overhead, while a batch of more than half this many points
+# already amortizes it and steps one exponent at a time.
+_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -232,9 +236,17 @@ def power_limit_many(
     n_start=None,
 ):
     """Iterate a_n(x) = gain^n · f(arg_factor^n · x) until the successive gap
-    (codomain norm) drops to tol, the exponent reaches n_max, or the scaled
-    argument overflows.  Per-point bookkeeping; returns (values, iterations,
-    last_gap, converged) arrays.
+    (codomain norm) drops to tol, the value turns non-finite, the exponent
+    reaches n_max, or the scaled argument overflows.  Per-point bookkeeping;
+    returns (values, iterations, last_gap, converged) arrays.
+
+    Each pass evaluates a block of K successive exponents per active point in
+    one ``f.eval_many`` call, K = _BLOCK_ROWS // (active points), at least 1
+    and at most n_max, then applies the stop rules to each point's block in
+    order; a point keeps the first stop in its block.  The results equal
+    those of iterating one exponent at a time bit for bit as long as a row of
+    ``f.eval_many`` does not depend on the rest of its batch, which holds for
+    every model in ``models``.
     """
     X = as_batch(X, f.domain.dim)
     n_pts = X.shape[0]
@@ -259,32 +271,43 @@ def power_limit_many(
     row_scale = np.max(np.abs(X), axis=1)
     while np.any(active):
         idx = np.flatnonzero(active)
-        n_next = n_vec[idx] + 1
-        can = n_next <= n_max
-        active[idx[~can]] = False
-        idx = idx[can]
-        n_next = n_next[can]
+        block = max(1, min(n_max, _BLOCK_ROWS // idx.size))
+        # (point, step) exponents; a point's block ends before its first
+        # exponent past n_max or past the overflow guard
+        n_next = n_vec[idx, None] + np.arange(1, block + 1)
+        ok = n_next <= n_max
+        n_ok = np.minimum(n_next, n_max).astype(np.float64)
+        with np.errstate(over="ignore"):  # inf already fails the guard
+            ok &= ~(row_scale[idx, None] * np.abs(arg_factor) ** n_ok > _OVERFLOW_LIMIT)
+            ok &= ~(np.abs(gain) ** n_ok > _OVERFLOW_LIMIT)
+        ok = np.logical_and.accumulate(ok, axis=1)
+        counts = ok.sum(axis=1)
+        active[idx[counts < block]] = False
+        n_flat = n_next[ok]  # row by row, so each point's steps are contiguous
+        has = counts > 0
+        idx, counts = idx[has], counts[has]
         if idx.size == 0:
-            break
-        overflow = (
-            row_scale[idx] * np.abs(arg_factor) ** n_next > _OVERFLOW_LIMIT
-        ) | (np.abs(gain) ** n_next.astype(np.float64) > _OVERFLOW_LIMIT)
-        if np.any(overflow):
-            active[idx[overflow]] = False
-            idx = idx[~overflow]
-            n_next = n_next[~overflow]
-            if idx.size == 0:
-                continue
-        new_vals = step_values(idx, n_next)
-        gaps = norm_many(f.codomain, new_vals - values[idx])
-        values[idx] = new_vals
-        iterations[idx] = n_next
-        last_gap[idx] = gaps
+            continue
+        new_vals = step_values(np.repeat(idx, counts), n_flat)
+        starts = np.cumsum(counts) - counts
+        prev = np.empty_like(new_vals)
+        prev[1:] = new_vals[:-1]
+        prev[starts] = values[idx]
+        with np.errstate(invalid="ignore"):  # ∞ − ∞ is caught by the finite test
+            gaps = norm_many(f.codomain, new_vals - prev)
         done = gaps <= tol
         finite = np.all(np.isfinite(new_vals), axis=1)
+        # first stop in each point's block, else its last step
+        pos = np.arange(n_flat.size) - np.repeat(starts, counts)
+        at = np.where(done | ~finite, pos, counts.max())
+        take = starts + np.minimum(np.minimum.reduceat(at, starts), counts - 1)
+        done, finite = done[take], finite[take]
+        values[idx] = new_vals[take]
+        iterations[idx] = n_flat[take]
+        last_gap[idx] = gaps[take]
         converged[idx] = done & finite
-        active[idx] = ~done & finite
-        n_vec[idx] = n_next
+        active[idx] &= ~done & finite
+        n_vec[idx] = n_flat[take]
 
     return values, iterations, last_gap, converged
 

@@ -160,15 +160,17 @@ def bj_margin_many(space: NormedSpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.n
     b = 2.0 * nx / np.where(ny > 0.0, ny, np.inf)
     a = -b
 
+    # the rows twice over, so both probes of a step go through one call
+    XX, YY = np.concatenate([X, X]), np.concatenate([Y, Y])
+
     def f(lam):
-        return norm_many(space, X + lam[:, None] * Y)
+        return norm_many(space, XX[: lam.size] + lam[:, None] * YY[: lam.size])
 
     best = nx
     for _ in range(_GOLDEN_ITERS):
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
-        fc = f(c)
-        fd = f(d)
+        fc, fd = np.split(f(np.concatenate([c, d])), 2)
         best = np.minimum(best, np.minimum(fc, fd))
         left = fc < fd
         a = np.where(left, a, c)
@@ -496,7 +498,8 @@ def _find_o4_witness(rel, space, plane, x, lam):
     for _ in range(50):
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
-        keep_left = m1_of(c) >= m1_of(d)
+        mc, md = np.split(m1_of(np.concatenate([c, d])), 2)
+        keep_left = mc >= md
         b = np.where(keep_left, d, b)
         a = np.where(keep_left, a, c)
     th_hat = (a + b) / 2.0
@@ -511,10 +514,12 @@ def _find_o4_witness(rel, space, plane, x, lam):
     j = np.argmax(w, axis=1)
     a = lr_grid[np.maximum(j - 1, 0)]
     b = lr_grid[np.minimum(j + 1, lr_grid.size - 1)]
+    th_twice = np.concatenate([th_hat, th_hat])
     for _ in range(50):
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
-        keep_left = m2_of(th_hat, c) >= m2_of(th_hat, d)
+        mc, md = np.split(m2_of(th_twice, np.concatenate([c, d])), 2)
+        keep_left = mc >= md
         b = np.where(keep_left, d, b)
         a = np.where(keep_left, a, c)
     lr_hat = (a + b) / 2.0

@@ -14,6 +14,12 @@ their digests are those of the earlier reports with that block deleted and
 the rest re-dumped as ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``,
 so the sampled pairs and every number are unchanged.
 
+The limit entries pin the scaling iteration at its stop rules: a quadratic
+part under the dyadic limit (thm2_1) never settles and runs to the default
+n_max cap, ``cor2_2-nmax7`` stops every point at an explicit ``limits.n_max``,
+and the triadic limit runs on a p-norm space for prop4_1 (on f) and thm4_3
+(on the odd part).
+
 The digests were recorded with CPython 3.11.7 and numpy 2.4.6 on x86-64.
 Elementary functions such as ``pow`` and ``log`` may round differently in
 other numpy builds; a mismatch there needs a look at the report, not
@@ -78,6 +84,10 @@ CONFIGS = {
         ],
     ),
     "thm2_1-table": _exp("thm2_1", (2, 1, 1), TABLE, count=200),
+    "thm2_1-quadratic-cap": _exp(
+        "thm2_1", (2, 1, 1), _const(0.3), model={"seed": 5, "quadratic": [0.3, -0.1]}
+    ),
+    "cor2_2-nmax7": _exp("cor2_2", (2, 1, 1), _const(0.3), limits={"n_max": 7, "tol": 1e-12}),
     "cor2_2-constant": _exp("cor2_2", (2, 1, 1), _const(0.3)),
     "cor2_2-mixed": _exp(
         "cor2_2",
@@ -113,8 +123,23 @@ CONFIGS = {
             {"kind": "power", "delta": 0.03, "p": 0.5, "seed": 3},
         ],
     ),
+    "prop4_1-p3": _exp(
+        "prop4_1",
+        (3, 2, 1),
+        MIXED,
+        radius_range=(0.2, 5.0),
+        domain=PUNCTURED,
+        space=P3,
+        perturbation=[
+            {"kind": "bounded", "amplitude": 0.05, "seed": 2},
+            {"kind": "power", "delta": 0.03, "p": 0.5, "seed": 3},
+        ],
+    ),
     "prop4_2": _exp("prop4_2", (2, 1, 1), _const(0.3), radius_range=(0.2, 5.0), domain=PUNCTURED),
     "thm4_3": _exp("thm4_3", (3, 2, 1), _const(0.4), radius_range=(0.2, 5.0), domain=PUNCTURED),
+    "thm4_3-p3": _exp(
+        "thm4_3", (3, 2, 1), _const(0.4), radius_range=(0.2, 5.0), domain=PUNCTURED, space=P3
+    ),
     "thm5_2": _exp(
         "thm5_2",
         (1, 1, 1),
@@ -159,13 +184,17 @@ CONFIGS = {
 DIGESTS = {
     "cor2_2-constant": "5bfab6098c37dd636f38a3e50feaf6e2638f36db663e899b30b1e06a586f3133",
     "cor2_2-mixed": "8866712275112eb0ff1084d38050b328b40d71a5e553e24fa5ad648bde6f8564",
+    "cor2_2-nmax7": "5f167cb5cfeb9eae9f809d112d950b6f75f9800e4a6a10a033d9cc58c07ba6f6",
     "cor3_2": "d60528d2d8205b8d3c0796a60bda7db7fa8c6ff274b74a71099bc499c2e78f11",
     "prop4_1-mixed": "353004d44b8d872154b36652b8cc917c70b8285223ecbe1a30d8fed723992741",
+    "prop4_1-p3": "0443e69f5e7a40e426e7e96ad76bea7cf1779bd1fd0a34fa86e732c51d5052a8",
     "prop4_2": "67e989375c0eebcd6b58d1a9469eef3b538459dd43f28931e4b7ab01386f7383",
     "thm2_1-mixed": "a2cd250e7436710c430fcd7d3fc19b52b3473316162e582501e62a26c094f4f6",
+    "thm2_1-quadratic-cap": "216cc2afc9c5874c983cbb583c7e069be3926f2f6f5906afae530c9b817cf569",
     "thm2_1-table": "2db0f04ffc6b7b7f214a70b7f78434878fd3344fc65225ae0e18dd07e918afbc",
     "thm3_1": "313be2a6cedc7705083b3fdc666b8fab36f09089b5e4a50b9e223a75579e6bbe",
     "thm4_3": "082b3332416008fde0eb604983f0ba42e2a38a2242e023dfec35f691f9201deb",
+    "thm4_3-p3": "a8fd9bf5a9cd0f40a740fee8a61f5012c571f4a9af48fbdc9c2b2cd3c4077704",
     "thm5_2": "8e51fe81cdb12a80df7e2974f08db39b0c2afc3820b45c13ef64ec170d6ee8b3",
     "thm5_2-bj-p3": "72ea8abbac94f0de43a13fe5c016223f4a7ee682e4e72bde2b0008863e71bafa",
     "thm5_2-bj-sup": "a94a26cd17132d8ef24a1e9689442f9ea02d4fa789af71053e60464ee332f715",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jensenlab.models import (
     BOUNDED,
@@ -13,14 +14,13 @@ from jensenlab.models import (
     PerturbationSpec,
     RadialTable,
     ScaledModel,
+    _fnv1a_rows,
     derive_seed,
-    jensen_defect,
     jensen_defect_many,
-    make_perturbed_additive,
     odd_even_split,
     perturbation_values,
 )
-from jensenlab.spaces import euclidean_space, norm_many
+from jensenlab.spaces import euclidean_space, norm_many, p_space, sup_space
 
 E3 = euclidean_space(3)
 E2 = euclidean_space(2)
@@ -44,6 +44,66 @@ def test_derive_seed_is_stable():
     assert derive_seed(123, 7) == 8897914972836847537
     assert derive_seed(123, 7) != derive_seed(123, 8)
     assert 0 <= derive_seed(2**70, 3) < 2**64
+
+
+_MASK64 = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _derive_seed_by_steps(seed, index):
+    """The definition: advance a splitmix64 state index+1 times, then mix."""
+    state = seed & _MASK64
+    for _ in range(index + 1):
+        state = (state + _GAMMA) & _MASK64
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def test_derive_seed_matches_stepping():
+    indices = [0, 1, 2, 3, 99, 100, 200, 1000, 4097, 65534, 65535]
+    for seed in (0, 1, 11, 2**63, 2**64 - 1, 2**64, 2**64 + 5, 3 * 2**70 + 12345):
+        for index in indices:
+            assert derive_seed(seed, index) == _derive_seed_by_steps(seed, index)
+
+
+@pytest.mark.parametrize("index", [-1, -2, -65536])
+def test_derive_seed_rejects_negative_index(index):
+    # the stepping loop runs no step for any negative index, while the closed
+    # form steps backwards below -1, so negative indices are an error
+    with pytest.raises(ValueError):
+        derive_seed(7, index)
+
+
+def _fnv1a_bytes(seed, row):
+    """FNV-1a 64 byte by byte over the seed and the coordinates, little-endian."""
+    data = (seed & _MASK64).to_bytes(8, "little")
+    data += np.asarray(row, dtype="<f8").tobytes()
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & _MASK64
+    return h
+
+
+def test_fnv1a_rows_matches_bytewise_reference():
+    tiny = np.nextafter(0.0, 1.0)
+    X = np.array(
+        [
+            [0.0, -0.0, 1.0],
+            [-0.0, 0.0, -0.0],
+            [tiny, -tiny, 2.2250738585072014e-308 / 3.0],
+            [1e308, -1.7976931348623157e308, 5e-324],
+            [np.pi, -np.e, 1e-300],
+            [3.0, 2.0**60, -(2.0**-1070)],
+        ]
+    )
+    X = np.concatenate([X, np.random.default_rng(3).standard_normal((20, 3)) * 1e150])
+    for seed in (0, 5, 2**64 - 1, 2**64 + 9):
+        got = _fnv1a_rows(seed, X)
+        assert got.dtype == np.uint64
+        assert [int(h) for h in got] == [_fnv1a_bytes(seed, row) for row in X]
+    # -0.0 and 0.0 differ in their bits, so they hash apart
+    assert _fnv1a_rows(0, X[:1])[0] != _fnv1a_rows(0, np.abs(X[:1]))[0]
 
 
 def test_linear_eval():
@@ -157,8 +217,8 @@ def test_quadratic_defect_value():
     """A pure quadratic term contributes 2|c|·‖x‖² at the pair (x, -x) when r = 2."""
     f = FunctionModel(domain=E3, codomain=E2, linear=np.zeros((2, 3)), quadratic=[1.0, 0.0])
     params = JensenParams(2, 1, 1)
-    x = np.array([0.5, 0.0, 0.0])
-    assert jensen_defect(f, f, f, params, x, -x) == pytest.approx(0.5, rel=1e-12)
+    x = np.array([[0.5, 0.0, 0.0]])
+    assert jensen_defect_many(f, f, f, params, x, -x)[0] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_odd_even_split_reconstructs():
@@ -213,11 +273,11 @@ def test_scaled_model():
     assert np.allclose(g.eval_many(x[None, :])[0], 0.5 * (L @ (3.0 * x)))
 
 
-def test_make_perturbed_additive_and_exact_part():
+def test_perturbed_additive_model_and_exact_part():
     L = np.array([[1.0, 1.0, 0.0]])
-    f = make_perturbed_additive(
-        L, E3, euclidean_space(1),
-        perturbations=(PerturbationSpec(kind=BOUNDED, amplitude=0.4, seed=3),),
+    f = _linear_model(
+        L, codomain=euclidean_space(1),
+        perturbations=PerturbationSpec(kind=BOUNDED, amplitude=0.4, seed=3),
     )
     X = np.random.default_rng(14).standard_normal((25, 3))
     gap = norm_many(euclidean_space(1), f.eval_many(X) - X @ L.T)
@@ -232,3 +292,74 @@ def test_model_shape_validation():
         FunctionModel(domain=E3, codomain=E2, linear=np.zeros((3, 2)))
     with pytest.raises(ModelError):
         FunctionModel(domain=E3, codomain=E2, linear=np.zeros((2, 3)), quadratic=[1.0])
+
+
+_SPACES = {
+    "euclidean": (euclidean_space(3), euclidean_space(2)),
+    "sup": (sup_space(3), sup_space(2)),
+    "p3": (p_space(3, 3.0), p_space(2, 1.5)),
+}
+_PERTURBATIONS = (
+    PerturbationSpec(kind=BOUNDED, amplitude=0.3, seed=4),
+    PerturbationSpec(kind=POWER, delta=0.2, p=0.5, seed=9),
+    PerturbationSpec(kind=DECAY, amplitude=0.7, seed=2**64 + 1),
+)
+
+
+def _split_models(space, codomain):
+    f = FunctionModel(
+        domain=space,
+        codomain=codomain,
+        linear=[[0.7, -1.3, 2.1], [1.1, 0.37, -0.6]],
+        quadratic=[0.3, -0.1],
+        radial=RadialTable(knots=[0.0, 1.0, 4.0], values=[[0.0, 0.1], [0.2, 0.0], [0.5, -0.3]]),
+        perturbations=_PERTURBATIONS,
+    )
+    return {
+        "f": f,
+        "odd": OddPart(f),
+        "even": EvenPart(f),
+        "scaled": ScaledModel(f, arg_scale=2.0 / 3.0, out_scale=1.5),
+        "odd_of_scaled": OddPart(ScaledModel(f, arg_scale=3.0, out_scale=1.0 / 3.0)),
+    }
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    norm=st.sampled_from(sorted(_SPACES)),
+    model=st.sampled_from(["f", "odd", "even", "scaled", "odd_of_scaled"]),
+    n=st.integers(1, 40),
+    cuts=st.lists(st.integers(0, 40), max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eval_many_ignores_batch_shape(norm, model, n, cuts, seed):
+    """Any split of a batch evaluates to the rows of the whole batch, bit for bit.
+
+    The blocked limit iteration and the [X; −X] stacking of OddPart/EvenPart
+    both rely on this: a row's value may not depend on the rows next to it.
+    """
+    f = _split_models(*_SPACES[norm])[model]
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    X[rng.random(n) < 0.1] = 0.0
+    whole = f.eval_many(X)
+    bounds = sorted({0, n, *(c for c in cuts if c < n)})
+    parts = [f.eval_many(X[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    assert np.array_equal(np.concatenate(parts), whole)
+    singles = np.concatenate([f.eval_many(X[i : i + 1]) for i in range(n)])
+    assert np.array_equal(singles, whole)
+
+
+@pytest.mark.parametrize("norm", sorted(_SPACES))
+@pytest.mark.parametrize("model", ["f", "odd", "even", "scaled", "odd_of_scaled"])
+def test_eval_many_row_in_full_block_equals_small_batch(norm, model):
+    """A row of a 4096-row batch (one full block of the limit iteration)
+    equals the same row evaluated in a batch of one or two rows."""
+    f = _split_models(*_SPACES[norm])[model]
+    rng = np.random.default_rng(4096)
+    X = rng.standard_normal((4096, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(4096, 1))
+    whole = f.eval_many(X)
+    for i, j in [(0, 1), (1, 4095), (2047, 2048), (4095, 3000)]:
+        assert np.array_equal(f.eval_many(X[[i, j]]), whole[[i, j]])
+        assert np.array_equal(f.eval_many(X[i : i + 1]), whole[i : i + 1])
+    assert np.array_equal(np.concatenate([f.eval_many(X[:1000]), f.eval_many(X[1000:])]), whole)

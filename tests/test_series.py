@@ -1,6 +1,11 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jensenlab import series
 from jensenlab.control import (
     ControlError,
     ControlFunctionSpec,
@@ -9,6 +14,7 @@ from jensenlab.control import (
 )
 from jensenlab.models import (
     BOUNDED,
+    POWER,
     FunctionModel,
     JensenParams,
     PerturbationSpec,
@@ -253,3 +259,116 @@ class TestLimits:
             )
             gap = last_gap[0]
             assert gap <= factor * amp * base ** (-n) * (1.0 + 1e-12) + 1e-15
+
+
+class _BlowUp:
+    """f, but infinite (or NaN) wherever ‖x‖_sup exceeds a radius."""
+
+    def __init__(self, base, radius, fill):
+        self.base, self.radius, self.fill = base, radius, fill
+        self.domain, self.codomain = base.domain, base.codomain
+
+    def eval_many(self, X):
+        Y = self.base.eval_many(X)
+        Y[np.max(np.abs(X), axis=1) > self.radius] = self.fill
+        return Y
+
+
+def _limit_models():
+    L = np.array([[0.7, -1.3, 2.1], [1.1, 0.37, -0.6]])
+    perts = (
+        PerturbationSpec(kind=BOUNDED, amplitude=0.2, seed=4),
+        PerturbationSpec(kind=POWER, delta=0.1, p=0.5, seed=5),
+    )
+    noisy = FunctionModel(domain=E3, codomain=E2, linear=L, perturbations=perts)
+    quad = FunctionModel(domain=E3, codomain=E2, linear=L, quadratic=[0.3, -0.1], perturbations=perts)
+    return {
+        "linear": FunctionModel(domain=E3, codomain=E2, linear=L),
+        "noisy": noisy,
+        "quadratic": quad,
+        "inf": _BlowUp(noisy, 1e6, np.inf),
+        "nan": _BlowUp(quad, 1e9, np.nan),
+    }
+
+
+LIMIT_MODELS = _limit_models()
+
+
+def _limit_one_at_a_time(f, x, arg, gain, n_max, tol, n0):
+    """One point, one exponent per step: the stop rules in their order."""
+    arg, gain = np.float64(arg), np.float64(gain)
+
+    def value(n):
+        e = np.array([float(n)])
+        return (gain**e)[:, None] * f.eval_many((arg**e)[:, None] * x[None])
+
+    scale = np.max(np.abs(x))
+    a, n, gap, converged = value(n0), n0, np.inf, False
+    while n + 1 <= n_max:
+        e = np.array([float(n + 1)])
+        if np.any(scale * np.abs(arg) ** e > 1e120) or np.any(np.abs(gain) ** e > 1e120):
+            break
+        new = value(n + 1)
+        with np.errstate(invalid="ignore"):
+            gap = norm_many(f.codomain, new - a)[0]
+        a, n = new, n + 1
+        finite = bool(np.all(np.isfinite(new)))
+        if gap <= tol:
+            converged = finite
+            break
+        if not finite:
+            break
+    return a[0], n, gap, converged
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    model=st.sampled_from(sorted(LIMIT_MODELS)),
+    kind=st.sampled_from([(2.0, 0.5), (2.0, 0.25), (3.0, 1.0 / 3.0)]),
+    n_max=st.integers(0, 45),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-4]),
+    budget=st.sampled_from([1, 5, 40, 4096]),
+    rows=st.integers(1, 10),
+    starts=st.one_of(st.none(), st.lists(st.integers(0, 47), min_size=10, max_size=10)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_limit_equals_one_exponent_iteration(
+    model, kind, n_max, tol, budget, rows, starts, seed
+):
+    """Blocked power_limit_many equals a per-point, one-exponent-at-a-time loop.
+
+    The budget sets the block size K = budget // active rows (1 at budget 1);
+    row scales up to 1e118 trip the overflow guard, the "inf"/"nan" models
+    turn non-finite, and n_max and n_start cut the iteration short.
+    """
+    f = LIMIT_MODELS[model]
+    arg, gain = kind
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, 3)) * 10.0 ** rng.uniform(-2.0, 118.0, size=(rows, 1))
+    X[rng.random(rows) < 0.5] /= 1e110
+    n0 = np.zeros(rows, dtype=np.int64) if starts is None else np.array(starts[:rows])
+    with mock.patch.object(series, "_BLOCK_ROWS", budget):
+        got = power_limit_many(
+            f, X, arg, gain, n_max, tol, n_start=None if starts is None else n0
+        )
+    ref = [_limit_one_at_a_time(f, X[i], arg, gain, n_max, tol, int(n0[i])) for i in range(rows)]
+    want = [np.array(column) for column in zip(*ref)]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind", [(2.0, 0.5), (2.0, 0.25), (3.0, 1.0 / 3.0)])
+def test_long_block_guard_raises_no_overflow_warning(kind):
+    """At n_max = 2000 one point's block reaches exponents where base^n is
+    inf; the overflow guard must stop it quietly and as the one-exponent loop.
+    """
+    f = LIMIT_MODELS["noisy"]
+    arg, gain = kind
+    x = np.array([0.3, -1.2, 0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = power_limit_many(f, x[None], arg, gain, 2000, 0.0)
+    want = _limit_one_at_a_time(f, x, arg, gain, 2000, 0.0, 0)
+    for g, w in zip(got, want):
+        assert np.array_equal(g[0], w)
