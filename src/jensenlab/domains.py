@@ -28,7 +28,6 @@ from .spaces import (
     OrthogonalityRelation,
     as_batch,
     as_point,
-    is_orthogonal,
     norm_many,
 )
 
@@ -60,36 +59,6 @@ class DomainRestriction:
             raise DomainError("exterior domain needs d > 0")
         if self.kind == ORTHOGONAL and self.relation is None:
             raise DomainError("orthogonal domain needs a relation")
-
-
-def full_domain() -> DomainRestriction:
-    return DomainRestriction(kind=FULL)
-
-
-def exterior_domain(d: float) -> DomainRestriction:
-    return DomainRestriction(kind=EXTERIOR, d=d)
-
-
-def punctured_domain() -> DomainRestriction:
-    return DomainRestriction(kind=PUNCTURED)
-
-
-def orthogonal_domain(relation: OrthogonalityRelation) -> DomainRestriction:
-    return DomainRestriction(kind=ORTHOGONAL, relation=relation)
-
-
-def in_domain(restriction: DomainRestriction, space: NormedSpaceSpec, x, y) -> bool:
-    x = as_point(x, space.dim)
-    y = as_point(y, space.dim)
-    if restriction.kind == FULL:
-        return True
-    if restriction.kind == EXTERIOR:
-        nx = norm_many(space, x[None, :])[0]
-        ny = norm_many(space, y[None, :])[0]
-        return bool(nx + ny >= restriction.d)
-    if restriction.kind == PUNCTURED:
-        return bool(np.any(x)) and bool(np.any(y))
-    return is_orthogonal(restriction.relation, space, x, y)
 
 
 def construct_z_many(space: NormedSpaceSpec, X, Y, d: float) -> np.ndarray:

@@ -639,7 +639,9 @@ def measure_epsilon(cfg: ExperimentConfig, f, g, h, X, Y, scale_y: float = 1.0):
     scale_y maps the pair (x, y) to the control's evaluation arguments
     (the punctured propositions control the defect by φ(x, (t/s)y)).
     """
-    defects = jensen_defect_many(f, g, h, cfg.params, X, Y)
+    # an overflowing defect is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = jensen_defect_many(f, g, h, cfg.params, X, Y)
     if not np.all(np.isfinite(defects)):
         raise ConfigError("the sampled Jensen defect overflows; lower sampler.radius_range, "
                           "model.linear_scale or the perturbation amplitudes")

@@ -38,9 +38,10 @@ from .series import (
 )
 from .spaces import (
     NormedSpaceSpec,
+    _rowdot,
     as_batch,
     norm_many,
-    o4_witness,
+    o4_witness_many,
 )
 from .domains import SupResult
 
@@ -297,19 +298,15 @@ def even_part_constancy_check(
     lo = cap * 1e-3 if cfg.exclude_origin else cap * 1e-6
     X = sample_points(space, count, (lo, cap), rng)
     V = unit_directions(space, count, rng)
-    worst = SupResult(value=0.0, x=X[0].copy(), y=X[0].copy())
-    for i in range(count):
-        x = X[i]
-        v = V[i]
-        if abs(np.dot(x, v)) > (1.0 - 1e-9) * np.linalg.norm(x) * np.linalg.norm(v):
-            v = np.roll(v, 1)  # degenerate plane; any independent direction works
-        y0 = o4_witness(space, (x, v), x, lam)
-        val = float(
-            norm_many(
-                f.codomain,
-                (f_even.eval_many(x[None, :]) - f_even.eval_many(y0[None, :])),
-            )[0]
-        )
-        if val > worst.value:
-            worst = SupResult(value=val, x=x.copy(), y=y0.copy())
-    return worst
+    # degenerate plane; any independent direction works
+    lens = np.sqrt(_rowdot(X, X)), np.sqrt(_rowdot(V, V))
+    flat = np.abs(_rowdot(X, V)) > (1.0 - 1e-9) * lens[0] * lens[1]
+    V = np.where(flat[:, None], np.roll(V, 1, axis=1), V)
+    Y0 = o4_witness_many(space, X, V, X, lam)
+    E = f_even.eval_many(np.concatenate([X, Y0]))
+    vals = norm_many(f.codomain, E[:count] - E[count:])
+    # the first strict maximum above 0, NaN rows never win
+    i = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
+    if not vals[i] > 0.0:
+        return SupResult(value=0.0, x=X[0].copy(), y=X[0].copy())
+    return SupResult(value=float(vals[i]), x=X[i].copy(), y=Y0[i].copy())

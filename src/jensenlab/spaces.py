@@ -8,8 +8,9 @@ arrays.  On top of that this module provides three orthogonality relations
   * inner_product  -- ⟨x, y⟩ = 0 (Euclidean spaces only),
   * birkhoff_james -- ‖x + λy‖ ≥ ‖x‖ for every scalar λ,
 
-together with the Ratz axiom checker (O1)-(O4) used to certify that a relation
-behaves like an orthogonality on a given space.
+together with the checker of Rätz's axioms (O1)-(O4) (Aequationes Math. 28,
+1985) used to certify that a relation behaves like an orthogonality on a
+given space.
 
 The Birkhoff-James test minimizes the convex map λ ↦ ‖x + λy‖ by
 golden-section search on [−2‖x‖/‖y‖, 2‖x‖/‖y‖], an interval worked out from
@@ -18,6 +19,13 @@ is at least −tolerance·‖x‖.  Both the interval and the threshold scale wi
 x and y, so the verdict is homogeneous, as axiom (O3) requires.
 orthogonal_partners builds relation-orthogonal partners for a batch of rows
 and is_orthogonal_many checks them; the scalar functions wrap these.
+
+The (O4) witness on a general normed plane comes from James's criterion
+(Trans. AMS 61, 1947): u ⊥ v iff the one-sided derivatives of the norm at u
+in direction v satisfy ρ'₋(u; v) ≤ 0 ≤ ρ'₊(u; v).  Along y0 = t·d for a
+James partner d of x, ρ'₋(x + y0; λx − y0) goes from positive to negative,
+and bisection finds a t where it changes sign.  Inner-product spaces use
+the closed-form rotation of o4_witness_many instead.
 """
 
 from __future__ import annotations
@@ -41,6 +49,11 @@ PLANE_RESIDUAL_RTOL = 1e-10
 # Golden-section iterations: bracket shrinks by ~0.618 per step.
 _GOLDEN_ITERS = 80
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# Bisection steps of the O4 witness search: the bracket shrinks by 2^-60.
+_BISECT_ITERS = 60
+# Sup-norm coordinates within this relative gap of the largest count as tied
+# (active) in the one-sided derivatives, so rounding cannot hide a kink.
+_TIE_RTOL = 1e-12
 
 
 class SpaceError(ValueError):
@@ -260,6 +273,26 @@ def _norming_functionals(space: NormedSpaceSpec, X: np.ndarray) -> np.ndarray:
     return np.sign(X) * A ** (space.p - 1.0) / s[:, None]
 
 
+def _one_sided_derivatives(space: NormedSpaceSpec, U: np.ndarray, V: np.ndarray):
+    """ρ'₋(u; v) and ρ'₊(u; v), the left and right derivatives of s ↦ ‖u + s·v‖ at 0.
+
+    For the sup norm these are the min and max of sign(u_k)·v_k over the
+    coordinates where |u_k| attains ‖u‖.  The p (p > 1) and Euclidean norms
+    are differentiable away from 0, and both equal g(v) for the norming
+    functional g of u (for p = 1, g is one subgradient and g(v) lies between
+    the two).  James (Trans. AMS 61, 1947): u ⊥_BJ v iff
+    ρ'₋(u; v) ≤ 0 ≤ ρ'₊(u; v).
+    """
+    if space.norm_kind == SUP:
+        A = np.abs(U)
+        active = A >= (1.0 - _TIE_RTOL) * np.max(A, axis=1, keepdims=True)
+        S = np.sign(U) * V
+        return (np.min(np.where(active, S, np.inf), axis=1),
+                np.max(np.where(active, S, -np.inf), axis=1))
+    d = _rowdot(_norming_functionals(space, U), V)
+    return d, d
+
+
 def orthogonal_partners(rel: OrthogonalityRelation, space: NormedSpaceSpec, X, V) -> np.ndarray:
     """Rows y with x ⊥ y under rel, one built from each draw v (rows of V).
 
@@ -283,40 +316,53 @@ def orthogonal_partners(rel: OrthogonalityRelation, space: NormedSpaceSpec, X, V
     return V - ratio[:, None] * X
 
 
-def o4_witness(space: NormedSpaceSpec, plane, x, lam: float) -> np.ndarray:
-    """Construct y0 in the plane with ⟨x, y0⟩ = 0 and ‖y0‖² = lam·‖x‖².
+def _quarter_turns(P1: np.ndarray, P2: np.ndarray, X: np.ndarray):
+    """Each x turned by +90° in the oriented orthonormal frame of span(p1, p2),
+    and the part of x off that plane.  The turn has the Euclidean length of x,
+    is Euclidean-orthogonal to it and lies in the plane, whatever the norm."""
+    if not np.all(np.any(P1, axis=1)):
+        raise SpaceError("plane vectors must be nonzero")
+    n1 = np.sqrt(_rowdot(P1, P1))
+    E1 = P1 / n1[:, None]
+    R2 = P2 - _rowdot(P2, E1)[:, None] * E1
+    n2 = np.sqrt(_rowdot(R2, R2))
+    if np.any(n2 <= INDEPENDENCE_RTOL * np.sqrt(_rowdot(P2, P2))):
+        raise SpaceError("plane vectors are (numerically) dependent")
+    E2 = R2 / n2[:, None]
+    a = _rowdot(X, E1)[:, None]
+    b = _rowdot(X, E2)[:, None]
+    return -b * E1 + a * E2, X - a * E1 - b * E2
 
-    plane is a pair of vectors spanning a 2-dimensional subspace containing x.
-    The witness is the +90° rotation of x within the oriented orthonormal
-    frame built from the plane, scaled by sqrt(lam).  By construction
-    ⟨x + y0, lam·x − y0⟩ = lam‖x‖² − ‖y0‖² = 0 as well.
+
+def o4_witness_many(space: NormedSpaceSpec, P1, P2, X, lam: float) -> np.ndarray:
+    """Rows y0 in span(p1, p2) with ⟨x, y0⟩ = 0 and ‖y0‖² = lam·‖x‖².
+
+    Each row of X must lie in the plane spanned by the matching rows of P1
+    and P2.  The witness is the +90° rotation of x within the oriented
+    orthonormal frame built from the plane, scaled by sqrt(lam).  By
+    construction ⟨x + y0, lam·x − y0⟩ = lam‖x‖² − ‖y0‖² = 0 as well.  Dot
+    products go through _rowdot, so each row rounds as it would on its own.
     """
     if not space.has_inner_product:
         raise SpaceError("o4_witness requires an inner-product space")
+    P1 = as_batch(P1, space.dim)
+    P2 = as_batch(P2, space.dim)
+    X = as_batch(X, space.dim)
     if not (lam > 0.0):
         raise SpaceError(f"lam must be positive, got {lam}")
-    p1 = as_point(plane[0], space.dim)
-    p2 = as_point(plane[1], space.dim)
-    x = as_point(x, space.dim)
-    nx = norm(space, x)
-    if nx == 0.0:
+    nx = norm_many(space, X)
+    if np.any(nx == 0.0):
         raise SpaceError("o4_witness needs x != 0")
-
-    e1 = p1 / np.linalg.norm(p1) if np.any(p1) else p1
-    if not np.any(p1):
-        raise SpaceError("plane vectors must be nonzero")
-    r2 = p2 - np.dot(p2, e1) * e1
-    n2 = np.linalg.norm(r2)
-    if n2 <= INDEPENDENCE_RTOL * max(np.linalg.norm(p1), np.linalg.norm(p2)):
-        raise SpaceError("plane vectors are (numerically) dependent")
-    e2 = r2 / n2
-
-    a = float(np.dot(x, e1))
-    b = float(np.dot(x, e2))
-    resid = x - a * e1 - b * e2
-    if np.linalg.norm(resid) > PLANE_RESIDUAL_RTOL * nx:
+    W, resid = _quarter_turns(P1, P2, X)
+    if np.any(np.sqrt(_rowdot(resid, resid)) > PLANE_RESIDUAL_RTOL * nx):
         raise SpaceError("x does not lie in the given plane")
-    return np.sqrt(lam) * (-b * e1 + a * e2)
+    return np.sqrt(lam) * W
+
+
+def o4_witness(space: NormedSpaceSpec, plane, x, lam: float) -> np.ndarray:
+    """One-row form of o4_witness_many for x in the plane spanned by plane[0], plane[1]."""
+    rows = [as_point(v, space.dim)[None, :] for v in (plane[0], plane[1], x)]
+    return o4_witness_many(space, *rows, lam)[0]
 
 
 @dataclass
@@ -396,8 +442,10 @@ def check_ratz_axioms(
 
     O1-O3 run on all trials at once; O2 and O3 use the pairs of
     orthogonal_partners that pass is_orthogonal_many.  Witnesses for O4 come
-    from o4_witness on inner-product spaces and from a grid search over the
-    plane otherwise.  Deterministic given the seed.
+    from o4_witness on inner-product spaces and otherwise from the sign change
+    of ρ'₋(x + t·d; λx − t·d) along a James partner d of x in the plane
+    (James, Trans. AMS 1947); is_orthogonal checks each one.  Deterministic
+    given the seed.
     """
     results = {}
 
@@ -462,69 +510,25 @@ def _find_o4_witness(rel, space, plane, x, lam):
             rel, space, x + y0, lam * x - y0
         )
         return y0 if ok else None
-    # General normed plane.  The first margin is invariant under scaling of
-    # y0 (reparametrize the line minimization), so admissible directions come
-    # from a one-dimensional angular search; the radius is then pinned down by
-    # the second margin along each admissible direction.  Both margins are
-    # nonpositive with maxima touching zero at witnesses, so each stage
-    # refines grid local maxima with golden-section steps.
-    e1 = plane[0] / np.linalg.norm(plane[0])
-    r2 = plane[1] - np.dot(plane[1], e1) * e1
-    e2 = r2 / np.linalg.norm(r2)
-    nx = norm_many(space, x[None, :])[0]
-    rho0 = nx * np.sqrt(lam)
-
-    def dirs(th):
-        th = np.asarray(th, float)
-        return np.cos(th)[:, None] * e1[None, :] + np.sin(th)[:, None] * e2[None, :]
-
-    def m1_of(th):
-        Y = rho0 * dirs(th)
-        return bj_margin_many(space, np.broadcast_to(x, Y.shape), Y)
-
-    def m2_of(th, lr):
-        Y = (rho0 * 10.0 ** np.asarray(lr, float))[:, None] * dirs(th)
-        return bj_margin_many(space, x + Y, lam * x - Y)
-
-    th_grid = np.linspace(0.0, 2.0 * np.pi, 721)[:-1]
-    v = m1_of(th_grid)
-    peaks = np.where((v >= np.roll(v, 1)) & (v >= np.roll(v, -1)))[0]
-    peaks = peaks[np.argsort(v[peaks])[-8:]]
-    if peaks.size == 0:
-        return None
-    spacing = th_grid[1] - th_grid[0]
-    a = th_grid[peaks] - spacing
-    b = th_grid[peaks] + spacing
-    for _ in range(50):
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        mc, md = np.split(m1_of(np.concatenate([c, d])), 2)
-        keep_left = mc >= md
-        b = np.where(keep_left, d, b)
-        a = np.where(keep_left, a, c)
-    th_hat = (a + b) / 2.0
-    th_hat = th_hat[m1_of(th_hat) >= -0.5 * rel.tolerance]
-    if th_hat.size == 0:
-        return None
-
-    lr_grid = np.linspace(-2.0, 2.0, 161)
-    w = m2_of(
-        np.repeat(th_hat, lr_grid.size), np.tile(lr_grid, th_hat.size)
-    ).reshape(th_hat.size, lr_grid.size)
-    j = np.argmax(w, axis=1)
-    a = lr_grid[np.maximum(j - 1, 0)]
-    b = lr_grid[np.minimum(j + 1, lr_grid.size - 1)]
-    th_twice = np.concatenate([th_hat, th_hat])
-    for _ in range(50):
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        mc, md = np.split(m2_of(th_twice, np.concatenate([c, d])), 2)
-        keep_left = mc >= md
-        b = np.where(keep_left, d, b)
-        a = np.where(keep_left, a, c)
-    lr_hat = (a + b) / 2.0
-    final = np.minimum(m1_of(th_hat), m2_of(th_hat, lr_hat))
-    k = int(np.argmax(final))
-    y0 = rho0 * 10.0 ** lr_hat[k] * dirs(th_hat[[k]])[0]
+    # General normed plane.  A James partner d of x in P (g(d) = 0 for a
+    # norming functional g of x) gives x ⊥ t·d for every t; building it from
+    # the quarter turn of x in P keeps d in P and never parallel to x.  Along
+    # u = x + t·d, v = λx − t·d = (1 + λ)x − u, the lower one-sided
+    # derivative ρ'₋(u; v) = (1 + λ)ρ'₋(u; x) − ‖u‖ is λ‖x‖ > 0 at t = 0 and
+    # at most (2 + λ)‖x‖ − t‖d‖, so it is negative at t = (3 + λ)‖x‖/‖d‖.
+    # Bisection keeps ρ'₋ > 0 at its left end and ≤ 0 at its right end; as
+    # ρ'₋ is lower and ρ'₊ upper semicontinuous in t, the ends close on a t
+    # with ρ'₋ ≤ 0 ≤ ρ'₊, James's criterion for u ⊥ v.
+    x1 = x[None, :]
+    W, _ = _quarter_turns(plane[0][None, :], plane[1][None, :], x1)
+    d = orthogonal_partners(rel, space, x1, W)
+    a, b = 0.0, (3.0 + lam) * norm_many(space, x1)[0] / norm_many(space, d)[0]
+    for _ in range(_BISECT_ITERS):
+        t = (a + b) / 2.0
+        if _one_sided_derivatives(space, x1 + t * d, lam * x1 - t * d)[0][0] <= 0.0:
+            b = t
+        else:
+            a = t
+    y0 = b * d[0]
     ok = is_orthogonal(rel, space, x, y0) and is_orthogonal(rel, space, x + y0, lam * x - y0)
     return y0 if ok else None

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from jensenlab.domains import (
+    EXTERIOR,
+    FULL,
+    ORTHOGONAL,
+    PUNCTURED,
     DomainError,
     DomainRestriction,
     asymptotic_profile,
@@ -9,22 +13,24 @@ from jensenlab.domains import (
     construct_z_many,
     defect_sup_on,
     exterior_defect_sup,
-    exterior_domain,
     five_inequality_margins,
     five_term_defect_bound,
     five_term_defect_many,
-    full_domain,
-    in_domain,
-    orthogonal_domain,
-    punctured_domain,
     verify_five_inequalities,
     FIVE_INEQ_TOL,
 )
 from jensenlab.models import BOUNDED, FunctionModel, JensenParams, PerturbationSpec
-from jensenlab.sampling import interior_pairs, rng_from, sample_pairs
+from jensenlab.sampling import (
+    exterior_pairs,
+    interior_pairs,
+    orthogonal_pairs,
+    rng_from,
+    sample_pairs,
+)
 from jensenlab.spaces import (
     OrthogonalityRelation,
     euclidean_space,
+    is_orthogonal_many,
     norm_many,
     sup_space,
 )
@@ -44,17 +50,32 @@ def _noisy_additive(amp, seed=5):
     )
 
 
-def test_in_domain_kinds():
-    assert in_domain(full_domain(), E2, [0.0, 0.0], [0.0, 0.0])
-    ext = exterior_domain(2.0)
-    assert in_domain(ext, E2, [1.5, 0.0], [0.0, 0.5])
-    assert not in_domain(ext, E2, [0.5, 0.0], [0.0, 0.5])
-    punc = punctured_domain()
-    assert in_domain(punc, E2, [1.0, 0.0], [0.0, 1.0])
-    assert not in_domain(punc, E2, [0.0, 0.0], [0.0, 1.0])
-    orth = orthogonal_domain(OrthogonalityRelation(kind="inner_product"))
-    assert in_domain(orth, E2, [1.0, 0.0], [0.0, 3.0])
-    assert not in_domain(orth, E2, [1.0, 0.0], [1.0, 1.0])
+def test_domain_kinds_on_batched_paths():
+    # Membership as the runners see it: exterior by row norms, punctured by
+    # nonzero rows, orthogonal by is_orthogonal_many; each sampler stays inside.
+    full = DomainRestriction(kind=FULL)
+    assert (full.d, full.relation) == (0.0, None)
+    ext = DomainRestriction(kind=EXTERIOR, d=2.0)
+    X = np.array([[1.5, 0.0], [0.5, 0.0]])
+    Y = np.array([[0.0, 0.5], [0.0, 0.5]])
+    assert (norm_many(E2, X) + norm_many(E2, Y) >= ext.d).tolist() == [True, False]
+    rng = rng_from(4, "domains")
+    Xe, Ye = exterior_pairs(E2, ext.d, 200, (0.05, 3.0), rng, axis_period=8)
+    assert np.all(norm_many(E2, Xe) + norm_many(E2, Ye) >= ext.d)
+
+    assert DomainRestriction(kind=PUNCTURED).d == 0.0
+    X = np.array([[1.0, 0.0], [0.0, 0.0]])
+    Y = np.array([[0.0, 1.0], [0.0, 1.0]])
+    assert (np.any(X, axis=1) & np.any(Y, axis=1)).tolist() == [True, False]
+    Xp, Yp = sample_pairs(E2, 200, (0.05, 3.0), rng)
+    assert np.all(np.any(Xp, axis=1) & np.any(Yp, axis=1))
+
+    orth = DomainRestriction(kind=ORTHOGONAL, relation=OrthogonalityRelation(kind="inner_product"))
+    X = np.array([[1.0, 0.0], [1.0, 0.0]])
+    Y = np.array([[0.0, 3.0], [1.0, 1.0]])
+    assert is_orthogonal_many(orth.relation, E2, X, Y).tolist() == [True, False]
+    Xo, Yo = orthogonal_pairs(orth.relation, E2, 200, (0.05, 3.0), rng, axis_period=8)
+    assert np.all(is_orthogonal_many(orth.relation, E2, Xo, Yo))
 
 
 def test_domain_validation():

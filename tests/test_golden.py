@@ -20,6 +20,10 @@ n_max cap, ``cor2_2-nmax7`` stops every point at an explicit ``limits.n_max``,
 and the triadic limit runs on a p-norm space for prop4_1 (on f) and thm4_3
 (on the odd part).
 
+The axiom entries pin ``check_ratz_axioms`` for the Birkhoff-James relation
+on the sup and p = 3 norms, whose (O4) witnesses need the general normed-plane
+search; the digest is that of the report as ``jensenlab axioms`` writes it.
+
 The digests were recorded with CPython 3.11.7 and numpy 2.4.6 on x86-64.
 Elementary functions such as ``pow`` and ``log`` may round differently in
 other numpy builds; a mismatch there needs a look at the report, not
@@ -27,10 +31,12 @@ necessarily a code fix.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from jensenlab.experiments import emit_report, parse_config, run_experiment
+from jensenlab.spaces import NormedSpaceSpec, OrthogonalityRelation, check_ratz_axioms
 
 E3 = {"dim": 3, "norm_kind": "euclidean"}
 E2 = {"dim": 2, "norm_kind": "euclidean"}
@@ -209,3 +215,17 @@ def test_report_digest(name):
     (cfg,) = parse_config({"schema_version": 1, "experiments": [CONFIGS[name]]})
     text = emit_report(run_experiment(cfg), fmt="json")
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[name]
+
+
+AXIOM_DIGESTS = {
+    "sup": "cf6640fc4db496473fce8ca7cbf5d962351cf84ab23b08791b8570dd5648fd39",
+    "p3": "7f9ac516bb48dc7074ef2995f4a31371c6dc68cf3862d0efc44ca8107538c4a9",
+}
+
+
+@pytest.mark.parametrize("name, space", [("sup", SUP3), ("p3", P3)], ids=["sup", "p3"])
+def test_axioms_digest(name, space):
+    rel = OrthogonalityRelation(kind="birkhoff_james")
+    report = check_ratz_axioms(rel, NormedSpaceSpec.from_dict(space), trials=50, seed=7)
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == AXIOM_DIGESTS[name]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jensenlab import orthogonal
 from jensenlab.models import (
     BOUNDED,
     FunctionModel,
@@ -9,6 +10,7 @@ from jensenlab.models import (
     PerturbationSpec,
     RadialTable,
     jensen_defect_many,
+    odd_even_split,
 )
 from jensenlab.orthogonal import (
     SikorskaConfig,
@@ -18,8 +20,8 @@ from jensenlab.orthogonal import (
     scaling_identity_check,
     sikorska_extend,
 )
-from jensenlab.sampling import orthogonal_pairs, rng_from, sample_points
-from jensenlab.spaces import OrthogonalityRelation, euclidean_space, norm_many
+from jensenlab.sampling import orthogonal_pairs, rng_from, sample_points, unit_directions
+from jensenlab.spaces import OrthogonalityRelation, euclidean_space, norm_many, o4_witness
 
 E3 = euclidean_space(3)
 E1 = euclidean_space(1)
@@ -141,3 +143,39 @@ def test_even_part_constancy():
     # lam = 3/4 shrinks the witness radius and exposes the non-constant even part
     cfg2 = SikorskaConfig(params=JensenParams(4, 3, 3), ball_radius=1.5)
     assert even_part_constancy_check(quad, cfg2, E3, count=200, seed=2).value > 0.1
+
+
+def test_even_part_constancy_matches_row_loop(monkeypatch):
+    """The batched check equals the row-by-row loop it replaced, bit for bit,
+    degenerate planes (v parallel to x) included."""
+    drawn = {}
+
+    def points(*args):
+        drawn["X"] = sample_points(*args)
+        return drawn["X"]
+
+    def directions(*args):
+        V = unit_directions(*args)
+        X = drawn["X"][::3]
+        V[::3] = X / np.linalg.norm(X, axis=1)[:, None]
+        drawn["V"] = V
+        return V
+
+    monkeypatch.setattr(orthogonal, "sample_points", points)
+    monkeypatch.setattr(orthogonal, "unit_directions", directions)
+    f = _model(quadratic=[1.0], perts=(PerturbationSpec(kind=BOUNDED, amplitude=0.05, seed=4),))
+    cfg = SikorskaConfig(params=JensenParams(4, 3, 3), ball_radius=1.5)
+    res = even_part_constancy_check(f, cfg, E3, count=60, seed=3)
+
+    _, f_even = odd_even_split(f)
+    value, x_best, y_best = 0.0, drawn["X"][0], drawn["X"][0]
+    for x, v in zip(drawn["X"], drawn["V"]):
+        if abs(np.dot(x, v)) > (1.0 - 1e-9) * np.linalg.norm(x) * np.linalg.norm(v):
+            v = np.roll(v, 1)
+        y0 = o4_witness(E3, (x, v), x, cfg.lam)
+        val = float(norm_many(E1, f_even.eval_many(x[None, :]) - f_even.eval_many(y0[None, :]))[0])
+        if val > value:
+            value, x_best, y_best = val, x, y0
+    assert value > 0.1
+    assert res.value == value
+    assert res.x.tobytes() == x_best.tobytes() and res.y.tobytes() == y_best.tobytes()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from jensenlab import spaces
 from jensenlab.spaces import (
+    PLANE_RESIDUAL_RTOL,
     NormedSpaceSpec,
     OrthogonalityRelation,
     SpaceError,
@@ -19,6 +21,7 @@ from jensenlab.spaces import (
     norm,
     norm_many,
     o4_witness,
+    o4_witness_many,
     orthogonal_partners,
     p_space,
     sup_space,
@@ -276,3 +279,80 @@ class TestRatzAxioms:
         assert d["relation"] == "trivial"
         assert d["all_passed"] is True
         assert d["results"]["O1"]["failures"] == 0
+
+
+BJ = OrthogonalityRelation(kind="birkhoff_james")
+
+
+def test_o4_witness_many_matches_rows():
+    rng = np.random.default_rng(5)
+    P1, P2 = rng.standard_normal((2, 30, 3))
+    X = rng.uniform(-2.0, 2.0, (30, 1)) * P1 + rng.uniform(-2.0, 2.0, (30, 1)) * P2
+    Y0 = o4_witness_many(E3, P1, P2, X, 0.75)
+    for i in range(30):
+        assert Y0[i].tobytes() == o4_witness(E3, (P1[i], P2[i]), X[i], 0.75).tobytes()
+
+
+def test_one_sided_derivatives_match_difference_quotients():
+    lo, hi = spaces._one_sided_derivatives(S2, np.array([[1.0, 1.0], [1.0, 0.5]]),
+                                           np.array([[1.0, -1.0], [0.0, 1.0]]))
+    assert lo.tolist() == [-1.0, 0.0] and hi.tolist() == [1.0, 0.0]
+    rng = np.random.default_rng(8)
+    U, V = rng.standard_normal((2, 40, 3))
+    for space in (sup_space(3), P3, p_space(3, 1.5), E3):
+        lo, hi = spaces._one_sided_derivatives(space, U, V)
+        h = 1e-7
+        right = (norm_many(space, U + h * V) - norm_many(space, U)) / h
+        left = (norm_many(space, U) - norm_many(space, U - h * V)) / h
+        assert np.allclose(lo, left, atol=1e-5) and np.allclose(hi, right, atol=1e-5)
+
+
+@st.composite
+def _o4_cases(draw):
+    dim = draw(st.integers(2, 4))
+    space = draw(st.sampled_from([sup_space(dim), p_space(dim, 1.5), p_space(dim, 3.0)]))
+    vec = st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim).map(np.array)
+    if draw(st.booleans()):
+        # integer coordinates with ties: x on a vertex or an edge of the sup ball
+        x = np.array(draw(st.lists(st.sampled_from([-2.0, -1.0, 1.0, 2.0]),
+                                   min_size=dim, max_size=dim)))
+        q = draw(vec)
+        plane = draw(st.sampled_from([(x, q), (q, x), (q, x + q)]))
+    else:
+        plane = (draw(vec), draw(vec))
+        a, b = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+        x = a * plane[0] + b * plane[1]
+    assume(linearly_independent(*plane))
+    assume(norm(space, x) > 1e-3 * max(norm(space, plane[0]), norm(space, plane[1])))
+    lam = 10.0 ** draw(st.floats(-3.0, 3.0))
+    c = draw(st.sampled_from([1e-8, 1.0, 1e8]))
+    return space, (c * plane[0], c * plane[1]), c * x, lam
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(case=_o4_cases())
+def test_o4_witness_by_sign_change(case):
+    space, plane, x, lam = case
+    y0 = spaces._find_o4_witness(BJ, space, plane, x, lam)
+    assert y0 is not None
+    Q = np.linalg.qr(np.stack(plane).T)[0]
+    assert np.linalg.norm(y0 - Q @ (Q.T @ y0)) <= PLANE_RESIDUAL_RTOL * np.linalg.norm(y0)
+    assert is_orthogonal(BJ, space, x, y0)
+    assert is_orthogonal(BJ, space, x + y0, lam * x - y0)
+
+
+@pytest.mark.parametrize("space", [sup_space(3), P3], ids=["sup", "p3"])
+def test_o4_trial_makes_few_margin_calls(monkeypatch, space):
+    # A grid or golden-section witness search makes hundreds of calls.
+    calls = []
+    margin = spaces.bj_margin_many
+
+    def counted(*args):
+        calls.append(1)
+        return margin(*args)
+
+    monkeypatch.setattr(spaces, "bj_margin_many", counted)
+    plane = (np.array([1.0, 0.2, -0.5]), np.array([0.3, -1.0, 0.8]))
+    x = 0.7 * plane[0] - 1.1 * plane[1]
+    assert spaces._find_o4_witness(BJ, space, plane, x, 2.5) is not None
+    assert 0 < len(calls) <= 8
