@@ -23,6 +23,7 @@ from .experiments import (
     SearchSettings,
     adversarial_search,
     emit_report,
+    emit_reports,
     load_config,
     run_experiment,
     REPORT_TOL,
@@ -77,11 +78,7 @@ def _cmd_verify(args) -> int:
     elif len(reports) == 1:
         _write(emit_report(reports[0], "json", include_runtime), args.out)
     else:
-        payload = {
-            "schema_version": 1,
-            "reports": [r.to_dict(include_runtime=include_runtime) for r in reports],
-        }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _write(emit_reports(reports, include_runtime), args.out)
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         print(

@@ -15,8 +15,6 @@ everywhere, with each chain pair's membership witnessed by an explicit margin.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,21 +222,6 @@ class ShellProfile:
 
     def is_decaying(self, tol: float) -> bool:
         return self.decreasing and self.final_sup <= tol
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["shell_edge_low", "shell_edge_high", "sup_defect", "samples"])
-        for k in range(self.sup_defect.size):
-            writer.writerow(
-                [
-                    repr(float(self.edges[k])),
-                    repr(float(self.edges[k + 1])),
-                    repr(float(self.sup_defect[k])),
-                    self.samples_per_shell,
-                ]
-            )
-        return buf.getvalue()
 
     def to_dict(self) -> dict:
         return {

@@ -31,6 +31,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -728,6 +729,33 @@ def _bound_norms(tid, params, comps, nx, role):
 # reports
 
 
+@dataclass(eq=False)
+class _Rows:
+    """Report rows as columns: point X[k], checked for its worst role roles[role[k]]."""
+
+    X: np.ndarray  # (n, dim)
+    roles: tuple
+    role: np.ndarray  # (n,) index into roles
+    deviation: np.ndarray
+    bound: np.ndarray
+    ratio: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.role)
+
+    def row(self, i: int) -> dict:
+        return {
+            "x": self.X[i].tolist(),
+            "role": self.roles[self.role[i]],
+            "deviation": float(self.deviation[i]),
+            "bound": float(self.bound[i]),
+            "ratio": float(self.ratio[i]),
+        }
+
+
+_NO_ROWS = _Rows(np.empty((0, 0)), (), np.empty(0, int), np.empty(0), np.empty(0), np.empty(0))
+
+
 @dataclass
 class StabilityReport:
     theorem_id: str
@@ -738,7 +766,7 @@ class StabilityReport:
     max_ratio: float
     passed: bool
     witnesses: list
-    samples: list
+    samples: _Rows
     details: dict
     iterations: dict
     runtime: dict | None = None
@@ -754,30 +782,13 @@ class StabilityReport:
             "max_ratio": self.max_ratio,
             "pass": self.passed,
             "witnesses": self.witnesses,
-            "samples": self.samples,
+            "samples": [self.samples.row(i) for i in range(len(self.samples))],
             "details": self.details,
             "iterations": self.iterations,
         }
         if include_runtime and self.runtime is not None:
             out["runtime"] = self.runtime
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StabilityReport":
-        return cls(
-            theorem_id=d["theorem_id"],
-            config=d["config"],
-            epsilon_effective=d["epsilon_effective"],
-            bound_value=d["bound_value"],
-            max_deviation=d["max_deviation"],
-            max_ratio=d["max_ratio"],
-            passed=d["pass"],
-            witnesses=d["witnesses"],
-            samples=d["samples"],
-            details=d["details"],
-            iterations=d["iterations"],
-            runtime=d.get("runtime"),
-        )
 
 
 def _json_default(o):
@@ -788,22 +799,58 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(a: np.ndarray) -> list:
+    """The floats of a 1-D array for a %s template, non-finite ones as json writes them."""
+    out = a.tolist()
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        out[i] = _NONFINITE[repr(out[i])]
+    return out
+
+
+def _rows_json(rows: _Rows, pad: str) -> str:
+    """The rows as ``json.dumps(indent=2, sort_keys=True)`` writes them under a key at `pad`."""
+    n, dim = rows.X.shape
+    if n == 0:
+        return "[]"
+    a, b = pad + "  ", pad + "    "
+    x = "[" + ",".join([f"\n{b}  %s"] * dim) + (f"\n{b}]" if dim else "]")
+    row = (f'{a}{{\n{b}"bound": %s,\n{b}"deviation": %s,\n{b}"ratio": %s,\n'
+           f'{b}"role": %s,\n{b}"x": {x}\n{a}}}')
+    roles = [json.dumps(r) for r in rows.roles]
+    cols = [_json_floats(rows.bound), _json_floats(rows.deviation), _json_floats(rows.ratio),
+            [roles[k] for k in rows.role.tolist()], *map(_json_floats, rows.X.T)]
+    return "[\n" + ",\n".join([row] * n) % tuple(chain.from_iterable(zip(*cols))) + f"\n{pad}]"
+
+
+def _dumps_with_rows(obj, reports: list, depth: int) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for obj holding the reports'
+    dicts, rows left out, at nesting `depth`; their rows are spliced in from the columns.
+
+    json writes a newline only as indentation, so a newline and the indent of
+    depth-`depth` keys before ``"samples": []`` mark those dicts' empty lists alone.
+    """
+    pad = "  " * (depth + 1)
+    key = f'\n{pad}"samples": '
+    parts = json.dumps(obj, indent=2, sort_keys=True, default=_json_default).split(key + "[]")
+    out = [parts[0]]
+    for report, rest in zip(reports, parts[1:], strict=True):
+        out += [key, _rows_json(report.samples, pad), rest]
+    return "".join(out) + "\n"
+
+
 def emit_report(report: StabilityReport, fmt: str = "json", include_runtime: bool = False) -> str:
     """Render a report; JSON is canonical (sorted keys) and replayable.
 
     Wall-clock timing is left out unless asked for, so two runs of the same
-    config serialize to identical bytes.
+    config serialize to identical bytes.  The JSON equals
+    ``json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\\n"``.
     """
     if fmt == "json":
-        return (
-            json.dumps(
-                report.to_dict(include_runtime=include_runtime),
-                indent=2,
-                sort_keys=True,
-                default=_json_default,
-            )
-            + "\n"
-        )
+        head = replace(report, samples=_NO_ROWS).to_dict(include_runtime)
+        return _dumps_with_rows(head, [report], 0)
     if fmt != "csv":
         raise ConfigError(f"unknown report format {fmt!r}")
     if report.theorem_id == "cor3_2":
@@ -817,7 +864,9 @@ def emit_report(report: StabilityReport, fmt: str = "json", include_runtime: boo
                 [repr(edges[k]), repr(edges[k + 1]), repr(sup), prof.get("samples_per_shell", 0)]
             )
         return buf.getvalue()
-    dim = len(report.samples[0]["x"]) if report.samples else 0
+    rows = report.samples
+    n = len(rows)
+    dim = rows.X.shape[1] if n else 0
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(
@@ -825,17 +874,17 @@ def emit_report(report: StabilityReport, fmt: str = "json", include_runtime: boo
         + [f"x{k}" for k in range(dim)]
         + ["deviation", "bound", "ratio"]
     )
-    for i, row in enumerate(report.samples):
-        w.writerow(
-            [report.theorem_id, i, row["role"]]
-            + [repr(float(v)) for v in row["x"]]
-            + [repr(float(row["deviation"])), repr(float(row["bound"])), repr(float(row["ratio"]))]
-        )
+    columns = (*rows.X.T, rows.deviation, rows.bound, rows.ratio)
+    cols = [list(map(repr, c.tolist())) for c in columns]
+    roles = [rows.roles[k] for k in rows.role.tolist()]
+    w.writerows(zip(repeat(report.theorem_id), range(n), roles, *cols))
     return buf.getvalue()
 
 
-def report_from_json(s: str) -> StabilityReport:
-    return StabilityReport.from_dict(json.loads(s))
+def emit_reports(reports: list, include_runtime: bool = False) -> str:
+    """Several reports as one JSON payload ``{"schema_version": 1, "reports": [...]}``."""
+    heads = [replace(r, samples=_NO_ROWS).to_dict(include_runtime) for r in reports]
+    return _dumps_with_rows({"schema_version": SCHEMA_VERSION, "reports": heads}, reports, 2)
 
 
 def _ratio_arrays(devs: np.ndarray, bounds: np.ndarray, tol: float) -> np.ndarray:
@@ -849,31 +898,17 @@ def _ratio_arrays(devs: np.ndarray, bounds: np.ndarray, tol: float) -> np.ndarra
 
 def _assemble_rows(X, role_data, tol):
     """role_data: list of (role, devs, bounds).  One row per point, worst role kept."""
-    n = X.shape[0]
-    all_ratios = []
-    for role, devs, bounds in role_data:
-        all_ratios.append(_ratio_arrays(devs, bounds, tol))
-    stacked = np.stack(all_ratios, axis=0)  # (roles, n)
+    roles, devs, bounds = zip(*role_data)
+    stacked = np.stack([_ratio_arrays(d, b, tol) for d, b in zip(devs, bounds)])  # (roles, n)
     worst_role = np.argmax(stacked, axis=0)
-    samples = []
-    for i in range(n):
-        k = int(worst_role[i])
-        role, devs, bounds = role_data[k]
-        samples.append(
-            {
-                "x": [float(v) for v in X[i]],
-                "role": role,
-                "deviation": float(devs[i]),
-                "bound": float(bounds[i]),
-                "ratio": float(stacked[k, i]),
-            }
-        )
-    max_dev = float(max(np.max(d) for _, d, _ in role_data))
-    bound_value = float(max(np.max(b) for _, _, b in role_data))
+    pick = (worst_role, np.arange(X.shape[0]))
+    rows = _Rows(X, roles, worst_role, np.stack(devs)[pick], np.stack(bounds)[pick], stacked[pick])
+    max_dev = float(max(np.max(d) for d in devs))
+    bound_value = float(max(np.max(b) for b in bounds))
     max_ratio = float(np.max(stacked))
-    order = np.argsort(-stacked[worst_role, np.arange(n)])[:3]
-    witnesses = [samples[int(i)] for i in order]
-    return samples, max_dev, bound_value, max_ratio, witnesses
+    order = np.argsort(-rows.ratio)[:3]
+    witnesses = [rows.row(int(i)) for i in order]
+    return rows, max_dev, bound_value, max_ratio, witnesses
 
 
 def _hypothesis_pairs(cfg: ExperimentConfig, label: str = "pairs"):
@@ -1033,7 +1068,7 @@ def _run_cor3_2(cfg: ExperimentConfig):
     return _finish(
         cfg,
         prof.final_sup,
-        [],
+        _NO_ROWS,
         prof.final_sup,
         cfg.decay_tol,
         0.0,

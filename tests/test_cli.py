@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jensenlab.cli import main
+from jensenlab.experiments import load_config, run_experiment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -88,6 +89,18 @@ def test_verify_multi_experiment_payload(tmp_path):
     doc = json.loads(out.read_text())
     ids = [r["theorem_id"] for r in doc["reports"]]
     assert ids == ["cor2_2", "cor3_2"]
+
+
+def test_verify_multi_experiment_bytes(tmp_path):
+    # the payload splices each report's rows in at its own nesting depth
+    cfg = _write_config(
+        tmp_path / "c.json", _cor2_2_experiment(seed=11), _cor2_2_experiment(seed=12)
+    )
+    out = tmp_path / "reports.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    reports = [run_experiment(c).to_dict() for c in load_config(cfg)]
+    payload = {"schema_version": 1, "reports": reports}
+    assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_theorem_filter_and_csv(tmp_path):

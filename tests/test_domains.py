@@ -19,6 +19,7 @@ from jensenlab.domains import (
     verify_five_inequalities,
     FIVE_INEQ_TOL,
 )
+from jensenlab.experiments import emit_report, parse_config, run_experiment
 from jensenlab.models import BOUNDED, FunctionModel, JensenParams, PerturbationSpec
 from jensenlab.sampling import (
     exterior_pairs,
@@ -196,10 +197,18 @@ class TestAsymptoticProfile:
         assert prof.final_sup > 1e-3
 
     def test_csv_shape(self):
-        f = FunctionModel(domain=E3, codomain=E2, linear=L23)
-        prof = asymptotic_profile(
-            f, JensenParams(1, 1, 1), E3, self.EDGES, 50, rng_from(3, "prof")
-        )
-        lines = prof.to_csv().strip().split("\n")
+        exp = {
+            "theorem_id": "cor3_2",
+            "space": {"dim": 3, "norm_kind": "euclidean"},
+            "codomain": {"dim": 2, "norm_kind": "euclidean"},
+            "params": {"r": 1, "s": 1, "t": 1},
+            "control": {"kind": "constant", "epsilon": 0.1},
+            "sampler": {"count": 50, "seed": 3, "radius_range": [0.5, 16.0]},
+            "model": {"linear": L23.tolist()},
+            "shells": {"edges": list(self.EDGES), "samples_per_shell": 50},
+            "expected_decay": True,
+        }
+        (cfg,) = parse_config({"schema_version": 1, "experiments": [exp]})
+        lines = emit_report(run_experiment(cfg), fmt="csv").strip().split("\n")
         assert len(lines) == 6
         assert lines[0].startswith("shell_edge_low")

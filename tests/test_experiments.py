@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from jensenlab.experiments import (
     measure_epsilon,
     parse_config,
     parse_experiment,
-    report_from_json,
     run_experiment,
 )
 from jensenlab.models import JensenParams, PerturbationSpec
@@ -449,11 +449,43 @@ def test_report_json_round_trip_and_determinism():
     js2 = emit_report(rep2, fmt="json")
     assert js1 == js2
     assert "runtime" not in json.loads(js1)
-    back = report_from_json(js1)
-    assert emit_report(back, fmt="json") == js1
+    assert json.dumps(json.loads(js1), indent=2, sort_keys=True) + "\n" == js1
     doc = json.loads(js1)
     assert doc["schema_version"] == 1
     assert doc["pass"] is True
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e300, -1e-300]
+
+
+@given(
+    st.integers(0, 5),
+    st.integers(1, 4),
+    st.lists(st.sampled_from(["f", "g", "h", "g_h", "odd"]), min_size=1, max_size=3, unique=True),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_emitter_matches_json_dumps(n, dim, roles, data):
+    def column(*shape):
+        size = int(np.prod(shape))
+        floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+        return np.array(data.draw(st.lists(floats, min_size=size, max_size=size))).reshape(shape)
+
+    role = data.draw(st.lists(st.integers(0, len(roles) - 1), min_size=n, max_size=n))
+    rows = experiments._Rows(
+        column(n, dim), tuple(roles), np.array(role, dtype=int), column(n), column(n), column(n)
+    )
+    rep = experiments.StabilityReport(
+        theorem_id="thm2_1", config={"seed": 1}, epsilon_effective=0.3, bound_value=math.inf,
+        max_deviation=-0.0, max_ratio=math.nan, passed=False,
+        witnesses=[rows.row(i) for i in range(min(n, 3))], samples=rows,
+        details={"edge": EDGE_FLOATS}, iterations={"max_iterations": 0},
+        runtime={"seconds": 0.25},
+    )
+    for include_runtime in (False, True):
+        dumped = json.dumps(rep.to_dict(include_runtime), indent=2, sort_keys=True,
+                            default=experiments._json_default)
+        assert emit_report(rep, include_runtime=include_runtime) == dumped + "\n"
 
 
 def test_report_includes_runtime_only_on_request():

@@ -35,7 +35,7 @@ import json
 
 import pytest
 
-from jensenlab.experiments import emit_report, parse_config, run_experiment
+from jensenlab.experiments import _json_default, emit_report, parse_config, run_experiment
 from jensenlab.spaces import NormedSpaceSpec, OrthogonalityRelation, check_ratz_axioms
 
 E3 = {"dim": 3, "norm_kind": "euclidean"}
@@ -213,8 +213,12 @@ DIGESTS = {
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_report_digest(name):
     (cfg,) = parse_config({"schema_version": 1, "experiments": [CONFIGS[name]]})
-    text = emit_report(run_experiment(cfg), fmt="json")
+    report = run_experiment(cfg)
+    text = emit_report(report, fmt="json")
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[name]
+    # the column emitter writes what json writes for the dict rows
+    dumped = json.dumps(report.to_dict(), indent=2, sort_keys=True, default=_json_default)
+    assert text == dumped + "\n"
 
 
 AXIOM_DIGESTS = {
