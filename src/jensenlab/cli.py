@@ -8,7 +8,8 @@ Subcommands:
   profile   shell-by-shell asymptotic defect profile (cor3_2 configs)
 
 Exit status: 0 when every requested check passes, 1 when a check fails,
-2 for configuration or usage errors.
+2 for configuration or usage errors.  verify names the failed checks of
+each failing report on stderr.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ def _cmd_verify(args) -> int:
         _write(emit_reports(reports, include_runtime), args.out)
     for r in reports:
         status = "pass" if r.passed else "FAIL"
+        failed = f"; failed: {', '.join(r.failed_checks)}" if r.failed_checks else ""
         print(
             f"{r.theorem_id}: {status} (max_ratio {r.max_ratio:.6g}, "
-            f"eps_eff {r.epsilon_effective:.6g})",
+            f"eps_eff {r.epsilon_effective:.6g}{failed})",
             file=sys.stderr,
         )
     return 0 if all(r.passed for r in reports) else 1

@@ -9,7 +9,7 @@ pair (x, y) through an auxiliary far-away point z.  With
 
 the defect vector at (x, y) equals D(A,B) + D(x,z) + D(M,y) − D(M,B) − D(A,z)
 exactly, and each of the five pairs satisfies the exterior condition whenever
-z = construct_z(x, y, d).  Hence a defect ≤ ε on the exterior implies ≤ 5ε
+z is the far point of construct_z_many.  Hence a defect ≤ ε on the exterior implies ≤ 5ε
 everywhere, with each chain pair's membership witnessed by an explicit margin.
 """
 
@@ -25,7 +25,6 @@ from .spaces import (
     NormedSpaceSpec,
     OrthogonalityRelation,
     as_batch,
-    as_point,
     norm_many,
 )
 
@@ -34,7 +33,7 @@ EXTERIOR = "exterior"
 PUNCTURED = "punctured"
 ORTHOGONAL = "orthogonal"
 
-# Absorbs representation error of exact-boundary cases (see construct_z at x = y = 0).
+# Absorbs representation error of exact-boundary cases (see construct_z_many at x = y = 0).
 FIVE_INEQ_TOL = 1e-9
 # Monotonicity slack for shell profiles.
 PROFILE_DECREASE_TOL = 1e-9
@@ -78,12 +77,6 @@ def construct_z_many(space: NormedSpaceSpec, X, Y, d: float) -> np.ndarray:
     return Z
 
 
-def construct_z(space: NormedSpaceSpec, x, y, d: float) -> np.ndarray:
-    x = as_point(x, space.dim)
-    y = as_point(y, space.dim)
-    return construct_z_many(space, x[None, :], y[None, :], d)[0]
-
-
 def _chain_points(params: JensenParams, X, Y, Z):
     s, t = params.s, params.t
     A = (2.0 + t / s) * Z + (t / s) * Y
@@ -106,22 +99,6 @@ def five_inequality_margins(
     return np.stack(
         [nA + nB - d, nX + nZ - d, nM + nY - d, nM + nB - d, nA + nZ - d], axis=1
     )
-
-
-def verify_five_inequalities(
-    space: NormedSpaceSpec, params: JensenParams, x, y, z, d: float
-) -> list:
-    """Per-inequality (holds, margin) pairs for a single chain instance."""
-    margins = five_inequality_margins(
-        space,
-        params,
-        as_point(x, space.dim)[None, :],
-        as_point(y, space.dim)[None, :],
-        as_point(z, space.dim)[None, :],
-        d,
-    )[0]
-    tol = FIVE_INEQ_TOL * max(1.0, d)
-    return [(bool(m >= -tol), float(m)) for m in margins]
 
 
 def _defect_at_midpoint(f, params: JensenParams, W, U, V):
@@ -166,41 +143,11 @@ def five_term_defect_many(f, params: JensenParams, X, Y, Z):
     return direct, terms.sum(axis=1), terms
 
 
-def five_term_defect_bound(f, params: JensenParams, x, y, z) -> dict:
-    x = as_point(x, f.domain.dim)
-    y = as_point(y, f.domain.dim)
-    z = as_point(z, f.domain.dim)
-    direct, chain, terms = five_term_defect_many(
-        f, params, x[None, :], y[None, :], z[None, :]
-    )
-    return {
-        "direct_value": float(direct[0]),
-        "chain_value": float(chain[0]),
-        "terms": [float(v) for v in terms[0]],
-    }
-
-
 @dataclass
 class SupResult:
     value: float
     x: np.ndarray
     y: np.ndarray
-
-
-def defect_sup_on(f, g, h, params: JensenParams, X, Y) -> SupResult:
-    d = jensen_defect_many(f, g, h, params, X, Y)
-    i = int(np.argmax(d))
-    return SupResult(value=float(d[i]), x=X[i].copy(), y=Y[i].copy())
-
-
-def exterior_defect_sup(
-    f, g, h, params: JensenParams, space: NormedSpaceSpec, d: float, X, Y
-) -> SupResult:
-    """Empirical defect sup over supplied pairs, restricted to ‖x‖+‖y‖ ≥ d."""
-    mask = norm_many(space, X) + norm_many(space, Y) >= d
-    if not np.any(mask):
-        raise DomainError("no exterior pairs in the sample")
-    return defect_sup_on(f, g, h, params, X[mask], Y[mask])
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Experiment configs, theorem bound registry, runners, and reports.
+"""Experiment configs, the theorem table and its run path, and reports.
 
 An experiment pins down a theorem id, a space, equation coefficients, a
 control function, a perturbation recipe, a hypothesis domain, and a seeded
@@ -7,6 +7,11 @@ empirical defect sup over hypothesis pairs, after subtracting the declared
 non-constant part of the control), rebuilds the theorem's bound with that
 measured epsilon, and checks the advertised construction pointwise.  A run is
 a pure function of its config: reports are byte-identical across repeats.
+
+The seven limit theorems run on one path, each driven by its _THEOREMS
+entry; cor3_2 (a shell profile) and thm6_1/thm6_2 (a ball extension) have
+runners of their own.  A report passes when max_ratio <= 1 and every named
+check holds; failed_checks names the failed ones, outside the canonical JSON.
 
 Supported theorem ids:
 
@@ -31,6 +36,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
@@ -107,19 +113,6 @@ from .spaces import (
 
 SCHEMA_VERSION = 1
 REPORT_TOL = 1e-7  # relative slack on max_ratio <= 1
-THEOREM_IDS = (
-    "thm2_1",
-    "cor2_2",
-    "thm3_1",
-    "cor3_2",
-    "prop4_1",
-    "prop4_2",
-    "thm4_3",
-    "thm5_2",
-    "thm6_1",
-    "thm6_2",
-)
-_PEXIDER = {"thm2_1", "prop4_1", "prop4_2", "thm5_2"}
 
 
 class ConfigError(ValueError):
@@ -220,6 +213,764 @@ class ExperimentConfig:
             raise ConfigError(f"model.linear must be {codim} x {dim}")
         if m.quadratic is not None and np.shape(m.quadratic) != (codim,):
             raise ConfigError(f"model.quadratic must have {codim} entries")
+
+# ---------------------------------------------------------------------------
+# model building
+
+
+def _model_seed(cfg: ExperimentConfig) -> int:
+    return cfg.sampler.seed if cfg.model.seed is None else cfg.model.seed
+
+
+def _role_perturbations(cfg: ExperimentConfig, role_offset: int) -> tuple:
+    out = []
+    for i, p in enumerate(cfg.model.perturbations):
+        if p.kind == "none":
+            continue
+        seed = p.seed if role_offset == 0 else derive_seed(p.seed, role_offset + i)
+        out.append(replace(p, seed=seed))
+    return tuple(out)
+
+
+def calibrated_perturbations(
+    params: JensenParams, control: ControlFunctionSpec, seed: int = 0
+) -> tuple:
+    """Perturbation specs whose worst-case defect fits under the control.
+
+    A bounded term of amplitude a on each of f, g, h contributes at most
+    (r+s+t)·a to the defect, so a = ε/(r+s+t) stays inside the constant
+    part.  A power term also rides on the inner argument (s·x+t·y)/r, and
+    (s‖x‖+t‖y‖)^p <= s^p‖x‖^p + t^p‖y‖^p for p < 1 bounds its defect share
+    by δ'·(r^(1-p)s^p + s)‖x‖^p + δ'·(r^(1-p)t^p + t)‖y‖^p; dividing δ by
+    the larger coefficient keeps the total under δ·(‖x‖^p + ‖y‖^p).
+    """
+    if control.kind == TABLE:
+        raise ConfigError("calibrated_perturbations does not support table controls")
+    r, s, t = params.r, params.s, params.t
+    specs = [
+        PerturbationSpec(
+            kind=BOUNDED,
+            amplitude=control.epsilon / (r + s + t),
+            seed=derive_seed(seed, 11),
+        )
+    ]
+    if control.kind == MIXED and control.delta > 0.0:
+        p = control.p
+        coeff = max(r ** (1.0 - p) * s**p + s, r ** (1.0 - p) * t**p + t)
+        specs.append(
+            PerturbationSpec(
+                kind=POWER,
+                delta=control.delta / coeff,
+                p=p,
+                seed=derive_seed(seed, 12),
+            )
+        )
+    return tuple(specs)
+
+
+def build_models(cfg: ExperimentConfig):
+    """Construct (f, g, h) for the experiment; g and h may alias f."""
+    thm = _THEOREMS.get(cfg.theorem_id)
+    if thm is not None and thm.zero_linear:
+        L = np.zeros((cfg.codomain.dim, cfg.space.dim))
+    elif cfg.model.linear is not None:
+        L = np.asarray(cfg.model.linear, dtype=np.float64)
+    else:
+        rng = rng_from(_model_seed(cfg), "linear")
+        L = rng.uniform(-2.0, 2.0, size=(cfg.codomain.dim, cfg.space.dim)) * cfg.model.linear_scale
+    quad = None
+    if cfg.model.quadratic is not None:
+        quad = np.asarray(cfg.model.quadratic, dtype=np.float64)
+
+    def mk(role_offset):
+        return FunctionModel(
+            domain=cfg.space,
+            codomain=cfg.codomain,
+            linear=L,
+            quadratic=quad,
+            perturbations=_role_perturbations(cfg, role_offset),
+        )
+
+    f = mk(0)
+    if thm is None or not thm.pexider:
+        return f, f, f
+    g, h = mk(100), mk(200)
+    return f, g, h if thm.h_part is None else thm.h_part(h)
+
+
+# ---------------------------------------------------------------------------
+# effective controls and vectorized bound pieces
+
+
+def _phi_components(control: ControlFunctionSpec, eps_hat: float) -> list:
+    """Decompose the effective control ε̂ + (non-constant part) for linear ops."""
+    comps = [constant_control(eps_hat)]
+    if control.kind == MIXED and control.delta > 0.0:
+        comps.append(ControlFunctionSpec(kind=MIXED, epsilon=0.0, delta=control.delta, p=control.p))
+    if control.kind == TABLE:
+        comps.append(control)
+    return comps
+
+
+def _phi_norms(comps, nx, ny):
+    return sum(control_phi_norms(c, nx, ny) for c in comps)
+
+
+def measure_epsilon(cfg: ExperimentConfig, f, g, h, X, Y, scale_y: float = 1.0):
+    """Effective ε: defect sup after subtracting the declared non-constant part.
+
+    scale_y maps the pair (x, y) to the control's evaluation arguments
+    (the punctured propositions control the defect by φ(x, (t/s)y)).
+    """
+    # an overflowing defect is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = jensen_defect_many(f, g, h, cfg.params, X, Y)
+    if not np.all(np.isfinite(defects)):
+        raise ConfigError("the sampled Jensen defect overflows; lower sampler.radius_range, "
+                          "model.linear_scale or the perturbation amplitudes")
+    base = _phi_components(cfg.control, 0.0)
+    nonconst = _phi_norms(
+        base, norm_many(cfg.space, X), norm_many(cfg.space, Y) * scale_y
+    )
+    adj = np.maximum(defects - nonconst, 0.0)
+    i = int(np.argmax(adj))
+    return float(adj[i]), {"x": X[i].tolist(), "y": Y[i].tolist(), "defect": float(defects[i])}
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+
+@dataclass(eq=False)
+class _Rows:
+    """Report rows as columns: point X[k], checked for its worst role roles[role[k]]."""
+
+    X: np.ndarray  # (n, dim)
+    roles: tuple
+    role: np.ndarray  # (n,) index into roles
+    deviation: np.ndarray
+    bound: np.ndarray
+    ratio: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.role)
+
+    def row(self, i: int) -> dict:
+        return {
+            "x": self.X[i].tolist(),
+            "role": self.roles[self.role[i]],
+            "deviation": float(self.deviation[i]),
+            "bound": float(self.bound[i]),
+            "ratio": float(self.ratio[i]),
+        }
+
+
+_NO_ROWS = _Rows(np.empty((0, 0)), (), np.empty(0, int), np.empty(0), np.empty(0), np.empty(0))
+
+
+@dataclass
+class StabilityReport:
+    theorem_id: str
+    config: dict
+    epsilon_effective: float
+    bound_value: float
+    max_deviation: float
+    max_ratio: float
+    passed: bool
+    witnesses: list
+    samples: _Rows
+    details: dict
+    iterations: dict
+    runtime: dict | None = None
+    failed_checks: tuple = ()  # names of the checks that failed; not emitted
+
+    def to_dict(self, include_runtime: bool = False) -> dict:
+        out = {
+            "schema_version": SCHEMA_VERSION,
+            "theorem_id": self.theorem_id,
+            "config": self.config,
+            "epsilon_effective": self.epsilon_effective,
+            "bound_value": self.bound_value,
+            "max_deviation": self.max_deviation,
+            "max_ratio": self.max_ratio,
+            "pass": self.passed,
+            "witnesses": self.witnesses,
+            "samples": [self.samples.row(i) for i in range(len(self.samples))],
+            "details": self.details,
+            "iterations": self.iterations,
+        }
+        if include_runtime and self.runtime is not None:
+            out["runtime"] = self.runtime
+        return out
+
+
+def _json_default(o):
+    if isinstance(o, (np.floating, np.integer)):
+        return o.item()
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError(f"not JSON serializable: {type(o)}")
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(a: np.ndarray) -> list:
+    """The floats of a 1-D array for a %s template, non-finite ones as json writes them."""
+    out = a.tolist()
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        out[i] = _NONFINITE[repr(out[i])]
+    return out
+
+
+def _rows_json(rows: _Rows, pad: str) -> str:
+    """The rows as ``json.dumps(indent=2, sort_keys=True)`` writes them under a key at `pad`."""
+    n, dim = rows.X.shape
+    if n == 0:
+        return "[]"
+    a, b = pad + "  ", pad + "    "
+    x = "[" + ",".join([f"\n{b}  %s"] * dim) + (f"\n{b}]" if dim else "]")
+    row = (f'{a}{{\n{b}"bound": %s,\n{b}"deviation": %s,\n{b}"ratio": %s,\n'
+           f'{b}"role": %s,\n{b}"x": {x}\n{a}}}')
+    roles = [json.dumps(r) for r in rows.roles]
+    cols = [_json_floats(rows.bound), _json_floats(rows.deviation), _json_floats(rows.ratio),
+            [roles[k] for k in rows.role.tolist()], *map(_json_floats, rows.X.T)]
+    return "[\n" + ",\n".join([row] * n) % tuple(chain.from_iterable(zip(*cols))) + f"\n{pad}]"
+
+
+def _dumps_with_rows(obj, reports: list, depth: int) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for obj holding the reports'
+    dicts, rows left out, at nesting `depth`; their rows are spliced in from the columns.
+
+    json writes a newline only as indentation, so a newline and the indent of
+    depth-`depth` keys before ``"samples": []`` mark those dicts' empty lists alone.
+    """
+    pad = "  " * (depth + 1)
+    key = f'\n{pad}"samples": '
+    parts = json.dumps(obj, indent=2, sort_keys=True, default=_json_default).split(key + "[]")
+    out = [parts[0]]
+    for report, rest in zip(reports, parts[1:], strict=True):
+        out += [key, _rows_json(report.samples, pad), rest]
+    return "".join(out) + "\n"
+
+
+def emit_report(report: StabilityReport, fmt: str = "json", include_runtime: bool = False) -> str:
+    """Render a report; JSON is canonical (sorted keys) and replayable.
+
+    Wall-clock timing is left out unless asked for, so two runs of the same
+    config serialize to identical bytes.  The JSON equals
+    ``json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\\n"``.
+    """
+    if fmt == "json":
+        head = replace(report, samples=_NO_ROWS).to_dict(include_runtime)
+        return _dumps_with_rows(head, [report], 0)
+    if fmt != "csv":
+        raise ConfigError(f"unknown report format {fmt!r}")
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    prof = report.details.get("profile")
+    if prof is not None:  # a shell profile (cor3_2) is written one shell per line
+        w.writerow(["shell_edge_low", "shell_edge_high", "sup_defect", "samples"])
+        edges, sups = prof["edges"], prof["sup_defect"]
+        w.writerows([repr(lo), repr(hi), repr(sup), prof["samples_per_shell"]]
+                    for lo, hi, sup in zip(edges, edges[1:], sups))
+        return buf.getvalue()
+    rows = report.samples
+    n = len(rows)
+    dim = rows.X.shape[1] if n else 0
+    w.writerow(
+        ["theorem_id", "index", "role"]
+        + [f"x{k}" for k in range(dim)]
+        + ["deviation", "bound", "ratio"]
+    )
+    columns = (*rows.X.T, rows.deviation, rows.bound, rows.ratio)
+    cols = [list(map(repr, c.tolist())) for c in columns]
+    roles = [rows.roles[k] for k in rows.role.tolist()]
+    w.writerows(zip(repeat(report.theorem_id), range(n), roles, *cols))
+    return buf.getvalue()
+
+
+def emit_reports(reports: list, include_runtime: bool = False) -> str:
+    """Several reports as one JSON payload ``{"schema_version": 1, "reports": [...]}``."""
+    heads = [replace(r, samples=_NO_ROWS).to_dict(include_runtime) for r in reports]
+    return _dumps_with_rows({"schema_version": SCHEMA_VERSION, "reports": heads}, reports, 2)
+
+
+def _ratio_arrays(devs: np.ndarray, bounds: np.ndarray, tol: float) -> np.ndarray:
+    floor = max(4.0 * tol, 1e-10)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(
+            bounds > 0.0, devs / bounds, np.where(devs <= floor, 0.0, np.inf)
+        )
+    return ratios
+
+
+def _assemble_rows(X, role_data, tol):
+    """role_data: list of (role, devs, bounds).  One row per point, worst role kept."""
+    roles, devs, bounds = zip(*role_data)
+    stacked = np.stack([_ratio_arrays(d, b, tol) for d, b in zip(devs, bounds)])  # (roles, n)
+    worst_role = np.argmax(stacked, axis=0)
+    pick = (worst_role, np.arange(X.shape[0]))
+    rows = _Rows(X, roles, worst_role, np.stack(devs)[pick], np.stack(bounds)[pick], stacked[pick])
+    max_dev = float(max(np.max(d) for d in devs))
+    bound_value = float(max(np.max(b) for b in bounds))
+    max_ratio = float(np.max(stacked))
+    order = np.argsort(-rows.ratio)[:3]
+    witnesses = [rows.row(int(i)) for i in order]
+    return rows, max_dev, bound_value, max_ratio, witnesses
+
+
+def _hypothesis_pairs(cfg: ExperimentConfig):
+    """Pairs from the hypothesis domain, with a low-radius stratum and axis pairs."""
+    rng = rng_from(cfg.sampler.seed, "pairs")
+    n = cfg.sampler.pairs
+    lo, hi = cfg.sampler.radius_range
+    dom = cfg.domain
+    if dom.kind == EXTERIOR:
+        return exterior_pairs(cfg.space, dom.d, n, (lo, hi), rng, axis_period=8)
+    if dom.kind == ORTHOGONAL:
+        return orthogonal_pairs(dom.relation, cfg.space, n, (lo, hi), rng, axis_period=8)
+    if dom.kind == PUNCTURED:
+        return sample_pairs(cfg.space, n, (lo, hi), rng, axis_period=0)
+    n_low = n // 4
+    X1, Y1 = sample_pairs(cfg.space, n - n_low, (lo, hi), rng, axis_period=8)
+    width = hi - lo
+    X2, Y2 = sample_pairs(cfg.space, n_low, (lo, lo + 0.1 * width), rng, axis_period=0)
+    return np.concatenate([X1, X2]), np.concatenate([Y1, Y2])
+
+
+def _dev_points(cfg: ExperimentConfig):
+    rng = rng_from(cfg.sampler.seed, "points")
+    return sample_points(cfg.space, cfg.sampler.count, cfg.sampler.radius_range, rng)
+
+
+def _auto_n_max(cfg: ExperimentConfig, base: float, arg_scale: float = 1.0,
+                floor: int = DYADIC_N_MAX) -> int:
+    """Iterations needed for the slowest perturbation's successive gap to clear tol.
+
+    A perturbation bounded by a contributes ~a·base^{-n} to the gap; one
+    bounded by δ‖x‖^p contributes ~δ‖x‖^p·base^{(p-1)n}.  Honest divergence
+    (wrong-order exact parts) is unaffected: extra iterations cannot make a
+    non-Cauchy sequence settle.
+    """
+    if cfg.limits.n_max is not None:
+        return cfg.limits.n_max
+    tol = cfg.limits.tol
+    R = max(cfg.sampler.radius_range[1] * arg_scale, 1.0)
+    need = floor
+    for p in cfg.model.perturbations:
+        if p.kind == POWER and p.delta > 0.0:
+            rate = (1.0 - p.p) * np.log(base)
+            n = np.log(max(2.0 * p.delta * R**p.p / tol, 1.0)) / rate
+        elif p.kind in (BOUNDED, DECAY) and p.amplitude > 0.0:
+            n = np.log(max(3.0 * p.amplitude / tol, 1.0)) / np.log(base)
+        else:
+            continue
+        need = max(need, int(np.ceil(min(n, 600))) + 6)  # n is inf once a/tol overflows
+    return min(need, 600)
+
+
+def _limit_meta(iterations: np.ndarray, converged: np.ndarray) -> dict:
+    return {
+        "max_iterations": int(np.max(iterations)) if iterations.size else 0,
+        "mean_iterations": float(np.mean(iterations)) if iterations.size else 0.0,
+        "converged_fraction": float(np.mean(converged)) if converged.size else 1.0,
+    }
+
+
+# ---------------------------------------------------------------------------
+# the limit theorems
+#
+# Thm 2.1, Cor 2.2, Thm 3.1, Prop 4.1, Prop 4.2, Thm 4.3 and Thm 5.2 are all
+# checked by Hyers' direct method: measure ε̂ on the hypothesis pairs, iterate
+# one scaling limit at fresh points, compare each role's deviation with its
+# bound there, and AND the side conditions.  _THEOREMS says what differs per
+# theorem id; _run_limit_theorem is the one run path.  Table entries call the
+# other modules' functions by name from code in this module, never hold them.
+
+
+class _Run:
+    """What a theorem's limit, roles and checks read from one run.
+
+    X, Y are the hypothesis pairs, X0 the points the roles are checked at and
+    nx their norms; comps is the effective control ε̂ + (declared non-constant
+    part); A is the limit at X0 once it has been taken.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, models, X, Y, eps_hat: float, X0):
+        self.cfg, self.params = cfg, cfg.params
+        self.r, self.s, self.t = cfg.params.r, cfg.params.s, cfg.params.t
+        self.f, self.g, self.h = models
+        self.X, self.Y, self.X0 = X, Y, X0
+        self.eps = eps_hat
+        self.comps = _phi_components(cfg.control, eps_hat)
+        self.nx = norm_many(cfg.space, X0)
+        self.A = None
+
+    @cached_property
+    def parts(self):
+        """(odd, even) parts of f."""
+        return odd_even_split(self.f)
+
+    def norm(self, vals):
+        return norm_many(self.cfg.codomain, vals)
+
+    def dev(self, model):
+        return self.norm(model.eval_many(self.X0) - self.A)
+
+    def phi(self, nx, ny):
+        return _phi_norms(self.comps, nx, ny)
+
+    def dyadic(self, m):  # φ~(m, m) of the effective control: the sum over its components
+        return sum(phi_tilde_dyadic_norms(c, self.params, m, m).upper for c in self.comps)
+
+    def triadic(self, m):
+        return sum(phi_tilde_triadic_norms(c, m, m).upper for c in self.comps)
+
+    def flat(self, value):
+        return np.full_like(self.nx, value)
+
+
+def _dyadic_limit(k: _Run, subject):
+    vals, iters, _, conv = dyadic_limit_many(
+        subject, k.X0, n_max=_auto_n_max(k.cfg, 2.0), tol=k.cfg.limits.tol
+    )
+    return vals, iters, conv
+
+
+def _triadic_limit(k: _Run, subject):
+    n_max = _auto_n_max(k.cfg, 3.0, arg_scale=k.s / k.r, floor=TRIADIC_N_MAX)
+    vals, iters, _, conv = pexider_triadic_limit_many(
+        subject, k.params, k.X0, n_max=n_max, tol=k.cfg.limits.tol
+    )
+    return vals, iters, conv
+
+
+def _additive_quadratic_limit(k: _Run):
+    """T + Q: the dyadic limit of f's odd part plus the quadratic limit of its even part."""
+    odd, even = k.parts
+    T, it_T, conv_T = _dyadic_limit(k, odd)
+    Q, it_Q, _, conv_Q = quadratic_limit_many(
+        even, k.X0, n_max=_auto_n_max(k.cfg, 2.0), tol=k.cfg.limits.tol
+    )
+    return T + Q, np.concatenate([it_T, it_Q]), np.concatenate([conv_T, conv_Q])
+
+
+def _exterior_chain(k: _Run):
+    """Thm 3.1's bridge: interior pairs reach the exterior through five pairs via z."""
+    cfg, d = k.cfg, k.cfg.domain.d
+    rng = rng_from(cfg.sampler.seed, "interior")
+    Xi, Yi = interior_pairs(cfg.space, d, cfg.sampler.pairs, rng)
+    Z = construct_z_many(cfg.space, Xi, Yi, d)
+    margins = five_inequality_margins(cfg.space, k.params, Xi, Yi, Z, d)
+    five_failures = int(np.sum(np.any(margins < -FIVE_INEQ_TOL * max(1.0, d), axis=1)))
+    direct, chain, _terms = five_term_defect_many(k.f, k.params, Xi, Yi, Z)
+    slack = 1e-12 * max(1.0, float(np.max(chain))) if chain.size else 0.0
+    chain_violations = int(np.sum(direct > chain + slack))
+    global_bound = 5.0 * k.eps
+    global_max = float(np.max(direct)) if direct.size else 0.0
+    details = {
+        "five_inequality_failures": five_failures,
+        "direct_exceeds_chain": chain_violations,
+        "interior_defect_max": global_max,
+        "interior_defect_bound": global_bound,
+        "interior_pairs": int(Xi.shape[0]),
+        "chain_defect_max": float(np.max(chain)) if chain.size else 0.0,
+    }
+    return details, [
+        ("five_inequalities", five_failures == 0),
+        ("direct_within_chain", chain_violations == 0),
+        ("interior_defect", global_max <= global_bound * (1.0 + REPORT_TOL) + 1e-12),
+    ]
+
+
+def _orthogonal_reduction(k: _Run):
+    """Thm 5.2's reduction of (f, g, h) to f alone, sampled on the hypothesis pairs."""
+    red = pexider_reduction_check(k.f, k.params, k.cfg.space, k.X, k.Y)
+    return {
+        "relation": k.cfg.domain.relation.kind,
+        "reduction_sup": red.value,
+        "reduction_over_3eps": (red.value / (3.0 * k.eps)) if k.eps > 0.0 else 0.0,
+    }, []
+
+
+def _odd_bound(k: _Run) -> float:
+    """Thm 4.3's bound on the odd part: the least of its three estimates."""
+    return min(3.0 * k.eps / k.r, 5.0 * k.eps / (2.0 * k.s), 5.0 * k.eps / (2.0 * k.t))
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    """How one limit theorem is checked.
+
+    domain: the hypothesis domain kind; controls: the control kinds it takes.
+    pexider: g and h are models of their own (else both are f); h_part wraps
+    h (OddPart, EvenPart); zero_linear: the models' linear part is 0.
+    limit(k) -> (A, iterations, converged) is the scaling limit at X0, one
+    iteration count and flag per point and limit, limit after limit; None:
+    no limit.  scale_y: the control reads the pair as (x, (t/s)y); reflect: ε̂
+    is also measured on (x, −y).  roles: (name, deviation(k), bound(k)) per
+    compared role.  extras(k) -> (details, checks) adds report details and
+    named (name, passed) checks.  counts: the details carry pair_count and,
+    when some point's limit fails, diverged_points (off for thm3_1, whose
+    report digests predate both).
+    """
+
+    domain: str
+    controls: tuple
+    roles: tuple
+    limit: object = None
+    pexider: bool = False
+    h_part: type | None = None
+    zero_linear: bool = False
+    scale_y: bool = False
+    reflect: bool = False
+    extras: object = None
+    counts: bool = True
+
+
+_THEOREMS = {
+    "thm2_1": _Theorem(
+        FULL, (CONSTANT, MIXED, TABLE), pexider=True, limit=lambda k: _dyadic_limit(k, k.f),
+        roles=(
+            ("f", lambda k: k.dev(k.f), lambda k: k.dyadic(k.nx)),
+            ("g", lambda k: k.dev(k.g), lambda k: (1.0 / k.s) * k.phi(k.nx, np.zeros_like(k.nx))
+             + (k.r / k.s) * k.dyadic((k.s / k.r) * k.nx)),
+            ("h", lambda k: k.dev(k.h), lambda k: (1.0 / k.t) * k.phi(np.zeros_like(k.nx), k.nx)
+             + (k.r / k.t) * k.dyadic((k.t / k.r) * k.nx)),
+        ),
+    ),
+    "cor2_2": _Theorem(
+        FULL, (CONSTANT, MIXED), limit=lambda k: _dyadic_limit(k, k.f),
+        # comps[-1] is the mixed part, or the constant itself (δ = p = 0)
+        roles=(("f", lambda k: k.dev(k.f), lambda k: cor22_bound_norms(
+            k.params, k.eps, k.comps[-1].delta, k.comps[-1].p, k.nx)),),
+    ),
+    "thm3_1": _Theorem(
+        EXTERIOR, (CONSTANT,), limit=lambda k: _dyadic_limit(k, k.f),
+        roles=(("f", lambda k: k.dev(k.f), lambda k: k.flat(15.0 * k.eps / k.r)),),
+        extras=_exterior_chain, counts=False,
+    ),
+    "prop4_1": _Theorem(
+        PUNCTURED, (CONSTANT, MIXED), pexider=True, h_part=OddPart, scale_y=True,
+        limit=lambda k: _triadic_limit(k, k.f),
+        # all three roles compare against the same additive limit: the
+        # approximants differ only by rational rescalings of its argument
+        roles=(
+            ("f", lambda k: k.dev(k.f), lambda k: (1.0 / k.r) * k.triadic((k.r / k.s) * k.nx)),
+            ("g", lambda k: k.dev(k.g), lambda k: (1.0 / (2.0 * k.s))
+             * (2.0 * k.phi(k.nx, k.nx) + k.triadic(2.0 * k.nx))),
+            ("h", lambda k: k.dev(k.h), lambda k: (1.0 / (2.0 * k.t))
+             * (2.0 * k.phi((k.t / k.s) * k.nx, (k.t / k.s) * k.nx)
+                + k.triadic((2.0 * k.t / k.s) * k.nx))),
+        ),
+    ),
+    # the conclusions force f, g, h to be small; a shared linear part cannot
+    # cancel against an even h, so it must vanish
+    "prop4_2": _Theorem(
+        PUNCTURED, (CONSTANT, MIXED), pexider=True, h_part=EvenPart, zero_linear=True,
+        scale_y=True,
+        roles=(
+            ("f", lambda k: k.norm(k.f.eval_many(k.X0)), lambda k: (2.0 / k.r)
+             * k.phi((k.r / (2.0 * k.s)) * k.nx, (k.r / (2.0 * k.s)) * k.nx)),
+            ("g_h", lambda k: k.norm(k.g.eval_many(k.X0)
+                                     - (k.t / k.s) * k.h.eval_many((k.s / k.t) * k.X0)),
+             lambda k: (1.0 / k.s) * k.phi(k.nx, k.nx)),
+        ),
+    ),
+    "thm4_3": _Theorem(
+        PUNCTURED, (CONSTANT,), scale_y=True, reflect=True,
+        limit=lambda k: _triadic_limit(k, k.parts[0]),
+        roles=(
+            ("odd", lambda k: k.dev(k.parts[0]), lambda k: k.flat(_odd_bound(k))),
+            ("even", lambda k: k.norm(k.parts[1].eval_many(k.X0)),
+             lambda k: k.flat(2.0 * k.eps / k.r)),
+            ("total", lambda k: k.dev(k.f), lambda k: k.flat(_odd_bound(k) + 2.0 * k.eps / k.r)),
+        ),
+    ),
+    "thm5_2": _Theorem(
+        ORTHOGONAL, (CONSTANT,), pexider=True, limit=_additive_quadratic_limit,
+        roles=(
+            ("f", lambda k: k.dev(k.f), lambda k: k.flat(68.0 * k.eps)),
+            ("g", lambda k: k.dev(k.g), lambda k: k.flat(80.0 * k.eps)),
+            ("h", lambda k: k.dev(k.h), lambda k: k.flat(80.0 * k.eps)),
+        ),
+        extras=_orthogonal_reduction,
+    ),
+}
+
+
+def _run_limit_theorem(cfg: ExperimentConfig, thm: _Theorem) -> StabilityReport:
+    models = build_models(cfg)
+    X, Y = _hypothesis_pairs(cfg)
+    scale_y = cfg.params.t / cfg.params.s if thm.scale_y else 1.0
+    eps_hat, wit = measure_epsilon(cfg, *models, X, Y, scale_y=scale_y)
+    if thm.reflect:
+        eps_r, wit_r = measure_epsilon(cfg, *models, X, -Y, scale_y=scale_y)
+        if eps_r > eps_hat:
+            eps_hat, wit = eps_r, wit_r
+    k = _Run(cfg, models, X, Y, eps_hat, _dev_points(cfg))
+    k.A, iters, conv = thm.limit(k) if thm.limit else (None, np.empty(0, int), np.empty(0, bool))
+    # a point diverges when any of its limits does
+    diverged = int(np.count_nonzero(~conv.reshape(-1, len(k.X0)).all(axis=0)))
+    rows = _assemble_rows(k.X0, [(name, dev(k), bound(k)) for name, dev, bound in thm.roles],
+                          cfg.limits.tol)
+    details, checks = thm.extras(k) if thm.extras else ({}, [])
+    details["hypothesis_witness"] = wit
+    if thm.counts:
+        details["pair_count"] = int(X.shape[0])
+        if diverged:
+            details["diverged_points"] = diverged
+    checks.append(("converged", diverged == 0))
+    return _finish(cfg, eps_hat, rows, details, _limit_meta(iters, conv), checks)
+
+
+def _run_cor3_2(cfg: ExperimentConfig):
+    f, _, _ = build_models(cfg)
+    rng = rng_from(cfg.sampler.seed, "shells")
+    prof = asymptotic_profile(
+        f, cfg.params, cfg.space, cfg.shells.edges, cfg.shells.samples_per_shell, rng
+    )
+    decays = prof.is_decaying(cfg.decay_tol)
+    details = {
+        "profile": prof.to_dict(),
+        "decreasing": prof.decreasing,
+        "final_sup": prof.final_sup,
+        "decays": decays,
+        "expected_decay": cfg.expected_decay,
+    }
+    rows = (_NO_ROWS, prof.final_sup, cfg.decay_tol, 0.0, [])
+    return _finish(cfg, prof.final_sup, rows, details, _limit_meta(np.empty(0), np.empty(0)),
+                   [("decay_verdict", decays == cfg.expected_decay)])
+
+
+def _run_sikorska(cfg: ExperimentConfig):
+    """thm6_1 and thm6_2: exact models on a ball, scaling extension."""
+    f, _, _ = build_models(cfg)
+    exclude = cfg.theorem_id == "thm6_2" or cfg.ball.exclude_origin
+    scfg = SikorskaConfig(
+        params=cfg.params, ball_radius=cfg.ball.radius, exclude_origin=exclude
+    )
+    result = sikorska_extend(
+        f,
+        scfg,
+        cfg.space,
+        count=cfg.sampler.count,
+        seed=cfg.sampler.seed,
+        n_max=cfg.limits.n_max,
+        tol=cfg.limits.tol,
+    )
+    details = {
+        "base": scfg.base,
+        "ball_radius": cfg.ball.radius,
+        "exclude_origin": exclude,
+        "max_residual": result.max_residual,
+        "linear_recovery_error": float(
+            np.max(np.abs(result.T_hat.linear - f.linear))
+        ),
+    }
+    details["scaling_identity_sup"] = scaling_identity_check(
+        f, cfg.params, cfg.space, cfg.ball.radius,
+        count=min(cfg.sampler.count, 256), seed=derive_seed(cfg.sampler.seed, 7),
+    )
+    if cfg.space.has_inner_product and cfg.space.dim >= 2:
+        const = even_part_constancy_check(
+            f, scfg, cfg.space, count=min(cfg.sampler.count, 128),
+            seed=derive_seed(cfg.sampler.seed, 9),
+        )
+        details["even_constancy_sup"] = const.value
+
+    # per-point residual rows at freshly sampled ball points, using the
+    # recovered linear part and radial table as the reconstruction
+    rng = rng_from(cfg.sampler.seed, "rows")
+    lo = 1e-3 * cfg.ball.radius if exclude else 0.0
+    X0 = sample_points(cfg.space, cfg.sampler.count, (lo, cfg.ball.radius * (1.0 - 1e-9)), rng)
+    approx = result.T_hat.eval_many(X0) + result.b_hat.eval_many(norm_many(cfg.space, X0) ** 2)
+    dev = norm_many(cfg.codomain, f.eval_many(X0) - approx)
+    bounds = np.full(X0.shape[0], cfg.residual_tol)
+    rows = _assemble_rows(X0, [("extension", dev, bounds)], cfg.limits.tol)
+    checks = [
+        ("residual", result.max_residual <= cfg.residual_tol),
+        ("linear_recovery",
+         details["linear_recovery_error"] <= max(cfg.residual_tol, 1e-6)),
+    ]
+    return _finish(cfg, 0.0, rows, details, dict(result.iterations), checks)
+
+
+def _finish(cfg, eps_hat, rows, details, iterations, checks) -> StabilityReport:
+    """The report of an _assemble_rows result; it passes when max_ratio <= 1
+    (within REPORT_TOL) and every named (name, passed) check holds."""
+    samples, max_dev, bound_value, max_ratio, wits = rows
+    checks = [("max_ratio", max_ratio <= 1.0 + REPORT_TOL), *checks]
+    failed = tuple(name for name, ok in checks if not ok)
+    return StabilityReport(
+        theorem_id=cfg.theorem_id,
+        config=config_to_dict(cfg),
+        epsilon_effective=float(eps_hat),
+        bound_value=float(bound_value),
+        max_deviation=float(max_dev),
+        max_ratio=float(max_ratio),
+        passed=not failed,
+        witnesses=wits,
+        samples=samples,
+        details=details,
+        iterations=iterations,
+        failed_checks=failed,
+    )
+
+
+def _needs_shells(cfg: ExperimentConfig):
+    if cfg.shells is None or cfg.expected_decay is None:
+        raise ConfigError(f"{cfg.theorem_id} needs shells and expected_decay")
+
+
+def _needs_ball(cfg: ExperimentConfig):
+    if cfg.ball is None:
+        raise ConfigError(f"{cfg.theorem_id} needs a ball section")
+    try:
+        SikorskaConfig(params=cfg.params, ball_radius=cfg.ball.radius)
+    except ModelError as e:
+        raise ConfigError(f"{cfg.theorem_id}: {e}") from e
+
+
+# theorem ids with a runner of their own -> (runner, config check)
+_SPECIAL = {
+    "cor3_2": (_run_cor3_2, _needs_shells),
+    "thm6_1": (_run_sikorska, _needs_ball),
+    "thm6_2": (_run_sikorska, _needs_ball),
+}
+THEOREM_IDS = (*_THEOREMS, *_SPECIAL)
+
+
+def _validate_for_theorem(cfg: ExperimentConfig):
+    tid, dom = cfg.theorem_id, cfg.domain
+    thm = _THEOREMS.get(tid)
+    if thm is None:
+        _SPECIAL[tid][1](cfg)
+    elif dom.kind != thm.domain:
+        raise ConfigError(f"{tid} runs on the {thm.domain} domain, got {dom.kind}")
+    elif dom.kind == PUNCTURED and cfg.sampler.radius_range[0] <= 0.0:
+        raise ConfigError(f"{tid} needs a positive lower sampling radius")
+    elif dom.kind == ORTHOGONAL:
+        rel = dom.relation.kind
+        if rel == INNER_PRODUCT and not cfg.space.has_inner_product:
+            raise ConfigError("inner_product pairs need a euclidean space")
+        if rel != TRIVIAL and cfg.space.dim < 2:
+            # on a line only y = 0 is orthogonal to x != 0
+            raise ConfigError(f"{rel} pairs need space.dim >= 2")
+    controls = (CONSTANT, MIXED) if thm is None else thm.controls
+    if cfg.control.kind not in controls:
+        raise ConfigError(f"{tid} takes {' or '.join(controls)} controls, not {cfg.control.kind}")
+
+
+def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
+    """Run one experiment deterministically and return its report."""
+    _validate_for_theorem(cfg)
+    start = time.perf_counter()
+    thm = _THEOREMS.get(cfg.theorem_id)
+    report = _run_limit_theorem(cfg, thm) if thm else _SPECIAL[cfg.theorem_id][0](cfg)
+    report.runtime = {"seconds": time.perf_counter() - start}
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -464,48 +1215,6 @@ def parse_experiment(d: dict) -> ExperimentConfig:
     return _parse(_EXPERIMENT, d, "")
 
 
-def _validate_for_theorem(cfg: ExperimentConfig):
-    tid = cfg.theorem_id
-    dom = cfg.domain.kind
-    if tid in ("thm2_1", "cor2_2") and dom != FULL:
-        raise ConfigError(f"{tid} runs on the full domain, got {dom}")
-    if tid == "thm3_1":
-        if dom != EXTERIOR:
-            raise ConfigError("thm3_1 needs an exterior domain")
-        if cfg.control.kind != CONSTANT:
-            raise ConfigError("thm3_1 needs a constant control")
-    if tid == "cor3_2":
-        if cfg.shells is None or cfg.expected_decay is None:
-            raise ConfigError("cor3_2 needs shells and expected_decay")
-    if tid in ("prop4_1", "prop4_2", "thm4_3"):
-        if dom != PUNCTURED:
-            raise ConfigError(f"{tid} needs a punctured domain")
-        if cfg.sampler.radius_range[0] <= 0.0:
-            raise ConfigError(f"{tid} needs a positive lower sampling radius")
-    if tid == "thm4_3" and cfg.control.kind != CONSTANT:
-        raise ConfigError("thm4_3 needs a constant control")
-    if tid == "thm5_2":
-        if dom != ORTHOGONAL:
-            raise ConfigError("thm5_2 needs an orthogonal domain")
-        if cfg.control.kind != CONSTANT:
-            raise ConfigError("thm5_2 needs a constant control")
-        rel = cfg.domain.relation.kind
-        if rel == INNER_PRODUCT and not cfg.space.has_inner_product:
-            raise ConfigError("inner_product pairs need a euclidean space")
-        if rel != TRIVIAL and cfg.space.dim < 2:
-            # on a line only y = 0 is orthogonal to x != 0
-            raise ConfigError(f"{rel} pairs need space.dim >= 2")
-    if tid in ("thm6_1", "thm6_2"):
-        if cfg.ball is None:
-            raise ConfigError(f"{tid} needs a ball section")
-        try:
-            SikorskaConfig(params=cfg.params, ball_radius=cfg.ball.radius)
-        except ModelError as e:
-            raise ConfigError(f"{tid}: {e}") from e
-    if cfg.control.kind == TABLE and tid not in ("thm2_1",):
-        raise ConfigError(f"table controls are only supported for thm2_1, not {tid}")
-
-
 def parse_config(d: dict) -> list:
     return _parse(_CONFIG, d, "")
 
@@ -522,781 +1231,6 @@ def load_config(path: str) -> list:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical replayable form of a config (inverse of parse_experiment)."""
     return _emit(_EXPERIMENT, cfg)
-
-# ---------------------------------------------------------------------------
-# model building
-
-
-def _model_seed(cfg: ExperimentConfig) -> int:
-    return cfg.sampler.seed if cfg.model.seed is None else cfg.model.seed
-
-
-def _build_linear(cfg: ExperimentConfig) -> np.ndarray:
-    if cfg.theorem_id == "prop4_2":
-        # the conclusions force f, g, h to be small; a shared linear part
-        # cannot cancel against an even h, so it must vanish
-        return np.zeros((cfg.codomain.dim, cfg.space.dim))
-    if cfg.model.linear is not None:
-        return np.asarray(cfg.model.linear, dtype=np.float64)
-    rng = rng_from(_model_seed(cfg), "linear")
-    return rng.uniform(-2.0, 2.0, size=(cfg.codomain.dim, cfg.space.dim)) * cfg.model.linear_scale
-
-
-def _role_perturbations(cfg: ExperimentConfig, role_offset: int) -> tuple:
-    out = []
-    for i, p in enumerate(cfg.model.perturbations):
-        if p.kind == "none":
-            continue
-        seed = p.seed if role_offset == 0 else derive_seed(p.seed, role_offset + i)
-        out.append(replace(p, seed=seed))
-    return tuple(out)
-
-
-def calibrated_perturbations(
-    params: JensenParams, control: ControlFunctionSpec, seed: int = 0
-) -> tuple:
-    """Perturbation specs whose worst-case defect fits under the control.
-
-    A bounded term of amplitude a on each of f, g, h contributes at most
-    (r+s+t)·a to the defect, so a = ε/(r+s+t) stays inside the constant
-    part.  A power term also rides on the inner argument (s·x+t·y)/r, and
-    (s‖x‖+t‖y‖)^p <= s^p‖x‖^p + t^p‖y‖^p for p < 1 bounds its defect share
-    by δ'·(r^(1-p)s^p + s)‖x‖^p + δ'·(r^(1-p)t^p + t)‖y‖^p; dividing δ by
-    the larger coefficient keeps the total under δ·(‖x‖^p + ‖y‖^p).
-    """
-    if control.kind == TABLE:
-        raise ConfigError("calibrated_perturbations does not support table controls")
-    r, s, t = params.r, params.s, params.t
-    specs = [
-        PerturbationSpec(
-            kind=BOUNDED,
-            amplitude=control.epsilon / (r + s + t),
-            seed=derive_seed(seed, 11),
-        )
-    ]
-    if control.kind == MIXED and control.delta > 0.0:
-        p = control.p
-        coeff = max(r ** (1.0 - p) * s**p + s, r ** (1.0 - p) * t**p + t)
-        specs.append(
-            PerturbationSpec(
-                kind=POWER,
-                delta=control.delta / coeff,
-                p=p,
-                seed=derive_seed(seed, 12),
-            )
-        )
-    return tuple(specs)
-
-
-def build_models(cfg: ExperimentConfig):
-    """Construct (f, g, h) for the experiment; g and h may alias f."""
-    L = _build_linear(cfg)
-    quad = None
-    if cfg.model.quadratic is not None:
-        quad = np.asarray(cfg.model.quadratic, dtype=np.float64)
-
-    def mk(role_offset):
-        return FunctionModel(
-            domain=cfg.space,
-            codomain=cfg.codomain,
-            linear=L,
-            quadratic=quad,
-            perturbations=_role_perturbations(cfg, role_offset),
-        )
-
-    f = mk(0)
-    if cfg.theorem_id not in _PEXIDER:
-        return f, f, f
-    g = mk(100)
-    h = mk(200)
-    if cfg.theorem_id == "prop4_1":
-        h = OddPart(h)
-    if cfg.theorem_id == "prop4_2":
-        h = EvenPart(h)
-    return f, g, h
-
-
-# ---------------------------------------------------------------------------
-# effective controls and vectorized bound pieces
-
-
-def _phi_components(control: ControlFunctionSpec, eps_hat: float) -> list:
-    """Decompose the effective control ε̂ + (non-constant part) for linear ops."""
-    comps = [constant_control(eps_hat)]
-    if control.kind == MIXED and control.delta > 0.0:
-        comps.append(ControlFunctionSpec(kind=MIXED, epsilon=0.0, delta=control.delta, p=control.p))
-    if control.kind == TABLE:
-        comps.append(control)
-    return comps
-
-
-def _phi_norms(comps, nx, ny):
-    return sum(control_phi_norms(c, nx, ny) for c in comps)
-
-
-def measure_epsilon(cfg: ExperimentConfig, f, g, h, X, Y, scale_y: float = 1.0):
-    """Effective ε: defect sup after subtracting the declared non-constant part.
-
-    scale_y maps the pair (x, y) to the control's evaluation arguments
-    (the punctured propositions control the defect by φ(x, (t/s)y)).
-    """
-    # an overflowing defect is reported below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        defects = jensen_defect_many(f, g, h, cfg.params, X, Y)
-    if not np.all(np.isfinite(defects)):
-        raise ConfigError("the sampled Jensen defect overflows; lower sampler.radius_range, "
-                          "model.linear_scale or the perturbation amplitudes")
-    base = _phi_components(cfg.control, 0.0)
-    nonconst = _phi_norms(
-        base, norm_many(cfg.space, X), norm_many(cfg.space, Y) * scale_y
-    )
-    adj = np.maximum(defects - nonconst, 0.0)
-    i = int(np.argmax(adj))
-    return float(adj[i]), {"x": X[i].tolist(), "y": Y[i].tolist(), "defect": float(defects[i])}
-
-
-# ---------------------------------------------------------------------------
-# bound registry
-
-
-def bound_formula(
-    theorem_id: str,
-    params: JensenParams,
-    control: ControlFunctionSpec,
-    space: NormedSpaceSpec,
-    x,
-    role: str = "f",
-) -> float:
-    """The theorem's deviation bound at x for the given role.
-
-    Scalar single-point form of the vectorized internals; thm6_1/thm6_2 have
-    no epsilon bound (they are exactness statements) and raise.
-    """
-    comps = _phi_components(control, control.epsilon if control.kind != TABLE else 0.0)
-    nx = np.asarray([norm_many(space, np.asarray(x, dtype=np.float64)[None, :])[0]])
-    vals = _bound_norms(theorem_id, params, comps, nx, role)
-    return float(vals[0])
-
-
-def _bound_norms(tid, params, comps, nx, role):
-    r, s, t = params.r, params.s, params.t
-
-    def dyadic(m):  # φ~(m, m) of the effective control: the sum over its components
-        return sum(phi_tilde_dyadic_norms(c, params, m, m).upper for c in comps)
-
-    def triadic(m):
-        return sum(phi_tilde_triadic_norms(c, m, m).upper for c in comps)
-
-    if tid == "thm2_1":
-        zero = np.zeros_like(nx)
-        if role == "f":
-            return dyadic(nx)
-        if role == "g":
-            return (1.0 / s) * _phi_norms(comps, nx, zero) + (r / s) * dyadic((s / r) * nx)
-        return (1.0 / t) * _phi_norms(comps, zero, nx) + (r / t) * dyadic((t / r) * nx)
-    if tid == "cor2_2":
-        # comps[-1] is the mixed part, or the constant itself (δ = p = 0)
-        return cor22_bound_norms(params, comps[0].epsilon, comps[-1].delta, comps[-1].p, nx)
-    if tid == "thm3_1":
-        return np.full_like(nx, 15.0 * comps[0].epsilon / r)
-    if tid == "prop4_1":
-        if role == "f":
-            return (1.0 / r) * triadic((r / s) * nx)
-        if role == "g":
-            return (1.0 / (2.0 * s)) * (2.0 * _phi_norms(comps, nx, nx) + triadic(2.0 * nx))
-        return (1.0 / (2.0 * t)) * (
-            2.0 * _phi_norms(comps, (t / s) * nx, (t / s) * nx) + triadic((2.0 * t / s) * nx)
-        )
-    if tid == "prop4_2":
-        if role == "f":
-            return (2.0 / r) * _phi_norms(comps, (r / (2.0 * s)) * nx, (r / (2.0 * s)) * nx)
-        return (1.0 / s) * _phi_norms(comps, nx, nx)
-    if tid == "thm4_3":
-        eps = comps[0].epsilon
-        odd = min(3.0 * eps / r, 5.0 * eps / (2.0 * s), 5.0 * eps / (2.0 * t))
-        if role == "odd":
-            return np.full_like(nx, odd)
-        if role == "even":
-            return np.full_like(nx, 2.0 * eps / r)
-        return np.full_like(nx, odd + 2.0 * eps / r)
-    if tid == "thm5_2":
-        eps = comps[0].epsilon
-        return np.full_like(nx, 68.0 * eps if role == "f" else 80.0 * eps)
-    raise ConfigError(f"no epsilon bound for {tid}")
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-@dataclass(eq=False)
-class _Rows:
-    """Report rows as columns: point X[k], checked for its worst role roles[role[k]]."""
-
-    X: np.ndarray  # (n, dim)
-    roles: tuple
-    role: np.ndarray  # (n,) index into roles
-    deviation: np.ndarray
-    bound: np.ndarray
-    ratio: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.role)
-
-    def row(self, i: int) -> dict:
-        return {
-            "x": self.X[i].tolist(),
-            "role": self.roles[self.role[i]],
-            "deviation": float(self.deviation[i]),
-            "bound": float(self.bound[i]),
-            "ratio": float(self.ratio[i]),
-        }
-
-
-_NO_ROWS = _Rows(np.empty((0, 0)), (), np.empty(0, int), np.empty(0), np.empty(0), np.empty(0))
-
-
-@dataclass
-class StabilityReport:
-    theorem_id: str
-    config: dict
-    epsilon_effective: float
-    bound_value: float
-    max_deviation: float
-    max_ratio: float
-    passed: bool
-    witnesses: list
-    samples: _Rows
-    details: dict
-    iterations: dict
-    runtime: dict | None = None
-
-    def to_dict(self, include_runtime: bool = False) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "theorem_id": self.theorem_id,
-            "config": self.config,
-            "epsilon_effective": self.epsilon_effective,
-            "bound_value": self.bound_value,
-            "max_deviation": self.max_deviation,
-            "max_ratio": self.max_ratio,
-            "pass": self.passed,
-            "witnesses": self.witnesses,
-            "samples": [self.samples.row(i) for i in range(len(self.samples))],
-            "details": self.details,
-            "iterations": self.iterations,
-        }
-        if include_runtime and self.runtime is not None:
-            out["runtime"] = self.runtime
-        return out
-
-
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(a: np.ndarray) -> list:
-    """The floats of a 1-D array for a %s template, non-finite ones as json writes them."""
-    out = a.tolist()
-    for i in np.flatnonzero(~np.isfinite(a)).tolist():
-        out[i] = _NONFINITE[repr(out[i])]
-    return out
-
-
-def _rows_json(rows: _Rows, pad: str) -> str:
-    """The rows as ``json.dumps(indent=2, sort_keys=True)`` writes them under a key at `pad`."""
-    n, dim = rows.X.shape
-    if n == 0:
-        return "[]"
-    a, b = pad + "  ", pad + "    "
-    x = "[" + ",".join([f"\n{b}  %s"] * dim) + (f"\n{b}]" if dim else "]")
-    row = (f'{a}{{\n{b}"bound": %s,\n{b}"deviation": %s,\n{b}"ratio": %s,\n'
-           f'{b}"role": %s,\n{b}"x": {x}\n{a}}}')
-    roles = [json.dumps(r) for r in rows.roles]
-    cols = [_json_floats(rows.bound), _json_floats(rows.deviation), _json_floats(rows.ratio),
-            [roles[k] for k in rows.role.tolist()], *map(_json_floats, rows.X.T)]
-    return "[\n" + ",\n".join([row] * n) % tuple(chain.from_iterable(zip(*cols))) + f"\n{pad}]"
-
-
-def _dumps_with_rows(obj, reports: list, depth: int) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for obj holding the reports'
-    dicts, rows left out, at nesting `depth`; their rows are spliced in from the columns.
-
-    json writes a newline only as indentation, so a newline and the indent of
-    depth-`depth` keys before ``"samples": []`` mark those dicts' empty lists alone.
-    """
-    pad = "  " * (depth + 1)
-    key = f'\n{pad}"samples": '
-    parts = json.dumps(obj, indent=2, sort_keys=True, default=_json_default).split(key + "[]")
-    out = [parts[0]]
-    for report, rest in zip(reports, parts[1:], strict=True):
-        out += [key, _rows_json(report.samples, pad), rest]
-    return "".join(out) + "\n"
-
-
-def emit_report(report: StabilityReport, fmt: str = "json", include_runtime: bool = False) -> str:
-    """Render a report; JSON is canonical (sorted keys) and replayable.
-
-    Wall-clock timing is left out unless asked for, so two runs of the same
-    config serialize to identical bytes.  The JSON equals
-    ``json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\\n"``.
-    """
-    if fmt == "json":
-        head = replace(report, samples=_NO_ROWS).to_dict(include_runtime)
-        return _dumps_with_rows(head, [report], 0)
-    if fmt != "csv":
-        raise ConfigError(f"unknown report format {fmt!r}")
-    if report.theorem_id == "cor3_2":
-        prof = report.details.get("profile", {})
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["shell_edge_low", "shell_edge_high", "sup_defect", "samples"])
-        edges = prof.get("edges", [])
-        for k, sup in enumerate(prof.get("sup_defect", [])):
-            w.writerow(
-                [repr(edges[k]), repr(edges[k + 1]), repr(sup), prof.get("samples_per_shell", 0)]
-            )
-        return buf.getvalue()
-    rows = report.samples
-    n = len(rows)
-    dim = rows.X.shape[1] if n else 0
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        ["theorem_id", "index", "role"]
-        + [f"x{k}" for k in range(dim)]
-        + ["deviation", "bound", "ratio"]
-    )
-    columns = (*rows.X.T, rows.deviation, rows.bound, rows.ratio)
-    cols = [list(map(repr, c.tolist())) for c in columns]
-    roles = [rows.roles[k] for k in rows.role.tolist()]
-    w.writerows(zip(repeat(report.theorem_id), range(n), roles, *cols))
-    return buf.getvalue()
-
-
-def emit_reports(reports: list, include_runtime: bool = False) -> str:
-    """Several reports as one JSON payload ``{"schema_version": 1, "reports": [...]}``."""
-    heads = [replace(r, samples=_NO_ROWS).to_dict(include_runtime) for r in reports]
-    return _dumps_with_rows({"schema_version": SCHEMA_VERSION, "reports": heads}, reports, 2)
-
-
-def _ratio_arrays(devs: np.ndarray, bounds: np.ndarray, tol: float) -> np.ndarray:
-    floor = max(4.0 * tol, 1e-10)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(
-            bounds > 0.0, devs / bounds, np.where(devs <= floor, 0.0, np.inf)
-        )
-    return ratios
-
-
-def _assemble_rows(X, role_data, tol):
-    """role_data: list of (role, devs, bounds).  One row per point, worst role kept."""
-    roles, devs, bounds = zip(*role_data)
-    stacked = np.stack([_ratio_arrays(d, b, tol) for d, b in zip(devs, bounds)])  # (roles, n)
-    worst_role = np.argmax(stacked, axis=0)
-    pick = (worst_role, np.arange(X.shape[0]))
-    rows = _Rows(X, roles, worst_role, np.stack(devs)[pick], np.stack(bounds)[pick], stacked[pick])
-    max_dev = float(max(np.max(d) for d in devs))
-    bound_value = float(max(np.max(b) for b in bounds))
-    max_ratio = float(np.max(stacked))
-    order = np.argsort(-rows.ratio)[:3]
-    witnesses = [rows.row(int(i)) for i in order]
-    return rows, max_dev, bound_value, max_ratio, witnesses
-
-
-def _hypothesis_pairs(cfg: ExperimentConfig, label: str = "pairs"):
-    """Pairs from the hypothesis domain, with a low-radius stratum and axis pairs."""
-    rng = rng_from(cfg.sampler.seed, label)
-    n = cfg.sampler.pairs
-    lo, hi = cfg.sampler.radius_range
-    dom = cfg.domain
-    if dom.kind == EXTERIOR:
-        return exterior_pairs(cfg.space, dom.d, n, (lo, hi), rng, axis_period=8)
-    if dom.kind == ORTHOGONAL:
-        return orthogonal_pairs(dom.relation, cfg.space, n, (lo, hi), rng, axis_period=8)
-    if dom.kind == PUNCTURED:
-        return sample_pairs(cfg.space, n, (lo, hi), rng, axis_period=0)
-    n_low = n // 4
-    X1, Y1 = sample_pairs(cfg.space, n - n_low, (lo, hi), rng, axis_period=8)
-    width = hi - lo
-    X2, Y2 = sample_pairs(cfg.space, n_low, (lo, lo + 0.1 * width), rng, axis_period=0)
-    return np.concatenate([X1, X2]), np.concatenate([Y1, Y2])
-
-
-def _dev_points(cfg: ExperimentConfig, label: str = "points"):
-    rng = rng_from(cfg.sampler.seed, label)
-    lo, hi = cfg.sampler.radius_range
-    if cfg.domain.kind == PUNCTURED and lo <= 0.0:
-        lo = 1e-3 * hi
-    return sample_points(cfg.space, cfg.sampler.count, (lo, hi), rng)
-
-
-def _auto_n_max(cfg: ExperimentConfig, base: float, arg_scale: float = 1.0,
-                floor: int = DYADIC_N_MAX) -> int:
-    """Iterations needed for the slowest perturbation's successive gap to clear tol.
-
-    A perturbation bounded by a contributes ~a·base^{-n} to the gap; one
-    bounded by δ‖x‖^p contributes ~δ‖x‖^p·base^{(p-1)n}.  Honest divergence
-    (wrong-order exact parts) is unaffected: extra iterations cannot make a
-    non-Cauchy sequence settle.
-    """
-    if cfg.limits.n_max is not None:
-        return cfg.limits.n_max
-    tol = cfg.limits.tol
-    R = max(cfg.sampler.radius_range[1] * arg_scale, 1.0)
-    need = floor
-    for p in cfg.model.perturbations:
-        if p.kind == POWER and p.delta > 0.0:
-            rate = (1.0 - p.p) * np.log(base)
-            n = np.log(max(2.0 * p.delta * R**p.p / tol, 1.0)) / rate
-        elif p.kind in (BOUNDED, DECAY) and p.amplitude > 0.0:
-            n = np.log(max(3.0 * p.amplitude / tol, 1.0)) / np.log(base)
-        else:
-            continue
-        need = max(need, int(np.ceil(min(n, 600))) + 6)  # n is inf once a/tol overflows
-    return min(need, 600)
-
-
-def _limit_meta(iterations: np.ndarray, converged: np.ndarray) -> dict:
-    return {
-        "max_iterations": int(np.max(iterations)) if iterations.size else 0,
-        "mean_iterations": float(np.mean(iterations)) if iterations.size else 0.0,
-        "converged_fraction": float(np.mean(converged)) if converged.size else 1.0,
-    }
-
-
-# ---------------------------------------------------------------------------
-# theorem runners
-
-
-def _run_dyadic_family(cfg: ExperimentConfig):
-    """thm2_1 and cor2_2: full-domain defect, dyadic approximant."""
-    f, g, h = build_models(cfg)
-    X, Y = _hypothesis_pairs(cfg)
-    eps_hat, wit = measure_epsilon(cfg, f, g, h, X, Y)
-    comps = _phi_components(cfg.control, eps_hat)
-
-    X0 = _dev_points(cfg)
-    n_max = _auto_n_max(cfg, 2.0)
-    T_vals, iters, gaps, conv = dyadic_limit_many(f, X0, n_max=n_max, tol=cfg.limits.tol)
-    nx = norm_many(cfg.space, X0)
-
-    dev_f = norm_many(cfg.codomain, f.eval_many(X0) - T_vals)
-    if cfg.theorem_id == "cor2_2":
-        role_data = [("f", dev_f, _bound_norms("cor2_2", cfg.params, comps, nx, "f"))]
-    else:
-        dev_g = norm_many(cfg.codomain, g.eval_many(X0) - T_vals)
-        dev_h = norm_many(cfg.codomain, h.eval_many(X0) - T_vals)
-        role_data = [
-            ("f", dev_f, _bound_norms("thm2_1", cfg.params, comps, nx, "f")),
-            ("g", dev_g, _bound_norms("thm2_1", cfg.params, comps, nx, "g")),
-            ("h", dev_h, _bound_norms("thm2_1", cfg.params, comps, nx, "h")),
-        ]
-    samples, max_dev, bound_value, max_ratio, wits = _assemble_rows(X0, role_data, cfg.limits.tol)
-    details = {"hypothesis_witness": wit, "pair_count": int(X.shape[0])}
-    extra_ok = bool(np.all(conv))
-    if not extra_ok:
-        details["diverged_points"] = int(np.sum(~conv))
-    return _finish(cfg, eps_hat, samples, max_dev, bound_value, max_ratio, wits, details,
-                   _limit_meta(iters, conv), extra_ok)
-
-
-def _run_thm3_1(cfg: ExperimentConfig):
-    f, _, _ = build_models(cfg)
-    d = cfg.domain.d
-    X, Y = _hypothesis_pairs(cfg)
-    eps_hat, wit = measure_epsilon(cfg, f, f, f, X, Y)
-    eps_hat = max(eps_hat, 0.0)
-
-    rng = rng_from(cfg.sampler.seed, "interior")
-    Xi, Yi = interior_pairs(cfg.space, d, cfg.sampler.pairs, rng)
-    Z = construct_z_many(cfg.space, Xi, Yi, d)
-    margins = five_inequality_margins(cfg.space, cfg.params, Xi, Yi, Z, d)
-    five_failures = int(np.sum(np.any(margins < -FIVE_INEQ_TOL * max(1.0, d), axis=1)))
-    direct, chain, _terms = five_term_defect_many(f, cfg.params, Xi, Yi, Z)
-    slack = 1e-12 * max(1.0, float(np.max(chain))) if chain.size else 0.0
-    chain_violations = int(np.sum(direct > chain + slack))
-    global_bound = 5.0 * eps_hat
-    global_max = float(np.max(direct)) if direct.size else 0.0
-    global_ok = global_max <= global_bound * (1.0 + REPORT_TOL) + 1e-12
-
-    X0 = _dev_points(cfg)
-    n_max = _auto_n_max(cfg, 2.0)
-    T_vals, iters, gaps, conv = dyadic_limit_many(f, X0, n_max=n_max, tol=cfg.limits.tol)
-    dev = norm_many(cfg.codomain, f.eval_many(X0) - T_vals)
-    comps = _phi_components(cfg.control, eps_hat)
-    bounds = _bound_norms("thm3_1", cfg.params, comps, norm_many(cfg.space, X0), "f")
-    samples, max_dev, bound_value, max_ratio, wits = _assemble_rows(
-        X0, [("f", dev, bounds)], cfg.limits.tol
-    )
-    details = {
-        "hypothesis_witness": wit,
-        "five_inequality_failures": five_failures,
-        "direct_exceeds_chain": chain_violations,
-        "interior_defect_max": global_max,
-        "interior_defect_bound": global_bound,
-        "interior_pairs": int(Xi.shape[0]),
-        "chain_defect_max": float(np.max(chain)) if chain.size else 0.0,
-    }
-    extra_ok = five_failures == 0 and chain_violations == 0 and global_ok and bool(np.all(conv))
-    return _finish(cfg, eps_hat, samples, max_dev, bound_value, max_ratio, wits, details,
-                   _limit_meta(iters, conv), extra_ok)
-
-
-def _run_cor3_2(cfg: ExperimentConfig):
-    f, _, _ = build_models(cfg)
-    rng = rng_from(cfg.sampler.seed, "shells")
-    prof = asymptotic_profile(
-        f, cfg.params, cfg.space, cfg.shells.edges, cfg.shells.samples_per_shell, rng
-    )
-    decays = prof.is_decaying(cfg.decay_tol)
-    verdict_ok = decays == cfg.expected_decay
-    details = {
-        "profile": prof.to_dict(),
-        "decreasing": prof.decreasing,
-        "final_sup": prof.final_sup,
-        "decays": decays,
-        "expected_decay": cfg.expected_decay,
-    }
-    return _finish(
-        cfg,
-        prof.final_sup,
-        _NO_ROWS,
-        prof.final_sup,
-        cfg.decay_tol,
-        0.0,
-        [],
-        details,
-        {"max_iterations": 0, "mean_iterations": 0.0, "converged_fraction": 1.0},
-        verdict_ok,
-    )
-
-
-def _run_punctured(cfg: ExperimentConfig):
-    """prop4_1, prop4_2, thm4_3: punctured domain, triadic machinery."""
-    tid = cfg.theorem_id
-    params = cfg.params
-    f, g, h = build_models(cfg)
-    X, Y = _hypothesis_pairs(cfg)
-    eps_hat, wit = measure_epsilon(cfg, f, g, h, X, Y, scale_y=params.t / params.s)
-    if tid == "thm4_3":
-        # the split bounds need the reflected defect as well
-        eps_r, wit_r = measure_epsilon(cfg, f, g, h, X, -Y, scale_y=params.t / params.s)
-        if eps_r > eps_hat:
-            eps_hat, wit = eps_r, wit_r
-    comps = _phi_components(cfg.control, eps_hat)
-
-    X0 = _dev_points(cfg)
-    nx = norm_many(cfg.space, X0)
-    n_max = _auto_n_max(cfg, 3.0, arg_scale=cfg.params.s / cfg.params.r, floor=TRIADIC_N_MAX)
-    details = {"hypothesis_witness": wit, "pair_count": int(X.shape[0])}
-
-    if tid == "prop4_2":
-        dev_f = norm_many(cfg.codomain, f.eval_many(X0))
-        Sx = (params.s / params.t) * X0
-        dev_gh = norm_many(
-            cfg.codomain,
-            g.eval_many(X0) - (params.t / params.s) * h.eval_many(Sx),
-        )
-        role_data = [
-            ("f", dev_f, _bound_norms(tid, params, comps, nx, "f")),
-            ("g_h", dev_gh, _bound_norms(tid, params, comps, nx, "g_h")),
-        ]
-        samples, max_dev, bound_value, max_ratio, wits = _assemble_rows(
-            X0, role_data, cfg.limits.tol
-        )
-        meta = {"max_iterations": 0, "mean_iterations": 0.0, "converged_fraction": 1.0}
-        return _finish(cfg, eps_hat, samples, max_dev, bound_value, max_ratio, wits,
-                       details, meta, True)
-
-    if tid == "prop4_1":
-        subject = f
-    else:
-        f_odd, f_even = odd_even_split(f)
-        subject = f_odd
-    A_vals, iters, gaps, conv = pexider_triadic_limit_many(
-        subject, params, X0, n_max=n_max, tol=cfg.limits.tol
-    )
-
-    if tid == "prop4_1":
-        # all three roles compare against the same additive limit: the
-        # approximants differ only by rational rescalings of its argument
-        dev_f = norm_many(cfg.codomain, f.eval_many(X0) - A_vals)
-        dev_g = norm_many(cfg.codomain, g.eval_many(X0) - A_vals)
-        dev_h = norm_many(cfg.codomain, h.eval_many(X0) - A_vals)
-        role_data = [
-            ("f", dev_f, _bound_norms(tid, params, comps, nx, "f")),
-            ("g", dev_g, _bound_norms(tid, params, comps, nx, "g")),
-            ("h", dev_h, _bound_norms(tid, params, comps, nx, "h")),
-        ]
-    else:
-        dev_odd = norm_many(cfg.codomain, subject.eval_many(X0) - A_vals)
-        dev_even = norm_many(cfg.codomain, f_even.eval_many(X0))
-        dev_total = norm_many(cfg.codomain, f.eval_many(X0) - A_vals)
-        role_data = [
-            ("odd", dev_odd, _bound_norms(tid, params, comps, nx, "odd")),
-            ("even", dev_even, _bound_norms(tid, params, comps, nx, "even")),
-            ("total", dev_total, _bound_norms(tid, params, comps, nx, "total")),
-        ]
-    samples, max_dev, bound_value, max_ratio, wits = _assemble_rows(X0, role_data, cfg.limits.tol)
-    extra_ok = bool(np.all(conv))
-    if not extra_ok:
-        details["diverged_points"] = int(np.sum(~conv))
-    return _finish(cfg, eps_hat, samples, max_dev, bound_value, max_ratio, wits, details,
-                   _limit_meta(iters, conv), extra_ok)
-
-
-def _run_thm5_2(cfg: ExperimentConfig):
-    params = cfg.params
-    f, g, h = build_models(cfg)
-    rel = cfg.domain.relation
-    X, Y = _hypothesis_pairs(cfg)
-    eps_hat, wit = measure_epsilon(cfg, f, g, h, X, Y)
-
-    red = pexider_reduction_check(f, params, cfg.space, X, Y)
-    details = {
-        "hypothesis_witness": wit,
-        "pair_count": int(X.shape[0]),
-        "relation": rel.kind,
-        "reduction_sup": red.value,
-        "reduction_over_3eps": (red.value / (3.0 * eps_hat)) if eps_hat > 0.0 else 0.0,
-    }
-
-    X0 = _dev_points(cfg)
-    n_max = _auto_n_max(cfg, 2.0)
-    fvals = f.eval_many(X0)
-    gvals = g.eval_many(X0)
-    hvals = h.eval_many(X0)
-    f_odd, f_even = odd_even_split(f)
-    T_vals, it_T, _, conv_T = dyadic_limit_many(f_odd, X0, n_max=n_max, tol=cfg.limits.tol)
-    Q_vals, it_Q, _, conv_Q = quadratic_limit_many(f_even, X0, n_max=n_max, tol=cfg.limits.tol)
-    approx = T_vals + Q_vals
-
-    dev_f = norm_many(cfg.codomain, fvals - approx)
-    dev_g = norm_many(cfg.codomain, gvals - approx)
-    dev_h = norm_many(cfg.codomain, hvals - approx)
-    comps = [constant_control(eps_hat)]
-    nx = norm_many(cfg.space, X0)
-    role_data = [
-        ("f", dev_f, _bound_norms("thm5_2", params, comps, nx, "f")),
-        ("g", dev_g, _bound_norms("thm5_2", params, comps, nx, "g")),
-        ("h", dev_h, _bound_norms("thm5_2", params, comps, nx, "h")),
-    ]
-    samples, max_dev, bound_value, max_ratio, wits = _assemble_rows(X0, role_data, cfg.limits.tol)
-    iters = np.concatenate([it_T, it_Q])
-    conv = np.concatenate([conv_T, conv_Q])
-    extra_ok = bool(np.all(conv))
-    if not extra_ok:
-        details["diverged_points"] = int(np.sum(~conv))
-    return _finish(cfg, eps_hat, samples, max_dev, bound_value, max_ratio, wits, details,
-                   _limit_meta(iters, conv), extra_ok)
-
-
-def _run_sikorska(cfg: ExperimentConfig):
-    """thm6_1 and thm6_2: exact models on a ball, scaling extension."""
-    f, _, _ = build_models(cfg)
-    exclude = cfg.theorem_id == "thm6_2" or cfg.ball.exclude_origin
-    scfg = SikorskaConfig(
-        params=cfg.params, ball_radius=cfg.ball.radius, exclude_origin=exclude
-    )
-    result = sikorska_extend(
-        f,
-        scfg,
-        cfg.space,
-        count=cfg.sampler.count,
-        seed=cfg.sampler.seed,
-        n_max=cfg.limits.n_max,
-        tol=cfg.limits.tol,
-    )
-    details = {
-        "base": scfg.base,
-        "ball_radius": cfg.ball.radius,
-        "exclude_origin": exclude,
-        "max_residual": result.max_residual,
-        "linear_recovery_error": float(
-            np.max(np.abs(result.T_hat.linear - f.linear))
-        ),
-    }
-    details["scaling_identity_sup"] = scaling_identity_check(
-        f, cfg.params, cfg.space, cfg.ball.radius,
-        count=min(cfg.sampler.count, 256), seed=derive_seed(cfg.sampler.seed, 7),
-    )
-    if cfg.space.has_inner_product and cfg.space.dim >= 2:
-        const = even_part_constancy_check(
-            f, scfg, cfg.space, count=min(cfg.sampler.count, 128),
-            seed=derive_seed(cfg.sampler.seed, 9),
-        )
-        details["even_constancy_sup"] = const.value
-
-    # per-point residual rows at freshly sampled ball points, using the
-    # recovered linear part and radial table as the reconstruction
-    rng = rng_from(cfg.sampler.seed, "rows")
-    lo = 1e-3 * cfg.ball.radius if exclude else 0.0
-    X0 = sample_points(cfg.space, cfg.sampler.count, (lo, cfg.ball.radius * (1.0 - 1e-9)), rng)
-    approx = result.T_hat.eval_many(X0)
-    if result.b_hat is not None:
-        u = norm_many(cfg.space, X0) ** 2
-        approx = approx + result.b_hat.eval_many(u)
-    dev = norm_many(cfg.codomain, f.eval_many(X0) - approx)
-    bounds = np.full(X0.shape[0], cfg.residual_tol)
-    samples, max_dev, _bv, max_ratio, wits = _assemble_rows(
-        X0, [("extension", dev, bounds)], cfg.limits.tol
-    )
-    extra_ok = (
-        result.max_residual <= cfg.residual_tol
-        and details["linear_recovery_error"] <= max(cfg.residual_tol, 1e-6)
-    )
-    meta = dict(result.iterations)
-    return _finish(cfg, 0.0, samples, max_dev, cfg.residual_tol, max_ratio, wits,
-                   details, meta, extra_ok)
-
-
-def _finish(cfg, eps_hat, samples, max_dev, bound_value, max_ratio, wits, details,
-            iterations, extra_ok) -> StabilityReport:
-    ratio_ok = max_ratio <= 1.0 + REPORT_TOL
-    return StabilityReport(
-        theorem_id=cfg.theorem_id,
-        config=config_to_dict(cfg),
-        epsilon_effective=float(eps_hat),
-        bound_value=float(bound_value),
-        max_deviation=float(max_dev),
-        max_ratio=float(max_ratio),
-        passed=bool(ratio_ok and extra_ok),
-        witnesses=wits,
-        samples=samples,
-        details=details,
-        iterations=iterations,
-    )
-
-
-_RUNNERS = {
-    "thm2_1": _run_dyadic_family,
-    "cor2_2": _run_dyadic_family,
-    "thm3_1": _run_thm3_1,
-    "cor3_2": _run_cor3_2,
-    "prop4_1": _run_punctured,
-    "prop4_2": _run_punctured,
-    "thm4_3": _run_punctured,
-    "thm5_2": _run_thm5_2,
-    "thm6_1": _run_sikorska,
-    "thm6_2": _run_sikorska,
-}
-
-
-def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
-    """Run one experiment deterministically and return its report."""
-    _validate_for_theorem(cfg)
-    start = time.perf_counter()
-    report = _RUNNERS[cfg.theorem_id](cfg)
-    report.runtime = {"seconds": time.perf_counter() - start}
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,9 @@
 """Stability on orthogonal pairs and extension from balls.
 
-Two constructions are implemented on top of the limit engine:
-
-  * decompose_T_Q: split f into odd and even parts and recover the additive
-    approximant T (dyadic limit of the odd part) and the quadratic
-    approximant Q (4^{-n} f_even(2^n x)).  For a defect bounded by ε on
-    orthogonal pairs the sampled residuals obey ‖f − T − Q‖ ≤ 68ε and
-    ‖g − T − Q‖, ‖h − T − Q‖ ≤ 80ε.
+  * pexider_reduction_check: the reduction of a Pexider triple (f, g, h) to
+    f alone on orthogonal pairs, whose sup is at most 3ε.  The additive plus
+    quadratic approximant T + Q of Thm 5.2 is taken in experiments.py, from
+    the dyadic limit of f's odd part and the quadratic limit of its even part.
 
   * sikorska_extend: extend a map known only on a ball of radius R (optionally
     punctured) using the scaling identity f((r/s)x) = (r/s)f(x).  With
@@ -29,13 +26,7 @@ from .models import (
     odd_even_split,
 )
 from .sampling import rng_from, sample_points, unit_directions
-from .series import (
-    DEFAULT_TOL,
-    DYADIC_N_MAX,
-    dyadic_limit_many,
-    power_limit_many,
-    quadratic_limit_many,
-)
+from .series import DEFAULT_TOL, power_limit_many
 from .spaces import (
     NormedSpaceSpec,
     _rowdot,
@@ -78,11 +69,10 @@ class SikorskaConfig:
 
 @dataclass
 class DecompositionResult:
-    """Additive/quadratic (or additive/radial-table) decomposition of a model."""
+    """Additive plus radial-table decomposition of a model extended from a ball."""
 
     T_hat: FunctionModel
-    Q_hat: FunctionModel | None
-    b_hat: RadialTable | None
+    b_hat: RadialTable
     max_residual: float
     iterations: dict
 
@@ -107,60 +97,6 @@ def pexider_reduction_check(
     norms = norm_many(f.codomain, vals)
     i = int(np.argmax(norms))
     return SupResult(value=float(norms[i]), x=X[i].copy(), y=Y[i].copy())
-
-
-def _fit_linear(space_in, space_out, limit_fn) -> tuple:
-    """Recover a matrix from limit values at the basis vectors; (matrix, converged)."""
-    E = np.eye(space_in.dim)
-    vals, _, _, conv = limit_fn(E)
-    return vals.T, bool(np.all(conv))
-
-
-def decompose_T_Q(
-    f,
-    params: JensenParams,
-    X_eval,
-    n_max: int = DYADIC_N_MAX,
-    tol: float = DEFAULT_TOL,
-):
-    """Per-point additive + quadratic recovery; returns (result, T_vals, Q_vals).
-
-    T is the dyadic limit of the odd part, Q the 4^{-n}-scaled limit of the
-    even part; max_residual is the sampled sup of ‖f − T − Q‖.
-    """
-    X_eval = as_batch(X_eval, f.domain.dim)
-    f_odd, f_even = odd_even_split(f)
-    T_vals, T_it, _, T_conv = dyadic_limit_many(f_odd, X_eval, n_max, tol)
-    Q_vals, Q_it, _, Q_conv = quadratic_limit_many(f_even, X_eval, n_max, tol)
-    resid = norm_many(f.codomain, f.eval_many(X_eval) - T_vals - Q_vals)
-
-    L_hat, L_conv = _fit_linear(
-        f.domain, f.codomain, lambda E: dyadic_limit_many(f_odd, E, n_max, tol)
-    )
-    e1 = np.zeros(f.domain.dim)
-    e1[0] = 1.0
-    q_vals, _, _, q_conv = quadratic_limit_many(f_even, e1[None, :], n_max, tol)
-    T_hat = FunctionModel(domain=f.domain, codomain=f.codomain, linear=L_hat)
-    Q_hat = FunctionModel(
-        domain=f.domain,
-        codomain=f.codomain,
-        linear=np.zeros((f.codomain.dim, f.domain.dim)),
-        quadratic=q_vals[0],
-    )
-    result = DecompositionResult(
-        T_hat=T_hat,
-        Q_hat=Q_hat,
-        b_hat=None,
-        max_residual=float(np.max(resid)) if resid.size else 0.0,
-        iterations={
-            "t_max_iterations": int(np.max(T_it)) if T_it.size else 0,
-            "q_max_iterations": int(np.max(Q_it)) if Q_it.size else 0,
-            "t_converged_fraction": float(np.mean(T_conv)) if T_conv.size else 1.0,
-            "q_converged_fraction": float(np.mean(Q_conv)) if Q_conv.size else 1.0,
-            "fit_converged": bool(L_conv and np.all(q_conv)),
-        },
-    )
-    return result, T_vals, Q_vals
 
 
 def scaling_identity_check(
@@ -224,47 +160,34 @@ def sikorska_extend(
     n_max = cfg.default_n_max() if n_max is None else n_max
     f_odd, f_even = odd_even_split(f)
 
-    def T_limit(X):
+    def limit(part, gain, X):
         X = as_batch(X, f.domain.dim)
         n0 = _entry_exponents(norm_many(space, X), base, R)
         return power_limit_many(
-            f_odd, X, arg_factor=1.0 / base, gain=base, n_max=n_max, tol=tol, n_start=n0
+            part, X, arg_factor=1.0 / base, gain=gain, n_max=n_max, tol=tol, n_start=n0
         )
 
-    def Q_limit(X):
-        X = as_batch(X, f.domain.dim)
-        n0 = _entry_exponents(norm_many(space, X), base, R)
-        return power_limit_many(
-            f_even,
-            X,
-            arg_factor=1.0 / base,
-            gain=2.0 * base,
-            n_max=n_max,
-            tol=tol,
-            n_start=n0,
-        )
-
-    L_hat, L_conv = _fit_linear(f.domain, f.codomain, T_limit)
-    T_hat = FunctionModel(domain=f.domain, codomain=f.codomain, linear=L_hat)
+    # the linear part: the odd limit at the basis vectors
+    L_vals, _, _, L_conv = limit(f_odd, base, np.eye(f.domain.dim))
+    T_hat = FunctionModel(domain=f.domain, codomain=f.codomain, linear=L_vals.T)
 
     u_knots = np.linspace(0.0, R**2, table_knots)
     e1 = np.zeros(f.domain.dim)
     e1[0] = 1.0
     knot_pts = np.sqrt(u_knots)[:, None] * e1[None, :]
-    b_vals, b_it, _, b_conv = Q_limit(knot_pts)
+    b_vals, b_it, _, b_conv = limit(f_even, 2.0 * base, knot_pts)
     b_vals[0] = 0.0  # b(0) = 0 by construction
     b_hat = RadialTable(knots=u_knots, values=b_vals)
 
     rng = rng_from(seed, "sikorska-residual")
     lo = R * 1e-3 if cfg.exclude_origin else 0.0
     X = sample_points(space, count, (lo, R * (1.0 - 1e-9)), rng)
-    T_vals, T_it, _, T_conv = T_limit(X)
+    T_vals, T_it, _, T_conv = limit(f_odd, base, X)
     u = norm_many(space, X) ** 2
     resid = norm_many(f.codomain, f.eval_many(X) - T_vals - b_hat.eval_many(u))
 
     return DecompositionResult(
         T_hat=T_hat,
-        Q_hat=None,
         b_hat=b_hat,
         max_residual=float(np.max(resid)) if resid.size else 0.0,
         iterations={
@@ -272,7 +195,7 @@ def sikorska_extend(
             "b_max_iterations": int(np.max(b_it)) if b_it.size else 0,
             "t_converged_fraction": float(np.mean(T_conv)) if T_conv.size else 1.0,
             "b_converged_fraction": float(np.mean(b_conv)) if b_conv.size else 1.0,
-            "fit_converged": bool(L_conv),
+            "fit_converged": bool(np.all(L_conv)),
             "n_max": int(n_max),
         },
     )

@@ -11,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 from jensenlab.cli import main
 from jensenlab.experiments import load_config, run_experiment
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from test_golden import CONFIGS as GOLDEN  # noqa: E402
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -75,7 +78,7 @@ def test_verify_stdout_and_timing(tmp_path, capsys):
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
     assert "runtime" in doc
-    assert "cor2_2: pass" in captured.err
+    assert "cor2_2: pass" in captured.err and "failed" not in captured.err
 
 
 def test_verify_multi_experiment_payload(tmp_path):
@@ -126,7 +129,28 @@ def test_verify_reports_violation(tmp_path, capsys):
         tmp_path / "c.json", _cor3_2_experiment(expected_decay=True, noisy=True)
     )
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
-    assert "cor3_2: FAIL" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cor3_2: FAIL" in err and "; failed: decay_verdict)" in err
+
+
+# The failing golden configs and the checks each one fails.
+FAILED_CHECKS = {
+    "thm3_1-nmax3": "converged",
+    "prop4_1-nmax3": "converged",
+    "thm4_3-nmax3": "converged",
+    "thm5_2-nmax3": "converged",
+    "thm6_1-noisy": "max_ratio, residual",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILED_CHECKS))
+def test_verify_names_failed_checks(tmp_path, capsys, name):
+    cfg = _write_config(tmp_path / "c.json", GOLDEN[name])
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    tid = GOLDEN[name]["theorem_id"]
+    assert err.startswith(f"{tid}: FAIL (max_ratio ")
+    assert err.endswith(f"; failed: {FAILED_CHECKS[name]})\n")
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

@@ -9,18 +9,19 @@ from jensenlab.domains import (
     DomainError,
     DomainRestriction,
     asymptotic_profile,
-    construct_z,
     construct_z_many,
-    defect_sup_on,
-    exterior_defect_sup,
     five_inequality_margins,
-    five_term_defect_bound,
     five_term_defect_many,
-    verify_five_inequalities,
     FIVE_INEQ_TOL,
 )
-from jensenlab.experiments import emit_report, parse_config, run_experiment
-from jensenlab.models import BOUNDED, FunctionModel, JensenParams, PerturbationSpec
+from jensenlab.experiments import emit_report, measure_epsilon, parse_config, run_experiment
+from jensenlab.models import (
+    BOUNDED,
+    FunctionModel,
+    JensenParams,
+    PerturbationSpec,
+    jensen_defect_many,
+)
 from jensenlab.sampling import (
     exterior_pairs,
     interior_pairs,
@@ -91,11 +92,19 @@ def test_domain_validation():
 
 
 def test_construct_z_examples():
-    assert np.allclose(construct_z(E2, [1.0, 0.0], [0.5, 0.0], 2.0), [3.0, 0.0])
-    assert np.allclose(construct_z(E2, [0.0, 0.0], [0.0, 0.5], 3.0), [0.0, 3.5])
-    assert np.allclose(construct_z(E2, [0.0, 0.0], [0.0, 0.0], 1.0), [1.0, 0.0])
+    def z(space, x, y, d):
+        return construct_z_many(space, np.array([x]), np.array([y]), d)[0]
+
+    assert np.allclose(z(E2, [1.0, 0.0], [0.5, 0.0], 2.0), [3.0, 0.0])
+    assert np.allclose(z(E2, [0.0, 0.0], [0.0, 0.5], 3.0), [0.0, 3.5])
+    assert np.allclose(z(E2, [0.0, 0.0], [0.0, 0.0], 1.0), [1.0, 0.0])
     # sup norm scales by the max coordinate
-    assert np.allclose(construct_z(S2, [0.2, 0.1], [0.0, 0.0], 2.0), [2.2, 1.1])
+    assert np.allclose(z(S2, [0.2, 0.1], [0.0, 0.0], 2.0), [2.2, 1.1])
+    # rows of a batch are independent; ties go to x
+    X = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]])
+    Y = np.array([[0.5, 0.0], [0.0, 0.5], [0.0, 0.0], [0.0, 0.5]])
+    assert np.allclose(construct_z_many(E2, X, Y, 2.0),
+                       [[3.0, 0.0], [0.0, 2.5], [2.0, 0.0], [2.5, 0.0]])
 
 
 def test_construct_z_lands_outside():
@@ -118,14 +127,14 @@ def test_five_inequalities_hold_for_constructed_z():
 
 
 def test_verify_five_inequalities_single():
+    # one chain instance, and the origin pair whose z sits on the boundary
     d = 1.5
     params = JensenParams(1, 1, 1)
-    x = np.array([0.3, 0.0, 0.1])
-    y = np.array([0.0, 0.2, 0.0])
-    z = construct_z(E3, x, y, d)
-    checks = verify_five_inequalities(E3, params, x, y, z, d)
-    assert len(checks) == 5
-    assert all(ok for ok, _ in checks)
+    X = np.array([[0.3, 0.0, 0.1], [0.0, 0.0, 0.0]])
+    Y = np.array([[0.0, 0.2, 0.0], [0.0, 0.0, 0.0]])
+    margins = five_inequality_margins(E3, params, X, Y, construct_z_many(E3, X, Y, d), d)
+    assert margins.shape == (2, 5)
+    assert np.all(margins >= -FIVE_INEQ_TOL * max(1.0, d))
 
 
 def test_direct_defect_below_chain():
@@ -141,16 +150,15 @@ def test_direct_defect_below_chain():
     assert np.allclose(np.sum(terms, axis=1), chain, rtol=1e-12)
 
 
-def test_five_term_defect_bound_dict():
+def test_five_term_defect_single_row():
     f = _noisy_additive(0.2)
     params = JensenParams(1, 1, 1)
-    x = np.array([0.4, 0.0, 0.0])
-    y = np.array([0.0, 0.3, 0.0])
-    z = construct_z(E3, x, y, 2.0)
-    out = five_term_defect_bound(f, params, x, y, z)
-    assert set(out) == {"direct_value", "chain_value", "terms"}
-    assert len(out["terms"]) == 5
-    assert out["direct_value"] <= out["chain_value"] + 1e-12
+    X = np.array([[0.4, 0.0, 0.0]])
+    Y = np.array([[0.0, 0.3, 0.0]])
+    direct, chain, terms = five_term_defect_many(f, params, X, Y, construct_z_many(E3, X, Y, 2.0))
+    assert direct.shape == chain.shape == (1,) and terms.shape == (1, 5)
+    assert chain[0] == pytest.approx(float(np.sum(terms[0])), rel=1e-12)
+    assert direct[0] <= chain[0] + 1e-12
 
 
 def test_defect_sup_bounded_by_noise_budget():
@@ -159,22 +167,28 @@ def test_defect_sup_bounded_by_noise_budget():
     params = JensenParams(2, 1, 3)
     rng = rng_from(13, "sup")
     X, Y = sample_pairs(E3, 600, (0.1, 5.0), rng)
-    res = defect_sup_on(f, f, f, params, X, Y)
     budget = (params.r + params.s + params.t) * amp
-    assert 0.0 < res.value <= budget + 1e-12
-    assert res.x.shape == (3,)
+    assert 0.0 < float(np.max(jensen_defect_many(f, f, f, params, X, Y))) <= budget + 1e-12
 
 
 def test_exterior_defect_sup_filters():
+    # thm3_1 measures ε̂ on pairs drawn from the exterior: every pair is in
+    # the domain, and ε̂ is the defect sup over exactly those pairs
+    (cfg,) = parse_config({"schema_version": 1, "experiments": [{
+        "theorem_id": "thm3_1",
+        "space": {"dim": 3},
+        "codomain": {"dim": 2},
+        "params": {"r": 1, "s": 1, "t": 1},
+        "control": {"kind": "constant", "epsilon": 0.3},
+        "domain": {"kind": "exterior", "d": 3.0},
+        "sampler": {"count": 8, "seed": 17, "radius_range": [0.1, 4.0], "pair_count": 400},
+    }]})
     f = _noisy_additive(0.1)
-    params = JensenParams(1, 1, 1)
-    rng = rng_from(17, "ext")
-    X, Y = sample_pairs(E3, 400, (0.1, 4.0), rng)
-    d = 3.0
-    res = exterior_defect_sup(f, f, f, params, E3, d, X, Y)
-    keep = norm_many(E3, X) + norm_many(E3, Y) >= d
-    ref = defect_sup_on(f, f, f, params, X[keep], Y[keep])
-    assert res.value == ref.value
+    X, Y = exterior_pairs(E3, 3.0, 400, (0.1, 4.0), rng_from(17, "ext"), axis_period=8)
+    assert np.all(norm_many(E3, X) + norm_many(E3, Y) >= 3.0)
+    eps_hat, witness = measure_epsilon(cfg, f, f, f, X, Y)
+    assert eps_hat == float(np.max(jensen_defect_many(f, f, f, cfg.params, X, Y)))
+    assert np.linalg.norm(witness["x"]) + np.linalg.norm(witness["y"]) >= 3.0
 
 
 class TestAsymptoticProfile:

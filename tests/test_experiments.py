@@ -19,7 +19,6 @@ from jensenlab.experiments import (
     SearchSettings,
     ShellSettings,
     adversarial_search,
-    bound_formula,
     build_models,
     calibrated_perturbations,
     config_to_dict,
@@ -107,6 +106,15 @@ def _cfg(theorem_id, **over):
     return ExperimentConfig(**base)
 
 
+def bound_formula(theorem_id, params, control, space, x, role="f"):
+    """A role's bound in the theorem table at the point x, with ε̂ = control.epsilon."""
+    cfg = _cfg(theorem_id, params=params, control=control, space=space)
+    X0 = np.asarray(x, dtype=np.float64)[None, :]
+    k = experiments._Run(cfg, (None, None, None), None, None, control.epsilon, X0)
+    (bound,) = [b for name, _, b in experiments._THEOREMS[theorem_id].roles if name == role]
+    return float(bound(k)[0])
+
+
 class TestBoundFormula:
     CONST = ControlFunctionSpec(kind="constant", epsilon=1.0)
 
@@ -128,6 +136,7 @@ class TestBoundFormula:
         params = JensenParams(1, 1, 1)
         assert bound_formula("thm5_2", params, half, E3, X_PROBE, role="f") == pytest.approx(34.0)
         assert bound_formula("thm5_2", params, half, E3, X_PROBE, role="g") == pytest.approx(40.0)
+        assert bound_formula("thm5_2", params, half, E3, X_PROBE, role="h") == pytest.approx(40.0)
 
     def test_thm2_1_roles_constant_control(self):
         params = JensenParams(2, 1, 1)
@@ -143,7 +152,7 @@ class TestBoundFormula:
         assert bound_formula("prop4_1", params, self.CONST, E3, X_PROBE, role="f") == pytest.approx(1.5)
         assert bound_formula("prop4_1", params, self.CONST, E3, X_PROBE, role="g") == pytest.approx(2.5)
         assert bound_formula("prop4_2", params, self.CONST, E3, X_PROBE, role="f") == pytest.approx(1.0)
-        assert bound_formula("prop4_2", params, self.CONST, E3, X_PROBE, role="g") == pytest.approx(1.0)
+        assert bound_formula("prop4_2", params, self.CONST, E3, X_PROBE, role="g_h") == pytest.approx(1.0)
 
     def test_cor2_2_matches_series_module(self):
         params = JensenParams(3, 2, 1)
@@ -155,8 +164,11 @@ class TestBoundFormula:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_exactness_theorems_have_no_bound(self):
-        with pytest.raises(ConfigError):
-            bound_formula("thm6_1", JensenParams(2, 2, 2), self.CONST, E3, X_PROBE)
+        # thm6_1/thm6_2 are exactness statements: no table entry, no ε bound
+        assert {"thm6_1", "thm6_2"}.isdisjoint(experiments._THEOREMS)
+        assert set(experiments.THEOREM_IDS) == set(experiments._THEOREMS) | {
+            "cor3_2", "thm6_1", "thm6_2"}
+        assert len(experiments.THEOREM_IDS) == 10
 
 
 # Numbers as a config may write them: ints stay ints through a round trip.
@@ -416,6 +428,15 @@ def test_run_experiment_smoke(tid):
     assert rep.theorem_id == tid
     assert rep.passed, (tid, rep.max_ratio, rep.details)
     assert rep.max_ratio <= 1.0 + 1e-7
+
+
+def test_diverged_points_count_points():
+    # thm5_2 iterates two limits per point (T and Q); a point counts once
+    cfg = _cfg("thm5_2", limits=experiments.LimitSettings(n_max=3))
+    rep = run_experiment(cfg)
+    assert rep.failed_checks == ("converged",) and not rep.passed
+    assert rep.details["diverged_points"] == cfg.sampler.count
+    assert rep.iterations["converged_fraction"] == 0.0
 
 
 def test_huge_finite_perturbation_runs():

@@ -20,6 +20,13 @@ n_max cap, ``cor2_2-nmax7`` stops every point at an explicit ``limits.n_max``,
 and the triadic limit runs on a p-norm space for prop4_1 (on f) and thm4_3
 (on the odd part).
 
+The FAIL entries pin the paths on which a report fails: ``*-nmax3`` stops
+every limit of thm3_1, prop4_1, thm4_3 and thm5_2 at three iterations, so
+the convergence check fails while every ratio stays under 1, and
+``thm6_1-noisy`` gives the ball map a bounded perturbation whose residual
+exceeds ``residual_tol``.  thm5_2 iterates two limits per point (T and Q);
+``thm5_2-nmax3`` counts a point once in ``diverged_points`` when either fails.
+
 The axiom entries pin ``check_ratz_axioms`` for the Birkhoff-James relation
 on the sup and p = 3 norms, whose (O4) witnesses need the general normed-plane
 search; the digest is that of the report as ``jensenlab axioms`` writes it.
@@ -186,6 +193,11 @@ CONFIGS = {
         ball={"radius": 1.0, "exclude_origin": True},
     ),
 }
+for _name in ("thm3_1", "prop4_1-p3", "thm4_3", "thm5_2"):
+    CONFIGS[_name.split("-")[0] + "-nmax3"] = dict(CONFIGS[_name], limits={"n_max": 3})
+CONFIGS["thm6_1-noisy"] = dict(
+    CONFIGS["thm6_1"], perturbation=[{"kind": "bounded", "amplitude": 0.01, "seed": 3}]
+)
 
 DIGESTS = {
     "cor2_2-constant": "5bfab6098c37dd636f38a3e50feaf6e2638f36db663e899b30b1e06a586f3133",
@@ -207,6 +219,11 @@ DIGESTS = {
     "thm5_2-trivial": "ee81468feb80913fdb15a9e544edcb588a2708d9876adaed9a908fcb89a78821",
     "thm6_1": "4de92dfe8f058444b910425d3d72d07ce69f7a26c8985a26e7be505e8b0bcb02",
     "thm6_2": "66bcfc4bc601ab586be0d798c547c4000f16981625f2c13b6f5069b568821df2",
+    "thm3_1-nmax3": "78791a9e6452b3e05b8b548d3d988a1bb4a8a08dee6615ef5601a17337bc0fb3",
+    "prop4_1-nmax3": "16f1e23ac7fab8f35201fc3510eaefd3933bef8b1162ea7c08c315bcc5cc9f40",
+    "thm4_3-nmax3": "83e6ebdce3b7b605f0afd37f19027c7eb8fcbda1fd4076961960fd34f5fdb91a",
+    "thm5_2-nmax3": "4e2081bbd849bfb71da47e606ecb5e09589789a87913c10a71b98f2b15bbc229",
+    "thm6_1-noisy": "1670218d6a8140b258bdd23d6f353bdca0f853a92a084029ef1df53548f08080",
 }
 
 

@@ -14,12 +14,12 @@ from jensenlab.models import (
 )
 from jensenlab.orthogonal import (
     SikorskaConfig,
-    decompose_T_Q,
     even_part_constancy_check,
     pexider_reduction_check,
     scaling_identity_check,
     sikorska_extend,
 )
+from jensenlab.series import dyadic_limit_many, quadratic_limit_many
 from jensenlab.sampling import orthogonal_pairs, rng_from, sample_points, unit_directions
 from jensenlab.spaces import OrthogonalityRelation, euclidean_space, norm_many, o4_witness
 
@@ -68,14 +68,26 @@ def test_pexider_reduction_stays_small():
 
 
 class TestDecomposeTQ:
+    """thm5_2's approximant: T the dyadic limit of the odd part, Q the
+    quadratic limit of the even part."""
+
+    @staticmethod
+    def _limits(f, X):
+        f_odd, f_even = odd_even_split(f)
+        T, _, _, conv_T = dyadic_limit_many(f_odd, X)
+        Q, _, _, conv_Q = quadratic_limit_many(f_even, X)
+        return T, Q, bool(np.all(conv_T) and np.all(conv_Q))
+
     def test_exact_model(self):
         f = _model(quadratic=[0.7])
         X = sample_points(E3, 200, (0.1, 3.0), rng_from(1, "pts"))
-        result, T_vals, Q_vals = decompose_T_Q(f, P111, X)
-        assert result.max_residual <= 1e-9
-        assert np.allclose(result.T_hat.linear, L13, atol=1e-9)
-        assert result.Q_hat.quadratic[0] == pytest.approx(0.7, abs=1e-9)
-        assert result.iterations["fit_converged"]
+        T_vals, Q_vals, converged = self._limits(f, X)
+        assert converged
+        assert np.max(norm_many(E1, f.eval_many(X) - T_vals - Q_vals)) <= 1e-9
+        T_basis, Q_e1, basis_converged = self._limits(f, np.eye(3))
+        assert basis_converged
+        assert np.allclose(T_basis.T, L13, atol=1e-9)
+        assert Q_e1[0, 0] == pytest.approx(0.7, abs=1e-9)
         u = norm_many(E3, X) ** 2
         assert np.allclose(T_vals, X @ L13.T, atol=1e-8)
         assert np.allclose(Q_vals[:, 0], 0.7 * u, rtol=1e-8)
@@ -86,10 +98,11 @@ class TestDecomposeTQ:
             perts=(PerturbationSpec(kind=BOUNDED, amplitude=0.05, seed=5),),
         )
         X = sample_points(E3, 200, (0.1, 3.0), rng_from(2, "pts"))
-        result, _, _ = decompose_T_Q(f, P111, X)
+        T_vals, Q_vals, _ = self._limits(f, X)
         # residual stays of the order of the injected noise
-        assert result.max_residual <= 3 * 0.05 + 1e-9
-        assert np.allclose(result.T_hat.linear, L13, atol=0.1)
+        assert np.max(norm_many(E1, f.eval_many(X) - T_vals - Q_vals)) <= 3 * 0.05 + 1e-9
+        T_basis, _, _ = self._limits(f, np.eye(3))
+        assert np.allclose(T_basis.T, L13, atol=0.1)
 
 
 def test_scaling_identity_exact_vs_broken():
