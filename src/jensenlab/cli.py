@@ -92,6 +92,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    if args.dim < 2:
+        raise ConfigError(f"--dim must be >= 2 (O2-O4 are vacuous on a line), got {args.dim}")
     if args.norm == P_NORM and args.p is None:
         raise ConfigError("--norm p_norm needs --p")
     if args.norm != P_NORM and args.p is not None:

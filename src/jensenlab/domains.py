@@ -144,13 +144,6 @@ def five_term_defect_many(f, params: JensenParams, X, Y, Z):
 
 
 @dataclass
-class SupResult:
-    value: float
-    x: np.ndarray
-    y: np.ndarray
-
-
-@dataclass
 class ShellProfile:
     """Per-shell defect sups over ‖x‖ + ‖y‖ shells, with a decay verdict."""
 

@@ -86,11 +86,11 @@ from .orthogonal import (
 )
 from .sampling import (
     exterior_pairs,
-    interior_pairs,
     orthogonal_pairs,
     rng_from,
     sample_pairs,
     sample_points,
+    shell_pairs,
 )
 from .series import (
     DYADIC_N_MAX,
@@ -660,7 +660,7 @@ def _exterior_chain(k: _Run):
     """Thm 3.1's bridge: interior pairs reach the exterior through five pairs via z."""
     cfg, d = k.cfg, k.cfg.domain.d
     rng = rng_from(cfg.sampler.seed, "interior")
-    Xi, Yi = interior_pairs(cfg.space, d, cfg.sampler.pairs, rng)
+    Xi, Yi = shell_pairs(cfg.space, 0.0, d, cfg.sampler.pairs, rng)
     Z = construct_z_many(cfg.space, Xi, Yi, d)
     margins = five_inequality_margins(cfg.space, k.params, Xi, Yi, Z, d)
     five_failures = int(np.sum(np.any(margins < -FIVE_INEQ_TOL * max(1.0, d), axis=1)))
@@ -689,8 +689,8 @@ def _orthogonal_reduction(k: _Run):
     red = pexider_reduction_check(k.f, k.params, k.cfg.space, k.X, k.Y)
     return {
         "relation": k.cfg.domain.relation.kind,
-        "reduction_sup": red.value,
-        "reduction_over_3eps": (red.value / (3.0 * k.eps)) if k.eps > 0.0 else 0.0,
+        "reduction_sup": red,
+        "reduction_over_3eps": (red / (3.0 * k.eps)) if k.eps > 0.0 else 0.0,
     }, []
 
 
@@ -874,11 +874,10 @@ def _run_sikorska(cfg: ExperimentConfig):
         count=min(cfg.sampler.count, 256), seed=derive_seed(cfg.sampler.seed, 7),
     )
     if cfg.space.has_inner_product and cfg.space.dim >= 2:
-        const = even_part_constancy_check(
+        details["even_constancy_sup"] = even_part_constancy_check(
             f, scfg, cfg.space, count=min(cfg.sampler.count, 128),
             seed=derive_seed(cfg.sampler.seed, 9),
         )
-        details["even_constancy_sup"] = const.value
 
     # per-point residual rows at freshly sampled ball points, using the
     # recovered linear part and radial table as the reconstruction
@@ -1281,6 +1280,19 @@ def adversarial_search(cfg: ExperimentConfig, settings: SearchSettings | None = 
     rng = rng_from(cfg.sampler.seed, "search")
     best = {"ratio": -1.0, "config": None, "witnesses": [], "theorem_id": cfg.theorem_id}
     evaluated = 0
+
+    def evaluate(c):
+        """Run c, keep it as the best if it beats it; its ratio and lead witness norm."""
+        nonlocal evaluated
+        rep = run_experiment(c)
+        evaluated += 1
+        if rep.max_ratio > best["ratio"]:
+            best.update(ratio=rep.max_ratio, config=config_to_dict(c), witnesses=rep.witnesses)
+        if not rep.witnesses:
+            return rep.max_ratio, None
+        x = np.asarray(rep.witnesses[0]["x"])
+        return rep.max_ratio, float(norm_many(c.space, x[None, :])[0])
+
     per_restart, extra = divmod(settings.iterations, max(1, settings.restarts))
     for restart in range(min(settings.restarts, settings.iterations)):
         count = per_restart + (restart < extra)
@@ -1289,30 +1301,16 @@ def adversarial_search(cfg: ExperimentConfig, settings: SearchSettings | None = 
             cur = replace(
                 cfg, sampler=replace(cfg.sampler, seed=derive_seed(cfg.sampler.seed, restart))
             )
-        rep = run_experiment(cur)
-        evaluated += 1
-        cur_ratio = rep.max_ratio
-        wit_norm = None
-        if rep.witnesses:
-            x = np.asarray(rep.witnesses[0]["x"])
-            wit_norm = float(norm_many(cur.space, x[None, :])[0])
-        if cur_ratio > best["ratio"]:
-            best.update(ratio=cur_ratio, config=config_to_dict(cur), witnesses=rep.witnesses)
+        cur_ratio, wit_norm = evaluate(cur)
         sched = settings.step_schedule
         for it in range(count - 1):
             step = sched[min(it * len(sched) // (count - 1), len(sched) - 1)]
             cand = _mutate(cur, rng, step, wit_norm)
-            rep = run_experiment(cand)
-            evaluated += 1
-            if rep.max_ratio > best["ratio"]:
-                best.update(
-                    ratio=rep.max_ratio, config=config_to_dict(cand), witnesses=rep.witnesses
-                )
-            if rep.max_ratio >= cur_ratio:
-                cur, cur_ratio = cand, rep.max_ratio
-                if rep.witnesses:
-                    x = np.asarray(rep.witnesses[0]["x"])
-                    wit_norm = float(norm_many(cand.space, x[None, :])[0])
+            ratio, cand_norm = evaluate(cand)
+            if ratio >= cur_ratio:
+                cur, cur_ratio = cand, ratio
+                if cand_norm is not None:
+                    wit_norm = cand_norm
     return {
         "theorem_id": cfg.theorem_id,
         "worst_ratio": float(best["ratio"]),

@@ -1,7 +1,7 @@
 """Function models: structured maps f : X → Y plus deterministic perturbations.
 
-A FunctionModel is a sum of an exact part (linear map, radial quadratic
-c·‖x‖², tabulated radial term b(‖x‖²)) and pseudo-random perturbation terms.
+A FunctionModel is a sum of an exact part (linear map plus radial quadratic
+c·‖x‖²) and pseudo-random perturbation terms; it maps 0 to 0 exactly.
 Perturbations are pure functions of (seed, bits of x): the coordinate bit
 patterns are hashed with FNV-1a (64-bit), the hash seeds a splitmix64 stream
 that is expanded to codomain coordinates in [-1, 1), and the resulting vector
@@ -17,9 +17,9 @@ in one byte column at a time over the whole batch.
 
 Evaluation is bit-identical across runs, platforms, and batch shapes: each
 row's value depends on that row alone (a one-row linear part is padded to
-the matrix-product path), and the scalar path delegates to the batched
-kernel.  The scaling limits in ``series`` and the [X; −X] evaluation of
-OddPart/EvenPart rely on this.
+the matrix-product path), so a one-row batch is the value at one point.  The
+scaling limits in ``series`` and the [X; −X] evaluation of OddPart/EvenPart
+rely on this.
 
 The generalized Jensen defect measured throughout the lab is
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import NormedSpaceSpec, as_batch, as_point, norm_many
+from .spaces import NormedSpaceSpec, as_batch, norm_many
 
 NONE = "none"
 BOUNDED = "bounded"
@@ -202,19 +202,14 @@ def _coerce_perturbations(perturbations) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class FunctionModel:
-    """Structured map f(x) = L·x + c·‖x‖² + b(‖x‖²) + Σ perturbations(x).
-
-    fix_origin forces f(0) = 0 exactly (the structured parts already vanish
-    there except possibly the radial table).
-    """
+    """Structured map f(x) = L·x + c·‖x‖² + Σ perturbations(x); rows at x = 0
+    are set to 0, so f(0) = 0 exactly."""
 
     domain: NormedSpaceSpec
     codomain: NormedSpaceSpec
     linear: np.ndarray  # (codim, dim)
     quadratic: np.ndarray | None = None  # (codim,) coefficient of ‖x‖²
-    radial: RadialTable | None = None
     perturbations: tuple = ()
-    fix_origin: bool = True
 
     def __post_init__(self):
         L = np.asarray(self.linear, dtype=np.float64)
@@ -229,8 +224,6 @@ class FunctionModel:
             if q.shape != (self.codomain.dim,):
                 raise ModelError(f"quadratic coefficient must have shape ({self.codomain.dim},)")
             object.__setattr__(self, "quadratic", q)
-        if self.radial is not None and self.radial.values.shape[1] != self.codomain.dim:
-            raise ModelError("radial table codomain dimension mismatch")
         object.__setattr__(self, "perturbations", _coerce_perturbations(self.perturbations))
         for p in self.perturbations:
             if not isinstance(p, PerturbationSpec):
@@ -239,50 +232,21 @@ class FunctionModel:
     def eval_many(self, X) -> np.ndarray:
         X = as_batch(X, self.domain.dim)
         Y = _linear_rows(X, self.linear)
-        if self.quadratic is not None or self.radial is not None:
-            u = norm_many(self.domain, X) ** 2
-            if self.quadratic is not None:
-                Y = Y + u[:, None] * self.quadratic[None, :]
-            if self.radial is not None:
-                Y = Y + self.radial.eval_many(u)
+        if self.quadratic is not None:
+            Y = Y + (norm_many(self.domain, X) ** 2)[:, None] * self.quadratic[None, :]
         for spec in self.perturbations:
             Y = Y + perturbation_values(spec, X, self.domain, self.codomain)
-        if self.fix_origin:
-            Y[~np.any(X, axis=1)] = 0.0
+        Y[~np.any(X, axis=1)] = 0.0
         return Y
-
-    def eval(self, x) -> np.ndarray:
-        return self.eval_many(as_point(x, self.domain.dim)[None, :])[0]
-
-    def __call__(self, x) -> np.ndarray:
-        return self.eval(x)
-
-    def exact_part(self) -> "FunctionModel":
-        """The model without its perturbation terms."""
-        return FunctionModel(
-            domain=self.domain,
-            codomain=self.codomain,
-            linear=self.linear,
-            quadratic=self.quadratic,
-            radial=self.radial,
-            perturbations=(),
-            fix_origin=self.fix_origin,
-        )
 
 
 class _Wrapped:
-    """Base for derived evaluable maps; exposes the FunctionModel eval protocol."""
+    """Base for derived maps: a base model plus its domain and codomain."""
 
     def __init__(self, base):
         self.base = base
         self.domain = base.domain
         self.codomain = base.codomain
-
-    def eval(self, x):
-        return self.eval_many(as_point(x, self.domain.dim)[None, :])[0]
-
-    def __call__(self, x):
-        return self.eval(x)
 
 
 def _at_plus_minus(f: FunctionModel, X: np.ndarray):
@@ -295,7 +259,7 @@ def _at_plus_minus(f: FunctionModel, X: np.ndarray):
 class OddPart(_Wrapped):
     """x ↦ (f(x) − f(−x))/2.
 
-    For structured models the even exact terms (quadratic, radial table) are
+    For structured models the even exact term (the quadratic) is
     dropped analytically instead of being cancelled numerically; otherwise
     their roundoff, amplified by scaling iterations, would swamp deep limits.
     """
@@ -310,15 +274,14 @@ class OddPart(_Wrapped):
             Y = _linear_rows(X, self.base.linear)
             for P, Q in _at_plus_minus(self.base, X):
                 Y = Y + 0.5 * (P - Q)
-            if self.base.fix_origin:
-                Y[~np.any(X, axis=1)] = 0.0
+            Y[~np.any(X, axis=1)] = 0.0
             return Y
         F, G = np.split(self.base.eval_many(np.concatenate([X, -X])), 2)
         return (F - G) / 2.0
 
 
 class EvenPart(_Wrapped):
-    """x ↦ (f(x) + f(−x))/2; structured models keep their even exact terms directly."""
+    """x ↦ (f(x) + f(−x))/2; structured models keep their quadratic term directly."""
 
     def __init__(self, base):
         super().__init__(base)
@@ -328,16 +291,11 @@ class EvenPart(_Wrapped):
         X = as_batch(X, self.domain.dim)
         if self._structured:
             Y = np.zeros((X.shape[0], self.codomain.dim))
-            if self.base.quadratic is not None or self.base.radial is not None:
-                u = norm_many(self.domain, X) ** 2
-                if self.base.quadratic is not None:
-                    Y = Y + u[:, None] * self.base.quadratic[None, :]
-                if self.base.radial is not None:
-                    Y = Y + self.base.radial.eval_many(u)
+            if self.base.quadratic is not None:
+                Y = Y + (norm_many(self.domain, X) ** 2)[:, None] * self.base.quadratic[None, :]
             for P, Q in _at_plus_minus(self.base, X):
                 Y = Y + 0.5 * (P + Q)
-            if self.base.fix_origin:
-                Y[~np.any(X, axis=1)] = 0.0
+            Y[~np.any(X, axis=1)] = 0.0
             return Y
         F, G = np.split(self.base.eval_many(np.concatenate([X, -X])), 2)
         return (F + G) / 2.0

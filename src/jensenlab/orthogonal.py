@@ -34,7 +34,6 @@ from .spaces import (
     norm_many,
     o4_witness_many,
 )
-from .domains import SupResult
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class DecompositionResult:
 
 def pexider_reduction_check(
     f, params: JensenParams, space: NormedSpaceSpec, X, Y
-) -> SupResult:
+) -> float:
     """sup ‖r f((sx+ty)/r) − r f((s/r)x) − r f((t/r)y)‖ over the given pairs.
 
     For a triple (f, g, h) with defect ≤ ε on a domain containing (x, y),
@@ -94,9 +93,7 @@ def pexider_reduction_check(
         - f.eval_many((s / r) * X)
         - f.eval_many((t / r) * Y)
     )
-    norms = norm_many(f.codomain, vals)
-    i = int(np.argmax(norms))
-    return SupResult(value=float(norms[i]), x=X[i].copy(), y=Y[i].copy())
+    return float(np.max(norm_many(f.codomain, vals)))
 
 
 def scaling_identity_check(
@@ -207,7 +204,7 @@ def even_part_constancy_check(
     space: NormedSpaceSpec,
     count: int = 256,
     seed: int = 0,
-) -> SupResult:
+) -> float:
     """sup ‖f_e(x) − f_e(y0)‖ over witnesses y0 ⊥ x with ‖y0‖² = λ‖x‖².
 
     The even part of an exact orthogonally-Jensen map takes equal values at
@@ -228,8 +225,6 @@ def even_part_constancy_check(
     Y0 = o4_witness_many(space, X, V, X, lam)
     E = f_even.eval_many(np.concatenate([X, Y0]))
     vals = norm_many(f.codomain, E[:count] - E[count:])
-    # the first strict maximum above 0, NaN rows never win
-    i = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
-    if not vals[i] > 0.0:
-        return SupResult(value=0.0, x=X[0].copy(), y=X[0].copy())
-    return SupResult(value=float(vals[i]), x=X[i].copy(), y=Y0[i].copy())
+    # NaN rows never win; 0 when no row is above 0
+    top = np.max(np.where(np.isnan(vals), -np.inf, vals))
+    return float(top) if top > 0.0 else 0.0

@@ -61,17 +61,6 @@ def sample_pairs(space, n, radius_range, rng, axis_period: int = 0):
     return _apply_axis_rows(X, Y, axis_period)
 
 
-def interior_pairs(space, d, n, rng):
-    """Pairs with ‖x‖ + ‖y‖ < d: total radius uniform in (0, d), split uniformly."""
-    total = rng.uniform(0.0, d, size=n) * (1.0 - 1e-12)
-    frac = rng.uniform(0.0, 1.0, size=n)
-    rx = total * frac
-    ry = total * (1.0 - frac)
-    X = unit_directions(space, n, rng) * rx[:, None]
-    Y = unit_directions(space, n, rng) * ry[:, None]
-    return X, Y
-
-
 def exterior_pairs(space, d, n, radius_range, rng, axis_period: int = 0):
     """Pairs with ‖x‖ + ‖y‖ ≥ d, radii drawn from radius_range then repaired."""
     lo, hi = radius_range
@@ -95,7 +84,9 @@ def exterior_pairs(space, d, n, radius_range, rng, axis_period: int = 0):
 
 
 def shell_pairs(space, lo, hi, n, rng):
-    """Pairs with ‖x‖ + ‖y‖ in [lo, hi)."""
+    """Pairs with ‖x‖ + ‖y‖ in [lo, hi): total radius uniform, split uniformly.
+
+    With lo = 0 these are the interior pairs ‖x‖ + ‖y‖ < hi."""
     total = rng.uniform(lo, hi, size=n) * (1.0 - 1e-12)
     frac = rng.uniform(0.0, 1.0, size=n)
     X = unit_directions(space, n, rng) * (total * frac)[:, None]

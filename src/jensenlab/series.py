@@ -8,10 +8,9 @@ Series: the dyadic comparison series
                                       + φ(2^n (r/s)x, 0) + φ(0, 2^n (r/t)y) ]
 
 its closed forms for constant and mixed controls, the matching single-variable
-bound cor22_bound, and the triadic analogue built from the five-term
+bound cor22_bound_norms, and the triadic analogue built from the five-term
 combination ψ.  Constant control gives φ~ = 3ε/r (dyadic) and 3ε (triadic).
-Controls are radial, so the ``*_norms`` forms take arrays of ‖x‖ and ‖y‖; the
-vector-argument forms are one-row wrappers around them.
+Controls are radial, so the series take arrays of ‖x‖ and ‖y‖.
 
 Limits: the scaling iterations a_n = gain^n · f(arg^n · x) behind the direct
 method (dyadic arg 2 / gain 1/2, triadic arg 3 / gain 1/3, quadratic arg 2 /
@@ -34,7 +33,7 @@ from .control import (
     control_phi_norms,
 )
 from .models import JensenParams, ScaledModel
-from .spaces import NormedSpaceSpec, as_batch, norm, norm_many
+from .spaces import NormedSpaceSpec, as_batch, as_point, norm_many
 
 DYADIC_N_MAX = 40
 TRIADIC_N_MAX = 25
@@ -49,28 +48,21 @@ _BLOCK_ROWS = 4096
 
 @dataclass
 class SeriesValue:
-    """A series evaluation: closed form (exact) or truncation plus tail bound.
+    """A series evaluation: closed form (exact) or truncation plus tail bound,
+    one array entry per row."""
 
-    The ``*_norms`` forms hold one array entry per row, the wrappers plain numbers.
-    """
-
-    value: float | np.ndarray
-    terms_used: int | np.ndarray
-    tail_bound: float | np.ndarray
+    value: np.ndarray
+    terms_used: np.ndarray
+    tail_bound: np.ndarray
     exact: bool
 
     @property
-    def upper(self) -> float | np.ndarray:
+    def upper(self) -> np.ndarray:
         return self.value + self.tail_bound
 
 
 def _closed(value: np.ndarray) -> SeriesValue:
     return SeriesValue(value, np.zeros(value.shape, dtype=np.int64), np.zeros(value.shape), True)
-
-
-def _first_row(sv: SeriesValue) -> SeriesValue:
-    row = (float(sv.value[0]), int(sv.terms_used[0]), float(sv.tail_bound[0]))
-    return SeriesValue(*row, sv.exact)
 
 
 def phi_tilde_dyadic_norms(spec: ControlFunctionSpec, params: JensenParams, nx, ny) -> SeriesValue:
@@ -100,13 +92,6 @@ def phi_tilde_dyadic_norms(spec: ControlFunctionSpec, params: JensenParams, nx, 
     )
 
 
-def phi_tilde_dyadic(
-    spec: ControlFunctionSpec, space: NormedSpaceSpec, params: JensenParams, x, y
-) -> SeriesValue:
-    """phi_tilde_dyadic_norms at one pair of vectors."""
-    return _first_row(phi_tilde_dyadic_norms(spec, params, [norm(space, x)], [norm(space, y)]))
-
-
 def cor22_bound_norms(params: JensenParams, epsilon: float, delta: float, p: float, nx):
     """Single-variable mixed-control bound (3/r)ε + (2δ‖x‖^p / r(1−2^{p−1}))·[(r/s)^p + (r/t)^p]
     at argument norms ‖x‖ = nx.
@@ -122,20 +107,13 @@ def cor22_bound_norms(params: JensenParams, epsilon: float, delta: float, p: flo
     return 3.0 * epsilon / r + coeff * _powered(np.asarray(nx, dtype=np.float64), p)
 
 
-def cor22_bound(
-    params: JensenParams, epsilon: float, delta: float, p: float, space: NormedSpaceSpec, x
-) -> float:
-    """cor22_bound_norms at one vector."""
-    return float(cor22_bound_norms(params, epsilon, delta, p, [norm(space, x)])[0])
-
-
 def psi_eval(spec: ControlFunctionSpec, space: NormedSpaceSpec, x) -> float:
     """Five-term combination driving the triadic iteration:
 
     ψ(x) = (2/3)φ(3x/2, −x/2) + (1/3)[φ(3x/2, 3x/2) + φ(3x/2, −3x/2)
                                       + φ(x/2, x/2) + φ(x/2, −x/2)].
     """
-    nx = norm(space, x)
+    nx = norm_many(space, as_point(x, space.dim)[None, :])[0]
     hi = 1.5 * nx
     lo = 0.5 * nx
     phis = control_phi_norms(
@@ -180,11 +158,6 @@ def phi_tilde_triadic_norms(spec: ControlFunctionSpec, nx, ny) -> SeriesValue:
         ratio_base=3.0,
         const_geo=1.5,  # Σ 3^-k
     )
-
-
-def phi_tilde_triadic(spec: ControlFunctionSpec, space: NormedSpaceSpec, x, y) -> SeriesValue:
-    """phi_tilde_triadic_norms at one pair of vectors."""
-    return _first_row(phi_tilde_triadic_norms(spec, [norm(space, x)], [norm(space, y)]))
 
 
 def _table_series(table, coefs, args, const_count, prefactor, ratio_base, const_geo):

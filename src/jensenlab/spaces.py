@@ -18,14 +18,15 @@ the inputs that always holds the minimizer, and accepts x ⊥ y when the margin
 is at least −tolerance·‖x‖.  Both the interval and the threshold scale with
 x and y, so the verdict is homogeneous, as axiom (O3) requires.
 orthogonal_partners builds relation-orthogonal partners for a batch of rows
-and is_orthogonal_many checks them; the scalar functions wrap these.
+and is_orthogonal_many checks them; is_orthogonal is its one-row form.
 
-The (O4) witness on a general normed plane comes from James's criterion
-(Trans. AMS 61, 1947): u ⊥ v iff the one-sided derivatives of the norm at u
-in direction v satisfy ρ'₋(u; v) ≤ 0 ≤ ρ'₊(u; v).  Along y0 = t·d for a
-James partner d of x, ρ'₋(x + y0; λx − y0) goes from positive to negative,
-and bisection finds a t where it changes sign.  Inner-product spaces use
-the closed-form rotation of o4_witness_many instead.
+The (O4) witness comes from James's criterion (Trans. AMS 61, 1947): u ⊥_BJ v
+iff the one-sided derivatives of the norm at u in direction v satisfy
+ρ'₋(u; v) ≤ 0 ≤ ρ'₊(u; v).  Along y0 = t·d for a partner d of x in the
+plane, ρ'₋(x + y0; λx − y0) goes from positive to negative, and bisection
+finds a t where it changes sign.  The same search serves every relation: on
+a Euclidean space ⊥_BJ is ⟨·,·⟩ = 0, and the trivial relation holds for any
+t > 0.  o4_witness_many is the closed-form rotation on inner-product spaces.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ BIRKHOFF_JAMES = "birkhoff_james"
 
 # Rank test threshold for linear independence, relative to the top singular value.
 INDEPENDENCE_RTOL = 1e-10
-# Residual threshold for "x lies in the plane P" in o4_witness.
+# Residual threshold for "x lies in the plane P" in o4_witness_many.
 PLANE_RESIDUAL_RTOL = 1e-10
 # Golden-section iterations: bracket shrinks by ~0.618 per step.
 _GOLDEN_ITERS = 80
@@ -139,16 +140,6 @@ def norm_many(space: NormedSpaceSpec, X: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(X) ** space.p, axis=-1) ** (1.0 / space.p)
 
 
-def norm(space: NormedSpaceSpec, x) -> float:
-    return float(norm_many(space, as_point(x, space.dim)[None, :])[0])
-
-
-def inner(space: NormedSpaceSpec, x, y) -> float:
-    if not space.has_inner_product:
-        raise SpaceError("inner product requested on a space without one")
-    return float(np.dot(as_point(x, space.dim), as_point(y, space.dim)))
-
-
 def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     # Row-wise dot products through matmul, which rounds like np.dot on each
     # row pair (einsum and sum(A * B) may differ in the last bit).
@@ -190,13 +181,6 @@ def bj_margin_many(space: NormedSpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.n
         b = np.where(left, d, b)
     best = np.minimum(best, f((a + b) / 2.0))
     return best - nx
-
-
-def bj_margin(space: NormedSpaceSpec, x, y) -> float:
-    """Scalar Birkhoff-James margin; see bj_margin_many."""
-    x = as_point(x, space.dim)
-    y = as_point(y, space.dim)
-    return float(bj_margin_many(space, x[None, :], y[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -344,7 +328,7 @@ def o4_witness_many(space: NormedSpaceSpec, P1, P2, X, lam: float) -> np.ndarray
     products go through _rowdot, so each row rounds as it would on its own.
     """
     if not space.has_inner_product:
-        raise SpaceError("o4_witness requires an inner-product space")
+        raise SpaceError("o4_witness_many requires an inner-product space")
     P1 = as_batch(P1, space.dim)
     P2 = as_batch(P2, space.dim)
     X = as_batch(X, space.dim)
@@ -352,17 +336,11 @@ def o4_witness_many(space: NormedSpaceSpec, P1, P2, X, lam: float) -> np.ndarray
         raise SpaceError(f"lam must be positive, got {lam}")
     nx = norm_many(space, X)
     if np.any(nx == 0.0):
-        raise SpaceError("o4_witness needs x != 0")
+        raise SpaceError("o4_witness_many needs x != 0")
     W, resid = _quarter_turns(P1, P2, X)
     if np.any(np.sqrt(_rowdot(resid, resid)) > PLANE_RESIDUAL_RTOL * nx):
         raise SpaceError("x does not lie in the given plane")
     return np.sqrt(lam) * W
-
-
-def o4_witness(space: NormedSpaceSpec, plane, x, lam: float) -> np.ndarray:
-    """One-row form of o4_witness_many for x in the plane spanned by plane[0], plane[1]."""
-    rows = [as_point(v, space.dim)[None, :] for v in (plane[0], plane[1], x)]
-    return o4_witness_many(space, *rows, lam)[0]
 
 
 @dataclass
@@ -442,11 +420,13 @@ def check_ratz_axioms(
 
     O1-O3 run on all trials at once; O2 and O3 use the pairs of
     orthogonal_partners that pass is_orthogonal_many.  Witnesses for O4 come
-    from o4_witness on inner-product spaces and otherwise from the sign change
-    of ρ'₋(x + t·d; λx − t·d) along a James partner d of x in the plane
-    (James, Trans. AMS 1947); is_orthogonal checks each one.  Deterministic
-    given the seed.
+    from the sign change of ρ'₋(x + t·d; λx − t·d) along a partner d of x in
+    the plane (James, Trans. AMS 1947); is_orthogonal checks each one.
+    Deterministic given the seed.  O2-O4 are vacuous on a line, so the space
+    needs dimension at least 2.
     """
+    if space.dim < 2:
+        raise SpaceError(f"the axioms need a space of dimension >= 2, got {space.dim}")
     results = {}
 
     X = _random_points(space, _rng(seed, 101), trials)
@@ -474,8 +454,6 @@ def check_ratz_axioms(
     found, cases = [], []
     o4_trials = max(1, trials // 4)  # witnesses are costlier to verify
     for _ in range(o4_trials):
-        if space.dim < 2:
-            break
         p1 = _random_points(space, rng, 1)[0]
         p2 = _random_points(space, rng, 1)[0]
         if not linearly_independent(p1, p2):
@@ -493,32 +471,19 @@ def check_ratz_axioms(
 
 
 def _find_o4_witness(rel, space, plane, x, lam):
-    if rel.kind == TRIVIAL:
-        # Any y0 in the plane independent of x works: x ⊥ y0 by independence and
-        # (x+y0) ∧ (lam·x−y0) = −(1+lam)·x∧y0 != 0.
-        for cand in (plane[0], plane[1], plane[0] + plane[1]):
-            if linearly_independent(x, cand):
-                ok = is_orthogonal(rel, space, x, cand) and is_orthogonal(
-                    rel, space, x + cand, lam * x - cand
-                )
-                if ok:
-                    return cand
-        return None
-    if space.has_inner_product:
-        y0 = o4_witness(space, plane, x, lam)
-        ok = is_orthogonal(rel, space, x, y0) and is_orthogonal(
-            rel, space, x + y0, lam * x - y0
-        )
-        return y0 if ok else None
-    # General normed plane.  A James partner d of x in P (g(d) = 0 for a
-    # norming functional g of x) gives x ⊥ t·d for every t; building it from
-    # the quarter turn of x in P keeps d in P and never parallel to x.  Along
-    # u = x + t·d, v = λx − t·d = (1 + λ)x − u, the lower one-sided
-    # derivative ρ'₋(u; v) = (1 + λ)ρ'₋(u; x) − ‖u‖ is λ‖x‖ > 0 at t = 0 and
-    # at most (2 + λ)‖x‖ − t‖d‖, so it is negative at t = (3 + λ)‖x‖/‖d‖.
-    # Bisection keeps ρ'₋ > 0 at its left end and ≤ 0 at its right end; as
-    # ρ'₋ is lower and ρ'₊ upper semicontinuous in t, the ends close on a t
-    # with ρ'₋ ≤ 0 ≤ ρ'₊, James's criterion for u ⊥ v.
+    """y0 in the plane with x ⊥ y0 and (x + y0) ⊥ (lam·x − y0) under rel, or None.
+
+    The partner d of x under rel is built from the quarter turn of x in the
+    plane, so d lies in the plane, is never parallel to x, and x ⊥ t·d for
+    every t > 0.  Along u = x + t·d, v = λx − t·d = (1 + λ)x − u, the lower
+    one-sided derivative ρ'₋(u; v) = (1 + λ)ρ'₋(u; x) − ‖u‖ is λ‖x‖ > 0 at
+    t = 0 and at most (2 + λ)‖x‖ − t‖d‖, so it is negative at
+    t = (3 + λ)‖x‖/‖d‖.  Bisection keeps ρ'₋ > 0 at its left end and ≤ 0 at
+    its right end; as ρ'₋ is lower and ρ'₊ upper semicontinuous in t, the
+    ends close on a t with ρ'₋ ≤ 0 ≤ ρ'₊, James's criterion for u ⊥_BJ v.
+    That is ⟨u, v⟩ = 0 on a Euclidean space, and u, v are independent for
+    every t > 0, which is all the trivial relation asks.
+    """
     x1 = x[None, :]
     W, _ = _quarter_turns(plane[0][None, :], plane[1][None, :], x1)
     d = orthogonal_partners(rel, space, x1, W)

@@ -27,18 +27,18 @@ from jensenlab.orthogonal import SikorskaConfig, scaling_identity_check, sikorsk
 from jensenlab.sampling import rng_from
 from jensenlab.series import (
     dyadic_limit_many,
-    phi_tilde_dyadic,
-    phi_tilde_triadic,
+    phi_tilde_dyadic_norms,
+    phi_tilde_triadic_norms,
     psi_eval,
 )
 from jensenlab.spaces import (
     NormedSpaceSpec,
     OrthogonalityRelation,
-    bj_margin,
+    bj_margin_many,
     check_ratz_axioms,
     euclidean_space,
     is_orthogonal,
-    norm,
+    norm_many,
 )
 
 REL_TOL = 1e-7
@@ -70,8 +70,8 @@ def _random_params(rng):
 
 def _dyadic_partial_sum(spec, space, params, x, y, terms):
     r, s, t = params.r, params.s, params.t
-    a = (r / s) * norm(space, x)
-    b = (r / t) * norm(space, y)
+    a = (r / s) * norm_many(space, x[None, :])[0]
+    b = (r / t) * norm_many(space, y[None, :])[0]
     n = np.arange(terms, dtype=np.float64)
     scale = 2.0**n
     zeros = np.zeros(terms)
@@ -84,8 +84,7 @@ def _dyadic_partial_sum(spec, space, params, x, y, terms):
 
 
 def _triadic_partial_sum(spec, space, x, y, terms):
-    nx = norm(space, x)
-    ny = norm(space, y)
+    nx, ny = norm_many(space, np.stack([x, y]))
     n = np.arange(terms, dtype=np.float64)
     hi = 3.0 ** (n + 1) / 2.0
     lo = 3.0**n / 2.0
@@ -103,12 +102,13 @@ def test_01_closed_form_series(capsys):
     x = np.array([0.4, -1.0, 2.0])
     y = np.array([1.0, 0.5, 0.0])
 
-    dy = phi_tilde_dyadic(const1, E3, JensenParams(2, 1, 1), x, y)
-    tri = phi_tilde_triadic(const1, E3, x, y)
-    ok = dy.value == 1.5 and dy.exact
-    ok &= tri.value == 3.0 and tri.exact
-    ok &= abs(dy.value - _dyadic_partial_sum(const1, E3, JensenParams(2, 1, 1), x, y, 60)) <= 1e-10
-    ok &= abs(tri.value - _triadic_partial_sum(const1, E3, x, y, 60)) <= 1e-10
+    nx, ny = norm_many(E3, x[None, :]), norm_many(E3, y[None, :])
+    dy = phi_tilde_dyadic_norms(const1, JensenParams(2, 1, 1), nx, ny)
+    tri = phi_tilde_triadic_norms(const1, nx, ny)
+    ok = dy.value.tolist() == [1.5] and dy.exact
+    ok &= tri.value.tolist() == [3.0] and tri.exact
+    ok &= abs(dy.value[0] - _dyadic_partial_sum(const1, E3, JensenParams(2, 1, 1), x, y, 60)) <= 1e-10
+    ok &= abs(tri.value[0] - _triadic_partial_sum(const1, E3, x, y, 60)) <= 1e-10
     for eps in (1.0, 0.37):
         spec = ControlFunctionSpec(kind="constant", epsilon=eps)
         ok &= abs(psi_eval(spec, E3, x) - 2.0 * eps) <= 1e-12 * 2.0 * eps
@@ -315,7 +315,7 @@ def test_06_orthogonality_axioms(capsys):
     bj = OrthogonalityRelation(kind="birkhoff_james")
     ok &= is_orthogonal(bj, sup2, [1.0, 0.5], [0.0, 1.0])
     ok &= not is_orthogonal(bj, sup2, [0.0, 1.0], [1.0, 0.5])
-    got = bj_margin(sup2, [0.0, 1.0], [1.0, 0.5])
+    got = float(bj_margin_many(sup2, [[0.0, 1.0]], [[1.0, 0.5]])[0])
     lams = np.linspace(-2.0, 1.0, 300001)
     dense = float(np.min(np.maximum(np.abs(lams), np.abs(1.0 + 0.5 * lams))) - 1.0)
     ok &= abs(got - (-1.0 / 3.0)) <= 1e-3

@@ -317,6 +317,8 @@ AXIOMS = ["axioms", "--relation", "bj", "--dim", "2"]
         (AXIOMS + ["--trials", "0"], "--trials"),
         (["search", "--config", "c.json", "--restarts", "0"], "--restarts"),
         (["search", "--config", "c.json", "--iters", "2", "--restarts", "3"], "--restarts"),
+        # O2-O4 are vacuous on a line: refused, not reported as FAIL
+        (AXIOMS + ["--dim", "1"], "--dim"),
     ],
 )
 def test_flag_errors_exit_2(capsys, argv, flag):

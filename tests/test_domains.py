@@ -24,10 +24,10 @@ from jensenlab.models import (
 )
 from jensenlab.sampling import (
     exterior_pairs,
-    interior_pairs,
     orthogonal_pairs,
     rng_from,
     sample_pairs,
+    shell_pairs,
 )
 from jensenlab.spaces import (
     OrthogonalityRelation,
@@ -109,7 +109,8 @@ def test_construct_z_examples():
 
 def test_construct_z_lands_outside():
     rng = rng_from(3, "z")
-    X, Y = interior_pairs(E3, 2.5, 500, rng)
+    X, Y = shell_pairs(E3, 0.0, 2.5, 500, rng)
+    assert np.all(norm_many(E3, X) + norm_many(E3, Y) < 2.5)  # interior pairs
     Z = construct_z_many(E3, X, Y, 2.5)
     assert np.all(norm_many(E3, Z) >= 2.5 - 1e-12)
 
@@ -119,7 +120,7 @@ def test_five_inequalities_hold_for_constructed_z():
     params = JensenParams(2, 1, 1)
     for space in (E3, sup_space(3)):
         rng = rng_from(11, "pairs")
-        X, Y = interior_pairs(space, d, 2000, rng)
+        X, Y = shell_pairs(space, 0.0, d, 2000, rng)
         Z = construct_z_many(space, X, Y, d)
         margins = five_inequality_margins(space, params, X, Y, Z, d)
         assert margins.shape == (2000, 5)
@@ -141,7 +142,7 @@ def test_direct_defect_below_chain():
     f = _noisy_additive(0.3)
     params = JensenParams(2, 3, 1)
     rng = rng_from(7, "chain")
-    X, Y = interior_pairs(E3, 2.0, 800, rng)
+    X, Y = shell_pairs(E3, 0.0, 2.0, 800, rng)
     Z = construct_z_many(E3, X, Y, 2.0)
     direct, chain, terms = five_term_defect_many(f, params, X, Y, Z)
     assert terms.shape == (800, 5)

@@ -30,7 +30,7 @@ from jensenlab.experiments import (
 )
 from jensenlab.models import JensenParams, PerturbationSpec
 from jensenlab.sampling import rng_from, sample_pairs
-from jensenlab.series import cor22_bound
+from jensenlab.series import cor22_bound_norms
 from jensenlab.models import jensen_defect_many
 from jensenlab.control import control_phi_norms
 from jensenlab.spaces import (
@@ -160,7 +160,7 @@ class TestBoundFormula:
         for radius in (0.2, 1.0, 5.0):
             x = radius * X_PROBE
             got = bound_formula("cor2_2", params, mixed, E3, x)
-            want = cor22_bound(params, 0.4, 0.7, 0.5, E3, x)
+            want = cor22_bound_norms(params, 0.4, 0.7, 0.5, norm_many(E3, x[None, :]))[0]
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_exactness_theorems_have_no_bound(self):

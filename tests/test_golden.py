@@ -27,9 +27,12 @@ the convergence check fails while every ratio stays under 1, and
 exceeds ``residual_tol``.  thm5_2 iterates two limits per point (T and Q);
 ``thm5_2-nmax3`` counts a point once in ``diverged_points`` when either fails.
 
-The axiom entries pin ``check_ratz_axioms`` for the Birkhoff-James relation
-on the sup and p = 3 norms, whose (O4) witnesses need the general normed-plane
-search; the digest is that of the report as ``jensenlab axioms`` writes it.
+The axiom entries pin ``check_ratz_axioms`` for every relation: the
+Birkhoff-James relation on the sup, p = 3 and Euclidean norms, the
+inner_product relation on a Euclidean space and the trivial relation on
+Euclidean and sup spaces.  All of them take their (O4) witnesses from the
+same sign-change search; the digest is that of the report as ``jensenlab
+axioms`` writes it.
 
 The digests were recorded with CPython 3.11.7 and numpy 2.4.6 on x86-64.
 Elementary functions such as ``pow`` and ``log`` may round differently in
@@ -241,12 +244,25 @@ def test_report_digest(name):
 AXIOM_DIGESTS = {
     "sup": "cf6640fc4db496473fce8ca7cbf5d962351cf84ab23b08791b8570dd5648fd39",
     "p3": "7f9ac516bb48dc7074ef2995f4a31371c6dc68cf3862d0efc44ca8107538c4a9",
+    "bj-e3": "d5c2f43f2e53d1991ae757827ad149632f2717a9f2c216c42840acbe2018fdea",
+    "inner-e3": "76851ed9be6d43cacee8099c8c65d7737e1e559b8ca32e843d0ec16a1b072d37",
+    "trivial-e2": "8d2baabb2cec243dd0a15a675a925a4c3ae3fd058479a409c26ff07f990e89c9",
+    "trivial-sup3": "c0d8bfb4079388e5400b98df28030c56b2363af83be61b17e1007c2bb5309366",
+}
+AXIOM_CASES = {
+    "sup": ("birkhoff_james", SUP3),
+    "p3": ("birkhoff_james", P3),
+    "bj-e3": ("birkhoff_james", E3),
+    "inner-e3": ("inner_product", E3),
+    "trivial-e2": ("trivial", E2),
+    "trivial-sup3": ("trivial", SUP3),
 }
 
 
-@pytest.mark.parametrize("name, space", [("sup", SUP3), ("p3", P3)], ids=["sup", "p3"])
-def test_axioms_digest(name, space):
-    rel = OrthogonalityRelation(kind="birkhoff_james")
+@pytest.mark.parametrize("name", list(AXIOM_CASES))
+def test_axioms_digest(name):
+    kind, space = AXIOM_CASES[name]
+    rel = OrthogonalityRelation(kind=kind)
     report = check_ratz_axioms(rel, NormedSpaceSpec.from_dict(space), trials=50, seed=7)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == AXIOM_DIGESTS[name]

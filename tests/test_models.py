@@ -110,7 +110,7 @@ def test_linear_eval():
     L = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]])
     f = _linear_model(L)
     x = np.array([1.0, 1.0, 1.0])
-    assert np.allclose(f(x), L @ x)
+    assert np.allclose(f.eval_many(x[None, :])[0], L @ x)
     X = np.random.default_rng(0).standard_normal((20, 3))
     assert np.allclose(f.eval_many(X), X @ L.T)
 
@@ -126,17 +126,20 @@ def test_scalar_and_batch_agree_bitwise():
     X = np.random.default_rng(1).standard_normal((16, 3))
     batch = f.eval_many(X)
     for i in range(X.shape[0]):
-        assert np.array_equal(f.eval(X[i]), batch[i])
+        assert np.array_equal(f.eval_many(X[i : i + 1])[0], batch[i])
 
 
 def test_fix_origin():
-    f = FunctionModel(
-        domain=E3,
-        codomain=E2,
-        linear=np.ones((2, 3)),
-        perturbations=(PerturbationSpec(kind=BOUNDED, amplitude=1.0, seed=9),),
-    )
-    assert np.array_equal(f(np.zeros(3)), np.zeros(2))
+    """f(0) = +0.0 exactly, alone or inside a batch, whatever the linear part's signs."""
+    L = [[1.0, 1.0, 1.0], [-1.0, -2.0, -0.5]]
+    f = _linear_model(L, perturbations=(PerturbationSpec(kind=BOUNDED, amplitude=1.0, seed=9),))
+    g = _linear_model(L, quadratic=[0.3, -0.1])
+    X = np.zeros((3, 3))
+    X[1] = [1.0, 2.0, 3.0]
+    for part in (f, g, OddPart(f), OddPart(g), EvenPart(f), EvenPart(g)):
+        assert part.eval_many(np.zeros((1, 3))).tobytes() == np.zeros((1, 2)).tobytes()
+        Y = part.eval_many(X)
+        assert Y[[0, 2]].tobytes() == np.zeros((2, 2)).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -283,7 +286,7 @@ def test_perturbed_additive_model_and_exact_part():
     gap = norm_many(euclidean_space(1), f.eval_many(X) - X @ L.T)
     assert np.all(gap <= 0.4 + 1e-15)
     assert np.any(gap > 0.0)
-    exact = f.exact_part()
+    exact = _linear_model(L, codomain=euclidean_space(1))
     assert np.array_equal(exact.eval_many(X), X @ L.T)
 
 
@@ -312,7 +315,6 @@ def _split_models(space, codomain):
         codomain=codomain,
         linear=[[0.7, -1.3, 2.1], [1.1, 0.37, -0.6]],
         quadratic=[0.3, -0.1],
-        radial=RadialTable(knots=[0.0, 1.0, 4.0], values=[[0.0, 0.1], [0.2, 0.0], [0.5, -0.3]]),
         perturbations=_PERTURBATIONS,
     )
     return {

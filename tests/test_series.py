@@ -21,12 +21,10 @@ from jensenlab.models import (
 )
 from jensenlab.series import (
     TRIADIC_N_MAX,
-    cor22_bound,
+    cor22_bound_norms,
     dyadic_limit_many,
     pexider_triadic_limit_many,
-    phi_tilde_dyadic,
     phi_tilde_dyadic_norms,
-    phi_tilde_triadic,
     phi_tilde_triadic_norms,
     power_limit_many,
     psi_eval,
@@ -38,6 +36,19 @@ E3 = euclidean_space(3)
 E2 = euclidean_space(2)
 UNIT_X = np.array([1.0, 0.0, 0.0])
 UNIT_Y = np.array([0.0, 1.0, 0.0])
+
+
+def _n(x):
+    """‖x‖ in E3 as a one-entry array, through norm_many."""
+    return norm_many(E3, np.asarray(x)[None, :])
+
+
+def _dyadic(spec, params, x, y):
+    return phi_tilde_dyadic_norms(spec, params, _n(x), _n(y))
+
+
+def _triadic(spec, x, y):
+    return phi_tilde_triadic_norms(spec, _n(x), _n(y))
 
 
 def _brute_phi_tilde_dyadic(spec, params, nx, ny, terms=400):
@@ -55,49 +66,43 @@ def _brute_phi_tilde_dyadic(spec, params, nx, ny, terms=400):
     return total / (2.0 * r)
 
 
-# kind -> (vector-argument form, norm-array form, r), both at JensenParams(2, 1, 1)
+# kind -> (norm-array form, r), at JensenParams(2, 1, 1)
 TABLE_SERIES = {
     "dyadic": (
-        lambda spec, x, y: phi_tilde_dyadic(spec, E3, JensenParams(2, 1, 1), x, y),
         lambda spec, nx, ny: phi_tilde_dyadic_norms(spec, JensenParams(2, 1, 1), nx, ny),
         2.0,
     ),
-    "triadic": (
-        lambda spec, x, y: phi_tilde_triadic(spec, E3, x, y),
-        phi_tilde_triadic_norms,
-        1.0,
-    ),
+    "triadic": (phi_tilde_triadic_norms, 1.0),
 }
 
 
 class TestClosedForms:
     def test_dyadic_constant(self):
         spec = ControlFunctionSpec(kind="constant", epsilon=1.0)
-        sv = phi_tilde_dyadic(spec, E3, JensenParams(2, 1, 1), UNIT_X, UNIT_Y)
+        sv = _dyadic(spec, JensenParams(2, 1, 1), UNIT_X, UNIT_Y)
         assert sv.exact
-        assert sv.tail_bound == 0.0
-        assert sv.value == pytest.approx(1.5, rel=1e-14)
+        assert sv.tail_bound.tolist() == [0.0]
+        assert sv.value[0] == pytest.approx(1.5, rel=1e-14)
         # 3 eps / r regardless of the argument
-        sv2 = phi_tilde_dyadic(spec, E3, JensenParams(5, 2, 3), 7.0 * UNIT_X, 0.1 * UNIT_Y)
-        assert sv2.value == pytest.approx(3.0 / 5.0, rel=1e-14)
+        sv2 = _dyadic(spec, JensenParams(5, 2, 3), 7.0 * UNIT_X, 0.1 * UNIT_Y)
+        assert sv2.value[0] == pytest.approx(3.0 / 5.0, rel=1e-14)
 
     def test_dyadic_mixed_reference_value(self):
         spec = ControlFunctionSpec(kind="mixed", epsilon=1.0, delta=1.0, p=0.5)
-        sv = phi_tilde_dyadic(spec, E3, JensenParams(1, 1, 1), UNIT_X, UNIT_Y)
-        assert sv.value == pytest.approx(3.0 + 2.0 / (1.0 - 2.0**-0.5), rel=1e-12)
-        assert sv.value == pytest.approx(9.828427124746192, rel=1e-12)
+        (value,) = _dyadic(spec, JensenParams(1, 1, 1), UNIT_X, UNIT_Y).value
+        assert value == pytest.approx(3.0 + 2.0 / (1.0 - 2.0**-0.5), rel=1e-12)
+        assert value == pytest.approx(9.828427124746192, rel=1e-12)
 
     def test_dyadic_matches_partial_sums(self):
         spec = ControlFunctionSpec(kind="mixed", epsilon=0.3, delta=0.7, p=0.75)
         params = JensenParams(2, 3, 1)
-        sv = phi_tilde_dyadic(spec, E3, params, 1.3 * UNIT_X, 0.4 * UNIT_Y)
-        assert sv.value == pytest.approx(
+        sv = _dyadic(spec, params, 1.3 * UNIT_X, 0.4 * UNIT_Y)
+        assert sv.value[0] == pytest.approx(
             _brute_phi_tilde_dyadic(spec, params, 1.3, 0.4), rel=1e-12
         )
 
     def test_cor22_reference_value(self):
-        spec_args = dict(epsilon=1.0, delta=1.0, p=0.5)
-        val = cor22_bound(JensenParams(1, 1, 1), space=E3, x=UNIT_X, **spec_args)
+        (val,) = cor22_bound_norms(JensenParams(1, 1, 1), 1.0, 1.0, 0.5, _n(UNIT_X))
         assert val == pytest.approx(3.0 + 4.0 / (1.0 - 2.0**-0.5), rel=1e-12)
         assert val == pytest.approx(16.656854249492383, rel=1e-12)
 
@@ -106,9 +111,9 @@ class TestClosedForms:
         spec = ControlFunctionSpec(kind="mixed", epsilon=0.2, delta=0.5, p=0.25)
         for radius in (0.3, 1.0, 4.7):
             x = radius * UNIT_X
-            tilde = phi_tilde_dyadic(spec, E3, params, x, x)
-            bound = cor22_bound(params, 0.2, 0.5, 0.25, E3, x)
-            assert bound >= tilde.value * (1.0 - 1e-12)
+            tilde = _dyadic(spec, params, x, x)
+            bound = cor22_bound_norms(params, 0.2, 0.5, 0.25, _n(x))
+            assert bound[0] >= tilde.value[0] * (1.0 - 1e-12)
 
     def test_psi_values(self):
         const = ControlFunctionSpec(kind="constant", epsilon=0.6)
@@ -120,40 +125,40 @@ class TestClosedForms:
 
     def test_triadic_constant(self):
         spec = ControlFunctionSpec(kind="constant", epsilon=0.9)
-        sv = phi_tilde_triadic(spec, E3, UNIT_X, 2.0 * UNIT_Y)
+        sv = _triadic(spec, UNIT_X, 2.0 * UNIT_Y)
         assert sv.exact
-        assert sv.value == pytest.approx(2.7, rel=1e-14)
+        assert sv.value[0] == pytest.approx(2.7, rel=1e-14)
 
     def test_triadic_mixed_closed_form(self):
         eps, delta, p = 0.2, 0.6, 0.25
         spec = ControlFunctionSpec(kind="mixed", epsilon=eps, delta=delta, p=p)
         nx, ny = 1.1, 0.7
-        sv = phi_tilde_triadic(spec, E3, nx * UNIT_X, ny * UNIT_Y)
+        sv = _triadic(spec, nx * UNIT_X, ny * UNIT_Y)
         closed = 3.0 * eps + (2.0 / 3.0) * delta * 2.0**-p * (
             (2.0 * 3.0**p + 1.0) * nx**p + (3.0**p + 2.0) * ny**p
         ) / (1.0 - 3.0 ** (p - 1.0))
-        assert sv.value == pytest.approx(closed, rel=1e-12)
+        assert sv.value[0] == pytest.approx(closed, rel=1e-12)
 
     def test_triadic_diagonal_is_psi_series(self):
         spec = ControlFunctionSpec(kind="mixed", epsilon=0.45, delta=0.2, p=0.5)
         x = np.array([0.9, 0.1, 0.0])
-        sv = phi_tilde_triadic(spec, E3, x, x)
+        sv = _triadic(spec, x, x)
         brute = sum(3.0**-k * psi_eval(spec, E3, 3.0**k * x) for k in range(60))
-        assert sv.value == pytest.approx(brute, rel=1e-12)
+        assert sv.value[0] == pytest.approx(brute, rel=1e-12)
 
     @pytest.mark.parametrize("kind", sorted(TABLE_SERIES))
     def test_table_control_series(self, kind):
         """A constant-valued table reproduces the constant closed form via its
         tail, and over a batch of norms each row equals a one-row call."""
-        at_vectors, at_norms, r = TABLE_SERIES[kind]
+        at_norms, r = TABLE_SERIES[kind]
         c = 0.5
         table = RadialControlTable(radii=[0.0, 100.0], values=[c, c], q=0.0)
         spec = ControlFunctionSpec(kind="table", table=table)
-        sv = at_vectors(spec, UNIT_X, UNIT_Y)
+        sv = at_norms(spec, _n(UNIT_X), _n(UNIT_Y))
         assert not sv.exact
-        assert sv.tail_bound > 0.0
-        assert sv.value <= sv.upper
-        assert sv.upper == pytest.approx(6.0 * c / r, rel=1e-12)
+        assert sv.tail_bound[0] > 0.0
+        assert sv.value[0] <= sv.upper[0]
+        assert sv.upper[0] == pytest.approx(6.0 * c / r, rel=1e-12)
 
         table = RadialControlTable(radii=[0.0, 0.5, 2.0, 8.0], values=[0.2, 0.3, 0.5, 0.9], q=0.5)
         spec = ControlFunctionSpec(kind="table", table=table)

@@ -10,17 +10,13 @@ from jensenlab.spaces import (
     SpaceError,
     as_batch,
     as_point,
-    bj_margin,
     bj_margin_many,
     check_ratz_axioms,
     euclidean_space,
-    inner,
     is_orthogonal,
     is_orthogonal_many,
     linearly_independent,
-    norm,
     norm_many,
-    o4_witness,
     o4_witness_many,
     orthogonal_partners,
     p_space,
@@ -33,20 +29,32 @@ S2 = sup_space(2)
 P3 = p_space(3, 3.0)
 
 
+def _norm(space, x):
+    """norm_many on a one-row batch."""
+    return norm_many(space, np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
+def _margin(space, x, y):
+    """bj_margin_many on a one-row batch."""
+    return bj_margin_many(space, np.asarray([x], float), np.asarray([y], float))[0]
+
+
 def test_norm_examples():
-    assert norm(E2, [3.0, 4.0]) == pytest.approx(5.0, rel=1e-15)
-    assert norm(S2, [1.0, -2.5]) == 2.5
-    assert norm(P3, [1.0, 1.0, 1.0]) == pytest.approx(3.0 ** (1.0 / 3.0), rel=1e-14)
-    assert norm(E3, [0.0, 0.0, 0.0]) == 0.0
+    got = norm_many(E2, [[3.0, 4.0], [0.0, 0.0]])
+    assert got[0] == pytest.approx(5.0, rel=1e-15) and got[1] == 0.0
+    assert norm_many(S2, [[1.0, -2.5]]).tolist() == [2.5]
+    assert norm_many(P3, [[1.0, 1.0, 1.0]])[0] == pytest.approx(3.0 ** (1.0 / 3.0), rel=1e-14)
+    assert norm_many(E3, np.zeros((1, 3))).tolist() == [0.0]
 
 
 def test_norm_many_matches_scalar():
+    # a row's norm does not depend on the rest of its batch
     rng = np.random.default_rng(7)
     X = rng.standard_normal((50, 3))
     for space in (E3, sup_space(3), P3):
         batch = norm_many(space, X)
         for i in range(X.shape[0]):
-            assert batch[i] == norm(space, X[i])
+            assert batch[i] == _norm(space, X[i])
 
 
 def test_norm_homogeneity():
@@ -68,8 +76,8 @@ def test_triangle_inequality(xs, ys):
     x = np.asarray(xs)
     y = np.asarray(ys)
     for space in (E3, sup_space(3), P3):
-        lhs = norm(space, x + y)
-        rhs = norm(space, x) + norm(space, y)
+        lhs = _norm(space, x + y)
+        rhs = _norm(space, x) + _norm(space, y)
         assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
 
 
@@ -93,9 +101,12 @@ def test_as_point_shape_checks():
 
 
 def test_inner_product():
-    assert inner(E2, [1.0, 2.0], [3.0, -1.0]) == pytest.approx(1.0)
+    # ⟨(1, 2), (3, −1)⟩ = 1 and ⟨(1, 2), (−2, 1)⟩ = 0
+    rel = OrthogonalityRelation(kind="inner_product")
+    X = [[1.0, 2.0], [1.0, 2.0]]
+    assert is_orthogonal_many(rel, E2, X, [[3.0, -1.0], [-2.0, 1.0]]).tolist() == [False, True]
     with pytest.raises(SpaceError):
-        inner(S2, [1.0, 0.0], [0.0, 1.0])
+        is_orthogonal_many(rel, S2, [[1.0, 0.0]], [[0.0, 1.0]])
 
 
 def test_bj_margin_is_nonpositive():
@@ -115,7 +126,7 @@ def test_bj_asymmetric_pair_sup_norm():
 
 def test_bj_margin_reversed_pair_value():
     # min over lam of max(|lam|, |1 + 0.5 lam|) is 2/3 at lam = -2/3
-    got = bj_margin(S2, [0.0, 1.0], [1.0, 0.5])
+    got = _margin(S2, [0.0, 1.0], [1.0, 0.5])
     assert got == pytest.approx(-1.0 / 3.0, abs=1e-6)
     lams = np.linspace(-2.0, 1.0, 300001)
     dense = np.min(np.maximum(np.abs(lams), np.abs(1.0 + 0.5 * lams))) - 1.0
@@ -124,7 +135,7 @@ def test_bj_margin_reversed_pair_value():
 
 def test_bj_margin_minimizer_far_out():
     # min over lam of max(|1e5 + lam|, |lam|) is 5e4 at lam = -5e4
-    assert bj_margin(S2, [1e5, 0.0], [1.0, 1.0]) == pytest.approx(-5e4, rel=1e-12)
+    assert _margin(S2, [1e5, 0.0], [1.0, 1.0]) == pytest.approx(-5e4, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [1e-14, 1.0, 1e14])
@@ -132,7 +143,7 @@ def test_bj_verdict_ignores_scale_of_y(c):
     """x = e1 is not orthogonal to c·(1, 1), whatever c."""
     rel = OrthogonalityRelation(kind="birkhoff_james")
     assert not is_orthogonal(rel, E2, [1.0, 0.0], [c, c])
-    assert bj_margin(E2, [1.0, 0.0], [c, c]) == pytest.approx(np.sqrt(0.5) - 1.0, rel=1e-12)
+    assert _margin(E2, [1.0, 0.0], [c, c]) == pytest.approx(np.sqrt(0.5) - 1.0, rel=1e-12)
 
 
 RELATION_SPACES = [
@@ -219,9 +230,15 @@ def test_linearly_independent():
     assert not linearly_independent(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
 
 
+def _o4_row(space, plane, x, lam):
+    """o4_witness_many on a one-row batch."""
+    rows = [np.asarray(v, dtype=np.float64)[None, :] for v in (plane[0], plane[1], x)]
+    return o4_witness_many(space, *rows, lam)[0]
+
+
 class TestO4Witness:
     def test_rotation_example(self):
-        y0 = o4_witness(E2, ([1.0, 0.0], [0.0, 1.0]), [3.0, 4.0], 1.0)
+        y0 = _o4_row(E2, ([1.0, 0.0], [0.0, 1.0]), [3.0, 4.0], 1.0)
         assert np.allclose(y0, [-4.0, 3.0], atol=1e-12)
 
     def test_witness_properties(self):
@@ -234,18 +251,20 @@ class TestO4Witness:
             if np.linalg.norm(x) < 1e-3:
                 continue
             lam = rng.uniform(0.1, 4.0)
-            y0 = o4_witness(euclidean_space(4), (p1, p2), x, lam)
+            y0 = _o4_row(euclidean_space(4), (p1, p2), x, lam)
             assert abs(np.dot(x, y0)) <= 1e-9 * np.linalg.norm(x) * np.linalg.norm(y0)
             assert np.dot(y0, y0) == pytest.approx(lam * np.dot(x, x), rel=1e-10)
             assert abs(np.dot(x + y0, lam * x - y0)) <= 1e-8 * max(1.0, lam * np.dot(x, x))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(SpaceError):
-            o4_witness(S2, ([1.0, 0.0], [0.0, 1.0]), [1.0, 1.0], 1.0)
+            _o4_row(S2, ([1.0, 0.0], [0.0, 1.0]), [1.0, 1.0], 1.0)
         with pytest.raises(SpaceError):
-            o4_witness(E3, ([1, 0, 0], [0, 1, 0]), [0.0, 0.0, 1.0], 1.0)
+            _o4_row(E3, ([1, 0, 0], [0, 1, 0]), [0.0, 0.0, 1.0], 1.0)
         with pytest.raises(SpaceError):
-            o4_witness(E2, ([1.0, 0.0], [0.0, 1.0]), [1.0, 0.0], -2.0)
+            _o4_row(E2, ([1.0, 0.0], [0.0, 1.0]), [1.0, 0.0], -2.0)
+        with pytest.raises(SpaceError):
+            _o4_row(E2, ([1.0, 0.0], [0.0, 1.0]), [0.0, 0.0], 1.0)
 
 
 class TestRatzAxioms:
@@ -272,6 +291,12 @@ class TestRatzAxioms:
         assert report.all_passed
         assert report.results["O4"].failures == 0
 
+    @pytest.mark.parametrize("kind", ["trivial", "inner_product", "birkhoff_james"])
+    def test_rejects_a_line(self, kind):
+        # O2-O4 are vacuous in dimension 1: refused, not reported as FAIL
+        with pytest.raises(SpaceError, match="dimension >= 2"):
+            check_ratz_axioms(OrthogonalityRelation(kind=kind), euclidean_space(1), trials=10)
+
     def test_report_dict(self):
         rel = OrthogonalityRelation(kind="trivial")
         report = check_ratz_axioms(rel, E2, trials=10, seed=4)
@@ -290,7 +315,7 @@ def test_o4_witness_many_matches_rows():
     X = rng.uniform(-2.0, 2.0, (30, 1)) * P1 + rng.uniform(-2.0, 2.0, (30, 1)) * P2
     Y0 = o4_witness_many(E3, P1, P2, X, 0.75)
     for i in range(30):
-        assert Y0[i].tobytes() == o4_witness(E3, (P1[i], P2[i]), X[i], 0.75).tobytes()
+        assert Y0[i].tobytes() == _o4_row(E3, (P1[i], P2[i]), X[i], 0.75).tobytes()
 
 
 def test_one_sided_derivatives_match_difference_quotients():
@@ -310,7 +335,11 @@ def test_one_sided_derivatives_match_difference_quotients():
 @st.composite
 def _o4_cases(draw):
     dim = draw(st.integers(2, 4))
-    space = draw(st.sampled_from([sup_space(dim), p_space(dim, 1.5), p_space(dim, 3.0)]))
+    space = draw(st.sampled_from(
+        [euclidean_space(dim), sup_space(dim), p_space(dim, 1.5), p_space(dim, 3.0)]
+    ))
+    kinds = ["trivial", "birkhoff_james"] + (["inner_product"] if space.has_inner_product else [])
+    rel = OrthogonalityRelation(kind=draw(st.sampled_from(kinds)))
     vec = st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim).map(np.array)
     if draw(st.booleans()):
         # integer coordinates with ties: x on a vertex or an edge of the sup ball
@@ -323,22 +352,22 @@ def _o4_cases(draw):
         a, b = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
         x = a * plane[0] + b * plane[1]
     assume(linearly_independent(*plane))
-    assume(norm(space, x) > 1e-3 * max(norm(space, plane[0]), norm(space, plane[1])))
+    assume(_norm(space, x) > 1e-3 * max(_norm(space, plane[0]), _norm(space, plane[1])))
     lam = 10.0 ** draw(st.floats(-3.0, 3.0))
     c = draw(st.sampled_from([1e-8, 1.0, 1e8]))
-    return space, (c * plane[0], c * plane[1]), c * x, lam
+    return rel, space, (c * plane[0], c * plane[1]), c * x, lam
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
+@settings(derandomize=True, max_examples=160, deadline=None)
 @given(case=_o4_cases())
 def test_o4_witness_by_sign_change(case):
-    space, plane, x, lam = case
-    y0 = spaces._find_o4_witness(BJ, space, plane, x, lam)
+    rel, space, plane, x, lam = case
+    y0 = spaces._find_o4_witness(rel, space, plane, x, lam)
     assert y0 is not None
     Q = np.linalg.qr(np.stack(plane).T)[0]
     assert np.linalg.norm(y0 - Q @ (Q.T @ y0)) <= PLANE_RESIDUAL_RTOL * np.linalg.norm(y0)
-    assert is_orthogonal(BJ, space, x, y0)
-    assert is_orthogonal(BJ, space, x + y0, lam * x - y0)
+    assert is_orthogonal(rel, space, x, y0)
+    assert is_orthogonal(rel, space, x + y0, lam * x - y0)
 
 
 @pytest.mark.parametrize("space", [sup_space(3), P3], ids=["sup", "p3"])
