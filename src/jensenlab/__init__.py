@@ -92,10 +92,7 @@ from .spaces import (
     is_orthogonal,
     is_orthogonal_many,
     norm_many,
-    o4_witness_many,
     orthogonal_partners,
-    p_space,
-    sup_space,
 )
 
 __version__ = "0.1.0"

@@ -1236,11 +1236,17 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 # adversarial search
 
 
+_STEP_SCHEDULE = (0.5, 0.25, 0.1)  # mutation steps, first to last of a restart
+
+
 @dataclass(frozen=True)
 class SearchSettings:
     iterations: int = 200
     restarts: int = 1
-    step_schedule: tuple = (0.5, 0.25, 0.1)
+
+    def __post_init__(self):
+        if not (1 <= self.restarts <= self.iterations):
+            raise ConfigError(f"search needs 1 <= restarts <= iterations, got {self}")
 
 
 def _mutate(cfg: ExperimentConfig, rng, step: float, witness_norm: float | None):
@@ -1293,8 +1299,8 @@ def adversarial_search(cfg: ExperimentConfig, settings: SearchSettings | None = 
         x = np.asarray(rep.witnesses[0]["x"])
         return rep.max_ratio, float(norm_many(c.space, x[None, :])[0])
 
-    per_restart, extra = divmod(settings.iterations, max(1, settings.restarts))
-    for restart in range(min(settings.restarts, settings.iterations)):
+    per_restart, extra = divmod(settings.iterations, settings.restarts)
+    for restart in range(settings.restarts):
         count = per_restart + (restart < extra)
         cur = cfg
         if restart > 0:
@@ -1302,7 +1308,7 @@ def adversarial_search(cfg: ExperimentConfig, settings: SearchSettings | None = 
                 cfg, sampler=replace(cfg.sampler, seed=derive_seed(cfg.sampler.seed, restart))
             )
         cur_ratio, wit_norm = evaluate(cur)
-        sched = settings.step_schedule
+        sched = _STEP_SCHEDULE
         for it in range(count - 1):
             step = sched[min(it * len(sched) // (count - 1), len(sched) - 1)]
             cand = _mutate(cur, rng, step, wit_norm)

@@ -29,11 +29,15 @@ from .sampling import rng_from, sample_points, unit_directions
 from .series import DEFAULT_TOL, power_limit_many
 from .spaces import (
     NormedSpaceSpec,
+    SpaceError,
+    _quarter_turns,
     _rowdot,
     as_batch,
     norm_many,
-    o4_witness_many,
 )
+
+
+_TABLE_KNOTS = 65  # knots of the even-part table b(u) on [0, R²]
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,6 @@ def sikorska_extend(
     space: NormedSpaceSpec,
     count: int = 512,
     seed: int = 0,
-    table_knots: int = 65,
     n_max: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> DecompositionResult:
@@ -168,7 +171,7 @@ def sikorska_extend(
     L_vals, _, _, L_conv = limit(f_odd, base, np.eye(f.domain.dim))
     T_hat = FunctionModel(domain=f.domain, codomain=f.codomain, linear=L_vals.T)
 
-    u_knots = np.linspace(0.0, R**2, table_knots)
+    u_knots = np.linspace(0.0, R**2, _TABLE_KNOTS)
     e1 = np.zeros(f.domain.dim)
     e1[0] = 1.0
     knot_pts = np.sqrt(u_knots)[:, None] * e1[None, :]
@@ -208,9 +211,12 @@ def even_part_constancy_check(
     """sup ‖f_e(x) − f_e(y0)‖ over witnesses y0 ⊥ x with ‖y0‖² = λ‖x‖².
 
     The even part of an exact orthogonally-Jensen map takes equal values at
-    such pairs; the sup is a direct constancy certificate.  Radii are capped
-    so the witness cannot leave the ball.
+    such pairs; the sup is a direct constancy certificate.  y0 = √λ·(quarter
+    turn of x in a plane through x), the exact sign change t = √λ of the (O4)
+    search on an inner-product space.  Radii keep the witness in the ball.
     """
+    if not space.has_inner_product:
+        raise SpaceError("the even-part constancy check needs an inner-product space")
     _, f_even = odd_even_split(f)
     lam = cfg.lam
     cap = cfg.ball_radius / max(1.0, np.sqrt(lam)) * (1.0 - 1e-9)
@@ -222,7 +228,7 @@ def even_part_constancy_check(
     lens = np.sqrt(_rowdot(X, X)), np.sqrt(_rowdot(V, V))
     flat = np.abs(_rowdot(X, V)) > (1.0 - 1e-9) * lens[0] * lens[1]
     V = np.where(flat[:, None], np.roll(V, 1, axis=1), V)
-    Y0 = o4_witness_many(space, X, V, X, lam)
+    Y0 = np.sqrt(lam) * _quarter_turns(X, V, X)
     E = f_even.eval_many(np.concatenate([X, Y0]))
     vals = norm_many(f.codomain, E[:count] - E[count:])
     # NaN rows never win; 0 when no row is above 0

@@ -26,7 +26,8 @@ iff the one-sided derivatives of the norm at u in direction v satisfy
 plane, ρ'₋(x + y0; λx − y0) goes from positive to negative, and bisection
 finds a t where it changes sign.  The same search serves every relation: on
 a Euclidean space ⊥_BJ is ⟨·,·⟩ = 0, and the trivial relation holds for any
-t > 0.  o4_witness_many is the closed-form rotation on inner-product spaces.
+t > 0.  Every witness starts from one primitive, the quarter turn of x in
+its plane (_quarter_turns), and one batched bisection serves all trials.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ BIRKHOFF_JAMES = "birkhoff_james"
 
 # Rank test threshold for linear independence, relative to the top singular value.
 INDEPENDENCE_RTOL = 1e-10
-# Residual threshold for "x lies in the plane P" in o4_witness_many.
-PLANE_RESIDUAL_RTOL = 1e-10
 # Golden-section iterations: bracket shrinks by ~0.618 per step.
 _GOLDEN_ITERS = 80
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -103,14 +102,6 @@ class NormedSpaceSpec:
 
 def euclidean_space(dim: int) -> NormedSpaceSpec:
     return NormedSpaceSpec(dim=dim, norm_kind=EUCLIDEAN)
-
-
-def sup_space(dim: int) -> NormedSpaceSpec:
-    return NormedSpaceSpec(dim=dim, norm_kind=SUP)
-
-
-def p_space(dim: int, p: float) -> NormedSpaceSpec:
-    return NormedSpaceSpec(dim=dim, norm_kind=P_NORM, p=p)
 
 
 def as_point(x, dim: int) -> np.ndarray:
@@ -212,10 +203,6 @@ def _independent_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return s[:, -1] > INDEPENDENCE_RTOL * s[:, 0]
 
 
-def linearly_independent(x: np.ndarray, y: np.ndarray) -> bool:
-    return bool(_independent_many(np.asarray(x)[None, :], np.asarray(y)[None, :])[0])
-
-
 def is_orthogonal_many(rel: OrthogonalityRelation, space: NormedSpaceSpec, X, Y) -> np.ndarray:
     """x ⊥ y under rel for each row pair of the (n, dim) batches X and Y."""
     X = as_batch(X, space.dim)
@@ -301,9 +288,9 @@ def orthogonal_partners(rel: OrthogonalityRelation, space: NormedSpaceSpec, X, V
 
 
 def _quarter_turns(P1: np.ndarray, P2: np.ndarray, X: np.ndarray):
-    """Each x turned by +90° in the oriented orthonormal frame of span(p1, p2),
-    and the part of x off that plane.  The turn has the Euclidean length of x,
-    is Euclidean-orthogonal to it and lies in the plane, whatever the norm."""
+    """Each x of span(p1, p2) turned by +90° in the oriented orthonormal frame
+    of that plane.  The turn has the Euclidean length of x, is
+    Euclidean-orthogonal to it and lies in the plane, whatever the norm."""
     if not np.all(np.any(P1, axis=1)):
         raise SpaceError("plane vectors must be nonzero")
     n1 = np.sqrt(_rowdot(P1, P1))
@@ -315,32 +302,7 @@ def _quarter_turns(P1: np.ndarray, P2: np.ndarray, X: np.ndarray):
     E2 = R2 / n2[:, None]
     a = _rowdot(X, E1)[:, None]
     b = _rowdot(X, E2)[:, None]
-    return -b * E1 + a * E2, X - a * E1 - b * E2
-
-
-def o4_witness_many(space: NormedSpaceSpec, P1, P2, X, lam: float) -> np.ndarray:
-    """Rows y0 in span(p1, p2) with ⟨x, y0⟩ = 0 and ‖y0‖² = lam·‖x‖².
-
-    Each row of X must lie in the plane spanned by the matching rows of P1
-    and P2.  The witness is the +90° rotation of x within the oriented
-    orthonormal frame built from the plane, scaled by sqrt(lam).  By
-    construction ⟨x + y0, lam·x − y0⟩ = lam‖x‖² − ‖y0‖² = 0 as well.  Dot
-    products go through _rowdot, so each row rounds as it would on its own.
-    """
-    if not space.has_inner_product:
-        raise SpaceError("o4_witness_many requires an inner-product space")
-    P1 = as_batch(P1, space.dim)
-    P2 = as_batch(P2, space.dim)
-    X = as_batch(X, space.dim)
-    if not (lam > 0.0):
-        raise SpaceError(f"lam must be positive, got {lam}")
-    nx = norm_many(space, X)
-    if np.any(nx == 0.0):
-        raise SpaceError("o4_witness_many needs x != 0")
-    W, resid = _quarter_turns(P1, P2, X)
-    if np.any(np.sqrt(_rowdot(resid, resid)) > PLANE_RESIDUAL_RTOL * nx):
-        raise SpaceError("x does not lie in the given plane")
-    return np.sqrt(lam) * W
+    return -b * E1 + a * E2
 
 
 @dataclass
@@ -419,14 +381,17 @@ def check_ratz_axioms(
         x ⊥ y0 and (x + y0) ⊥ (lam·x − y0).
 
     O1-O3 run on all trials at once; O2 and O3 use the pairs of
-    orthogonal_partners that pass is_orthogonal_many.  Witnesses for O4 come
-    from the sign change of ρ'₋(x + t·d; λx − t·d) along a partner d of x in
-    the plane (James, Trans. AMS 1947); is_orthogonal checks each one.
+    orthogonal_partners that pass is_orthogonal_many.  O4 drops trials with a
+    dependent plane or x = 0; one batched search finds the sign changes of
+    ρ'₋(x + t·d; λx − t·d) along partners d of x in the plane (James, Trans.
+    AMS 1947), and is_orthogonal checks each witness.
     Deterministic given the seed.  O2-O4 are vacuous on a line, so the space
     needs dimension at least 2.
     """
     if space.dim < 2:
         raise SpaceError(f"the axioms need a space of dimension >= 2, got {space.dim}")
+    if trials < 1:
+        raise SpaceError(f"trials must be >= 1, got {trials}")
     results = {}
 
     X = _random_points(space, _rng(seed, 101), trials)
@@ -451,27 +416,32 @@ def check_ratz_axioms(
     )
 
     rng = _rng(seed, 104)
-    found, cases = [], []
     o4_trials = max(1, trials // 4)  # witnesses are costlier to verify
-    for _ in range(o4_trials):
-        p1 = _random_points(space, rng, 1)[0]
-        p2 = _random_points(space, rng, 1)[0]
-        if not linearly_independent(p1, p2):
-            continue
-        coeffs = rng.uniform(-2.0, 2.0, size=2)
-        x = coeffs[0] * p1 + coeffs[1] * p2
-        if norm_many(space, x[None, :])[0] < 1e-6:
-            continue
-        lam = rng.uniform(0.1, 4.0)
-        found.append(_find_o4_witness(rel, space, (p1, p2), x, lam) is not None)
-        cases.append({"plane": [p1.tolist(), p2.tolist()], "x": x.tolist(), "lam": lam})
-    results["O4"] = _axiom_result(np.array(found, dtype=bool), cases.__getitem__)
+    draws = [
+        (_random_points(space, rng, 1)[0], _random_points(space, rng, 1)[0],
+         rng.uniform(-2.0, 2.0, size=2), rng.uniform(0.1, 4.0))
+        for _ in range(o4_trials)
+    ]
+    P1, P2, C, lam = (np.array(column) for column in zip(*draws))
+    X = C[:, :1] * P1 + C[:, 1:] * P2
+    keep = _independent_many(P1, P2) & (norm_many(space, X) >= 1e-6)
+    P1, P2, X, lam = P1[keep], P2[keep], X[keep], lam[keep]
+    Y0 = _o4_witnesses(rel, space, P1, P2, X, lam)
+    found = [
+        is_orthogonal(rel, space, x, y0) and is_orthogonal(rel, space, x + y0, lam_i * x - y0)
+        for x, y0, lam_i in zip(X, Y0, lam)
+    ]
+    results["O4"] = _axiom_result(
+        np.array(found, dtype=bool),
+        lambda i: {"plane": [P1[i].tolist(), P2[i].tolist()], "x": X[i].tolist(),
+                   "lam": float(lam[i])},
+    )
 
     return AxiomReport(relation=rel.kind, space=space, results=results)
 
 
-def _find_o4_witness(rel, space, plane, x, lam):
-    """y0 in the plane with x ⊥ y0 and (x + y0) ⊥ (lam·x − y0) under rel, or None.
+def _o4_witnesses(rel, space, P1, P2, X, lam):
+    """Rows y0 in span(p1, p2) with x ⊥ y0 and (x + y0) ⊥ (lam·x − y0) under rel.
 
     The partner d of x under rel is built from the quarter turn of x in the
     plane, so d lies in the plane, is never parallel to x, and x ⊥ t·d for
@@ -482,18 +452,15 @@ def _find_o4_witness(rel, space, plane, x, lam):
     its right end; as ρ'₋ is lower and ρ'₊ upper semicontinuous in t, the
     ends close on a t with ρ'₋ ≤ 0 ≤ ρ'₊, James's criterion for u ⊥_BJ v.
     That is ⟨u, v⟩ = 0 on a Euclidean space, and u, v are independent for
-    every t > 0, which is all the trivial relation asks.
+    every t > 0, which is all the trivial relation asks.  Each row has its own
+    lam and bracket; rows need x ≠ 0 and an independent plane.
     """
-    x1 = x[None, :]
-    W, _ = _quarter_turns(plane[0][None, :], plane[1][None, :], x1)
-    d = orthogonal_partners(rel, space, x1, W)
-    a, b = 0.0, (3.0 + lam) * norm_many(space, x1)[0] / norm_many(space, d)[0]
+    D = orthogonal_partners(rel, space, X, _quarter_turns(P1, P2, X))
+    a = np.zeros(X.shape[0])
+    b = (3.0 + lam) * norm_many(space, X) / norm_many(space, D)
+    LX = lam[:, None] * X
     for _ in range(_BISECT_ITERS):
         t = (a + b) / 2.0
-        if _one_sided_derivatives(space, x1 + t * d, lam * x1 - t * d)[0][0] <= 0.0:
-            b = t
-        else:
-            a = t
-    y0 = b * d[0]
-    ok = is_orthogonal(rel, space, x, y0) and is_orthogonal(rel, space, x + y0, lam * x - y0)
-    return y0 if ok else None
+        neg = _one_sided_derivatives(space, X + t[:, None] * D, LX - t[:, None] * D)[0] <= 0.0
+        a, b = np.where(neg, a, t), np.where(neg, t, b)
+    return b[:, None] * D

@@ -30,16 +30,16 @@ from jensenlab.sampling import (
     shell_pairs,
 )
 from jensenlab.spaces import (
+    NormedSpaceSpec,
     OrthogonalityRelation,
     euclidean_space,
     is_orthogonal_many,
     norm_many,
-    sup_space,
 )
 
 E2 = euclidean_space(2)
 E3 = euclidean_space(3)
-S2 = sup_space(2)
+S2 = NormedSpaceSpec(2, "sup")
 L23 = np.array([[1.0, 0.5, -1.0], [0.0, 2.0, 1.0]])
 
 
@@ -118,7 +118,7 @@ def test_construct_z_lands_outside():
 def test_five_inequalities_hold_for_constructed_z():
     d = 2.0
     params = JensenParams(2, 1, 1)
-    for space in (E3, sup_space(3)):
+    for space in (E3, NormedSpaceSpec(3, "sup")):
         rng = rng_from(11, "pairs")
         X, Y = shell_pairs(space, 0.0, d, 2000, rng)
         Z = construct_z_many(space, X, Y, d)

@@ -38,7 +38,6 @@ from jensenlab.spaces import (
     OrthogonalityRelation,
     euclidean_space,
     norm_many,
-    sup_space,
 )
 
 E3 = euclidean_space(3)
@@ -353,7 +352,7 @@ class TestConfigParsing:
             ),
             _cfg("thm6_1", params=JensenParams(2, 2, 1)),
             _cfg("thm6_2", params=JensenParams(7, 3, 3)),  # base 2(s/r)^2 <= 1
-            _cfg("thm5_2", space=sup_space(3)),  # inner_product needs a euclidean space
+            _cfg("thm5_2", space=NormedSpaceSpec(3, "sup")),  # inner_product needs a euclidean space
             _cfg("thm5_2", space=euclidean_space(1)),  # no y != 0 is orthogonal to x != 0
             _cfg("cor3_2", shells=None),
         ]
@@ -443,7 +442,7 @@ def test_huge_finite_perturbation_runs():
     # 3·amplitude/tol overflows to inf in the iteration-count estimate.  The
     # sup norm keeps the defect finite; the euclidean one squares it to inf.
     huge = PerturbationSpec(kind="bounded", amplitude=1e300, seed=1)
-    cfg = _cfg("cor2_2", codomain=sup_space(2), model=ModelSettings(perturbations=(huge,)),
+    cfg = _cfg("cor2_2", codomain=NormedSpaceSpec(2, "sup"), model=ModelSettings(perturbations=(huge,)),
                sampler=SamplerSettings(count=8, seed=1, radius_range=(0.1, 2.0)))
     assert run_experiment(cfg).iterations["max_iterations"] <= 600
     with pytest.raises(ConfigError, match="overflows"):
@@ -532,3 +531,10 @@ def test_adversarial_search_is_deterministic_and_bounded():
     assert out1["evaluations"] == 10
     assert out1["worst_ratio"] <= 1.0 + 1e-7
     assert out1["config"] is not None
+
+
+@pytest.mark.parametrize("iterations, restarts", [(5, 0), (0, 0), (-1, 1), (2, 3)])
+def test_search_settings_reject_empty_restarts(iterations, restarts):
+    # restarts=0 used to run no evaluation and report worst_ratio -1.0
+    with pytest.raises(ConfigError, match="restarts <= iterations"):
+        SearchSettings(iterations=iterations, restarts=restarts)

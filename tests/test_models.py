@@ -20,7 +20,7 @@ from jensenlab.models import (
     odd_even_split,
     perturbation_values,
 )
-from jensenlab.spaces import euclidean_space, norm_many, p_space, sup_space
+from jensenlab.spaces import NormedSpaceSpec, euclidean_space, norm_many
 
 E3 = euclidean_space(3)
 E2 = euclidean_space(2)
@@ -299,8 +299,8 @@ def test_model_shape_validation():
 
 _SPACES = {
     "euclidean": (euclidean_space(3), euclidean_space(2)),
-    "sup": (sup_space(3), sup_space(2)),
-    "p3": (p_space(3, 3.0), p_space(2, 1.5)),
+    "sup": (NormedSpaceSpec(3, "sup"), NormedSpaceSpec(2, "sup")),
+    "p3": (NormedSpaceSpec(3, "p_norm", 3.0), NormedSpaceSpec(2, "p_norm", 1.5)),
 }
 _PERTURBATIONS = (
     PerturbationSpec(kind=BOUNDED, amplitude=0.3, seed=4),

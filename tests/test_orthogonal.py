@@ -21,7 +21,14 @@ from jensenlab.orthogonal import (
 )
 from jensenlab.series import dyadic_limit_many, quadratic_limit_many
 from jensenlab.sampling import orthogonal_pairs, rng_from, sample_points, unit_directions
-from jensenlab.spaces import OrthogonalityRelation, euclidean_space, norm_many, o4_witness_many
+from jensenlab.spaces import (
+    NormedSpaceSpec,
+    OrthogonalityRelation,
+    SpaceError,
+    _quarter_turns,
+    euclidean_space,
+    norm_many,
+)
 
 E3 = euclidean_space(3)
 E1 = euclidean_space(1)
@@ -155,6 +162,9 @@ def test_even_part_constancy():
     # lam = 3/4 shrinks the witness radius and exposes the non-constant even part
     cfg2 = SikorskaConfig(params=JensenParams(4, 3, 3), ball_radius=1.5)
     assert even_part_constancy_check(quad, cfg2, E3, count=200, seed=2) > 0.1
+    # the witness is the inner-product sign change, so other norms are refused
+    with pytest.raises(SpaceError, match="inner-product"):
+        even_part_constancy_check(quad, cfg2, NormedSpaceSpec(3, "sup"), count=8, seed=2)
 
 
 def test_even_part_constancy_matches_row_loop(monkeypatch):
@@ -185,7 +195,7 @@ def test_even_part_constancy_matches_row_loop(monkeypatch):
         if abs(np.dot(x, v)) > (1.0 - 1e-9) * np.linalg.norm(x) * np.linalg.norm(v):
             v = np.roll(v, 1)
         x1 = x[None, :]
-        y0 = o4_witness_many(E3, x1, v[None, :], x1, cfg.lam)
+        y0 = np.sqrt(cfg.lam) * _quarter_turns(x1, v[None, :], x1)
         value = max(value, float(norm_many(E1, f_even.eval_many(x1) - f_even.eval_many(y0))[0]))
     assert value > 0.1
     assert res == value

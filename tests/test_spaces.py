@@ -1,10 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from jensenlab import spaces
 from jensenlab.spaces import (
-    PLANE_RESIDUAL_RTOL,
     NormedSpaceSpec,
     OrthogonalityRelation,
     SpaceError,
@@ -15,18 +16,15 @@ from jensenlab.spaces import (
     euclidean_space,
     is_orthogonal,
     is_orthogonal_many,
-    linearly_independent,
     norm_many,
-    o4_witness_many,
     orthogonal_partners,
-    p_space,
-    sup_space,
 )
 
 E2 = euclidean_space(2)
 E3 = euclidean_space(3)
-S2 = sup_space(2)
-P3 = p_space(3, 3.0)
+S2 = NormedSpaceSpec(2, "sup")
+S3 = NormedSpaceSpec(3, "sup")
+P3 = NormedSpaceSpec(3, "p_norm", 3.0)
 
 
 def _norm(space, x):
@@ -51,7 +49,7 @@ def test_norm_many_matches_scalar():
     # a row's norm does not depend on the rest of its batch
     rng = np.random.default_rng(7)
     X = rng.standard_normal((50, 3))
-    for space in (E3, sup_space(3), P3):
+    for space in (E3, S3, P3):
         batch = norm_many(space, X)
         for i in range(X.shape[0]):
             assert batch[i] == _norm(space, X[i])
@@ -61,7 +59,7 @@ def test_norm_homogeneity():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((40, 3))
     alphas = rng.uniform(-5.0, 5.0, size=40)
-    for space in (E3, sup_space(3), P3):
+    for space in (E3, S3, P3):
         n1 = norm_many(space, alphas[:, None] * X)
         n2 = np.abs(alphas) * norm_many(space, X)
         assert np.allclose(n1, n2, rtol=1e-12, atol=1e-300)
@@ -75,7 +73,7 @@ def test_norm_homogeneity():
 def test_triangle_inequality(xs, ys):
     x = np.asarray(xs)
     y = np.asarray(ys)
-    for space in (E3, sup_space(3), P3):
+    for space in (E3, S3, P3):
         lhs = _norm(space, x + y)
         rhs = _norm(space, x) + _norm(space, y)
         assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
@@ -87,9 +85,9 @@ def test_space_validation():
     with pytest.raises(SpaceError):
         NormedSpaceSpec(dim=2, norm_kind="banach")
     with pytest.raises(SpaceError):
-        p_space(2, 0.5)
+        NormedSpaceSpec(2, "p_norm", 0.5)
     assert euclidean_space(4).has_inner_product
-    assert not sup_space(4).has_inner_product
+    assert not NormedSpaceSpec(4, "sup").has_inner_product
 
 
 def test_as_point_shape_checks():
@@ -149,7 +147,7 @@ def test_bj_verdict_ignores_scale_of_y(c):
 RELATION_SPACES = [
     (kind, space)
     for kind in ("trivial", "inner_product", "birkhoff_james")
-    for space in (E3, sup_space(3), p_space(3, 3.0))
+    for space in (E3, S3, NormedSpaceSpec(3, "p_norm", 3.0))
     if kind != "inner_product" or space.has_inner_product
 ]
 
@@ -225,20 +223,29 @@ def test_relation_validation():
         is_orthogonal(OrthogonalityRelation(kind="inner_product"), S2, [1, 0], [0, 1])
 
 
+def _independent(x, y):
+    """_independent_many on a one-row batch."""
+    return spaces._independent_many(np.asarray(x)[None, :], np.asarray(y)[None, :])[0]
+
+
 def test_linearly_independent():
-    assert linearly_independent(np.array([1.0, 0.0]), np.array([0.0, 1e-6]))
-    assert not linearly_independent(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
+    assert _independent(np.array([1.0, 0.0]), np.array([0.0, 1e-6]))
+    assert not _independent(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
 
 
-def _o4_row(space, plane, x, lam):
-    """o4_witness_many on a one-row batch."""
+IP = OrthogonalityRelation(kind="inner_product")
+BJ = OrthogonalityRelation(kind="birkhoff_james")
+
+
+def _o4_row(rel, space, plane, x, lam):
+    """_o4_witnesses on a one-row batch."""
     rows = [np.asarray(v, dtype=np.float64)[None, :] for v in (plane[0], plane[1], x)]
-    return o4_witness_many(space, *rows, lam)[0]
+    return spaces._o4_witnesses(rel, space, *rows, np.array([lam], dtype=np.float64))[0]
 
 
 class TestO4Witness:
     def test_rotation_example(self):
-        y0 = _o4_row(E2, ([1.0, 0.0], [0.0, 1.0]), [3.0, 4.0], 1.0)
+        y0 = _o4_row(IP, E2, ([1.0, 0.0], [0.0, 1.0]), [3.0, 4.0], 1.0)
         assert np.allclose(y0, [-4.0, 3.0], atol=1e-12)
 
     def test_witness_properties(self):
@@ -251,20 +258,16 @@ class TestO4Witness:
             if np.linalg.norm(x) < 1e-3:
                 continue
             lam = rng.uniform(0.1, 4.0)
-            y0 = _o4_row(euclidean_space(4), (p1, p2), x, lam)
+            y0 = _o4_row(IP, euclidean_space(4), (p1, p2), x, lam)
             assert abs(np.dot(x, y0)) <= 1e-9 * np.linalg.norm(x) * np.linalg.norm(y0)
             assert np.dot(y0, y0) == pytest.approx(lam * np.dot(x, x), rel=1e-10)
             assert abs(np.dot(x + y0, lam * x - y0)) <= 1e-8 * max(1.0, lam * np.dot(x, x))
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(SpaceError):
-            _o4_row(S2, ([1.0, 0.0], [0.0, 1.0]), [1.0, 1.0], 1.0)
-        with pytest.raises(SpaceError):
-            _o4_row(E3, ([1, 0, 0], [0, 1, 0]), [0.0, 0.0, 1.0], 1.0)
-        with pytest.raises(SpaceError):
-            _o4_row(E2, ([1.0, 0.0], [0.0, 1.0]), [1.0, 0.0], -2.0)
-        with pytest.raises(SpaceError):
-            _o4_row(E2, ([1.0, 0.0], [0.0, 1.0]), [0.0, 0.0], 1.0)
+        # a zero or dependent plane has no quarter turn
+        for plane in (([0.0, 0.0], [0.0, 1.0]), ([1.0, 2.0], [2.0, 4.0])):
+            with pytest.raises(SpaceError, match="plane vectors"):
+                _o4_row(BJ, S2, plane, [1.0, 2.0], 1.0)
 
 
 class TestRatzAxioms:
@@ -291,6 +294,12 @@ class TestRatzAxioms:
         assert report.all_passed
         assert report.results["O4"].failures == 0
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_no_trials(self, trials):
+        # O1-O3 would report 0 trials as FAIL while O4 ran one
+        with pytest.raises(SpaceError, match="trials"):
+            check_ratz_axioms(OrthogonalityRelation(kind="trivial"), E2, trials=trials)
+
     @pytest.mark.parametrize("kind", ["trivial", "inner_product", "birkhoff_james"])
     def test_rejects_a_line(self, kind):
         # O2-O4 are vacuous in dimension 1: refused, not reported as FAIL
@@ -306,16 +315,24 @@ class TestRatzAxioms:
         assert d["results"]["O1"]["failures"] == 0
 
 
-BJ = OrthogonalityRelation(kind="birkhoff_james")
-
-
 def test_o4_witness_many_matches_rows():
+    """Each row of a batched _o4_witnesses call is its one-row call, byte for
+    byte, on every norm and relation; a zero-row batch is no error."""
     rng = np.random.default_rng(5)
     P1, P2 = rng.standard_normal((2, 30, 3))
     X = rng.uniform(-2.0, 2.0, (30, 1)) * P1 + rng.uniform(-2.0, 2.0, (30, 1)) * P2
-    Y0 = o4_witness_many(E3, P1, P2, X, 0.75)
-    for i in range(30):
-        assert Y0[i].tobytes() == _o4_row(E3, (P1[i], P2[i]), X[i], 0.75).tobytes()
+    P1[:4] = X[:4] = [[1.0, 1.0, 0.0], [2.0, -2.0, 1.0], [1.0, 1.0, 1.0], [0.0, -1.0, 1.0]]
+    lam = 10.0 ** rng.uniform(-2.0, 2.0, 30)
+    cases = RELATION_SPACES + [(kind, NormedSpaceSpec(3, "p_norm", 1.5))
+                               for kind in ("trivial", "birkhoff_james")]
+    for kind, space in cases:
+        rel = OrthogonalityRelation(kind=kind)
+        Y0 = spaces._o4_witnesses(rel, space, P1, P2, X, lam)
+        for i in range(30):
+            row = _o4_row(rel, space, (P1[i], P2[i]), X[i], lam[i])
+            assert Y0[i].tobytes() == row.tobytes()
+        empty = spaces._o4_witnesses(rel, space, P1[:0], P2[:0], X[:0], lam[:0])
+        assert empty.shape == (0, 3)
 
 
 def test_one_sided_derivatives_match_difference_quotients():
@@ -324,7 +341,7 @@ def test_one_sided_derivatives_match_difference_quotients():
     assert lo.tolist() == [-1.0, 0.0] and hi.tolist() == [1.0, 0.0]
     rng = np.random.default_rng(8)
     U, V = rng.standard_normal((2, 40, 3))
-    for space in (sup_space(3), P3, p_space(3, 1.5), E3):
+    for space in (S3, P3, NormedSpaceSpec(3, "p_norm", 1.5), E3):
         lo, hi = spaces._one_sided_derivatives(space, U, V)
         h = 1e-7
         right = (norm_many(space, U + h * V) - norm_many(space, U)) / h
@@ -336,7 +353,8 @@ def test_one_sided_derivatives_match_difference_quotients():
 def _o4_cases(draw):
     dim = draw(st.integers(2, 4))
     space = draw(st.sampled_from(
-        [euclidean_space(dim), sup_space(dim), p_space(dim, 1.5), p_space(dim, 3.0)]
+        [euclidean_space(dim), NormedSpaceSpec(dim, "sup"),
+         NormedSpaceSpec(dim, "p_norm", 1.5), NormedSpaceSpec(dim, "p_norm", 3.0)]
     ))
     kinds = ["trivial", "birkhoff_james"] + (["inner_product"] if space.has_inner_product else [])
     rel = OrthogonalityRelation(kind=draw(st.sampled_from(kinds)))
@@ -351,7 +369,7 @@ def _o4_cases(draw):
         plane = (draw(vec), draw(vec))
         a, b = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
         x = a * plane[0] + b * plane[1]
-    assume(linearly_independent(*plane))
+    assume(_independent(*plane))
     assume(_norm(space, x) > 1e-3 * max(_norm(space, plane[0]), _norm(space, plane[1])))
     lam = 10.0 ** draw(st.floats(-3.0, 3.0))
     c = draw(st.sampled_from([1e-8, 1.0, 1e8]))
@@ -362,26 +380,86 @@ def _o4_cases(draw):
 @given(case=_o4_cases())
 def test_o4_witness_by_sign_change(case):
     rel, space, plane, x, lam = case
-    y0 = spaces._find_o4_witness(rel, space, plane, x, lam)
-    assert y0 is not None
+    y0 = _o4_row(rel, space, plane, x, lam)
     Q = np.linalg.qr(np.stack(plane).T)[0]
-    assert np.linalg.norm(y0 - Q @ (Q.T @ y0)) <= PLANE_RESIDUAL_RTOL * np.linalg.norm(y0)
+    assert np.linalg.norm(y0 - Q @ (Q.T @ y0)) <= 1e-10 * np.linalg.norm(y0)
     assert is_orthogonal(rel, space, x, y0)
     assert is_orthogonal(rel, space, x + y0, lam * x - y0)
 
 
-@pytest.mark.parametrize("space", [sup_space(3), P3], ids=["sup", "p3"])
+def _count_calls(monkeypatch, *names):
+    """Patch the named spaces functions to count their calls into a dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _func=getattr(spaces, name)):
+            calls[_name] += 1
+            return _func(*args)
+
+        monkeypatch.setattr(spaces, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("space", [S3, P3], ids=["sup", "p3"])
 def test_o4_trial_makes_few_margin_calls(monkeypatch, space):
-    # A grid or golden-section witness search makes hundreds of calls.
-    calls = []
-    margin = spaces.bj_margin_many
+    """One bisection serves all O4 trials, whatever their number, and each
+    kept trial verifies its witness with at most two margin searches."""
+    for trials in (4, 400):
+        calls = _count_calls(
+            monkeypatch, "_one_sided_derivatives", "bj_margin_many", "is_orthogonal"
+        )
+        o4 = check_ratz_axioms(BJ, space, trials=trials, seed=5).results["O4"]
+        assert o4.passed and o4.trials > 0
+        assert calls["_one_sided_derivatives"] == spaces._BISECT_ITERS
+        # the O4 verifier is the scalar is_orthogonal, one margin search each
+        assert 0 < calls["is_orthogonal"] <= 2 * o4.trials
+        # O1-O3 make five batched margin calls between them
+        assert calls["bj_margin_many"] == 5 + calls["is_orthogonal"]
+        monkeypatch.undo()
 
-    def counted(*args):
-        calls.append(1)
-        return margin(*args)
 
-    monkeypatch.setattr(spaces, "bj_margin_many", counted)
-    plane = (np.array([1.0, 0.2, -0.5]), np.array([0.3, -1.0, 0.8]))
-    x = 0.7 * plane[0] - 1.1 * plane[1]
-    assert spaces._find_o4_witness(BJ, space, plane, x, 2.5) is not None
-    assert 0 < len(calls) <= 8
+class _ZeroFirstCoefficients:
+    """A generator whose first O4 coefficient draw comes out (0, 0), so x = 0;
+    the draw itself still advances the stream."""
+
+    def __init__(self, rng):
+        self.rng, self.zeroed = rng, False
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def uniform(self, low, high, size=None):
+        out = self.rng.uniform(low, high, size=size)
+        if size == 2 and not self.zeroed:
+            self.zeroed = True
+            return np.zeros(2)
+        return out
+
+
+@pytest.mark.parametrize("drop", ["dependent_plane", "zero_x"])
+def test_o4_drops_degenerate_draws(monkeypatch, drop):
+    """A draw with a dependent plane or x = 0 is dropped from the O4 trial
+    count before the witness search, which then warns of nothing."""
+    clean = check_ratz_axioms(BJ, S2, trials=40, seed=9).results["O4"]
+    if drop == "zero_x":
+        rng = spaces._rng
+        monkeypatch.setattr(
+            spaces, "_rng",
+            lambda seed, salt: _ZeroFirstCoefficients(rng(seed, salt)) if salt == 104
+            else rng(seed, salt),
+        )
+    else:
+        points, plane = spaces._random_points, []
+
+        def dependent(space, rng, n):
+            P = points(space, rng, n)
+            if n == 1 and len(plane) < 2:  # the first O4 plane: p2 = −3·p1
+                plane.append(P)
+                return -3.0 * plane[0] if len(plane) == 2 else P
+            return P
+
+        monkeypatch.setattr(spaces, "_random_points", dependent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        o4 = check_ratz_axioms(BJ, S2, trials=40, seed=9).results["O4"]
+    assert o4.trials == clean.trials - 1
+    assert o4.passed and clean.passed
