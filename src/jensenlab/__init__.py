@@ -71,7 +71,6 @@ from .series import (
     pexider_triadic_limit_many,
     phi_tilde_dyadic_norms,
     phi_tilde_triadic_norms,
-    psi_eval,
     quadratic_limit_many,
 )
 from .spaces import (

@@ -33,6 +33,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -268,16 +269,26 @@ def calibrated_perturbations(
     return tuple(specs)
 
 
-def build_models(cfg: ExperimentConfig):
-    """Construct (f, g, h) for the experiment; g and h may alias f."""
+def build_models(cfg):
+    """Construct (f, g, h) for the experiment; g and h may alias f.
+
+    For a list of K compatible configs (see run_experiment) each model holds
+    one candidate per config, in order: one linear part per model seed and a
+    tuple of K seeds per perturbation term.
+    """
+    cfgs = cfg if isinstance(cfg, list) else [cfg]
+    cfg = cfgs[0]
     thm = _THEOREMS.get(cfg.theorem_id)
     if thm is not None and thm.zero_linear:
         L = np.zeros((cfg.codomain.dim, cfg.space.dim))
     elif cfg.model.linear is not None:
         L = np.asarray(cfg.model.linear, dtype=np.float64)
     else:
-        rng = rng_from(_model_seed(cfg), "linear")
-        L = rng.uniform(-2.0, 2.0, size=(cfg.codomain.dim, cfg.space.dim)) * cfg.model.linear_scale
+        seeds = [_model_seed(c) for c in cfgs]
+        shape = (cfg.codomain.dim, cfg.space.dim)
+        drawn = {seed: rng_from(seed, "linear").uniform(-2.0, 2.0, size=shape)
+                 * cfg.model.linear_scale for seed in dict.fromkeys(seeds)}
+        L = drawn[seeds[0]] if len(drawn) == 1 else np.stack([drawn[seed] for seed in seeds])
     quad = None
     if cfg.model.quadratic is not None:
         quad = np.asarray(cfg.model.quadratic, dtype=np.float64)
@@ -288,7 +299,10 @@ def build_models(cfg: ExperimentConfig):
             codomain=cfg.codomain,
             linear=L,
             quadratic=quad,
-            perturbations=_role_perturbations(cfg, role_offset),
+            perturbations=tuple(
+                replace(t[0], seed=tuple(p.seed for p in t)) if len(t) > 1 else t[0]
+                for t in zip(*(_role_perturbations(c, role_offset) for c in cfgs))
+            ),
         )
 
     f = mk(0)
@@ -316,25 +330,32 @@ def _phi_norms(comps, nx, ny):
     return sum(control_phi_norms(c, nx, ny) for c in comps)
 
 
-def measure_epsilon(cfg: ExperimentConfig, f, g, h, X, Y, scale_y: float = 1.0):
+def measure_epsilon(cfg, f, g, h, X, Y, scale_y: float = 1.0):
     """Effective ε: defect sup after subtracting the declared non-constant part.
 
     scale_y maps the pair (x, y) to the control's evaluation arguments
     (the punctured propositions control the defect by φ(x, (t/s)y)).
+    Returns ε and its witness pair; for a list of K compatible configs, whose
+    pairs X, Y hold one equal segment per config and whose models hold one
+    candidate per config, a list of each, taken over each config's segment.
     """
+    cfgs = cfg if isinstance(cfg, list) else [cfg]
+    K, n = len(cfgs), X.shape[0] // len(cfgs)
     # an overflowing defect is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        defects = jensen_defect_many(f, g, h, cfg.params, X, Y)
+        defects = jensen_defect_many(f, g, h, cfgs[0].params, X, Y, np.repeat(np.arange(K), n))
     if not np.all(np.isfinite(defects)):
         raise ConfigError("the sampled Jensen defect overflows; lower sampler.radius_range, "
                           "model.linear_scale or the perturbation amplitudes")
-    base = _phi_components(cfg.control, 0.0)
-    nonconst = _phi_norms(
-        base, norm_many(cfg.space, X), norm_many(cfg.space, Y) * scale_y
-    )
-    adj = np.maximum(defects - nonconst, 0.0)
-    i = int(np.argmax(adj))
-    return float(adj[i]), {"x": X[i].tolist(), "y": Y[i].tolist(), "defect": float(defects[i])}
+    base = _phi_components(cfgs[0].control, 0.0)
+    space = cfgs[0].space
+    nonconst = _phi_norms(base, norm_many(space, X), norm_many(space, Y) * scale_y)
+    adj = np.maximum(defects - nonconst, 0.0).reshape(K, n)
+    best = np.argmax(adj, axis=1)
+    eps = adj[np.arange(K), best].tolist()
+    wits = [{"x": X[i].tolist(), "y": Y[i].tolist(), "defect": float(defects[i])}
+            for i in (best + n * np.arange(K)).tolist()]
+    return (eps, wits) if isinstance(cfg, list) else (eps[0], wits[0])
 
 
 # ---------------------------------------------------------------------------
@@ -589,22 +610,22 @@ def _limit_meta(iterations: np.ndarray, converged: np.ndarray) -> dict:
 # other modules' functions by name from code in this module, never hold them.
 
 
-class _Run:
-    """What a theorem's limit, roles and checks read from one run.
+class _Batch:
+    """What a theorem's limit and deviations read from a run of K compatible configs.
 
-    X, Y are the hypothesis pairs, X0 the points the roles are checked at and
-    nx their norms; comps is the effective control ε̂ + (declared non-constant
-    part); A is the limit at X0 once it has been taken.
+    X0 holds the points the roles are checked at, one equal segment per
+    config in config order, and cand the config of each of its rows; the
+    models hold one candidate per config.  A is the limit at X0 once it has
+    been taken.
     """
 
-    def __init__(self, cfg: ExperimentConfig, models, X, Y, eps_hat: float, X0):
-        self.cfg, self.params = cfg, cfg.params
-        self.r, self.s, self.t = cfg.params.r, cfg.params.s, cfg.params.t
+    def __init__(self, cfgs, models, X0):
+        self.cfgs, self.params = cfgs, cfgs[0].params
+        self.r, self.s, self.t = self.params.r, self.params.s, self.params.t
         self.f, self.g, self.h = models
-        self.X, self.Y, self.X0 = X, Y, X0
-        self.eps = eps_hat
-        self.comps = _phi_components(cfg.control, eps_hat)
-        self.nx = norm_many(cfg.space, X0)
+        self.X0 = X0
+        self.cand = np.repeat(np.arange(len(cfgs)), X0.shape[0] // len(cfgs))
+        self.tol = cfgs[0].limits.tol
         self.A = None
 
     @cached_property
@@ -612,11 +633,35 @@ class _Run:
         """(odd, even) parts of f."""
         return odd_even_split(self.f)
 
+    def at(self, model, X=None):
+        """model at X (default X0), each row for its config's candidate."""
+        return model.eval_many(self.X0 if X is None else X, self.cand)
+
     def norm(self, vals):
-        return norm_many(self.cfg.codomain, vals)
+        return norm_many(self.cfgs[0].codomain, vals)
 
     def dev(self, model):
-        return self.norm(model.eval_many(self.X0) - self.A)
+        return self.norm(self.at(model) - self.A)
+
+    def n_max(self, base: float, arg_scale: float = 1.0, floor: int = DYADIC_N_MAX):
+        """Each row's iteration cap: _auto_n_max of its config."""
+        return np.array([_auto_n_max(c, base, arg_scale, floor) for c in self.cfgs])[self.cand]
+
+
+class _Run:
+    """What a theorem's bounds and checks read from one config's run.
+
+    X, Y are its hypothesis pairs and nx the norms of its points in X0;
+    comps is the effective control ε̂ + (declared non-constant part); f is
+    its own model, for the extras.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, f, X, Y, eps_hat: float, nx):
+        self.cfg, self.params = cfg, cfg.params
+        self.r, self.s, self.t = cfg.params.r, cfg.params.s, cfg.params.t
+        self.f, self.X, self.Y, self.nx = f, X, Y, nx
+        self.eps = eps_hat
+        self.comps = _phi_components(cfg.control, eps_hat)
 
     def phi(self, nx, ny):
         return _phi_norms(self.comps, nx, ny)
@@ -631,27 +676,27 @@ class _Run:
         return np.full_like(self.nx, value)
 
 
-def _dyadic_limit(k: _Run, subject):
+def _dyadic_limit(b: _Batch, subject):
     vals, iters, _, conv = dyadic_limit_many(
-        subject, k.X0, n_max=_auto_n_max(k.cfg, 2.0), tol=k.cfg.limits.tol
+        subject, b.X0, n_max=b.n_max(2.0), tol=b.tol, cand=b.cand
     )
     return vals, iters, conv
 
 
-def _triadic_limit(k: _Run, subject):
-    n_max = _auto_n_max(k.cfg, 3.0, arg_scale=k.s / k.r, floor=TRIADIC_N_MAX)
+def _triadic_limit(b: _Batch, subject):
+    n_max = b.n_max(3.0, arg_scale=b.s / b.r, floor=TRIADIC_N_MAX)
     vals, iters, _, conv = pexider_triadic_limit_many(
-        subject, k.params, k.X0, n_max=n_max, tol=k.cfg.limits.tol
+        subject, b.params, b.X0, n_max=n_max, tol=b.tol, cand=b.cand
     )
     return vals, iters, conv
 
 
-def _additive_quadratic_limit(k: _Run):
+def _additive_quadratic_limit(b: _Batch):
     """T + Q: the dyadic limit of f's odd part plus the quadratic limit of its even part."""
-    odd, even = k.parts
-    T, it_T, conv_T = _dyadic_limit(k, odd)
+    odd, even = b.parts
+    T, it_T, conv_T = _dyadic_limit(b, odd)
     Q, it_Q, _, conv_Q = quadratic_limit_many(
-        even, k.X0, n_max=_auto_n_max(k.cfg, 2.0), tol=k.cfg.limits.tol
+        even, b.X0, n_max=b.n_max(2.0), tol=b.tol, cand=b.cand
     )
     return T + Q, np.concatenate([it_T, it_Q]), np.concatenate([conv_T, conv_Q])
 
@@ -706,14 +751,15 @@ class _Theorem:
     domain: the hypothesis domain kind; controls: the control kinds it takes.
     pexider: g and h are models of their own (else both are f); h_part wraps
     h (OddPart, EvenPart); zero_linear: the models' linear part is 0.
-    limit(k) -> (A, iterations, converged) is the scaling limit at X0, one
-    iteration count and flag per point and limit, limit after limit; None:
-    no limit.  scale_y: the control reads the pair as (x, (t/s)y); reflect: ε̂
-    is also measured on (x, −y).  roles: (name, deviation(k), bound(k)) per
-    compared role.  extras(k) -> (details, checks) adds report details and
-    named (name, passed) checks.  counts: the details carry pair_count and,
-    when some point's limit fails, diverged_points (off for thm3_1, whose
-    report digests predate both).
+    limit(b) -> (A, iterations, converged) is the scaling limit at X0 of the
+    _Batch b, one iteration count and flag per point and limit, limit after
+    limit; None: no limit.  scale_y: the control reads the pair as
+    (x, (t/s)y); reflect: ε̂ is also measured on (x, −y).  roles: (name,
+    deviation(b), bound(k)) per compared role: the deviations at all of X0,
+    the bound at one config's points (k its _Run).  extras(k) -> (details,
+    checks) adds report details and named (name, passed) checks.  counts:
+    the details carry pair_count and, when some point's limit fails,
+    diverged_points (off for thm3_1, whose report digests predate both).
     """
 
     domain: str
@@ -731,36 +777,36 @@ class _Theorem:
 
 _THEOREMS = {
     "thm2_1": _Theorem(
-        FULL, (CONSTANT, MIXED, TABLE), pexider=True, limit=lambda k: _dyadic_limit(k, k.f),
+        FULL, (CONSTANT, MIXED, TABLE), pexider=True, limit=lambda b: _dyadic_limit(b, b.f),
         roles=(
-            ("f", lambda k: k.dev(k.f), lambda k: k.dyadic(k.nx)),
-            ("g", lambda k: k.dev(k.g), lambda k: (1.0 / k.s) * k.phi(k.nx, np.zeros_like(k.nx))
+            ("f", lambda b: b.dev(b.f), lambda k: k.dyadic(k.nx)),
+            ("g", lambda b: b.dev(b.g), lambda k: (1.0 / k.s) * k.phi(k.nx, np.zeros_like(k.nx))
              + (k.r / k.s) * k.dyadic((k.s / k.r) * k.nx)),
-            ("h", lambda k: k.dev(k.h), lambda k: (1.0 / k.t) * k.phi(np.zeros_like(k.nx), k.nx)
+            ("h", lambda b: b.dev(b.h), lambda k: (1.0 / k.t) * k.phi(np.zeros_like(k.nx), k.nx)
              + (k.r / k.t) * k.dyadic((k.t / k.r) * k.nx)),
         ),
     ),
     "cor2_2": _Theorem(
-        FULL, (CONSTANT, MIXED), limit=lambda k: _dyadic_limit(k, k.f),
+        FULL, (CONSTANT, MIXED), limit=lambda b: _dyadic_limit(b, b.f),
         # comps[-1] is the mixed part, or the constant itself (δ = p = 0)
-        roles=(("f", lambda k: k.dev(k.f), lambda k: cor22_bound_norms(
+        roles=(("f", lambda b: b.dev(b.f), lambda k: cor22_bound_norms(
             k.params, k.eps, k.comps[-1].delta, k.comps[-1].p, k.nx)),),
     ),
     "thm3_1": _Theorem(
-        EXTERIOR, (CONSTANT,), limit=lambda k: _dyadic_limit(k, k.f),
-        roles=(("f", lambda k: k.dev(k.f), lambda k: k.flat(15.0 * k.eps / k.r)),),
+        EXTERIOR, (CONSTANT,), limit=lambda b: _dyadic_limit(b, b.f),
+        roles=(("f", lambda b: b.dev(b.f), lambda k: k.flat(15.0 * k.eps / k.r)),),
         extras=_exterior_chain, counts=False,
     ),
     "prop4_1": _Theorem(
         PUNCTURED, (CONSTANT, MIXED), pexider=True, h_part=OddPart, scale_y=True,
-        limit=lambda k: _triadic_limit(k, k.f),
+        limit=lambda b: _triadic_limit(b, b.f),
         # all three roles compare against the same additive limit: the
         # approximants differ only by rational rescalings of its argument
         roles=(
-            ("f", lambda k: k.dev(k.f), lambda k: (1.0 / k.r) * k.triadic((k.r / k.s) * k.nx)),
-            ("g", lambda k: k.dev(k.g), lambda k: (1.0 / (2.0 * k.s))
+            ("f", lambda b: b.dev(b.f), lambda k: (1.0 / k.r) * k.triadic((k.r / k.s) * k.nx)),
+            ("g", lambda b: b.dev(b.g), lambda k: (1.0 / (2.0 * k.s))
              * (2.0 * k.phi(k.nx, k.nx) + k.triadic(2.0 * k.nx))),
-            ("h", lambda k: k.dev(k.h), lambda k: (1.0 / (2.0 * k.t))
+            ("h", lambda b: b.dev(b.h), lambda k: (1.0 / (2.0 * k.t))
              * (2.0 * k.phi((k.t / k.s) * k.nx, (k.t / k.s) * k.nx)
                 + k.triadic((2.0 * k.t / k.s) * k.nx))),
         ),
@@ -771,61 +817,81 @@ _THEOREMS = {
         PUNCTURED, (CONSTANT, MIXED), pexider=True, h_part=EvenPart, zero_linear=True,
         scale_y=True,
         roles=(
-            ("f", lambda k: k.norm(k.f.eval_many(k.X0)), lambda k: (2.0 / k.r)
+            ("f", lambda b: b.norm(b.at(b.f)), lambda k: (2.0 / k.r)
              * k.phi((k.r / (2.0 * k.s)) * k.nx, (k.r / (2.0 * k.s)) * k.nx)),
-            ("g_h", lambda k: k.norm(k.g.eval_many(k.X0)
-                                     - (k.t / k.s) * k.h.eval_many((k.s / k.t) * k.X0)),
+            ("g_h", lambda b: b.norm(b.at(b.g) - (b.t / b.s) * b.at(b.h, (b.s / b.t) * b.X0)),
              lambda k: (1.0 / k.s) * k.phi(k.nx, k.nx)),
         ),
     ),
     "thm4_3": _Theorem(
         PUNCTURED, (CONSTANT,), scale_y=True, reflect=True,
-        limit=lambda k: _triadic_limit(k, k.parts[0]),
+        limit=lambda b: _triadic_limit(b, b.parts[0]),
         roles=(
-            ("odd", lambda k: k.dev(k.parts[0]), lambda k: k.flat(_odd_bound(k))),
-            ("even", lambda k: k.norm(k.parts[1].eval_many(k.X0)),
-             lambda k: k.flat(2.0 * k.eps / k.r)),
-            ("total", lambda k: k.dev(k.f), lambda k: k.flat(_odd_bound(k) + 2.0 * k.eps / k.r)),
+            ("odd", lambda b: b.dev(b.parts[0]), lambda k: k.flat(_odd_bound(k))),
+            ("even", lambda b: b.norm(b.at(b.parts[1])), lambda k: k.flat(2.0 * k.eps / k.r)),
+            ("total", lambda b: b.dev(b.f), lambda k: k.flat(_odd_bound(k) + 2.0 * k.eps / k.r)),
         ),
     ),
     "thm5_2": _Theorem(
         ORTHOGONAL, (CONSTANT,), pexider=True, limit=_additive_quadratic_limit,
         roles=(
-            ("f", lambda k: k.dev(k.f), lambda k: k.flat(68.0 * k.eps)),
-            ("g", lambda k: k.dev(k.g), lambda k: k.flat(80.0 * k.eps)),
-            ("h", lambda k: k.dev(k.h), lambda k: k.flat(80.0 * k.eps)),
+            ("f", lambda b: b.dev(b.f), lambda k: k.flat(68.0 * k.eps)),
+            ("g", lambda b: b.dev(b.g), lambda k: k.flat(80.0 * k.eps)),
+            ("h", lambda b: b.dev(b.h), lambda k: k.flat(80.0 * k.eps)),
         ),
         extras=_orthogonal_reduction,
     ),
 }
 
 
-def _run_limit_theorem(cfg: ExperimentConfig, thm: _Theorem) -> StabilityReport:
-    models = build_models(cfg)
-    X, Y = _hypothesis_pairs(cfg)
+def _run_limit_theorem(cfgs: list, thm: _Theorem, heads: list) -> list:
+    """Run K compatible configs of one limit theorem as one batch; one report each.
+
+    Each config samples its own pairs and points; ε̂, the limit and the role
+    deviations then run once over all K configs' rows (K equal segments, in
+    config order).  ε̂ and its witness are taken over each config's own pairs,
+    and bounds, extras and the report per config, so every report equals that
+    of its config run alone.
+    """
+    K, cfg = len(cfgs), cfgs[0]
+    models = build_models(cfgs)
+    X, Y = (np.concatenate(z) for z in zip(*map(_hypothesis_pairs, cfgs)))
     scale_y = cfg.params.t / cfg.params.s if thm.scale_y else 1.0
-    eps_hat, wit = measure_epsilon(cfg, *models, X, Y, scale_y=scale_y)
+    eps, wits = measure_epsilon(cfgs, *models, X, Y, scale_y=scale_y)
     if thm.reflect:
-        eps_r, wit_r = measure_epsilon(cfg, *models, X, -Y, scale_y=scale_y)
-        if eps_r > eps_hat:
-            eps_hat, wit = eps_r, wit_r
-    k = _Run(cfg, models, X, Y, eps_hat, _dev_points(cfg))
-    k.A, iters, conv = thm.limit(k) if thm.limit else (None, np.empty(0, int), np.empty(0, bool))
-    # a point diverges when any of its limits does
-    diverged = int(np.count_nonzero(~conv.reshape(-1, len(k.X0)).all(axis=0)))
-    rows = _assemble_rows(k.X0, [(name, dev(k), bound(k)) for name, dev, bound in thm.roles],
-                          cfg.limits.tol)
-    details, checks = thm.extras(k) if thm.extras else ({}, [])
-    details["hypothesis_witness"] = wit
-    if thm.counts:
-        details["pair_count"] = int(X.shape[0])
-        if diverged:
-            details["diverged_points"] = diverged
-    checks.append(("converged", diverged == 0))
-    return _finish(cfg, eps_hat, rows, details, _limit_meta(iters, conv), checks)
+        for i, (e, w) in enumerate(zip(*measure_epsilon(cfgs, *models, X, -Y, scale_y=scale_y))):
+            if e > eps[i]:
+                eps[i], wits[i] = e, w
+    b = _Batch(cfgs, models, np.concatenate([_dev_points(c) for c in cfgs]))
+    b.A, iters, conv = thm.limit(b) if thm.limit else (None, np.empty(0, int), np.empty(0, bool))
+    devs = [dev(b) for _, dev, _ in thm.roles]
+    nx = norm_many(cfg.space, b.X0)
+    n, m = len(b.X0) // K, len(X) // K
+    # one iteration count and flag per limit, config and point
+    iters, conv = iters.reshape(-1, K, n), conv.reshape(-1, K, n)
+    reports = []
+    for i, (c, head) in enumerate(zip(cfgs, heads)):
+        seg, pairs = slice(i * n, (i + 1) * n), slice(i * m, (i + 1) * m)
+        f = b.f.candidate(i) if thm.extras else None
+        k = _Run(c, f, X[pairs], Y[pairs], eps[i], nx[seg])
+        # a point diverges when any of its limits does
+        diverged = int(np.count_nonzero(~conv[:, i].all(axis=0)))
+        rows = _assemble_rows(b.X0[seg], [(name, d[seg], bound(k))
+                                          for (name, _, bound), d in zip(thm.roles, devs)],
+                              c.limits.tol)
+        details, checks = thm.extras(k) if thm.extras else ({}, [])
+        details["hypothesis_witness"] = wits[i]
+        if thm.counts:
+            details["pair_count"] = m
+            if diverged:
+                details["diverged_points"] = diverged
+        checks.append(("converged", diverged == 0))
+        meta = _limit_meta(iters[:, i].reshape(-1), conv[:, i].reshape(-1))
+        reports.append(_finish(c, head, eps[i], rows, details, meta, checks))
+    return reports
 
 
-def _run_cor3_2(cfg: ExperimentConfig):
+def _run_cor3_2(cfg: ExperimentConfig, head: dict):
     f, _, _ = build_models(cfg)
     rng = rng_from(cfg.sampler.seed, "shells")
     prof = asymptotic_profile(
@@ -840,11 +906,11 @@ def _run_cor3_2(cfg: ExperimentConfig):
         "expected_decay": cfg.expected_decay,
     }
     rows = (_NO_ROWS, prof.final_sup, cfg.decay_tol, 0.0, [])
-    return _finish(cfg, prof.final_sup, rows, details, _limit_meta(np.empty(0), np.empty(0)),
+    return _finish(cfg, head, prof.final_sup, rows, details, _limit_meta(np.empty(0), np.empty(0)),
                    [("decay_verdict", decays == cfg.expected_decay)])
 
 
-def _run_sikorska(cfg: ExperimentConfig):
+def _run_sikorska(cfg: ExperimentConfig, head: dict):
     """thm6_1 and thm6_2: exact models on a ball, scaling extension."""
     f, _, _ = build_models(cfg)
     exclude = cfg.theorem_id == "thm6_2" or cfg.ball.exclude_origin
@@ -893,18 +959,19 @@ def _run_sikorska(cfg: ExperimentConfig):
         ("linear_recovery",
          details["linear_recovery_error"] <= max(cfg.residual_tol, 1e-6)),
     ]
-    return _finish(cfg, 0.0, rows, details, dict(result.iterations), checks)
+    return _finish(cfg, head, 0.0, rows, details, dict(result.iterations), checks)
 
 
-def _finish(cfg, eps_hat, rows, details, iterations, checks) -> StabilityReport:
-    """The report of an _assemble_rows result; it passes when max_ratio <= 1
-    (within REPORT_TOL) and every named (name, passed) check holds."""
+def _finish(cfg, head, eps_hat, rows, details, iterations, checks) -> StabilityReport:
+    """The report of an _assemble_rows result for cfg, whose config_to_dict is
+    head; it passes when max_ratio <= 1 (within REPORT_TOL) and every named
+    (name, passed) check holds."""
     samples, max_dev, bound_value, max_ratio, wits = rows
     checks = [("max_ratio", max_ratio <= 1.0 + REPORT_TOL), *checks]
     failed = tuple(name for name, ok in checks if not ok)
     return StabilityReport(
         theorem_id=cfg.theorem_id,
-        config=config_to_dict(cfg),
+        config=head,
         epsilon_effective=float(eps_hat),
         bound_value=float(bound_value),
         max_deviation=float(max_dev),
@@ -962,14 +1029,54 @@ def _validate_for_theorem(cfg: ExperimentConfig):
         raise ConfigError(f"{tid} takes {' or '.join(controls)} controls, not {cfg.control.kind}")
 
 
-def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
-    """Run one experiment deterministically and return its report."""
-    _validate_for_theorem(cfg)
+# the key paths in which the configs of one batch may differ ([] is any list index)
+_BATCH_FREE = ("sampler.seed", "sampler.radius_range", "model.seed", "perturbation[].seed")
+
+
+def _differences(a, b, path: str = ""):
+    """The key paths outside _BATCH_FREE at which two config dicts differ, in schema order."""
+    if a == b or re.sub(r"\[\d+\]", "[]", path) in _BATCH_FREE:
+        return
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in [*a, *(k for k in b if k not in a)]:
+            yield from _differences(a.get(key), b.get(key), f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _differences(x, y, f"{path}[{i}]")
+    else:
+        yield path
+
+
+def run_experiment(cfg):
+    """Run one experiment deterministically and return its report.
+
+    cfg may also be a list of configs that differ at most in sampler.seed,
+    sampler.radius_range, model.seed and the perturbation seeds; any other
+    difference raises ConfigError naming the key.  The result is then a list
+    of reports, each byte-identical to the report of its config run alone.
+    The limit theorems run such a list as one batch (_run_limit_theorem),
+    the others one config at a time.
+    """
+    cfgs = cfg if isinstance(cfg, list) else [cfg]
+    if not cfgs:
+        raise ConfigError("run_experiment needs at least one config")
+    for c in cfgs:
+        _validate_for_theorem(c)
+    heads = [config_to_dict(c) for c in cfgs]
+    for i, head in enumerate(heads[1:], 1):
+        keys = list(_differences(heads[0], head))
+        if keys:
+            raise ConfigError(f"batched configs may differ only in sampler.seed, "
+                              f"sampler.radius_range, model.seed and perturbation seeds; "
+                              f"config {i} differs from config 0 in {', '.join(keys)}")
     start = time.perf_counter()
-    thm = _THEOREMS.get(cfg.theorem_id)
-    report = _run_limit_theorem(cfg, thm) if thm else _SPECIAL[cfg.theorem_id][0](cfg)
-    report.runtime = {"seconds": time.perf_counter() - start}
-    return report
+    thm = _THEOREMS.get(cfgs[0].theorem_id)
+    reports = (_run_limit_theorem(cfgs, thm, heads) if thm else
+               [_SPECIAL[c.theorem_id][0](c, head) for c, head in zip(cfgs, heads)])
+    seconds = time.perf_counter() - start
+    for report in reports:
+        report.runtime = {"seconds": seconds}
+    return reports if isinstance(cfg, list) else reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1278,45 +1385,48 @@ def adversarial_search(cfg: ExperimentConfig, settings: SearchSettings | None = 
 
     The effective epsilon is re-measured for every candidate, so the search
     can only exceed ratio 1 by finding a genuine bound violation, not by
-    starving the hypothesis measurement.  The search runs exactly
-    settings.iterations evaluations: iterations // restarts per restart, plus
-    one for each of the first iterations % restarts restarts.
+    starving the hypothesis measurement.
+
+    The restarts run as hill-climb chains in lockstep, each step running one
+    candidate per unfinished chain in one batched run_experiment call.  Chain
+    0 starts from cfg and draws its mutations from rng_from(seed, "search"),
+    as a lone chain does; chain r > 0 starts from sampler.seed =
+    derive_seed(seed, r) with a stream of its own.  Chain r runs iterations //
+    restarts evaluations, plus one for each of the first iterations %
+    restarts chains: settings.iterations in all.
     """
     settings = settings or SearchSettings()
-    rng = rng_from(cfg.sampler.seed, "search")
-    best = {"ratio": -1.0, "config": None, "witnesses": [], "theorem_id": cfg.theorem_id}
+    seed = cfg.sampler.seed
+    best = {"ratio": -1.0, "config": None, "witnesses": []}
     evaluated = 0
 
-    def evaluate(c):
-        """Run c, keep it as the best if it beats it; its ratio and lead witness norm."""
+    def evaluate(cands):
+        """Run the candidates, keep the best so far; each one's ratio and lead witness norm."""
         nonlocal evaluated
-        rep = run_experiment(c)
-        evaluated += 1
-        if rep.max_ratio > best["ratio"]:
-            best.update(ratio=rep.max_ratio, config=config_to_dict(c), witnesses=rep.witnesses)
-        if not rep.witnesses:
-            return rep.max_ratio, None
-        x = np.asarray(rep.witnesses[0]["x"])
-        return rep.max_ratio, float(norm_many(c.space, x[None, :])[0])
+        out = []
+        for c, rep in zip(cands, run_experiment(cands)):
+            evaluated += 1
+            if rep.max_ratio > best["ratio"]:
+                best.update(ratio=rep.max_ratio, config=rep.config, witnesses=rep.witnesses)
+            x = np.asarray([rep.witnesses[0]["x"]]) if rep.witnesses else None
+            out.append((rep.max_ratio, None if x is None else float(norm_many(c.space, x)[0])))
+        return out
 
-    per_restart, extra = divmod(settings.iterations, settings.restarts)
-    for restart in range(settings.restarts):
-        count = per_restart + (restart < extra)
-        cur = cfg
-        if restart > 0:
-            cur = replace(
-                cfg, sampler=replace(cfg.sampler, seed=derive_seed(cfg.sampler.seed, restart))
-            )
-        cur_ratio, wit_norm = evaluate(cur)
-        sched = _STEP_SCHEDULE
-        for it in range(count - 1):
-            step = sched[min(it * len(sched) // (count - 1), len(sched) - 1)]
-            cand = _mutate(cur, rng, step, wit_norm)
-            ratio, cand_norm = evaluate(cand)
-            if ratio >= cur_ratio:
-                cur, cur_ratio = cand, ratio
-                if cand_norm is not None:
-                    wit_norm = cand_norm
+    per_chain, extra = divmod(settings.iterations, settings.restarts)
+    counts = [per_chain + (r < extra) for r in range(settings.restarts)]
+    rngs = [rng_from(seed, "search" if r == 0 else f"search-{r}") for r in range(len(counts))]
+    cur = [cfg] + [replace(cfg, sampler=replace(cfg.sampler, seed=derive_seed(seed, r)))
+                   for r in range(1, len(counts))]
+    state = evaluate(cur)  # per chain: (ratio, lead witness norm)
+    for it in range(max(counts) - 1):
+        live = [r for r, count in enumerate(counts) if it < count - 1]
+        steps = [_STEP_SCHEDULE[min(it * len(_STEP_SCHEDULE) // (counts[r] - 1),
+                                    len(_STEP_SCHEDULE) - 1)] for r in live]
+        cands = [_mutate(cur[r], rngs[r], step, state[r][1]) for r, step in zip(live, steps)]
+        for r, cand, (ratio, cand_norm) in zip(live, cands, evaluate(cands)):
+            if ratio >= state[r][0]:
+                cur[r] = cand
+                state[r] = (ratio, state[r][1] if cand_norm is None else cand_norm)
     return {
         "theorem_id": cfg.theorem_id,
         "worst_ratio": float(best["ratio"]),
@@ -1324,4 +1434,3 @@ def adversarial_search(cfg: ExperimentConfig, settings: SearchSettings | None = 
         "witnesses": best["witnesses"],
         "evaluations": evaluated,
     }
-

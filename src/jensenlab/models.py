@@ -11,9 +11,15 @@ is normalized in the *codomain norm* so the declared pointwise bound
 The hashed message of a point x in R^d is 8 + 8d bytes: the seed reduced mod
 2^64 as a little-endian uint64, then each coordinate's IEEE-754 float64 bit
 pattern, little-endian, in coordinate order (so −0.0 and 0.0 hash apart).
-The seed bytes are the same for every row, so the FNV-1a state after them is
-computed once per call as a Python int; the coordinate bytes are then folded
-in one byte column at a time over the whole batch.
+The FNV-1a state after the seed bytes (the seed prefix) is computed as a
+Python int, once per call or, for a model of several candidates, once per
+candidate and gathered per row; the coordinate bytes are then folded in one
+byte column at a time over the whole batch.
+
+A model may hold K candidates that share everything but the linear part
+(one (codim, dim) matrix each) and the perturbation seeds (one per
+candidate).  eval_many then takes cand, the candidate of each row, and a
+row's value is that of its candidate's model alone (``candidate(i)``).
 
 Evaluation is bit-identical across runs, platforms, and batch shapes: each
 row's value depends on that row alone (a one-row linear part is padded to
@@ -28,7 +34,7 @@ The generalized Jensen defect measured throughout the lab is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,13 +102,30 @@ class PerturbationSpec:
             raise ModelError(f"power perturbation needs p in [0, 1), got {self.p}")
 
 
-def _fnv1a_rows(seed: int, X: np.ndarray) -> np.ndarray:
-    """FNV-1a 64 over seed bytes then each coordinate's bit pattern, little-endian."""
-    prefix = int(_FNV_OFFSET)  # the seed bytes are the same for every row
-    for byte in (seed & _MASK64).to_bytes(8, "little"):
-        prefix = ((prefix ^ byte) * int(_FNV_PRIME)) & _MASK64
+def _row_candidates(cand) -> np.ndarray:
+    """cand, which a model of several candidates cannot do without."""
+    if cand is None:
+        raise ModelError("a model of several candidates needs the candidate of each row")
+    return cand
+
+
+def _fnv1a_rows(seed, X: np.ndarray, cand=None) -> np.ndarray:
+    """FNV-1a 64 over seed bytes then each coordinate's bit pattern, little-endian.
+
+    seed is one int, or a tuple of one per candidate, row k then taking
+    seed[cand[k]].
+    """
+    prefixes = []
+    for s in seed if isinstance(seed, tuple) else (seed,):
+        prefix = int(_FNV_OFFSET)
+        for byte in (s & _MASK64).to_bytes(8, "little"):
+            prefix = ((prefix ^ byte) * int(_FNV_PRIME)) & _MASK64
+        prefixes.append(prefix)
     data = np.ascontiguousarray(X, dtype="<f8").view(np.uint8)
-    h = np.full(data.shape[0], prefix, dtype=_U64)
+    if isinstance(seed, tuple):
+        h = np.array(prefixes, dtype=_U64)[_row_candidates(cand)]
+    else:
+        h = np.full(data.shape[0], prefixes[0], dtype=_U64)
     for column in data.T:
         h ^= column
         h *= _FNV_PRIME
@@ -120,13 +143,20 @@ def _splitmix_expand(h: np.ndarray, k: int) -> np.ndarray:
     return (z >> _U64(11)).astype(np.float64) * 2.0**-52 - 1.0
 
 
-def _linear_rows(X: np.ndarray, L: np.ndarray) -> np.ndarray:
+def _linear_rows(X: np.ndarray, L: np.ndarray, cand=None) -> np.ndarray:
     """Row-wise L·x as one matrix product, whatever the batch size.
 
     numpy sends a one-row product through its vector–matrix path, which rounds
     differently from the matrix–matrix path that every larger batch takes, so a
-    lone row is padded to two.
+    lone row is padded to two.  A (K, codim, dim) L holds one matrix per
+    candidate; each candidate's rows then take one product of their own.
     """
+    if L.ndim == 3:
+        Y = np.empty((X.shape[0], L.shape[1]))
+        for k in range(L.shape[0]):
+            rows = np.flatnonzero(_row_candidates(cand) == k)
+            Y[rows] = _linear_rows(X[rows], L[k])
+        return Y
     if X.shape[0] == 1:
         return (np.concatenate([X, X]) @ L.T)[:1]
     return X @ L.T
@@ -137,15 +167,20 @@ def perturbation_values(
     X: np.ndarray,
     domain: NormedSpaceSpec,
     codomain: NormedSpaceSpec,
+    cand=None,
 ) -> np.ndarray:
-    """Evaluate one perturbation term on a (n, dim) batch; (n, codim) output."""
+    """Evaluate one perturbation term on a (n, dim) batch; (n, codim) output.
+
+    A spec whose seed is a tuple (one per candidate) needs cand, each row's
+    candidate.
+    """
     n = X.shape[0]
     if spec.kind == NONE or (spec.kind in (BOUNDED, DECAY) and spec.amplitude == 0.0):
         return np.zeros((n, codomain.dim))
     if spec.kind == POWER and spec.delta == 0.0:
         return np.zeros((n, codomain.dim))
 
-    U = _splitmix_expand(_fnv1a_rows(spec.seed, X), codomain.dim)
+    U = _splitmix_expand(_fnv1a_rows(spec.seed, X, cand), codomain.dim)
     lens = norm_many(codomain, U)
     degenerate = lens == 0.0
     if np.any(degenerate):
@@ -203,17 +238,18 @@ def _coerce_perturbations(perturbations) -> tuple:
 @dataclass(frozen=True, eq=False)
 class FunctionModel:
     """Structured map f(x) = L·x + c·‖x‖² + Σ perturbations(x); rows at x = 0
-    are set to 0, so f(0) = 0 exactly."""
+    are set to 0, so f(0) = 0 exactly.  For K candidates (see the module
+    docstring) each perturbation seed may be a tuple of K."""
 
     domain: NormedSpaceSpec
     codomain: NormedSpaceSpec
-    linear: np.ndarray  # (codim, dim)
+    linear: np.ndarray  # (codim, dim), or (K, codim, dim): one per candidate
     quadratic: np.ndarray | None = None  # (codim,) coefficient of ‖x‖²
     perturbations: tuple = ()
 
     def __post_init__(self):
         L = np.asarray(self.linear, dtype=np.float64)
-        if L.shape != (self.codomain.dim, self.domain.dim):
+        if L.ndim not in (2, 3) or L.shape[-2:] != (self.codomain.dim, self.domain.dim):
             raise ModelError(
                 f"linear part must have shape ({self.codomain.dim}, {self.domain.dim}),"
                 f" got {L.shape}"
@@ -229,15 +265,22 @@ class FunctionModel:
             if not isinstance(p, PerturbationSpec):
                 raise ModelError("perturbations must be PerturbationSpec instances")
 
-    def eval_many(self, X) -> np.ndarray:
+    def eval_many(self, X, cand=None) -> np.ndarray:
         X = as_batch(X, self.domain.dim)
-        Y = _linear_rows(X, self.linear)
+        Y = _linear_rows(X, self.linear, cand)
         if self.quadratic is not None:
             Y = Y + (norm_many(self.domain, X) ** 2)[:, None] * self.quadratic[None, :]
         for spec in self.perturbations:
-            Y = Y + perturbation_values(spec, X, self.domain, self.codomain)
+            Y = Y + perturbation_values(spec, X, self.domain, self.codomain, cand)
         Y[~np.any(X, axis=1)] = 0.0
         return Y
+
+    def candidate(self, i: int) -> "FunctionModel":
+        """The model of candidate i alone."""
+        perts = tuple(replace(p, seed=p.seed[i]) if isinstance(p.seed, tuple) else p
+                      for p in self.perturbations)
+        return replace(self, linear=self.linear[i] if self.linear.ndim == 3 else self.linear,
+                       perturbations=perts)
 
 
 class _Wrapped:
@@ -249,11 +292,18 @@ class _Wrapped:
         self.codomain = base.codomain
 
 
-def _at_plus_minus(f: FunctionModel, X: np.ndarray):
+def _plus_minus(X: np.ndarray, cand):
+    """[X; −X] and the candidates of its rows."""
+    return np.concatenate([X, -X]), None if cand is None else np.concatenate([cand, cand])
+
+
+def _at_plus_minus(f: FunctionModel, X: np.ndarray, cand):
     """Each perturbation of f at X and at −X, from one evaluation on [X; −X]."""
-    XX = np.concatenate([X, -X])
+    n = X.shape[0]
+    XX, cc = _plus_minus(X, cand)
     for spec in f.perturbations:
-        yield np.split(perturbation_values(spec, XX, f.domain, f.codomain), 2)
+        P = perturbation_values(spec, XX, f.domain, f.codomain, cc)
+        yield P[:n], P[n:]
 
 
 class OddPart(_Wrapped):
@@ -268,16 +318,16 @@ class OddPart(_Wrapped):
         super().__init__(base)
         self._structured = isinstance(base, FunctionModel)
 
-    def eval_many(self, X):
+    def eval_many(self, X, cand=None):
         X = as_batch(X, self.domain.dim)
         if self._structured:
-            Y = _linear_rows(X, self.base.linear)
-            for P, Q in _at_plus_minus(self.base, X):
+            Y = _linear_rows(X, self.base.linear, cand)
+            for P, Q in _at_plus_minus(self.base, X, cand):
                 Y = Y + 0.5 * (P - Q)
             Y[~np.any(X, axis=1)] = 0.0
             return Y
-        F, G = np.split(self.base.eval_many(np.concatenate([X, -X])), 2)
-        return (F - G) / 2.0
+        FG = self.base.eval_many(*_plus_minus(X, cand))
+        return (FG[: X.shape[0]] - FG[X.shape[0] :]) / 2.0
 
 
 class EvenPart(_Wrapped):
@@ -287,18 +337,18 @@ class EvenPart(_Wrapped):
         super().__init__(base)
         self._structured = isinstance(base, FunctionModel)
 
-    def eval_many(self, X):
+    def eval_many(self, X, cand=None):
         X = as_batch(X, self.domain.dim)
         if self._structured:
             Y = np.zeros((X.shape[0], self.codomain.dim))
             if self.base.quadratic is not None:
                 Y = Y + (norm_many(self.domain, X) ** 2)[:, None] * self.base.quadratic[None, :]
-            for P, Q in _at_plus_minus(self.base, X):
+            for P, Q in _at_plus_minus(self.base, X, cand):
                 Y = Y + 0.5 * (P + Q)
             Y[~np.any(X, axis=1)] = 0.0
             return Y
-        F, G = np.split(self.base.eval_many(np.concatenate([X, -X])), 2)
-        return (F + G) / 2.0
+        FG = self.base.eval_many(*_plus_minus(X, cand))
+        return (FG[: X.shape[0]] + FG[X.shape[0] :]) / 2.0
 
 
 class ScaledModel(_Wrapped):
@@ -309,9 +359,9 @@ class ScaledModel(_Wrapped):
         self.arg_scale = float(arg_scale)
         self.out_scale = float(out_scale)
 
-    def eval_many(self, X):
+    def eval_many(self, X, cand=None):
         X = as_batch(X, self.domain.dim)
-        return self.out_scale * self.base.eval_many(self.arg_scale * X)
+        return self.out_scale * self.base.eval_many(self.arg_scale * X, cand)
 
 
 def odd_even_split(f) -> tuple:
@@ -319,17 +369,18 @@ def odd_even_split(f) -> tuple:
     return OddPart(f), EvenPart(f)
 
 
-def jensen_defect_many(f, g, h, params: JensenParams, X, Y) -> np.ndarray:
-    """Row-wise defect ‖r·f((s·x + t·y)/r) − s·g(x) − t·h(y)‖ for pair batches."""
+def jensen_defect_many(f, g, h, params: JensenParams, X, Y, cand=None) -> np.ndarray:
+    """Row-wise defect ‖r·f((s·x + t·y)/r) − s·g(x) − t·h(y)‖ for pair batches;
+    cand (each pair's candidate) goes on to the models."""
     X = as_batch(X, f.domain.dim)
     Y = as_batch(Y, f.domain.dim)
     if f.codomain != g.codomain or f.codomain != h.codomain:
         raise ModelError("f, g, h must share a codomain")
     mid = (params.s * X + params.t * Y) / params.r
     vals = (
-        params.r * f.eval_many(mid)
-        - params.s * g.eval_many(X)
-        - params.t * h.eval_many(Y)
+        params.r * f.eval_many(mid, cand)
+        - params.s * g.eval_many(X, cand)
+        - params.t * h.eval_many(Y, cand)
     )
     return norm_many(f.codomain, vals)
 

@@ -30,10 +30,9 @@ from .control import (
     ControlError,
     ControlFunctionSpec,
     _powered,
-    control_phi_norms,
 )
 from .models import JensenParams, ScaledModel
-from .spaces import NormedSpaceSpec, as_batch, as_point, norm_many
+from .spaces import as_batch, norm_many
 
 DYADIC_N_MAX = 40
 TRIADIC_N_MAX = 25
@@ -105,24 +104,6 @@ def cor22_bound_norms(params: JensenParams, epsilon: float, delta: float, p: flo
     geo = 1.0 / (1.0 - 2.0 ** (p - 1.0))
     coeff = ((r / s) ** p + (r / t) ** p) * 2.0 * delta * geo / r
     return 3.0 * epsilon / r + coeff * _powered(np.asarray(nx, dtype=np.float64), p)
-
-
-def psi_eval(spec: ControlFunctionSpec, space: NormedSpaceSpec, x) -> float:
-    """Five-term combination driving the triadic iteration:
-
-    ψ(x) = (2/3)φ(3x/2, −x/2) + (1/3)[φ(3x/2, 3x/2) + φ(3x/2, −3x/2)
-                                      + φ(x/2, x/2) + φ(x/2, −x/2)].
-    """
-    nx = norm_many(space, as_point(x, space.dim)[None, :])[0]
-    hi = 1.5 * nx
-    lo = 0.5 * nx
-    phis = control_phi_norms(
-        spec,
-        np.asarray([hi, hi, hi, lo, lo]),
-        np.asarray([lo, hi, hi, lo, lo]),
-    )
-    weights = np.asarray([2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
-    return float(np.dot(weights, phis))
 
 
 def phi_tilde_triadic_norms(spec: ControlFunctionSpec, nx, ny) -> SeriesValue:
@@ -204,25 +185,30 @@ def power_limit_many(
     X,
     arg_factor: float,
     gain: float,
-    n_max: int,
+    n_max,
     tol: float = DEFAULT_TOL,
     n_start=None,
+    cand=None,
 ):
     """Iterate a_n(x) = gain^n · f(arg_factor^n · x) until the successive gap
     (codomain norm) drops to tol, the value turns non-finite, the exponent
-    reaches n_max, or the scaled argument overflows.  Per-point bookkeeping;
-    returns (values, iterations, last_gap, converged) arrays.
+    reaches n_max (one bound, or one per point), or the scaled argument
+    overflows.  Per-point bookkeeping; returns (values, iterations, last_gap,
+    converged) arrays.  cand, when given, holds one integer per point (its
+    candidate in a batched model), and ``f.eval_many`` gets each evaluated
+    row's entry as its second argument.
 
     Each pass evaluates a block of K successive exponents per active point in
     one ``f.eval_many`` call, K = _BLOCK_ROWS // (active points), at least 1
-    and at most n_max, then applies the stop rules to each point's block in
-    order; a point keeps the first stop in its block.  The results equal
-    those of iterating one exponent at a time bit for bit as long as a row of
-    ``f.eval_many`` does not depend on the rest of its batch, which holds for
-    every model in ``models``.
+    and at most their largest n_max, then applies the stop rules to each
+    point's block in order; a point keeps the first stop in its block.  The
+    results equal those of iterating one exponent at a time bit for bit as
+    long as a row of ``f.eval_many`` does not depend on the rest of its
+    batch, which holds for every model in ``models``.
     """
     X = as_batch(X, f.domain.dim)
     n_pts = X.shape[0]
+    n_max = np.broadcast_to(np.asarray(n_max, dtype=np.int64), (n_pts,))
     if n_start is None:
         n_vec = np.zeros(n_pts, dtype=np.int64)
     else:
@@ -233,7 +219,8 @@ def power_limit_many(
     def step_values(idx, n_at):
         scale = np.float64(arg_factor) ** n_at.astype(np.float64)
         g = np.float64(gain) ** n_at.astype(np.float64)
-        return g[:, None] * f.eval_many(scale[:, None] * X[idx])
+        Xs = scale[:, None] * X[idx]
+        return g[:, None] * (f.eval_many(Xs) if cand is None else f.eval_many(Xs, cand[idx]))
 
     values = step_values(np.arange(n_pts), n_vec)
     iterations = n_vec.copy()
@@ -244,12 +231,13 @@ def power_limit_many(
     row_scale = np.max(np.abs(X), axis=1)
     while np.any(active):
         idx = np.flatnonzero(active)
-        block = max(1, min(n_max, _BLOCK_ROWS // idx.size))
+        cap = n_max[idx, None]
+        block = max(1, min(int(cap.max()), _BLOCK_ROWS // idx.size))
         # (point, step) exponents; a point's block ends before its first
-        # exponent past n_max or past the overflow guard
+        # exponent past its n_max or past the overflow guard
         n_next = n_vec[idx, None] + np.arange(1, block + 1)
-        ok = n_next <= n_max
-        n_ok = np.minimum(n_next, n_max).astype(np.float64)
+        ok = n_next <= cap
+        n_ok = np.minimum(n_next, cap).astype(np.float64)
         with np.errstate(over="ignore"):  # inf already fails the guard
             ok &= ~(row_scale[idx, None] * np.abs(arg_factor) ** n_ok > _OVERFLOW_LIMIT)
             ok &= ~(np.abs(gain) ** n_ok > _OVERFLOW_LIMIT)
@@ -285,17 +273,17 @@ def power_limit_many(
     return values, iterations, last_gap, converged
 
 
-def dyadic_limit_many(f, X, n_max: int = DYADIC_N_MAX, tol: float = DEFAULT_TOL):
-    return power_limit_many(f, X, 2.0, 0.5, n_max, tol)
+def dyadic_limit_many(f, X, n_max=DYADIC_N_MAX, tol: float = DEFAULT_TOL, cand=None):
+    return power_limit_many(f, X, 2.0, 0.5, n_max, tol, cand=cand)
 
 
-def quadratic_limit_many(f, X, n_max: int = DYADIC_N_MAX, tol: float = DEFAULT_TOL):
-    return power_limit_many(f, X, 2.0, 0.25, n_max, tol)
+def quadratic_limit_many(f, X, n_max=DYADIC_N_MAX, tol: float = DEFAULT_TOL, cand=None):
+    return power_limit_many(f, X, 2.0, 0.25, n_max, tol, cand=cand)
 
 
 def pexider_triadic_limit_many(
-    f, params: JensenParams, X, n_max: int = TRIADIC_N_MAX, tol: float = DEFAULT_TOL
+    f, params: JensenParams, X, n_max=TRIADIC_N_MAX, tol: float = DEFAULT_TOL, cand=None
 ):
     """Additive approximant A(x) = (1/s)·lim 3^{-n}·r·f(3^n (s/r) x) as arrays."""
     reduced = ScaledModel(f, arg_scale=params.s / params.r, out_scale=params.r / params.s)
-    return power_limit_many(reduced, X, 3.0, 1.0 / 3.0, n_max, tol)
+    return power_limit_many(reduced, X, 3.0, 1.0 / 3.0, n_max, tol, cand=cand)

