@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import JensenParams, jensen_defect_many
+from .models import JensenParams, _eval_stacked, jensen_defect_many
 from .sampling import shell_pairs
 from .spaces import (
     NormedSpaceSpec,
@@ -65,8 +65,7 @@ def construct_z_many(space: NormedSpaceSpec, X, Y, d: float) -> np.ndarray:
     """
     X = as_batch(X, space.dim)
     Y = as_batch(Y, space.dim)
-    nx = norm_many(space, X)
-    ny = norm_many(space, Y)
+    nx, ny = norm_many(space, np.concatenate([X, Y])).reshape(2, X.shape[0])
     Z = np.zeros_like(X)
     use_x = (nx >= ny) & (nx > 0.0)
     use_y = (~use_x) & (ny > 0.0)
@@ -89,37 +88,28 @@ def five_inequality_margins(
     space: NormedSpaceSpec, params: JensenParams, X, Y, Z, d: float
 ) -> np.ndarray:
     """(n, 5) margins ‖·‖ + ‖·‖ − d for the five chain pairs; ≥ 0 means exterior."""
-    A, B, M = _chain_points(params, as_batch(X, space.dim), as_batch(Y, space.dim), Z)
-    nA = norm_many(space, A)
-    nB = norm_many(space, B)
-    nM = norm_many(space, M)
-    nX = norm_many(space, X)
-    nY = norm_many(space, Y)
-    nZ = norm_many(space, Z)
+    X, Y, Z = (as_batch(P, space.dim) for P in (X, Y, Z))
+    A, B, M = _chain_points(params, X, Y, Z)
+    norms = norm_many(space, np.concatenate([A, B, M, X, Y, Z]))
+    nA, nB, nM, nX, nY, nZ = norms.reshape(6, X.shape[0])
     return np.stack(
         [nA + nB - d, nX + nZ - d, nM + nY - d, nM + nB - d, nA + nZ - d], axis=1
     )
 
 
-def _defect_at_midpoint(f, params: JensenParams, W, U, V):
-    vals = (
-        params.r * f.eval_many(W)
-        - params.s * f.eval_many(U)
-        - params.t * f.eval_many(V)
-    )
-    return norm_many(f.codomain, vals)
-
-
-def five_term_defect_many(f, params: JensenParams, X, Y, Z):
+def five_term_defect_many(f, params: JensenParams, X, Y, Z, cand=None):
     """Direct defect at (x, y) and the five-term chain through z.
 
     Returns (direct, chain, terms) with terms of shape (n, 5); the vector
     identity behind the chain guarantees direct ≤ chain up to roundoff.
+    cand, the candidate of each row, goes on to f.
 
-    The three distinct midpoints are computed once and reused: the identity
-    cancels shared evaluations, and recomputing a midpoint from a different
-    chain pair can round to a neighbouring float, which decorrelates
-    point-hashed perturbations and breaks the cancellation.
+    The six defects read nine distinct point sets: the three midpoints and
+    X, Y, Z, A, B, M.  f is evaluated once, on their stack, and each set's
+    values are shared by every defect that reads them: the identity cancels
+    shared evaluations, and recomputing a midpoint from a different chain
+    pair can round to a neighbouring float, which decorrelates point-hashed
+    perturbations and breaks the cancellation.
     """
     X = as_batch(X, f.domain.dim)
     Y = as_batch(Y, f.domain.dim)
@@ -129,18 +119,17 @@ def five_term_defect_many(f, params: JensenParams, X, Y, Z):
     w_xy = (s * X + t * Y) / r  # equals (s·A + t·B)/r
     w_xz = (s * X + t * Z) / r  # equals (s·M + t·B)/r
     w_my = (s * M + t * Y) / r  # equals (s·A + t·Z)/r
-    terms = np.stack(
-        [
-            _defect_at_midpoint(f, params, w_xy, A, B),
-            _defect_at_midpoint(f, params, w_xz, X, Z),
-            _defect_at_midpoint(f, params, w_my, M, Y),
-            _defect_at_midpoint(f, params, w_xz, M, B),
-            _defect_at_midpoint(f, params, w_my, A, Z),
-        ],
-        axis=1,
+    f_xy, f_xz, f_my, fX, fY, fZ, fA, fB, fM = _eval_stacked(
+        f, [w_xy, w_xz, w_my, X, Y, Z, A, B, M], cand
     )
-    direct = _defect_at_midpoint(f, params, w_xy, X, Y)
-    return direct, terms.sum(axis=1), terms
+    # (f at the midpoint, at u, at v) of (x, y), then of the five chain pairs
+    defects = [
+        norm_many(f.codomain, r * fw - s * fu - t * fv)
+        for fw, fu, fv in ((f_xy, fX, fY), (f_xy, fA, fB), (f_xz, fX, fZ),
+                           (f_my, fM, fY), (f_xz, fM, fB), (f_my, fA, fZ))
+    ]
+    terms = np.stack(defects[1:], axis=1)
+    return defects[0], terms.sum(axis=1), terms
 
 
 @dataclass

@@ -611,19 +611,19 @@ def _limit_meta(iterations: np.ndarray, converged: np.ndarray) -> dict:
 
 
 class _Batch:
-    """What a theorem's limit and deviations read from a run of K compatible configs.
+    """What a theorem's limit, deviations and extras read from K compatible configs.
 
-    X0 holds the points the roles are checked at, one equal segment per
-    config in config order, and cand the config of each of its rows; the
-    models hold one candidate per config.  A is the limit at X0 once it has
-    been taken.
+    X, Y hold the hypothesis pairs and X0 the points the roles are checked
+    at, each one equal segment per config in config order, and cand the
+    config of each row of X0; the models hold one candidate per config.  A
+    is the limit at X0 once it has been taken.
     """
 
-    def __init__(self, cfgs, models, X0):
+    def __init__(self, cfgs, models, X, Y, X0):
         self.cfgs, self.params = cfgs, cfgs[0].params
         self.r, self.s, self.t = self.params.r, self.params.s, self.params.t
         self.f, self.g, self.h = models
-        self.X0 = X0
+        self.X, self.Y, self.X0 = X, Y, X0
         self.cand = np.repeat(np.arange(len(cfgs)), X0.shape[0] // len(cfgs))
         self.tol = cfgs[0].limits.tol
         self.A = None
@@ -651,15 +651,14 @@ class _Batch:
 class _Run:
     """What a theorem's bounds and checks read from one config's run.
 
-    X, Y are its hypothesis pairs and nx the norms of its points in X0;
-    comps is the effective control ε̂ + (declared non-constant part); f is
-    its own model, for the extras.
+    nx are the norms of its points in X0; comps is the effective control
+    ε̂ + (declared non-constant part).
     """
 
-    def __init__(self, cfg: ExperimentConfig, f, X, Y, eps_hat: float, nx):
+    def __init__(self, cfg: ExperimentConfig, eps_hat: float, nx):
         self.cfg, self.params = cfg, cfg.params
         self.r, self.s, self.t = cfg.params.r, cfg.params.s, cfg.params.t
-        self.f, self.X, self.Y, self.nx = f, X, Y, nx
+        self.nx = nx
         self.eps = eps_hat
         self.comps = _phi_components(cfg.control, eps_hat)
 
@@ -701,42 +700,48 @@ def _additive_quadratic_limit(b: _Batch):
     return T + Q, np.concatenate([it_T, it_Q]), np.concatenate([conv_T, conv_Q])
 
 
-def _exterior_chain(k: _Run):
-    """Thm 3.1's bridge: interior pairs reach the exterior through five pairs via z."""
-    cfg, d = k.cfg, k.cfg.domain.d
-    rng = rng_from(cfg.sampler.seed, "interior")
-    Xi, Yi = shell_pairs(cfg.space, 0.0, d, cfg.sampler.pairs, rng)
-    Z = construct_z_many(cfg.space, Xi, Yi, d)
-    margins = five_inequality_margins(cfg.space, k.params, Xi, Yi, Z, d)
-    five_failures = int(np.sum(np.any(margins < -FIVE_INEQ_TOL * max(1.0, d), axis=1)))
-    direct, chain, _terms = five_term_defect_many(k.f, k.params, Xi, Yi, Z)
-    slack = 1e-12 * max(1.0, float(np.max(chain))) if chain.size else 0.0
-    chain_violations = int(np.sum(direct > chain + slack))
-    global_bound = 5.0 * k.eps
-    global_max = float(np.max(direct)) if direct.size else 0.0
-    details = {
-        "five_inequality_failures": five_failures,
-        "direct_exceeds_chain": chain_violations,
-        "interior_defect_max": global_max,
-        "interior_defect_bound": global_bound,
-        "interior_pairs": int(Xi.shape[0]),
-        "chain_defect_max": float(np.max(chain)) if chain.size else 0.0,
-    }
-    return details, [
-        ("five_inequalities", five_failures == 0),
-        ("direct_within_chain", chain_violations == 0),
-        ("interior_defect", global_max <= global_bound * (1.0 + REPORT_TOL) + 1e-12),
-    ]
+def _exterior_chain(b: _Batch, runs: list) -> list:
+    """Thm 3.1's bridge: interior pairs reach the exterior through five pairs via z.
+    Each config draws its own interior pairs; one chain evaluation covers them
+    all, and the counts and checks are taken over each config's own."""
+    space, d, K = b.cfgs[0].space, b.cfgs[0].domain.d, len(runs)
+    Xi, Yi = (np.concatenate(z) for z in zip(*(
+        shell_pairs(space, 0.0, d, c.sampler.pairs, rng_from(c.sampler.seed, "interior"))
+        for c in b.cfgs
+    )))
+    Z = construct_z_many(space, Xi, Yi, d)
+    margins = five_inequality_margins(space, b.params, Xi, Yi, Z, d)
+    m = Xi.shape[0] // K
+    failures = np.any(margins < -FIVE_INEQ_TOL * max(1.0, d), axis=1).reshape(K, m).sum(axis=1)
+    direct, chain = (a.reshape(K, m) for a in five_term_defect_many(
+        b.f, b.params, Xi, Yi, Z, np.repeat(np.arange(K), m))[:2])
+    chain_max, direct_max = chain.max(axis=1), direct.max(axis=1)
+    violations = np.sum(direct > chain + 1e-12 * np.maximum(1.0, chain_max)[:, None], axis=1)
+    return [({
+        "five_inequality_failures": nf,
+        "direct_exceeds_chain": nv,
+        "interior_defect_max": dm,
+        "interior_defect_bound": 5.0 * k.eps,
+        "interior_pairs": m,
+        "chain_defect_max": cm,
+    }, [
+        ("five_inequalities", nf == 0),
+        ("direct_within_chain", nv == 0),
+        ("interior_defect", dm <= 5.0 * k.eps * (1.0 + REPORT_TOL) + 1e-12),
+    ]) for k, nf, nv, dm, cm in zip(runs, failures.tolist(), violations.tolist(),
+                                    direct_max.tolist(), chain_max.tolist())]
 
 
-def _orthogonal_reduction(k: _Run):
+def _orthogonal_reduction(b: _Batch, runs: list) -> list:
     """Thm 5.2's reduction of (f, g, h) to f alone, sampled on the hypothesis pairs."""
-    red = pexider_reduction_check(k.f, k.params, k.cfg.space, k.X, k.Y)
-    return {
+    K = len(runs)
+    reds = pexider_reduction_check(b.f, b.params, b.cfgs[0].space, b.X, b.Y,
+                                   np.repeat(np.arange(K), b.X.shape[0] // K))
+    return [({
         "relation": k.cfg.domain.relation.kind,
         "reduction_sup": red,
         "reduction_over_3eps": (red / (3.0 * k.eps)) if k.eps > 0.0 else 0.0,
-    }, []
+    }, []) for k, red in zip(runs, reds)]
 
 
 def _odd_bound(k: _Run) -> float:
@@ -756,8 +761,9 @@ class _Theorem:
     limit; None: no limit.  scale_y: the control reads the pair as
     (x, (t/s)y); reflect: ε̂ is also measured on (x, −y).  roles: (name,
     deviation(b), bound(k)) per compared role: the deviations at all of X0,
-    the bound at one config's points (k its _Run).  extras(k) -> (details,
-    checks) adds report details and named (name, passed) checks.  counts:
+    the bound at one config's points (k its _Run).  extras(b, runs) ->
+    [(details, checks)], one per config (runs: each config's _Run), adds
+    report details and named (name, passed) checks.  counts:
     the details carry pair_count and, when some point's limit fails,
     diverged_points (off for thm3_1, whose report digests predate both).
     """
@@ -850,8 +856,8 @@ def _run_limit_theorem(cfgs: list, thm: _Theorem, heads: list) -> list:
     Each config samples its own pairs and points; ε̂, the limit and the role
     deviations then run once over all K configs' rows (K equal segments, in
     config order).  ε̂ and its witness are taken over each config's own pairs,
-    and bounds, extras and the report per config, so every report equals that
-    of its config run alone.
+    and bounds, the extras' counts and checks and the report per config, so
+    every report equals that of its config run alone.
     """
     K, cfg = len(cfgs), cfgs[0]
     models = build_models(cfgs)
@@ -862,24 +868,23 @@ def _run_limit_theorem(cfgs: list, thm: _Theorem, heads: list) -> list:
         for i, (e, w) in enumerate(zip(*measure_epsilon(cfgs, *models, X, -Y, scale_y=scale_y))):
             if e > eps[i]:
                 eps[i], wits[i] = e, w
-    b = _Batch(cfgs, models, np.concatenate([_dev_points(c) for c in cfgs]))
+    b = _Batch(cfgs, models, X, Y, np.concatenate([_dev_points(c) for c in cfgs]))
     b.A, iters, conv = thm.limit(b) if thm.limit else (None, np.empty(0, int), np.empty(0, bool))
     devs = [dev(b) for _, dev, _ in thm.roles]
     nx = norm_many(cfg.space, b.X0)
     n, m = len(b.X0) // K, len(X) // K
     # one iteration count and flag per limit, config and point
     iters, conv = iters.reshape(-1, K, n), conv.reshape(-1, K, n)
+    segs = [slice(i * n, (i + 1) * n) for i in range(K)]
+    runs = [_Run(c, e, nx[seg]) for c, e, seg in zip(cfgs, eps, segs)]
+    extras = thm.extras(b, runs) if thm.extras else [({}, []) for _ in runs]
     reports = []
-    for i, (c, head) in enumerate(zip(cfgs, heads)):
-        seg, pairs = slice(i * n, (i + 1) * n), slice(i * m, (i + 1) * m)
-        f = b.f.candidate(i) if thm.extras else None
-        k = _Run(c, f, X[pairs], Y[pairs], eps[i], nx[seg])
+    for i, (k, head, seg, (details, checks)) in enumerate(zip(runs, heads, segs, extras)):
         # a point diverges when any of its limits does
         diverged = int(np.count_nonzero(~conv[:, i].all(axis=0)))
         rows = _assemble_rows(b.X0[seg], [(name, d[seg], bound(k))
                                           for (name, _, bound), d in zip(thm.roles, devs)],
-                              c.limits.tol)
-        details, checks = thm.extras(k) if thm.extras else ({}, [])
+                              k.cfg.limits.tol)
         details["hypothesis_witness"] = wits[i]
         if thm.counts:
             details["pair_count"] = m
@@ -887,7 +892,7 @@ def _run_limit_theorem(cfgs: list, thm: _Theorem, heads: list) -> list:
                 details["diverged_points"] = diverged
         checks.append(("converged", diverged == 0))
         meta = _limit_meta(iters[:, i].reshape(-1), conv[:, i].reshape(-1))
-        reports.append(_finish(c, head, eps[i], rows, details, meta, checks))
+        reports.append(_finish(k.cfg, head, eps[i], rows, details, meta, checks))
     return reports
 
 

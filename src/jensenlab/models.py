@@ -292,15 +292,19 @@ class _Wrapped:
         self.codomain = base.codomain
 
 
-def _plus_minus(X: np.ndarray, cand):
-    """[X; −X] and the candidates of its rows."""
-    return np.concatenate([X, -X]), None if cand is None else np.concatenate([cand, cand])
+def _eval_stacked(f, sets, cand=None) -> np.ndarray:
+    """(len(sets), n, codim): f at each of the n-row point batches in sets, from
+    one eval_many call on their stack; cand, the candidate of each row of one
+    batch, is repeated for each.  Each value equals that of f at its batch alone."""
+    cc = None if cand is None else np.concatenate([cand] * len(sets))
+    F = f.eval_many(np.concatenate(sets), cc)
+    return F.reshape(len(sets), len(sets[0]), F.shape[1])
 
 
 def _at_plus_minus(f: FunctionModel, X: np.ndarray, cand):
     """Each perturbation of f at X and at −X, from one evaluation on [X; −X]."""
     n = X.shape[0]
-    XX, cc = _plus_minus(X, cand)
+    XX, cc = np.concatenate([X, -X]), None if cand is None else np.concatenate([cand, cand])
     for spec in f.perturbations:
         P = perturbation_values(spec, XX, f.domain, f.codomain, cc)
         yield P[:n], P[n:]
@@ -326,8 +330,8 @@ class OddPart(_Wrapped):
                 Y = Y + 0.5 * (P - Q)
             Y[~np.any(X, axis=1)] = 0.0
             return Y
-        FG = self.base.eval_many(*_plus_minus(X, cand))
-        return (FG[: X.shape[0]] - FG[X.shape[0] :]) / 2.0
+        F, G = _eval_stacked(self.base, [X, -X], cand)
+        return (F - G) / 2.0
 
 
 class EvenPart(_Wrapped):
@@ -347,8 +351,8 @@ class EvenPart(_Wrapped):
                 Y = Y + 0.5 * (P + Q)
             Y[~np.any(X, axis=1)] = 0.0
             return Y
-        FG = self.base.eval_many(*_plus_minus(X, cand))
-        return (FG[: X.shape[0]] + FG[X.shape[0] :]) / 2.0
+        F, G = _eval_stacked(self.base, [X, -X], cand)
+        return (F + G) / 2.0
 
 
 class ScaledModel(_Wrapped):
@@ -371,18 +375,18 @@ def odd_even_split(f) -> tuple:
 
 def jensen_defect_many(f, g, h, params: JensenParams, X, Y, cand=None) -> np.ndarray:
     """Row-wise defect ‖r·f((s·x + t·y)/r) − s·g(x) − t·h(y)‖ for pair batches;
-    cand (each pair's candidate) goes on to the models."""
+    cand (each pair's candidate) goes on to the models.  When g and h are f,
+    f is evaluated once, on the stack of midpoints, X and Y."""
     X = as_batch(X, f.domain.dim)
     Y = as_batch(Y, f.domain.dim)
     if f.codomain != g.codomain or f.codomain != h.codomain:
         raise ModelError("f, g, h must share a codomain")
     mid = (params.s * X + params.t * Y) / params.r
-    vals = (
-        params.r * f.eval_many(mid, cand)
-        - params.s * g.eval_many(X, cand)
-        - params.t * h.eval_many(Y, cand)
-    )
-    return norm_many(f.codomain, vals)
+    if g is f and h is f:
+        fw, gx, hy = _eval_stacked(f, [mid, X, Y], cand)
+    else:
+        fw, gx, hy = f.eval_many(mid, cand), g.eval_many(X, cand), h.eval_many(Y, cand)
+    return norm_many(f.codomain, params.r * fw - params.s * gx - params.t * hy)
 
 
 def derive_seed(seed: int, index: int) -> int:

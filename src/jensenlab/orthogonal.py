@@ -23,6 +23,7 @@ from .models import (
     JensenParams,
     ModelError,
     RadialTable,
+    _eval_stacked,
     odd_even_split,
 )
 from .sampling import rng_from, sample_points, unit_directions
@@ -81,23 +82,24 @@ class DecompositionResult:
 
 
 def pexider_reduction_check(
-    f, params: JensenParams, space: NormedSpaceSpec, X, Y
-) -> float:
+    f, params: JensenParams, space: NormedSpaceSpec, X, Y, cand=None
+) -> float | list:
     """sup ‖r f((sx+ty)/r) − r f((s/r)x) − r f((t/r)y)‖ over the given pairs.
 
     For a triple (f, g, h) with defect ≤ ε on a domain containing (x, y),
     (x, 0), and (0, y), this single-function reduction is ≤ 3ε there.
+    f is evaluated once, on the stack of the three argument sets.  With
+    cand, each pair's candidate, which goes on to f: the list of each
+    candidate's sup over its own pairs.
     """
     X = as_batch(X, f.domain.dim)
     Y = as_batch(Y, f.domain.dim)
     r, s, t = params.r, params.s, params.t
-    mid = (s * X + t * Y) / r
-    vals = r * (
-        f.eval_many(mid)
-        - f.eval_many((s / r) * X)
-        - f.eval_many((t / r) * Y)
-    )
-    return float(np.max(norm_many(f.codomain, vals)))
+    f_mid, f_x, f_y = _eval_stacked(f, [(s * X + t * Y) / r, (s / r) * X, (t / r) * Y], cand)
+    gaps = norm_many(f.codomain, r * (f_mid - f_x - f_y))
+    if cand is None:
+        return float(np.max(gaps))
+    return [float(np.max(gaps[cand == k])) for k in range(int(np.max(cand)) + 1)]
 
 
 def scaling_identity_check(

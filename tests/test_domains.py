@@ -14,14 +14,17 @@ from jensenlab.domains import (
     five_term_defect_many,
     FIVE_INEQ_TOL,
 )
+from jensenlab import experiments
 from jensenlab.experiments import emit_report, measure_epsilon, parse_config, run_experiment
 from jensenlab.models import (
     BOUNDED,
+    POWER,
     FunctionModel,
     JensenParams,
     PerturbationSpec,
     jensen_defect_many,
 )
+from jensenlab.orthogonal import pexider_reduction_check
 from jensenlab.sampling import (
     exterior_pairs,
     orthogonal_pairs,
@@ -125,6 +128,11 @@ def test_five_inequalities_hold_for_constructed_z():
         margins = five_inequality_margins(space, params, X, Y, Z, d)
         assert margins.shape == (2000, 5)
         assert np.all(margins >= -FIVE_INEQ_TOL * max(1.0, d))
+        # each column is ‖u‖ + ‖v‖ − d of its chain pair (u, v), norms taken one set at a time
+        A, B, M = 3.0 * Z + Y, X - 3.0 * Z, 4.0 * Z  # s = t = 1
+        want = [norm_many(space, U) + norm_many(space, V) - d
+                for U, V in ((A, B), (X, Z), (M, Y), (M, B), (A, Z))]
+        assert np.array_equal(margins, np.stack(want, axis=1))
 
 
 def test_verify_five_inequalities_single():
@@ -160,6 +168,118 @@ def test_five_term_defect_single_row():
     assert direct.shape == chain.shape == (1,) and terms.shape == (1, 5)
     assert chain[0] == pytest.approx(float(np.sum(terms[0])), rel=1e-12)
     assert direct[0] <= chain[0] + 1e-12
+
+
+def _five_term_reference(f, params, X, Y, Z):
+    """The chain as six defects of three eval_many calls each (18 in all)."""
+    r, s, t = params.r, params.s, params.t
+
+    def defect(W, U, V):
+        return norm_many(f.codomain, r * f.eval_many(W) - s * f.eval_many(U) - t * f.eval_many(V))
+
+    A = (2.0 + t / s) * Z + (t / s) * Y
+    B = (s / t) * X - (1.0 + 2.0 * s / t) * Z
+    M = 2.0 * (1.0 + t / s) * Z
+    w_xy, w_xz, w_my = (s * X + t * Y) / r, (s * X + t * Z) / r, (s * M + t * Y) / r
+    terms = np.stack([defect(w_xy, A, B), defect(w_xz, X, Z), defect(w_my, M, Y),
+                      defect(w_xz, M, B), defect(w_my, A, Z)], axis=1)
+    return defect(w_xy, X, Y), terms.sum(axis=1), terms
+
+
+def _rich_model(space, linear, seeds=(5, 6)):
+    """Bounded and power noise plus a quadratic part, so each point's value hashes its bits."""
+    return FunctionModel(
+        domain=space, codomain=E2, linear=linear, quadratic=[0.3, -0.1],
+        perturbations=(PerturbationSpec(kind=BOUNDED, amplitude=0.2, seed=seeds[0]),
+                       PerturbationSpec(kind=POWER, delta=0.1, p=0.5, seed=seeds[1])),
+    )
+
+
+def _interior_chain(space, n, seed, d=2.0):
+    X, Y = shell_pairs(space, 0.0, d, n, rng_from(seed, "chain"))
+    X[0] = Y[0] = Y[1] = 0.0  # the origin pair, whose z is d·e1, and a zero y
+    return X, Y, construct_z_many(space, X, Y, d)
+
+
+@pytest.mark.parametrize("space", [E3, NormedSpaceSpec(3, "sup"),
+                                   NormedSpaceSpec(3, "p_norm", 3.0)], ids=["euclidean", "sup", "p3"])
+@pytest.mark.parametrize("params", [JensenParams(2, 3, 1), JensenParams(1, 1, 1)])
+def test_five_term_defect_equals_reference(space, params):
+    """One evaluation on the nine stacked point sets gives the 18-call chain bit for bit."""
+    f = _rich_model(space, L23)
+    X, Y, Z = _interior_chain(space, 300, 7)
+    for rows in (slice(None), slice(2, 3)):  # the batch, and a one-row batch
+        got = five_term_defect_many(f, params, X[rows], Y[rows], Z[rows])
+        want = _five_term_reference(f, params, X[rows], Y[rows], Z[rows])
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_five_term_defect_rows_follow_their_candidate():
+    """With cand, each row's chain is that of its candidate's model alone."""
+    L = np.random.default_rng(2).uniform(-2.0, 2.0, size=(3, 2, 3))
+    f = _rich_model(E3, L, seeds=((5, 5, 8), (1, 2, 3)))
+    X, Y, Z = _interior_chain(E3, 90, 4)
+    cand = np.random.default_rng(6).integers(0, 3, size=90)
+    params = JensenParams(2, 3, 1)
+    got = five_term_defect_many(f, params, X, Y, Z, cand)
+    for k in range(3):
+        rows = cand == k
+        want = _five_term_reference(f.candidate(k), params, X[rows], Y[rows], Z[rows])
+        for g, w in zip(got, want):
+            assert np.array_equal(g[rows], w)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Patch owner.name with a spy that records the row count of each call's first array."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(next(len(a) for a in args if isinstance(a, np.ndarray)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_each_defect_is_one_model_call(monkeypatch):
+    f = _rich_model(E3, L23)
+    X, Y, Z = _interior_chain(E3, 40, 3)
+    params = JensenParams(2, 3, 1)
+    calls = _count_calls(monkeypatch, FunctionModel, "eval_many")
+    five_term_defect_many(f, params, X, Y, Z)
+    assert calls == [9 * 40]
+    calls.clear()
+    jensen_defect_many(f, f, f, params, X, Y)
+    assert calls == [3 * 40]
+    calls.clear()
+    pexider_reduction_check(f, params, E3, X, Y)
+    assert calls == [3 * 40]
+
+
+@pytest.mark.parametrize("tid, extra", [("thm3_1", "five_term_defect_many"),
+                                        ("thm5_2", "pexider_reduction_check")])
+def test_batch_extras_are_one_call(monkeypatch, tid, extra):
+    """A batch of K = 3 configs runs its extras once over all configs' pairs,
+    and each report still equals its config's solo report."""
+    exp = {
+        "theorem_id": tid,
+        "space": {"dim": 3},
+        "codomain": {"dim": 2},
+        "params": {"r": 2, "s": 3, "t": 1} if tid == "thm3_1" else {"r": 1, "s": 1, "t": 1},
+        "control": {"kind": "constant", "epsilon": 0.3},
+        "domain": {"kind": "exterior", "d": 3.0} if tid == "thm3_1"
+        else {"kind": "orthogonal", "relation": {"kind": "inner_product"}},
+        "sampler": {"count": 8, "seed": 17, "radius_range": [0.1, 4.0], "pair_count": 50},
+        "perturbation": {"kind": "bounded", "amplitude": 0.05, "seed": 2},
+    }
+    cfgs = parse_config({"schema_version": 1, "experiments": [
+        dict(exp, sampler=dict(exp["sampler"], seed=seed),
+             perturbation=dict(exp["perturbation"], seed=seed + 1)) for seed in (17, 18, 40)]})
+    solo = [emit_report(run_experiment(c)) for c in cfgs]
+    calls = _count_calls(monkeypatch, experiments, extra)
+    assert [emit_report(r) for r in run_experiment(cfgs)] == solo
+    assert calls == [3 * 50]
 
 
 def test_defect_sup_bounded_by_noise_budget():

@@ -109,7 +109,7 @@ def bound_formula(theorem_id, params, control, space, x, role="f"):
     """A role's bound in the theorem table at the point x, with ε̂ = control.epsilon."""
     cfg = _cfg(theorem_id, params=params, control=control, space=space)
     nx = norm_many(space, np.asarray(x, dtype=np.float64)[None, :])
-    k = experiments._Run(cfg, None, None, None, control.epsilon, nx)
+    k = experiments._Run(cfg, control.epsilon, nx)
     (bound,) = [b for name, _, b in experiments._THEOREMS[theorem_id].roles if name == role]
     return float(bound(k)[0])
 

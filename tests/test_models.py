@@ -224,6 +224,27 @@ def test_quadratic_defect_value():
     assert jensen_defect_many(f, f, f, params, x, -x)[0] == pytest.approx(0.5, rel=1e-12)
 
 
+def test_shared_model_defect_equals_three_calls():
+    """With g = h = f the defect comes from one call on [mid; X; Y]; it equals
+    that of three separate calls bit for bit, with or without candidates."""
+    rng = np.random.default_rng(8)
+    f = _linear_model(rng.uniform(-2.0, 2.0, size=(2, 2, 3)), quadratic=[0.3, -0.1],
+                      perturbations=(PerturbationSpec(kind=BOUNDED, amplitude=0.2, seed=(4, 7)),
+                                     PerturbationSpec(kind=POWER, delta=0.1, p=0.5, seed=(1, 2))))
+    X, Y = rng.standard_normal((2, 50, 3))
+    X[0] = 0.0
+    cand = rng.integers(0, 2, size=50)
+    params = JensenParams(3, 2, 1)
+    batched = jensen_defect_many(f, f, f, params, X, Y, cand)
+    for k in range(2):
+        g, x, y = f.candidate(k), X[cand == k], Y[cand == k]
+        mid = (params.s * x + params.t * y) / params.r
+        want = norm_many(E2, params.r * g.eval_many(mid) - params.s * g.eval_many(x)
+                         - params.t * g.eval_many(y))
+        assert np.array_equal(batched[cand == k], want)
+        assert np.array_equal(jensen_defect_many(g, g, g, params, x, y), want)
+
+
 def test_odd_even_split_reconstructs():
     f = FunctionModel(
         domain=E3,

@@ -74,6 +74,23 @@ def test_pexider_reduction_stays_small():
     assert res <= 3.0 * max(true_sup, 3 * amp) + 1e-12
 
 
+def test_pexider_reduction_per_candidate():
+    """With cand, one call gives each candidate's sup over its own pairs, equal
+    to the sup of three separate evaluations of that candidate alone."""
+    def reference(f, X, Y):
+        vals = f.eval_many(X + Y) - f.eval_many(X) - f.eval_many(Y)  # r = s = t = 1
+        return float(np.max(norm_many(f.codomain, vals)))
+
+    perts = (PerturbationSpec(kind=BOUNDED, amplitude=0.1, seed=(7, 8, 9)),)
+    f = _model(quadratic=[0.5], perts=perts, linear=np.stack([L13, 2.0 * L13, -L13]))
+    X, Y = orthogonal_pairs(IP, E3, 90, (0.1, 4.0), rng_from(9, "pairs"))
+    cand = np.repeat(np.arange(3), 30)
+    got = pexider_reduction_check(f, P111, E3, X, Y, cand)
+    assert got == [reference(f.candidate(k), X[cand == k], Y[cand == k]) for k in range(3)]
+    one = f.candidate(1)
+    assert pexider_reduction_check(one, P111, E3, X, Y) == reference(one, X, Y)
+
+
 class TestDecomposeTQ:
     """thm5_2's approximant: T the dyadic limit of the odd part, Q the
     quadratic limit of the even part."""
