@@ -735,7 +735,7 @@ def _exterior_chain(b: _Batch, runs: list) -> list:
 def _orthogonal_reduction(b: _Batch, runs: list) -> list:
     """Thm 5.2's reduction of (f, g, h) to f alone, sampled on the hypothesis pairs."""
     K = len(runs)
-    reds = pexider_reduction_check(b.f, b.params, b.cfgs[0].space, b.X, b.Y,
+    reds = pexider_reduction_check(b.f, b.params, b.X, b.Y,
                                    np.repeat(np.arange(K), b.X.shape[0] // K))
     return [({
         "relation": k.cfg.domain.relation.kind,

@@ -81,9 +81,7 @@ class DecompositionResult:
     iterations: dict
 
 
-def pexider_reduction_check(
-    f, params: JensenParams, space: NormedSpaceSpec, X, Y, cand=None
-) -> float | list:
+def pexider_reduction_check(f, params: JensenParams, X, Y, cand=None) -> float | list:
     """sup ‖r f((sx+ty)/r) − r f((s/r)x) − r f((t/r)y)‖ over the given pairs.
 
     For a triple (f, g, h) with defect ≤ ε on a domain containing (x, y),

@@ -39,9 +39,8 @@ TRIADIC_N_MAX = 25
 DEFAULT_TOL = 1e-9
 _SERIES_HARD_CAP = 4096
 _OVERFLOW_LIMIT = 1e120
-# Target rows per eval_many call in power_limit_many: small runs are bound by
-# per-call numpy overhead, while a batch of more than half this many points
-# already amortizes it and steps one exponent at a time.
+# Target rows per eval_many call in power_limit_many, whose passes stack K steps
+# of the working set; above half this many working points K is 1.
 _BLOCK_ROWS = 4096
 
 
@@ -193,82 +192,83 @@ def power_limit_many(
     """Iterate a_n(x) = gain^n · f(arg_factor^n · x) until the successive gap
     (codomain norm) drops to tol, the value turns non-finite, the exponent
     reaches n_max (one bound, or one per point), or the scaled argument
-    overflows.  Per-point bookkeeping; returns (values, iterations, last_gap,
-    converged) arrays.  cand, when given, holds one integer per point (its
-    candidate in a batched model), and ``f.eval_many`` gets each evaluated
-    row's entry as its second argument.
+    overflows.  Returns (values, iterations, last_gap, converged) arrays.
+    cand, when given, holds each point's candidate in a batched model, and
+    ``f.eval_many`` gets each evaluated row's entry as its second argument.
 
-    Each pass evaluates a block of K successive exponents per active point in
-    one ``f.eval_many`` call, K = _BLOCK_ROWS // (active points), at least 1
-    and at most their largest n_max, then applies the stop rules to each
-    point's block in order; a point keeps the first stop in its block.  The
-    results equal those of iterating one exponent at a time bit for bit as
-    long as a row of ``f.eval_many`` does not depend on the rest of its
-    batch, which holds for every model in ``models``.
+    Each point's last exponent is fixed up front.  Each pass runs K steps, K =
+    _BLOCK_ROWS // (points still iterating), at least 1 and at most the fewest
+    steps any has left, for that compact working set in one ``f.eval_many``
+    call on the step-major stack; a point keeps its first stop, and stopped
+    points leave the set.  For a model whose rows do not depend on the rest of
+    their batch (every model in ``models``) the results are bit for bit those
+    of one step at a time.
     """
     X = as_batch(X, f.domain.dim)
     n_pts = X.shape[0]
     n_max = np.broadcast_to(np.asarray(n_max, dtype=np.int64), (n_pts,))
-    if n_start is None:
-        n_vec = np.zeros(n_pts, dtype=np.int64)
-    else:
-        n_vec = np.asarray(n_start, dtype=np.int64).copy()
-        if n_vec.shape != (n_pts,):
-            raise ValueError("n_start must have one entry per point")
+    n_vec = np.zeros(n_pts, np.int64) if n_start is None else np.asarray(n_start, np.int64)
+    if n_vec.shape != (n_pts,):
+        raise ValueError("n_start must have one entry per point")
+    arg, amp = np.float64(arg_factor), np.float64(gain)
+    cands = np.zeros(n_pts, dtype=np.int64) if cand is None else np.asarray(cand)
 
-    def step_values(idx, n_at):
-        scale = np.float64(arg_factor) ** n_at.astype(np.float64)
-        g = np.float64(gain) ** n_at.astype(np.float64)
-        Xs = scale[:, None] * X[idx]
-        return g[:, None] * (f.eval_many(Xs) if cand is None else f.eval_many(Xs, cand[idx]))
+    def evaluate(Xw, cw, scale, g):  # g · f(scale · x) on a (steps, points) grid; cw per row
+        Xs = (scale[..., None] * Xw).reshape(-1, Xw.shape[1])
+        Y = f.eval_many(Xs) if cand is None else f.eval_many(Xs, cw)
+        return g[..., None] * Y.reshape(scale.shape + Y.shape[1:])
 
-    values = step_values(np.arange(n_pts), n_vec)
-    iterations = n_vec.copy()
-    last_gap = np.full(n_pts, np.inf)
-    converged = np.zeros(n_pts, dtype=bool)
-    active = np.ones(n_pts, dtype=bool)
+    e0 = n_vec.astype(np.float64)
+    values, iterations = evaluate(X, cands, arg**e0, amp**e0), n_vec.copy()
+    last_gap, converged = np.full(n_pts, np.inf), np.zeros(n_pts, dtype=bool)
 
+    # The last exponent is n_max, or one before the first exponent past n_start
+    # where row_scale·|arg|^n or |gain|^n exceeds _OVERFLOW_LIMIT.  base^n stays
+    # inf, 0 or 1 after ~1100/|log2 base| steps, so a table over exponents clipped
+    # to ±S holds every guard power whatever n_max is.  base^n is monotone in n,
+    # so past a point's first step a guard turns on at most once: bisect for it.
     row_scale = np.max(np.abs(X), axis=1)
-    while np.any(active):
-        idx = np.flatnonzero(active)
-        cap = n_max[idx, None]
-        block = max(1, min(int(cap.max()), _BLOCK_ROWS // idx.size))
-        # (point, step) exponents; a point's block ends before its first
-        # exponent past its n_max or past the overflow guard
-        n_next = n_vec[idx, None] + np.arange(1, block + 1)
-        ok = n_next <= cap
-        n_ok = np.minimum(n_next, cap).astype(np.float64)
-        with np.errstate(over="ignore"):  # inf already fails the guard
-            ok &= ~(row_scale[idx, None] * np.abs(arg_factor) ** n_ok > _OVERFLOW_LIMIT)
-            ok &= ~(np.abs(gain) ** n_ok > _OVERFLOW_LIMIT)
-        ok = np.logical_and.accumulate(ok, axis=1)
-        counts = ok.sum(axis=1)
-        active[idx[counts < block]] = False
-        n_flat = n_next[ok]  # row by row, so each point's steps are contiguous
-        has = counts > 0
-        idx, counts = idx[has], counts[has]
-        if idx.size == 0:
-            continue
-        new_vals = step_values(np.repeat(idx, counts), n_flat)
-        starts = np.cumsum(counts) - counts
-        prev = np.empty_like(new_vals)
-        prev[1:] = new_vals[:-1]
-        prev[starts] = values[idx]
+    first, stop = n_vec + 1, np.maximum(n_vec, n_max) + 1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf fails the guard
+        sat = 1100.0 / np.abs(np.log2(np.abs([arg, amp])))
+        S = int(np.max(sat, where=np.isfinite(sat), initial=0.0)) + 2
+        lo, hi = np.clip([np.min(first, initial=S), np.max(stop, initial=-S)], -S, S)
+        arg_pow, amp_pow = np.abs([[arg], [amp]]) ** np.arange(lo, hi + 1, dtype=np.float64)
+
+        def guard(e):
+            j = np.clip(e, lo, hi) - lo
+            return (row_scale * arg_pow[j] > _OVERFLOW_LIMIT) | (amp_pow[j] > _OVERFLOW_LIMIT)
+
+        stop = np.where(guard(first), first, stop)
+        first = np.where(guard(stop - 1), first, stop)  # off at both ends: off throughout
+        while np.any(first < stop):
+            mid = (first + stop) // 2
+            on = guard(mid)
+            first, stop = np.minimum(np.where(on, first, mid + 1), stop), np.where(on, mid, stop)
+
+    # Sorted by n, the working set's points at one exponent share a table row.
+    ix = np.argsort(n_vec, kind="stable")
+    ix = ix[stop[ix] - 1 > n_vec[ix]]
+    n, end, Xw, cw, a = n_vec[ix], stop[ix] - 1, X[ix], cands[ix], values[ix]
+    while ix.size:
+        K = max(1, min(_BLOCK_ROWS // ix.size, int(np.min(end - n))))
+        head = np.concatenate(([True], n[1:] != n[:-1]))
+        e, run = n[head] + np.arange(1.0, K + 1)[:, None], np.cumsum(head) - 1
+        new = evaluate(Xw, np.tile(cw, K), np.take(arg**e, run, 1), np.take(amp**e, run, 1))
         with np.errstate(invalid="ignore"):  # ∞ − ∞ is caught by the finite test
-            gaps = norm_many(f.codomain, new_vals - prev)
-        done = gaps <= tol
-        finite = np.all(np.isfinite(new_vals), axis=1)
-        # first stop in each point's block, else its last step
-        pos = np.arange(n_flat.size) - np.repeat(starts, counts)
-        at = np.where(done | ~finite, pos, counts.max())
-        take = starts + np.minimum(np.minimum.reduceat(at, starts), counts - 1)
-        done, finite = done[take], finite[take]
-        values[idx] = new_vals[take]
-        iterations[idx] = n_flat[take]
-        last_gap[idx] = gaps[take]
-        converged[idx] = done & finite
-        active[idx] &= ~done & finite
-        n_vec[idx] = n_flat[take]
+            step = np.diff(new, axis=0, prepend=a[None])
+            gaps = norm_many(f.codomain, step.reshape(-1, step.shape[2])).reshape(K, -1)
+        done, bad = gaps <= tol, ~np.isfinite(gaps)
+        bad[bad] = ~np.all(np.isfinite(new[bad]), axis=1)  # non-finite values have such gaps
+        halt = done | bad
+        halt[-1] |= n + K == end
+        ended = np.any(halt, axis=0)
+        s, keep = np.flatnonzero(ended), np.flatnonzero(~ended)
+        k, i = np.argmax(halt[:, s], axis=0), ix[s]  # each stopped point's first stop
+        values[i], iterations[i], last_gap[i] = new[k, s], n[s] + k + 1, gaps[k, s]
+        converged[i] = done[k, s] & ~bad[k, s]
+        ix, n, end, cw = ix[keep], n[keep] + K, end[keep], cw[keep]
+        Xw, a = np.take(Xw, keep, axis=0), np.take(new[-1], keep, axis=0)
 
     return values, iterations, last_gap, converged
 

@@ -253,7 +253,7 @@ def test_each_defect_is_one_model_call(monkeypatch):
     jensen_defect_many(f, f, f, params, X, Y)
     assert calls == [3 * 40]
     calls.clear()
-    pexider_reduction_check(f, params, E3, X, Y)
+    pexider_reduction_check(f, params, X, Y)
     assert calls == [3 * 40]
 
 

@@ -69,7 +69,7 @@ def test_pexider_reduction_stays_small():
     f = _model(quadratic=[0.5], perts=(PerturbationSpec(kind=BOUNDED, amplitude=amp, seed=7),))
     rng = rng_from(9, "pairs")
     X, Y = orthogonal_pairs(IP, E3, 400, (0.1, 4.0), rng)
-    res = pexider_reduction_check(f, P111, E3, X, Y)
+    res = pexider_reduction_check(f, P111, X, Y)
     true_sup = _orthogonal_defect_sup(f, 400, (0.1, 4.0), seed=9)
     assert res <= 3.0 * max(true_sup, 3 * amp) + 1e-12
 
@@ -85,10 +85,10 @@ def test_pexider_reduction_per_candidate():
     f = _model(quadratic=[0.5], perts=perts, linear=np.stack([L13, 2.0 * L13, -L13]))
     X, Y = orthogonal_pairs(IP, E3, 90, (0.1, 4.0), rng_from(9, "pairs"))
     cand = np.repeat(np.arange(3), 30)
-    got = pexider_reduction_check(f, P111, E3, X, Y, cand)
+    got = pexider_reduction_check(f, P111, X, Y, cand)
     assert got == [reference(f.candidate(k), X[cand == k], Y[cand == k]) for k in range(3)]
     one = f.candidate(1)
-    assert pexider_reduction_check(one, P111, E3, X, Y) == reference(one, X, Y)
+    assert pexider_reduction_check(one, P111, X, Y) == reference(one, X, Y)
 
 
 class TestDecomposeTQ:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -377,3 +378,130 @@ def test_long_block_guard_raises_no_overflow_warning(kind):
     want = _limit_one_at_a_time(f, x, arg, gain, 2000, 0.0, 0)
     for g, w in zip(got, want):
         assert np.array_equal(g[0], w)
+
+
+def _three_candidates():
+    L = np.array([[0.7, -1.3, 2.1], [1.1, 0.37, -0.6]])
+    perts = (
+        PerturbationSpec(kind=BOUNDED, amplitude=0.2, seed=(4, 6, 8)),
+        PerturbationSpec(kind=POWER, delta=0.1, p=0.5, seed=(5, 7, 9)),
+    )
+    return FunctionModel(domain=E3, codomain=E2, linear=np.stack([L, -2.0 * L, 0.5 * L]),
+                         quadratic=[0.3, -0.1], perturbations=perts)
+
+
+THREE = _three_candidates()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from([(2.0, 0.5), (2.0, 0.25), (3.0, 1.0 / 3.0), (0.5, 4.0)]),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-4]),
+    budget=st.sampled_from([1, 5, 40, 4096]),
+    rows=st.integers(0, 10),
+    caps=st.lists(st.integers(-3, 45), min_size=10, max_size=10),
+    cands=st.lists(st.integers(0, 2), min_size=10, max_size=10),
+    starts=st.one_of(st.none(), st.lists(st.integers(-60, 47), min_size=10, max_size=10)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_limit_per_row_caps_and_candidates(
+    kind, tol, budget, rows, caps, cands, starts, seed
+):
+    """The one-exponent oracle with one n_max per row (as a batch of configs
+    passes them), a 3-candidate model checked row by row against
+    ``candidate(i)``, and the empty batch; also negative starts and the
+    contracting kind of the ball extension (arg 0.5, gain 4)."""
+    arg, gain = kind
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, 3)) * 10.0 ** rng.uniform(-2.0, 118.0, size=(rows, 1))
+    X[rng.random(rows) < 0.5] /= 1e110
+    n_max, cand = np.array(caps[:rows], dtype=np.int64), np.array(cands[:rows], dtype=np.int64)
+    n0 = np.zeros(rows, dtype=np.int64) if starts is None else np.array(starts[:rows])
+    with mock.patch.object(series, "_BLOCK_ROWS", budget):
+        got = power_limit_many(
+            THREE, X, arg, gain, n_max, tol, n_start=None if starts is None else n0, cand=cand
+        )
+    ref = [
+        _limit_one_at_a_time(THREE.candidate(cand[i]), X[i], arg, gain, n_max[i], tol, int(n0[i]))
+        for i in range(rows)
+    ]
+    want = [np.array(column) for column in zip(*ref)] or [
+        np.empty((0, 2)), np.empty(0, np.int64), np.empty(0), np.empty(0, bool)
+    ]
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind", [(2.0, 0.5), (3.0, 1.0 / 3.0)])
+def test_huge_n_max_needs_no_table_of_that_size(kind):
+    """n_max = 10**9: the overflow guard stops every point long before, with
+    the one-exponent loop's results, no warning, and memory that does not
+    grow with n_max."""
+    f = LIMIT_MODELS["noisy"]
+    arg, gain = kind
+    X = np.array([[0.3, -1.2, 0.8], [2.0e-3, 5.0, -7.0], [4.0e9, 1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracemalloc.start()
+        try:
+            got = power_limit_many(f, X, arg, gain, 10**9, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2**20
+    ref = [_limit_one_at_a_time(f, x, arg, gain, 10**9, 0.0, 0) for x in X]
+    for g, w in zip(got, zip(*ref)):
+        assert np.array_equal(g, np.array(w))
+
+
+class _Spy:
+    """A subject that records, for every eval_many call, each row's point
+    (passed as its cand) and its exponent (arg is 2, so |row| / |x| = 2^n)."""
+
+    def __init__(self, base, X):
+        self.base, self.X, self.calls = base, X, []
+        self.domain, self.codomain = base.domain, base.codomain
+
+    def eval_many(self, Xs, cand):
+        scale = np.max(np.abs(Xs), axis=1) / np.max(np.abs(self.X[cand]), axis=1)
+        self.calls.append((np.asarray(cand).copy(), np.log2(scale)))
+        return self.base.eval_many(Xs)
+
+
+@pytest.mark.parametrize("n_pts, budget", [(10, 4096), (10, 64), (4000, 4096)])
+def test_limit_calls_stay_inside_caps_guard_and_block(n_pts, budget):
+    """No evaluated row is past its point's n_max or the overflow guard, each
+    call holds at most max(_BLOCK_ROWS, active points) rows, and there are at
+    most 1 + (largest iteration count) calls."""
+    rng = np.random.default_rng(n_pts)
+    X = rng.uniform(0.5, 2.0, size=(n_pts, 3)) * 10.0 ** rng.integers(-3, 115, size=(n_pts, 1))
+    n_max = rng.integers(0, 80, size=n_pts)
+    spy = _Spy(LIMIT_MODELS["quadratic"], X)
+    row_scale = np.max(np.abs(X), axis=1)
+    with mock.patch.object(series, "_BLOCK_ROWS", budget):
+        iterations = power_limit_many(spy, X, 2.0, 0.5, n_max, 1e-9, cand=np.arange(n_pts))[1]
+    assert len(spy.calls) <= 1 + iterations.max()
+    seen = np.zeros(n_pts, dtype=np.int64)
+    for who, n in spy.calls:
+        assert np.array_equal(n, np.round(n))
+        assert who.size <= max(budget, np.unique(who).size)
+        assert np.all(n <= n_max[who])
+        assert not np.any(row_scale[who] * 2.0**n > 1e120)
+        np.maximum.at(seen, who, n.astype(np.int64))
+    assert np.array_equal(seen, iterations)
+
+
+@pytest.mark.parametrize("kind, start", [((0.5, 4.0), -60), ((2.0, 0.5), -500)])
+def test_guard_on_at_the_first_step_stops_there(kind, start):
+    """A guard that is on at a point's first step and off later (a shrinking
+    argument, or a negative start under a gain below 1) stops the point
+    before any step, as the one-exponent loop does."""
+    f = LIMIT_MODELS["noisy"]
+    arg, gain = kind
+    X = np.array([[1e110, 2.0, -3.0], [0.3, -1.2, 0.8]])
+    got = power_limit_many(f, X, arg, gain, 40, 1e-9, n_start=[start, start])
+    ref = [_limit_one_at_a_time(f, x, arg, gain, 40, 1e-9, start) for x in X]
+    assert got[1][0] == start
+    for g, w in zip(got, zip(*ref)):
+        assert np.array_equal(g, np.array(w))
