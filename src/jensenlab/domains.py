@@ -172,8 +172,8 @@ def asymptotic_profile(
 ) -> ShellProfile:
     """Defect sup per shell of ‖x‖ + ‖y‖; diagnoses decay toward additivity."""
     edges = np.asarray(shell_edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise DomainError("shell edges must be increasing with at least two entries")
+    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0) or not edges[0] >= 0:
+        raise DomainError("shell edges must be increasing from >= 0, with at least two entries")
     sups = np.empty(edges.size - 1)
     for k in range(edges.size - 1):
         X, Y = shell_pairs(space, edges[k], edges[k + 1], samples_per_shell, rng)

@@ -8,23 +8,24 @@ non-constant part of the control), rebuilds the theorem's bound with that
 measured epsilon, and checks the advertised construction pointwise.  A run is
 a pure function of its config: reports are byte-identical across repeats.
 
-The seven limit theorems run on one path, each driven by its _THEOREMS
-entry; cor3_2 (a shell profile) and thm6_1/thm6_2 (a ball extension) have
-runners of their own.  A report passes when max_ratio <= 1 and every named
-check holds; failed_checks names the failed ones, outside the canonical JSON.
+One _THEOREMS entry per theorem id says how it is checked and validated.
+The seven limit theorems share one run path; cor3_2 (a shell profile) and
+thm6_1/thm6_2 (a ball extension) name runners of their own.  A report passes
+when max_ratio <= 1 and every named check holds; failed_checks names the
+failed ones, outside the canonical JSON.
 
 Supported theorem ids:
 
   thm2_1   full domain, Pexider triple, dyadic approximant
   cor2_2   full domain, single f, single-variable mixed bound
   thm3_1   exterior domain ‖x‖+‖y‖ ≥ d, five-pair chain, bound 15ε/r
-  cor3_2   shell profile diagnosing asymptotic additivity
+  cor3_2   full domain, shells of ‖x‖+‖y‖, profile diagnosing asymptotic additivity
   prop4_1  punctured domain, h odd, triadic approximant
   prop4_2  punctured domain, h even, smallness conclusions
   thm4_3   punctured domain, odd/even split of a single f
   thm5_2   orthogonal pairs, additive + quadratic decomposition (68ε / 80ε)
-  thm6_1   ball domain, exact model, scaling extension (base 2)
-  thm6_2   punctured ball, exact model, scaling extension (base 2λ²)
+  thm6_1   map on a ball, exact model, scaling extension (base 2)
+  thm6_2   map on a punctured ball, exact model, scaling extension (base 2λ²)
 """
 
 from __future__ import annotations
@@ -178,10 +179,11 @@ class ShellSettings:
     samples_per_shell: int
 
     def __post_init__(self):
-        if len(self.edges) < 2 or any(
+        # shells of ‖x‖+‖y‖: an edge below 0 bounds an empty shell
+        if len(self.edges) < 2 or not self.edges[0] >= 0.0 or any(
             b <= a for a, b in zip(self.edges, self.edges[1:])
         ):
-            raise ConfigError("edges must be strictly increasing, length >= 2")
+            raise ConfigError("edges must be >= 0 and strictly increasing, length >= 2")
         if self.samples_per_shell < 1:
             raise ConfigError("samples_per_shell must be >= 1")
 
@@ -278,8 +280,8 @@ def build_models(cfg):
     """
     cfgs = cfg if isinstance(cfg, list) else [cfg]
     cfg = cfgs[0]
-    thm = _THEOREMS.get(cfg.theorem_id)
-    if thm is not None and thm.zero_linear:
+    thm = _THEOREMS[cfg.theorem_id]
+    if thm.zero_linear:
         L = np.zeros((cfg.codomain.dim, cfg.space.dim))
     elif cfg.model.linear is not None:
         L = np.asarray(cfg.model.linear, dtype=np.float64)
@@ -306,7 +308,7 @@ def build_models(cfg):
         )
 
     f = mk(0)
-    if thm is None or not thm.pexider:
+    if not thm.pexider:
         return f, f, f
     g, h = mk(100), mk(200)
     return f, g, h if thm.h_part is None else thm.h_part(h)
@@ -600,14 +602,15 @@ def _limit_meta(iterations: np.ndarray, converged: np.ndarray) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the limit theorems
+# the theorem table
 #
 # Thm 2.1, Cor 2.2, Thm 3.1, Prop 4.1, Prop 4.2, Thm 4.3 and Thm 5.2 are all
 # checked by Hyers' direct method: measure ε̂ on the hypothesis pairs, iterate
 # one scaling limit at fresh points, compare each role's deviation with its
-# bound there, and AND the side conditions.  _THEOREMS says what differs per
-# theorem id; _run_limit_theorem is the one run path.  Table entries call the
-# other modules' functions by name from code in this module, never hold them.
+# bound there, and AND the side conditions; _run_limit_theorem is their run
+# path.  Cor 3.2 and Thm 6.1/6.2 have runners of their own.  _THEOREMS says
+# what differs per theorem id, for all ten.  Table entries call the other
+# modules' functions by name from code in this module, never hold them.
 
 
 class _Batch:
@@ -749,153 +752,6 @@ def _odd_bound(k: _Run) -> float:
     return min(3.0 * k.eps / k.r, 5.0 * k.eps / (2.0 * k.s), 5.0 * k.eps / (2.0 * k.t))
 
 
-@dataclass(frozen=True)
-class _Theorem:
-    """How one limit theorem is checked.
-
-    domain: the hypothesis domain kind; controls: the control kinds it takes.
-    pexider: g and h are models of their own (else both are f); h_part wraps
-    h (OddPart, EvenPart); zero_linear: the models' linear part is 0.
-    limit(b) -> (A, iterations, converged) is the scaling limit at X0 of the
-    _Batch b, one iteration count and flag per point and limit, limit after
-    limit; None: no limit.  scale_y: the control reads the pair as
-    (x, (t/s)y); reflect: ε̂ is also measured on (x, −y).  roles: (name,
-    deviation(b), bound(k)) per compared role: the deviations at all of X0,
-    the bound at one config's points (k its _Run).  extras(b, runs) ->
-    [(details, checks)], one per config (runs: each config's _Run), adds
-    report details and named (name, passed) checks.  counts:
-    the details carry pair_count and, when some point's limit fails,
-    diverged_points (off for thm3_1, whose report digests predate both).
-    """
-
-    domain: str
-    controls: tuple
-    roles: tuple
-    limit: object = None
-    pexider: bool = False
-    h_part: type | None = None
-    zero_linear: bool = False
-    scale_y: bool = False
-    reflect: bool = False
-    extras: object = None
-    counts: bool = True
-
-
-_THEOREMS = {
-    "thm2_1": _Theorem(
-        FULL, (CONSTANT, MIXED, TABLE), pexider=True, limit=lambda b: _dyadic_limit(b, b.f),
-        roles=(
-            ("f", lambda b: b.dev(b.f), lambda k: k.dyadic(k.nx)),
-            ("g", lambda b: b.dev(b.g), lambda k: (1.0 / k.s) * k.phi(k.nx, np.zeros_like(k.nx))
-             + (k.r / k.s) * k.dyadic((k.s / k.r) * k.nx)),
-            ("h", lambda b: b.dev(b.h), lambda k: (1.0 / k.t) * k.phi(np.zeros_like(k.nx), k.nx)
-             + (k.r / k.t) * k.dyadic((k.t / k.r) * k.nx)),
-        ),
-    ),
-    "cor2_2": _Theorem(
-        FULL, (CONSTANT, MIXED), limit=lambda b: _dyadic_limit(b, b.f),
-        # comps[-1] is the mixed part, or the constant itself (δ = p = 0)
-        roles=(("f", lambda b: b.dev(b.f), lambda k: cor22_bound_norms(
-            k.params, k.eps, k.comps[-1].delta, k.comps[-1].p, k.nx)),),
-    ),
-    "thm3_1": _Theorem(
-        EXTERIOR, (CONSTANT,), limit=lambda b: _dyadic_limit(b, b.f),
-        roles=(("f", lambda b: b.dev(b.f), lambda k: k.flat(15.0 * k.eps / k.r)),),
-        extras=_exterior_chain, counts=False,
-    ),
-    "prop4_1": _Theorem(
-        PUNCTURED, (CONSTANT, MIXED), pexider=True, h_part=OddPart, scale_y=True,
-        limit=lambda b: _triadic_limit(b, b.f),
-        # all three roles compare against the same additive limit: the
-        # approximants differ only by rational rescalings of its argument
-        roles=(
-            ("f", lambda b: b.dev(b.f), lambda k: (1.0 / k.r) * k.triadic((k.r / k.s) * k.nx)),
-            ("g", lambda b: b.dev(b.g), lambda k: (1.0 / (2.0 * k.s))
-             * (2.0 * k.phi(k.nx, k.nx) + k.triadic(2.0 * k.nx))),
-            ("h", lambda b: b.dev(b.h), lambda k: (1.0 / (2.0 * k.t))
-             * (2.0 * k.phi((k.t / k.s) * k.nx, (k.t / k.s) * k.nx)
-                + k.triadic((2.0 * k.t / k.s) * k.nx))),
-        ),
-    ),
-    # the conclusions force f, g, h to be small; a shared linear part cannot
-    # cancel against an even h, so it must vanish
-    "prop4_2": _Theorem(
-        PUNCTURED, (CONSTANT, MIXED), pexider=True, h_part=EvenPart, zero_linear=True,
-        scale_y=True,
-        roles=(
-            ("f", lambda b: b.norm(b.at(b.f)), lambda k: (2.0 / k.r)
-             * k.phi((k.r / (2.0 * k.s)) * k.nx, (k.r / (2.0 * k.s)) * k.nx)),
-            ("g_h", lambda b: b.norm(b.at(b.g) - (b.t / b.s) * b.at(b.h, (b.s / b.t) * b.X0)),
-             lambda k: (1.0 / k.s) * k.phi(k.nx, k.nx)),
-        ),
-    ),
-    "thm4_3": _Theorem(
-        PUNCTURED, (CONSTANT,), scale_y=True, reflect=True,
-        limit=lambda b: _triadic_limit(b, b.parts[0]),
-        roles=(
-            ("odd", lambda b: b.dev(b.parts[0]), lambda k: k.flat(_odd_bound(k))),
-            ("even", lambda b: b.norm(b.at(b.parts[1])), lambda k: k.flat(2.0 * k.eps / k.r)),
-            ("total", lambda b: b.dev(b.f), lambda k: k.flat(_odd_bound(k) + 2.0 * k.eps / k.r)),
-        ),
-    ),
-    "thm5_2": _Theorem(
-        ORTHOGONAL, (CONSTANT,), pexider=True, limit=_additive_quadratic_limit,
-        roles=(
-            ("f", lambda b: b.dev(b.f), lambda k: k.flat(68.0 * k.eps)),
-            ("g", lambda b: b.dev(b.g), lambda k: k.flat(80.0 * k.eps)),
-            ("h", lambda b: b.dev(b.h), lambda k: k.flat(80.0 * k.eps)),
-        ),
-        extras=_orthogonal_reduction,
-    ),
-}
-
-
-def _run_limit_theorem(cfgs: list, thm: _Theorem, heads: list) -> list:
-    """Run K compatible configs of one limit theorem as one batch; one report each.
-
-    Each config samples its own pairs and points; ε̂, the limit and the role
-    deviations then run once over all K configs' rows (K equal segments, in
-    config order).  ε̂ and its witness are taken over each config's own pairs,
-    and bounds, the extras' counts and checks and the report per config, so
-    every report equals that of its config run alone.
-    """
-    K, cfg = len(cfgs), cfgs[0]
-    models = build_models(cfgs)
-    X, Y = (np.concatenate(z) for z in zip(*map(_hypothesis_pairs, cfgs)))
-    scale_y = cfg.params.t / cfg.params.s if thm.scale_y else 1.0
-    eps, wits = measure_epsilon(cfgs, *models, X, Y, scale_y=scale_y)
-    if thm.reflect:
-        for i, (e, w) in enumerate(zip(*measure_epsilon(cfgs, *models, X, -Y, scale_y=scale_y))):
-            if e > eps[i]:
-                eps[i], wits[i] = e, w
-    b = _Batch(cfgs, models, X, Y, np.concatenate([_dev_points(c) for c in cfgs]))
-    b.A, iters, conv = thm.limit(b) if thm.limit else (None, np.empty(0, int), np.empty(0, bool))
-    devs = [dev(b) for _, dev, _ in thm.roles]
-    nx = norm_many(cfg.space, b.X0)
-    n, m = len(b.X0) // K, len(X) // K
-    # one iteration count and flag per limit, config and point
-    iters, conv = iters.reshape(-1, K, n), conv.reshape(-1, K, n)
-    segs = [slice(i * n, (i + 1) * n) for i in range(K)]
-    runs = [_Run(c, e, nx[seg]) for c, e, seg in zip(cfgs, eps, segs)]
-    extras = thm.extras(b, runs) if thm.extras else [({}, []) for _ in runs]
-    reports = []
-    for i, (k, head, seg, (details, checks)) in enumerate(zip(runs, heads, segs, extras)):
-        # a point diverges when any of its limits does
-        diverged = int(np.count_nonzero(~conv[:, i].all(axis=0)))
-        rows = _assemble_rows(b.X0[seg], [(name, d[seg], bound(k))
-                                          for (name, _, bound), d in zip(thm.roles, devs)],
-                              k.cfg.limits.tol)
-        details["hypothesis_witness"] = wits[i]
-        if thm.counts:
-            details["pair_count"] = m
-            if diverged:
-                details["diverged_points"] = diverged
-        checks.append(("converged", diverged == 0))
-        meta = _limit_meta(iters[:, i].reshape(-1), conv[:, i].reshape(-1))
-        reports.append(_finish(k.cfg, head, eps[i], rows, details, meta, checks))
-    return reports
-
-
 def _run_cor3_2(cfg: ExperimentConfig, head: dict):
     f, _, _ = build_models(cfg)
     rng = rng_from(cfg.sampler.seed, "shells")
@@ -967,6 +823,160 @@ def _run_sikorska(cfg: ExperimentConfig, head: dict):
     return _finish(cfg, head, 0.0, rows, details, dict(result.iterations), checks)
 
 
+@dataclass(frozen=True)
+class _Theorem:
+    """How one theorem id is checked.
+
+    domain: the hypothesis domain kind; controls: the control kinds it takes.
+    requires: the optional config sections it reads (ball, shells,
+    expected_decay); each is required where it is listed and refused
+    everywhere else.  run(cfg, head) -> report: the id's own runner, called
+    one config at a time; None: _run_limit_theorem, which reads the rest.
+    pexider: g and h are models of their own (else both are f); h_part wraps
+    h (OddPart, EvenPart); zero_linear: the models' linear part is 0.
+    limit(b) -> (A, iterations, converged) is the scaling limit at X0 of the
+    _Batch b, one iteration count and flag per point and limit, limit after
+    limit; None: no limit.  scale_y: the control reads the pair as
+    (x, (t/s)y); reflect: ε̂ is also measured on (x, −y).  roles: (name,
+    deviation(b), bound(k)) per compared role: the deviations at all of X0,
+    the bound at one config's points (k its _Run).  extras(b, runs) ->
+    [(details, checks)], one per config (runs: each config's _Run), adds
+    report details and named (name, passed) checks.
+    """
+
+    domain: str
+    controls: tuple
+    roles: tuple = ()
+    limit: object = None
+    pexider: bool = False
+    h_part: type | None = None
+    zero_linear: bool = False
+    scale_y: bool = False
+    reflect: bool = False
+    extras: object = None
+    requires: tuple = ()
+    run: object = None
+
+
+_THEOREMS = {
+    "thm2_1": _Theorem(
+        FULL, (CONSTANT, MIXED, TABLE), pexider=True, limit=lambda b: _dyadic_limit(b, b.f),
+        roles=(
+            ("f", lambda b: b.dev(b.f), lambda k: k.dyadic(k.nx)),
+            ("g", lambda b: b.dev(b.g), lambda k: (1.0 / k.s) * k.phi(k.nx, np.zeros_like(k.nx))
+             + (k.r / k.s) * k.dyadic((k.s / k.r) * k.nx)),
+            ("h", lambda b: b.dev(b.h), lambda k: (1.0 / k.t) * k.phi(np.zeros_like(k.nx), k.nx)
+             + (k.r / k.t) * k.dyadic((k.t / k.r) * k.nx)),
+        ),
+    ),
+    "cor2_2": _Theorem(
+        FULL, (CONSTANT, MIXED), limit=lambda b: _dyadic_limit(b, b.f),
+        # comps[-1] is the mixed part, or the constant itself (δ = p = 0)
+        roles=(("f", lambda b: b.dev(b.f), lambda k: cor22_bound_norms(
+            k.params, k.eps, k.comps[-1].delta, k.comps[-1].p, k.nx)),),
+    ),
+    "thm3_1": _Theorem(
+        EXTERIOR, (CONSTANT,), limit=lambda b: _dyadic_limit(b, b.f),
+        roles=(("f", lambda b: b.dev(b.f), lambda k: k.flat(15.0 * k.eps / k.r)),),
+        extras=_exterior_chain,
+    ),
+    "prop4_1": _Theorem(
+        PUNCTURED, (CONSTANT, MIXED), pexider=True, h_part=OddPart, scale_y=True,
+        limit=lambda b: _triadic_limit(b, b.f),
+        # all three roles compare against the same additive limit: the
+        # approximants differ only by rational rescalings of its argument
+        roles=(
+            ("f", lambda b: b.dev(b.f), lambda k: (1.0 / k.r) * k.triadic((k.r / k.s) * k.nx)),
+            ("g", lambda b: b.dev(b.g), lambda k: (1.0 / (2.0 * k.s))
+             * (2.0 * k.phi(k.nx, k.nx) + k.triadic(2.0 * k.nx))),
+            ("h", lambda b: b.dev(b.h), lambda k: (1.0 / (2.0 * k.t))
+             * (2.0 * k.phi((k.t / k.s) * k.nx, (k.t / k.s) * k.nx)
+                + k.triadic((2.0 * k.t / k.s) * k.nx))),
+        ),
+    ),
+    # the conclusions force f, g, h to be small; a shared linear part cannot
+    # cancel against an even h, so it must vanish
+    "prop4_2": _Theorem(
+        PUNCTURED, (CONSTANT, MIXED), pexider=True, h_part=EvenPart, zero_linear=True,
+        scale_y=True,
+        roles=(
+            ("f", lambda b: b.norm(b.at(b.f)), lambda k: (2.0 / k.r)
+             * k.phi((k.r / (2.0 * k.s)) * k.nx, (k.r / (2.0 * k.s)) * k.nx)),
+            ("g_h", lambda b: b.norm(b.at(b.g) - (b.t / b.s) * b.at(b.h, (b.s / b.t) * b.X0)),
+             lambda k: (1.0 / k.s) * k.phi(k.nx, k.nx)),
+        ),
+    ),
+    "thm4_3": _Theorem(
+        PUNCTURED, (CONSTANT,), scale_y=True, reflect=True,
+        limit=lambda b: _triadic_limit(b, b.parts[0]),
+        roles=(
+            ("odd", lambda b: b.dev(b.parts[0]), lambda k: k.flat(_odd_bound(k))),
+            ("even", lambda b: b.norm(b.at(b.parts[1])), lambda k: k.flat(2.0 * k.eps / k.r)),
+            ("total", lambda b: b.dev(b.f), lambda k: k.flat(_odd_bound(k) + 2.0 * k.eps / k.r)),
+        ),
+    ),
+    "thm5_2": _Theorem(
+        ORTHOGONAL, (CONSTANT,), pexider=True, limit=_additive_quadratic_limit,
+        roles=(
+            ("f", lambda b: b.dev(b.f), lambda k: k.flat(68.0 * k.eps)),
+            ("g", lambda b: b.dev(b.g), lambda k: k.flat(80.0 * k.eps)),
+            ("h", lambda b: b.dev(b.h), lambda k: k.flat(80.0 * k.eps)),
+        ),
+        extras=_orthogonal_reduction,
+    ),
+    "cor3_2": _Theorem(FULL, (CONSTANT, MIXED), requires=("shells", "expected_decay"),
+                       run=_run_cor3_2),
+    "thm6_1": _Theorem(FULL, (CONSTANT, MIXED), requires=("ball",), run=_run_sikorska),
+    "thm6_2": _Theorem(FULL, (CONSTANT, MIXED), requires=("ball",), run=_run_sikorska),
+}
+THEOREM_IDS = tuple(_THEOREMS)
+
+
+def _run_limit_theorem(cfgs: list, thm: _Theorem, heads: list) -> list:
+    """Run K compatible configs of one limit theorem as one batch; one report each.
+
+    Each config samples its own pairs and points; ε̂, the limit and the role
+    deviations then run once over all K configs' rows (K equal segments, in
+    config order).  ε̂ and its witness are taken over each config's own pairs,
+    and bounds, the extras' counts and checks and the report per config, so
+    every report equals that of its config run alone.
+    """
+    K, cfg = len(cfgs), cfgs[0]
+    models = build_models(cfgs)
+    X, Y = (np.concatenate(z) for z in zip(*map(_hypothesis_pairs, cfgs)))
+    scale_y = cfg.params.t / cfg.params.s if thm.scale_y else 1.0
+    eps, wits = measure_epsilon(cfgs, *models, X, Y, scale_y=scale_y)
+    if thm.reflect:
+        for i, (e, w) in enumerate(zip(*measure_epsilon(cfgs, *models, X, -Y, scale_y=scale_y))):
+            if e > eps[i]:
+                eps[i], wits[i] = e, w
+    b = _Batch(cfgs, models, X, Y, np.concatenate([_dev_points(c) for c in cfgs]))
+    b.A, iters, conv = thm.limit(b) if thm.limit else (None, np.empty(0, int), np.empty(0, bool))
+    devs = [dev(b) for _, dev, _ in thm.roles]
+    nx = norm_many(cfg.space, b.X0)
+    n, m = len(b.X0) // K, len(X) // K
+    # one iteration count and flag per limit, config and point
+    iters, conv = iters.reshape(-1, K, n), conv.reshape(-1, K, n)
+    segs = [slice(i * n, (i + 1) * n) for i in range(K)]
+    runs = [_Run(c, e, nx[seg]) for c, e, seg in zip(cfgs, eps, segs)]
+    extras = thm.extras(b, runs) if thm.extras else [({}, []) for _ in runs]
+    reports = []
+    for i, (k, head, seg, (details, checks)) in enumerate(zip(runs, heads, segs, extras)):
+        # a point diverges when any of its limits does
+        diverged = int(np.count_nonzero(~conv[:, i].all(axis=0)))
+        rows = _assemble_rows(b.X0[seg], [(name, d[seg], bound(k))
+                                          for (name, _, bound), d in zip(thm.roles, devs)],
+                              k.cfg.limits.tol)
+        details["hypothesis_witness"] = wits[i]
+        details["pair_count"] = m
+        if diverged:
+            details["diverged_points"] = diverged
+        checks.append(("converged", diverged == 0))
+        meta = _limit_meta(iters[:, i].reshape(-1), conv[:, i].reshape(-1))
+        reports.append(_finish(k.cfg, head, eps[i], rows, details, meta, checks))
+    return reports
+
+
 def _finish(cfg, head, eps_hat, rows, details, iterations, checks) -> StabilityReport:
     """The report of an _assemble_rows result for cfg, whose config_to_dict is
     head; it passes when max_ratio <= 1 (within REPORT_TOL) and every named
@@ -990,36 +1000,14 @@ def _finish(cfg, head, eps_hat, rows, details, iterations, checks) -> StabilityR
     )
 
 
-def _needs_shells(cfg: ExperimentConfig):
-    if cfg.shells is None or cfg.expected_decay is None:
-        raise ConfigError(f"{cfg.theorem_id} needs shells and expected_decay")
-
-
-def _needs_ball(cfg: ExperimentConfig):
-    if cfg.ball is None:
-        raise ConfigError(f"{cfg.theorem_id} needs a ball section")
-    try:
-        SikorskaConfig(params=cfg.params, ball_radius=cfg.ball.radius)
-    except ModelError as e:
-        raise ConfigError(f"{cfg.theorem_id}: {e}") from e
-
-
-# theorem ids with a runner of their own -> (runner, config check)
-_SPECIAL = {
-    "cor3_2": (_run_cor3_2, _needs_shells),
-    "thm6_1": (_run_sikorska, _needs_ball),
-    "thm6_2": (_run_sikorska, _needs_ball),
-}
-THEOREM_IDS = (*_THEOREMS, *_SPECIAL)
-
-
 def _validate_for_theorem(cfg: ExperimentConfig):
-    tid, dom = cfg.theorem_id, cfg.domain
-    thm = _THEOREMS.get(tid)
-    if thm is None:
-        _SPECIAL[tid][1](cfg)
-    elif dom.kind != thm.domain:
-        raise ConfigError(f"{tid} runs on the {thm.domain} domain, got {dom.kind}")
+    tid, dom, thm = cfg.theorem_id, cfg.domain, _THEOREMS[cfg.theorem_id]
+    for key in ("ball", "shells", "expected_decay"):
+        if (getattr(cfg, key) is None) == (key in thm.requires):
+            raise ConfigError(f"{tid} needs {key}" if key in thm.requires
+                              else f"{tid} does not read {key}")
+    if dom.kind != thm.domain:
+        raise ConfigError(f"{tid} runs on the {thm.domain} domain, got domain.kind {dom.kind}")
     elif dom.kind == PUNCTURED and cfg.sampler.radius_range[0] <= 0.0:
         raise ConfigError(f"{tid} needs a positive lower sampling radius")
     elif dom.kind == ORTHOGONAL:
@@ -1029,9 +1017,14 @@ def _validate_for_theorem(cfg: ExperimentConfig):
         if rel != TRIVIAL and cfg.space.dim < 2:
             # on a line only y = 0 is orthogonal to x != 0
             raise ConfigError(f"{rel} pairs need space.dim >= 2")
-    controls = (CONSTANT, MIXED) if thm is None else thm.controls
-    if cfg.control.kind not in controls:
-        raise ConfigError(f"{tid} takes {' or '.join(controls)} controls, not {cfg.control.kind}")
+    if cfg.ball is not None:
+        try:
+            SikorskaConfig(params=cfg.params, ball_radius=cfg.ball.radius)
+        except ModelError as e:
+            raise ConfigError(f"{tid}: {e}") from e
+    if cfg.control.kind not in thm.controls:
+        raise ConfigError(f"{tid} takes {' or '.join(thm.controls)} controls, "
+                          f"not {cfg.control.kind}")
 
 
 # the key paths in which the configs of one batch may differ ([] is any list index)
@@ -1075,9 +1068,9 @@ def run_experiment(cfg):
                               f"sampler.radius_range, model.seed and perturbation seeds; "
                               f"config {i} differs from config 0 in {', '.join(keys)}")
     start = time.perf_counter()
-    thm = _THEOREMS.get(cfgs[0].theorem_id)
-    reports = (_run_limit_theorem(cfgs, thm, heads) if thm else
-               [_SPECIAL[c.theorem_id][0](c, head) for c, head in zip(cfgs, heads)])
+    thm = _THEOREMS[cfgs[0].theorem_id]
+    reports = (_run_limit_theorem(cfgs, thm, heads) if thm.run is None else
+               [thm.run(c, head) for c, head in zip(cfgs, heads)])
     seconds = time.perf_counter() - start
     for report in reports:
         report.runtime = {"seconds": seconds}
@@ -1292,9 +1285,14 @@ _BALL = _Section(
 )
 _SHELLS = _Section(
     ShellSettings,
-    _Field("edges", [float], note="strictly increasing, at least 2"),
+    _Field("edges", [float], note=">= 0, strictly increasing, at least 2"),
     _Field("samples_per_shell", int, note=">= 1"),
 )
+def _required_for(key: str) -> str:
+    ids = ", ".join(t for t, thm in _THEOREMS.items() if key in thm.requires)
+    return f"required for {ids}; refused otherwise"
+
+
 _EXPERIMENT = _Section(
     _make_experiment,
     _Field("theorem_id", str, note=", ".join(THEOREM_IDS)),
@@ -1308,12 +1306,12 @@ _EXPERIMENT = _Section(
     _Field("domain", _DOMAIN, {}),
     _Field("sampler", _SAMPLER),
     _Field("limits", _LIMITS, {}),
-    _Field("ball", _BALL, None, "required for thm6_1, thm6_2", emit=lambda c: c.ball is not None),
+    _Field("ball", _BALL, None, _required_for("ball"), emit=lambda c: c.ball is not None),
     _Field("residual_tol", float, 1e-6, "> 0"),
     _Field("decay_tol", float, 1e-3, "> 0"),
-    _Field("expected_decay", bool, None, "required for cor3_2",
+    _Field("expected_decay", bool, None, _required_for("expected_decay"),
            emit=lambda c: c.expected_decay is not None),
-    _Field("shells", _SHELLS, None, "required for cor3_2", emit=lambda c: c.shells is not None),
+    _Field("shells", _SHELLS, None, _required_for("shells"), emit=lambda c: c.shells is not None),
 )
 _CONFIG = _Section(
     _make_config,

@@ -253,6 +253,12 @@ def test_console_script(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# Merged into the cor2_2 experiment by a probe at the path (): the sections
+# that make it a cor3_2 and a thm6_1 experiment.
+AS_COR3_2 = {"theorem_id": "cor3_2", "expected_decay": False,
+             "shells": {"edges": [0.5, 1.0, 2.0], "samples_per_shell": 8}}
+AS_THM6_1 = {"theorem_id": "thm6_1", "params": {"r": 2, "s": 2, "t": 2},
+             "perturbation": [], "ball": {"radius": 1.0}}
 # One wrong value each in a 20-point cor2_2 config: (where, value, key that
 # stderr must name).  None of these may crash or run.
 CONFIG_PROBES = [
@@ -286,6 +292,19 @@ CONFIG_PROBES = [
     (("domain",), {"kind": "orthogonal", "relation": {"kind": "birkhoff_james",
                                                       "grid": {"steps": "x"}}},
      "domain.relation.grid.steps"),
+    # an optional section on an id that does not read it
+    (("ball",), {"radius": 1.0}, "ball"),
+    (("shells",), {"edges": [0.5, 1.0], "samples_per_shell": 4}, "shells"),
+    (("expected_decay",), True, "expected_decay"),
+    ((), dict(AS_COR3_2, ball={"radius": 1.0}), "ball"),
+    ((), dict(AS_THM6_1, expected_decay=True), "expected_decay"),
+    # the runner-backed ids run on the full domain only
+    ((), dict(AS_COR3_2, domain={"kind": "punctured"}), "domain.kind"),
+    ((), dict(AS_COR3_2, domain={"kind": "exterior", "d": 1.0}), "domain.kind"),
+    ((), dict(AS_THM6_1, domain={"kind": "orthogonal", "relation": {"kind": "trivial"}}),
+     "domain.kind"),
+    # a shell below ‖x‖ + ‖y‖ = 0 is empty
+    ((), dict(AS_COR3_2, shells={"edges": [-4, -1, 2], "samples_per_shell": 8}), "shells"),
 ]
 
 
@@ -295,14 +314,26 @@ CONFIG_PROBES = [
 def test_malformed_config_exits_2(tmp_path, capsys, where, value, key):
     exp = _cor2_2_experiment()
     exp["sampler"]["count"] = 20
-    node = exp
-    for k in where[:-1]:
-        node = node[k]
-    node[where[-1]] = value
+    if not where:  # merge whole sections into the experiment
+        exp.update(value)
+    else:
+        node = exp
+        for k in where[:-1]:
+            node = node[k]
+        node[where[-1]] = value
     cfg = _write_config(tmp_path / "c.json", exp)
     assert main(["verify", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sections", [AS_COR3_2, AS_THM6_1], ids=["cor3_2", "thm6_1"])
+def test_probe_bases_are_valid(tmp_path, sections):
+    # the merged probes fail on their probed key alone
+    exp = dict(_cor2_2_experiment(), **sections)
+    exp["sampler"]["count"] = 20
+    cfg = _write_config(tmp_path / "c.json", exp)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) in (0, 1)
 
 
 AXIOMS = ["axioms", "--relation", "bj", "--dim", "2"]
@@ -356,7 +387,7 @@ def _fuzz_bases():
                   sampler=dict(sampler, pair_count=8))
     thm6_2 = {
         "theorem_id": "thm6_2", "space": _space(2), "codomain": _space(1),
-        "params": {"r": 4, "s": 3, "t": 3}, "domain": {"kind": "punctured"},
+        "params": {"r": 4, "s": 3, "t": 3},
         "sampler": dict(sampler, radius_range=[0.0, 1.0]),
         "ball": {"radius": 1.0, "exclude_origin": True},
     }

@@ -323,6 +323,15 @@ class TestAsymptoticProfile:
         assert prof.sup_defect.shape == (5,)
         assert prof.is_decaying(1e-9)
 
+    def test_negative_edges_rejected(self):
+        # ‖x‖ + ‖y‖ >= 0, so a shell below 0 is empty and its sup would be made up
+        f = FunctionModel(domain=E3, codomain=E2, linear=L23)
+        for edges in ((-4.0, -1.0, 2.0), (-0.5, 1.0)):
+            with pytest.raises(DomainError):
+                asymptotic_profile(f, JensenParams(2, 1, 1), E3, edges, 10, rng_from(1, "prof"))
+        prof = asymptotic_profile(f, JensenParams(2, 1, 1), E3, (0.0, 1.0), 10, rng_from(1, "prof"))
+        assert prof.sup_defect.shape == (1,)
+
     def test_constant_noise_plateaus(self):
         f = _noisy_additive(0.2, seed=9)
         prof = asymptotic_profile(

@@ -163,10 +163,13 @@ class TestBoundFormula:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_exactness_theorems_have_no_bound(self):
-        # thm6_1/thm6_2 are exactness statements: no table entry, no ε bound
-        assert {"thm6_1", "thm6_2"}.isdisjoint(experiments._THEOREMS)
-        assert set(experiments.THEOREM_IDS) == set(experiments._THEOREMS) | {
-            "cor3_2", "thm6_1", "thm6_2"}
+        # cor3_2 and thm6_1/thm6_2 have runners of their own: no limit, no roles, no ε bound
+        for tid in ("cor3_2", "thm6_1", "thm6_2"):
+            thm = experiments._THEOREMS[tid]
+            assert thm.limit is None and thm.roles == () and thm.run is not None
+        limit_ids = [tid for tid, thm in experiments._THEOREMS.items() if thm.run is None]
+        assert limit_ids == ["thm2_1", "cor2_2", "thm3_1", "prop4_1", "prop4_2", "thm4_3", "thm5_2"]
+        assert experiments.THEOREM_IDS == tuple(experiments._THEOREMS)
         assert len(experiments.THEOREM_IDS) == 10
 
 
@@ -207,9 +210,7 @@ def _configs(draw):
         control = ControlFunctionSpec(
             kind=kind, epsilon=draw(MAGNITUDE), delta=draw(MAGNITUDE), p=draw(EXPONENT)
         )
-    domain = DomainRestriction(kind=draw(st.sampled_from(["full", "punctured"])))
-    if tid in ("thm2_1", "cor2_2"):
-        domain = DomainRestriction(kind="full")
+    domain = DomainRestriction(kind="full")
     if tid in ("prop4_1", "prop4_2", "thm4_3"):
         domain = DomainRestriction(kind="punctured")
     if tid == "thm3_1":
@@ -229,7 +230,7 @@ def _configs(draw):
         st.sampled_from(["none", "bounded", "power", "decay"]),
         MAGNITUDE, MAGNITUDE, EXPONENT, SEED,
     )
-    cor3_2 = tid == "cor3_2" or draw(st.booleans())
+    cor3_2 = tid == "cor3_2"  # the only id that reads shells and expected_decay
     return ExperimentConfig(
         theorem_id=tid,
         space=space,
@@ -359,6 +360,41 @@ class TestConfigParsing:
         for cfg in bad:
             with pytest.raises(ConfigError):
                 run_experiment(cfg)
+
+    SHELLS = ShellSettings(edges=(0.5, 1.0, 2.0), samples_per_shell=10)
+
+    @pytest.mark.parametrize("tid, over, key", [
+        ("cor3_2", {"domain": DomainRestriction(kind="punctured")}, "domain.kind"),
+        ("cor3_2", {"domain": DomainRestriction(kind="exterior", d=1.0)}, "domain.kind"),
+        ("thm6_1", {"domain": DomainRestriction(
+            kind="orthogonal", relation=OrthogonalityRelation("trivial"))}, "domain.kind"),
+        ("thm6_2", {"domain": DomainRestriction(kind="punctured")}, "domain.kind"),
+        ("thm2_1", {"ball": BallSettings(radius=1.0)}, "ball"),
+        ("thm2_1", {"shells": SHELLS}, "shells"),
+        ("thm2_1", {"expected_decay": True}, "expected_decay"),
+        ("thm6_1", {"shells": SHELLS, "expected_decay": False}, "shells"),
+        ("cor3_2", {"ball": BallSettings(radius=1.0)}, "ball"),
+        ("cor3_2", {"expected_decay": None}, "expected_decay"),
+        ("thm6_2", {"ball": None}, "ball"),
+    ])
+    def test_every_id_checks_its_domain_and_sections(self, tid, over, key):
+        # one validation path: the runner-backed ids refuse other domains too,
+        # and a section is refused by the ids that do not read it
+        cfg = _cfg(tid, **over)
+        with pytest.raises(ConfigError, match=key):
+            run_experiment(cfg)
+        with pytest.raises(ConfigError, match=key):
+            parse_experiment(config_to_dict(cfg))
+
+    def test_negative_shell_edges_rejected(self):
+        with pytest.raises(ConfigError, match="edges"):
+            ShellSettings(edges=(-4.0, -1.0, 2.0), samples_per_shell=10)
+        d = config_to_dict(_cfg("cor3_2"))
+        d["shells"]["edges"] = [-4, -1, 2]
+        with pytest.raises(ConfigError, match="shells"):
+            parse_experiment(d)
+        d["shells"]["edges"] = [0, 1, 2]  # a first shell from 0 is fine
+        assert parse_experiment(d).shells.edges == (0, 1, 2)
 
     def test_table_control_only_for_thm2_1(self):
         table = ControlFunctionSpec(

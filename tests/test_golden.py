@@ -26,6 +26,9 @@ the convergence check fails while every ratio stays under 1, and
 ``thm6_1-noisy`` gives the ball map a bounded perturbation whose residual
 exceeds ``residual_tol``.  thm5_2 iterates two limits per point (T and Q);
 ``thm5_2-nmax3`` counts a point once in ``diverged_points`` when either fails.
+Like every limit theorem's report, thm3_1's carries ``details.pair_count``
+and, when a limit fails, ``details.diverged_points``; its two digests were
+re-recorded when those keys were added, with every other byte unchanged.
 
 The axiom entries pin ``check_ratz_axioms`` for every relation: the
 Birkhoff-James relation on the sup, p = 3 and Euclidean norms, the
@@ -220,7 +223,7 @@ DIGESTS = {
     "thm2_1-mixed": "a2cd250e7436710c430fcd7d3fc19b52b3473316162e582501e62a26c094f4f6",
     "thm2_1-quadratic-cap": "216cc2afc9c5874c983cbb583c7e069be3926f2f6f5906afae530c9b817cf569",
     "thm2_1-table": "2db0f04ffc6b7b7f214a70b7f78434878fd3344fc65225ae0e18dd07e918afbc",
-    "thm3_1": "313be2a6cedc7705083b3fdc666b8fab36f09089b5e4a50b9e223a75579e6bbe",
+    "thm3_1": "ebdda77f55f51e719c083ed0a7bd95759e82f68e58ce12feab07a19a057db4dd",
     "thm4_3": "082b3332416008fde0eb604983f0ba42e2a38a2242e023dfec35f691f9201deb",
     "thm4_3-p3": "a8fd9bf5a9cd0f40a740fee8a61f5012c571f4a9af48fbdc9c2b2cd3c4077704",
     "thm5_2": "8e51fe81cdb12a80df7e2974f08db39b0c2afc3820b45c13ef64ec170d6ee8b3",
@@ -229,7 +232,7 @@ DIGESTS = {
     "thm5_2-trivial": "ee81468feb80913fdb15a9e544edcb588a2708d9876adaed9a908fcb89a78821",
     "thm6_1": "4de92dfe8f058444b910425d3d72d07ce69f7a26c8985a26e7be505e8b0bcb02",
     "thm6_2": "66bcfc4bc601ab586be0d798c547c4000f16981625f2c13b6f5069b568821df2",
-    "thm3_1-nmax3": "78791a9e6452b3e05b8b548d3d988a1bb4a8a08dee6615ef5601a17337bc0fb3",
+    "thm3_1-nmax3": "c0f9fc48084db73b7efeb5ace42f7bb127393a8ff4a2a513f35eaae737fce48d",
     "prop4_1-nmax3": "16f1e23ac7fab8f35201fc3510eaefd3933bef8b1162ea7c08c315bcc5cc9f40",
     "thm4_3-nmax3": "83e6ebdce3b7b605f0afd37f19027c7eb8fcbda1fd4076961960fd34f5fdb91a",
     "thm5_2-nmax3": "4e2081bbd849bfb71da47e606ecb5e09589789a87913c10a71b98f2b15bbc229",
