@@ -42,6 +42,7 @@ from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
+import orjson
 
 from .control import (
     CONSTANT,
@@ -438,11 +439,22 @@ def _json_default(o):
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _float_strs(a: np.ndarray) -> list:
+    """repr of each value of a 1-D float64 array; see emit_report for the orjson part."""
+    out = orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    out = out.decode().split(",") if a.size else []
+    m = np.abs(a)
+    idx = np.flatnonzero(~((m >= 1e-4) & (m < 1e16)) & (a != 0))
+    for i, s in zip(idx.tolist(), map(repr, a[idx].tolist())):
+        out[i] = s
+    return out
+
+
 def _json_floats(a: np.ndarray) -> list:
     """The floats of a 1-D array for a %s template, non-finite ones as json writes them."""
-    out = a.tolist()
+    out = _float_strs(a)
     for i in np.flatnonzero(~np.isfinite(a)).tolist():
-        out[i] = _NONFINITE[repr(out[i])]
+        out[i] = _NONFINITE[out[i]]
     return out
 
 
@@ -483,6 +495,11 @@ def emit_report(report: StabilityReport, fmt: str = "json", include_runtime: boo
     Wall-clock timing is left out unless asked for, so two runs of the same
     config serialize to identical bytes.  The JSON equals
     ``json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\\n"``.
+
+    JSON and CSV write row floats with _float_strs: orjson for ±0 and
+    1e-4 <= |x| < 1e16, repr elsewhere.  Both pick the shortest round-trip
+    digits, the closest among them, so they agree; only outside that range
+    do the forms differ (orjson writes 1e16, 0.00001, null for nan).
     """
     if fmt == "json":
         head = replace(report, samples=_NO_ROWS).to_dict(include_runtime)
@@ -501,13 +518,9 @@ def emit_report(report: StabilityReport, fmt: str = "json", include_runtime: boo
     rows = report.samples
     n = len(rows)
     dim = rows.X.shape[1] if n else 0
-    w.writerow(
-        ["theorem_id", "index", "role"]
-        + [f"x{k}" for k in range(dim)]
-        + ["deviation", "bound", "ratio"]
-    )
-    columns = (*rows.X.T, rows.deviation, rows.bound, rows.ratio)
-    cols = [list(map(repr, c.tolist())) for c in columns]
+    w.writerow(["theorem_id", "index", "role", *(f"x{k}" for k in range(dim)),
+                "deviation", "bound", "ratio"])
+    cols = map(_float_strs, (*rows.X.T, rows.deviation, rows.bound, rows.ratio))
     roles = [rows.roles[k] for k in rows.role.tolist()]
     w.writerows(zip(repeat(report.theorem_id), range(n), roles, *cols))
     return buf.getvalue()
@@ -774,10 +787,8 @@ def _run_cor3_2(cfg: ExperimentConfig, head: dict):
 def _run_sikorska(cfg: ExperimentConfig, head: dict):
     """thm6_1 and thm6_2: exact models on a ball, scaling extension."""
     f, _, _ = build_models(cfg)
-    exclude = cfg.theorem_id == "thm6_2" or cfg.ball.exclude_origin
-    scfg = SikorskaConfig(
-        params=cfg.params, ball_radius=cfg.ball.radius, exclude_origin=exclude
-    )
+    exclude = cfg.ball.exclude_origin
+    scfg = SikorskaConfig(params=cfg.params, ball_radius=cfg.ball.radius, exclude_origin=exclude)
     result = sikorska_extend(
         f,
         scfg,
@@ -1022,6 +1033,8 @@ def _validate_for_theorem(cfg: ExperimentConfig):
             SikorskaConfig(params=cfg.params, ball_radius=cfg.ball.radius)
         except ModelError as e:
             raise ConfigError(f"{tid}: {e}") from e
+        if tid == "thm6_2" and not cfg.ball.exclude_origin:  # its ball is punctured
+            raise ConfigError("thm6_2 needs ball.exclude_origin: true")
     if cfg.control.kind not in thm.controls:
         raise ConfigError(f"{tid} takes {' or '.join(thm.controls)} controls, "
                           f"not {cfg.control.kind}")
@@ -1281,7 +1294,9 @@ _PERTURBATION = _Section(
     _Field("seed", int, 0),
 )
 _BALL = _Section(
-    BallSettings, _Field("radius", float, note="> 0"), _Field("exclude_origin", bool, False)
+    BallSettings,
+    _Field("radius", float, note="> 0"),
+    _Field("exclude_origin", bool, False, "must be true on thm6_2"),
 )
 _SHELLS = _Section(
     ShellSettings,

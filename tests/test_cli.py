@@ -303,6 +303,11 @@ CONFIG_PROBES = [
     ((), dict(AS_COR3_2, domain={"kind": "exterior", "d": 1.0}), "domain.kind"),
     ((), dict(AS_THM6_1, domain={"kind": "orthogonal", "relation": {"kind": "trivial"}}),
      "domain.kind"),
+    # thm6_2 runs on a punctured ball; an omitted exclude_origin means false
+    ((), dict(AS_THM6_1, theorem_id="thm6_2", params={"r": 4, "s": 3, "t": 3},
+              ball={"radius": 1.0, "exclude_origin": False}), "ball.exclude_origin"),
+    ((), dict(AS_THM6_1, theorem_id="thm6_2", params={"r": 4, "s": 3, "t": 3}),
+     "ball.exclude_origin"),
     # a shell below ‖x‖ + ‖y‖ = 0 is empty
     ((), dict(AS_COR3_2, shells={"edges": [-4, -1, 2], "samples_per_shell": 8}), "shells"),
 ]

@@ -29,6 +29,7 @@ from jensenlab.experiments import (
     run_experiment,
 )
 from jensenlab.models import JensenParams, PerturbationSpec
+from report_reference import csv_by_repr
 from jensenlab.sampling import rng_from, sample_pairs
 from jensenlab.series import cor22_bound_norms
 from jensenlab.models import jensen_defect_many
@@ -255,7 +256,8 @@ def _configs(draw):
             seed=draw(st.none() | SEED),
         ),
         ball=draw(
-            st.builds(BallSettings, st.integers(1, 5) | st.floats(0.1, 5.0), st.booleans())
+            st.builds(BallSettings, st.integers(1, 5) | st.floats(0.1, 5.0),
+                      st.just(True) if tid == "thm6_2" else st.booleans())
             if tid in ("thm6_1", "thm6_2") else st.none()
         ),
         residual_tol=draw(st.floats(1e-12, 1.0)),
@@ -511,7 +513,12 @@ def test_report_json_round_trip_and_determinism():
     assert doc["pass"] is True
 
 
-EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e300, -1e-300]
+EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e300, -1e-300,
+    # the ends of the range where orjson writes the floats, and their neighbours
+    1e-4, *(float(np.nextafter(v, to)) for v in (1e-4, 1e16) for to in (0.0, math.inf)),
+    9999999999999998.0, 1e-5, 1e-7, 2.0**53 + 2, 1e22, -5e-324,
+]
 
 
 @given(
@@ -542,6 +549,30 @@ def test_emitter_matches_json_dumps(n, dim, roles, data):
         dumped = json.dumps(rep.to_dict(include_runtime), indent=2, sort_keys=True,
                             default=experiments._json_default)
         assert emit_report(rep, include_runtime=include_runtime) == dumped + "\n"
+
+
+def test_float_strs_match_repr():
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+    logs = 10.0 ** rng.uniform(-6, 18, size=100_000) * rng.choice([-1.0, 1.0], size=100_000)
+    edge = np.array(EDGE_FLOATS)
+    X = np.concatenate([bits, logs]).reshape(-1, 3)
+    for a in (edge, -edge, bits, logs, *X.T):  # X.T[k] is a strided column
+        assert experiments._float_strs(a) == list(map(repr, a.tolist()))
+    assert experiments._float_strs(np.empty(0)) == []
+
+
+def test_csv_matches_repr_on_edge_floats():
+    n = len(EDGE_FLOATS)
+    edge = np.array(EDGE_FLOATS)
+    rows = experiments._Rows(np.stack([edge, edge[::-1]], axis=1), ("f", "odd"),
+                             np.arange(n) % 2, edge[::-1], np.roll(edge, 3), -edge)
+    rep = experiments.StabilityReport(
+        theorem_id="thm2_1", config={"seed": 1}, epsilon_effective=0.3, bound_value=1.0,
+        max_deviation=0.0, max_ratio=0.0, passed=True, witnesses=[], samples=rows,
+        details={}, iterations={"max_iterations": 0},
+    )
+    assert emit_report(rep, fmt="csv") == csv_by_repr(rep)
 
 
 def test_report_includes_runtime_only_on_request():

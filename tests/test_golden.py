@@ -57,6 +57,7 @@ from jensenlab.experiments import (
     run_experiment,
 )
 from jensenlab.spaces import NormedSpaceSpec, OrthogonalityRelation, check_ratz_axioms
+from report_reference import csv_by_repr
 
 E3 = {"dim": 3, "norm_kind": "euclidean"}
 E2 = {"dim": 2, "norm_kind": "euclidean"}
@@ -249,6 +250,8 @@ def test_report_digest(name):
     # the column emitter writes what json writes for the dict rows
     dumped = json.dumps(report.to_dict(), indent=2, sort_keys=True, default=_json_default)
     assert text == dumped + "\n"
+    # CSV floats are written as repr writes them
+    assert emit_report(report, fmt="csv") == csv_by_repr(report)
 
 
 AXIOM_DIGESTS = {
