@@ -241,17 +241,64 @@ DIGESTS = {
 }
 
 
+# The verdict of every config: whether it passes and the names of its failed
+# checks.  A re-record of the digests must leave this table as it is.
+VERDICTS = {
+    "cor2_2-constant": (True, ()),
+    "cor2_2-mixed": (True, ()),
+    "cor2_2-nmax7": (False, ("converged",)),
+    "cor3_2": (True, ()),
+    "prop4_1-mixed": (True, ()),
+    "prop4_1-nmax3": (False, ("converged",)),
+    "prop4_1-p3": (True, ()),
+    "prop4_2": (True, ()),
+    "thm2_1-mixed": (True, ()),
+    "thm2_1-quadratic-cap": (False, ("max_ratio", "converged")),
+    "thm2_1-table": (True, ()),
+    "thm3_1": (True, ()),
+    "thm3_1-nmax3": (False, ("converged",)),
+    "thm4_3": (True, ()),
+    "thm4_3-nmax3": (False, ("converged",)),
+    "thm4_3-p3": (True, ()),
+    "thm5_2": (True, ()),
+    "thm5_2-bj-p3": (True, ()),
+    "thm5_2-bj-sup": (True, ()),
+    "thm5_2-nmax3": (False, ("converged",)),
+    "thm5_2-trivial": (True, ()),
+    "thm6_1": (True, ()),
+    "thm6_1-noisy": (False, ("max_ratio", "residual")),
+    "thm6_2": (True, ()),
+}
+
+
+def _report(name):
+    (cfg,) = parse_config({"schema_version": 1, "experiments": [CONFIGS[name]]})
+    return run_experiment(cfg)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_report_digest(name):
-    (cfg,) = parse_config({"schema_version": 1, "experiments": [CONFIGS[name]]})
-    report = run_experiment(cfg)
+    report = _report(name)
     text = emit_report(report, fmt="json")
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[name]
+    assert _sha256(text) == DIGESTS[name]
     # the column emitter writes what json writes for the dict rows
     dumped = json.dumps(report.to_dict(), indent=2, sort_keys=True, default=_json_default)
     assert text == dumped + "\n"
     # CSV floats are written as repr writes them
     assert emit_report(report, fmt="csv") == csv_by_repr(report)
+
+
+def test_verdicts():
+    assert sorted(VERDICTS) == sorted(CONFIGS)
+    got = {}
+    for name in CONFIGS:
+        report = _report(name)
+        got[name] = (report.passed, report.failed_checks)
+    assert got == VERDICTS
 
 
 AXIOM_DIGESTS = {
@@ -272,13 +319,16 @@ AXIOM_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", list(AXIOM_CASES))
-def test_axioms_digest(name):
+def _axiom_digest(name):
     kind, space = AXIOM_CASES[name]
     rel = OrthogonalityRelation(kind=kind)
     report = check_ratz_axioms(rel, NormedSpaceSpec.from_dict(space), trials=50, seed=7)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == AXIOM_DIGESTS[name]
+    return _sha256(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("name", list(AXIOM_CASES))
+def test_axioms_digest(name):
+    assert _axiom_digest(name) == AXIOM_DIGESTS[name]
 
 
 # Canonical JSON of ``adversarial_search`` with one restart, 12 evaluations.
@@ -292,9 +342,27 @@ SEARCH_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SEARCH_DIGESTS))
-def test_search_digest(name):
+def _search_digest(name):
     (cfg,) = parse_config({"schema_version": 1, "experiments": [CONFIGS[name]]})
     out = adversarial_search(cfg, SearchSettings(iterations=12, restarts=1))
-    text = json.dumps(out, indent=2, sort_keys=True, default=_json_default) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEARCH_DIGESTS[name]
+    return _sha256(json.dumps(out, indent=2, sort_keys=True, default=_json_default) + "\n")
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_DIGESTS))
+def test_search_digest(name):
+    assert _search_digest(name) == SEARCH_DIGESTS[name]
+
+
+if __name__ == "__main__":
+    # Print ``name old new`` for every digest that no longer matches its table:
+    #   PYTHONPATH=src:tests python tests/test_golden.py
+    tables = [
+        ("", DIGESTS, lambda name: _sha256(emit_report(_report(name), fmt="json"))),
+        ("axioms:", AXIOM_DIGESTS, _axiom_digest),
+        ("search:", SEARCH_DIGESTS, _search_digest),
+    ]
+    for prefix, table, digest in tables:
+        for name in sorted(table):
+            new = digest(name)
+            if new != table[name]:
+                print(prefix + name, table[name], new)
