@@ -72,7 +72,7 @@ class ControlFunctionSpec:
         if self.epsilon < 0.0 or self.delta < 0.0:
             raise ControlError("control magnitudes must be nonnegative")
         if self.kind == MIXED and not (0.0 <= self.p < 1.0):
-            raise ControlError(f"mixed control needs p in [0, 1), got {self.p}")
+            raise ControlError(f"p must lie in [0, 1) for a mixed control, got {self.p}")
         if self.kind == TABLE and self.table is None:
             raise ControlError("table control needs a RadialControlTable")
 

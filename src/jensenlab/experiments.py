@@ -1096,7 +1096,8 @@ def run_experiment(cfg):
 # One field table per config section.  _parse builds the dataclasses from a
 # JSON dict and _emit writes them back, both from the same tables.  The
 # tables hold the type layer only; range checks stay in each dataclass's
-# __post_init__, and _parse reports their errors under the section's path.
+# __post_init__, and _parse reports their errors under the section's path,
+# or under the key's path when the message opens with the key.
 
 _REQUIRED = object()
 _TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string"}
@@ -1156,7 +1157,9 @@ def _parse(sec: _Section, d, prefix: str):
     try:
         return sec.make(**kw)
     except ValueError as e:
-        raise ConfigError(f"{prefix[:-1]}: {e}" if prefix else str(e)) from e
+        # a message that opens with one of the section's keys is about that key
+        where = prefix if str(e).split(" ", 1)[0] in kw else prefix[:-1] + ": "
+        raise ConfigError(where + str(e) if prefix else str(e)) from e
 
 
 def _parse_value(t, v, where: str, nullable: bool = False):

@@ -2,19 +2,16 @@
 
 A FunctionModel is a sum of an exact part (linear map plus radial quadratic
 c·‖x‖²) and pseudo-random perturbation terms; it maps 0 to 0 exactly.
-Perturbations are pure functions of (seed, bits of x): the coordinate bit
-patterns are hashed with FNV-1a (64-bit), the hash seeds a splitmix64 stream
-that is expanded to codomain coordinates in [-1, 1), and the resulting vector
-is normalized in the *codomain norm* so the declared pointwise bound
-(amplitude, δ‖x‖^p, or amplitude/(1+‖x‖)) is exact in the working norm.
-
-The hashed message of a point x in R^d is 8 + 8d bytes: the seed reduced mod
-2^64 as a little-endian uint64, then each coordinate's IEEE-754 float64 bit
-pattern, little-endian, in coordinate order (so −0.0 and 0.0 hash apart).
-The FNV-1a state after the seed bytes (the seed prefix) is computed as a
-Python int, once per call or, for a model of several candidates, once per
-candidate and gathered per row; the coordinate bytes are then folded in one
-byte column at a time over the whole batch.
+Perturbations are pure functions of (seed, bits of x).  The row hash of x in
+R^d folds the d IEEE-754 float64 bit patterns of x, as little-endian uint64
+words in coordinate order (so −0.0 and 0.0 hash apart), in as h ← m(h ^ w)
+from h = 0; m multiplies by _SM_MIX1 and xors in h >> 29 (mod 2^64).  A term
+xors its seed mod 2^64 (a model of several candidates: the row's candidate's
+seed) into the hash; one splitmix64 step (Steele, Lea & Flood, OOPSLA 2014)
+of that seeds a stream of codomain coordinates in [-1, 1), normalized in the
+*codomain norm* so the declared bound (amplitude, δ‖x‖^p, or
+amplitude/(1+‖x‖)) is exact in the working norm.  An evaluation hashes its
+points and computes ‖x‖ once, whatever the number of terms.
 
 A model may hold K candidates that share everything but the linear part
 (one (codim, dim) matrix each) and the perturbation seeds (one per
@@ -46,8 +43,6 @@ POWER = "power"
 DECAY = "decay"
 
 _U64 = np.uint64
-_FNV_OFFSET = _U64(0xCBF29CE484222325)
-_FNV_PRIME = _U64(0x100000001B3)
 _SM_GAMMA = _U64(0x9E3779B97F4A7C15)
 _SM_MIX1 = _U64(0xBF58476D1CE4E5B9)
 _SM_MIX2 = _U64(0x94D049BB133111EB)
@@ -99,7 +94,7 @@ class PerturbationSpec:
         if self.amplitude < 0.0 or self.delta < 0.0:
             raise ModelError("perturbation magnitudes must be nonnegative")
         if self.kind == POWER and not (0.0 <= self.p < 1.0):
-            raise ModelError(f"power perturbation needs p in [0, 1), got {self.p}")
+            raise ModelError(f"p must lie in [0, 1) for a power perturbation, got {self.p}")
 
 
 def _row_candidates(cand) -> np.ndarray:
@@ -109,38 +104,44 @@ def _row_candidates(cand) -> np.ndarray:
     return cand
 
 
-def _fnv1a_rows(seed, X: np.ndarray, cand=None) -> np.ndarray:
-    """FNV-1a 64 over seed bytes then each coordinate's bit pattern, little-endian.
-
-    seed is one int, or a tuple of one per candidate, row k then taking
-    seed[cand[k]].
-    """
-    prefixes = []
-    for s in seed if isinstance(seed, tuple) else (seed,):
-        prefix = int(_FNV_OFFSET)
-        for byte in (s & _MASK64).to_bytes(8, "little"):
-            prefix = ((prefix ^ byte) * int(_FNV_PRIME)) & _MASK64
-        prefixes.append(prefix)
-    data = np.ascontiguousarray(X, dtype="<f8").view(np.uint8)
-    if isinstance(seed, tuple):
-        h = np.array(prefixes, dtype=_U64)[_row_candidates(cand)]
-    else:
-        h = np.full(data.shape[0], prefixes[0], dtype=_U64)
-    for column in data.T:
-        h ^= column
-        h *= _FNV_PRIME
+def _row_hash(X: np.ndarray) -> np.ndarray:
+    """The seedless row hash of the module docstring, one uint64 per row of X."""
+    words = np.ascontiguousarray(X, dtype="<f8").view("<u8")
+    h, t = np.zeros(words.shape[0], dtype=_U64), np.empty(words.shape[0], dtype=_U64)
+    for w in words.T:
+        h ^= w
+        h *= _SM_MIX1
+        h ^= np.right_shift(h, _U64(29), out=t)
     return h
 
 
-def _splitmix_expand(h: np.ndarray, k: int) -> np.ndarray:
-    """Expand per-row hashes to (n, k) pseudo-uniform values in [-1, 1)."""
-    z = h[:, None] + _SM_GAMMA * np.arange(1, k + 1, dtype=_U64)
-    z ^= z >> _U64(30)
+def _mix(z: np.ndarray, t: np.ndarray) -> None:
+    """The splitmix64 output function, in place on z; t is scratch of z's shape."""
+    z ^= np.right_shift(z, _U64(30), out=t)
     z *= _SM_MIX1
-    z ^= z >> _U64(27)
+    z ^= np.right_shift(z, _U64(27), out=t)
     z *= _SM_MIX2
-    z ^= z >> _U64(31)
-    return (z >> _U64(11)).astype(np.float64) * 2.0**-52 - 1.0
+    z ^= np.right_shift(z, _U64(31), out=t)
+
+
+def _term_stream(h: np.ndarray, seed, k: int, cand=None) -> np.ndarray:
+    """A term's (n, k) values in [-1, 1): value j of a row is the splitmix64 output
+    of its state (one splitmix64 step from h ^ seed) advanced j + 1 times.  seed is
+    one int, or a tuple of one per candidate, row i taking seed[cand[i]].  The
+    uint64 work runs on (k, n) buffers, in loops of n, the float output as scratch."""
+    if isinstance(seed, tuple):
+        z = h ^ np.array([s & _MASK64 for s in seed], dtype=_U64)[_row_candidates(cand)]
+    else:
+        z = h ^ _U64(seed & _MASK64)
+    z += _SM_GAMMA
+    _mix(z, np.empty_like(z))  # the state
+    z = np.add(z, _SM_GAMMA * np.arange(1, k + 1, dtype=_U64)[:, None])
+    U = np.empty((h.shape[0], k))
+    _mix(z, U.reshape(k, -1).view(_U64))
+    z >>= _U64(11)
+    np.multiply(z, 2.0**-52, out=U.T)
+    U -= 1.0
+    return U
 
 
 def _linear_rows(X: np.ndarray, L: np.ndarray, cand=None) -> np.ndarray:
@@ -162,41 +163,42 @@ def _linear_rows(X: np.ndarray, L: np.ndarray, cand=None) -> np.ndarray:
     return X @ L.T
 
 
-def perturbation_values(
-    spec: PerturbationSpec,
-    X: np.ndarray,
-    domain: NormedSpaceSpec,
-    codomain: NormedSpaceSpec,
-    cand=None,
-) -> np.ndarray:
-    """Evaluate one perturbation term on a (n, dim) batch; (n, codim) output.
-
-    A spec whose seed is a tuple (one per candidate) needs cand, each row's
-    candidate.
-    """
-    n = X.shape[0]
-    if spec.kind == NONE or (spec.kind in (BOUNDED, DECAY) and spec.amplitude == 0.0):
-        return np.zeros((n, codomain.dim))
-    if spec.kind == POWER and spec.delta == 0.0:
-        return np.zeros((n, codomain.dim))
-
-    U = _splitmix_expand(_fnv1a_rows(spec.seed, X, cand), codomain.dim)
+def _term_values(spec: PerturbationSpec, h, nx, codomain: NormedSpaceSpec, cand) -> np.ndarray:
+    """One active term at rows with hashes h and norms nx, 0 where nx is 0."""
+    U = _term_stream(h, spec.seed, codomain.dim, cand)
     lens = norm_many(codomain, U)
-    degenerate = lens == 0.0
-    if np.any(degenerate):
-        U[degenerate, 0] = 1.0
-        lens[degenerate] = 1.0
-    U /= lens[:, None]
-
-    nx = norm_many(domain, X)
+    if not np.all(lens):  # every value drawn 0: take the first axis
+        U[lens == 0.0, 0] = 1.0
+        lens[lens == 0.0] = 1.0
     if spec.kind == BOUNDED:
-        scale = np.full(n, spec.amplitude)
+        scale = spec.amplitude
     elif spec.kind == DECAY:
         scale = spec.amplitude / (1.0 + nx)
     else:
-        scale = np.where(nx > 0.0, spec.delta * nx**spec.p, 0.0)
-    out = U * scale[:, None]
-    out[nx == 0.0] = 0.0
+        scale = spec.delta * nx**spec.p
+    factor = np.divide(scale, lens, out=lens)
+    factor[nx == 0.0] = 0.0
+    U *= factor[:, None]
+    return U
+
+
+def perturbation_values(specs, X: np.ndarray, domain: NormedSpaceSpec, codomain: NormedSpaceSpec,
+                        cand=None, nx=None) -> np.ndarray:
+    """The sum of perturbation terms on a (n, dim) batch; (n, codim) output.
+
+    specs is one PerturbationSpec or a sequence of them.  X is hashed once for
+    all of them; nx, if given, is norm_many(domain, X).  A spec whose seed is
+    a tuple (one per candidate) needs cand, each row's candidate.
+    """
+    active = [s for s in _coerce_perturbations(specs) if s.kind != NONE
+              and (s.delta if s.kind == POWER else s.amplitude) != 0.0]
+    if not active:
+        return np.zeros((X.shape[0], codomain.dim))
+    h = _row_hash(X)
+    nx = norm_many(domain, X) if nx is None else nx
+    out = _term_values(active[0], h, nx, codomain, cand)
+    for spec in active[1:]:
+        out += _term_values(spec, h, nx, codomain, cand)
     return out
 
 
@@ -268,10 +270,12 @@ class FunctionModel:
     def eval_many(self, X, cand=None) -> np.ndarray:
         X = as_batch(X, self.domain.dim)
         Y = _linear_rows(X, self.linear, cand)
+        if self.quadratic is not None or self.perturbations:
+            nx = norm_many(self.domain, X)
         if self.quadratic is not None:
-            Y = Y + (norm_many(self.domain, X) ** 2)[:, None] * self.quadratic[None, :]
-        for spec in self.perturbations:
-            Y = Y + perturbation_values(spec, X, self.domain, self.codomain, cand)
+            Y += (nx**2)[:, None] * self.quadratic[None, :]
+        if self.perturbations:
+            Y += perturbation_values(self.perturbations, X, self.domain, self.codomain, cand, nx)
         Y[~np.any(X, axis=1)] = 0.0
         return Y
 
@@ -301,13 +305,13 @@ def _eval_stacked(f, sets, cand=None) -> np.ndarray:
     return F.reshape(len(sets), len(sets[0]), F.shape[1])
 
 
-def _at_plus_minus(f: FunctionModel, X: np.ndarray, cand):
-    """Each perturbation of f at X and at −X, from one evaluation on [X; −X]."""
-    n = X.shape[0]
-    XX, cc = np.concatenate([X, -X]), None if cand is None else np.concatenate([cand, cand])
-    for spec in f.perturbations:
-        P = perturbation_values(spec, XX, f.domain, f.codomain, cc)
-        yield P[:n], P[n:]
+def _at_plus_minus(f: FunctionModel, X: np.ndarray, nx: np.ndarray, cand):
+    """The perturbations of f at X and at −X, from one evaluation on [X; −X];
+    ‖−x‖ = ‖x‖ bit for bit, so nx, the norms of X, serves both halves."""
+    n, cc = X.shape[0], None if cand is None else np.concatenate([cand, cand])
+    P = perturbation_values(f.perturbations, np.concatenate([X, -X]), f.domain, f.codomain,
+                            cc, np.concatenate([nx, nx]))
+    return P[:n], P[n:]
 
 
 class OddPart(_Wrapped):
@@ -326,8 +330,9 @@ class OddPart(_Wrapped):
         X = as_batch(X, self.domain.dim)
         if self._structured:
             Y = _linear_rows(X, self.base.linear, cand)
-            for P, Q in _at_plus_minus(self.base, X, cand):
-                Y = Y + 0.5 * (P - Q)
+            if self.base.perturbations:
+                P, Q = _at_plus_minus(self.base, X, norm_many(self.domain, X), cand)
+                Y += 0.5 * (P - Q)
             Y[~np.any(X, axis=1)] = 0.0
             return Y
         F, G = _eval_stacked(self.base, [X, -X], cand)
@@ -345,10 +350,12 @@ class EvenPart(_Wrapped):
         X = as_batch(X, self.domain.dim)
         if self._structured:
             Y = np.zeros((X.shape[0], self.codomain.dim))
+            nx = norm_many(self.domain, X)
             if self.base.quadratic is not None:
-                Y = Y + (norm_many(self.domain, X) ** 2)[:, None] * self.base.quadratic[None, :]
-            for P, Q in _at_plus_minus(self.base, X, cand):
-                Y = Y + 0.5 * (P + Q)
+                Y += (nx**2)[:, None] * self.base.quadratic[None, :]
+            if self.base.perturbations:
+                P, Q = _at_plus_minus(self.base, X, nx, cand)
+                Y += 0.5 * (P + Q)
             Y[~np.any(X, axis=1)] = 0.0
             return Y
         F, G = _eval_stacked(self.base, [X, -X], cand)

@@ -286,6 +286,10 @@ CONFIG_PROBES = [
     (("decay_tol",), 0.0, "decay_tol"),
     (("decay_tol",), float("-inf"), "decay_tol"),
     (("expected_decay",), 1, "expected_decay"),
+    # p = 1 is refused: stability fails there (Gajda, Int. J. Math. Math. Sci.
+    # 14 (1991), gives a counterexample for the additive equation)
+    (("control", "p"), 1.0, "control.p"),
+    (("perturbation", 1, "p"), 1.0, "perturbation[1].p"),
     # finite values whose defect overflows: a verdict on inf says nothing
     (("sampler", "radius_range"), [0.05, 1e300], "sampler.radius_range"),
     (("model",), {"linear_scale": 1e300}, "model.linear_scale"),

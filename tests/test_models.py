@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jensenlab import models
 from jensenlab.models import (
     BOUNDED,
     DECAY,
@@ -14,7 +17,8 @@ from jensenlab.models import (
     PerturbationSpec,
     RadialTable,
     ScaledModel,
-    _fnv1a_rows,
+    _row_hash,
+    _term_stream,
     derive_seed,
     jensen_defect_many,
     odd_even_split,
@@ -75,35 +79,136 @@ def test_derive_seed_rejects_negative_index(index):
         derive_seed(7, index)
 
 
-def _fnv1a_bytes(seed, row):
-    """FNV-1a 64 byte by byte over the seed and the coordinates, little-endian."""
-    data = (seed & _MASK64).to_bytes(8, "little")
-    data += np.asarray(row, dtype="<f8").tobytes()
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h = ((h ^ byte) * 0x100000001B3) & _MASK64
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def _splitmix_out(z):
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _row_hash_by_words(row):
+    """The word-wise row hash, one little-endian coordinate word at a time."""
+    h = 0
+    for word in struct.unpack(f"<{len(row)}Q", np.asarray(row, dtype="<f8").tobytes()):
+        h = ((h ^ word) * _MIX1) & _MASK64
+        h ^= h >> 29
     return h
 
 
-def test_fnv1a_rows_matches_bytewise_reference():
-    tiny = np.nextafter(0.0, 1.0)
-    X = np.array(
-        [
-            [0.0, -0.0, 1.0],
-            [-0.0, 0.0, -0.0],
-            [tiny, -tiny, 2.2250738585072014e-308 / 3.0],
-            [1e308, -1.7976931348623157e308, 5e-324],
-            [np.pi, -np.e, 1e-300],
-            [3.0, 2.0**60, -(2.0**-1070)],
-        ]
-    )
-    X = np.concatenate([X, np.random.default_rng(3).standard_normal((20, 3)) * 1e150])
-    for seed in (0, 5, 2**64 - 1, 2**64 + 9):
-        got = _fnv1a_rows(seed, X)
-        assert got.dtype == np.uint64
-        assert [int(h) for h in got] == [_fnv1a_bytes(seed, row) for row in X]
+def _stream_by_words(seed, row, k):
+    """A term's k stream values at row: one splitmix64 step from the row hash
+    xored with the seed, then k more steps, each mapped to [-1, 1)."""
+    state = _splitmix_out(((_row_hash_by_words(row) ^ (seed & _MASK64)) + _GAMMA) & _MASK64)
+    return [(_splitmix_out((state + j * _GAMMA) & _MASK64) >> 11) * 2.0**-52 - 1.0
+            for j in range(1, k + 1)]
+
+
+_EDGE_ROWS = np.array(
+    [
+        [0.0, -0.0, 1.0],
+        [-0.0, 0.0, -0.0],
+        [5e-324, -5e-324, 2.2250738585072014e-308 / 3.0],
+        [1.7976931348623157e308, -1.7976931348623157e308, 5e-324],
+        [np.inf, -np.inf, 1e308],
+        [np.pi, -np.e, 1e-300],
+        [3.0, 2.0**60, -(2.0**-1070)],
+    ]
+)
+
+
+def test_row_hash_and_stream_match_wordwise_reference():
+    X = np.concatenate([_EDGE_ROWS, np.random.default_rng(3).standard_normal((20, 3)) * 1e150])
+    h = _row_hash(X)
+    assert h.dtype == np.uint64
+    assert [int(v) for v in h] == [_row_hash_by_words(row) for row in X]
+    for seed in (0, 5, 2**64 - 1, 2**64 + 9, 3 * 2**70 + 12345):
+        got = _term_stream(h, seed, 2)
+        assert got.tolist() == [_stream_by_words(seed, row, 2) for row in X]
+    # a tuple seed holds one seed per candidate; each row takes its candidate's
+    seeds = (7, 2**64 + 7, 2**65 + 1)
+    cand = np.arange(X.shape[0]) % 3
+    got = _term_stream(h, seeds, 3, cand)
+    assert got.tolist() == [_stream_by_words(seeds[c], row, 3) for c, row in zip(cand, X)]
     # -0.0 and 0.0 differ in their bits, so they hash apart
-    assert _fnv1a_rows(0, X[:1])[0] != _fnv1a_rows(0, np.abs(X[:1]))[0]
+    assert _row_hash(X[:1])[0] != _row_hash(np.abs(X[:1]))[0]
+
+
+def _lattices():
+    rng = np.random.default_rng(21)
+    # 2^n·x: rows that differ only in their exponent bits
+    dyadic = 2.0 ** np.arange(-500.0, 500.0)[:, None, None] * rng.standard_normal((100, 3))
+    grid = np.stack(np.meshgrid(*[np.arange(-23.0, 24.0)] * 3, indexing="ij"), axis=-1)
+    return {"dyadic": dyadic.reshape(-1, 3), "integer-grid": grid.reshape(-1, 3)}
+
+
+@pytest.mark.parametrize("lattice", ["dyadic", "integer-grid"])
+def test_stream_statistics_on_lattice_rows(lattice):
+    """On 10^5 lattice rows the row hashes are distinct and the expanded values
+    have the mean, variance and lag-1 correlation of uniform noise on [-1, 1).
+    The limits are about five standard errors of 3·10^5 values."""
+    X = _lattices()[lattice]
+    assert X.shape[0] >= 10**5
+    h = _row_hash(X)
+    assert np.unique(h).size == X.shape[0]
+    U = _term_stream(h, 7, 3)
+    values = U.ravel()
+    assert abs(values.mean()) < 0.005
+    assert abs(values.var() - 1.0 / 3.0) < 0.003
+    for a, b in ((values[:-1], values[1:]), (U[:-1].ravel(), U[1:].ravel())):
+        assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
+
+
+def test_equal_rows_get_distinct_streams():
+    """Equal rows under different candidates, or under different terms of one
+    model (seeds that differ in one bit included), take unrelated streams."""
+    X = np.random.default_rng(6).standard_normal((2000, 3))
+    h = _row_hash(X)
+    streams = [_term_stream(h, seed, 2) for seed in (2, 3)]
+    both = _term_stream(np.concatenate([h, h]), (2, 3), 2, np.repeat([0, 1], X.shape[0]))
+    assert np.array_equal(both, np.concatenate(streams))
+    a, b = streams
+    assert not np.any(a == b)
+    assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) < 0.05
+    # through a model: two candidates, one linear part, equal rows
+    f = _linear_model(np.ones((2, 3)), perturbations=(
+        PerturbationSpec(kind=BOUNDED, amplitude=0.5, seed=(4, 5)),
+        PerturbationSpec(kind=POWER, delta=0.5, p=0.5, seed=(4, 5)),
+    ))
+    Y = f.eval_many(np.concatenate([X[:50], X[:50]]), np.repeat([0, 1], 50))
+    assert not np.any(Y[:50] == Y[50:])
+
+
+def test_one_row_hash_and_norm_per_evaluation(monkeypatch):
+    """A two-term model hashes X and takes ‖x‖ once per eval_many call; the
+    structured odd and even parts hash [X; −X] once and take ‖x‖ of X once."""
+    hashed, normed = [], []
+    row_hash, norms = models._row_hash, models.norm_many
+
+    def spy_hash(X):
+        hashed.append(X.shape[0])
+        return row_hash(X)
+
+    def spy_norms(space, X):
+        if space == E3:
+            normed.append(X.shape[0])
+        return norms(space, X)
+
+    monkeypatch.setattr(models, "_row_hash", spy_hash)
+    monkeypatch.setattr(models, "norm_many", spy_norms)
+    f = _linear_model(np.ones((2, 3)), quadratic=[0.3, -0.1], perturbations=(
+        PerturbationSpec(kind=BOUNDED, amplitude=0.5, seed=2),
+        PerturbationSpec(kind=DECAY, amplitude=0.5, seed=3),
+    ))
+    X = np.random.default_rng(7).standard_normal((7, 3))
+    for part, rows in ((f, 7), (OddPart(f), 14), (EvenPart(f), 14)):
+        hashed.clear()
+        normed.clear()
+        part.eval_many(X)
+        assert hashed == [rows]
+        assert normed == [7]
 
 
 def test_linear_eval():
@@ -178,6 +283,23 @@ def test_perturbation_determinism():
     other = PerturbationSpec(kind=BOUNDED, amplitude=0.5, seed=78)
     c = perturbation_values(other, X, E3, E2)
     assert not np.array_equal(a, c)
+
+
+def test_perturbation_values_adds_terms_in_order():
+    """A sequence of terms is added one after another, exactly as the terms
+    evaluated one at a time, with or without the norms of X given."""
+    specs = (
+        PerturbationSpec(kind=BOUNDED, amplitude=0.5, seed=2),
+        PerturbationSpec(kind="none"),
+        PerturbationSpec(kind=POWER, delta=0.3, p=0.5, seed=3),
+        PerturbationSpec(kind=DECAY, amplitude=0.7, seed=4),
+    )
+    X = np.random.default_rng(11).standard_normal((30, 3))
+    X[3] = 0.0
+    a, _, b, c = (perturbation_values(s, X, E3, E2) for s in specs)
+    assert np.array_equal(perturbation_values(specs, X, E3, E2), a + b + c)
+    assert np.array_equal(perturbation_values(specs, X, E3, E2, nx=norm_many(E3, X)), a + b + c)
+    assert not np.any(a[3]) and not np.any(c[3])
 
 
 def test_perturbation_validation():
