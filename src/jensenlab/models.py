@@ -18,11 +18,13 @@ A model may hold K candidates that share everything but the linear part
 candidate).  eval_many then takes cand, the candidate of each row, and a
 row's value is that of its candidate's model alone (``candidate(i)``).
 
-Evaluation is bit-identical across runs, platforms, and batch shapes: each
-row's value depends on that row alone (a one-row linear part is padded to
-the matrix-product path), so a one-row batch is the value at one point.  The
-scaling limits in ``series`` and the [X; −X] evaluation of OddPart/EvenPart
-rely on this.
+Evaluation is bit-identical on one numpy build for any batch shape and layout:
+a row's value depends on that row alone (a one-row linear part is padded to the
+matrix-product path), so a one-row batch is the value at one point, which the
+limits in ``series`` and the [X; −X] of OddPart/EvenPart need.  Batches are
+taken C-ordered: einsum, kept for Euclidean norms of dim ≥ 3, sums in a
+layout-dependent order ((x₀² + x₂²) + x₁² at dim 3 on x86-64 SIMD builds).
+Other per-row work runs in loops of n on (codim, n) buffers.
 
 The generalized Jensen defect measured throughout the lab is
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spaces import NormedSpaceSpec, as_batch, norm_many
+from .spaces import NormedSpaceSpec, _column_norms, _max_abs, _rows, as_batch, norm_many
 
 NONE = "none"
 BOUNDED = "bounded"
@@ -125,10 +127,9 @@ def _mix(z: np.ndarray, t: np.ndarray) -> None:
 
 
 def _term_stream(h: np.ndarray, seed, k: int, cand=None) -> np.ndarray:
-    """A term's (n, k) values in [-1, 1): value j of a row is the splitmix64 output
-    of its state (one splitmix64 step from h ^ seed) advanced j + 1 times.  seed is
-    one int, or a tuple of one per candidate, row i taking seed[cand[i]].  The
-    uint64 work runs on (k, n) buffers, in loops of n, the float output as scratch."""
+    """A term's (k, n) values in [-1, 1): [j, i] is the splitmix64 output of row
+    i's state (one splitmix64 step from h ^ seed) advanced j + 1 times.  seed is
+    one int, or a tuple of one per candidate, row i taking seed[cand[i]]."""
     if isinstance(seed, tuple):
         z = h ^ np.array([s & _MASK64 for s in seed], dtype=_U64)[_row_candidates(cand)]
     else:
@@ -136,10 +137,10 @@ def _term_stream(h: np.ndarray, seed, k: int, cand=None) -> np.ndarray:
     z += _SM_GAMMA
     _mix(z, np.empty_like(z))  # the state
     z = np.add(z, _SM_GAMMA * np.arange(1, k + 1, dtype=_U64)[:, None])
-    U = np.empty((h.shape[0], k))
-    _mix(z, U.reshape(k, -1).view(_U64))
+    U = np.empty((k, h.shape[0]))
+    _mix(z, U.view(_U64))
     z >>= _U64(11)
-    np.multiply(z, 2.0**-52, out=U.T)
+    np.multiply(z, 2.0**-52, out=U)
     U -= 1.0
     return U
 
@@ -164,11 +165,11 @@ def _linear_rows(X: np.ndarray, L: np.ndarray, cand=None) -> np.ndarray:
 
 
 def _term_values(spec: PerturbationSpec, h, nx, codomain: NormedSpaceSpec, cand) -> np.ndarray:
-    """One active term at rows with hashes h and norms nx, 0 where nx is 0."""
+    """One active term at rows with hashes h and norms nx, (codim, n); 0 where nx is 0."""
     U = _term_stream(h, spec.seed, codomain.dim, cand)
-    lens = norm_many(codomain, U)
+    lens = _column_norms(codomain, U)
     if not np.all(lens):  # every value drawn 0: take the first axis
-        U[lens == 0.0, 0] = 1.0
+        U[0, lens == 0.0] = 1.0
         lens[lens == 0.0] = 1.0
     if spec.kind == BOUNDED:
         scale = spec.amplitude
@@ -178,13 +179,13 @@ def _term_values(spec: PerturbationSpec, h, nx, codomain: NormedSpaceSpec, cand)
         scale = spec.delta * nx**spec.p
     factor = np.divide(scale, lens, out=lens)
     factor[nx == 0.0] = 0.0
-    U *= factor[:, None]
+    U *= factor
     return U
 
 
 def perturbation_values(specs, X: np.ndarray, domain: NormedSpaceSpec, codomain: NormedSpaceSpec,
                         cand=None, nx=None) -> np.ndarray:
-    """The sum of perturbation terms on a (n, dim) batch; (n, codim) output.
+    """The sum of perturbation terms on a (n, dim) batch; C-ordered (n, codim) output.
 
     specs is one PerturbationSpec or a sequence of them.  X is hashed once for
     all of them; nx, if given, is norm_many(domain, X).  A spec whose seed is
@@ -196,10 +197,10 @@ def perturbation_values(specs, X: np.ndarray, domain: NormedSpaceSpec, codomain:
         return np.zeros((X.shape[0], codomain.dim))
     h = _row_hash(X)
     nx = norm_many(domain, X) if nx is None else nx
-    out = _term_values(active[0], h, nx, codomain, cand)
+    acc = _term_values(active[0], h, nx, codomain, cand)
     for spec in active[1:]:
-        out += _term_values(spec, h, nx, codomain, cand)
-    return out
+        acc += _term_values(spec, h, nx, codomain, cand)
+    return _rows(acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,10 +274,11 @@ class FunctionModel:
         if self.quadratic is not None or self.perturbations:
             nx = norm_many(self.domain, X)
         if self.quadratic is not None:
-            Y += (nx**2)[:, None] * self.quadratic[None, :]
+            for j, c in enumerate(self.quadratic):  # one codomain column at a time
+                Y[:, j] += nx**2 * c
         if self.perturbations:
             Y += perturbation_values(self.perturbations, X, self.domain, self.codomain, cand, nx)
-        Y[~np.any(X, axis=1)] = 0.0
+        Y[_max_abs(X.T) == 0.0] = 0.0
         return Y
 
     def candidate(self, i: int) -> "FunctionModel":
@@ -333,7 +335,7 @@ class OddPart(_Wrapped):
             if self.base.perturbations:
                 P, Q = _at_plus_minus(self.base, X, norm_many(self.domain, X), cand)
                 Y += 0.5 * (P - Q)
-            Y[~np.any(X, axis=1)] = 0.0
+            Y[_max_abs(X.T) == 0.0] = 0.0
             return Y
         F, G = _eval_stacked(self.base, [X, -X], cand)
         return (F - G) / 2.0
@@ -352,11 +354,12 @@ class EvenPart(_Wrapped):
             Y = np.zeros((X.shape[0], self.codomain.dim))
             nx = norm_many(self.domain, X)
             if self.base.quadratic is not None:
-                Y += (nx**2)[:, None] * self.base.quadratic[None, :]
+                for j, c in enumerate(self.base.quadratic):
+                    Y[:, j] += nx**2 * c
             if self.base.perturbations:
                 P, Q = _at_plus_minus(self.base, X, nx, cand)
                 Y += 0.5 * (P + Q)
-            Y[~np.any(X, axis=1)] = 0.0
+            Y[_max_abs(X.T) == 0.0] = 0.0
             return Y
         F, G = _eval_stacked(self.base, [X, -X], cand)
         return (F + G) / 2.0

@@ -32,7 +32,7 @@ from .control import (
     _powered,
 )
 from .models import JensenParams, ScaledModel
-from .spaces import as_batch, norm_many
+from .spaces import _column_norms, _max_abs, _rows, as_batch
 
 DYADIC_N_MAX = 40
 TRIADIC_N_MAX = 25
@@ -213,13 +213,15 @@ def power_limit_many(
     arg, amp = np.float64(arg_factor), np.float64(gain)
     cands = np.zeros(n_pts, dtype=np.int64) if cand is None else np.asarray(cand)
 
-    def evaluate(Xw, cw, scale, g):  # g · f(scale · x) on a (steps, points) grid; cw per row
-        Xs = (scale[..., None] * Xw).reshape(-1, Xw.shape[1])
+    def evaluate(Xw, cw, scale, g):  # g · f(scale · x) on a (steps, points) grid, (codim,) + grid
+        Xs = np.empty((scale.size, Xw.shape[1]))  # written one coordinate at a time
+        np.multiply(scale, Xw.T[:, None], out=Xs.T.reshape(Xw.shape[1:] + scale.shape))
         Y = f.eval_many(Xs) if cand is None else f.eval_many(Xs, cw)
-        return g[..., None] * Y.reshape(scale.shape + Y.shape[1:])
+        Y = Y.T.reshape(Y.shape[1:] + scale.shape)
+        return np.multiply(g, Y, out=np.empty(Y.shape))  # loops of points
 
-    e0 = n_vec.astype(np.float64)
-    values, iterations = evaluate(X, cands, arg**e0, amp**e0), n_vec.copy()
+    e0 = n_vec.astype(np.float64)[None]
+    values, iterations = evaluate(X, cands, arg**e0, amp**e0)[:, 0], n_vec.copy()
     last_gap, converged = np.full(n_pts, np.inf), np.zeros(n_pts, dtype=bool)
 
     # The last exponent is n_max, or one before the first exponent past n_start
@@ -227,7 +229,7 @@ def power_limit_many(
     # inf, 0 or 1 after ~1100/|log2 base| steps, so a table over exponents clipped
     # to ±S holds every guard power whatever n_max is.  base^n is monotone in n,
     # so past a point's first step a guard turns on at most once: bisect for it.
-    row_scale = np.max(np.abs(X), axis=1)
+    row_scale = _max_abs(X.T)
     first, stop = n_vec + 1, np.maximum(n_vec, n_max) + 1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf fails the guard
         sat = 1100.0 / np.abs(np.log2(np.abs([arg, amp])))
@@ -249,28 +251,28 @@ def power_limit_many(
     # Sorted by n, the working set's points at one exponent share a table row.
     ix = np.argsort(n_vec, kind="stable")
     ix = ix[stop[ix] - 1 > n_vec[ix]]
-    n, end, Xw, cw, a = n_vec[ix], stop[ix] - 1, X[ix], cands[ix], values[ix]
+    n, end, Xw, cw, a = n_vec[ix], stop[ix] - 1, X[ix], cands[ix], values[:, ix]
     while ix.size:
         K = max(1, min(_BLOCK_ROWS // ix.size, int(np.min(end - n))))
         head = np.concatenate(([True], n[1:] != n[:-1]))
         e, run = n[head] + np.arange(1.0, K + 1)[:, None], np.cumsum(head) - 1
         new = evaluate(Xw, np.tile(cw, K), np.take(arg**e, run, 1), np.take(amp**e, run, 1))
         with np.errstate(invalid="ignore"):  # ∞ − ∞ is caught by the finite test
-            step = np.diff(new, axis=0, prepend=a[None])
-            gaps = norm_many(f.codomain, step.reshape(-1, step.shape[2])).reshape(K, -1)
+            step = np.diff(new, axis=1, prepend=a[:, None])
+            gaps = _column_norms(f.codomain, step.reshape(step.shape[0], -1)).reshape(K, -1)
         done, bad = gaps <= tol, ~np.isfinite(gaps)
-        bad[bad] = ~np.all(np.isfinite(new[bad]), axis=1)  # non-finite values have such gaps
+        bad[bad] = ~np.all(np.isfinite(new[:, bad]), axis=0)  # non-finite values have such gaps
         halt = done | bad
         halt[-1] |= n + K == end
         ended = np.any(halt, axis=0)
         s, keep = np.flatnonzero(ended), np.flatnonzero(~ended)
         k, i = np.argmax(halt[:, s], axis=0), ix[s]  # each stopped point's first stop
-        values[i], iterations[i], last_gap[i] = new[k, s], n[s] + k + 1, gaps[k, s]
+        values[:, i], iterations[i], last_gap[i] = new[:, k, s], n[s] + k + 1, gaps[k, s]
         converged[i] = done[k, s] & ~bad[k, s]
         ix, n, end, cw = ix[keep], n[keep] + K, end[keep], cw[keep]
-        Xw, a = np.take(Xw, keep, axis=0), np.take(new[-1], keep, axis=0)
+        Xw, a = np.take(Xw, keep, axis=0), np.take(new[:, -1], keep, axis=1)
 
-    return values, iterations, last_gap, converged
+    return _rows(values), iterations, last_gap, converged
 
 
 def dyadic_limit_many(f, X, n_max=DYADIC_N_MAX, tol: float = DEFAULT_TOL, cand=None):

@@ -30,6 +30,12 @@ Like every limit theorem's report, thm3_1's carries ``details.pair_count``
 and, when a limit fails, ``details.diverged_points``; its two digests were
 re-recorded when those keys were added, with every other byte unchanged.
 
+The ``-y*`` entries give the model another codomain: Euclidean of dimension
+3 (``thm2_1-mixed-y3``), sup of dimension 2 (``thm4_3-ysup2``) and p = 3 of
+dimension 3 (``thm4_3-yp3``).  Every other entry maps into a Euclidean space
+of dimension 1 or 2, so these alone pin the codomain norms of the noise
+normalisation and of the gaps and defects on those paths.
+
 The axiom entries pin ``check_ratz_axioms`` for every relation: the
 Birkhoff-James relation on the sup, p = 3 and Euclidean norms, the
 inner_product relation on a Euclidean space and the trivial relation on
@@ -82,6 +88,7 @@ TABLE = {
 PUNCTURED = {"kind": "punctured"}
 SUP3 = {"dim": 3, "norm_kind": "sup"}
 P3 = {"dim": 3, "norm_kind": "p_norm", "p": 3.0}
+SUP2 = {"dim": 2, "norm_kind": "sup"}
 
 
 def _const(eps):
@@ -220,6 +227,9 @@ for _name in ("thm3_1", "prop4_1-p3", "thm4_3", "thm5_2"):
 CONFIGS["thm6_1-noisy"] = dict(
     CONFIGS["thm6_1"], perturbation=[{"kind": "bounded", "amplitude": 0.01, "seed": 3}]
 )
+CONFIGS["thm2_1-mixed-y3"] = dict(CONFIGS["thm2_1-mixed"], codomain=E3)
+CONFIGS["thm4_3-ysup2"] = dict(CONFIGS["thm4_3"], codomain=SUP2)
+CONFIGS["thm4_3-yp3"] = dict(CONFIGS["thm4_3"], codomain=P3)
 
 DIGESTS = {
     "cor2_2-constant": "749b28d3f4d416dbf0716c4701077c31174155eb75d56d0303e92220393cce12",
@@ -246,6 +256,9 @@ DIGESTS = {
     "thm4_3-nmax3": "d711b3e937d6864e248ff292015a67e7687ae248795edd43a61e53142f413011",
     "thm5_2-nmax3": "7f4f1644ffdba2fb9b82ac900605e288aa0ed69bf7798819792e8a6b31cd515b",
     "thm6_1-noisy": "173630306246e5bea671754f5f3d18f1549355a5e57ec147488ac0752e07e977",
+    "thm2_1-mixed-y3": "9ec97de74a6ab3bdeedeb2eb1acfb8dc32c961d0b6557c9c471be5e0ead27ef0",
+    "thm4_3-ysup2": "246ad12c391f476acc92e8c1cb15297520833e8c9738c00ea75db2e1e228d429",
+    "thm4_3-yp3": "d82298fa26ad9081fb701ad4fa52a8eb515257cda8b067a8ccf4b479e08fc159",
 }
 
 
@@ -261,6 +274,7 @@ VERDICTS = {
     "prop4_1-p3": (True, ()),
     "prop4_2": (True, ()),
     "thm2_1-mixed": (True, ()),
+    "thm2_1-mixed-y3": (True, ()),
     "thm2_1-quadratic-cap": (False, ("max_ratio", "converged")),
     "thm2_1-table": (True, ()),
     "thm3_1": (True, ()),
@@ -268,6 +282,8 @@ VERDICTS = {
     "thm4_3": (True, ()),
     "thm4_3-nmax3": (False, ("converged",)),
     "thm4_3-p3": (True, ()),
+    "thm4_3-yp3": (True, ()),
+    "thm4_3-ysup2": (True, ()),
     "thm5_2": (True, ()),
     "thm5_2-bj-p3": (True, ()),
     "thm5_2-bj-sup": (True, ()),

@@ -24,7 +24,14 @@ from jensenlab.models import (
     odd_even_split,
     perturbation_values,
 )
-from jensenlab.spaces import NormedSpaceSpec, euclidean_space, norm_many
+from jensenlab.spaces import (
+    NormedSpaceSpec,
+    OrthogonalityRelation,
+    euclidean_space,
+    is_orthogonal_many,
+    norm_many,
+    orthogonal_partners,
+)
 
 E3 = euclidean_space(3)
 E2 = euclidean_space(2)
@@ -125,12 +132,12 @@ def test_row_hash_and_stream_match_wordwise_reference():
     assert h.dtype == np.uint64
     assert [int(v) for v in h] == [_row_hash_by_words(row) for row in X]
     for seed in (0, 5, 2**64 - 1, 2**64 + 9, 3 * 2**70 + 12345):
-        got = _term_stream(h, seed, 2)
+        got = _term_stream(h, seed, 2).T
         assert got.tolist() == [_stream_by_words(seed, row, 2) for row in X]
     # a tuple seed holds one seed per candidate; each row takes its candidate's
     seeds = (7, 2**64 + 7, 2**65 + 1)
     cand = np.arange(X.shape[0]) % 3
-    got = _term_stream(h, seeds, 3, cand)
+    got = _term_stream(h, seeds, 3, cand).T
     assert got.tolist() == [_stream_by_words(seeds[c], row, 3) for c, row in zip(cand, X)]
     # -0.0 and 0.0 differ in their bits, so they hash apart
     assert _row_hash(X[:1])[0] != _row_hash(np.abs(X[:1]))[0]
@@ -153,7 +160,7 @@ def test_stream_statistics_on_lattice_rows(lattice):
     assert X.shape[0] >= 10**5
     h = _row_hash(X)
     assert np.unique(h).size == X.shape[0]
-    U = _term_stream(h, 7, 3)
+    U = _term_stream(h, 7, 3).T
     values = U.ravel()
     assert abs(values.mean()) < 0.005
     assert abs(values.var() - 1.0 / 3.0) < 0.003
@@ -166,8 +173,8 @@ def test_equal_rows_get_distinct_streams():
     model (seeds that differ in one bit included), take unrelated streams."""
     X = np.random.default_rng(6).standard_normal((2000, 3))
     h = _row_hash(X)
-    streams = [_term_stream(h, seed, 2) for seed in (2, 3)]
-    both = _term_stream(np.concatenate([h, h]), (2, 3), 2, np.repeat([0, 1], X.shape[0]))
+    streams = [_term_stream(h, seed, 2).T for seed in (2, 3)]
+    both = _term_stream(np.concatenate([h, h]), (2, 3), 2, np.repeat([0, 1], X.shape[0])).T
     assert np.array_equal(both, np.concatenate(streams))
     a, b = streams
     assert not np.any(a == b)
@@ -444,7 +451,12 @@ _SPACES = {
     "euclidean": (euclidean_space(3), euclidean_space(2)),
     "sup": (NormedSpaceSpec(3, "sup"), NormedSpaceSpec(2, "sup")),
     "p3": (NormedSpaceSpec(3, "p_norm", 3.0), NormedSpaceSpec(2, "p_norm", 1.5)),
+    # a codomain of dim 1, and one of dim 3, whose Euclidean norm keeps einsum
+    "euclidean-y1": (euclidean_space(3), euclidean_space(1)),
+    "euclidean-y3": (euclidean_space(3), euclidean_space(3)),
 }
+_LINEAR = [[0.7, -1.3, 2.1], [1.1, 0.37, -0.6], [-0.4, 0.9, 1.7]]
+_QUADRATIC = [0.3, -0.1, 0.2]
 _PERTURBATIONS = (
     PerturbationSpec(kind=BOUNDED, amplitude=0.3, seed=4),
     PerturbationSpec(kind=POWER, delta=0.2, p=0.5, seed=9),
@@ -456,8 +468,8 @@ def _split_models(space, codomain):
     f = FunctionModel(
         domain=space,
         codomain=codomain,
-        linear=[[0.7, -1.3, 2.1], [1.1, 0.37, -0.6]],
-        quadratic=[0.3, -0.1],
+        linear=_LINEAR[: codomain.dim],
+        quadratic=_QUADRATIC[: codomain.dim],
         perturbations=_PERTURBATIONS,
     )
     return {
@@ -508,3 +520,70 @@ def test_eval_many_row_in_full_block_equals_small_batch(norm, model):
         assert np.array_equal(f.eval_many(X[[i, j]]), whole[[i, j]])
         assert np.array_equal(f.eval_many(X[i : i + 1]), whole[i : i + 1])
     assert np.array_equal(np.concatenate([f.eval_many(X[:1000]), f.eval_many(X[1000:])]), whole)
+
+
+def _layouts(X):
+    """X as a C-ordered copy, a Fortran-ordered copy, a transposed view and a
+    row-strided view."""
+    wide = np.zeros((2 * X.shape[0], X.shape[1] + 1))
+    wide[::2, 1:] = X
+    return [X.copy(), np.asfortranarray(X), np.ascontiguousarray(X.T).T, wide[::2, 1:]]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_values_ignore_batch_layout(n, seed):
+    """A batch gets the same values whatever its memory layout: eval_many of
+    every model kind in every norm, norm_many of dims 1-5, and the
+    inner-product test on pairs at the edge of its tolerance.  numpy's einsum
+    sums a row of three or more coordinates in another order when the batch is
+    not C-ordered, so the entry points make it so."""
+    rng = np.random.default_rng(seed)
+
+    def batch(dim):
+        X = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+        X[rng.random(n) < 0.1] = 0.0
+        return X
+
+    X = batch(3)
+    for spaces in _SPACES.values():
+        for f in _split_models(*spaces).values():
+            want = f.eval_many(X)
+            for Z in _layouts(X):
+                assert np.array_equal(f.eval_many(Z), want)
+    for dim in range(1, 6):
+        Z0 = batch(dim)
+        for space in (euclidean_space(dim), NormedSpaceSpec(dim, "sup"),
+                      NormedSpaceSpec(dim, "p_norm", 3.0)):
+            want = norm_many(space, Z0)
+            for Z in _layouts(Z0):
+                assert np.array_equal(norm_many(space, Z), want)
+    # partners are orthogonal to within about 1e-16, where the verdict
+    # hangs on the last bit of <x, y>
+    rel = OrthogonalityRelation(kind="inner_product", tolerance=1e-16)
+    Y = orthogonal_partners(rel, E3, X, batch(3))
+    want = is_orthogonal_many(rel, E3, X, Y)
+    for A, B in zip(_layouts(X), _layouts(Y)):
+        assert np.array_equal(is_orthogonal_many(rel, E3, A, B), want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+@pytest.mark.parametrize("norm", sorted(_SPACES))
+def test_outputs_are_c_ordered_rows(norm, n):
+    """perturbation_values and every eval_many return a C-ordered float64
+    (n, codim) array: callers read the row count from shape[0]."""
+    space, codomain = _SPACES[norm]
+    X = np.random.default_rng(n).standard_normal((n, 3))
+    models = dict(_split_models(space, codomain))
+    f = models["f"]
+    models["odd_of_scaled_even"] = OddPart(EvenPart(models["scaled"]))
+    models["two_candidates"] = FunctionModel(
+        domain=space, codomain=codomain, linear=np.stack([f.linear, -f.linear]),
+        perturbations=(PerturbationSpec(kind=BOUNDED, amplitude=0.3, seed=(4, 5)),),
+    )
+    outputs = [m.eval_many(X, np.arange(n) % 2) for m in models.values()]
+    outputs += [perturbation_values(specs, X, space, codomain)
+                for specs in ((), _PERTURBATIONS[0], _PERTURBATIONS)]
+    for Y in outputs:
+        assert Y.shape == (n, codomain.dim) and Y.dtype == np.float64
+        assert Y.flags.c_contiguous

@@ -30,7 +30,7 @@ from jensenlab.series import (
     power_limit_many,
     quadratic_limit_many,
 )
-from jensenlab.spaces import euclidean_space, norm_many
+from jensenlab.spaces import NormedSpaceSpec, euclidean_space, norm_many
 from series_reference import psi
 
 E3 = euclidean_space(3)
@@ -288,10 +288,16 @@ def _limit_models():
     )
     noisy = FunctionModel(domain=E3, codomain=E2, linear=L, perturbations=perts)
     quad = FunctionModel(domain=E3, codomain=E2, linear=L, quadratic=[0.3, -0.1], perturbations=perts)
+    y3 = FunctionModel(domain=E3, codomain=E3, linear=np.vstack([L, [-0.4, 0.9, 1.7]]),
+                       quadratic=[0.3, -0.1, 0.2], perturbations=perts)
     return {
         "linear": FunctionModel(domain=E3, codomain=E2, linear=L),
         "noisy": noisy,
         "quadratic": quad,
+        # codomains whose gap norms take the einsum and the sup-norm paths
+        "quadratic-y3": y3,
+        "noisy-ysup": FunctionModel(domain=E3, codomain=NormedSpaceSpec(2, "sup"), linear=L,
+                                    perturbations=perts),
         "inf": _BlowUp(noisy, 1e6, np.inf),
         "nan": _BlowUp(quad, 1e9, np.nan),
     }
