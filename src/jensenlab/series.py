@@ -200,9 +200,11 @@ def power_limit_many(
     _BLOCK_ROWS // (points still iterating), at least 1 and at most the fewest
     steps any has left, for that compact working set in one ``f.eval_many``
     call on the step-major stack; a point keeps its first stop, and stopped
-    points leave the set.  For a model whose rows do not depend on the rest of
-    their batch (every model in ``models``) the results are bit for bit those
-    of one step at a time.
+    points leave the set; its exponent groups and step counts are rebuilt only
+    then, so a pass where none stops does only the evaluation, the gap and one
+    test.  For a model whose rows do not depend on the rest of their batch
+    (every model in ``models``) the results are bit for bit those of one step
+    at a time.
     """
     X = as_batch(X, f.domain.dim)
     n_pts = X.shape[0]
@@ -214,10 +216,11 @@ def power_limit_many(
     cands = np.zeros(n_pts, dtype=np.int64) if cand is None else np.asarray(cand)
 
     def evaluate(Xw, cw, scale, g):  # g · f(scale · x) on a (steps, points) grid, (codim,) + grid
-        Xs = np.empty((scale.size, Xw.shape[1]))  # written one coordinate at a time
-        np.multiply(scale, Xw.T[:, None], out=Xs.T.reshape(Xw.shape[1:] + scale.shape))
+        grid = (scale.shape[0], Xw.shape[0])  # scale and g: (steps, points) or (steps, 1)
+        Xs = np.empty((grid[0] * grid[1], Xw.shape[1]))  # written one coordinate at a time
+        np.multiply(scale, Xw.T[:, None], out=Xs.T.reshape(Xw.shape[1:] + grid))
         Y = f.eval_many(Xs) if cand is None else f.eval_many(Xs, cw)
-        Y = Y.T.reshape(Y.shape[1:] + scale.shape)
+        Y = Y.T.reshape(Y.shape[1:] + grid)
         return np.multiply(g, Y, out=np.empty(Y.shape))  # loops of points
 
     e0 = n_vec.astype(np.float64)[None]
@@ -251,17 +254,29 @@ def power_limit_many(
     # Sorted by n, the working set's points at one exponent share a table row.
     ix = np.argsort(n_vec, kind="stable")
     ix = ix[stop[ix] - 1 > n_vec[ix]]
-    n, end, Xw, cw, a = n_vec[ix], stop[ix] - 1, X[ix], cands[ix], values[:, ix]
+    n, end, Xw, cw, a, off = n_vec[ix], stop[ix] - 1, X[ix], cands[ix], values[:, ix], 0
     while ix.size:
-        K = max(1, min(_BLOCK_ROWS // ix.size, int(np.min(end - n))))
-        head = np.concatenate(([True], n[1:] != n[:-1]))
-        e, run = n[head] + np.arange(1.0, K + 1)[:, None], np.cumsum(head) - 1
-        new = evaluate(Xw, np.tile(cw, K), np.take(arg**e, run, 1), np.take(amp**e, run, 1))
+        if off == 0:  # the working set is new: group it by exponent, count steps left
+            head = np.concatenate(([True], n[1:] != n[:-1]))
+            base, run, fewest = n[head], np.cumsum(head) - 1, int(np.min(end - n))
+        K = max(1, min(_BLOCK_ROWS // ix.size, fewest - off))
+        e = (base + off) + np.arange(1.0, K + 1)[:, None]
+        scale, g = arg**e, amp**e  # (K, 1) when the whole set shares one exponent
+        if base.size > 1:
+            scale, g = np.take(scale, run, 1), np.take(g, run, 1)
+        new = evaluate(Xw, cw if K == 1 else np.tile(cw, K), scale, g)
+        step = np.empty(new.shape)
         with np.errstate(invalid="ignore"):  # ∞ − ∞ is caught by the finite test
-            step = np.diff(new, axis=1, prepend=a[:, None])
+            np.subtract(new[:, :1], a[:, None], out=step[:, :1])
+            np.subtract(new[:, 1:], new[:, :-1], out=step[:, 1:])
             gaps = _column_norms(f.codomain, step.reshape(step.shape[0], -1)).reshape(K, -1)
+        if K < fewest - off and gaps.min() > tol and gaps.max() < np.inf:
+            off, a = off + K, new[:, -1]  # nobody stops: exponents are n + off
+            continue
+        n, off = n + off, 0
         done, bad = gaps <= tol, ~np.isfinite(gaps)
-        bad[bad] = ~np.all(np.isfinite(new[:, bad]), axis=0)  # non-finite values have such gaps
+        if bad.any():  # non-finite values have such gaps
+            bad[bad] = ~np.all(np.isfinite(new[:, bad]), axis=0)
         halt = done | bad
         halt[-1] |= n + K == end
         ended = np.any(halt, axis=0)

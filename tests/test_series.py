@@ -439,6 +439,95 @@ def test_blocked_limit_per_row_caps_and_candidates(
         assert np.array_equal(g, w, equal_nan=True)
 
 
+def _spread_batch(rng, n_pts=4100, few=16):
+    """n_pts points whose stops spread over many exponents: a bulk at scales
+    1e-3..1e3 (stopping by gap, by a non-finite value or at n_max 60), `few`
+    rows at 1e100..1e118 whose overflow guard trips at n = 7..66, and `few`
+    rows with their own n_max in 0..60.  Returns X, n_max and those rows."""
+    X = rng.standard_normal((n_pts, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n_pts, 1))
+    special = rng.choice(n_pts, 2 * few, replace=False)
+    X[special[:few]] *= 10.0 ** rng.uniform(100.0, 118.0, size=(few, 1)) / np.max(
+        np.abs(X[special[:few]]), axis=1, keepdims=True
+    )
+    n_max = np.full(n_pts, 60, dtype=np.int64)
+    n_max[special[few:]] = rng.integers(0, 61, size=few)
+    return X, n_max, special
+
+
+def _check_sampled_rows(got, rng, special, one_at_a_time, rows=64):
+    """Rows `special` plus random others, `rows` in all, against the oracle."""
+    others = np.setdiff1d(np.arange(got[1].size), special)
+    sample = np.concatenate([special, rng.choice(others, rows - special.size, replace=False)])
+    want = [np.array(column) for column in zip(*(one_at_a_time(i) for i in sample))]
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g[sample], w, equal_nan=True)
+
+
+@pytest.mark.parametrize("model", ["noisy", "inf", "nan"])
+def test_large_working_set_equals_one_exponent_iteration(model):
+    """4100 points at the default block: K is 1 while more than 2048 points
+    iterate, passes where no point stops (the bulk before it converges or
+    turns non-finite) mix with passes that regroup the working set, and 64
+    sampled rows equal the one-exponent loop bit for bit."""
+    rng = np.random.default_rng(41)
+    X, n_max, special = _spread_batch(rng)
+    f = LIMIT_MODELS[model]
+    got = power_limit_many(f, X, 2.0, 0.5, n_max, 1e-9)
+    assert np.unique(got[1]).size > 25
+    _check_sampled_rows(
+        got, rng, special, lambda i: _limit_one_at_a_time(f, X[i], 2.0, 0.5, n_max[i], 1e-9, 0)
+    )
+
+
+def test_large_working_set_with_starts_and_candidates():
+    """As above for the quadratic limit of a 3-candidate model, with starts
+    spread over -20..20, so the working set spans many exponents at once."""
+    rng = np.random.default_rng(42)
+    X, n_max, special = _spread_batch(rng)
+    n0, cand = rng.integers(-20, 21, size=X.shape[0]), rng.integers(0, 3, size=X.shape[0])
+    got = power_limit_many(THREE, X, 2.0, 0.25, n_max, 1e-9, n_start=n0, cand=cand)
+    assert np.unique(got[1]).size > 25
+    _check_sampled_rows(
+        got,
+        rng,
+        special,
+        lambda i: _limit_one_at_a_time(
+            THREE.candidate(cand[i]), X[i], 2.0, 0.25, n_max[i], 1e-9, int(n0[i])
+        ),
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([(2.0, 0.5), (2.0, 0.25), (3.0, 1.0 / 3.0), (0.5, 4.0)]),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-4]),
+    budget=st.sampled_from([1, 5, 40, 4096]),
+    rows=st.integers(1, 40),
+    starts=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_limit_commutes_with_permuting_the_batch(kind, tol, budget, rows, starts, seed):
+    """Permuting the points (with their n_max, n_start and cand) permutes the
+    four outputs bit for bit: the sort by exponent and the regrouping of the
+    working set do not leak one point's order into another's values."""
+    arg, gain = kind
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, 3)) * 10.0 ** rng.uniform(-2.0, 118.0, size=(rows, 1))
+    X[rng.random(rows) < 0.5] /= 1e110
+    n_max, cand = rng.integers(-3, 46, size=rows), rng.integers(0, 3, size=rows)
+    n0 = rng.integers(-60, 48, size=rows) if starts else None
+    perm = rng.permutation(rows)
+    n0_perm = None if n0 is None else n0[perm]
+    with mock.patch.object(series, "_BLOCK_ROWS", budget):
+        got = power_limit_many(THREE, X, arg, gain, n_max, tol, n_start=n0, cand=cand)
+        moved = power_limit_many(
+            THREE, X[perm], arg, gain, n_max[perm], tol, n_start=n0_perm, cand=cand[perm]
+        )
+    for g, m in zip(got, moved, strict=True):
+        assert np.array_equal(g[perm], m, equal_nan=True)
+
+
 @pytest.mark.parametrize("kind", [(2.0, 0.5), (3.0, 1.0 / 3.0)])
 def test_huge_n_max_needs_no_table_of_that_size(kind):
     """n_max = 10**9: the overflow guard stops every point long before, with
