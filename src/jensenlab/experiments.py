@@ -39,7 +39,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 import orjson
@@ -379,14 +379,13 @@ class _Rows:
     def __len__(self) -> int:
         return len(self.role)
 
-    def row(self, i: int) -> dict:
-        return {
-            "x": self.X[i].tolist(),
-            "role": self.roles[self.role[i]],
-            "deviation": float(self.deviation[i]),
-            "bound": float(self.bound[i]),
-            "ratio": float(self.ratio[i]),
-        }
+    def dicts(self, idx=slice(None)) -> list:
+        """Dict rows for the points X[idx], keys in report order."""
+        roles = [self.roles[k] for k in self.role[idx].tolist()]
+        cols = (self.X[idx].tolist(), roles, self.deviation[idx].tolist(),
+                self.bound[idx].tolist(), self.ratio[idx].tolist())
+        return [{"x": x, "role": r, "deviation": d, "bound": b, "ratio": q}
+                for x, r, d, b, q in zip(*cols)]
 
 
 _NO_ROWS = _Rows(np.empty((0, 0)), (), np.empty(0, int), np.empty(0), np.empty(0), np.empty(0))
@@ -419,7 +418,7 @@ class StabilityReport:
             "max_ratio": self.max_ratio,
             "pass": self.passed,
             "witnesses": self.witnesses,
-            "samples": [self.samples.row(i) for i in range(len(self.samples))],
+            "samples": self.samples.dicts(),
             "details": self.details,
             "iterations": self.iterations,
         }
@@ -436,41 +435,50 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+def _float_strs(a: np.ndarray, form=repr) -> list:
+    """repr of each value of a 1-D float64 array; see emit_report for the orjson part.
 
-
-def _float_strs(a: np.ndarray) -> list:
-    """repr of each value of a 1-D float64 array; see emit_report for the orjson part."""
+    Values outside orjson's range are written by `form` (repr, or json.dumps
+    for NaN and ±Infinity as JSON spells them), once per distinct value.
+    """
     out = orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
     out = out.decode().split(",") if a.size else []
     m = np.abs(a)
     idx = np.flatnonzero(~((m >= 1e-4) & (m < 1e16)) & (a != 0))
-    for i, s in zip(idx.tolist(), map(repr, a[idx].tolist())):
-        out[i] = s
-    return out
-
-
-def _json_floats(a: np.ndarray) -> list:
-    """The floats of a 1-D array for a %s template, non-finite ones as json writes them."""
-    out = _float_strs(a)
-    for i in np.flatnonzero(~np.isfinite(a)).tolist():
-        out[i] = _NONFINITE[out[i]]
+    if idx.size:  # np.unique merges every NaN; all of them are written alike
+        vals, inv = np.unique(a[idx], return_inverse=True)
+        strs = list(map(form, vals.tolist()))
+        for i, k in zip(idx.tolist(), inv.tolist()):
+            out[i] = strs[k]
     return out
 
 
 def _rows_json(rows: _Rows, pad: str) -> str:
-    """The rows as ``json.dumps(indent=2, sort_keys=True)`` writes them under a key at `pad`."""
+    """The rows as ``json.dumps(indent=2, sort_keys=True)`` writes them under a key at `pad`.
+
+    Column k's strings fill slots 2k+1, 2k+1+W, ... of one list and the text
+    before each value (its row's first slot closes the row before) the slots
+    between; one join writes the lot.
+    """
     n, dim = rows.X.shape
     if n == 0:
         return "[]"
     a, b = pad + "  ", pad + "    "
-    x = "[" + ",".join([f"\n{b}  %s"] * dim) + (f"\n{b}]" if dim else "]")
-    row = (f'{a}{{\n{b}"bound": %s,\n{b}"deviation": %s,\n{b}"ratio": %s,\n'
-           f'{b}"role": %s,\n{b}"x": {x}\n{a}}}')
+    head = f'\n{a}{{\n{b}"bound": '
+    end = f"\n{b}]\n{a}}}" if dim else f',\n{b}"x": []\n{a}}}'
+    x = [f',\n{b}"x": [\n{b}  ', *[f',\n{b}  '] * (dim - 1)] if dim else []
+    keys = [f"{end},{head}", f',\n{b}"deviation": ', f',\n{b}"ratio": ', f',\n{b}"role": ', *x]
     roles = [json.dumps(r) for r in rows.roles]
-    cols = [_json_floats(rows.bound), _json_floats(rows.deviation), _json_floats(rows.ratio),
-            [roles[k] for k in rows.role.tolist()], *map(_json_floats, rows.X.T)]
-    return "[\n" + ",\n".join([row] * n) % tuple(chain.from_iterable(zip(*cols))) + f"\n{pad}]"
+    floats = [_float_strs(c, json.dumps) for c in (rows.bound, rows.deviation, rows.ratio, *rows.X.T)]
+    cols = [*floats[:3], [roles[k] for k in rows.role.tolist()], *floats[3:]]
+    W = 2 * len(cols)
+    out = [None] * (n * W)
+    for k, (key, col) in enumerate(zip(keys, cols)):
+        out[2 * k::W] = [key] * n
+        out[2 * k + 1::W] = col
+    out[0] = "[" + head
+    out.append(f"{end}\n{pad}]")
+    return "".join(out)
 
 
 def _dumps_with_rows(obj, reports: list, depth: int) -> str:
@@ -497,9 +505,11 @@ def emit_report(report: StabilityReport, fmt: str = "json", include_runtime: boo
     ``json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\\n"``.
 
     JSON and CSV write row floats with _float_strs: orjson for ±0 and
-    1e-4 <= |x| < 1e16, repr elsewhere.  Both pick the shortest round-trip
-    digits, the closest among them, so they agree; only outside that range
-    do the forms differ (orjson writes 1e16, 0.00001, null for nan).
+    1e-4 <= |x| < 1e16, repr elsewhere, once per distinct value.  Both pick
+    the shortest round-trip digits, the closest among them, so they agree;
+    only outside that range do the forms differ (orjson writes 1e16,
+    0.00001, null for nan).  JSON rows are written by one join that
+    interleaves the column strings with the fixed text between them.
     """
     if fmt == "json":
         head = replace(report, samples=_NO_ROWS).to_dict(include_runtime)
@@ -552,7 +562,7 @@ def _assemble_rows(X, role_data, tol):
     bound_value = float(max(np.max(b) for b in bounds))
     max_ratio = float(np.max(stacked))
     order = np.argsort(-rows.ratio)[:3]
-    witnesses = [rows.row(int(i)) for i in order]
+    witnesses = rows.dicts(order)
     return rows, max_dev, bound_value, max_ratio, witnesses
 
 

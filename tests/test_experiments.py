@@ -541,7 +541,7 @@ def test_emitter_matches_json_dumps(n, dim, roles, data):
     rep = experiments.StabilityReport(
         theorem_id="thm2_1", config={"seed": 1}, epsilon_effective=0.3, bound_value=math.inf,
         max_deviation=-0.0, max_ratio=math.nan, passed=False,
-        witnesses=[rows.row(i) for i in range(min(n, 3))], samples=rows,
+        witnesses=rows.dicts(slice(3)), samples=rows,
         details={"edge": EDGE_FLOATS}, iterations={"max_iterations": 0},
         runtime={"seconds": 0.25},
     )
@@ -557,9 +557,47 @@ def test_float_strs_match_repr():
     logs = 10.0 ** rng.uniform(-6, 18, size=100_000) * rng.choice([-1.0, 1.0], size=100_000)
     edge = np.array(EDGE_FLOATS)
     X = np.concatenate([bits, logs]).reshape(-1, 3)
-    for a in (edge, -edge, bits, logs, *X.T):  # X.T[k] is a strided column
+    tiled = (np.tile(edge, 400), np.tile(bits[:500], 20), np.tile(-edge, 600)[::2])
+    for a in (edge, -edge, bits, logs, *X.T, *tiled):  # X.T[k] is a strided column
         assert experiments._float_strs(a) == list(map(repr, a.tolist()))
+    for a in (edge, *tiled):  # repeats share one string per distinct value
+        assert experiments._float_strs(a, json.dumps) == list(map(json.dumps, a.tolist()))
     assert experiments._float_strs(np.empty(0)) == []
+
+
+# NaNs of both signs, quiet and signalling, with several payloads
+NAN_BITS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                     0xFFF0000000000002, 0x7FF4000000000000, 0xFFFFFFFFFFFFFFFF],
+                    dtype=np.uint64).view(np.float64)
+
+
+def _big_report(dim, seed):
+    """A report of 4099 rows whose columns repeat the values the emitter writes with repr."""
+    rng = np.random.default_rng(seed)
+    n = 4099
+    pool = np.concatenate([[1e16, 1e-5, 1.2345e-7, math.inf, -math.inf, 0.0, -0.0, 0.5, 2.5e3],
+                           NAN_BITS])
+    rows = experiments._Rows(
+        rng.choice(pool, size=(n, dim)), ("f", "g", "odd"), rng.integers(0, 3, n),
+        rng.choice([2.2e-16, 0.0, -0.0], size=n), np.full(n, 1e-6), rng.choice(pool, size=n),
+    )
+    return experiments.StabilityReport(
+        theorem_id="thm6_1", config={"seed": seed}, epsilon_effective=0.0, bound_value=1e-6,
+        max_deviation=2.2e-16, max_ratio=math.nan, passed=False, witnesses=rows.dicts([0, 7]),
+        samples=rows, details={}, iterations={"max_iterations": 0},
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_emitter_matches_references_at_report_size(dim):
+    def lines(obj):  # a list of lines, whose diff stops at the first differing line
+        return (json.dumps(obj, indent=2, sort_keys=True) + "\n").split("\n")
+
+    reps = [_big_report(dim, 1), _big_report(dim, 2)]
+    assert emit_report(reps[0]).split("\n") == lines(reps[0].to_dict())
+    both = {"schema_version": experiments.SCHEMA_VERSION, "reports": [r.to_dict() for r in reps]}
+    assert experiments.emit_reports(reps).split("\n") == lines(both)
+    assert emit_report(reps[1], fmt="csv").split("\n") == csv_by_repr(reps[1]).split("\n")
 
 
 def test_csv_matches_repr_on_edge_floats():
