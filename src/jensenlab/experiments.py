@@ -30,8 +30,6 @@ Supported theorem ids:
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import re
@@ -39,7 +37,6 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 import orjson
@@ -516,24 +513,23 @@ def emit_report(report: StabilityReport, fmt: str = "json", include_runtime: boo
         return _dumps_with_rows(head, [report], 0)
     if fmt != "csv":
         raise ConfigError(f"unknown report format {fmt!r}")
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+    # csv.writer's CSV: no field (floats, counts, theorem ids, role names) needs quoting
     prof = report.details.get("profile")
     if prof is not None:  # a shell profile (cor3_2) is written one shell per line
-        w.writerow(["shell_edge_low", "shell_edge_high", "sup_defect", "samples"])
-        edges, sups = prof["edges"], prof["sup_defect"]
-        w.writerows([repr(lo), repr(hi), repr(sup), prof["samples_per_shell"]]
-                    for lo, hi, sup in zip(edges, edges[1:], sups))
-        return buf.getvalue()
-    rows = report.samples
-    n = len(rows)
-    dim = rows.X.shape[1] if n else 0
-    w.writerow(["theorem_id", "index", "role", *(f"x{k}" for k in range(dim)),
-                "deviation", "bound", "ratio"])
-    cols = map(_float_strs, (*rows.X.T, rows.deviation, rows.bound, rows.ratio))
-    roles = [rows.roles[k] for k in rows.role.tolist()]
-    w.writerows(zip(repeat(report.theorem_id), range(n), roles, *cols))
-    return buf.getvalue()
+        edges, n = prof["edges"], prof["samples_per_shell"]
+        return "shell_edge_low,shell_edge_high,sup_defect,samples\n" + "".join(
+            f"{lo!r},{hi!r},{sup!r},{n}\n" for lo, hi, sup in zip(edges, edges[1:], prof["sup_defect"]))
+    rows, n = report.samples, len(report.samples)
+    cols = [[report.theorem_id] * n, list(map(str, range(n))),
+            [rows.roles[k] for k in rows.role.tolist()],
+            *map(_float_strs, (*rows.X.T, rows.deviation, rows.bound, rows.ratio))]
+    W = 2 * len(cols)  # column k at slot 2k of a row, the comma or newline after it next
+    out = [","] * (n * W)
+    for k, col in enumerate(cols):
+        out[2 * k::W] = col
+    out[W - 1::W] = ["\n"] * n
+    xs = [f"x{k}" for k in range(rows.X.shape[1] if n else 0)]
+    return ",".join(["theorem_id", "index", "role", *xs, "deviation", "bound", "ratio\n"]) + "".join(out)
 
 
 def emit_reports(reports: list, include_runtime: bool = False) -> str:

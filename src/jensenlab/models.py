@@ -98,6 +98,14 @@ class PerturbationSpec:
         if self.kind == POWER and not (0.0 <= self.p < 1.0):
             raise ModelError(f"p must lie in [0, 1) for a power perturbation, got {self.p}")
 
+    def norm_at(self, nx):
+        """‖pert(x)‖ at ‖x‖ = nx > 0: the bound of the table above, attained."""
+        if self.kind == POWER:
+            return self.delta * nx**self.p
+        if self.kind == DECAY:
+            return self.amplitude / (1.0 + nx)
+        return self.amplitude if self.kind == BOUNDED else 0.0
+
 
 def _row_candidates(cand) -> np.ndarray:
     """cand, which a model of several candidates cannot do without."""
@@ -171,13 +179,7 @@ def _term_values(spec: PerturbationSpec, h, nx, codomain: NormedSpaceSpec, cand)
     if not np.all(lens):  # every value drawn 0: take the first axis
         U[0, lens == 0.0] = 1.0
         lens[lens == 0.0] = 1.0
-    if spec.kind == BOUNDED:
-        scale = spec.amplitude
-    elif spec.kind == DECAY:
-        scale = spec.amplitude / (1.0 + nx)
-    else:
-        scale = spec.delta * nx**spec.p
-    factor = np.divide(scale, lens, out=lens)
+    factor = np.divide(spec.norm_at(nx), lens, out=lens)
     factor[nx == 0.0] = 0.0
     U *= factor
     return U
@@ -191,8 +193,7 @@ def perturbation_values(specs, X: np.ndarray, domain: NormedSpaceSpec, codomain:
     all of them; nx, if given, is norm_many(domain, X).  A spec whose seed is
     a tuple (one per candidate) needs cand, each row's candidate.
     """
-    active = [s for s in _coerce_perturbations(specs) if s.kind != NONE
-              and (s.delta if s.kind == POWER else s.amplitude) != 0.0]
+    active = [s for s in _coerce_perturbations(specs) if s.norm_at(1.0) != 0.0]
     if not active:
         return np.zeros((X.shape[0], codomain.dim))
     h = _row_hash(X)

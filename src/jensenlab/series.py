@@ -14,8 +14,10 @@ Controls are radial, so the series take arrays of ‖x‖ and ‖y‖.
 
 Limits: the scaling iterations a_n = gain^n · f(arg^n · x) behind the direct
 method (dyadic arg 2 / gain 1/2, triadic arg 3 / gain 1/3, quadratic arg 2 /
-gain 1/4), with successive-gap convergence detection.  Divergence is reported
-through the converged flag, never raised.
+gain 1/4), with successive-gap convergence detection; steps whose gap the
+norms of the model's parts prove above tol are skipped, not evaluated, and
+the results stay bit for bit.  Divergence is reported through the converged
+flag, never raised.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .control import (
     ControlFunctionSpec,
     _powered,
 )
-from .models import JensenParams, ScaledModel
-from .spaces import _column_norms, _max_abs, _rows, as_batch
+from .models import DECAY, POWER, FunctionModel, JensenParams, ScaledModel
+from .spaces import _column_norms, _max_abs, _rows, as_batch, norm_many
 
 DYADIC_N_MAX = 40
 TRIADIC_N_MAX = 25
@@ -179,6 +181,111 @@ def _table_series(table, coefs, args, const_count, prefactor, ratio_base, const_
     return SeriesValue(total, n_stop, tail, False)
 
 
+def _stop_level(tol):
+    """The gap at or below which the loop stops, for its test, fast pass and certificate."""
+    return tol
+
+
+def _certified_steps(f, X, arg, amp, tol, first, last, cand):
+    """Per point, c and s such that at each m in c+1..s ⊂ [first, last] the gap
+    ‖a_m − a_{m−1}‖ is provably above the stop level (c = 2**62: none, as when
+    one block holds every step).
+
+    For a FunctionModel, or a ScaledModel of one, each part of a_m (linear,
+    quadratic, one per perturbation term) has a norm of C·R^m.  By the reverse
+    triangle inequality the gap is at least one lead part's change less the
+    other parts' changes, the stop level and κ·u times every magnitude that
+    enters the computed gap (Higham 2002, ch. 3).  With A_j the lead's net
+    change and B_k the others' bounds, all over R^m, m is certified where
+    Σ_k B_k R_k^m < A_j R_j^m; the sum over A_j R_j^m is convex in m, so it is
+    checked at the two ends of the run only."""
+    none = np.full_like(first, 2**62), first
+    out_scale = arg_scale = 1.0
+    while type(f) is ScaledModel:  # exact types: a subclass may evaluate otherwise
+        out_scale *= f.out_scale
+        arg_scale *= f.arg_scale
+        f = f.base
+    if type(f) is not FunctionModel or np.sum(last + 2 - first) <= _BLOCK_ROWS:
+        return none
+    L = np.abs(f.linear)
+    q = np.zeros(1) if f.quadratic is None else f.quadratic
+    perts = [p for p in f.perturbations if p.norm_at(1.0) != 0.0]
+    with np.errstate(all="ignore"):
+        so = abs(np.float64(out_scale))
+        sa = abs(np.float64(arg_scale))
+        coefs = [so, sa, 1 / so, 1 / sa, L.max(), *np.abs(q), *(p.amplitude + p.delta for p in perts)]
+        if not (np.max(coefs) <= 2.0**100 and 0.0 < abs(amp * arg) < np.inf):
+            return none
+        ku = (128 + 16 * (X.shape[1] + f.codomain.dim)) * 2.0**-53
+        nx = sa * norm_many(f.domain, X)  # ‖y‖ = |arg|^m·nx at step m
+        dom_exp, cod_exp = ({"sup": 1.0, "euclidean": 2.0}.get(s.norm_kind, s.p)
+                            for s in (f.domain, f.codomain))
+        # ‖L·x‖ ≤ ‖|L|·|x|‖ ≤ Σ_i |x_i|·‖L[:, i]‖, with the column norms of each candidate
+        col_norms = norm_many(f.codomain, np.swapaxes(L, -1, -2).reshape(-1, L.shape[-2]))
+        col_norms = col_norms.reshape(-1, L.shape[-1])[cand if L.ndim == 3 else [0]]
+        size_linear = so * sa * np.sum(np.abs(X) * col_norms, 1)
+        parts = []  # R, and over R^m: the change's lower and upper bounds, the size at m and m − 1
+
+        def add(P, low, high, fixed):
+            """A part of norm in [low, high]·R^m, R = |P|: P^m times one fixed
+            vector, or (not fixed) a new vector at each step."""
+            R = abs(P)
+            step = abs(1.0 - 1.0 / P)  # κ·u·size also covers its rounding
+            change_low = step * low
+            change_high = step * high if fixed else (1.0 + 1.0 / R) * high
+            size = (1.0 + 1.0 / R) * high
+            parts.append((R, change_low, change_high, size))
+
+        add(amp * arg, 0.0, size_linear, True)
+        if f.quadratic is not None:
+            size_quadratic = so * norm_many(f.codomain, q[None])[0] * nx**2
+            add(amp * arg * arg, size_quadratic, size_quadratic, True)
+        for p in perts:  # a new vector at each step; a decay term's norm only falls from so·amplitude
+            size_term = so * p.norm_at(0.0 if p.kind == DECAY else nx)
+            low = 0.0 if p.kind == DECAY else size_term
+            add(abs(amp) * abs(arg) ** (p.p if p.kind == POWER else 0.0), low, size_term, False)
+        # the stop level, and a floor above which the computed gap norm does not underflow
+        parts.append((1.0, 0.0, max(_stop_level(tol), 0.0) + 2.0 ** -min(560, 900 / cod_exp), 0.0))
+        R, lows, highs, sizes = zip(*parts)
+        log_R = np.log2(R)
+        low, high, size = (np.array(np.broadcast_arrays(nx, *c)[1:]) for c in (lows, highs, sizes))
+        net_change = low - ku * size
+        log_others = np.log2(high + ku * size)
+        lo_end = np.maximum(first, -2.0**20)
+        hi_end = np.minimum(last, 2.0**20)
+        # the lead j: of the parts whose change can lead, the slowest to shrink
+        j = max(np.flatnonzero(np.any(net_change > 0.0, axis=1)), key=lambda k: log_R[k], default=0)
+        # B_k R_k^m = 2^(b_k + m·slope_k) A_j R_j^m
+        b = log_others - np.log2(net_change[j])
+        b[j] = -np.inf
+        slope = (log_R - log_R[j])[:, None]
+        # a start: each term below 1/(others), where it shrinks that way
+        m = (-np.log2(len(parts) - 1) - b) / slope
+        lo = np.maximum(lo_end, np.max(np.floor(m[slope[:, 0] < 0]) + 1.0, axis=0, initial=-np.inf))
+        hi = np.minimum(hi_end, np.min(np.ceil(m[slope[:, 0] > 0]) - 1.0, axis=0, initial=np.inf))
+        margin = 1.0 - 2.0**-20
+
+        def grow(e, way, end):  # e moved out (way ±1) while terms growing ≤ 2^rate a step fit
+            v = np.exp2(b + e * slope)
+            up = (way * slope[:, 0] > 0).astype(float)
+            grows = up @ v
+            rate = np.max(way * slope)
+            rest = np.sum(v, axis=0) - grows  # the other terms only shrink that way
+            d = np.fmax(np.floor(np.log2((margin - rest) / grows) / rate), 0.0)
+            d = np.minimum(d, way * (end - e))
+            return e + way * d, grows * np.exp2(rate * d) + rest < margin
+
+        lo, lo_ok = grow(lo, -1.0, lo_end)
+        hi, hi_ok = grow(hi, 1.0, hi_end)
+        found = (lo <= hi) & lo_ok & hi_ok
+        # no magnitude near overflow, and 2^-w < ‖y‖ = |arg|^m·nx < 2^w, far from it
+        log_top = np.log2(size) + np.maximum(lo * log_R[:, None], hi * log_R[:, None])
+        found &= np.all(log_top < 990.0, axis=0)
+        log_y = np.log2(nx) + np.stack([lo, hi]) * np.log2(abs(arg))
+        found &= np.all(np.abs(log_y) < min(400.0, 800.0 / dom_exp) - 8.0, axis=0)
+    return np.where(found, lo - 1, none[0]).astype(np.int64), np.where(found, hi, first).astype(np.int64)
+
+
 def power_limit_many(
     f,
     X,
@@ -196,15 +303,16 @@ def power_limit_many(
     cand, when given, holds each point's candidate in a batched model, and
     ``f.eval_many`` gets each evaluated row's entry as its second argument.
 
-    Each point's last exponent is fixed up front.  Each pass runs K steps, K =
-    _BLOCK_ROWS // (points still iterating), at least 1 and at most the fewest
-    steps any has left, for that compact working set in one ``f.eval_many``
-    call on the step-major stack; a point keeps its first stop, and stopped
-    points leave the set; its exponent groups and step counts are rebuilt only
-    then, so a pass where none stops does only the evaluation, the gap and one
-    test.  For a model whose rows do not depend on the rest of their batch
-    (every model in ``models``) the results are bit for bit those of one step
-    at a time.
+    Each point's last exponent is fixed up front, and so is a run c+1..s of
+    steps whose gaps are provably above tol (_certified_steps): the point
+    iterates to c, takes a_s directly (a_n is a function of n) and goes on.
+    Each pass runs K = _BLOCK_ROWS // (points iterating) steps, at least 1 and
+    at most the fewest any has left, for that compact working set in one
+    ``f.eval_many`` call on the step-major stack; a point keeps its first stop,
+    and stopped or paused points leave the set, whose exponent groups and step
+    counts are rebuilt only then.  For a model whose rows do not depend on the
+    rest of their batch (every model in ``models``) the results are bit for
+    bit those of one step at a time.
     """
     X = as_batch(X, f.domain.dim)
     n_pts = X.shape[0]
@@ -222,10 +330,6 @@ def power_limit_many(
         Y = f.eval_many(Xs) if cand is None else f.eval_many(Xs, cw)
         Y = Y.T.reshape(Y.shape[1:] + grid)
         return np.multiply(g, Y, out=np.empty(Y.shape))  # loops of points
-
-    e0 = n_vec.astype(np.float64)[None]
-    values, iterations = evaluate(X, cands, arg**e0, amp**e0)[:, 0], n_vec.copy()
-    last_gap, converged = np.full(n_pts, np.inf), np.zeros(n_pts, dtype=bool)
 
     # The last exponent is n_max, or one before the first exponent past n_start
     # where row_scale·|arg|^n or |gain|^n exceeds _OVERFLOW_LIMIT.  base^n stays
@@ -251,42 +355,64 @@ def power_limit_many(
             on = guard(mid)
             first, stop = np.minimum(np.where(on, first, mid + 1), stop), np.where(on, mid, stop)
 
-    # Sorted by n, the working set's points at one exponent share a table row.
-    ix = np.argsort(n_vec, kind="stable")
-    ix = ix[stop[ix] - 1 > n_vec[ix]]
-    n, end, Xw, cw, a, off = n_vec[ix], stop[ix] - 1, X[ix], cands[ix], values[:, ix], 0
-    while ix.size:
-        if off == 0:  # the working set is new: group it by exponent, count steps left
-            head = np.concatenate(([True], n[1:] != n[:-1]))
-            base, run, fewest = n[head], np.cumsum(head) - 1, int(np.min(end - n))
-        K = max(1, min(_BLOCK_ROWS // ix.size, fewest - off))
-        e = (base + off) + np.arange(1.0, K + 1)[:, None]
-        scale, g = arg**e, amp**e  # (K, 1) when the whole set shares one exponent
-        if base.size > 1:
-            scale, g = np.take(scale, run, 1), np.take(g, run, 1)
-        new = evaluate(Xw, cw if K == 1 else np.tile(cw, K), scale, g)
-        step = np.empty(new.shape)
-        with np.errstate(invalid="ignore"):  # ∞ − ∞ is caught by the finite test
-            np.subtract(new[:, :1], a[:, None], out=step[:, :1])
-            np.subtract(new[:, 1:], new[:, :-1], out=step[:, 1:])
-            gaps = _column_norms(f.codomain, step.reshape(step.shape[0], -1)).reshape(K, -1)
-        if K < fewest - off and gaps.min() > tol and gaps.max() < np.inf:
-            off, a = off + K, new[:, -1]  # nobody stops: exponents are n + off
-            continue
-        n, off = n + off, 0
-        done, bad = gaps <= tol, ~np.isfinite(gaps)
-        if bad.any():  # non-finite values have such gaps
-            bad[bad] = ~np.all(np.isfinite(new[:, bad]), axis=0)
-        halt = done | bad
-        halt[-1] |= n + K == end
-        ended = np.any(halt, axis=0)
-        s, keep = np.flatnonzero(ended), np.flatnonzero(~ended)
-        k, i = np.argmax(halt[:, s], axis=0), ix[s]  # each stopped point's first stop
-        values[:, i], iterations[i], last_gap[i] = new[:, k, s], n[s] + k + 1, gaps[k, s]
-        converged[i] = done[k, s] & ~bad[k, s]
-        ix, n, end, cw = ix[keep], n[keep] + K, end[keep], cw[keep]
-        Xw, a = np.take(Xw, keep, axis=0), np.take(new[:, -1], keep, axis=1)
+    # Steps c+1..s cannot stop, and s < the last exponent: a point iterates until
+    # a pass takes it to c or past it (short of s), then resumes from a_s.
+    c, s = _certified_steps(f, X, arg, amp, tol, n_vec + 1, stop - 2, cands)
+    level, never, values = _stop_level(tol), 2**62, np.empty((f.codomain.dim, n_pts))
+    iterations, last_gap = n_vec.copy(), np.full(n_pts, np.inf)
+    converged, jumps = np.zeros(n_pts, dtype=bool), c == n_vec
 
+    def jump(i, e):  # values[:, i] = a_e, one exponent per point
+        if i.size:
+            e = e.astype(np.float64)[None]
+            values[:, i] = evaluate(X[i], cands[i], arg**e, amp**e)[:, 0]
+
+    def iterate(start, end, pause):  # points with end > start, from a_start in values
+        ix = np.argsort(start, kind="stable")  # by n: points at one exponent share a row
+        ix = ix[end[ix] > start[ix]]
+        n, end, pz, Xw, cw, a, off = start[ix], end[ix], pause[ix], X[ix], cands[ix], values[:, ix], 0
+        while ix.size:
+            if off == 0:  # the working set is new: group it by exponent, count steps left
+                head = np.concatenate(([True], n[1:] != n[:-1]))
+                base, run = n[head], np.cumsum(head) - 1
+                fewest, soonest = int(np.min(end - n)), int(np.min(pz - n))
+            K = max(1, min(_BLOCK_ROWS // ix.size, fewest - off))
+            e = (base + off) + np.arange(1.0, K + 1)[:, None]
+            scale, g = arg**e, amp**e  # (K, 1) when the whole set shares one exponent
+            if base.size > 1:
+                scale, g = np.take(scale, run, 1), np.take(g, run, 1)
+            new = evaluate(Xw, cw if K == 1 else np.tile(cw, K), scale, g)
+            step = np.empty(new.shape)
+            with np.errstate(over="ignore", invalid="ignore"):  # the finite test sorts out ∞
+                np.subtract(new[:, :1], a[:, None], out=step[:, :1])
+                np.subtract(new[:, 1:], new[:, :-1], out=step[:, 1:])
+                gaps = _column_norms(f.codomain, step.reshape(step.shape[0], -1)).reshape(K, -1)
+            if K < min(fewest, soonest) - off and gaps.min() > level and gaps.max() < np.inf:
+                off, a = off + K, new[:, -1]  # nobody stops or pauses: exponents are n + off
+                continue
+            paused, n, off = off + K >= soonest, n + off, 0
+            done, bad = gaps <= level, ~np.isfinite(gaps)
+            if bad.any():  # non-finite values have such gaps
+                bad[bad] = ~np.all(np.isfinite(new[:, bad]), axis=0)
+            halt = done | bad
+            halt[-1] |= n + K == end
+            ended = np.any(halt, axis=0)
+            t, keep = np.flatnonzero(ended), ~ended
+            k, i = np.argmax(halt[:, t], axis=0), ix[t]  # each stopped point's first stop
+            values[:, i], iterations[i], last_gap[i] = new[:, k, t], n[t] + k + 1, gaps[k, t]
+            converged[i] = done[k, t] & ~bad[k, t]
+            if paused:  # a point at or past its pause, short of s, resumes from a_s
+                past, leave = n + K >= pz, keep & (n + K >= pz) & (n + K < s[ix])
+                jumps[ix[leave]], keep, pz = True, keep & ~leave, np.where(past, never, pz)
+            keep = np.flatnonzero(keep)
+            ix, n, end, pz, cw = ix[keep], n[keep] + K, end[keep], pz[keep], cw[keep]
+            Xw, a = np.take(Xw, keep, axis=0), np.take(new[:, -1], keep, axis=1)
+
+    jump(np.flatnonzero(~jumps), n_vec[~jumps])
+    iterate(n_vec, np.where(jumps, n_vec, stop - 1), c)
+    if jumps.any():
+        jump(np.flatnonzero(jumps), s[jumps])
+        iterate(s, np.where(jumps, stop - 1, s), np.full(n_pts, never))
     return _rows(values), iterations, last_gap, converged
 
 

@@ -600,6 +600,32 @@ def test_emitter_matches_references_at_report_size(dim):
     assert emit_report(reps[1], fmt="csv").split("\n") == csv_by_repr(reps[1]).split("\n")
 
 
+@pytest.mark.parametrize("dim", [0, 2])
+def test_csv_rows_match_csv_writer_at_report_size(dim):
+    """4096 rows of NaNs (both signs, several payloads), ±inf, ±0 and in-range
+    floats, and a shell profile, written as csv.writer writes repr of each."""
+    rng = np.random.default_rng(dim)
+    n = 4096
+    pool = np.concatenate([[math.inf, -math.inf, 0.0, -0.0, 1e16, 1e-5, 0.5, -2.5e3], NAN_BITS])
+    rows = experiments._Rows(
+        rng.choice(pool, size=(n, dim)), ("f", "g_h", "total"), rng.integers(0, 3, n),
+        rng.choice(pool, size=n), rng.choice(pool, size=n), rng.choice(pool, size=n),
+    )
+    rep = experiments.StabilityReport(
+        theorem_id="prop4_2", config={}, epsilon_effective=0.0, bound_value=0.0,
+        max_deviation=0.0, max_ratio=0.0, passed=True, witnesses=[], samples=rows,
+        details={}, iterations={},
+    )
+    assert emit_report(rep, fmt="csv").split("\n") == csv_by_repr(rep).split("\n")
+    empty = replace(rep, samples=experiments._Rows(np.empty((0, dim)), (), np.empty(0, int),
+                                                   np.empty(0), np.empty(0), np.empty(0)))
+    assert emit_report(empty, fmt="csv") == csv_by_repr(empty)
+    profile = {"edges": [0.5, 1.0, 2.0, math.inf], "sup_defect": [math.nan, -0.0, 1e-300],
+               "samples_per_shell": 7}
+    shells = replace(rep, details={"profile": profile})
+    assert emit_report(shells, fmt="csv") == csv_by_repr(shells)
+
+
 def test_csv_matches_repr_on_edge_floats():
     n = len(EDGE_FLOATS)
     edge = np.array(EDGE_FLOATS)

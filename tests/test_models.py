@@ -294,16 +294,18 @@ def test_perturbation_determinism():
 
 def test_perturbation_values_adds_terms_in_order():
     """A sequence of terms is added one after another, exactly as the terms
-    evaluated one at a time, with or without the norms of X given."""
+    evaluated one at a time, with or without the norms of X given; a "none"
+    term adds nothing, whatever magnitudes it carries."""
     specs = (
         PerturbationSpec(kind=BOUNDED, amplitude=0.5, seed=2),
-        PerturbationSpec(kind="none"),
+        PerturbationSpec(kind="none", amplitude=np.inf, delta=np.nan),
         PerturbationSpec(kind=POWER, delta=0.3, p=0.5, seed=3),
         PerturbationSpec(kind=DECAY, amplitude=0.7, seed=4),
     )
     X = np.random.default_rng(11).standard_normal((30, 3))
     X[3] = 0.0
-    a, _, b, c = (perturbation_values(s, X, E3, E2) for s in specs)
+    a, none, b, c = (perturbation_values(s, X, E3, E2) for s in specs)
+    assert np.array_equal(none, np.zeros((30, 2)))
     assert np.array_equal(perturbation_values(specs, X, E3, E2), a + b + c)
     assert np.array_equal(perturbation_values(specs, X, E3, E2, nx=norm_many(E3, X)), a + b + c)
     assert not np.any(a[3]) and not np.any(c[3])

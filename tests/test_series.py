@@ -15,12 +15,15 @@ from jensenlab.control import (
 )
 from jensenlab.models import (
     BOUNDED,
+    DECAY,
     POWER,
     FunctionModel,
     JensenParams,
     PerturbationSpec,
+    ScaledModel,
 )
 from jensenlab.series import (
+    DEFAULT_TOL,
     TRIADIC_N_MAX,
     cor22_bound_norms,
     dyadic_limit_many,
@@ -35,6 +38,7 @@ from series_reference import psi
 
 E3 = euclidean_space(3)
 E2 = euclidean_space(2)
+E1 = euclidean_space(1)
 UNIT_X = np.array([1.0, 0.0, 0.0])
 UNIT_Y = np.array([0.0, 1.0, 0.0])
 
@@ -288,11 +292,31 @@ def _limit_models():
     )
     noisy = FunctionModel(domain=E3, codomain=E2, linear=L, perturbations=perts)
     quad = FunctionModel(domain=E3, codomain=E2, linear=L, quadratic=[0.3, -0.1], perturbations=perts)
+    P3 = NormedSpaceSpec(3, "p_norm", 3.0)
     y3 = FunctionModel(domain=E3, codomain=E3, linear=np.vstack([L, [-0.4, 0.9, 1.7]]),
                        quadratic=[0.3, -0.1, 0.2], perturbations=perts)
+    # Two bounded terms in one dimension: under the dyadic kind their changes
+    # cancel exactly (3·0.1 = 0.3) wherever the hash signs fall right, so a
+    # certificate that ignored the other term's change would skip a stop.
+    bounded = (PerturbationSpec(kind=BOUNDED, amplitude=0.3, seed=6),
+               PerturbationSpec(kind=BOUNDED, amplitude=0.1, seed=7))
+    decay = (PerturbationSpec(kind=DECAY, amplitude=0.5, seed=8), perts[1])
     return {
         "linear": FunctionModel(domain=E3, codomain=E2, linear=L),
         "noisy": noisy,
+        "bounded": FunctionModel(domain=E3, codomain=E2, linear=L, perturbations=perts[:1]),
+        "bounded-y1": FunctionModel(domain=E3, codomain=E1, linear=L[:1], perturbations=bounded),
+        "decay": FunctionModel(domain=E3, codomain=E2, linear=L, perturbations=decay),
+        "decay-only": FunctionModel(domain=E3, codomain=E2, linear=L, perturbations=decay[:1]),
+        # the pexider reduction: f(x) = 1.5·noisy((2/3)·x), and of quadratic models
+        # with arg_scale above and below 1 (the quadratic's norm carries it squared)
+        "pexider": ScaledModel(noisy, arg_scale=2.0 / 3.0, out_scale=1.5),
+        "pexider-quadratic": ScaledModel(quad, arg_scale=2.0, out_scale=0.5),
+        "pexider-quadratic-exact": ScaledModel(
+            FunctionModel(domain=E3, codomain=E2, linear=L, quadratic=[0.3, -0.1]),
+            arg_scale=2.0 / 3.0, out_scale=1.5),
+        "quadratic-yp3": FunctionModel(domain=E3, codomain=P3, linear=y3.linear,
+                                       quadratic=[0.3, -0.1, 0.2], perturbations=perts),
         "quadratic": quad,
         # codomains whose gap norms take the einsum and the sup-norm paths
         "quadratic-y3": y3,
@@ -321,7 +345,7 @@ def _limit_one_at_a_time(f, x, arg, gain, n_max, tol, n0):
         if np.any(scale * np.abs(arg) ** e > 1e120) or np.any(np.abs(gain) ** e > 1e120):
             break
         new = value(n + 1)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             gap = norm_many(f.codomain, new - a)[0]
         a, n = new, n + 1
         finite = bool(np.all(np.isfinite(new)))
@@ -333,15 +357,15 @@ def _limit_one_at_a_time(f, x, arg, gain, n_max, tol, n0):
     return a[0], n, gap, converged
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(derandomize=True, max_examples=250, deadline=None)
 @given(
     model=st.sampled_from(sorted(LIMIT_MODELS)),
-    kind=st.sampled_from([(2.0, 0.5), (2.0, 0.25), (3.0, 1.0 / 3.0)]),
+    kind=st.sampled_from([(2.0, 0.5), (2.0, 0.25), (3.0, 1.0 / 3.0), (0.5, 2.0)]),
     n_max=st.integers(0, 45),
     tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-4]),
     budget=st.sampled_from([1, 5, 40, 4096]),
     rows=st.integers(1, 10),
-    starts=st.one_of(st.none(), st.lists(st.integers(0, 47), min_size=10, max_size=10)),
+    starts=st.one_of(st.none(), st.lists(st.integers(-60, 47), min_size=10, max_size=10)),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_blocked_limit_equals_one_exponent_iteration(
@@ -351,7 +375,10 @@ def test_blocked_limit_equals_one_exponent_iteration(
 
     The budget sets the block size K = budget // active rows (1 at budget 1);
     row scales up to 1e118 trip the overflow guard, the "inf"/"nan" models
-    turn non-finite, and n_max and n_start cut the iteration short.
+    turn non-finite, and n_max and n_start cut the iteration short.  The
+    models of FunctionModel and ScaledModel skip their certified steps, with
+    every kind of part leading or competing; the contraction (arg ½, gain 2)
+    makes bounded terms grow.
     """
     f = LIMIT_MODELS[model]
     arg, gain = kind
@@ -401,7 +428,7 @@ THREE = _three_candidates()
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(
-    kind=st.sampled_from([(2.0, 0.5), (2.0, 0.25), (3.0, 1.0 / 3.0), (0.5, 4.0)]),
+    kind=st.sampled_from([(2.0, 0.5), (2.0, 0.25), (3.0, 1.0 / 3.0), (0.5, 4.0), (0.5, 2.0)]),
     tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-4]),
     budget=st.sampled_from([1, 5, 40, 4096]),
     rows=st.integers(0, 10),
@@ -498,19 +525,98 @@ def test_large_working_set_with_starts_and_candidates():
     )
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(
-    kind=st.sampled_from([(2.0, 0.5), (2.0, 0.25), (3.0, 1.0 / 3.0), (0.5, 4.0)]),
-    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-4]),
-    budget=st.sampled_from([1, 5, 40, 4096]),
-    rows=st.integers(1, 40),
-    starts=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_limit_commutes_with_permuting_the_batch(kind, tol, budget, rows, starts, seed):
+@pytest.mark.parametrize("kind", [(2.0, 0.5), (3.0, 1.0 / 3.0)])
+def test_no_step_skipped_where_the_domain_norm_overflows(kind):
+    """In a p = 3 domain ‖y‖ is inf once |y_i|^3 overflows, long before the
+    overflow guard trips at 1e120, and the noise turns non-finite: rows at
+    1e70..1e100 (no linear part, so their gaps stay large) stop there as the
+    one-exponent loop stops them, and no run is certified across it.  The
+    norm's own overflow warning is silenced for both loops."""
+    P3 = NormedSpaceSpec(3, "p_norm", 3.0)
+    f = FunctionModel(domain=P3, codomain=E2, linear=np.zeros((2, 3)),
+                      perturbations=LIMIT_MODELS["noisy"].perturbations)
+    rng = np.random.default_rng(44)
+    X = rng.standard_normal((40, 3)) * 10.0 ** rng.uniform(70.0, 100.0, size=(40, 1))
+    X[::4] /= 1e90
+    arg, gain = kind
+    with np.errstate(over="ignore"):
+        got = power_limit_many(f, X, arg, gain, 200, 1e-9)
+        want = [np.array(c) for c in zip(*(_limit_one_at_a_time(f, x, arg, gain, 200, 1e-9, 0)
+                                            for x in X))]
+    assert not np.all(np.isfinite(got[0]))
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("arg_scale, out_scale", [(2.0, 0.5), (2.0 / 3.0, 1.5)])
+@pytest.mark.parametrize("kind", [(3.0, 1.0 / 3.0), (0.5, 2.0)])
+def test_scaled_quadratic_stops_where_the_one_exponent_loop_stops(arg_scale, out_scale, kind):
+    """The pexider reduction of a quadratic model: its quadratic part has the
+    norm out_scale·‖q‖·‖arg_scale·x‖².  At 300 points whose gaps cross tol
+    within the first steps (growing under the triadic kind, shrinking under
+    the contraction) every point stops where the one-exponent loop stops,
+    with arg_scale above and below 1."""
+    quad = FunctionModel(domain=E3, codomain=E2, linear=np.zeros((2, 3)), quadratic=[1.0, 0.0])
+    f = ScaledModel(quad, arg_scale, out_scale)
+    rng = np.random.default_rng(45)
+    X = rng.standard_normal((300, 3))
+    X *= 10.0 ** rng.uniform(-7.0, -3.0, size=(300, 1)) / np.linalg.norm(X, axis=1)[:, None]
+    arg, gain = kind
+    got = power_limit_many(f, X, arg, gain, 40, 1e-9)
+    want = [np.array(c) for c in zip(*(_limit_one_at_a_time(f, x, arg, gain, 40, 1e-9, 0)
+                                        for x in X))]
+    assert 0 < np.sum(got[1] == 1) < X.shape[0]
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("arg_scale, out_scale", [(2.0, 0.5), (2.0 / 3.0, 1.5)])
+def test_scaled_quadratic_cancelling_a_bounded_term(arg_scale, out_scale):
+    """As above with the quadratic as one of the other parts: under the
+    contraction (arg ½, gain 2) a bounded term of amplitude a grows and
+    leads, and each point's quadratic change V·2^-m equals the bounded term's
+    least change out_scale·a·2^m/2 at one exponent m0 in 3..10.  Where the noise signs
+    agree the two cancel and the point stops at m0, a step no run may skip;
+    one step a pass, so that no block evaluates steps past a pause."""
+    bounded = PerturbationSpec(kind=BOUNDED, amplitude=1e-7, seed=9)
+    f = ScaledModel(FunctionModel(domain=E3, codomain=E1, linear=np.zeros((1, 3)),
+                                  quadratic=[1.0], perturbations=(bounded,)), arg_scale, out_scale)
+    rng = np.random.default_rng(46)
+    m0 = rng.integers(3, 11, size=300)
+    X = rng.standard_normal((300, 3))
+    X *= (np.sqrt(0.5e-7 * 4.0**m0) / arg_scale / np.linalg.norm(X, axis=1))[:, None]
+    with mock.patch.object(series, "_BLOCK_ROWS", X.shape[0]):  # one step a pass
+        got = power_limit_many(f, X, 0.5, 2.0, 40, 1e-9)
+    want = [np.array(c) for c in zip(*(_limit_one_at_a_time(f, x, 0.5, 2.0, 40, 1e-9, 0)
+                                        for x in X))]
+    assert np.sum(got[1] == m0) > 30
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("model", ["bounded", "noisy"])
+def test_certified_steps_are_not_evaluated(model):
+    """On 4000 points the model is evaluated on at most a third of the steps
+    the loop reports, for a bounded-only and for a mixed (bounded plus
+    power) model: their certified runs are skipped, not iterated, and the
+    sampled rows still equal the one-exponent loop bit for bit."""
+    f = LIMIT_MODELS[model]
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((4000, 3)) * rng.uniform(0.05, 6.0, size=(4000, 1))
+    with mock.patch.object(FunctionModel, "eval_many", autospec=True,
+                           side_effect=FunctionModel.eval_many) as spy:
+        got = dyadic_limit_many(f, X, n_max=60)
+    rows = sum(len(c.args[1]) for c in spy.call_args_list)
+    assert 3 * rows <= np.sum(got[1])
+    _check_sampled_rows(
+        got, rng, np.empty(0, dtype=np.int64),
+        lambda i: _limit_one_at_a_time(f, X[i], 2.0, 0.5, 60, DEFAULT_TOL, 0),
+    )
+
+
+def _check_permuting_the_batch(f, kind, tol, budget, rows, starts, seed):
     """Permuting the points (with their n_max, n_start and cand) permutes the
-    four outputs bit for bit: the sort by exponent and the regrouping of the
-    working set do not leak one point's order into another's values."""
+    four outputs bit for bit."""
     arg, gain = kind
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((rows, 3)) * 10.0 ** rng.uniform(-2.0, 118.0, size=(rows, 1))
@@ -520,12 +626,46 @@ def test_limit_commutes_with_permuting_the_batch(kind, tol, budget, rows, starts
     perm = rng.permutation(rows)
     n0_perm = None if n0 is None else n0[perm]
     with mock.patch.object(series, "_BLOCK_ROWS", budget):
-        got = power_limit_many(THREE, X, arg, gain, n_max, tol, n_start=n0, cand=cand)
+        got = power_limit_many(f, X, arg, gain, n_max, tol, n_start=n0, cand=cand)
         moved = power_limit_many(
-            THREE, X[perm], arg, gain, n_max[perm], tol, n_start=n0_perm, cand=cand[perm]
+            f, X[perm], arg, gain, n_max[perm], tol, n_start=n0_perm, cand=cand[perm]
         )
     for g, m in zip(got, moved, strict=True):
         assert np.array_equal(g[perm], m, equal_nan=True)
+
+
+_PERMUTED_BATCHES = dict(
+    kind=st.sampled_from([(2.0, 0.5), (2.0, 0.25), (3.0, 1.0 / 3.0), (0.5, 4.0), (0.5, 2.0)]),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-4]),
+    budget=st.sampled_from([1, 5, 40, 4096]),
+    rows=st.integers(1, 40),
+    starts=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(**_PERMUTED_BATCHES)
+def test_limit_commutes_with_permuting_the_batch(kind, tol, budget, rows, starts, seed):
+    """For the 3-candidate model: the sort by exponent, the regrouping of the
+    working set and the skipped runs do not leak one point's order into
+    another's values."""
+    _check_permuting_the_batch(THREE, kind, tol, budget, rows, starts, seed)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    model=st.sampled_from(["bounded", "bounded-y1", "decay", "pexider", "pexider-quadratic",
+                           "pexider-quadratic-exact"]),
+    **_PERMUTED_BATCHES,
+)
+def test_certified_limit_commutes_with_permuting_the_batch(
+    model, kind, tol, budget, rows, starts, seed
+):
+    """As above for the models whose certified runs take each other branch:
+    bounded-only, two cancelling bounded terms, a decay term and the pexider
+    reductions of a noisy and of two quadratic models."""
+    _check_permuting_the_batch(LIMIT_MODELS[model], kind, tol, budget, rows, starts, seed)
 
 
 @pytest.mark.parametrize("kind", [(2.0, 0.5), (3.0, 1.0 / 3.0)])
