@@ -141,14 +141,16 @@ def _column_norms(space: NormedSpaceSpec, C: np.ndarray) -> np.ndarray:
                 out += c * c
         return np.sqrt(out, out=out)
     if space.norm_kind == P_NORM and C.shape[0] < 8:
-        out = np.abs(C[0]) ** space.p
-        for c in C[1:]:
-            out += np.abs(c) ** space.p
-        return out ** (1.0 / space.p)
+        with np.errstate(over="ignore"):  # |c|^p overflows to inf, as above
+            out = np.abs(C[0]) ** space.p
+            for c in C[1:]:
+                out += np.abs(c) ** space.p
+            return out ** (1.0 / space.p)
     X = C.T if C.T.flags.c_contiguous else _rows(C)
     if space.norm_kind == EUCLIDEAN:
         return np.sqrt(np.einsum("ij,ij->i", X, X))
-    return np.sum(np.abs(X) ** space.p, axis=-1) ** (1.0 / space.p)
+    with np.errstate(over="ignore"):
+        return np.sum(np.abs(X) ** space.p, axis=-1) ** (1.0 / space.p)
 
 
 def _max_abs(C: np.ndarray) -> np.ndarray:
@@ -388,11 +390,10 @@ def _random_points(space, rng, n, lo=0.1, hi=3.0):
 
 
 def _partnered_points(rel, space, rng, n):
-    """Points x and partners y from orthogonal_partners, kept where x ⊥ y holds."""
+    """Points x and partners y from orthogonal_partners, unchecked: the caller
+    tests x ⊥ y in its one batched search and keeps the pairs that pass."""
     X = _random_points(space, rng, n)
-    Y = orthogonal_partners(rel, space, X, _random_points(space, rng, n))
-    keep = (norm_many(space, Y) >= 1e-9) & is_orthogonal_many(rel, space, X, Y)
-    return X, Y, keep
+    return X, orthogonal_partners(rel, space, X, _random_points(space, rng, n))
 
 
 def _axiom_result(ok: np.ndarray, counterexample) -> AxiomResult:
@@ -416,11 +417,14 @@ def check_ratz_axioms(
     O4: for every plane P, x in P, and lam > 0 there is y0 in P with
         x ⊥ y0 and (x + y0) ⊥ (lam·x − y0).
 
-    O1-O3 run on all trials at once; O2 and O3 use the pairs of
-    orthogonal_partners that pass is_orthogonal_many.  O4 drops trials with a
-    dependent plane or x = 0; one batched search finds the sign changes of
-    ρ'₋(x + t·d; λx − t·d) along partners d of x in the plane (James, Trans.
-    AMS 1947), and is_orthogonal checks each witness.
+    O1-O3 share one is_orthogonal_many call, hence one margin search, over
+    (x, 0), (0, x), the O2 and O3 partner pairs of orthogonal_partners and
+    the O3 pairs scaled by (α, β).  O2 and O3 keep the trials whose partner
+    is nonzero and passes; the scaled verdict is read on those alone.  O4
+    drops trials with a dependent plane or x = 0; one batched search finds the
+    sign changes of ρ'₋(x + t·d; λx − t·d) along partners d of x in the plane
+    (James, Trans. AMS 1947), and the scalar is_orthogonal checks each
+    witness.
     Deterministic given the seed.  O2-O4 are vacuous on a line, so the space
     needs dimension at least 2.
     """
@@ -430,24 +434,33 @@ def check_ratz_axioms(
         raise SpaceError(f"trials must be >= 1, got {trials}")
     results = {}
 
-    X = _random_points(space, _rng(seed, 101), trials)
-    Z = np.zeros_like(X)
-    ok = is_orthogonal_many(rel, space, X, Z) & is_orthogonal_many(rel, space, Z, X)
-    results["O1"] = _axiom_result(ok, lambda i: {"x": X[i].tolist()})
+    X1 = _random_points(space, _rng(seed, 101), trials)
+    X2, Y2 = _partnered_points(rel, space, _rng(seed, 102), trials)
+    rng = _rng(seed, 103)
+    X3, Y3 = _partnered_points(rel, space, rng, trials)
+    AB = rng.uniform(-3.0, 3.0, size=(trials, 2))
+    # Every row of the search is independent of the others, so one call over
+    # all O1-O3 pairs gives each pair the verdict it would get on its own.
+    Z = np.zeros_like(X1)
+    ok = is_orthogonal_many(
+        rel, space,
+        np.concatenate([X1, Z, X2, X3, AB[:, :1] * X3]),
+        np.concatenate([Z, X1, Y2, Y3, AB[:, 1:] * Y3]),
+    ).reshape(5, trials)
 
-    X, Y, keep = _partnered_points(rel, space, _rng(seed, 102), trials)
-    X, Y = X[keep], Y[keep]
+    results["O1"] = _axiom_result(ok[0] & ok[1], lambda i: {"x": X1[i].tolist()})
+
+    keep = (norm_many(space, Y2) >= 1e-9) & ok[2]
+    X2, Y2 = X2[keep], Y2[keep]
     results["O2"] = _axiom_result(
-        _independent_many(X, Y), lambda i: {"x": X[i].tolist(), "y": Y[i].tolist()}
+        _independent_many(X2, Y2), lambda i: {"x": X2[i].tolist(), "y": Y2[i].tolist()}
     )
 
-    rng = _rng(seed, 103)
-    X, Y, keep = _partnered_points(rel, space, rng, trials)
-    AB = rng.uniform(-3.0, 3.0, size=(trials, 2))
-    X, Y, AB = X[keep], Y[keep], AB[keep]
+    keep = (norm_many(space, Y3) >= 1e-9) & ok[3]
+    X3, Y3, AB = X3[keep], Y3[keep], AB[keep]
     results["O3"] = _axiom_result(
-        is_orthogonal_many(rel, space, AB[:, :1] * X, AB[:, 1:] * Y),
-        lambda i: {"x": X[i].tolist(), "y": Y[i].tolist(),
+        ok[4][keep],
+        lambda i: {"x": X3[i].tolist(), "y": Y3[i].tolist(),
                    "alpha": float(AB[i, 0]), "beta": float(AB[i, 1])},
     )
 
