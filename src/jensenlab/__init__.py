@@ -8,7 +8,6 @@ from .control import (
     ControlError,
     ControlFunctionSpec,
     RadialControlTable,
-    constant_control,
     control_phi_norms,
 )
 from .domains import (
@@ -65,7 +64,6 @@ from .orthogonal import (
     sikorska_extend,
 )
 from .series import (
-    SeriesValue,
     cor22_bound_norms,
     dyadic_limit_many,
     pexider_triadic_limit_many,

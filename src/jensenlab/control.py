@@ -1,12 +1,15 @@
 """Control functions φ : X × X → [0, ∞) that dominate the Jensen defect.
 
-Three shapes are supported:
+Every kind is φ = ε + (its part), the part being one of:
 
-  constant  φ(x, y) = ε
-  mixed     φ(x, y) = ε + δ(‖x‖^p + ‖y‖^p), p in [0, 1), with 0^p := 0
-  table     φ(x, y) = w(‖x‖) + w(‖y‖), w piecewise-linear on sampled radii
+  constant  0
+  mixed     δ(‖x‖^p + ‖y‖^p), p in [0, 1), with 0^p := 0
+  table     w(‖x‖) + w(‖y‖), w piecewise-linear on sampled radii
             with power-law tail w(ρmax)·(ρ/ρmax)^q beyond the last knot, q < 1
 
+So a run's effective control is its declared spec with ε replaced by the
+measured ε̂.  delta and p are read by a mixed control only, and table by a
+table control only; a spec that sets a key its kind does not read is refused.
 The growth restriction (p < 1, q < 1) is what makes the dyadic and triadic
 comparison series converge.
 """
@@ -75,10 +78,11 @@ class ControlFunctionSpec:
             raise ControlError(f"p must lie in [0, 1) for a mixed control, got {self.p}")
         if self.kind == TABLE and self.table is None:
             raise ControlError("table control needs a RadialControlTable")
-
-
-def constant_control(epsilon: float) -> ControlFunctionSpec:
-    return ControlFunctionSpec(kind=CONSTANT, epsilon=epsilon)
+        unread = [k for k in ("delta", "p") if getattr(self, k) != 0.0 and self.kind != MIXED]
+        if self.table is not None and self.kind != TABLE:
+            unread.append("table")
+        if unread:
+            raise ControlError(f"{unread[0]} is not read by a {self.kind} control")
 
 
 def _powered(nrm: np.ndarray, p: float) -> np.ndarray:
@@ -87,11 +91,13 @@ def _powered(nrm: np.ndarray, p: float) -> np.ndarray:
 
 
 def control_phi_norms(spec: ControlFunctionSpec, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
-    """Evaluate φ from the two argument norms (vectorized)."""
+    """Evaluate φ = ε + (part) from the two argument norms (vectorized)."""
     nx = np.asarray(nx, dtype=np.float64)
     ny = np.asarray(ny, dtype=np.float64)
-    if spec.kind == CONSTANT:
-        return np.full(np.broadcast(nx, ny).shape, spec.epsilon)
     if spec.kind == MIXED:
-        return spec.epsilon + spec.delta * (_powered(nx, spec.p) + _powered(ny, spec.p))
-    return spec.table.eval_many(nx) + spec.table.eval_many(ny)
+        part = spec.delta * (_powered(nx, spec.p) + _powered(ny, spec.p))
+    elif spec.kind == TABLE:
+        part = spec.table.eval_many(nx) + spec.table.eval_many(ny)
+    else:
+        part = np.zeros(np.broadcast(nx, ny).shape)
+    return spec.epsilon + part

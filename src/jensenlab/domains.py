@@ -56,6 +56,10 @@ class DomainRestriction:
             raise DomainError("exterior domain needs d > 0")
         if self.kind == ORTHOGONAL and self.relation is None:
             raise DomainError("orthogonal domain needs a relation")
+        if self.d != 0.0 and self.kind != EXTERIOR:
+            raise DomainError(f"d is read by the exterior domain only, not by {self.kind}")
+        if self.relation is not None and self.kind != ORTHOGONAL:
+            raise DomainError(f"relation is read by the orthogonal domain only, not by {self.kind}")
 
 
 def construct_z_many(space: NormedSpaceSpec, X, Y, d: float) -> np.ndarray:

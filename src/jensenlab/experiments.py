@@ -47,7 +47,6 @@ from .control import (
     TABLE,
     ControlFunctionSpec,
     RadialControlTable,
-    constant_control,
     control_phi_norms,
 )
 from .domains import (
@@ -313,21 +312,7 @@ def build_models(cfg):
 
 
 # ---------------------------------------------------------------------------
-# effective controls and vectorized bound pieces
-
-
-def _phi_components(control: ControlFunctionSpec, eps_hat: float) -> list:
-    """Decompose the effective control ε̂ + (non-constant part) for linear ops."""
-    comps = [constant_control(eps_hat)]
-    if control.kind == MIXED and control.delta > 0.0:
-        comps.append(ControlFunctionSpec(kind=MIXED, epsilon=0.0, delta=control.delta, p=control.p))
-    if control.kind == TABLE:
-        comps.append(control)
-    return comps
-
-
-def _phi_norms(comps, nx, ny):
-    return sum(control_phi_norms(c, nx, ny) for c in comps)
+# effective epsilon
 
 
 def measure_epsilon(cfg, f, g, h, X, Y, scale_y: float = 1.0):
@@ -347,9 +332,8 @@ def measure_epsilon(cfg, f, g, h, X, Y, scale_y: float = 1.0):
     if not np.all(np.isfinite(defects)):
         raise ConfigError("the sampled Jensen defect overflows; lower sampler.radius_range, "
                           "model.linear_scale or the perturbation amplitudes")
-    base = _phi_components(cfgs[0].control, 0.0)
-    space = cfgs[0].space
-    nonconst = _phi_norms(base, norm_many(space, X), norm_many(space, Y) * scale_y)
+    space, part = cfgs[0].space, replace(cfgs[0].control, epsilon=0.0)
+    nonconst = control_phi_norms(part, norm_many(space, X), norm_many(space, Y) * scale_y)
     adj = np.maximum(defects - nonconst, 0.0).reshape(K, n)
     best = np.argmax(adj, axis=1)
     eps = adj[np.arange(K), best].tolist()
@@ -673,8 +657,8 @@ class _Batch:
 class _Run:
     """What a theorem's bounds and checks read from one config's run.
 
-    nx are the norms of its points in X0; comps is the effective control
-    ε̂ + (declared non-constant part).
+    nx are the norms of its points in X0; control is the effective control:
+    the declared one with its constant ε replaced by the measured ε̂.
     """
 
     def __init__(self, cfg: ExperimentConfig, eps_hat: float, nx):
@@ -682,16 +666,16 @@ class _Run:
         self.r, self.s, self.t = cfg.params.r, cfg.params.s, cfg.params.t
         self.nx = nx
         self.eps = eps_hat
-        self.comps = _phi_components(cfg.control, eps_hat)
+        self.control = replace(cfg.control, epsilon=eps_hat)
 
     def phi(self, nx, ny):
-        return _phi_norms(self.comps, nx, ny)
+        return control_phi_norms(self.control, nx, ny)
 
-    def dyadic(self, m):  # φ~(m, m) of the effective control: the sum over its components
-        return sum(phi_tilde_dyadic_norms(c, self.params, m, m).upper for c in self.comps)
+    def dyadic(self, m):  # φ~(m, m)
+        return phi_tilde_dyadic_norms(self.control, self.params, m, m)
 
     def triadic(self, m):
-        return sum(phi_tilde_triadic_norms(c, m, m).upper for c in self.comps)
+        return phi_tilde_triadic_norms(self.control, m, m)
 
     def flat(self, value):
         return np.full_like(self.nx, value)
@@ -888,9 +872,8 @@ _THEOREMS = {
     ),
     "cor2_2": _Theorem(
         FULL, (CONSTANT, MIXED), limit=lambda b: _dyadic_limit(b, b.f),
-        # comps[-1] is the mixed part, or the constant itself (δ = p = 0)
-        roles=(("f", lambda b: b.dev(b.f), lambda k: cor22_bound_norms(
-            k.params, k.eps, k.comps[-1].delta, k.comps[-1].p, k.nx)),),
+        roles=(("f", lambda b: b.dev(b.f),
+                lambda k: cor22_bound_norms(k.params, k.control, k.nx)),),
     ),
     "thm3_1": _Theorem(
         EXTERIOR, (CONSTANT,), limit=lambda b: _dyadic_limit(b, b.f),
@@ -1248,10 +1231,11 @@ _TABLE = _Section(
 _CONTROL = _Section(
     ControlFunctionSpec,
     _Field("kind", str, CONSTANT, "constant, mixed or table"),
-    _Field("epsilon", float, 0.0, ">= 0", emit=lambda c: c.kind != TABLE),
-    _Field("delta", float, 0.0, ">= 0", emit=lambda c: c.kind == MIXED),
-    _Field("p", float, 0.0, "in [0, 1) for mixed", emit=lambda c: c.kind == MIXED),
-    _Field("table", _TABLE, None, "required for table", emit=lambda c: c.kind == TABLE),
+    _Field("epsilon", float, 0.0, ">= 0", emit=lambda c: c.kind != TABLE or c.epsilon != 0.0),
+    _Field("delta", float, 0.0, ">= 0; mixed only", emit=lambda c: c.kind == MIXED),
+    _Field("p", float, 0.0, "in [0, 1); mixed only", emit=lambda c: c.kind == MIXED),
+    _Field("table", _TABLE, None, "required for table; refused otherwise",
+           emit=lambda c: c.kind == TABLE),
 )
 # The Birkhoff-James search interval is worked out from the inputs; the λ
 # grid that schema-1 reports carry is still type-checked, then dropped.
@@ -1271,8 +1255,9 @@ _RELATION = _Section(
 _DOMAIN = _Section(
     DomainRestriction,
     _Field("kind", str, FULL, "full, exterior, punctured or orthogonal"),
-    _Field("d", float, 0.0, "> 0 for exterior", emit=lambda m: m.kind == EXTERIOR),
-    _Field("relation", _RELATION, None, "required for orthogonal",
+    _Field("d", float, 0.0, "> 0 for exterior; refused otherwise",
+           emit=lambda m: m.kind == EXTERIOR),
+    _Field("relation", _RELATION, None, "required for orthogonal; refused otherwise",
            emit=lambda m: m.kind == ORTHOGONAL),
 )
 _SAMPLER = _Section(

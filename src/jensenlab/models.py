@@ -317,53 +317,48 @@ def _at_plus_minus(f: FunctionModel, X: np.ndarray, nx: np.ndarray, cand):
     return P[:n], P[n:]
 
 
-class OddPart(_Wrapped):
-    """x ↦ (f(x) − f(−x))/2.
+class _Parity(_Wrapped):
+    """x ↦ (f(x) + sign·f(−x))/2: the odd part (sign −1) or the even part (+1).
 
-    For structured models the even exact term (the quadratic) is
-    dropped analytically instead of being cancelled numerically; otherwise
-    their roundoff, amplified by scaling iterations, would swamp deep limits.
+    For structured models the exact term of the other parity (the quadratic
+    for the odd part, the linear for the even part) is dropped analytically
+    instead of being cancelled numerically; otherwise their roundoff,
+    amplified by scaling iterations, would swamp deep limits.
     """
 
-    def __init__(self, base):
-        super().__init__(base)
-        self._structured = isinstance(base, FunctionModel)
+    sign: float
 
     def eval_many(self, X, cand=None):
         X = as_batch(X, self.domain.dim)
-        if self._structured:
-            Y = _linear_rows(X, self.base.linear, cand)
-            if self.base.perturbations:
-                P, Q = _at_plus_minus(self.base, X, norm_many(self.domain, X), cand)
-                Y += 0.5 * (P - Q)
-            Y[_max_abs(X.T) == 0.0] = 0.0
-            return Y
-        F, G = _eval_stacked(self.base, [X, -X], cand)
-        return (F - G) / 2.0
-
-
-class EvenPart(_Wrapped):
-    """x ↦ (f(x) + f(−x))/2; structured models keep their quadratic term directly."""
-
-    def __init__(self, base):
-        super().__init__(base)
-        self._structured = isinstance(base, FunctionModel)
-
-    def eval_many(self, X, cand=None):
-        X = as_batch(X, self.domain.dim)
-        if self._structured:
+        f = self.base
+        if not isinstance(f, FunctionModel):
+            F, G = _eval_stacked(f, [X, -X], cand)
+            return (F + self.sign * G) / 2.0
+        nx = norm_many(self.domain, X)
+        if self.sign < 0.0:
+            Y = _linear_rows(X, f.linear, cand)
+        else:
             Y = np.zeros((X.shape[0], self.codomain.dim))
-            nx = norm_many(self.domain, X)
-            if self.base.quadratic is not None:
-                for j, c in enumerate(self.base.quadratic):
+            if f.quadratic is not None:
+                for j, c in enumerate(f.quadratic):
                     Y[:, j] += nx**2 * c
-            if self.base.perturbations:
-                P, Q = _at_plus_minus(self.base, X, nx, cand)
-                Y += 0.5 * (P + Q)
-            Y[_max_abs(X.T) == 0.0] = 0.0
-            return Y
-        F, G = _eval_stacked(self.base, [X, -X], cand)
-        return (F + G) / 2.0
+        if f.perturbations:
+            P, Q = _at_plus_minus(f, X, nx, cand)
+            Y += 0.5 * (P + self.sign * Q)
+        Y[_max_abs(X.T) == 0.0] = 0.0
+        return Y
+
+
+class OddPart(_Parity):
+    """x ↦ (f(x) − f(−x))/2."""
+
+    sign = -1.0
+
+
+class EvenPart(_Parity):
+    """x ↦ (f(x) + f(−x))/2."""
+
+    sign = 1.0
 
 
 class ScaledModel(_Wrapped):

@@ -121,19 +121,9 @@ def orthogonal_pairs(
     Y = np.empty_like(X)
     todo = np.arange(n)
     for _ in range(_PARTNER_TRIES):
-        Xt = X[todo]
-        Yd = orthogonal_partners(rel, space, Xt, V)
-        if rel.kind == INNER_PRODUCT:
-            ylen = np.linalg.norm(Yd, axis=1)
-            thin = ylen < 1e-12
-            if np.any(thin):
-                # x swallowed the draw; use the basis direction least aligned with x.
-                E = np.zeros((int(np.count_nonzero(thin)), space.dim))
-                E[np.arange(E.shape[0]), np.argmin(np.abs(Xt[thin]), axis=1)] = 1.0
-                Yd[thin] = orthogonal_partners(rel, space, Xt[thin], E)
-                ylen[thin] = np.linalg.norm(Yd[thin], axis=1)
-        else:
-            ylen = norm_many(space, Yd)
+        Yd = orthogonal_partners(rel, space, X[todo], V)
+        # inner-product lengths come from np.linalg.norm, on which the sampled pairs' bytes rest
+        ylen = np.linalg.norm(Yd, axis=1) if rel.kind == INNER_PRODUCT else norm_many(space, Yd)
         ok = ylen >= 1e-12
         rows = todo[ok]
         Y[rows] = Yd[ok] / ylen[ok, None] * radii[rows, None]

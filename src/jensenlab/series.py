@@ -7,9 +7,11 @@ Series: the dyadic comparison series
     φ~(x, y) = (1/2r) Σ_{n≥0} 2^{-n} [ φ(2^n (r/s)x, 2^n (r/t)y)
                                       + φ(2^n (r/s)x, 0) + φ(0, 2^n (r/t)y) ]
 
-its closed forms for constant and mixed controls, the matching single-variable
-bound cor22_bound_norms, and the triadic analogue built from the five-term
-combination ψ.  Constant control gives φ~ = 3ε/r (dyadic) and 3ε (triadic).
+the matching single-variable bound cor22_bound_norms, and the triadic
+analogue built from the five-term combination ψ.  Each takes one control
+spec, the effective control φ = ε + (part) of a run, and returns one upper
+bound per row: the constant ε gives 3ε/r (dyadic) and 3ε (triadic), added to
+the closed form of a mixed part or the truncated series of a table part.
 Controls are radial, so the series take arrays of ‖x‖ and ‖y‖.
 
 Limits: the scaling iterations a_n = gain^n · f(arg^n · x) behind the direct
@@ -22,17 +24,9 @@ flag, never raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .control import (
-    CONSTANT,
-    MIXED,
-    ControlError,
-    ControlFunctionSpec,
-    _powered,
-)
+from .control import MIXED, TABLE, ControlError, ControlFunctionSpec, _powered
 from .models import DECAY, POWER, FunctionModel, JensenParams, ScaledModel
 from .spaces import _column_norms, _max_abs, _rows, as_batch, norm_many
 
@@ -46,104 +40,76 @@ _OVERFLOW_LIMIT = 1e120
 _BLOCK_ROWS = 4096
 
 
-@dataclass
-class SeriesValue:
-    """A series evaluation: closed form (exact) or truncation plus tail bound,
-    one array entry per row."""
+def phi_tilde_dyadic_norms(spec: ControlFunctionSpec, params: JensenParams, nx, ny):
+    """Dyadic comparison series φ~ at argument norms ‖x‖ = nx, ‖y‖ = ny, one
+    upper bound per row: 3ε/r plus the series of the control's part.
 
-    value: np.ndarray
-    terms_used: np.ndarray
-    tail_bound: np.ndarray
-    exact: bool
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.value + self.tail_bound
-
-
-def _closed(value: np.ndarray) -> SeriesValue:
-    return SeriesValue(value, np.zeros(value.shape, dtype=np.int64), np.zeros(value.shape), True)
-
-
-def phi_tilde_dyadic_norms(spec: ControlFunctionSpec, params: JensenParams, nx, ny) -> SeriesValue:
-    """Dyadic comparison series φ~ at argument norms ‖x‖ = nx, ‖y‖ = ny.
-
-    Constant and mixed controls sum in closed form; table controls are
-    truncated once every scaled argument is in the power-law regime, where the
-    remainder is geometric with ratio 2^(q-1) and summed exactly.
+    The mixed part sums in closed form; a table part is truncated once every
+    scaled argument is in the power-law regime, where the remainder is
+    geometric with ratio 2^(q-1) and summed exactly.
     """
     r, s, t = params.r, params.s, params.t
     a = (r / s) * np.asarray(nx, dtype=np.float64)
     b = (r / t) * np.asarray(ny, dtype=np.float64)
-    if spec.kind == CONSTANT:
-        return _closed(np.full(np.broadcast(a, b).shape, 3.0 * spec.epsilon / r))
     if spec.kind == MIXED:
         geo = 1.0 / (1.0 - 2.0 ** (spec.p - 1.0))
-        power = (spec.delta / r) * geo * (_powered(a, spec.p) + _powered(b, spec.p))
-        return _closed(3.0 * spec.epsilon / r + power)
-    return _table_series(
-        spec.table,
-        coefs=(2.0, 2.0),
-        args=(a, b),
-        const_count=2,
-        prefactor=1.0 / (2.0 * r),
-        ratio_base=2.0,
-        const_geo=2.0,  # Σ 2^-k = 2
-    )
+        part = (spec.delta / r) * geo * (_powered(a, spec.p) + _powered(b, spec.p))
+    elif spec.kind == TABLE:
+        part = _table_series(spec.table, coefs=(2.0, 2.0), args=(a, b), const_count=2,
+                             prefactor=1.0 / (2.0 * r), ratio_base=2.0)
+    else:
+        part = np.zeros(np.broadcast(a, b).shape)
+    return 3.0 * spec.epsilon / r + part
 
 
-def cor22_bound_norms(params: JensenParams, epsilon: float, delta: float, p: float, nx):
-    """Single-variable mixed-control bound (3/r)ε + (2δ‖x‖^p / r(1−2^{p−1}))·[(r/s)^p + (r/t)^p]
-    at argument norms ‖x‖ = nx.
+def cor22_bound_norms(params: JensenParams, spec: ControlFunctionSpec, nx):
+    """Single-variable bound (3/r)ε + (2δ‖x‖^p / r(1−2^{p−1}))·[(r/s)^p + (r/t)^p]
+    at argument norms ‖x‖ = nx, for a constant (δ = p = 0) or mixed spec.
 
-    This dominates φ~(x, x) for the same ε, δ, p (it is loose by a factor of
+    This dominates φ~(x, x) for the same spec (it is loose by a factor of
     two in the power part).
     """
-    if not (0.0 <= p < 1.0):
-        raise ControlError(f"bound needs p in [0, 1), got {p}")
-    r, s, t = params.r, params.s, params.t
+    if spec.kind == TABLE:
+        raise ControlError("the single-variable bound needs a constant or mixed control")
+    r, s, t, p = params.r, params.s, params.t, spec.p
     geo = 1.0 / (1.0 - 2.0 ** (p - 1.0))
-    coeff = ((r / s) ** p + (r / t) ** p) * 2.0 * delta * geo / r
-    return 3.0 * epsilon / r + coeff * _powered(np.asarray(nx, dtype=np.float64), p)
+    coeff = ((r / s) ** p + (r / t) ** p) * 2.0 * spec.delta * geo / r
+    return 3.0 * spec.epsilon / r + coeff * _powered(np.asarray(nx, dtype=np.float64), p)
 
 
-def phi_tilde_triadic_norms(spec: ControlFunctionSpec, nx, ny) -> SeriesValue:
+def phi_tilde_triadic_norms(spec: ControlFunctionSpec, nx, ny):
     """Triadic comparison series
 
     (2/3) Σ_{n≥0} 3^{-n} [ φ(A_n x, −B_n y) + ½φ(A_n x, ±A_n y) + ½φ(B_n x, ±B_n y) ]
 
     with A_n = 3^{n+1}/2, B_n = 3^n/2 (both sign choices appear with weight ½),
-    at argument norms ‖x‖ = nx, ‖y‖ = ny.  Satisfies φ~(x, x) = Σ 3^{-k} ψ(3^k x),
-    and equals 3ε for constant ε.
+    at argument norms ‖x‖ = nx, ‖y‖ = ny, one upper bound per row: 3ε plus the
+    series of the control's part.  Satisfies φ~(x, x) = Σ 3^{-k} ψ(3^k x).
     """
     nx = np.asarray(nx, dtype=np.float64)
     ny = np.asarray(ny, dtype=np.float64)
-    if spec.kind == CONSTANT:
-        return _closed(np.full(np.broadcast(nx, ny).shape, 3.0 * spec.epsilon))
     if spec.kind == MIXED:
         p = spec.p
         geo = 2.0**-p / (1.0 - 3.0 ** (p - 1.0))
-        power = (
+        part = (
             (2.0 / 3.0)
             * spec.delta
             * geo
             * ((2.0 * 3.0**p + 1.0) * _powered(nx, p) + (3.0**p + 2.0) * _powered(ny, p))
         )
-        return _closed(3.0 * spec.epsilon + power)
-    # Norm-form bracket: 2w(A_n nx) + w(B_n nx) + w(A_n ny) + 2w(B_n ny).
-    return _table_series(
-        spec.table,
-        coefs=(2.0, 1.0, 1.0, 2.0),
-        args=(1.5 * nx, 0.5 * nx, 1.5 * ny, 0.5 * ny),
-        const_count=0,
-        prefactor=2.0 / 3.0,
-        ratio_base=3.0,
-        const_geo=1.5,  # Σ 3^-k
-    )
+    elif spec.kind == TABLE:
+        # Norm-form bracket: 2w(A_n nx) + w(B_n nx) + w(A_n ny) + 2w(B_n ny).
+        part = _table_series(spec.table, coefs=(2.0, 1.0, 1.0, 2.0),
+                             args=(1.5 * nx, 0.5 * nx, 1.5 * ny, 0.5 * ny), const_count=0,
+                             prefactor=2.0 / 3.0, ratio_base=3.0)
+    else:
+        part = np.zeros(np.broadcast(nx, ny).shape)
+    return 3.0 * spec.epsilon + part
 
 
-def _table_series(table, coefs, args, const_count, prefactor, ratio_base, const_geo):
-    """Truncate Σ prefactor·base^{-n}·[Σ coef·w(arg·base^n) + const_count·w(0)] per row.
+def _table_series(table, coefs, args, const_count, prefactor, ratio_base):
+    """Upper bound on Σ prefactor·base^{-n}·[Σ coef·w(arg·base^n) + const_count·w(0)]
+    per row: the truncation plus its geometric tail.
 
     A zero arg contributes coef·w(0) to the constant part.  Each row stops at
     its own n_stop and adds its terms in the order n = 0, 1, ..., so its value
@@ -175,10 +141,11 @@ def _table_series(table, coefs, args, const_count, prefactor, ratio_base, const_
         s_tail = np.where(n == n_stop, bracket, s_tail)
         tail_scale = np.where(n == n_stop, scale, tail_scale)
     # Beyond n_stop every scaled argument is in the power-law regime, so the
-    # scaling part is geometric with ratio base^(q-1); the w(0) part with base^-1.
+    # scaling part is geometric with ratio base^(q-1); the w(0) part with base^-1,
+    # whose sum Σ base^-k is base/(base − 1).
     geo = 1.0 / (1.0 - ratio_base ** (table.q - 1.0))
-    tail = prefactor * (s_tail * geo + const_sum * const_geo) / tail_scale
-    return SeriesValue(total, n_stop, tail, False)
+    tail = prefactor * (s_tail * geo + const_sum * (ratio_base / (ratio_base - 1.0))) / tail_scale
+    return total + tail
 
 
 def _stop_level(tol):

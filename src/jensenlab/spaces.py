@@ -65,14 +65,12 @@ class NormedSpaceSpec:
     """A finite-dimensional real normed space.
 
     norm_kind is one of "euclidean", "sup", "p_norm"; the exponent p is only
-    consulted for p_norm and must be >= 1.  has_inner_product may be true only
-    for the Euclidean norm (the only case where ⟨·,·⟩ is available).
+    consulted for p_norm and must be >= 1.
     """
 
     dim: int
     norm_kind: str = EUCLIDEAN
     p: float | None = None
-    has_inner_product: bool | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -84,10 +82,11 @@ class NormedSpaceSpec:
                 raise SpaceError(f"p_norm requires exponent p >= 1, got {self.p}")
         elif self.p is not None:
             raise SpaceError(f"exponent p only applies to p_norm, got p={self.p}")
-        if self.has_inner_product is None:
-            object.__setattr__(self, "has_inner_product", self.norm_kind == EUCLIDEAN)
-        if self.has_inner_product and self.norm_kind != EUCLIDEAN:
-            raise SpaceError("has_inner_product requires the euclidean norm")
+
+    @property
+    def has_inner_product(self) -> bool:
+        """The Euclidean norm is the only one that comes from an inner product ⟨·,·⟩."""
+        return self.norm_kind == EUCLIDEAN
 
     def to_dict(self) -> dict:
         out = {"dim": self.dim, "norm_kind": self.norm_kind}

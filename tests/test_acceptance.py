@@ -105,10 +105,9 @@ def test_01_closed_form_series(capsys):
     nx, ny = norm_many(E3, x[None, :]), norm_many(E3, y[None, :])
     dy = phi_tilde_dyadic_norms(const1, JensenParams(2, 1, 1), nx, ny)
     tri = phi_tilde_triadic_norms(const1, nx, ny)
-    ok = dy.value.tolist() == [1.5] and dy.exact
-    ok &= tri.value.tolist() == [3.0] and tri.exact
-    ok &= abs(dy.value[0] - _dyadic_partial_sum(const1, E3, JensenParams(2, 1, 1), x, y, 60)) <= 1e-10
-    ok &= abs(tri.value[0] - _triadic_partial_sum(const1, E3, x, y, 60)) <= 1e-10
+    ok = dy.tolist() == [1.5] and tri.tolist() == [3.0]
+    ok &= abs(dy[0] - _dyadic_partial_sum(const1, E3, JensenParams(2, 1, 1), x, y, 60)) <= 1e-10
+    ok &= abs(tri[0] - _triadic_partial_sum(const1, E3, x, y, 60)) <= 1e-10
     for eps in (1.0, 0.37):
         spec = ControlFunctionSpec(kind="constant", epsilon=eps)
         ok &= abs(psi(spec, E3, x) - 2.0 * eps) <= 1e-12 * 2.0 * eps

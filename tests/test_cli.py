@@ -296,6 +296,15 @@ CONFIG_PROBES = [
     (("domain",), {"kind": "orthogonal", "relation": {"kind": "birkhoff_james",
                                                       "grid": {"steps": "x"}}},
      "domain.relation.grid.steps"),
+    # a control or domain key that its kind does not read
+    (("control",), {"kind": "constant", "epsilon": 0.3, "delta": 0.2}, "control.delta"),
+    (("control",), {"kind": "constant", "epsilon": 0.3, "p": 0.5}, "control.p"),
+    (("control", "table"), {"radii": [0.0, 1.0], "values": [0.3, 0.3], "q": 0.0},
+     "control.table"),
+    (("control",), {"kind": "constant", "table": {"radii": [0.0, 1.0], "values": [0.3, 0.3],
+                                                   "q": 0.0}}, "control.table"),
+    (("domain", "d"), 1.5, "domain.d"),
+    (("domain", "relation"), {"kind": "trivial"}, "domain.relation"),
     # an optional section on an id that does not read it
     (("ball",), {"radius": 1.0}, "ball"),
     (("shells",), {"edges": [0.5, 1.0], "samples_per_shell": 4}, "shells"),

@@ -160,7 +160,7 @@ class TestBoundFormula:
         for radius in (0.2, 1.0, 5.0):
             x = radius * X_PROBE
             got = bound_formula("cor2_2", params, mixed, E3, x)
-            want = cor22_bound_norms(params, 0.4, 0.7, 0.5, norm_many(E3, x[None, :]))[0]
+            want = cor22_bound_norms(params, mixed, norm_many(E3, x[None, :]))[0]
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_exactness_theorems_have_no_bound(self):
@@ -206,10 +206,13 @@ def _configs(draw):
         radii = np.cumsum([0.0] + draw(st.lists(st.floats(0.01, 3.0), min_size=1, max_size=4)))
         values = draw(st.lists(MAGNITUDE, min_size=radii.size, max_size=radii.size))
         q = draw(st.integers(-2, 0) | st.floats(-2.0, 0.99))
-        control = ControlFunctionSpec(kind="table", table=RadialControlTable(radii, values, q))
-    else:
+        control = ControlFunctionSpec(kind="table", epsilon=draw(MAGNITUDE),
+                                      table=RadialControlTable(radii, values, q))
+    else:  # δ and p are read by a mixed control only
+        mixed = kind == "mixed"
         control = ControlFunctionSpec(
-            kind=kind, epsilon=draw(MAGNITUDE), delta=draw(MAGNITUDE), p=draw(EXPONENT)
+            kind=kind, epsilon=draw(MAGNITUDE), delta=draw(MAGNITUDE) if mixed else 0.0,
+            p=draw(EXPONENT) if mixed else 0.0,
         )
     domain = DomainRestriction(kind="full")
     if tid in ("prop4_1", "prop4_2", "thm4_3"):

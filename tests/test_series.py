@@ -84,17 +84,14 @@ TABLE_SERIES = {
 class TestClosedForms:
     def test_dyadic_constant(self):
         spec = ControlFunctionSpec(kind="constant", epsilon=1.0)
-        sv = _dyadic(spec, JensenParams(2, 1, 1), UNIT_X, UNIT_Y)
-        assert sv.exact
-        assert sv.tail_bound.tolist() == [0.0]
-        assert sv.value[0] == pytest.approx(1.5, rel=1e-14)
+        assert _dyadic(spec, JensenParams(2, 1, 1), UNIT_X, UNIT_Y).tolist() == [1.5]
         # 3 eps / r regardless of the argument
         sv2 = _dyadic(spec, JensenParams(5, 2, 3), 7.0 * UNIT_X, 0.1 * UNIT_Y)
-        assert sv2.value[0] == pytest.approx(3.0 / 5.0, rel=1e-14)
+        assert sv2[0] == pytest.approx(3.0 / 5.0, rel=1e-14)
 
     def test_dyadic_mixed_reference_value(self):
         spec = ControlFunctionSpec(kind="mixed", epsilon=1.0, delta=1.0, p=0.5)
-        (value,) = _dyadic(spec, JensenParams(1, 1, 1), UNIT_X, UNIT_Y).value
+        (value,) = _dyadic(spec, JensenParams(1, 1, 1), UNIT_X, UNIT_Y)
         assert value == pytest.approx(3.0 + 2.0 / (1.0 - 2.0**-0.5), rel=1e-12)
         assert value == pytest.approx(9.828427124746192, rel=1e-12)
 
@@ -102,12 +99,13 @@ class TestClosedForms:
         spec = ControlFunctionSpec(kind="mixed", epsilon=0.3, delta=0.7, p=0.75)
         params = JensenParams(2, 3, 1)
         sv = _dyadic(spec, params, 1.3 * UNIT_X, 0.4 * UNIT_Y)
-        assert sv.value[0] == pytest.approx(
+        assert sv[0] == pytest.approx(
             _brute_phi_tilde_dyadic(spec, params, 1.3, 0.4), rel=1e-12
         )
 
     def test_cor22_reference_value(self):
-        (val,) = cor22_bound_norms(JensenParams(1, 1, 1), 1.0, 1.0, 0.5, _n(UNIT_X))
+        spec = ControlFunctionSpec(kind="mixed", epsilon=1.0, delta=1.0, p=0.5)
+        (val,) = cor22_bound_norms(JensenParams(1, 1, 1), spec, _n(UNIT_X))
         assert val == pytest.approx(3.0 + 4.0 / (1.0 - 2.0**-0.5), rel=1e-12)
         assert val == pytest.approx(16.656854249492383, rel=1e-12)
 
@@ -117,8 +115,8 @@ class TestClosedForms:
         for radius in (0.3, 1.0, 4.7):
             x = radius * UNIT_X
             tilde = _dyadic(spec, params, x, x)
-            bound = cor22_bound_norms(params, 0.2, 0.5, 0.25, _n(x))
-            assert bound[0] >= tilde.value[0] * (1.0 - 1e-12)
+            bound = cor22_bound_norms(params, spec, _n(x))
+            assert bound[0] >= tilde[0] * (1.0 - 1e-12)
 
     def test_psi_values(self):
         const = ControlFunctionSpec(kind="constant", epsilon=0.6)
@@ -130,9 +128,7 @@ class TestClosedForms:
 
     def test_triadic_constant(self):
         spec = ControlFunctionSpec(kind="constant", epsilon=0.9)
-        sv = _triadic(spec, UNIT_X, 2.0 * UNIT_Y)
-        assert sv.exact
-        assert sv.value[0] == pytest.approx(2.7, rel=1e-14)
+        assert _triadic(spec, UNIT_X, 2.0 * UNIT_Y)[0] == pytest.approx(2.7, rel=1e-14)
 
     def test_triadic_mixed_closed_form(self):
         eps, delta, p = 0.2, 0.6, 0.25
@@ -142,14 +138,14 @@ class TestClosedForms:
         closed = 3.0 * eps + (2.0 / 3.0) * delta * 2.0**-p * (
             (2.0 * 3.0**p + 1.0) * nx**p + (3.0**p + 2.0) * ny**p
         ) / (1.0 - 3.0 ** (p - 1.0))
-        assert sv.value[0] == pytest.approx(closed, rel=1e-12)
+        assert sv[0] == pytest.approx(closed, rel=1e-12)
 
     def test_triadic_diagonal_is_psi_series(self):
         spec = ControlFunctionSpec(kind="mixed", epsilon=0.45, delta=0.2, p=0.5)
         x = np.array([0.9, 0.1, 0.0])
         sv = _triadic(spec, x, x)
         brute = sum(3.0**-k * psi(spec, E3, 3.0**k * x) for k in range(60))
-        assert sv.value[0] == pytest.approx(brute, rel=1e-12)
+        assert sv[0] == pytest.approx(brute, rel=1e-12)
 
     @pytest.mark.parametrize("kind", sorted(TABLE_SERIES))
     def test_table_control_series(self, kind):
@@ -159,25 +155,18 @@ class TestClosedForms:
         c = 0.5
         table = RadialControlTable(radii=[0.0, 100.0], values=[c, c], q=0.0)
         spec = ControlFunctionSpec(kind="table", table=table)
-        sv = at_norms(spec, _n(UNIT_X), _n(UNIT_Y))
-        assert not sv.exact
-        assert sv.tail_bound[0] > 0.0
-        assert sv.value[0] <= sv.upper[0]
-        assert sv.upper[0] == pytest.approx(6.0 * c / r, rel=1e-12)
+        assert at_norms(spec, _n(UNIT_X), _n(UNIT_Y))[0] == pytest.approx(6.0 * c / r, rel=1e-12)
 
         table = RadialControlTable(radii=[0.0, 0.5, 2.0, 8.0], values=[0.2, 0.3, 0.5, 0.9], q=0.5)
         spec = ControlFunctionSpec(kind="table", table=table)
-        rng = np.random.default_rng(7)
+        rng = np.random.default_rng(7)  # norms over six decades: rows stop at different depths
         nx = 10.0 ** rng.uniform(-3.0, 3.0, size=40)
         ny = 10.0 ** rng.uniform(-3.0, 3.0, size=40)
         nx[:5] = 0.0  # rows 3 and 4 have both norms zero: w(0) terms only
         ny[3:8] = 0.0
         batch = at_norms(spec, nx, ny)
-        assert len(set(batch.terms_used.tolist())) > 1
         for i in range(nx.size):
-            row = at_norms(spec, nx[i : i + 1], ny[i : i + 1])
-            assert batch.value[i] == row.value[0]
-            assert batch.tail_bound[i] == row.tail_bound[0]
+            assert batch[i] == at_norms(spec, nx[i : i + 1], ny[i : i + 1])[0]
 
     def test_control_validation(self):
         with pytest.raises(ControlError):
@@ -186,6 +175,48 @@ class TestClosedForms:
             ControlFunctionSpec(kind="constant", epsilon=-0.1)
         with pytest.raises(ControlError):
             RadialControlTable(radii=[0.5, 1.0], values=[1.0, 1.0], q=0.0)
+        # a key the kind does not read is refused, and the message opens with it
+        table = RadialControlTable(radii=[0.0, 1.0], values=[1.0, 1.0], q=0.0)
+        for kind, key, value in [("constant", "delta", 0.5), ("table", "p", 0.5),
+                                 ("constant", "table", table), ("mixed", "table", table)]:
+            extra = {"table": table} if kind == "table" else {}
+            with pytest.raises(ControlError, match=f"^{key} "):
+                ControlFunctionSpec(kind=kind, **extra, **{key: value})
+        with pytest.raises(ControlError):
+            cor22_bound_norms(JensenParams(1, 1, 1), ControlFunctionSpec(kind="table", table=table),
+                              _n(UNIT_X))
+
+
+_TABLE = RadialControlTable(radii=[0.0, 0.5, 2.0, 8.0], values=[0.2, 0.3, 0.5, 0.9], q=0.5)
+_NORMS = st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=1, max_size=6)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["constant", "mixed", "table"]),
+    eps=st.floats(0.0, 1e3),
+    delta=st.floats(0.0, 10.0),
+    p=st.floats(0.0, 0.99),
+    rst=st.tuples(*[st.integers(1, 5)] * 3),
+    norms=st.tuples(_NORMS, _NORMS),
+)
+def test_effective_control_is_epsilon_plus_its_part(kind, eps, delta, p, rst, norms):
+    """φ = ε + (part) for every kind: each series and φ itself at ε equal their
+    value at ε = 0 plus the constant's share, bit for bit."""
+    extra = {"mixed": {"delta": delta, "p": p}, "table": {"table": _TABLE}}.get(kind, {})
+    at_0 = ControlFunctionSpec(kind=kind, **extra)
+    at_eps = ControlFunctionSpec(kind=kind, epsilon=eps, **extra)
+    params = JensenParams(*rst)
+    n = min(map(len, norms))
+    nx, ny = (np.array(v[:n]) for v in norms)
+    pairs = [
+        (phi_tilde_dyadic_norms(at_eps, params, nx, ny),
+         3.0 * eps / params.r + phi_tilde_dyadic_norms(at_0, params, nx, ny)),
+        (phi_tilde_triadic_norms(at_eps, nx, ny), 3.0 * eps + phi_tilde_triadic_norms(at_0, nx, ny)),
+        (control_phi_norms(at_eps, nx, ny), eps + control_phi_norms(at_0, nx, ny)),
+    ]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 L23 = np.array([[1.0, -0.5, 2.0], [0.0, 1.0, 1.0]])
