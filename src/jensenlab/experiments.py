@@ -531,19 +531,29 @@ def _ratio_arrays(devs: np.ndarray, bounds: np.ndarray, tol: float) -> np.ndarra
     return ratios
 
 
-def _assemble_rows(X, role_data, tol):
-    """role_data: list of (role, devs, bounds).  One row per point, worst role kept."""
-    roles, devs, bounds = zip(*role_data)
-    stacked = np.stack([_ratio_arrays(d, b, tol) for d, b in zip(devs, bounds)])  # (roles, n)
-    worst_role = np.argmax(stacked, axis=0)
-    pick = (worst_role, np.arange(X.shape[0]))
-    rows = _Rows(X, roles, worst_role, np.stack(devs)[pick], np.stack(bounds)[pick], stacked[pick])
-    max_dev = float(max(np.max(d) for d in devs))
-    bound_value = float(max(np.max(b) for b in bounds))
-    max_ratio = float(np.max(stacked))
-    order = np.argsort(-rows.ratio)[:3]
-    witnesses = rows.dicts(order)
-    return rows, max_dev, bound_value, max_ratio, witnesses
+def _assemble_rows(X, roles, devs, bounds, tol, K) -> list:
+    """Each of K configs' (rows, max_dev, bound_value, max_ratio, witnesses), in one pass.
+
+    X holds K equal segments of n points, one per config in config order;
+    devs and bounds are (roles, K·n), each role's deviation and bound there.
+    A row keeps its point's worst role.  max_dev and bound_value are Python's
+    max over the role maxima, so a NaN in a later role leaves an earlier
+    finite maximum; the witnesses are a config's three highest ratios.
+    """
+    ratios = _ratio_arrays(devs, bounds, tol)
+    role = np.argmax(ratios, axis=0)
+    pick = (role, np.arange(len(role)))
+    cols = (role, devs[pick], bounds[pick], ratios[pick])
+    n = len(role) // K
+    top = np.argsort(-cols[3].reshape(K, n), axis=1)[:, :3]
+    wits = _Rows(X, roles, *cols).dicts((top + n * np.arange(K)[:, None]).ravel())
+    w = top.shape[1]
+    max_dev, bound_value = ([max(m) for m in zip(*a.reshape(-1, K, n).max(axis=2).tolist())]
+                            for a in (devs, bounds))
+    max_ratio = ratios.reshape(-1, K, n).max(axis=(0, 2)).tolist()
+    segs = [slice(i * n, (i + 1) * n) for i in range(K)]
+    return [(_Rows(X[s], roles, *(c[s] for c in cols)), md, bv, mr, wits[i * w:(i + 1) * w])
+            for i, (s, md, bv, mr) in enumerate(zip(segs, max_dev, bound_value, max_ratio))]
 
 
 def _hypothesis_pairs(cfg: ExperimentConfig):
@@ -570,38 +580,20 @@ def _dev_points(cfg: ExperimentConfig):
     return sample_points(cfg.space, cfg.sampler.count, cfg.sampler.radius_range, rng)
 
 
-def _auto_n_max(cfg: ExperimentConfig, base: float, arg_scale: float = 1.0,
-                floor: int = DYADIC_N_MAX) -> int:
-    """Iterations needed for the slowest perturbation's successive gap to clear tol.
+def _limit_meta(iterations: np.ndarray, converged: np.ndarray):
+    """Each config's iteration summary and count of points where a limit diverged.
 
-    A perturbation bounded by a contributes ~a·base^{-n} to the gap; one
-    bounded by δ‖x‖^p contributes ~δ‖x‖^p·base^{(p-1)n}.  Honest divergence
-    (wrong-order exact parts) is unaffected: extra iterations cannot make a
-    non-Cauchy sequence settle.
+    iterations and converged are (limits, K, n): one count and flag per
+    limit, config and point.  Returns (summaries, diverged), one each per config.
     """
-    if cfg.limits.n_max is not None:
-        return cfg.limits.n_max
-    tol = cfg.limits.tol
-    R = max(cfg.sampler.radius_range[1] * arg_scale, 1.0)
-    need = floor
-    for p in cfg.model.perturbations:
-        if p.kind == POWER and p.delta > 0.0:
-            rate = (1.0 - p.p) * np.log(base)
-            n = np.log(max(2.0 * p.delta * R**p.p / tol, 1.0)) / rate
-        elif p.kind in (BOUNDED, DECAY) and p.amplitude > 0.0:
-            n = np.log(max(3.0 * p.amplitude / tol, 1.0)) / np.log(base)
-        else:
-            continue
-        need = max(need, int(np.ceil(min(n, 600))) + 6)  # n is inf once a/tol overflows
-    return min(need, 600)
-
-
-def _limit_meta(iterations: np.ndarray, converged: np.ndarray) -> dict:
-    return {
-        "max_iterations": int(np.max(iterations)) if iterations.size else 0,
-        "mean_iterations": float(np.mean(iterations)) if iterations.size else 0.0,
-        "converged_fraction": float(np.mean(converged)) if converged.size else 1.0,
-    }
+    L, K, n = iterations.shape
+    if L == 0:
+        return [{"max_iterations": 0, "mean_iterations": 0.0, "converged_fraction": 1.0}
+                for _ in range(K)], [0] * K
+    cols = (a.tolist() for a in (iterations.max(axis=(0, 2)), iterations.mean(axis=(0, 2)),
+                                 converged.mean(axis=(0, 2))))
+    return ([{"max_iterations": a, "mean_iterations": m, "converged_fraction": c}
+             for a, m, c in zip(*cols)], (~converged.all(axis=0)).sum(axis=1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +642,33 @@ class _Batch:
         return self.norm(self.at(model) - self.A)
 
     def n_max(self, base: float, arg_scale: float = 1.0, floor: int = DYADIC_N_MAX):
-        """Each row's iteration cap: _auto_n_max of its config."""
-        return np.array([_auto_n_max(c, base, arg_scale, floor) for c in self.cfgs])[self.cand]
+        """Each row's iteration cap: enough for the slowest perturbation's gap to clear tol.
+
+        A perturbation bounded by a contributes ~a·base^{-n} to the gap; one
+        bounded by δ‖x‖^p contributes ~δ‖x‖^p·base^{(p-1)n}, with ‖x‖ up to the
+        upper sampling radius R.  Honest divergence (wrong-order exact parts)
+        is unaffected: extra iterations cannot make a non-Cauchy sequence
+        settle.  R is the only key read here in which a batch's configs may
+        differ, so one evaluation over the K radii gives each config the cap
+        it gets run alone; R^p is Python's pow, as numpy's may round otherwise.
+        """
+        cfg = self.cfgs[0]
+        if cfg.limits.n_max is not None:
+            return np.full(len(self.cand), cfg.limits.n_max)
+        R = [max(c.sampler.radius_range[1] * arg_scale, 1.0) for c in self.cfgs]
+        need = np.full(len(R), floor)
+        for p in cfg.model.perturbations:
+            if p.kind == POWER and p.delta > 0.0:
+                rate = (1.0 - p.p) * np.log(base)
+                n = np.log(np.maximum(2.0 * p.delta * np.array([r**p.p for r in R]) / self.tol,
+                                      1.0)) / rate
+            elif p.kind in (BOUNDED, DECAY) and p.amplitude > 0.0:
+                n = np.log(max(3.0 * p.amplitude / self.tol, 1.0)) / np.log(base)
+            else:
+                continue
+            # n is inf once a/tol overflows
+            need = np.maximum(need, np.ceil(np.minimum(n, 600)).astype(int) + 6)
+        return np.minimum(need, 600)[self.cand]
 
 
 class _Run:
@@ -770,7 +787,8 @@ def _run_cor3_2(cfg: ExperimentConfig, head: dict):
         "expected_decay": cfg.expected_decay,
     }
     rows = (_NO_ROWS, prof.final_sup, cfg.decay_tol, 0.0, [])
-    return _finish(cfg, head, prof.final_sup, rows, details, _limit_meta(np.empty(0), np.empty(0)),
+    meta = _limit_meta(np.empty((0, 1, 0)), np.empty((0, 1, 0), bool))[0][0]
+    return _finish(cfg, head, prof.final_sup, rows, details, meta,
                    [("decay_verdict", decays == cfg.expected_decay)])
 
 
@@ -815,7 +833,7 @@ def _run_sikorska(cfg: ExperimentConfig, head: dict):
     approx = result.T_hat.eval_many(X0) + result.b_hat.eval_many(norm_many(cfg.space, X0) ** 2)
     dev = norm_many(cfg.codomain, f.eval_many(X0) - approx)
     bounds = np.full(X0.shape[0], cfg.residual_tol)
-    rows = _assemble_rows(X0, [("extension", dev, bounds)], cfg.limits.tol)
+    (rows,) = _assemble_rows(X0, ("extension",), dev[None], bounds[None], cfg.limits.tol, 1)
     checks = [
         ("residual", result.max_residual <= cfg.residual_tol),
         ("linear_recovery",
@@ -939,7 +957,12 @@ def _run_limit_theorem(cfgs: list, thm: _Theorem, heads: list) -> list:
     deviations then run once over all K configs' rows (K equal segments, in
     config order).  ε̂ and its witness are taken over each config's own pairs,
     and bounds, the extras' counts and checks and the report per config, so
-    every report equals that of its config run alone.
+    every report equals that of its config run alone.  The rows, maxima and
+    witnesses (_assemble_rows) and the iteration summaries and diverged
+    counts (_limit_meta) come from one pass over (K, n) segments, each
+    reduction taken per config.  The iteration caps are one evaluation over
+    the K upper sampling radii (_Batch.n_max): that radius is the only batch
+    free key the cap reads, so each config gets the cap of its solo run.
     """
     K, cfg = len(cfgs), cfgs[0]
     models = build_models(cfgs)
@@ -952,33 +975,30 @@ def _run_limit_theorem(cfgs: list, thm: _Theorem, heads: list) -> list:
                 eps[i], wits[i] = e, w
     b = _Batch(cfgs, models, X, Y, np.concatenate([_dev_points(c) for c in cfgs]))
     b.A, iters, conv = thm.limit(b) if thm.limit else (None, np.empty(0, int), np.empty(0, bool))
-    devs = [dev(b) for _, dev, _ in thm.roles]
+    names, dev_of, bound_of = zip(*thm.roles)
+    devs = np.stack([dev(b) for dev in dev_of])  # (roles, K·n)
     nx = norm_many(cfg.space, b.X0)
     n, m = len(b.X0) // K, len(X) // K
-    # one iteration count and flag per limit, config and point
-    iters, conv = iters.reshape(-1, K, n), conv.reshape(-1, K, n)
-    segs = [slice(i * n, (i + 1) * n) for i in range(K)]
-    runs = [_Run(c, e, nx[seg]) for c, e, seg in zip(cfgs, eps, segs)]
+    runs = [_Run(c, e, nx[i * n:(i + 1) * n]) for i, (c, e) in enumerate(zip(cfgs, eps))]
     extras = thm.extras(b, runs) if thm.extras else [({}, []) for _ in runs]
+    bounds = np.array([[bound(k) for k in runs] for bound in bound_of]).reshape(len(names), -1)
+    rows = _assemble_rows(b.X0, names, devs, bounds, b.tol, K)
+    # one iteration count and flag per limit, config and point; a point
+    # diverges when any of its limits does
+    metas, diverged = _limit_meta(iters.reshape(-1, K, n), conv.reshape(-1, K, n))
     reports = []
-    for i, (k, head, seg, (details, checks)) in enumerate(zip(runs, heads, segs, extras)):
-        # a point diverges when any of its limits does
-        diverged = int(np.count_nonzero(~conv[:, i].all(axis=0)))
-        rows = _assemble_rows(b.X0[seg], [(name, d[seg], bound(k))
-                                          for (name, _, bound), d in zip(thm.roles, devs)],
-                              k.cfg.limits.tol)
+    for i, (k, head, (details, checks)) in enumerate(zip(runs, heads, extras)):
         details["hypothesis_witness"] = wits[i]
         details["pair_count"] = m
-        if diverged:
-            details["diverged_points"] = diverged
-        checks.append(("converged", diverged == 0))
-        meta = _limit_meta(iters[:, i].reshape(-1), conv[:, i].reshape(-1))
-        reports.append(_finish(k.cfg, head, eps[i], rows, details, meta, checks))
+        if diverged[i]:
+            details["diverged_points"] = diverged[i]
+        checks.append(("converged", diverged[i] == 0))
+        reports.append(_finish(k.cfg, head, eps[i], rows[i], details, metas[i], checks))
     return reports
 
 
 def _finish(cfg, head, eps_hat, rows, details, iterations, checks) -> StabilityReport:
-    """The report of an _assemble_rows result for cfg, whose config_to_dict is
+    """The report of cfg's _assemble_rows result, whose config_to_dict is
     head; it passes when max_ratio <= 1 (within REPORT_TOL) and every named
     (name, passed) check holds."""
     samples, max_dev, bound_value, max_ratio, wits = rows
@@ -1387,8 +1407,6 @@ def _mutate(cfg: ExperimentConfig, rng, step: float, witness_norm: float | None)
     new_hi = min(hi, centre + 0.5 * width)
     if not (new_lo < new_hi):
         new_lo, new_hi = lo, hi
-    if cfg.domain.kind == PUNCTURED and new_lo <= 0.0:
-        new_lo = max(new_lo, 1e-3 * hi)
     return replace(cfg, sampler=replace(cfg.sampler, radius_range=(new_lo, new_hi)))
 
 

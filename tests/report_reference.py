@@ -1,7 +1,13 @@
-"""Reference renderings the report tests compare the library against."""
+"""Reference renderings and per-config report code the report tests compare the library against."""
 
 import csv
 import io
+
+import numpy as np
+
+from jensenlab.experiments import _ratio_arrays, _Rows
+from jensenlab.models import BOUNDED, DECAY, POWER
+from jensenlab.series import DYADIC_N_MAX
 
 
 def csv_by_repr(report) -> str:
@@ -24,3 +30,40 @@ def csv_by_repr(report) -> str:
                   float(rows.ratio[i])]
         w.writerow([report.theorem_id, i, rows.roles[rows.role[i]], *map(repr, floats)])
     return buf.getvalue()
+
+
+def assemble_rows(X, role_data, tol):
+    """One config's (rows, max_dev, bound_value, max_ratio, witnesses), role by role.
+
+    role_data: list of (role, devs, bounds).  One row per point, worst role kept.
+    """
+    roles, devs, bounds = zip(*role_data)
+    stacked = np.stack([_ratio_arrays(d, b, tol) for d, b in zip(devs, bounds)])  # (roles, n)
+    worst_role = np.argmax(stacked, axis=0)
+    pick = (worst_role, np.arange(X.shape[0]))
+    rows = _Rows(X, roles, worst_role, np.stack(devs)[pick], np.stack(bounds)[pick], stacked[pick])
+    max_dev = float(max(np.max(d) for d in devs))
+    bound_value = float(max(np.max(b) for b in bounds))
+    max_ratio = float(np.max(stacked))
+    order = np.argsort(-rows.ratio)[:3]
+    witnesses = rows.dicts(order)
+    return rows, max_dev, bound_value, max_ratio, witnesses
+
+
+def auto_n_max(cfg, base: float, arg_scale: float = 1.0, floor: int = DYADIC_N_MAX) -> int:
+    """One config's iteration cap: enough for the slowest perturbation's gap to clear tol."""
+    if cfg.limits.n_max is not None:
+        return cfg.limits.n_max
+    tol = cfg.limits.tol
+    R = max(cfg.sampler.radius_range[1] * arg_scale, 1.0)
+    need = floor
+    for p in cfg.model.perturbations:
+        if p.kind == POWER and p.delta > 0.0:
+            rate = (1.0 - p.p) * np.log(base)
+            n = np.log(max(2.0 * p.delta * R**p.p / tol, 1.0)) / rate
+        elif p.kind in (BOUNDED, DECAY) and p.amplitude > 0.0:
+            n = np.log(max(3.0 * p.amplitude / tol, 1.0)) / np.log(base)
+        else:
+            continue
+        need = max(need, int(np.ceil(min(n, 600))) + 6)  # n is inf once a/tol overflows
+    return min(need, 600)

@@ -34,6 +34,7 @@ from jensenlab.models import (
     PerturbationSpec,
 )
 from jensenlab.spaces import euclidean_space
+from report_reference import assemble_rows, auto_n_max
 
 E3 = {"dim": 3, "norm_kind": "euclidean"}
 E2 = {"dim": 2, "norm_kind": "euclidean"}
@@ -102,6 +103,82 @@ def test_batch_reports_equal_solo_reports(cfgs):
         solo = run_experiment(cfg)
         assert emit_report(rep) == emit_report(solo)
         assert rep.failed_checks == solo.failed_checks
+
+
+def _role_arrays(case, K, n, rng):
+    """(devs, bounds) of three roles at K·n points for one edge case of the assembly."""
+    devs = rng.uniform(0.0, 2.0, size=(3, K * n))
+    bounds = rng.uniform(0.5, 3.0, size=(3, K * n))
+    if case == "nan_inf":  # in a later role than the finite maxima, one config at a time
+        devs[2, 1::n], devs[2, 3 % n::2 * n] = np.nan, np.inf
+        devs[1, n - 1::n] = np.inf
+    elif case == "ties":  # ratios of 1/4 and 1/2 exactly, equal within and across roles
+        devs = bounds * rng.choice([0.25, 0.5], size=bounds.shape)
+    elif case == "zero_bounds":  # ratio 0 at or under the floor, inf above it
+        bounds[1] = 0.0
+        devs[1, ::2] = rng.choice([0.0, 1e-12, 4e-9], size=devs[1, ::2].shape)
+    return devs, bounds
+
+
+def _same(got, want):
+    rows, *rest = got
+    ref_rows, *ref_rest = want
+    assert rows.roles == ref_rows.roles
+    for a, b in zip((rows.X, rows.role, rows.deviation, rows.bound, rows.ratio),
+                    (ref_rows.X, ref_rows.role, ref_rows.deviation, ref_rows.bound, ref_rows.ratio)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert repr(rest) == repr(ref_rest)  # max_dev, bound_value, max_ratio (float), witnesses
+
+
+@pytest.mark.parametrize("case", ["plain", "nan_inf", "ties", "zero_bounds"])
+@pytest.mark.parametrize("K, n", [(1, 5), (3, 5), (1, 40), (3, 40)])
+def test_batched_assembly_equals_per_config_reference(case, K, n):
+    """One pass over K segments gives each config the rows, maxima and witnesses
+    of the per-config assembly, bit for bit."""
+    rng = np.random.default_rng(K * 100 + n)
+    X = rng.standard_normal((K * n, 2))
+    devs, bounds = _role_arrays(case, K, n, rng)
+    roles = ("f", "g", "h")
+    tol = 1e-9
+    with np.errstate(invalid="ignore"):  # inf/inf and NaN ratios, as in a real run
+        got = experiments._assemble_rows(X, roles, devs, bounds, tol, K)
+        assert len(got) == K
+        for i, res in enumerate(got):
+            seg = slice(i * n, (i + 1) * n)
+            _same(res, assemble_rows(X[seg], list(zip(roles, devs[:, seg], bounds[:, seg])), tol))
+
+
+@pytest.mark.parametrize("tid", ["thm2_1", "prop4_1", "thm5_2", "prop4_2"])
+@pytest.mark.parametrize("his", [[6.0], [6.0, 6.0, 30.0], [2.0, 9.0, 45.0]])
+@pytest.mark.parametrize("n_max", [None, 7])
+def test_batch_assembles_once_and_caps_per_upper_radius(tid, his, n_max):
+    """A batch assembles its rows and its limit summaries in one call each, whatever K,
+    and each row's iteration cap is the one its config gets alone."""
+    exps = []
+    for i, hi in enumerate(his):
+        exp = _experiment(tid, count=4)
+        exp["sampler"].update(seed=11 + i, radius_range=[0.2, hi])
+        exp["limits"] = {"n_max": n_max}
+        exps.append(exp)
+    cfgs = [parse_experiment(e) for e in exps]
+    assemble = mock.Mock(wraps=experiments._assemble_rows)
+    meta = mock.Mock(wraps=experiments._limit_meta)
+    caps = []
+    real = experiments._Batch.n_max
+
+    def n_max_spy(b, base, arg_scale=1.0, floor=experiments.DYADIC_N_MAX):
+        got = real(b, base, arg_scale, floor)
+        caps.append((got, np.array([auto_n_max(c, base, arg_scale, floor) for c in b.cfgs])[b.cand]))
+        return got
+
+    with mock.patch.object(experiments, "_assemble_rows", assemble), \
+            mock.patch.object(experiments, "_limit_meta", meta), \
+            mock.patch.object(experiments._Batch, "n_max", n_max_spy):
+        run_experiment(cfgs)
+    assert assemble.call_count == 1 and meta.call_count == 1
+    assert len(caps) == {"thm5_2": 2, "prop4_2": 0}.get(tid, 1)
+    for got, want in caps:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_batch_of_other_theorems_runs_each_config():

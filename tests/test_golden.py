@@ -49,7 +49,9 @@ digests but thm6_1 and thm6_2, whose models carry no perturbation.  Those two
 and the axiom digests held.  ``VERDICTS``, each config's pass and failed
 checks, was recorded before that change and held through it.  Running this
 file as a script (``PYTHONPATH=src:tests python tests/test_golden.py``)
-prints ``name old new`` for every digest that no longer matches its table.
+prints ``name old new`` for every digest that no longer matches its table
+and exits 1 if it printed any, 0 if every digest held, so a script or a
+child-process test can gate on its status.
 
 The digests were recorded with CPython 3.11.7 and numpy 2.4.6 on x86-64.
 Elementary functions such as ``pow`` and ``log`` may round differently in
@@ -59,6 +61,7 @@ necessarily a code fix.
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -378,15 +381,19 @@ def test_search_digest(name):
 
 
 if __name__ == "__main__":
-    # Print ``name old new`` for every digest that no longer matches its table:
+    # Print ``name old new`` for every digest that no longer matches its table,
+    # and exit 1 if any did:
     #   PYTHONPATH=src:tests python tests/test_golden.py
     tables = [
         ("", DIGESTS, lambda name: _sha256(emit_report(_report(name), fmt="json"))),
         ("axioms:", AXIOM_DIGESTS, _axiom_digest),
         ("search:", SEARCH_DIGESTS, _search_digest),
     ]
+    moved = False
     for prefix, table, digest in tables:
         for name in sorted(table):
             new = digest(name)
             if new != table[name]:
                 print(prefix + name, table[name], new)
+                moved = True
+    sys.exit(1 if moved else 0)
