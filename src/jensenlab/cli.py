@@ -5,7 +5,8 @@ Subcommands:
   verify    run the experiments in a config file and emit reports
   axioms    check the orthogonality axioms for a relation on R^n
   search    adversarial hill-climb for bound violations
-  profile   shell-by-shell asymptotic defect profile (cor3_2 configs)
+
+verify --format csv writes a cor3_2 report as its shell-by-shell profile.
 
 Exit status: 0 when every requested check passes, 1 when a check fails,
 2 for configuration or usage errors.  verify names the failed checks of
@@ -127,21 +128,6 @@ def _cmd_search(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_profile(args) -> int:
-    configs = [c for c in _select(load_config(args.config), args.theorem) if c.theorem_id == "cor3_2"]
-    if len(configs) != 1:
-        raise ConfigError("profile needs exactly one cor3_2 experiment in the config")
-    report = run_experiment(configs[0])
-    fmt = args.format
-    _write(emit_report(report, fmt, include_runtime=bool(args.timing)), args.out)
-    verdict = report.details["decays"]
-    print(
-        f"cor3_2: decays={verdict} final_sup={report.details['final_sup']:.6g}",
-        file=sys.stderr,
-    )
-    return 0 if report.passed else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="jensenlab", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -171,14 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--restarts", type=_positive_int, default=1)
     s.add_argument("--out", default=None)
     s.set_defaults(fn=_cmd_search)
-
-    p = sub.add_parser("profile", help="asymptotic shell profile")
-    p.add_argument("--config", required=True)
-    p.add_argument("--theorem", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--out", default=None)
-    p.add_argument("--timing", action="store_true")
-    p.set_defaults(fn=_cmd_profile)
     return ap
 
 

@@ -72,8 +72,9 @@ class ControlFunctionSpec:
     def __post_init__(self):
         if self.kind not in (CONSTANT, MIXED, TABLE):
             raise ControlError(f"unknown control kind {self.kind!r}")
-        if self.epsilon < 0.0 or self.delta < 0.0:
-            raise ControlError("control magnitudes must be nonnegative")
+        for key in ("epsilon", "delta"):
+            if not (0.0 <= getattr(self, key) < np.inf):
+                raise ControlError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if self.kind == MIXED and not (0.0 <= self.p < 1.0):
             raise ControlError(f"p must lie in [0, 1) for a mixed control, got {self.p}")
         if self.kind == TABLE and self.table is None:

@@ -169,17 +169,16 @@ class ShellProfile:
 def asymptotic_profile(
     f,
     params: JensenParams,
-    space: NormedSpaceSpec,
     shell_edges,
     samples_per_shell: int,
     rng,
 ) -> ShellProfile:
-    """Defect sup per shell of ‖x‖ + ‖y‖; diagnoses decay toward additivity."""
+    """Defect sup per shell of ‖x‖ + ‖y‖ in f.domain; diagnoses decay toward additivity."""
     edges = np.asarray(shell_edges, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0) or not edges[0] >= 0:
         raise DomainError("shell edges must be increasing from >= 0, with at least two entries")
     sups = np.empty(edges.size - 1)
     for k in range(edges.size - 1):
-        X, Y = shell_pairs(space, edges[k], edges[k + 1], samples_per_shell, rng)
+        X, Y = shell_pairs(f.domain, edges[k], edges[k + 1], samples_per_shell, rng)
         sups[k] = float(np.max(jensen_defect_many(f, f, f, params, X, Y)))
     return ShellProfile(edges=edges, sup_defect=sups, samples_per_shell=samples_per_shell)

@@ -147,8 +147,8 @@ class LimitSettings:
     def __post_init__(self):
         if self.n_max is not None and self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
-        if not (self.tol > 0.0):
-            raise ConfigError("tol must be positive")
+        if not (0.0 < self.tol < math.inf):
+            raise ConfigError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -213,6 +213,32 @@ class ExperimentConfig:
             raise ConfigError(f"model.linear must be {codim} x {dim}")
         if m.quadratic is not None and np.shape(m.quadratic) != (codim,):
             raise ConfigError(f"model.quadratic must have {codim} entries")
+        tid, dom, thm = self.theorem_id, self.domain, _THEOREMS[self.theorem_id]
+        for key in ("ball", "shells", "expected_decay"):
+            if (getattr(self, key) is None) == (key in thm.requires):
+                raise ConfigError(f"{tid} needs {key}" if key in thm.requires
+                                  else f"{tid} does not read {key}")
+        if dom.kind != thm.domain:
+            raise ConfigError(f"{tid} runs on the {thm.domain} domain, got domain.kind {dom.kind}")
+        elif dom.kind == PUNCTURED and self.sampler.radius_range[0] <= 0.0:
+            raise ConfigError(f"{tid} needs a positive lower sampling radius")
+        elif dom.kind == ORTHOGONAL:
+            rel = dom.relation.kind
+            if rel == INNER_PRODUCT and not self.space.has_inner_product:
+                raise ConfigError("inner_product pairs need a euclidean space")
+            if rel != TRIVIAL and self.space.dim < 2:
+                # on a line only y = 0 is orthogonal to x != 0
+                raise ConfigError(f"{rel} pairs need space.dim >= 2")
+        if self.ball is not None:
+            try:
+                SikorskaConfig(params=self.params, ball_radius=self.ball.radius)
+            except ModelError as e:
+                raise ConfigError(f"{tid}: {e}") from e
+            if tid == "thm6_2" and not self.ball.exclude_origin:  # its ball is punctured
+                raise ConfigError("thm6_2 needs ball.exclude_origin: true")
+        if self.control.kind not in thm.controls:
+            raise ConfigError(f"{tid} takes {' or '.join(thm.controls)} controls, "
+                              f"not {self.control.kind}")
 
 # ---------------------------------------------------------------------------
 # model building
@@ -315,14 +341,15 @@ def build_models(cfg):
 # effective epsilon
 
 
-def measure_epsilon(cfg, f, g, h, X, Y, scale_y: float = 1.0):
+def measure_epsilon(cfg, f, g, h, X, Y):
     """Effective ε: defect sup after subtracting the declared non-constant part.
 
-    scale_y maps the pair (x, y) to the control's evaluation arguments
-    (the punctured propositions control the defect by φ(x, (t/s)y)).
-    Returns ε and its witness pair; for a list of K compatible configs, whose
-    pairs X, Y hold one equal segment per config and whose models hold one
-    candidate per config, a list of each, taken over each config's segment.
+    The control is evaluated at (x, y), or at (x, (t/s)y) for the ids whose
+    _THEOREMS entry sets scale_y (the punctured propositions control the
+    defect by φ(x, (t/s)y)).  Returns ε and its witness pair; for a list of
+    K compatible configs, whose pairs X, Y hold one equal segment per config
+    and whose models hold one candidate per config, a list of each, taken
+    over each config's segment.
     """
     cfgs = cfg if isinstance(cfg, list) else [cfg]
     K, n = len(cfgs), X.shape[0] // len(cfgs)
@@ -332,8 +359,10 @@ def measure_epsilon(cfg, f, g, h, X, Y, scale_y: float = 1.0):
     if not np.all(np.isfinite(defects)):
         raise ConfigError("the sampled Jensen defect overflows; lower sampler.radius_range, "
                           "model.linear_scale or the perturbation amplitudes")
-    space, part = cfgs[0].space, replace(cfgs[0].control, epsilon=0.0)
-    nonconst = control_phi_norms(part, norm_many(space, X), norm_many(space, Y) * scale_y)
+    c = cfgs[0]
+    scale_y = c.params.t / c.params.s if _THEOREMS[c.theorem_id].scale_y else 1.0
+    part = replace(c.control, epsilon=0.0)
+    nonconst = control_phi_norms(part, norm_many(c.space, X), norm_many(c.space, Y) * scale_y)
     adj = np.maximum(defects - nonconst, 0.0).reshape(K, n)
     best = np.argmax(adj, axis=1)
     eps = adj[np.arange(K), best].tolist()
@@ -775,9 +804,7 @@ def _odd_bound(k: _Run) -> float:
 def _run_cor3_2(cfg: ExperimentConfig, head: dict):
     f, _, _ = build_models(cfg)
     rng = rng_from(cfg.sampler.seed, "shells")
-    prof = asymptotic_profile(
-        f, cfg.params, cfg.space, cfg.shells.edges, cfg.shells.samples_per_shell, rng
-    )
+    prof = asymptotic_profile(f, cfg.params, cfg.shells.edges, cfg.shells.samples_per_shell, rng)
     decays = prof.is_decaying(cfg.decay_tol)
     details = {
         "profile": prof.to_dict(),
@@ -800,7 +827,6 @@ def _run_sikorska(cfg: ExperimentConfig, head: dict):
     result = sikorska_extend(
         f,
         scfg,
-        cfg.space,
         count=cfg.sampler.count,
         seed=cfg.sampler.seed,
         n_max=cfg.limits.n_max,
@@ -816,12 +842,12 @@ def _run_sikorska(cfg: ExperimentConfig, head: dict):
         ),
     }
     details["scaling_identity_sup"] = scaling_identity_check(
-        f, cfg.params, cfg.space, cfg.ball.radius,
+        f, cfg.params, cfg.ball.radius,
         count=min(cfg.sampler.count, 256), seed=derive_seed(cfg.sampler.seed, 7),
     )
     if cfg.space.has_inner_product and cfg.space.dim >= 2:
         details["even_constancy_sup"] = even_part_constancy_check(
-            f, scfg, cfg.space, count=min(cfg.sampler.count, 128),
+            f, scfg, count=min(cfg.sampler.count, 128),
             seed=derive_seed(cfg.sampler.seed, 9),
         )
 
@@ -967,10 +993,9 @@ def _run_limit_theorem(cfgs: list, thm: _Theorem, heads: list) -> list:
     K, cfg = len(cfgs), cfgs[0]
     models = build_models(cfgs)
     X, Y = (np.concatenate(z) for z in zip(*map(_hypothesis_pairs, cfgs)))
-    scale_y = cfg.params.t / cfg.params.s if thm.scale_y else 1.0
-    eps, wits = measure_epsilon(cfgs, *models, X, Y, scale_y=scale_y)
+    eps, wits = measure_epsilon(cfgs, *models, X, Y)
     if thm.reflect:
-        for i, (e, w) in enumerate(zip(*measure_epsilon(cfgs, *models, X, -Y, scale_y=scale_y))):
+        for i, (e, w) in enumerate(zip(*measure_epsilon(cfgs, *models, X, -Y))):
             if e > eps[i]:
                 eps[i], wits[i] = e, w
     b = _Batch(cfgs, models, X, Y, np.concatenate([_dev_points(c) for c in cfgs]))
@@ -1020,35 +1045,6 @@ def _finish(cfg, head, eps_hat, rows, details, iterations, checks) -> StabilityR
     )
 
 
-def _validate_for_theorem(cfg: ExperimentConfig):
-    tid, dom, thm = cfg.theorem_id, cfg.domain, _THEOREMS[cfg.theorem_id]
-    for key in ("ball", "shells", "expected_decay"):
-        if (getattr(cfg, key) is None) == (key in thm.requires):
-            raise ConfigError(f"{tid} needs {key}" if key in thm.requires
-                              else f"{tid} does not read {key}")
-    if dom.kind != thm.domain:
-        raise ConfigError(f"{tid} runs on the {thm.domain} domain, got domain.kind {dom.kind}")
-    elif dom.kind == PUNCTURED and cfg.sampler.radius_range[0] <= 0.0:
-        raise ConfigError(f"{tid} needs a positive lower sampling radius")
-    elif dom.kind == ORTHOGONAL:
-        rel = dom.relation.kind
-        if rel == INNER_PRODUCT and not cfg.space.has_inner_product:
-            raise ConfigError("inner_product pairs need a euclidean space")
-        if rel != TRIVIAL and cfg.space.dim < 2:
-            # on a line only y = 0 is orthogonal to x != 0
-            raise ConfigError(f"{rel} pairs need space.dim >= 2")
-    if cfg.ball is not None:
-        try:
-            SikorskaConfig(params=cfg.params, ball_radius=cfg.ball.radius)
-        except ModelError as e:
-            raise ConfigError(f"{tid}: {e}") from e
-        if tid == "thm6_2" and not cfg.ball.exclude_origin:  # its ball is punctured
-            raise ConfigError("thm6_2 needs ball.exclude_origin: true")
-    if cfg.control.kind not in thm.controls:
-        raise ConfigError(f"{tid} takes {' or '.join(thm.controls)} controls, "
-                          f"not {cfg.control.kind}")
-
-
 # the key paths in which the configs of one batch may differ ([] is any list index)
 _BATCH_FREE = ("sampler.seed", "sampler.radius_range", "model.seed", "perturbation[].seed")
 
@@ -1080,8 +1076,6 @@ def run_experiment(cfg):
     cfgs = cfg if isinstance(cfg, list) else [cfg]
     if not cfgs:
         raise ConfigError("run_experiment needs at least one config")
-    for c in cfgs:
-        _validate_for_theorem(c)
     heads = [config_to_dict(c) for c in cfgs]
     for i, head in enumerate(heads[1:], 1):
         keys = list(_differences(heads[0], head))
@@ -1216,14 +1210,12 @@ def _emit_value(t, v):
 
 
 def _make_experiment(space, codomain, model, perturbation, **kw) -> ExperimentConfig:
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         space=space,
         codomain=space if codomain is None else codomain,
         model=replace(model, perturbations=perturbation),
         **kw,
     )
-    _validate_for_theorem(cfg)
-    return cfg
 
 
 def _make_config(schema_version, experiments) -> list:
@@ -1428,14 +1420,11 @@ def adversarial_search(cfg: ExperimentConfig, settings: SearchSettings | None = 
     settings = settings or SearchSettings()
     seed = cfg.sampler.seed
     best = {"ratio": -1.0, "config": None, "witnesses": []}
-    evaluated = 0
 
     def evaluate(cands):
         """Run the candidates, keep the best so far; each one's ratio and lead witness norm."""
-        nonlocal evaluated
         out = []
         for c, rep in zip(cands, run_experiment(cands)):
-            evaluated += 1
             if rep.max_ratio > best["ratio"]:
                 best.update(ratio=rep.max_ratio, config=rep.config, witnesses=rep.witnesses)
             x = np.asarray([rep.witnesses[0]["x"]]) if rep.witnesses else None
@@ -1462,5 +1451,5 @@ def adversarial_search(cfg: ExperimentConfig, settings: SearchSettings | None = 
         "worst_ratio": float(best["ratio"]),
         "config": best["config"],
         "witnesses": best["witnesses"],
-        "evaluations": evaluated,
+        "evaluations": settings.iterations,
     }

@@ -93,8 +93,9 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.kind not in (NONE, BOUNDED, POWER, DECAY):
             raise ModelError(f"unknown perturbation kind {self.kind!r}")
-        if self.amplitude < 0.0 or self.delta < 0.0:
-            raise ModelError("perturbation magnitudes must be nonnegative")
+        for key in ("amplitude", "delta"):
+            if not (0.0 <= getattr(self, key) < np.inf):
+                raise ModelError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if self.kind == POWER and not (0.0 <= self.p < 1.0):
             raise ModelError(f"p must lie in [0, 1) for a power perturbation, got {self.p}")
 
@@ -290,15 +291,6 @@ class FunctionModel:
                        perturbations=perts)
 
 
-class _Wrapped:
-    """Base for derived maps: a base model plus its domain and codomain."""
-
-    def __init__(self, base):
-        self.base = base
-        self.domain = base.domain
-        self.codomain = base.codomain
-
-
 def _eval_stacked(f, sets, cand=None) -> np.ndarray:
     """(len(sets), n, codim): f at each of the n-row point batches in sets, from
     one eval_many call on their stack; cand, the candidate of each row of one
@@ -317,23 +309,25 @@ def _at_plus_minus(f: FunctionModel, X: np.ndarray, nx: np.ndarray, cand):
     return P[:n], P[n:]
 
 
-class _Parity(_Wrapped):
-    """x ↦ (f(x) + sign·f(−x))/2: the odd part (sign −1) or the even part (+1).
+class _Parity:
+    """x ↦ (f(x) + sign·f(−x))/2 of a FunctionModel f: odd part (sign −1), even part (+1).
 
-    For structured models the exact term of the other parity (the quadratic
-    for the odd part, the linear for the even part) is dropped analytically
-    instead of being cancelled numerically; otherwise their roundoff,
-    amplified by scaling iterations, would swamp deep limits.
+    The exact term of the other parity (the quadratic for the odd part, the
+    linear for the even part) is dropped analytically instead of being
+    cancelled numerically; otherwise its roundoff, amplified by scaling
+    iterations, would swamp deep limits.
     """
 
     sign: float
 
+    def __init__(self, base: FunctionModel):
+        if not isinstance(base, FunctionModel):
+            raise ModelError(f"parity parts need a FunctionModel, not {type(base).__name__}")
+        self.base, self.domain, self.codomain = base, base.domain, base.codomain
+
     def eval_many(self, X, cand=None):
         X = as_batch(X, self.domain.dim)
         f = self.base
-        if not isinstance(f, FunctionModel):
-            F, G = _eval_stacked(f, [X, -X], cand)
-            return (F + self.sign * G) / 2.0
         nx = norm_many(self.domain, X)
         if self.sign < 0.0:
             Y = _linear_rows(X, f.linear, cand)
@@ -361,11 +355,11 @@ class EvenPart(_Parity):
     sign = 1.0
 
 
-class ScaledModel(_Wrapped):
+class ScaledModel:
     """x ↦ out_scale · base(arg_scale · x)."""
 
     def __init__(self, base, arg_scale: float, out_scale: float = 1.0):
-        super().__init__(base)
+        self.base, self.domain, self.codomain = base, base.domain, base.codomain
         self.arg_scale = float(arg_scale)
         self.out_scale = float(out_scale)
 

@@ -29,7 +29,6 @@ from .models import (
 from .sampling import rng_from, sample_points, unit_directions
 from .series import DEFAULT_TOL, power_limit_many
 from .spaces import (
-    NormedSpaceSpec,
     SpaceError,
     _quarter_turns,
     _rowdot,
@@ -103,19 +102,18 @@ def pexider_reduction_check(f, params: JensenParams, X, Y, cand=None) -> float |
 def scaling_identity_check(
     f,
     params: JensenParams,
-    space: NormedSpaceSpec,
     ball_radius: float,
     count: int,
     seed: int,
 ) -> float:
     """sup max(‖f((r/s)x) − (r/s)f(x)‖, ‖f((r/t)x) − (r/t)f(x)‖) inside the ball.
 
-    Sample radii are capped so both x and the rescaled arguments stay inside.
+    Sample radii in f.domain are capped so both x and the rescaled arguments stay inside.
     """
     r, s, t = params.r, params.s, params.t
     cap = ball_radius * min(1.0, s / r, t / r) * (1.0 - 1e-12)
     rng = rng_from(seed, "scaling-identity")
-    X = sample_points(space, count, (cap * 1e-3, cap), rng)
+    X = sample_points(f.domain, count, (cap * 1e-3, cap), rng)
     out = np.zeros(X.shape[0])
     for ratio in ((r / s), (r / t)):
         gap = norm_many(f.codomain, f.eval_many(ratio * X) - ratio * f.eval_many(X))
@@ -142,37 +140,31 @@ def _entry_exponents(norms: np.ndarray, base: float, radius: float) -> np.ndarra
 def sikorska_extend(
     f,
     cfg: SikorskaConfig,
-    space: NormedSpaceSpec,
     count: int = 512,
     seed: int = 0,
     n_max: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> DecompositionResult:
-    """Extend f from the (possibly punctured) ball and decompose it.
+    """Extend f from the (possibly punctured) ball of f.domain and decompose it.
 
     The odd part iterates base^n f_odd(base^{-n} x), the even part
     (2·base)^n f_even(base^{-n} x), entering the ball after n0(x) contractions.
     b_hat tabulates the even part as a function of u = ‖x‖² on [0, R²];
     max_residual is the sampled in-ball sup of ‖f − T_hat − b_hat(‖·‖²)‖.
     """
-    R = cfg.ball_radius
+    R, space, dim = cfg.ball_radius, f.domain, f.domain.dim
     base = cfg.base
     n_max = cfg.default_n_max() if n_max is None else n_max
     f_odd, f_even = odd_even_split(f)
 
     def limit(part, gain, X):
-        X = as_batch(X, f.domain.dim)
         n0 = _entry_exponents(norm_many(space, X), base, R)
         return power_limit_many(
             part, X, arg_factor=1.0 / base, gain=gain, n_max=n_max, tol=tol, n_start=n0
         )
 
-    # the linear part: the odd limit at the basis vectors
-    L_vals, _, _, L_conv = limit(f_odd, base, np.eye(f.domain.dim))
-    T_hat = FunctionModel(domain=f.domain, codomain=f.codomain, linear=L_vals.T)
-
     u_knots = np.linspace(0.0, R**2, _TABLE_KNOTS)
-    e1 = np.zeros(f.domain.dim)
+    e1 = np.zeros(dim)
     e1[0] = 1.0
     knot_pts = np.sqrt(u_knots)[:, None] * e1[None, :]
     b_vals, b_it, _, b_conv = limit(f_even, 2.0 * base, knot_pts)
@@ -182,7 +174,10 @@ def sikorska_extend(
     rng = rng_from(seed, "sikorska-residual")
     lo = R * 1e-3 if cfg.exclude_origin else 0.0
     X = sample_points(space, count, (lo, R * (1.0 - 1e-9)), rng)
-    T_vals, T_it, _, T_conv = limit(f_odd, base, X)
+    # one odd limit, rows independent: at the basis vectors (the linear part) and at X
+    vals, its, _, conv = limit(f_odd, base, np.concatenate([np.eye(dim), X]))
+    T_hat = FunctionModel(domain=space, codomain=f.codomain, linear=vals[:dim].T)
+    L_conv, T_vals, T_it, T_conv = conv[:dim], vals[dim:], its[dim:], conv[dim:]
     u = norm_many(space, X) ** 2
     resid = norm_many(f.codomain, f.eval_many(X) - T_vals - b_hat.eval_many(u))
 
@@ -204,17 +199,17 @@ def sikorska_extend(
 def even_part_constancy_check(
     f,
     cfg: SikorskaConfig,
-    space: NormedSpaceSpec,
     count: int = 256,
     seed: int = 0,
 ) -> float:
-    """sup ‖f_e(x) − f_e(y0)‖ over witnesses y0 ⊥ x with ‖y0‖² = λ‖x‖².
+    """sup ‖f_e(x) − f_e(y0)‖ over witnesses y0 ⊥ x in f.domain, ‖y0‖² = λ‖x‖².
 
     The even part of an exact orthogonally-Jensen map takes equal values at
     such pairs; the sup is a direct constancy certificate.  y0 = √λ·(quarter
     turn of x in a plane through x), the exact sign change t = √λ of the (O4)
     search on an inner-product space.  Radii keep the witness in the ball.
     """
+    space = f.domain
     if not space.has_inner_product:
         raise SpaceError("the even-part constancy check needs an inner-product space")
     _, f_even = odd_even_split(f)

@@ -78,8 +78,8 @@ class NormedSpaceSpec:
         if self.norm_kind not in (EUCLIDEAN, SUP, P_NORM):
             raise SpaceError(f"unknown norm_kind {self.norm_kind!r}")
         if self.norm_kind == P_NORM:
-            if self.p is None or not (self.p >= 1.0):
-                raise SpaceError(f"p_norm requires exponent p >= 1, got {self.p}")
+            if self.p is None or not (1.0 <= self.p < np.inf):
+                raise SpaceError(f"p must be finite and >= 1 for p_norm, got {self.p}")
         elif self.p is not None:
             raise SpaceError(f"exponent p only applies to p_norm, got p={self.p}")
 

@@ -379,18 +379,18 @@ def test_08_ball_extension(capsys):
     t0 = time.perf_counter()
     f = FunctionModel(domain=E3, codomain=E1, linear=L13, quadratic=[0.3])
     cfg = SikorskaConfig(params=JensenParams(2, 2, 2), ball_radius=1.0)
-    res = sikorska_extend(f, cfg, E3, count=512, seed=3)
+    res = sikorska_extend(f, cfg, count=512, seed=3)
     ok = np.max(np.abs(res.T_hat.linear - L13)) <= 1e-6
     ok &= np.max(np.abs(res.b_hat.values[:, 0] - 0.3 * res.b_hat.knots)) <= 1e-6
     ok &= res.iterations["fit_converged"]
 
     slow = SikorskaConfig(params=JensenParams(4, 3, 3), ball_radius=1.0, exclude_origin=True)
     lin = FunctionModel(domain=E3, codomain=E1, linear=L13)
-    res2 = sikorska_extend(lin, slow, E3, count=192, seed=5)
+    res2 = sikorska_extend(lin, slow, count=192, seed=5)
     ok &= slow.base == 9.0 / 8.0
     ok &= res2.max_residual <= 1e-5
 
-    ok &= scaling_identity_check(lin, JensenParams(4, 3, 3), E3, 2.0, 200, seed=1) <= 1e-9
+    ok &= scaling_identity_check(lin, JensenParams(4, 3, 3), 2.0, 200, seed=1) <= 1e-9
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0
     _verdict(
@@ -499,7 +499,7 @@ def test_10_negative_controls_and_search(capsys):
         ),
     )
     prof = asymptotic_profile(
-        noisy, JensenParams(2, 1, 1), E3, (0.5, 1.0, 2.0, 4.0, 8.0, 16.0), 200, rng_from(5, "prof")
+        noisy, JensenParams(2, 1, 1), (0.5, 1.0, 2.0, 4.0, 8.0, 16.0), 200, rng_from(5, "prof")
     )
     ok &= not prof.is_decaying(1e-3)
     ok &= prof.sup_defect[-1] > 1e-3

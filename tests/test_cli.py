@@ -214,16 +214,21 @@ def test_search_runs_exactly_iters(tmp_path, capsys, iters, restarts):
     assert f"after {iters} evaluations" in capsys.readouterr().err
 
 
-def test_profile_subcommand_csv(tmp_path, capsys):
+def test_shell_profile_csv_comes_from_verify(tmp_path, capsys):
+    """A cor3_2 report written as CSV is its profile, one shell per line; the
+    former profile subcommand wrote the same bytes and is refused now."""
     cfg = _write_config(
         tmp_path / "c.json", _cor3_2_experiment(expected_decay=False, noisy=True)
     )
     out = tmp_path / "profile.csv"
-    assert main(["profile", "--config", cfg, "--out", str(out)]) == 0
+    argv = ["verify", "--config", cfg, "--theorem", "cor3_2", "--format", "csv"]
+    assert main(argv + ["--out", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("shell_edge_low")
     assert len(lines) == 5 + 1
-    assert "decays=False" in capsys.readouterr().err
+    assert "cor3_2: pass" in capsys.readouterr().err
+    assert main(["profile", "--config", cfg]) == 2
+    assert "invalid choice: 'profile'" in capsys.readouterr().err
 
 
 def _run_console(*args):
@@ -269,6 +274,7 @@ CONFIG_PROBES = [
     (("sampler", "pair_count"), 0, "pair_count"),
     (("space", "dim"), "3", "space.dim"),
     (("space",), 3, "space"),
+    (("space",), {"dim": 3, "norm_kind": "p_norm", "p": float("inf")}, "space.p"),
     (("ball",), {}, "ball.radius"),
     (("perturbation", 0, "amplitude"), float("inf"), "perturbation[0].amplitude"),
     (("perturbation", 1, "amplitude"), "1", "perturbation[1].amplitude"),

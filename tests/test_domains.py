@@ -317,9 +317,7 @@ class TestAsymptoticProfile:
 
     def test_exact_model_decays(self):
         f = FunctionModel(domain=E3, codomain=E2, linear=L23)
-        prof = asymptotic_profile(
-            f, JensenParams(2, 1, 1), E3, self.EDGES, 200, rng_from(1, "prof")
-        )
+        prof = asymptotic_profile(f, JensenParams(2, 1, 1), self.EDGES, 200, rng_from(1, "prof"))
         assert prof.sup_defect.shape == (5,)
         assert prof.is_decaying(1e-9)
 
@@ -328,15 +326,13 @@ class TestAsymptoticProfile:
         f = FunctionModel(domain=E3, codomain=E2, linear=L23)
         for edges in ((-4.0, -1.0, 2.0), (-0.5, 1.0)):
             with pytest.raises(DomainError):
-                asymptotic_profile(f, JensenParams(2, 1, 1), E3, edges, 10, rng_from(1, "prof"))
-        prof = asymptotic_profile(f, JensenParams(2, 1, 1), E3, (0.0, 1.0), 10, rng_from(1, "prof"))
+                asymptotic_profile(f, JensenParams(2, 1, 1), edges, 10, rng_from(1, "prof"))
+        prof = asymptotic_profile(f, JensenParams(2, 1, 1), (0.0, 1.0), 10, rng_from(1, "prof"))
         assert prof.sup_defect.shape == (1,)
 
     def test_constant_noise_plateaus(self):
         f = _noisy_additive(0.2, seed=9)
-        prof = asymptotic_profile(
-            f, JensenParams(2, 1, 1), E3, self.EDGES, 200, rng_from(2, "prof")
-        )
+        prof = asymptotic_profile(f, JensenParams(2, 1, 1), self.EDGES, 200, rng_from(2, "prof"))
         assert not prof.is_decaying(1e-3)
         assert prof.final_sup > 1e-3
 

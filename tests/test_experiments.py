@@ -14,6 +14,7 @@ from jensenlab.experiments import (
     BallSettings,
     ConfigError,
     ExperimentConfig,
+    LimitSettings,
     ModelSettings,
     SamplerSettings,
     SearchSettings,
@@ -347,24 +348,37 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config({"schema_version": 1, "experiments": []})
 
+    @staticmethod
+    def _refused(tid, over, key):
+        """_cfg(tid) with the overrides is refused when it is built and when its
+        dict is parsed, with one message that names key."""
+        with pytest.raises(ConfigError, match=key) as built:
+            _cfg(tid, **over)
+        d = config_to_dict(_cfg(tid))
+        types = {f.key: f.type for f in experiments._EXPERIMENT.fields}
+        d.update({k: experiments._emit_value(types[k], v) for k, v in over.items()})
+        with pytest.raises(ConfigError, match=key) as parsed:
+            parse_experiment(d)
+        assert str(parsed.value) == str(built.value)
+
+    MISMATCHES = [
+        ("thm3_1", {"domain": DomainRestriction(kind="full")}, "domain.kind"),
+        ("prop4_1", {"domain": DomainRestriction(kind="full")}, "domain.kind"),
+        ("prop4_2", {"sampler": SamplerSettings(count=40, seed=1, radius_range=(0.0, 2.0))},
+         "positive lower sampling radius"),
+        ("thm6_1", {"params": JensenParams(2, 2, 1)}, "s = t"),
+        ("thm6_2", {"params": JensenParams(7, 3, 3)}, "base"),  # 2(s/r)^2 <= 1
+        ("thm5_2", {"space": NormedSpaceSpec(3, "sup")}, "euclidean space"),
+        ("thm5_2", {"space": euclidean_space(1)}, "space.dim"),  # y ⊥ x != 0 forces y = 0
+        ("cor3_2", {"shells": None}, "needs shells"),
+        ("cor2_2", {"model": ModelSettings(), "control": ControlFunctionSpec(
+            kind="table", table=RadialControlTable(radii=[0.0, 1.0], values=[0.2, 0.2], q=0.0))},
+         "constant or mixed controls"),
+    ]
+
     def test_domain_theorem_mismatches(self):
-        bad = [
-            _cfg("thm3_1", domain=DomainRestriction(kind="full")),
-            _cfg("prop4_1", domain=DomainRestriction(kind="full")),
-            _cfg(
-                "prop4_2",
-                domain=DomainRestriction(kind="punctured"),
-                sampler=SamplerSettings(count=40, seed=1, radius_range=(0.0, 2.0)),
-            ),
-            _cfg("thm6_1", params=JensenParams(2, 2, 1)),
-            _cfg("thm6_2", params=JensenParams(7, 3, 3)),  # base 2(s/r)^2 <= 1
-            _cfg("thm5_2", space=NormedSpaceSpec(3, "sup")),  # inner_product needs a euclidean space
-            _cfg("thm5_2", space=euclidean_space(1)),  # no y != 0 is orthogonal to x != 0
-            _cfg("cor3_2", shells=None),
-        ]
-        for cfg in bad:
-            with pytest.raises(ConfigError):
-                run_experiment(cfg)
+        for tid, over, key in self.MISMATCHES:
+            self._refused(tid, over, key)
 
     SHELLS = ShellSettings(edges=(0.5, 1.0, 2.0), samples_per_shell=10)
 
@@ -385,11 +399,27 @@ class TestConfigParsing:
     def test_every_id_checks_its_domain_and_sections(self, tid, over, key):
         # one validation path: the runner-backed ids refuse other domains too,
         # and a section is refused by the ids that do not read it
-        cfg = _cfg(tid, **over)
-        with pytest.raises(ConfigError, match=key):
-            run_experiment(cfg)
-        with pytest.raises(ConfigError, match=key):
-            parse_experiment(config_to_dict(cfg))
+        self._refused(tid, over, key)
+
+    @pytest.mark.parametrize("tid", experiments.THEOREM_IDS)
+    def test_batch_free_keys_keep_a_config_valid(self, tid):
+        """A valid config with any _BATCH_FREE key replaced, as the search's
+        moves replace them, constructs and stays in its config's batch."""
+        cfg = _cfg(tid)
+        lo, hi = cfg.sampler.radius_range
+        perts = cfg.model.perturbations
+        moves = {
+            "sampler.seed": lambda c: replace(c, sampler=replace(c.sampler, seed=99)),
+            "sampler.radius_range": lambda c: replace(c, sampler=replace(
+                c.sampler, radius_range=(lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo)))),
+            "model.seed": lambda c: replace(c, model=replace(c.model, seed=98)),
+            "perturbation[].seed": lambda c: replace(c, model=replace(
+                c.model, perturbations=tuple(replace(p, seed=p.seed + 1) for p in perts))),
+        }
+        assert set(moves) == set(experiments._BATCH_FREE)
+        head = config_to_dict(cfg)
+        for move in moves.values():
+            assert list(experiments._differences(head, config_to_dict(move(cfg)))) == []
 
     def test_negative_shell_edges_rejected(self):
         with pytest.raises(ConfigError, match="edges"):
@@ -409,7 +439,25 @@ class TestConfigParsing:
         rep = run_experiment(_cfg("thm2_1", control=table, model=ModelSettings()))
         assert rep.passed
         with pytest.raises(ConfigError):
-            run_experiment(_cfg("cor2_2", control=table, model=ModelSettings()))
+            _cfg("cor2_2", control=table, model=ModelSettings())
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda: NormedSpaceSpec(3, "p_norm", math.inf), "p"),
+    (lambda: NormedSpaceSpec(3, "p_norm", math.nan), "p"),
+    (lambda: ControlFunctionSpec(epsilon=math.nan), "epsilon"),
+    (lambda: ControlFunctionSpec(kind="mixed", epsilon=0.1, delta=math.inf, p=0.5), "delta"),
+    (lambda: PerturbationSpec(amplitude=math.nan), "amplitude"),
+    (lambda: PerturbationSpec(kind="power", delta=math.inf, p=0.5), "delta"),
+    (lambda: LimitSettings(tol=math.inf), "tol"),
+    (lambda: LimitSettings(tol=math.nan), "tol"),
+], ids=["space-p-inf", "space-p-nan", "control-epsilon-nan", "control-delta-inf",
+        "perturbation-amplitude-nan", "perturbation-delta-inf", "tol-inf", "tol-nan"])
+def test_library_specs_refuse_non_finite_values(make, key):
+    """A spec built in code refuses the non-finite values that the parser's
+    type layer refuses, with a message that opens with the key."""
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        make()
 
 
 class TestCalibration:

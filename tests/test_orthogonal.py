@@ -132,17 +132,17 @@ class TestDecomposeTQ:
 def test_scaling_identity_exact_vs_broken():
     params = JensenParams(2, 3, 3)
     additive = _model()
-    assert scaling_identity_check(additive, params, E3, 2.0, 200, seed=1) <= 1e-12
+    assert scaling_identity_check(additive, params, 2.0, 200, seed=1) <= 1e-12
     quad = _model(quadratic=[1.0])
     # c‖x‖² violates 1-homogeneity: gap (r/s)(1 - r/s)·c‖x‖² > 0
-    assert scaling_identity_check(quad, params, E3, 2.0, 200, seed=1) > 1e-3
+    assert scaling_identity_check(quad, params, 2.0, 200, seed=1) > 1e-3
 
 
 class TestSikorskaExtension:
     def test_base2_exact_recovery(self):
         cfg = SikorskaConfig(params=JensenParams(2, 2, 2), ball_radius=1.0)
         f = _model(quadratic=[0.3])
-        result = sikorska_extend(f, cfg, E3, count=256, seed=3)
+        result = sikorska_extend(f, cfg, count=256, seed=3)
         assert cfg.base == pytest.approx(2.0)
         assert result.max_residual <= 1e-6
         assert np.max(np.abs(result.T_hat.linear - L13)) <= 1e-6
@@ -157,7 +157,7 @@ class TestSikorskaExtension:
         )
         assert cfg.base == pytest.approx(9.0 / 8.0)
         f = _model()
-        result = sikorska_extend(f, cfg, E3, count=192, seed=5)
+        result = sikorska_extend(f, cfg, count=192, seed=5)
         assert result.max_residual <= 1e-5
         assert np.max(np.abs(result.T_hat.linear - L13)) <= 1e-5
 
@@ -172,16 +172,18 @@ class TestSikorskaExtension:
 def test_even_part_constancy():
     cfg1 = SikorskaConfig(params=JensenParams(2, 2, 2), ball_radius=1.5)
     additive = _model()
-    assert even_part_constancy_check(additive, cfg1, E3, count=200, seed=2) <= 1e-12
+    assert even_part_constancy_check(additive, cfg1, count=200, seed=2) <= 1e-12
     # lam = 1 witnesses share the radius, so c‖x‖² is constant across them
     quad = _model(quadratic=[1.0])
-    assert even_part_constancy_check(quad, cfg1, E3, count=200, seed=2) <= 1e-9
+    assert even_part_constancy_check(quad, cfg1, count=200, seed=2) <= 1e-9
     # lam = 3/4 shrinks the witness radius and exposes the non-constant even part
     cfg2 = SikorskaConfig(params=JensenParams(4, 3, 3), ball_radius=1.5)
-    assert even_part_constancy_check(quad, cfg2, E3, count=200, seed=2) > 0.1
+    assert even_part_constancy_check(quad, cfg2, count=200, seed=2) > 0.1
     # the witness is the inner-product sign change, so other norms are refused
+    sup_quad = FunctionModel(domain=NormedSpaceSpec(3, "sup"), codomain=E1, linear=L13,
+                             quadratic=[1.0])
     with pytest.raises(SpaceError, match="inner-product"):
-        even_part_constancy_check(quad, cfg2, NormedSpaceSpec(3, "sup"), count=8, seed=2)
+        even_part_constancy_check(sup_quad, cfg2, count=8, seed=2)
 
 
 def test_even_part_constancy_matches_row_loop(monkeypatch):
@@ -204,7 +206,7 @@ def test_even_part_constancy_matches_row_loop(monkeypatch):
     monkeypatch.setattr(orthogonal, "unit_directions", directions)
     f = _model(quadratic=[1.0], perts=(PerturbationSpec(kind=BOUNDED, amplitude=0.05, seed=4),))
     cfg = SikorskaConfig(params=JensenParams(4, 3, 3), ball_radius=1.5)
-    res = even_part_constancy_check(f, cfg, E3, count=60, seed=3)
+    res = even_part_constancy_check(f, cfg, count=60, seed=3)
 
     _, f_even = odd_even_split(f)
     value = 0.0
