@@ -133,6 +133,8 @@ class SamplerSettings:
         lo, hi = self.radius_range
         if not (0.0 <= lo < hi):
             raise ConfigError("radius_range must satisfy 0 <= lo < hi")
+        if not math.isfinite(hi):
+            raise ConfigError(f"radius_range must be finite, got {self.radius_range}")
 
     @property
     def pairs(self) -> int:
@@ -168,6 +170,8 @@ class BallSettings:
     def __post_init__(self):
         if not (self.radius > 0.0):
             raise ConfigError("radius must be positive")
+        if not math.isfinite(self.radius):
+            raise ConfigError(f"radius must be finite, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -181,6 +185,8 @@ class ShellSettings:
             b <= a for a, b in zip(self.edges, self.edges[1:])
         ):
             raise ConfigError("edges must be >= 0 and strictly increasing, length >= 2")
+        if not all(math.isfinite(e) for e in self.edges):
+            raise ConfigError(f"edges must be finite, got {self.edges}")
         if self.samples_per_shell < 1:
             raise ConfigError("samples_per_shell must be >= 1")
 
@@ -1294,9 +1300,9 @@ _MODEL = _Section(
 _PERTURBATION = _Section(
     PerturbationSpec,
     _Field("kind", str, NONE, "none, bounded, power or decay"),
-    _Field("amplitude", float, 0.0, ">= 0"),
-    _Field("delta", float, 0.0, ">= 0"),
-    _Field("p", float, 0.0, "in [0, 1) for power"),
+    _Field("amplitude", float, 0.0, ">= 0; refused on power"),
+    _Field("delta", float, 0.0, ">= 0; refused on bounded and decay"),
+    _Field("p", float, 0.0, "in [0, 1) for power; refused on bounded and decay"),
     _Field("seed", int, 0),
 )
 _BALL = _Section(

@@ -98,6 +98,12 @@ class PerturbationSpec:
                 raise ModelError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if self.kind == POWER and not (0.0 <= self.p < 1.0):
             raise ModelError(f"p must lie in [0, 1) for a power perturbation, got {self.p}")
+        # a key the kind never reads is refused, as control and domain keys are
+        unread = {POWER: ("amplitude",), BOUNDED: ("delta", "p"), DECAY: ("delta", "p")}
+        for key in unread.get(self.kind, ()):
+            if getattr(self, key) != 0.0:
+                readers = "bounded and decay" if key == "amplitude" else "power"
+                raise ModelError(f"{key} is read by {readers} terms only, not by {self.kind}")
 
     def norm_at(self, nx):
         """‖pert(x)‖ at ‖x‖ = nx > 0: the bound of the table above, attained."""

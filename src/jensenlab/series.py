@@ -35,6 +35,8 @@ TRIADIC_N_MAX = 25
 DEFAULT_TOL = 1e-9
 _SERIES_HARD_CAP = 4096
 _OVERFLOW_LIMIT = 1e120
+# How far below _OVERFLOW_LIMIT every row must stay for the guard to be skipped.
+_GUARD_MARGIN = 1e3
 # Target rows per eval_many call in power_limit_many, whose passes stack K steps
 # of the working set; above half this many working points K is 1.
 _BLOCK_ROWS = 4096
@@ -165,15 +167,18 @@ def _certified_steps(f, X, arg, amp, tol, first, last, cand):
     enters the computed gap (Higham 2002, ch. 3).  With A_j the lead's net
     change and B_k the others' bounds, all over R^m, m is certified where
     Σ_k B_k R_k^m < A_j R_j^m; the sum over A_j R_j^m is convex in m, so it is
-    checked at the two ends of the run only."""
-    none = np.full_like(first, 2**62), first
+    checked at the two ends of the run only.
+
+    OddPart and EvenPart get no run: their perturbation part (P(y) ∓ P(−y))/2
+    hashes y and −y apart, and its norm has no positive lower bound, so no
+    part's change is provably above tol at any step."""
     out_scale = arg_scale = 1.0
     while type(f) is ScaledModel:  # exact types: a subclass may evaluate otherwise
         out_scale *= f.out_scale
         arg_scale *= f.arg_scale
         f = f.base
     if type(f) is not FunctionModel or np.sum(last + 2 - first) <= _BLOCK_ROWS:
-        return none
+        return np.full_like(first, 2**62), first
     L = np.abs(f.linear)
     q = np.zeros(1) if f.quadratic is None else f.quadratic
     perts = [p for p in f.perturbations if p.norm_at(1.0) != 0.0]
@@ -181,76 +186,101 @@ def _certified_steps(f, X, arg, amp, tol, first, last, cand):
         so = abs(np.float64(out_scale))
         sa = abs(np.float64(arg_scale))
         coefs = [so, sa, 1 / so, 1 / sa, L.max(), *np.abs(q), *(p.amplitude + p.delta for p in perts)]
-        if not (np.max(coefs) <= 2.0**100 and 0.0 < abs(amp * arg) < np.inf):
-            return none
+        if not (all(c <= 2.0**100 for c in coefs) and 0.0 < abs(amp * arg) < np.inf):
+            return np.full_like(first, 2**62), first
         ku = (128 + 16 * (X.shape[1] + f.codomain.dim)) * 2.0**-53
         nx = sa * norm_many(f.domain, X)  # ‖y‖ = |arg|^m·nx at step m
         dom_exp, cod_exp = ({"sup": 1.0, "euclidean": 2.0}.get(s.norm_kind, s.p)
                             for s in (f.domain, f.codomain))
-        # ‖L·x‖ ≤ ‖|L|·|x|‖ ≤ Σ_i |x_i|·‖L[:, i]‖, with the column norms of each candidate
-        col_norms = norm_many(f.codomain, np.swapaxes(L, -1, -2).reshape(-1, L.shape[-2]))
-        col_norms = col_norms.reshape(-1, L.shape[-1])[cand if L.ndim == 3 else [0]]
-        size_linear = so * sa * np.sum(np.abs(X) * col_norms, 1)
-        parts = []  # R, and over R^m: the change's lower and upper bounds, the size at m and m − 1
-
-        def add(P, low, high, fixed):
-            """A part of norm in [low, high]·R^m, R = |P|: P^m times one fixed
-            vector, or (not fixed) a new vector at each step."""
-            R = abs(P)
-            step = abs(1.0 - 1.0 / P)  # κ·u·size also covers its rounding
-            change_low = step * low
-            change_high = step * high if fixed else (1.0 + 1.0 / R) * high
-            size = (1.0 + 1.0 / R) * high
-            parts.append((R, change_low, change_high, size))
-
-        add(amp * arg, 0.0, size_linear, True)
+        # One row per part.  A part's norm at step m is c·w·R^m, R = |P|, with w
+        # per point: the linear bound Σ_i |x_i|·‖L[:, i]‖ ≥ ‖|L|·|x|‖ ≥ ‖L·x‖
+        # (column norms per candidate) in the first row, nx^e in the others.
+        # fixed: P^m times one vector, else a new vector at each step; low: the
+        # norm is also at least that (the linear one may be 0, and a decay
+        # term's only falls from so·amplitude).
+        parts = [(amp * arg, 1.0, None, False, True)]
         if f.quadratic is not None:
-            size_quadratic = so * norm_many(f.codomain, q[None])[0] * nx**2
-            add(amp * arg * arg, size_quadratic, size_quadratic, True)
-        for p in perts:  # a new vector at each step; a decay term's norm only falls from so·amplitude
-            size_term = so * p.norm_at(0.0 if p.kind == DECAY else nx)
-            low = 0.0 if p.kind == DECAY else size_term
-            add(abs(amp) * abs(arg) ** (p.p if p.kind == POWER else 0.0), low, size_term, False)
+            parts.append((amp * arg * arg, so * norm_many(f.codomain, q[None])[0], 2.0, True, True))
+        for p in perts:
+            e = p.p if p.kind == POWER else 0.0
+            c = so * (p.delta if p.kind == POWER else p.amplitude)
+            parts.append((abs(amp) * abs(arg) ** e, c, e, p.kind != DECAY, False))
+        # per row: log2 R, and over w·R^m the change's lower and upper bounds
+        # and the size at m and m − 1
+        rows = []
+        for P, c, _, low, fixed in parts:
+            R, step = abs(P), abs(1.0 - 1.0 / P)  # κ·u·size also covers the change's rounding
+            size = (1.0 + 1.0 / R) * c
+            rows.append((np.log2(R), step * c * low, step * c if fixed else size, size))
         # the stop level, and a floor above which the computed gap norm does not underflow
-        parts.append((1.0, 0.0, max(_stop_level(tol), 0.0) + 2.0 ** -min(560, 900 / cod_exp), 0.0))
-        R, lows, highs, sizes = zip(*parts)
-        log_R = np.log2(R)
-        low, high, size = (np.array(np.broadcast_arrays(nx, *c)[1:]) for c in (lows, highs, sizes))
-        net_change = low - ku * size
-        log_others = np.log2(high + ku * size)
-        lo_end = np.maximum(first, -2.0**20)
-        hi_end = np.minimum(last, 2.0**20)
+        rows.append((0.0, 0.0, max(_stop_level(tol), 0.0) + 2.0 ** -min(560, 900 / cod_exp), 0.0))
+        log_R, change_low, change_high, size = np.array(rows).T
+        col_norms = norm_many(f.codomain, np.swapaxes(L, -1, -2).reshape(-1, L.shape[-2]))
+        linear = np.abs(X) @ col_norms.reshape(-1, L.shape[-1]).T  # (points, candidates)
+        W = np.empty((len(rows), X.shape[0]))
+        W[0] = so * sa * (linear[np.arange(X.shape[0]), cand] if L.ndim == 3 else linear[:, 0])
+        np.power(nx, np.array([e for _, _, e, _, _ in parts[1:]] + [0.0])[:, None], out=W[1:])
+        log_W = np.log2(W)
+        net = change_low - ku * size
         # the lead j: of the parts whose change can lead, the slowest to shrink
-        j = max(np.flatnonzero(np.any(net_change > 0.0, axis=1)), key=lambda k: log_R[k], default=0)
+        j = max(np.flatnonzero(net > 0.0), key=lambda k: log_R[k], default=0)
         # B_k R_k^m = 2^(b_k + m·slope_k) A_j R_j^m
-        b = log_others - np.log2(net_change[j])
+        b = (np.log2(change_high + ku * size) - np.log2(net[j]))[:, None] + (log_W - log_W[j])
         b[j] = -np.inf
-        slope = (log_R - log_R[j])[:, None]
+        slope = log_R - log_R[j]
         # a start: each term below 1/(others), where it shrinks that way
-        m = (-np.log2(len(parts) - 1) - b) / slope
-        lo = np.maximum(lo_end, np.max(np.floor(m[slope[:, 0] < 0]) + 1.0, axis=0, initial=-np.inf))
-        hi = np.minimum(hi_end, np.min(np.ceil(m[slope[:, 0] > 0]) - 1.0, axis=0, initial=np.inf))
+        m = (-np.log2(len(rows) - 1) - b) / slope[:, None]
+        ends = np.stack([np.maximum(first, -2.0**20), np.minimum(last, 2.0**20)])
+        lo = np.maximum(ends[0], np.max(np.floor(m[slope < 0]) + 1.0, axis=0, initial=-np.inf))
+        hi = np.minimum(ends[1], np.min(np.ceil(m[slope > 0]) - 1.0, axis=0, initial=np.inf))
+        # move lo down and hi up (way ∓1) while the terms growing that way, at
+        # most 2^rate a step, fit; the other terms only shrink that way
+        way = np.array([[-1.0], [1.0]])
+        e = np.stack([lo, hi])
+        v = np.exp2(b + e[:, None] * slope[:, None])
+        up = way * slope > 0.0
+        grows = np.sum(v, axis=1, where=up[:, :, None])
+        rest = np.sum(v, axis=1) - grows
+        rate = np.max(way * slope, axis=1, keepdims=True)
         margin = 1.0 - 2.0**-20
-
-        def grow(e, way, end):  # e moved out (way ±1) while terms growing ≤ 2^rate a step fit
-            v = np.exp2(b + e * slope)
-            up = (way * slope[:, 0] > 0).astype(float)
-            grows = up @ v
-            rate = np.max(way * slope)
-            rest = np.sum(v, axis=0) - grows  # the other terms only shrink that way
-            d = np.fmax(np.floor(np.log2((margin - rest) / grows) / rate), 0.0)
-            d = np.minimum(d, way * (end - e))
-            return e + way * d, grows * np.exp2(rate * d) + rest < margin
-
-        lo, lo_ok = grow(lo, -1.0, lo_end)
-        hi, hi_ok = grow(hi, 1.0, hi_end)
-        found = (lo <= hi) & lo_ok & hi_ok
+        d = np.fmax(np.floor(np.log2((margin - rest) / grows) / rate), 0.0)
+        d = np.minimum(d, way * (ends - e))
+        lo, hi = e = e + way * d
+        found = np.all(grows * np.exp2(rate * d) + rest < margin, axis=0) & (lo <= hi)
         # no magnitude near overflow, and 2^-w < ‖y‖ = |arg|^m·nx < 2^w, far from it
-        log_top = np.log2(size) + np.maximum(lo * log_R[:, None], hi * log_R[:, None])
+        log_size = np.log2(size)[:, None] + log_W
+        log_top = log_size + np.maximum(lo * log_R[:, None], hi * log_R[:, None])
         found &= np.all(log_top < 990.0, axis=0)
-        log_y = np.log2(nx) + np.stack([lo, hi]) * np.log2(abs(arg))
+        log_y = np.log2(nx) + e * np.log2(abs(arg))
         found &= np.all(np.abs(log_y) < min(400.0, 800.0 / dom_exp) - 8.0, axis=0)
-    return np.where(found, lo - 1, none[0]).astype(np.int64), np.where(found, hi, first).astype(np.int64)
+    return np.where(found, lo - 1, 2**62).astype(np.int64), np.where(found, hi, first).astype(np.int64)
+
+
+def _guard_stops(row_scale, arg, amp, first, stop):
+    """stop, moved down to the first exponent in first..stop−1 where
+    row_scale·|arg|^n or |amp|^n exceeds _OVERFLOW_LIMIT.
+
+    base^n stays inf, 0 or 1 after ~1100/|log2 base| steps, so a table over
+    exponents clipped to ±S holds every guard power whatever n_max is; base^n
+    is monotone in n, so past a point's first step its guard turns on at most
+    once, and a vectorized bisection finds where."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf fails the guard
+        sat = 1100.0 / np.abs(np.log2(np.abs([arg, amp])))
+        S = int(np.max(sat, where=np.isfinite(sat), initial=0.0)) + 2
+        lo, hi = np.clip([np.min(first, initial=S), np.max(stop, initial=-S)], -S, S)
+        arg_pow, amp_pow = np.abs([[arg], [amp]]) ** np.arange(lo, hi + 1, dtype=np.float64)
+
+        def guard(e):
+            j = np.clip(e, lo, hi) - lo
+            return (row_scale * arg_pow[j] > _OVERFLOW_LIMIT) | (amp_pow[j] > _OVERFLOW_LIMIT)
+
+        stop = np.where(guard(first), first, stop)
+        first = np.where(guard(stop - 1), first, stop)  # off at both ends: off throughout
+        while np.any(first < stop):
+            mid = (first + stop) // 2
+            on = guard(mid)
+            first, stop = np.minimum(np.where(on, first, mid + 1), stop), np.where(on, mid, stop)
+    return stop
 
 
 def power_limit_many(
@@ -275,8 +305,10 @@ def power_limit_many(
     iterates to c, takes a_s directly (a_n is a function of n) and goes on.
     Each pass runs K = _BLOCK_ROWS // (points iterating) steps, at least 1 and
     at most the fewest any has left, for that compact working set in one
-    ``f.eval_many`` call on the step-major stack; a point keeps its first stop,
-    and stopped or paused points leave the set, whose exponent groups and step
+    ``f.eval_many`` call on the step-major stack; a run's start row (a_start,
+    or a_s) leads its first block's call, one step fewer if _BLOCK_ROWS caps
+    it, when the set has at most _BLOCK_ROWS / 2 points.  A point keeps its first stop, and
+    stopped or paused points leave the set, whose exponent groups and step
     counts are rebuilt only then.  For a model whose rows do not depend on the
     rest of their batch (every model in ``models``) the results are bit for
     bit those of one step at a time.
@@ -299,28 +331,18 @@ def power_limit_many(
         return np.multiply(g, Y, out=np.empty(Y.shape))  # loops of points
 
     # The last exponent is n_max, or one before the first exponent past n_start
-    # where row_scale·|arg|^n or |gain|^n exceeds _OVERFLOW_LIMIT.  base^n stays
-    # inf, 0 or 1 after ~1100/|log2 base| steps, so a table over exponents clipped
-    # to ±S holds every guard power whatever n_max is.  base^n is monotone in n,
-    # so past a point's first step a guard turns on at most once: bisect for it.
+    # where row_scale·|arg|^n or |gain|^n exceeds _OVERFLOW_LIMIT.  base^n is
+    # monotone in n, so over n_start..n_max it peaks at an end: when every row
+    # stays _GUARD_MARGIN below the limit there, the guard is off throughout.
     row_scale = _max_abs(X.T)
     first, stop = n_vec + 1, np.maximum(n_vec, n_max) + 1
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf fails the guard
-        sat = 1100.0 / np.abs(np.log2(np.abs([arg, amp])))
-        S = int(np.max(sat, where=np.isfinite(sat), initial=0.0)) + 2
-        lo, hi = np.clip([np.min(first, initial=S), np.max(stop, initial=-S)], -S, S)
-        arg_pow, amp_pow = np.abs([[arg], [amp]]) ** np.arange(lo, hi + 1, dtype=np.float64)
-
-        def guard(e):
-            j = np.clip(e, lo, hi) - lo
-            return (row_scale * arg_pow[j] > _OVERFLOW_LIMIT) | (amp_pow[j] > _OVERFLOW_LIMIT)
-
-        stop = np.where(guard(first), first, stop)
-        first = np.where(guard(stop - 1), first, stop)  # off at both ends: off throughout
-        while np.any(first < stop):
-            mid = (first + stop) // 2
-            on = guard(mid)
-            first, stop = np.minimum(np.where(on, first, mid + 1), stop), np.where(on, mid, stop)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf or nan declines
+        ends = np.float64([n_vec.min(), stop.max()] if n_pts else [0, 0])
+        peak = np.max(np.abs([[arg], [amp]]) ** ends, axis=1)
+        quiet = (np.max(row_scale, initial=0.0) * peak[0] <= _OVERFLOW_LIMIT / _GUARD_MARGIN
+                 and peak[1] <= _OVERFLOW_LIMIT / _GUARD_MARGIN)
+    if not quiet:
+        stop = _guard_stops(row_scale, arg, amp, first, stop)
 
     # Steps c+1..s cannot stop, and s < the last exponent: a point iterates until
     # a pass takes it to c or past it (short of s), then resumes from a_s.
@@ -329,26 +351,32 @@ def power_limit_many(
     iterations, last_gap = n_vec.copy(), np.full(n_pts, np.inf)
     converged, jumps = np.zeros(n_pts, dtype=bool), c == n_vec
 
-    def jump(i, e):  # values[:, i] = a_e, one exponent per point
-        if i.size:
-            e = e.astype(np.float64)[None]
-            values[:, i] = evaluate(X[i], cands[i], arg**e, amp**e)[:, 0]
+    def start_values(Xw, cw, n):  # a_n at each point's own exponent, (codim, points)
+        e = n.astype(np.float64)[None]
+        return evaluate(Xw, cw, arg**e, amp**e)[:, 0]
 
-    def iterate(start, end, pause):  # points with end > start, from a_start in values
+    def iterate(start, end, pause, fresh):  # points with end > start, from a_start
         ix = np.argsort(start, kind="stable")  # by n: points at one exponent share a row
         ix = ix[end[ix] > start[ix]]
-        n, end, pz, Xw, cw, a, off = start[ix], end[ix], pause[ix], X[ix], cands[ix], values[:, ix], 0
+        n, end, pz, Xw, cw, off = start[ix], end[ix], pause[ix], X[ix], cands[ix], 0
+        a = None if fresh else values[:, ix]  # fresh: a_start is not evaluated yet
         while ix.size:
             if off == 0:  # the working set is new: group it by exponent, count steps left
                 head = np.concatenate(([True], n[1:] != n[:-1]))
                 base, run = n[head], np.cumsum(head) - 1
                 fewest, soonest = int(np.min(end - n)), int(np.min(pz - n))
-            K = max(1, min(_BLOCK_ROWS // ix.size, fewest - off))
-            e = (base + off) + np.arange(1.0, K + 1)[:, None]
-            scale, g = arg**e, amp**e  # (K, 1) when the whole set shares one exponent
+            # a_start leads the first block when it and a step fit in _BLOCK_ROWS
+            lead = a is None and 2 * ix.size <= _BLOCK_ROWS
+            if a is None and not lead:
+                a = start_values(Xw, cw, n)
+            K = max(1, min(_BLOCK_ROWS // ix.size - lead, fewest - off))
+            e = (base + off) + np.arange(1.0 - lead, K + 1)[:, None]
+            scale, g = arg**e, amp**e  # (rows, 1) when the whole set shares one exponent
             if base.size > 1:
                 scale, g = np.take(scale, run, 1), np.take(g, run, 1)
-            new = evaluate(Xw, cw if K == 1 else np.tile(cw, K), scale, g)
+            new = evaluate(Xw, cw if e.shape[0] == 1 else np.tile(cw, e.shape[0]), scale, g)
+            if lead:
+                a, new = new[:, 0], new[:, 1:]
             step = np.empty(new.shape)
             with np.errstate(over="ignore", invalid="ignore"):  # the finite test sorts out ∞
                 np.subtract(new[:, :1], a[:, None], out=step[:, :1])
@@ -375,11 +403,17 @@ def power_limit_many(
             ix, n, end, pz, cw = ix[keep], n[keep] + K, end[keep], pz[keep], cw[keep]
             Xw, a = np.take(Xw, keep, axis=0), np.take(new[:, -1], keep, axis=1)
 
-    jump(np.flatnonzero(~jumps), n_vec[~jumps])
-    iterate(n_vec, np.where(jumps, n_vec, stop - 1), c)
+    # a_start comes with the first block when that has room for it; else with
+    # the points that take no step, in one call before any block
+    end = np.where(jumps, n_vec, stop - 1)
+    moves = end > n_vec
+    fresh = 2 * np.count_nonzero(moves) <= _BLOCK_ROWS
+    at = np.flatnonzero(~jumps & ~moves if fresh else ~jumps)
+    if at.size:
+        values[:, at] = start_values(X[at], cands[at], n_vec[at])
+    iterate(n_vec, end, c, fresh)
     if jumps.any():
-        jump(np.flatnonzero(jumps), s[jumps])
-        iterate(s, np.where(jumps, stop - 1, s), np.full(n_pts, never))
+        iterate(s, np.where(jumps, stop - 1, s), np.full(n_pts, never), True)
     return _rows(values), iterations, last_gap, converged
 
 

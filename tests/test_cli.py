@@ -311,6 +311,12 @@ CONFIG_PROBES = [
                                                    "q": 0.0}}, "control.table"),
     (("domain", "d"), 1.5, "domain.d"),
     (("domain", "relation"), {"kind": "trivial"}, "domain.relation"),
+    # a perturbation key that its term's kind does not read
+    (("perturbation", 0, "delta"), 0.7, "perturbation[0].delta"),
+    (("perturbation", 0, "p"), 0.5, "perturbation[0].p"),
+    (("perturbation", 0), {"kind": "decay", "amplitude": 0.07, "delta": 0.7},
+     "perturbation[0].delta"),
+    (("perturbation", 1, "amplitude"), 0.05, "perturbation[1].amplitude"),
     # an optional section on an id that does not read it
     (("ball",), {"radius": 1.0}, "ball"),
     (("shells",), {"edges": [0.5, 1.0], "samples_per_shell": 4}, "shells"),

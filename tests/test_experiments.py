@@ -230,10 +230,13 @@ def _configs(draw):
         domain = DomainRestriction(kind="orthogonal", relation=relation)
     lo = draw(st.integers(1, 2) | st.floats(0.01, 2.0))
     lo = lo if domain.kind == "punctured" else draw(st.just(0) | st.just(lo))
+    # amplitude is read by bounded and decay terms, delta and p by power terms only
     perturbation = st.builds(
-        PerturbationSpec,
-        st.sampled_from(["none", "bounded", "power", "decay"]),
-        MAGNITUDE, MAGNITUDE, EXPONENT, SEED,
+        PerturbationSpec, st.just("none"), MAGNITUDE, MAGNITUDE, EXPONENT, SEED,
+    ) | st.builds(
+        PerturbationSpec, st.sampled_from(["bounded", "decay"]), MAGNITUDE, seed=SEED,
+    ) | st.builds(
+        PerturbationSpec, st.just("power"), delta=MAGNITUDE, p=EXPONENT, seed=SEED,
     )
     cor3_2 = tid == "cor3_2"  # the only id that reads shells and expected_decay
     return ExperimentConfig(
@@ -451,13 +454,37 @@ class TestConfigParsing:
     (lambda: PerturbationSpec(kind="power", delta=math.inf, p=0.5), "delta"),
     (lambda: LimitSettings(tol=math.inf), "tol"),
     (lambda: LimitSettings(tol=math.nan), "tol"),
+    (lambda: SamplerSettings(count=20, seed=1, radius_range=(0.05, math.inf)), "radius_range"),
+    (lambda: BallSettings(radius=math.inf), "radius"),
+    (lambda: ShellSettings(edges=(0.5, math.inf), samples_per_shell=4), "edges"),
+    (lambda: ShellSettings(edges=(0.5, 1.0, math.nan), samples_per_shell=4), "edges"),
 ], ids=["space-p-inf", "space-p-nan", "control-epsilon-nan", "control-delta-inf",
-        "perturbation-amplitude-nan", "perturbation-delta-inf", "tol-inf", "tol-nan"])
+        "perturbation-amplitude-nan", "perturbation-delta-inf", "tol-inf", "tol-nan",
+        "sampler-radius-inf", "ball-radius-inf", "shell-edge-inf", "shell-edge-nan"])
 def test_library_specs_refuse_non_finite_values(make, key):
     """A spec built in code refuses the non-finite values that the parser's
-    type layer refuses, with a message that opens with the key."""
+    type layer refuses, with a message that opens with the key; the sampler,
+    ball and shell bounds raise ConfigError, not numpy's OverflowError in
+    run_experiment."""
     with pytest.raises(ValueError, match=f"^{key} must be"):
         make()
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("bounded", "delta", 0.7), ("bounded", "p", 0.5), ("decay", "delta", 0.1),
+    ("decay", "p", 0.5), ("power", "amplitude", 0.05),
+])
+def test_perturbation_refuses_keys_its_kind_does_not_read(kind, key, value):
+    """A non-default value in a key the term's kind never reads is refused
+    with a message that opens with the key; the defaults still construct and
+    are still written back, so a valid config's echo does not change."""
+    base = {"amplitude": 0.05} if kind != "power" else {"delta": 0.1, "p": 0.5}
+    with pytest.raises(ValueError, match=f"^{key} is read by"):
+        PerturbationSpec(kind=kind, **dict(base, **{key: value}))
+    model = ModelSettings(perturbations=(PerturbationSpec(kind=kind, **base),))
+    echoed = config_to_dict(_cfg("cor2_2", model=model))["perturbation"][0]
+    assert {k: echoed[k] for k in ("amplitude", "delta", "p")} == dict(
+        {"amplitude": 0.0, "delta": 0.0, "p": 0.0}, **base)
 
 
 class TestCalibration:

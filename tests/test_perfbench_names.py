@@ -63,3 +63,67 @@ def test_benchmark_configs_load(tmp_path, workload):
     assert paths
     for path in paths:
         assert jensenlab.load_config(str(path))
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", WORKER.parent / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", _WL.WORKLOADS)
+def test_benchmark_predicted_calls_are_reached(tmp_path, workload):
+    """One seed-1 pass of each workload under the benchmark's tracer reaches
+    every function its MUST_RUN list predicts, so a change that stops
+    calling one fails here rather than in a traced run's ``correct`` check."""
+    _WL.write_inputs(workload, 1, str(tmp_path))
+    ops = _W.prepare(jensenlab, workload, str(tmp_path))
+    tracer = _tracer().Tracer(jensenlab)
+    tracer.install()
+    try:
+        _, results = _W.run_pass(ops, tracer)
+    finally:
+        tracer.uninstall()
+    assert all(digest is not None for _, _, digest in results)
+    calls = _tracer().aggregate(tracer)["calls"]
+    assert [name for name in _W.MUST_RUN[workload] if not calls.get(name)] == []
+
+
+def test_certificate_skips_as_many_verify_rows(tmp_path):
+    """On the seed-1 verify inputs the limit loop evaluates at most 115,087
+    FunctionModel rows in its limits of a FunctionModel or a ScaledModel of
+    one: 113,787 in the four 4000-point limits, whose certified runs are
+    skipped, and 1,300 in the 50-point Pexider limit of the linear_scale 1e8
+    probe, which fits one block.  A leaner certificate may skip other steps,
+    but not fewer of them."""
+    from unittest import mock
+
+    from jensenlab import models, series
+
+    _WL.write_inputs("verify", 1, str(tmp_path))
+    plain, rows = [], [0]
+    limit, evaluate = series.power_limit_many, models.FunctionModel.eval_many
+
+    def counted_limit(f, *args, **kwargs):
+        base = f
+        while type(base) is models.ScaledModel:
+            base = base.base
+        plain.append(type(base) is models.FunctionModel)
+        try:
+            return limit(f, *args, **kwargs)
+        finally:
+            plain.pop()
+
+    def counted_eval(self, X, cand=None):
+        if plain and plain[-1]:
+            rows[0] += len(X)
+        return evaluate(self, X, cand)
+
+    with mock.patch.object(series, "power_limit_many", counted_limit), \
+            mock.patch.object(models.FunctionModel, "eval_many", counted_eval):
+        for path in sorted(p for p in tmp_path.glob("*.json") if p.name != "plan.json"):
+            for cfg in jensenlab.load_config(str(path)):
+                jensenlab.run_experiment(cfg)
+    assert 0 < rows[0] <= 115_087

@@ -769,3 +769,108 @@ def test_guard_on_at_the_first_step_stops_there(kind, start):
     assert got[1][0] == start
     for g, w in zip(got, zip(*ref)):
         assert np.array_equal(g, np.array(w))
+
+
+@pytest.mark.parametrize("kind, start, scales, table", [
+    ((2.0, 0.5), 0, (-2.0, 3.0), False),  # ordinary rows
+    ((2.0, 0.5), 0, (100.0, 118.0), True),  # rows at 1e100..1e118 trip the guard
+    ((0.5, 4.0), 0, (100.0, 110.0), False),  # a contracting arg only shrinks them
+    ((0.5, 4.0), 0, (117.5, 118.0), True),  # ... from rows within 1e3 of the limit
+    ((0.5, 2.0), -40, (100.0, 108.0), True),  # a negative start grows them 2^40
+    ((2.0, 0.5), -395, (-2.0, 3.0), True),  # ... and the gain to 2^395
+    ((3.0, 1.0 / 3.0), 0, (-2.0, 3.0), False),
+])
+def test_guard_table_only_near_the_limit(kind, start, scales, table):
+    """The overflow guard's power table and bisection (_guard_stops) run only
+    when some row could come within _GUARD_MARGIN of the limit over
+    n_start..n_max; with or without them every point equals the one-exponent
+    loop."""
+    f = LIMIT_MODELS["noisy"]
+    arg, gain = kind
+    rng = np.random.default_rng(47)
+    X = rng.standard_normal((12, 3))
+    X *= 10.0 ** rng.uniform(*scales, size=(12, 1)) / np.max(np.abs(X), axis=1, keepdims=True)
+    with mock.patch.object(series, "_guard_stops", wraps=series._guard_stops) as spy:
+        got = power_limit_many(f, X, arg, gain, 60, 1e-9, n_start=np.full(12, start))
+    assert spy.called == table
+    ref = [_limit_one_at_a_time(f, x, arg, gain, 60, 1e-9, start) for x in X]
+    for g, w in zip(got, (np.array(c) for c in zip(*ref)), strict=True):
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("n_pts", [1, 7, 240, 2000])
+def test_start_and_resume_rows_come_with_their_first_steps(n_pts):
+    """A run's start row a_start, and a_s after a certified jump, is evaluated
+    in the model call that holds the run's first steps, while start and one
+    step per point fit _BLOCK_ROWS (up to 2048 points); each call holds a
+    contiguous range of exponents per point and at most _BLOCK_ROWS rows, and
+    the results equal the one-exponent loop."""
+    f = LIMIT_MODELS["noisy"]
+    rng = np.random.default_rng(48 + n_pts)
+    X = rng.standard_normal((n_pts, 3)) * rng.uniform(0.05, 6.0, size=(n_pts, 1))
+    n0 = rng.integers(-3, 4, size=n_pts)
+    calls, evaluate = [], FunctionModel.eval_many
+
+    def spy(self, Xs, cand=None):
+        calls.append((np.asarray(cand).copy(), Xs.copy()))
+        return evaluate(self, Xs, cand)
+
+    with mock.patch.object(FunctionModel, "eval_many", spy):
+        got = power_limit_many(f, X, 2.0, 0.5, 60, 1e-9, n_start=n0, cand=np.arange(n_pts))
+    last, resumed = np.full(n_pts, -(2**62)), 0  # the last exponent evaluated, per point
+    for who, Xs in calls:
+        assert who.size <= series._BLOCK_ROWS
+        n = np.round(np.log2(np.max(np.abs(Xs), axis=1) / np.max(np.abs(X[who]), axis=1)))
+        order = np.lexsort((n, who))
+        who, n = who[order], n[order].astype(np.int64)
+        head = np.flatnonzero(np.concatenate(([True], who[1:] != who[:-1])))
+        tail = np.append(head[1:], who.size) - 1
+        assert np.all(np.diff(n)[np.setdiff1d(np.arange(who.size - 1), tail)] == 1)
+        fresh = n[head] != last[who[head]] + 1  # a start or a resume
+        assert np.all(tail[fresh] > head[fresh])  # ... with a step of its own
+        resumed += np.count_nonzero(fresh & (last[who[head]] > -(2**62)))
+        last[who[tail]] = n[tail]
+    assert np.all(last >= got[1])  # a block may run past a point's stop
+    assert (resumed > 0) == (n_pts >= 240)  # certified jumps need more than one block
+    sample = np.arange(n_pts) if n_pts <= 64 else rng.choice(n_pts, 64, replace=False)
+    want = [np.array(c) for c in zip(*(_limit_one_at_a_time(f, X[i], 2.0, 0.5, 60, 1e-9, n0[i])
+                                        for i in sample))]
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g[sample], w, equal_nan=True)
+
+
+_CERTIFIABLE = ["linear", "noisy", "bounded", "bounded-y1", "decay", "decay-only", "pexider",
+                "pexider-quadratic", "pexider-quadratic-exact", "quadratic", "quadratic-y3",
+                "quadratic-yp3", "noisy-ysup"]
+
+
+@pytest.mark.parametrize("kind", [(2.0, 0.5), (2.0, 0.25), (3.0, 1.0 / 3.0), (0.5, 2.0),
+                                  (0.5, 4.0)])
+@pytest.mark.parametrize("model", _CERTIFIABLE)
+def test_certified_steps_have_gaps_above_tol(model, kind):
+    """Every step m in c+1..s that _certified_steps certifies has a computed
+    gap ‖a_m − a_{m−1}‖, formed as the loop forms it, above tol, for tols 0
+    to 1e-4, starts −5..5 and points whose norms span 1e-6..1e6; and the
+    certified runs lie inside first..last."""
+    f = LIMIT_MODELS[model]
+    arg, gain = np.float64(kind[0]), np.float64(kind[1])
+    rng = np.random.default_rng(49)
+    X = rng.standard_normal((300, 3)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(300, 1))
+    first, last = rng.integers(-4, 7, size=300), np.full(300, 59)
+    certified = 0
+    for tol in [0.0, 1e-12, 1e-9, 1e-4]:
+        c, s = series._certified_steps(f, X, arg, gain, tol, first, last, np.zeros(300, np.int64))
+        i = np.flatnonzero(c < 2**62)
+        assert np.all((first[i] <= c[i] + 1) & (c[i] < s[i]) & (s[i] <= last[i]))
+        runs = s[i] - c[i] + 1  # each point's exponents c..s
+        who, begin = np.repeat(i, runs), np.repeat(np.cumsum(runs) - runs, runs)
+        m = np.arange(who.size) - begin + c[who]
+        e = m.astype(np.float64)[:, None]
+        a = gain**e * f.eval_many(arg**e * X[who])
+        step = np.flatnonzero(m[1:] != c[who[1:]])  # row k + 1 is a certified step
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = norm_many(f.codomain, a[step + 1] - a[step])
+        assert np.all(gaps > tol)
+        certified += step.size
+    if model in ("noisy", "bounded", "quadratic") and kind in ((2.0, 0.5), (3.0, 1.0 / 3.0)):
+        assert certified > 0  # runs that the loop would skip are checked
