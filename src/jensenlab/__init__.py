@@ -42,7 +42,6 @@ from .experiments import (
     load_config,
     measure_epsilon,
     parse_config,
-    parse_experiment,
     run_experiment,
 )
 from .models import (
@@ -65,11 +64,8 @@ from .orthogonal import (
 )
 from .series import (
     cor22_bound_norms,
-    dyadic_limit_many,
-    pexider_triadic_limit_many,
     phi_tilde_dyadic_norms,
     phi_tilde_triadic_norms,
-    quadratic_limit_many,
 )
 from .spaces import (
     BIRKHOFF_JAMES,

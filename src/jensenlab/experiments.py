@@ -72,6 +72,7 @@ from .models import (
     OddPart,
     POWER,
     PerturbationSpec,
+    ScaledModel,
     derive_seed,
     jensen_defect_many,
     odd_even_split,
@@ -92,14 +93,10 @@ from .sampling import (
     shell_pairs,
 )
 from .series import (
-    DYADIC_N_MAX,
-    TRIADIC_N_MAX,
-    dyadic_limit_many,
     cor22_bound_norms,
-    pexider_triadic_limit_many,
     phi_tilde_dyadic_norms,
     phi_tilde_triadic_norms,
-    quadratic_limit_many,
+    power_limit_many,
 )
 from .spaces import (
     EUCLIDEAN,
@@ -240,8 +237,9 @@ class ExperimentConfig:
                 SikorskaConfig(params=self.params, ball_radius=self.ball.radius)
             except ModelError as e:
                 raise ConfigError(f"{tid}: {e}") from e
-            if tid == "thm6_2" and not self.ball.exclude_origin:  # its ball is punctured
-                raise ConfigError("thm6_2 needs ball.exclude_origin: true")
+            punctured = tid == "thm6_2"  # thm6_1 extends from the whole ball
+            if self.ball.exclude_origin != punctured:
+                raise ConfigError(f"{tid} needs ball.exclude_origin: {str(punctured).lower()}")
         if self.control.kind not in thm.controls:
             raise ConfigError(f"{tid} takes {' or '.join(thm.controls)} controls, "
                               f"not {self.control.kind}")
@@ -676,22 +674,31 @@ class _Batch:
     def dev(self, model):
         return self.norm(self.at(model) - self.A)
 
-    def n_max(self, base: float, arg_scale: float = 1.0, floor: int = DYADIC_N_MAX):
+    def limit(self, subject, base: float, gain: float, arg_scale: float = 1.0):
+        """lim gainⁿ·subject(baseⁿ·x) at X0: (values, iterations, converged),
+        capped per row by n_max(base, arg_scale)."""
+        vals, iters, _, conv = power_limit_many(
+            subject, self.X0, base, gain, self.n_max(base, arg_scale), self.tol, cand=self.cand
+        )
+        return vals, iters, conv
+
+    def n_max(self, base: float, arg_scale: float = 1.0):
         """Each row's iteration cap: enough for the slowest perturbation's gap to clear tol.
 
-        A perturbation bounded by a contributes ~a·base^{-n} to the gap; one
-        bounded by δ‖x‖^p contributes ~δ‖x‖^p·base^{(p-1)n}, with ‖x‖ up to the
-        upper sampling radius R.  Honest divergence (wrong-order exact parts)
-        is unaffected: extra iterations cannot make a non-Cauchy sequence
-        settle.  R is the only key read here in which a batch's configs may
-        differ, so one evaluation over the K radii gives each config the cap
-        it gets run alone; R^p is Python's pow, as numpy's may round otherwise.
+        The floor is the steps for base⁻ⁿ to fall to 2⁻⁴⁰ (40 at base 2, 25 at
+        base 3).  A perturbation bounded by a contributes ~a·base^{-n} to the gap;
+        one bounded by δ‖x‖^p contributes ~δ‖x‖^p·base^{(p-1)n}, with ‖x‖ up to
+        the upper sampling radius R.  Honest divergence (wrong-order exact parts)
+        is unaffected: extra iterations cannot make a non-Cauchy sequence settle.
+        R is the only key read here in which a batch's configs may differ, so one
+        evaluation over the K radii gives each config the cap it gets run alone;
+        R^p is Python's pow, as numpy's may round otherwise.
         """
         cfg = self.cfgs[0]
         if cfg.limits.n_max is not None:
             return np.full(len(self.cand), cfg.limits.n_max)
         R = [max(c.sampler.radius_range[1] * arg_scale, 1.0) for c in self.cfgs]
-        need = np.full(len(R), floor)
+        need = np.full(len(R), int(40 / math.log2(base)))
         for p in cfg.model.perturbations:
             if p.kind == POWER and p.delta > 0.0:
                 rate = (1.0 - p.p) * np.log(base)
@@ -733,29 +740,16 @@ class _Run:
         return np.full_like(self.nx, value)
 
 
-def _dyadic_limit(b: _Batch, subject):
-    vals, iters, _, conv = dyadic_limit_many(
-        subject, b.X0, n_max=b.n_max(2.0), tol=b.tol, cand=b.cand
-    )
-    return vals, iters, conv
+def _pexider_limit(b: _Batch, subject):
+    """Additive approximant A(x) = (1/s)·lim 3⁻ⁿ·r·subject(3ⁿ(s/r)x): the triadic
+    limit on the Pexider reduction."""
+    return b.limit(ScaledModel(subject, b.s / b.r, b.r / b.s), 3.0, 1.0 / 3.0, b.s / b.r)
 
 
-def _triadic_limit(b: _Batch, subject):
-    n_max = b.n_max(3.0, arg_scale=b.s / b.r, floor=TRIADIC_N_MAX)
-    vals, iters, _, conv = pexider_triadic_limit_many(
-        subject, b.params, b.X0, n_max=n_max, tol=b.tol, cand=b.cand
-    )
-    return vals, iters, conv
-
-
-def _additive_quadratic_limit(b: _Batch):
-    """T + Q: the dyadic limit of f's odd part plus the quadratic limit of its even part."""
-    odd, even = b.parts
-    T, it_T, conv_T = _dyadic_limit(b, odd)
-    Q, it_Q, _, conv_Q = quadratic_limit_many(
-        even, b.X0, n_max=b.n_max(2.0), tol=b.tol, cand=b.cand
-    )
-    return T + Q, np.concatenate([it_T, it_Q]), np.concatenate([conv_T, conv_Q])
+def _sum_limits(*limits):
+    """The sum of limits at X0, with their iteration counts and flags limit after limit."""
+    vals, iters, conv = zip(*limits)
+    return sum(vals[1:], vals[0]), np.concatenate(iters), np.concatenate(conv)
 
 
 def _exterior_chain(b: _Batch, runs: list) -> list:
@@ -911,7 +905,7 @@ class _Theorem:
 
 _THEOREMS = {
     "thm2_1": _Theorem(
-        FULL, (CONSTANT, MIXED, TABLE), pexider=True, limit=lambda b: _dyadic_limit(b, b.f),
+        FULL, (CONSTANT, MIXED, TABLE), pexider=True, limit=lambda b: b.limit(b.f, 2.0, 0.5),
         roles=(
             ("f", lambda b: b.dev(b.f), lambda k: k.dyadic(k.nx)),
             ("g", lambda b: b.dev(b.g), lambda k: (1.0 / k.s) * k.phi(k.nx, np.zeros_like(k.nx))
@@ -921,18 +915,18 @@ _THEOREMS = {
         ),
     ),
     "cor2_2": _Theorem(
-        FULL, (CONSTANT, MIXED), limit=lambda b: _dyadic_limit(b, b.f),
+        FULL, (CONSTANT, MIXED), limit=lambda b: b.limit(b.f, 2.0, 0.5),
         roles=(("f", lambda b: b.dev(b.f),
                 lambda k: cor22_bound_norms(k.params, k.control, k.nx)),),
     ),
     "thm3_1": _Theorem(
-        EXTERIOR, (CONSTANT,), limit=lambda b: _dyadic_limit(b, b.f),
+        EXTERIOR, (CONSTANT,), limit=lambda b: b.limit(b.f, 2.0, 0.5),
         roles=(("f", lambda b: b.dev(b.f), lambda k: k.flat(15.0 * k.eps / k.r)),),
         extras=_exterior_chain,
     ),
     "prop4_1": _Theorem(
         PUNCTURED, (CONSTANT, MIXED), pexider=True, h_part=OddPart, scale_y=True,
-        limit=lambda b: _triadic_limit(b, b.f),
+        limit=lambda b: _pexider_limit(b, b.f),
         # all three roles compare against the same additive limit: the
         # approximants differ only by rational rescalings of its argument
         roles=(
@@ -958,7 +952,7 @@ _THEOREMS = {
     ),
     "thm4_3": _Theorem(
         PUNCTURED, (CONSTANT,), scale_y=True, reflect=True,
-        limit=lambda b: _triadic_limit(b, b.parts[0]),
+        limit=lambda b: _pexider_limit(b, b.parts[0]),
         roles=(
             ("odd", lambda b: b.dev(b.parts[0]), lambda k: k.flat(_odd_bound(k))),
             ("even", lambda b: b.norm(b.at(b.parts[1])), lambda k: k.flat(2.0 * k.eps / k.r)),
@@ -966,7 +960,8 @@ _THEOREMS = {
         ),
     ),
     "thm5_2": _Theorem(
-        ORTHOGONAL, (CONSTANT,), pexider=True, limit=_additive_quadratic_limit,
+        ORTHOGONAL, (CONSTANT,), pexider=True,  # T (odd part, dyadic) + Q (even, quadratic)
+        limit=lambda b: _sum_limits(b.limit(b.parts[0], 2.0, 0.5), b.limit(b.parts[1], 2.0, 0.25)),
         roles=(
             ("f", lambda b: b.dev(b.f), lambda k: k.flat(68.0 * k.eps)),
             ("g", lambda b: b.dev(b.g), lambda k: k.flat(80.0 * k.eps)),
@@ -1287,7 +1282,7 @@ _SAMPLER = _Section(
 )
 _LIMITS = _Section(
     LimitSettings,
-    _Field("n_max", int, None, ">= 1; null: per-construction default"),
+    _Field("n_max", int, None, ">= 1; null: 40/log2(base), more for perturbations"),
     _Field("tol", float, 1e-9, "> 0"),
 )
 _MODEL = _Section(
@@ -1308,7 +1303,7 @@ _PERTURBATION = _Section(
 _BALL = _Section(
     BallSettings,
     _Field("radius", float, note="> 0"),
-    _Field("exclude_origin", bool, False, "must be true on thm6_2"),
+    _Field("exclude_origin", bool, False, "true on thm6_2, false on thm6_1"),
 )
 _SHELLS = _Section(
     ShellSettings,
@@ -1347,10 +1342,6 @@ _CONFIG = _Section(
 )
 
 
-def parse_experiment(d: dict) -> ExperimentConfig:
-    return _parse(_EXPERIMENT, d, "")
-
-
 def parse_config(d: dict) -> list:
     return _parse(_CONFIG, d, "")
 
@@ -1365,7 +1356,7 @@ def load_config(path: str) -> list:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Canonical replayable form of a config (inverse of parse_experiment)."""
+    """Canonical replayable form of a config (what the parser reads back)."""
     return _emit(_EXPERIMENT, cfg)
 
 

@@ -14,12 +14,12 @@ bound per row: the constant ε gives 3ε/r (dyadic) and 3ε (triadic), added to
 the closed form of a mixed part or the truncated series of a table part.
 Controls are radial, so the series take arrays of ‖x‖ and ‖y‖.
 
-Limits: the scaling iterations a_n = gain^n · f(arg^n · x) behind the direct
-method (dyadic arg 2 / gain 1/2, triadic arg 3 / gain 1/3, quadratic arg 2 /
-gain 1/4), with successive-gap convergence detection; steps whose gap the
-norms of the model's parts prove above tol are skipped, not evaluated, and
-the results stay bit for bit.  Divergence is reported through the converged
-flag, never raised.
+Limits: power_limit_many, the scaling iterations a_n = gain^n · f(arg^n · x)
+behind the direct method (dyadic arg 2 / gain 1/2, triadic arg 3 / gain 1/3,
+quadratic arg 2 / gain 1/4), with successive-gap convergence detection; steps
+whose gap the norms of the model's parts prove above tol are skipped, not
+evaluated, and the results stay bit for bit.  Divergence is reported through
+the converged flag, never raised.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .control import MIXED, TABLE, ControlError, ControlFunctionSpec, _powered
 from .models import DECAY, POWER, FunctionModel, JensenParams, ScaledModel
 from .spaces import _column_norms, _max_abs, _rows, as_batch, norm_many
 
-DYADIC_N_MAX = 40
-TRIADIC_N_MAX = 25
 DEFAULT_TOL = 1e-9
 _SERIES_HARD_CAP = 4096
 _OVERFLOW_LIMIT = 1e120
@@ -296,7 +294,8 @@ def power_limit_many(
     """Iterate a_n(x) = gain^n · f(arg_factor^n · x) until the successive gap
     (codomain norm) drops to tol, the value turns non-finite, the exponent
     reaches n_max (one bound, or one per point), or the scaled argument
-    overflows.  Returns (values, iterations, last_gap, converged) arrays.
+    overflows.  Returns (values, iterations, last_gap, converged) arrays; a
+    zero or non-finite arg_factor or gain raises ValueError.
     cand, when given, holds each point's candidate in a batched model, and
     ``f.eval_many`` gets each evaluated row's entry as its second argument.
 
@@ -320,6 +319,9 @@ def power_limit_many(
     if n_vec.shape != (n_pts,):
         raise ValueError("n_start must have one entry per point")
     arg, amp = np.float64(arg_factor), np.float64(gain)
+    for name, v in (("arg_factor", arg), ("gain", amp)):
+        if v == 0.0 or not np.isfinite(v):  # 0 to a negative n_start is inf
+            raise ValueError(f"{name} must be finite and nonzero, got {v}")
     cands = np.zeros(n_pts, dtype=np.int64) if cand is None else np.asarray(cand)
 
     def evaluate(Xw, cw, scale, g):  # g · f(scale · x) on a (steps, points) grid, (codim,) + grid
@@ -416,18 +418,3 @@ def power_limit_many(
         iterate(s, np.where(jumps, stop - 1, s), np.full(n_pts, never), True)
     return _rows(values), iterations, last_gap, converged
 
-
-def dyadic_limit_many(f, X, n_max=DYADIC_N_MAX, tol: float = DEFAULT_TOL, cand=None):
-    return power_limit_many(f, X, 2.0, 0.5, n_max, tol, cand=cand)
-
-
-def quadratic_limit_many(f, X, n_max=DYADIC_N_MAX, tol: float = DEFAULT_TOL, cand=None):
-    return power_limit_many(f, X, 2.0, 0.25, n_max, tol, cand=cand)
-
-
-def pexider_triadic_limit_many(
-    f, params: JensenParams, X, n_max=TRIADIC_N_MAX, tol: float = DEFAULT_TOL, cand=None
-):
-    """Additive approximant A(x) = (1/s)·lim 3^{-n}·r·f(3^n (s/r) x) as arrays."""
-    reduced = ScaledModel(f, arg_scale=params.s / params.r, out_scale=params.r / params.s)
-    return power_limit_many(reduced, X, 3.0, 1.0 / 3.0, n_max, tol, cand=cand)

@@ -7,7 +7,6 @@ import numpy as np
 
 from jensenlab.experiments import _ratio_arrays, _Rows
 from jensenlab.models import BOUNDED, DECAY, POWER
-from jensenlab.series import DYADIC_N_MAX
 
 
 def csv_by_repr(report) -> str:
@@ -50,13 +49,17 @@ def assemble_rows(X, role_data, tol):
     return rows, max_dev, bound_value, max_ratio, witnesses
 
 
-def auto_n_max(cfg, base: float, arg_scale: float = 1.0, floor: int = DYADIC_N_MAX) -> int:
+# steps for base^-n to fall to 2^-40, at the bases of the limit theorems
+FLOORS = {2.0: 40, 3.0: 25}
+
+
+def auto_n_max(cfg, base: float, arg_scale: float = 1.0) -> int:
     """One config's iteration cap: enough for the slowest perturbation's gap to clear tol."""
     if cfg.limits.n_max is not None:
         return cfg.limits.n_max
     tol = cfg.limits.tol
     R = max(cfg.sampler.radius_range[1] * arg_scale, 1.0)
-    need = floor
+    need = FLOORS[base]
     for p in cfg.model.perturbations:
         if p.kind == POWER and p.delta > 0.0:
             rate = (1.0 - p.p) * np.log(base)

@@ -26,9 +26,9 @@ from jensenlab.models import FunctionModel, JensenParams
 from jensenlab.orthogonal import SikorskaConfig, scaling_identity_check, sikorska_extend
 from jensenlab.sampling import rng_from
 from jensenlab.series import (
-    dyadic_limit_many,
     phi_tilde_dyadic_norms,
     phi_tilde_triadic_norms,
+    power_limit_many,
 )
 from jensenlab.spaces import (
     NormedSpaceSpec,
@@ -487,7 +487,7 @@ def test_10_negative_controls_and_search(capsys):
     t0 = time.perf_counter()
     quad = FunctionModel(domain=E3, codomain=E2, linear=np.zeros((2, 3)), quadratic=(1.0, -0.5))
     X = np.random.default_rng(2).uniform(0.5, 2.0, size=(10, 3))
-    _, _, gaps, converged = dyadic_limit_many(quad, X, n_max=30)
+    _, _, gaps, converged = power_limit_many(quad, X, 2.0, 0.5, 30)
     ok = not np.any(converged) and np.all(np.isfinite(gaps))
 
     noisy = FunctionModel(

@@ -21,7 +21,6 @@ from jensenlab.experiments import (
     adversarial_search,
     config_to_dict,
     emit_report,
-    parse_experiment,
     run_experiment,
 )
 from jensenlab.models import (
@@ -51,6 +50,11 @@ DOMAINS = {
 }
 # small seeds collide now and then, so some terms keep one seed for all candidates
 SEEDS = st.integers(0, 3) | st.integers(0, 2**64 - 1)
+
+
+def _parse_experiment(d: dict):
+    """One experiment section parsed alone: its error paths name keys from the section."""
+    return experiments._parse(experiments._EXPERIMENT, d, "")
 
 
 def _experiment(tid, count=8, space=E3):
@@ -90,7 +94,7 @@ def _batches(draw):
         exp["model"]["seed"] = draw(st.none() | SEEDS)  # None: the sampler seed draws L
         for p in exp["perturbation"]:
             p["seed"] = draw(SEEDS)
-        cfgs.append(parse_experiment(exp))
+        cfgs.append(_parse_experiment(exp))
     return cfgs
 
 
@@ -160,15 +164,15 @@ def test_batch_assembles_once_and_caps_per_upper_radius(tid, his, n_max):
         exp["sampler"].update(seed=11 + i, radius_range=[0.2, hi])
         exp["limits"] = {"n_max": n_max}
         exps.append(exp)
-    cfgs = [parse_experiment(e) for e in exps]
+    cfgs = [_parse_experiment(e) for e in exps]
     assemble = mock.Mock(wraps=experiments._assemble_rows)
     meta = mock.Mock(wraps=experiments._limit_meta)
     caps = []
     real = experiments._Batch.n_max
 
-    def n_max_spy(b, base, arg_scale=1.0, floor=experiments.DYADIC_N_MAX):
-        got = real(b, base, arg_scale, floor)
-        caps.append((got, np.array([auto_n_max(c, base, arg_scale, floor) for c in b.cfgs])[b.cand]))
+    def n_max_spy(b, base, arg_scale=1.0):
+        got = real(b, base, arg_scale)
+        caps.append((got, np.array([auto_n_max(c, base, arg_scale) for c in b.cfgs])[b.cand]))
         return got
 
     with mock.patch.object(experiments, "_assemble_rows", assemble), \
@@ -185,7 +189,7 @@ def test_batch_of_other_theorems_runs_each_config():
     base = _experiment("cor2_2", count=20)
     base.update(theorem_id="cor3_2", expected_decay=False,
                 shells={"edges": [0.5, 1.0, 2.0], "samples_per_shell": 10})
-    cfgs = [parse_experiment(dict(base, sampler=dict(base["sampler"], seed=seed)))
+    cfgs = [_parse_experiment(dict(base, sampler=dict(base["sampler"], seed=seed)))
             for seed in (1, 2)]
     reports = run_experiment(cfgs)
     assert [emit_report(r) for r in reports] == [emit_report(run_experiment(c)) for c in cfgs]
@@ -226,7 +230,7 @@ def test_batch_rejects_other_differences(base, key, change):
     other = copy.deepcopy(exp)
     change(other)
     other["sampler"]["seed"] = 12  # a free key may differ as well
-    cfgs = [parse_experiment(exp), parse_experiment(other)]  # each valid on its own
+    cfgs = [_parse_experiment(exp), _parse_experiment(other)]  # each valid on its own
     with pytest.raises(ConfigError, match=re.escape(key)) as info:
         run_experiment(cfgs)
     assert "sampler.seed" not in str(info.value).split("differs from config 0 in")[1]
@@ -263,7 +267,7 @@ def test_model_rows_follow_their_candidate():
 
 @pytest.mark.parametrize("iters, restarts", [(3, 2), (1, 1), (5, 3)])
 def test_lockstep_search_is_deterministic_and_exact(iters, restarts):
-    cfg = parse_experiment(_experiment("cor2_2", count=20))
+    cfg = _parse_experiment(_experiment("cor2_2", count=20))
     settings = SearchSettings(iterations=iters, restarts=restarts)
     out = adversarial_search(cfg, settings)
     assert out == adversarial_search(cfg, settings)
@@ -288,7 +292,7 @@ def _evaluated(cfg, settings):
 def test_chain_zero_walks_as_the_lone_chain():
     """Each step batches one candidate per chain; chain 0's are those of a
     one-restart search of the same length, the other chains' are their own."""
-    cfg = parse_experiment(_experiment("thm4_3", count=20))
+    cfg = _parse_experiment(_experiment("thm4_3", count=20))
     lone = _evaluated(cfg, SearchSettings(iterations=4, restarts=1))
     lockstep = _evaluated(cfg, SearchSettings(iterations=12, restarts=3))
     assert [len(step) for step in lockstep] == [3, 3, 3, 3]

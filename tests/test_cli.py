@@ -328,7 +328,9 @@ CONFIG_PROBES = [
     ((), dict(AS_COR3_2, domain={"kind": "exterior", "d": 1.0}), "domain.kind"),
     ((), dict(AS_THM6_1, domain={"kind": "orthogonal", "relation": {"kind": "trivial"}}),
      "domain.kind"),
-    # thm6_2 runs on a punctured ball; an omitted exclude_origin means false
+    # thm6_2 runs on a punctured ball, thm6_1 on a whole one; an omitted
+    # exclude_origin means false
+    ((), dict(AS_THM6_1, ball={"radius": 1.0, "exclude_origin": True}), "ball.exclude_origin"),
     ((), dict(AS_THM6_1, theorem_id="thm6_2", params={"r": 4, "s": 3, "t": 3},
               ball={"radius": 1.0, "exclude_origin": False}), "ball.exclude_origin"),
     ((), dict(AS_THM6_1, theorem_id="thm6_2", params={"r": 4, "s": 3, "t": 3}),

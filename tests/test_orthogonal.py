@@ -19,7 +19,7 @@ from jensenlab.orthogonal import (
     scaling_identity_check,
     sikorska_extend,
 )
-from jensenlab.series import dyadic_limit_many, quadratic_limit_many
+from jensenlab.series import power_limit_many
 from jensenlab.sampling import orthogonal_pairs, rng_from, sample_points, unit_directions
 from jensenlab.spaces import (
     NormedSpaceSpec,
@@ -98,8 +98,8 @@ class TestDecomposeTQ:
     @staticmethod
     def _limits(f, X):
         f_odd, f_even = odd_even_split(f)
-        T, _, _, conv_T = dyadic_limit_many(f_odd, X)
-        Q, _, _, conv_Q = quadratic_limit_many(f_even, X)
+        T, _, _, conv_T = power_limit_many(f_odd, X, 2.0, 0.5, 40)
+        Q, _, _, conv_Q = power_limit_many(f_even, X, 2.0, 0.25, 40)
         return T, Q, bool(np.all(conv_T) and np.all(conv_Q))
 
     def test_exact_model(self):

@@ -100,11 +100,11 @@ def test_certificate_skips_as_many_verify_rows(tmp_path):
     but not fewer of them."""
     from unittest import mock
 
-    from jensenlab import models, series
+    from jensenlab import experiments, models
 
     _WL.write_inputs("verify", 1, str(tmp_path))
     plain, rows = [], [0]
-    limit, evaluate = series.power_limit_many, models.FunctionModel.eval_many
+    limit, evaluate = experiments.power_limit_many, models.FunctionModel.eval_many
 
     def counted_limit(f, *args, **kwargs):
         base = f
@@ -121,7 +121,7 @@ def test_certificate_skips_as_many_verify_rows(tmp_path):
             rows[0] += len(X)
         return evaluate(self, X, cand)
 
-    with mock.patch.object(series, "power_limit_many", counted_limit), \
+    with mock.patch.object(experiments, "power_limit_many", counted_limit), \
             mock.patch.object(models.FunctionModel, "eval_many", counted_eval):
         for path in sorted(p for p in tmp_path.glob("*.json") if p.name != "plan.json"):
             for cfg in jensenlab.load_config(str(path)):

@@ -24,14 +24,10 @@ from jensenlab.models import (
 )
 from jensenlab.series import (
     DEFAULT_TOL,
-    TRIADIC_N_MAX,
     cor22_bound_norms,
-    dyadic_limit_many,
-    pexider_triadic_limit_many,
     phi_tilde_dyadic_norms,
     phi_tilde_triadic_norms,
     power_limit_many,
-    quadratic_limit_many,
 )
 from jensenlab.spaces import NormedSpaceSpec, euclidean_space, norm_many
 from series_reference import psi
@@ -234,7 +230,7 @@ class TestLimits:
     def test_dyadic_recovers_linear_exactly(self):
         f = _additive()
         X = np.random.default_rng(0).uniform(-3.0, 3.0, size=(30, 3))
-        values, iterations, gaps, converged = dyadic_limit_many(f, X)
+        values, iterations, gaps, converged = power_limit_many(f, X, 2.0, 0.5, 40)
         assert np.all(converged)
         err = norm_many(E2, values - X @ L23.T)
         assert np.max(err) <= 1e-10
@@ -243,7 +239,7 @@ class TestLimits:
         amp = 0.25
         f = _additive((PerturbationSpec(kind=BOUNDED, amplitude=amp, seed=3),))
         X = np.random.default_rng(1).uniform(-3.0, 3.0, size=(40, 3))
-        values, iterations, gaps, converged = dyadic_limit_many(f, X, tol=1e-10)
+        values, iterations, gaps, converged = power_limit_many(f, X, 2.0, 0.5, 40, tol=1e-10)
         assert np.all(converged)
         err = norm_many(E2, values - X @ L23.T)
         # ‖2^-n f(2^n x) - Lx‖ = 2^-n ‖pert(2^n x)‖ <= amp·2^-n
@@ -252,14 +248,14 @@ class TestLimits:
     def test_dyadic_diverges_on_quadratic(self):
         f = _quadratic()
         X = np.random.default_rng(2).uniform(0.5, 2.0, size=(10, 3))
-        values, iterations, gaps, converged = dyadic_limit_many(f, X, n_max=30)
+        values, iterations, gaps, converged = power_limit_many(f, X, 2.0, 0.5, 30)
         assert not np.any(converged)
         assert np.all(np.isfinite(gaps))
 
     def test_quadratic_limit_recovers_quadratic(self):
         f = _quadratic((0.7, 0.2))
         X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(25, 3))
-        values, iterations, gaps, converged = quadratic_limit_many(f, X)
+        values, iterations, gaps, converged = power_limit_many(f, X, 2.0, 0.25, 40)
         assert np.all(converged)
         u = norm_many(E3, X) ** 2
         assert np.allclose(values, u[:, None] * np.array([0.7, 0.2]), rtol=1e-10, atol=1e-12)
@@ -267,14 +263,14 @@ class TestLimits:
     def test_quadratic_limit_kills_linear_part(self):
         f = _additive()
         X = np.random.default_rng(4).uniform(-2.0, 2.0, size=(15, 3))
-        values, _, _, converged = quadratic_limit_many(f, X, tol=1e-9)
+        values, _, _, converged = power_limit_many(f, X, 2.0, 0.25, 40, tol=1e-9)
         assert np.all(converged)
         assert np.max(norm_many(E2, values)) <= 1e-8
 
     def test_triadic_recovers_linear(self):
         f = _additive()
         X = np.random.default_rng(5).uniform(-3.0, 3.0, size=(20, 3))
-        values, _, _, converged = power_limit_many(f, X, 3.0, 1.0 / 3.0, n_max=TRIADIC_N_MAX)
+        values, _, _, converged = power_limit_many(f, X, 3.0, 1.0 / 3.0, 25)
         assert np.all(converged)
         assert np.max(norm_many(E2, values - X @ L23.T)) <= 1e-10
 
@@ -282,9 +278,20 @@ class TestLimits:
         f = _additive((PerturbationSpec(kind=BOUNDED, amplitude=0.1, seed=8),))
         params = JensenParams(3, 2, 2)
         X = np.random.default_rng(6).uniform(-2.0, 2.0, size=(20, 3))
-        values, _, _, converged = pexider_triadic_limit_many(f, params, X, n_max=40)
+        reduced = ScaledModel(f, params.s / params.r, params.r / params.s)
+        values, _, _, converged = power_limit_many(reduced, X, 3.0, 1.0 / 3.0, 40)
         assert np.all(converged)
         assert np.max(norm_many(E2, values - X @ L23.T)) <= 1e-8
+
+    @pytest.mark.parametrize("arg, gain, name", [
+        (2.0, 0.0, "gain"), (0.0, 0.5, "arg_factor"), (2.0, np.inf, "gain"),
+        (np.nan, 0.5, "arg_factor"), (-np.inf, 0.5, "arg_factor"),
+    ])
+    def test_zero_or_non_finite_factor_refused(self, arg, gain, name):
+        # a zero base to a negative n_start used to divide by zero in the start row
+        X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, 3))
+        with pytest.raises(ValueError, match=name):
+            power_limit_many(_additive(), X, arg, gain, 5, n_start=[-2, 0, 1])
 
     @pytest.mark.parametrize(
         "base,factor", [(2.0, 1.5), (3.0, 4.0 / 3.0), (4.0, 5.0 / 4.0)]
@@ -634,7 +641,7 @@ def test_certified_steps_are_not_evaluated(model):
     X = rng.standard_normal((4000, 3)) * rng.uniform(0.05, 6.0, size=(4000, 1))
     with mock.patch.object(FunctionModel, "eval_many", autospec=True,
                            side_effect=FunctionModel.eval_many) as spy:
-        got = dyadic_limit_many(f, X, n_max=60)
+        got = power_limit_many(f, X, 2.0, 0.5, 60)
     rows = sum(len(c.args[1]) for c in spy.call_args_list)
     assert 3 * rows <= np.sum(got[1])
     _check_sampled_rows(
