@@ -179,6 +179,6 @@ def asymptotic_profile(
         raise DomainError("shell edges must be increasing from >= 0, with at least two entries")
     sups = np.empty(edges.size - 1)
     for k in range(edges.size - 1):
-        X, Y = shell_pairs(f.domain, edges[k], edges[k + 1], samples_per_shell, rng)
+        X, Y = shell_pairs(f.domain, edges[k], edges[k + 1], samples_per_shell, [rng])
         sups[k] = float(np.max(jensen_defect_many(f, f, f, params, X, Y)))
     return ShellProfile(edges=edges, sup_defect=sups, samples_per_shell=samples_per_shell)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -101,7 +100,6 @@ from .series import (
 from .spaces import (
     EUCLIDEAN,
     INNER_PRODUCT,
-    TRIVIAL,
     NormedSpaceSpec,
     OrthogonalityRelation,
     norm_many,
@@ -229,8 +227,8 @@ class ExperimentConfig:
             rel = dom.relation.kind
             if rel == INNER_PRODUCT and not self.space.has_inner_product:
                 raise ConfigError("inner_product pairs need a euclidean space")
-            if rel != TRIVIAL and self.space.dim < 2:
-                # on a line only y = 0 is orthogonal to x != 0
+            if self.space.dim < 2:
+                # on a line only y = 0 is orthogonal to x != 0, and no pair is independent
                 raise ConfigError(f"{rel} pairs need space.dim >= 2")
         if self.ball is not None:
             try:
@@ -407,8 +405,11 @@ _NO_ROWS = _Rows(np.empty((0, 0)), (), np.empty(0, int), np.empty(0), np.empty(0
 
 @dataclass
 class StabilityReport:
+    """One config's verdict.  config, the config's canonical dict, is written
+    from cfg when it is first read."""
+
     theorem_id: str
-    config: dict
+    cfg: ExperimentConfig
     epsilon_effective: float
     bound_value: float
     max_deviation: float
@@ -420,6 +421,10 @@ class StabilityReport:
     iterations: dict
     runtime: dict | None = None
     failed_checks: tuple = ()  # names of the checks that failed; not emitted
+
+    @cached_property
+    def config(self) -> dict:
+        return config_to_dict(self.cfg)
 
     def to_dict(self, include_runtime: bool = False) -> dict:
         out = {
@@ -589,28 +594,37 @@ def _assemble_rows(X, roles, devs, bounds, tol, K) -> list:
             for i, (s, md, bv, mr) in enumerate(zip(segs, max_dev, bound_value, max_ratio))]
 
 
-def _hypothesis_pairs(cfg: ExperimentConfig):
-    """Pairs from the hypothesis domain, with a low-radius stratum and axis pairs."""
-    rng = rng_from(cfg.sampler.seed, "pairs")
-    n = cfg.sampler.pairs
-    lo, hi = cfg.sampler.radius_range
-    dom = cfg.domain
+def _hypothesis_pairs(cfgs: list):
+    """Pairs from the hypothesis domain, with a low-radius stratum and axis pairs.
+
+    One sampling pass for K compatible configs: each draws from its own
+    "pairs" stream on its own radius range, and X, Y hold one segment of
+    sampler.pairs rows per config, in config order.
+    """
+    cfg, K = cfgs[0], len(cfgs)
+    rngs = [rng_from(c.sampler.seed, "pairs") for c in cfgs]
+    ranges = [c.sampler.radius_range for c in cfgs]
+    n, dom, space = cfg.sampler.pairs, cfg.domain, cfg.space
     if dom.kind == EXTERIOR:
-        return exterior_pairs(cfg.space, dom.d, n, (lo, hi), rng, axis_period=8)
+        return exterior_pairs(space, dom.d, n, ranges, rngs, axis_period=8)
     if dom.kind == ORTHOGONAL:
-        return orthogonal_pairs(dom.relation, cfg.space, n, (lo, hi), rng, axis_period=8)
+        return orthogonal_pairs(dom.relation, space, n, ranges, rngs, axis_period=8)
     if dom.kind == PUNCTURED:
-        return sample_pairs(cfg.space, n, (lo, hi), rng, axis_period=0)
+        return sample_pairs(space, n, ranges, rngs, axis_period=0)
+    # the full domain draws its two strata one after the other from each stream
     n_low = n // 4
-    X1, Y1 = sample_pairs(cfg.space, n - n_low, (lo, hi), rng, axis_period=8)
-    width = hi - lo
-    X2, Y2 = sample_pairs(cfg.space, n_low, (lo, lo + 0.1 * width), rng, axis_period=0)
-    return np.concatenate([X1, X2]), np.concatenate([Y1, Y2])
+    wide = sample_pairs(space, n - n_low, ranges, rngs, axis_period=8)
+    low = sample_pairs(space, n_low, [(lo, lo + 0.1 * (hi - lo)) for lo, hi in ranges], rngs)
+    dim = space.dim
+    return tuple(np.concatenate([w.reshape(K, n - n_low, dim), v.reshape(K, n_low, dim)], axis=1)
+                 .reshape(K * n, dim) for w, v in zip(wide, low))
 
 
-def _dev_points(cfg: ExperimentConfig):
-    rng = rng_from(cfg.sampler.seed, "points")
-    return sample_points(cfg.space, cfg.sampler.count, cfg.sampler.radius_range, rng)
+def _dev_points(cfgs: list):
+    """The points the roles are checked at, one segment per config from its "points" stream."""
+    return sample_points(cfgs[0].space, cfgs[0].sampler.count,
+                         [c.sampler.radius_range for c in cfgs],
+                         [rng_from(c.sampler.seed, "points") for c in cfgs])
 
 
 def _limit_meta(iterations: np.ndarray, converged: np.ndarray):
@@ -754,13 +768,12 @@ def _sum_limits(*limits):
 
 def _exterior_chain(b: _Batch, runs: list) -> list:
     """Thm 3.1's bridge: interior pairs reach the exterior through five pairs via z.
-    Each config draws its own interior pairs; one chain evaluation covers them
-    all, and the counts and checks are taken over each config's own."""
+    Each config draws its own interior pairs, in one sampling pass; one chain
+    evaluation covers them all, and the counts and checks are taken over each
+    config's own."""
     space, d, K = b.cfgs[0].space, b.cfgs[0].domain.d, len(runs)
-    Xi, Yi = (np.concatenate(z) for z in zip(*(
-        shell_pairs(space, 0.0, d, c.sampler.pairs, rng_from(c.sampler.seed, "interior"))
-        for c in b.cfgs
-    )))
+    Xi, Yi = shell_pairs(space, 0.0, d, b.cfgs[0].sampler.pairs,
+                         [rng_from(c.sampler.seed, "interior") for c in b.cfgs])
     Z = construct_z_many(space, Xi, Yi, d)
     margins = five_inequality_margins(space, b.params, Xi, Yi, Z, d)
     m = Xi.shape[0] // K
@@ -801,7 +814,7 @@ def _odd_bound(k: _Run) -> float:
     return min(3.0 * k.eps / k.r, 5.0 * k.eps / (2.0 * k.s), 5.0 * k.eps / (2.0 * k.t))
 
 
-def _run_cor3_2(cfg: ExperimentConfig, head: dict):
+def _run_cor3_2(cfg: ExperimentConfig):
     f, _, _ = build_models(cfg)
     rng = rng_from(cfg.sampler.seed, "shells")
     prof = asymptotic_profile(f, cfg.params, cfg.shells.edges, cfg.shells.samples_per_shell, rng)
@@ -815,11 +828,11 @@ def _run_cor3_2(cfg: ExperimentConfig, head: dict):
     }
     rows = (_NO_ROWS, prof.final_sup, cfg.decay_tol, 0.0, [])
     meta = _limit_meta(np.empty((0, 1, 0)), np.empty((0, 1, 0), bool))[0][0]
-    return _finish(cfg, head, prof.final_sup, rows, details, meta,
+    return _finish(cfg, prof.final_sup, rows, details, meta,
                    [("decay_verdict", decays == cfg.expected_decay)])
 
 
-def _run_sikorska(cfg: ExperimentConfig, head: dict):
+def _run_sikorska(cfg: ExperimentConfig):
     """thm6_1 and thm6_2: exact models on a ball, scaling extension."""
     f, _, _ = build_models(cfg)
     exclude = cfg.ball.exclude_origin
@@ -855,7 +868,8 @@ def _run_sikorska(cfg: ExperimentConfig, head: dict):
     # recovered linear part and radial table as the reconstruction
     rng = rng_from(cfg.sampler.seed, "rows")
     lo = 1e-3 * cfg.ball.radius if exclude else 0.0
-    X0 = sample_points(cfg.space, cfg.sampler.count, (lo, cfg.ball.radius * (1.0 - 1e-9)), rng)
+    hi = cfg.ball.radius * (1.0 - 1e-9)
+    X0 = sample_points(cfg.space, cfg.sampler.count, [(lo, hi)], [rng])
     approx = result.T_hat.eval_many(X0) + result.b_hat.eval_many(norm_many(cfg.space, X0) ** 2)
     dev = norm_many(cfg.codomain, f.eval_many(X0) - approx)
     bounds = np.full(X0.shape[0], cfg.residual_tol)
@@ -865,7 +879,7 @@ def _run_sikorska(cfg: ExperimentConfig, head: dict):
         ("linear_recovery",
          details["linear_recovery_error"] <= max(cfg.residual_tol, 1e-6)),
     ]
-    return _finish(cfg, head, 0.0, rows, details, dict(result.iterations), checks)
+    return _finish(cfg, 0.0, rows, details, dict(result.iterations), checks)
 
 
 @dataclass(frozen=True)
@@ -875,7 +889,7 @@ class _Theorem:
     domain: the hypothesis domain kind; controls: the control kinds it takes.
     requires: the optional config sections it reads (ball, shells,
     expected_decay); each is required where it is listed and refused
-    everywhere else.  run(cfg, head) -> report: the id's own runner, called
+    everywhere else.  run(cfg) -> report: the id's own runner, called
     one config at a time; None: _run_limit_theorem, which reads the rest.
     pexider: g and h are models of their own (else both are f); h_part wraps
     h (OddPart, EvenPart); zero_linear: the models' linear part is 0.
@@ -977,14 +991,15 @@ _THEOREMS = {
 THEOREM_IDS = tuple(_THEOREMS)
 
 
-def _run_limit_theorem(cfgs: list, thm: _Theorem, heads: list) -> list:
+def _run_limit_theorem(cfgs: list, thm: _Theorem) -> list:
     """Run K compatible configs of one limit theorem as one batch; one report each.
 
-    Each config samples its own pairs and points; ε̂, the limit and the role
-    deviations then run once over all K configs' rows (K equal segments, in
-    config order).  ε̂ and its witness are taken over each config's own pairs,
-    and bounds, the extras' counts and checks and the report per config, so
-    every report equals that of its config run alone.  The rows, maxima and
+    Each config draws its own pairs and points from its own streams, in one
+    sampling pass; ε̂, the limit and the role deviations then run once over
+    all K configs' rows (K equal segments, in config order).  ε̂ and its
+    witness are taken over each config's own pairs, and bounds, the extras'
+    counts and checks and the report per config, so every report equals that
+    of its config run alone.  The rows, maxima and
     witnesses (_assemble_rows) and the iteration summaries and diverged
     counts (_limit_meta) come from one pass over (K, n) segments, each
     reduction taken per config.  The iteration caps are one evaluation over
@@ -993,13 +1008,13 @@ def _run_limit_theorem(cfgs: list, thm: _Theorem, heads: list) -> list:
     """
     K, cfg = len(cfgs), cfgs[0]
     models = build_models(cfgs)
-    X, Y = (np.concatenate(z) for z in zip(*map(_hypothesis_pairs, cfgs)))
+    X, Y = _hypothesis_pairs(cfgs)
     eps, wits = measure_epsilon(cfgs, *models, X, Y)
     if thm.reflect:
         for i, (e, w) in enumerate(zip(*measure_epsilon(cfgs, *models, X, -Y))):
             if e > eps[i]:
                 eps[i], wits[i] = e, w
-    b = _Batch(cfgs, models, X, Y, np.concatenate([_dev_points(c) for c in cfgs]))
+    b = _Batch(cfgs, models, X, Y, _dev_points(cfgs))
     b.A, iters, conv = thm.limit(b) if thm.limit else (None, np.empty(0, int), np.empty(0, bool))
     names, dev_of, bound_of = zip(*thm.roles)
     devs = np.stack([dev(b) for dev in dev_of])  # (roles, K·n)
@@ -1013,26 +1028,25 @@ def _run_limit_theorem(cfgs: list, thm: _Theorem, heads: list) -> list:
     # diverges when any of its limits does
     metas, diverged = _limit_meta(iters.reshape(-1, K, n), conv.reshape(-1, K, n))
     reports = []
-    for i, (k, head, (details, checks)) in enumerate(zip(runs, heads, extras)):
+    for i, (k, (details, checks)) in enumerate(zip(runs, extras)):
         details["hypothesis_witness"] = wits[i]
         details["pair_count"] = m
         if diverged[i]:
             details["diverged_points"] = diverged[i]
         checks.append(("converged", diverged[i] == 0))
-        reports.append(_finish(k.cfg, head, eps[i], rows[i], details, metas[i], checks))
+        reports.append(_finish(k.cfg, eps[i], rows[i], details, metas[i], checks))
     return reports
 
 
-def _finish(cfg, head, eps_hat, rows, details, iterations, checks) -> StabilityReport:
-    """The report of cfg's _assemble_rows result, whose config_to_dict is
-    head; it passes when max_ratio <= 1 (within REPORT_TOL) and every named
-    (name, passed) check holds."""
+def _finish(cfg, eps_hat, rows, details, iterations, checks) -> StabilityReport:
+    """The report of cfg's _assemble_rows result; it passes when max_ratio
+    <= 1 (within REPORT_TOL) and every named (name, passed) check holds."""
     samples, max_dev, bound_value, max_ratio, wits = rows
     checks = [("max_ratio", max_ratio <= 1.0 + REPORT_TOL), *checks]
     failed = tuple(name for name, ok in checks if not ok)
     return StabilityReport(
         theorem_id=cfg.theorem_id,
-        config=head,
+        cfg=cfg,
         epsilon_effective=float(eps_hat),
         bound_value=float(bound_value),
         max_deviation=float(max_dev),
@@ -1050,17 +1064,33 @@ def _finish(cfg, head, eps_hat, rows, details, iterations, checks) -> StabilityR
 _BATCH_FREE = ("sampler.seed", "sampler.radius_range", "model.seed", "perturbation[].seed")
 
 
-def _differences(a, b, path: str = ""):
-    """The key paths outside _BATCH_FREE at which two config dicts differ, in schema order."""
-    if a == b or re.sub(r"\[\d+\]", "[]", path) in _BATCH_FREE:
+def _differences(t, a, b, path: str = "", pattern: str = ""):
+    """The key paths outside _BATCH_FREE at which config_to_dict would write two
+    values of schema type t differently: a's keys in schema order, then those
+    that b alone writes.  pattern is path with each list index written [].
+
+    The walk reads the objects through the field tables that _emit reads, and
+    skips a part that both share, so a config built by replace() is compared
+    in the sections that replace() gave it.
+    """
+    if a is b or pattern in _BATCH_FREE:
         return
-    if isinstance(a, dict) and isinstance(b, dict):
-        for key in [*a, *(k for k in b if k not in a)]:
-            yield from _differences(a.get(key), b.get(key), f"{path}.{key}" if path else key)
-    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+    if isinstance(t, _Section) and a is not None and b is not None:
+        fa, fb = _fields(t, a), _fields(t, b)
+        for key in [*fa, *(k for k in fb if k not in fa)]:
+            x, y = fa.get(key), fb.get(key)
+            if x is not y:
+                yield from _differences(t.types[key], x, y, f"{path}.{key}" if path else key,
+                                        f"{pattern}.{key}" if pattern else key)
+    elif isinstance(t, (list, tuple)):
+        seqs = (list, tuple, np.ndarray)
+        if not (isinstance(a, seqs) and isinstance(b, seqs) and len(a) == len(b)):
+            yield path
+            return
         for i, (x, y) in enumerate(zip(a, b)):
-            yield from _differences(x, y, f"{path}[{i}]")
-    else:
+            yield from _differences(t[0] if isinstance(t, list) else t[i], x, y,
+                                    f"{path}[{i}]", pattern + "[]")
+    elif a != b:
         yield path
 
 
@@ -1069,25 +1099,26 @@ def run_experiment(cfg):
 
     cfg may also be a list of configs that differ at most in sampler.seed,
     sampler.radius_range, model.seed and the perturbation seeds; any other
-    difference raises ConfigError naming the key.  The result is then a list
-    of reports, each byte-identical to the report of its config run alone.
-    The limit theorems run such a list as one batch (_run_limit_theorem),
-    the others one config at a time.
+    difference raises ConfigError naming the key.  The check walks each
+    config against config 0 through the schema's field tables and skips the
+    sections they share (_differences), so it builds no config dict.  The
+    result is then a list of reports, each byte-identical to the report of
+    its config run alone; a report writes its config block only when that is
+    first read.  The limit theorems run such a list as one batch
+    (_run_limit_theorem), the others one config at a time.
     """
     cfgs = cfg if isinstance(cfg, list) else [cfg]
     if not cfgs:
         raise ConfigError("run_experiment needs at least one config")
-    heads = [config_to_dict(c) for c in cfgs]
-    for i, head in enumerate(heads[1:], 1):
-        keys = list(_differences(heads[0], head))
+    for i, c in enumerate(cfgs[1:], 1):
+        keys = list(_differences(_EXPERIMENT, cfgs[0], c))
         if keys:
             raise ConfigError(f"batched configs may differ only in sampler.seed, "
                               f"sampler.radius_range, model.seed and perturbation seeds; "
                               f"config {i} differs from config 0 in {', '.join(keys)}")
     start = time.perf_counter()
     thm = _THEOREMS[cfgs[0].theorem_id]
-    reports = (_run_limit_theorem(cfgs, thm, heads) if thm.run is None else
-               [thm.run(c, head) for c, head in zip(cfgs, heads)])
+    reports = _run_limit_theorem(cfgs, thm) if thm.run is None else list(map(thm.run, cfgs))
     seconds = time.perf_counter() - start
     for report in reports:
         report.runtime = {"seconds": seconds}
@@ -1133,6 +1164,7 @@ class _Section:
     def __init__(self, make, *fields: _Field):
         self.make = make  # keyword arguments named after the keys -> section object
         self.fields = fields
+        self.types = {f.key: f.type for f in fields}
 
 
 def _type_name(t) -> str:
@@ -1192,12 +1224,14 @@ def _parse_value(t, v, where: str, nullable: bool = False):
     return v
 
 
+def _fields(sec: _Section, obj) -> dict:
+    """The keys _emit writes for obj, each with its value as obj holds it."""
+    return {f.key: f.get(obj) if f.get else getattr(obj, f.key)
+            for f in sec.fields if f.emit is None or f.emit(obj)}
+
+
 def _emit(sec: _Section, obj) -> dict:
-    return {
-        f.key: _emit_value(f.type, f.get(obj) if f.get else getattr(obj, f.key))
-        for f in sec.fields
-        if f.emit is None or f.emit(obj)
-    }
+    return {key: _emit_value(sec.types[key], v) for key, v in _fields(sec, obj).items()}
 
 
 def _emit_value(t, v):
@@ -1373,6 +1407,10 @@ class SearchSettings:
     restarts: int = 1
 
     def __post_init__(self):
+        for name in ("iterations", "restarts"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if not (1 <= self.restarts <= self.iterations):
             raise ConfigError(f"search needs 1 <= restarts <= iterations, got {self}")
 
@@ -1407,7 +1445,9 @@ def adversarial_search(cfg: ExperimentConfig, settings: SearchSettings | None = 
     starving the hypothesis measurement.
 
     The restarts run as hill-climb chains in lockstep, each step running one
-    candidate per unfinished chain in one batched run_experiment call.  Chain
+    candidate per unfinished chain in one batched run_experiment call, which
+    samples them in one pass and builds no config block; the result's config
+    is the one block built, that of the best candidate.  Chain
     0 starts from cfg and draws its mutations from rng_from(seed, "search"),
     as a lone chain does; chain r > 0 starts from sampler.seed =
     derive_seed(seed, r) with a stream of its own.  Chain r runs iterations //
@@ -1416,14 +1456,14 @@ def adversarial_search(cfg: ExperimentConfig, settings: SearchSettings | None = 
     """
     settings = settings or SearchSettings()
     seed = cfg.sampler.seed
-    best = {"ratio": -1.0, "config": None, "witnesses": []}
+    best = {"ratio": -1.0, "report": None}
 
     def evaluate(cands):
         """Run the candidates, keep the best so far; each one's ratio and lead witness norm."""
         out = []
         for c, rep in zip(cands, run_experiment(cands)):
             if rep.max_ratio > best["ratio"]:
-                best.update(ratio=rep.max_ratio, config=rep.config, witnesses=rep.witnesses)
+                best.update(ratio=rep.max_ratio, report=rep)
             x = np.asarray([rep.witnesses[0]["x"]]) if rep.witnesses else None
             out.append((rep.max_ratio, None if x is None else float(norm_many(c.space, x)[0])))
         return out
@@ -1443,10 +1483,11 @@ def adversarial_search(cfg: ExperimentConfig, settings: SearchSettings | None = 
             if ratio >= state[r][0]:
                 cur[r] = cand
                 state[r] = (ratio, state[r][1] if cand_norm is None else cand_norm)
+    rep = best["report"]
     return {
         "theorem_id": cfg.theorem_id,
         "worst_ratio": float(best["ratio"]),
-        "config": best["config"],
-        "witnesses": best["witnesses"],
+        "config": None if rep is None else rep.config,
+        "witnesses": [] if rep is None else rep.witnesses,
         "evaluations": settings.iterations,
     }

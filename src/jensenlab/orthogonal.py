@@ -113,7 +113,7 @@ def scaling_identity_check(
     r, s, t = params.r, params.s, params.t
     cap = ball_radius * min(1.0, s / r, t / r) * (1.0 - 1e-12)
     rng = rng_from(seed, "scaling-identity")
-    X = sample_points(f.domain, count, (cap * 1e-3, cap), rng)
+    X = sample_points(f.domain, count, [(cap * 1e-3, cap)], [rng])
     out = np.zeros(X.shape[0])
     for ratio in ((r / s), (r / t)):
         gap = norm_many(f.codomain, f.eval_many(ratio * X) - ratio * f.eval_many(X))
@@ -173,7 +173,7 @@ def sikorska_extend(
 
     rng = rng_from(seed, "sikorska-residual")
     lo = R * 1e-3 if cfg.exclude_origin else 0.0
-    X = sample_points(space, count, (lo, R * (1.0 - 1e-9)), rng)
+    X = sample_points(space, count, [(lo, R * (1.0 - 1e-9))], [rng])
     # one odd limit, rows independent: at the basis vectors (the linear part) and at X
     vals, its, _, conv = limit(f_odd, base, np.concatenate([np.eye(dim), X]))
     T_hat = FunctionModel(domain=space, codomain=f.codomain, linear=vals[:dim].T)
@@ -217,8 +217,8 @@ def even_part_constancy_check(
     cap = cfg.ball_radius / max(1.0, np.sqrt(lam)) * (1.0 - 1e-9)
     rng = rng_from(seed, "even-constancy")
     lo = cap * 1e-3 if cfg.exclude_origin else cap * 1e-6
-    X = sample_points(space, count, (lo, cap), rng)
-    V = unit_directions(space, count, rng)
+    X = sample_points(space, count, [(lo, cap)], [rng])
+    V = unit_directions(space, count, [rng])
     # degenerate plane; any independent direction works
     lens = np.sqrt(_rowdot(X, X)), np.sqrt(_rowdot(V, V))
     flat = np.abs(_rowdot(X, V)) > (1.0 - 1e-9) * lens[0] * lens[1]

@@ -233,7 +233,10 @@ class OrthogonalityRelation:
 
 def _independent_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Rows where {x, y} is linearly independent, judged on x/‖x‖ and y/‖y‖
-    so that scaling either vector does not change the verdict."""
+    so that scaling either vector does not change the verdict.  No pair is
+    independent below dimension 2."""
+    if X.shape[1] < 2:
+        return np.zeros(X.shape[0], dtype=bool)
     U = np.stack([X, Y], axis=1)
     lens = np.linalg.norm(U, axis=2, keepdims=True)
     s = np.linalg.svd(U / np.where(lens > 0.0, lens, 1.0), compute_uv=False)

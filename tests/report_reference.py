@@ -2,10 +2,11 @@
 
 import csv
 import io
+import re
 
 import numpy as np
 
-from jensenlab.experiments import _ratio_arrays, _Rows
+from jensenlab.experiments import _BATCH_FREE, _ratio_arrays, _Rows
 from jensenlab.models import BOUNDED, DECAY, POWER
 
 
@@ -70,3 +71,17 @@ def auto_n_max(cfg, base: float, arg_scale: float = 1.0) -> int:
             continue
         need = max(need, int(np.ceil(min(n, 600))) + 6)  # n is inf once a/tol overflows
     return min(need, 600)
+
+
+def head_differences(a, b, path=""):
+    """The key paths outside _BATCH_FREE at which two config_to_dict heads
+    differ: a's keys first, then those b alone holds, lists index by index."""
+    if a == b or re.sub(r"\[\d+\]", "[]", path) in _BATCH_FREE:
+        return []
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for key in [*a, *(k for k in b if k not in a)]
+                for p in head_differences(a.get(key), b.get(key), f"{path}.{key}" if path else key)]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b))
+                for p in head_differences(x, y, f"{path}[{i}]")]
+    return [path]

@@ -33,11 +33,12 @@ from jensenlab.models import (
     PerturbationSpec,
 )
 from jensenlab.spaces import euclidean_space
-from report_reference import assemble_rows, auto_n_max
+from report_reference import assemble_rows, auto_n_max, head_differences
 
 E3 = {"dim": 3, "norm_kind": "euclidean"}
 E2 = {"dim": 2, "norm_kind": "euclidean"}
 P3 = {"dim": 3, "norm_kind": "p_norm", "p": 3.0}
+SUP3 = {"dim": 3, "norm_kind": "sup"}
 MIXED = {"kind": "mixed", "epsilon": 0.3, "delta": 0.2, "p": 0.5}
 CONST = {"kind": "constant", "epsilon": 0.4}
 LIMIT_IDS = sorted(tid for tid, thm in experiments._THEOREMS.items() if thm.run is None)
@@ -48,6 +49,9 @@ DOMAINS = {
     "thm4_3": {"kind": "punctured"},
     "thm5_2": {"kind": "orthogonal", "relation": {"kind": "inner_product"}},
 }
+# thm5_2's relations, each on a space it runs in
+RELATIONS = [("inner_product", E3), ("birkhoff_james", SUP3), ("birkhoff_james", P3),
+             ("trivial", E3)]
 # small seeds collide now and then, so some terms keep one seed for all candidates
 SEEDS = st.integers(0, 3) | st.integers(0, 2**64 - 1)
 
@@ -80,8 +84,11 @@ def _experiment(tid, count=8, space=E3):
 def _batches(draw):
     """1-5 compatible configs of one limit theorem, differing in every free key."""
     tid = draw(st.sampled_from(LIMIT_IDS))
-    space = E3 if tid == "thm5_2" else draw(st.sampled_from([E3, P3]))
+    rel, space = draw(st.sampled_from(RELATIONS)) if tid == "thm5_2" else (
+        None, draw(st.sampled_from([E3, P3])))
     base = _experiment(tid, count=draw(st.sampled_from([1, 3, 8])), space=space)
+    if rel is not None:
+        base["domain"] = {"kind": "orthogonal", "relation": {"kind": rel}}
     # a quadratic part keeps the dyadic and triadic limits from settling, so
     # they run to each candidate's own iteration cap
     base["model"]["quadratic"] = draw(st.sampled_from([None, [0.3, -0.1]]))
@@ -233,7 +240,10 @@ def test_batch_rejects_other_differences(base, key, change):
     cfgs = [_parse_experiment(exp), _parse_experiment(other)]  # each valid on its own
     with pytest.raises(ConfigError, match=re.escape(key)) as info:
         run_experiment(cfgs)
-    assert "sampler.seed" not in str(info.value).split("differs from config 0 in")[1]
+    named = str(info.value).split("differs from config 0 in ")[1]
+    # the walk over the config objects names what a diff of their heads names
+    assert named == ", ".join(head_differences(*map(config_to_dict, cfgs)))
+    assert "sampler.seed" not in named
 
 
 def test_empty_batch_is_refused():
@@ -287,6 +297,26 @@ def _evaluated(cfg, settings):
     with mock.patch.object(experiments, "run_experiment", spy):
         adversarial_search(cfg, settings)
     return seen
+
+
+def test_search_builds_one_head_and_diffs_none():
+    """The candidates are compared through the schema tables, not through their
+    heads, and only the best candidate's head is built, once per search."""
+    cfg = _parse_experiment(_experiment("thm4_3", count=8))
+    heads = mock.Mock(wraps=experiments.config_to_dict)
+    compared = []
+    real = experiments._differences
+
+    def differences(t, a, b, *rest):
+        compared.append((type(a), type(b)))
+        return real(t, a, b, *rest)
+
+    with mock.patch.object(experiments, "config_to_dict", heads), \
+            mock.patch.object(experiments, "_differences", differences):
+        out = adversarial_search(cfg, SearchSettings(iterations=9, restarts=3))
+    assert heads.call_count == 1
+    assert compared and not any(dict in pair for pair in compared)
+    assert out == adversarial_search(cfg, SearchSettings(iterations=9, restarts=3))
 
 
 def test_chain_zero_walks_as_the_lone_chain():

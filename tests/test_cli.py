@@ -311,6 +311,10 @@ CONFIG_PROBES = [
                                                    "q": 0.0}}, "control.table"),
     (("domain", "d"), 1.5, "domain.d"),
     (("domain", "relation"), {"kind": "trivial"}, "domain.relation"),
+    # on a line no pair is independent, so trivial pairs need two dimensions too
+    ((), {"theorem_id": "thm5_2", "params": {"r": 1, "s": 1, "t": 1},
+          "control": {"kind": "constant", "epsilon": 0.3}, "space": _space(1),
+          "domain": {"kind": "orthogonal", "relation": {"kind": "trivial"}}}, "space.dim"),
     # a perturbation key that its term's kind does not read
     (("perturbation", 0, "delta"), 0.7, "perturbation[0].delta"),
     (("perturbation", 0, "p"), 0.5, "perturbation[0].p"),

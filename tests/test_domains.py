@@ -24,12 +24,14 @@ from jensenlab.models import (
     PerturbationSpec,
     jensen_defect_many,
 )
+from jensenlab import sampling
 from jensenlab.orthogonal import pexider_reduction_check
 from jensenlab.sampling import (
     exterior_pairs,
     orthogonal_pairs,
     rng_from,
     sample_pairs,
+    sample_points,
     shell_pairs,
 )
 from jensenlab.spaces import (
@@ -65,22 +67,56 @@ def test_domain_kinds_on_batched_paths():
     Y = np.array([[0.0, 0.5], [0.0, 0.5]])
     assert (norm_many(E2, X) + norm_many(E2, Y) >= ext.d).tolist() == [True, False]
     rng = rng_from(4, "domains")
-    Xe, Ye = exterior_pairs(E2, ext.d, 200, (0.05, 3.0), rng, axis_period=8)
+    Xe, Ye = exterior_pairs(E2, ext.d, 200, [(0.05, 3.0)], [rng], axis_period=8)
     assert np.all(norm_many(E2, Xe) + norm_many(E2, Ye) >= ext.d)
 
     assert DomainRestriction(kind=PUNCTURED).d == 0.0
     X = np.array([[1.0, 0.0], [0.0, 0.0]])
     Y = np.array([[0.0, 1.0], [0.0, 1.0]])
     assert (np.any(X, axis=1) & np.any(Y, axis=1)).tolist() == [True, False]
-    Xp, Yp = sample_pairs(E2, 200, (0.05, 3.0), rng)
+    Xp, Yp = sample_pairs(E2, 200, [(0.05, 3.0)], [rng])
     assert np.all(np.any(Xp, axis=1) & np.any(Yp, axis=1))
 
     orth = DomainRestriction(kind=ORTHOGONAL, relation=OrthogonalityRelation(kind="inner_product"))
     X = np.array([[1.0, 0.0], [1.0, 0.0]])
     Y = np.array([[0.0, 3.0], [1.0, 1.0]])
     assert is_orthogonal_many(orth.relation, E2, X, Y).tolist() == [True, False]
-    Xo, Yo = orthogonal_pairs(orth.relation, E2, 200, (0.05, 3.0), rng, axis_period=8)
+    Xo, Yo = orthogonal_pairs(orth.relation, E2, 200, [(0.05, 3.0)], [rng], axis_period=8)
     assert np.all(is_orthogonal_many(orth.relation, E2, Xo, Yo))
+
+
+P3 = NormedSpaceSpec(3, "p_norm", 3.0)
+# name -> sampler(space, n, radius ranges, generators), each as a tuple of arrays
+SAMPLERS = {
+    "points": lambda *a: (sample_points(*a),),
+    "pairs": lambda *a: sample_pairs(*a, axis_period=8),
+    "exterior": lambda space, *a: exterior_pairs(space, 1.5, *a, axis_period=8),
+    "shells": lambda space, n, ranges, rngs: shell_pairs(space, 0.5, 2.0, n, rngs),
+    **{f"orthogonal-{kind}": (lambda rel: lambda *a: orthogonal_pairs(rel, *a, axis_period=8))(
+        OrthogonalityRelation(kind)) for kind in ("inner_product", "birkhoff_james", "trivial")},
+}
+
+
+@pytest.mark.parametrize("n", [1, 13])
+@pytest.mark.parametrize("name, space", [
+    pytest.param(name, space, id=f"{name}-{sid}") for name in sorted(SAMPLERS)
+    for sid, space in (("e3", E3), ("sup2", S2), ("p3", P3))
+    if name != "orthogonal-inner_product" or space.has_inner_product
+])
+def test_batched_samplers_stack_solo_segments(monkeypatch, name, space, n):
+    """A sampler over K generators returns, bit for bit, each generator's rows
+    alone, in generator order.  Partners whose first coordinate is positive
+    are refused, so about half the rows of each try are redrawn, each from
+    its own config's stream."""
+    real = sampling.is_orthogonal_many
+    monkeypatch.setattr(sampling, "is_orthogonal_many",
+                        lambda rel, sp, X, Y: real(rel, sp, X, Y) & (Y[:, 0] <= 0.0))
+    ranges = [(0.05, 3.0), (0.5, 0.6), (1.0, 9.0)]
+    stacked = SAMPLERS[name](space, n, ranges, [rng_from(k, "batch") for k in range(3)])
+    for k in range(3):
+        solo = SAMPLERS[name](space, n, ranges[k:k + 1], [rng_from(k, "batch")])
+        for got, want in zip(stacked, solo, strict=True):
+            assert got[k * n:(k + 1) * n].tobytes() == want.tobytes()
 
 
 def test_domain_validation():
@@ -112,7 +148,7 @@ def test_construct_z_examples():
 
 def test_construct_z_lands_outside():
     rng = rng_from(3, "z")
-    X, Y = shell_pairs(E3, 0.0, 2.5, 500, rng)
+    X, Y = shell_pairs(E3, 0.0, 2.5, 500, [rng])
     assert np.all(norm_many(E3, X) + norm_many(E3, Y) < 2.5)  # interior pairs
     Z = construct_z_many(E3, X, Y, 2.5)
     assert np.all(norm_many(E3, Z) >= 2.5 - 1e-12)
@@ -123,7 +159,7 @@ def test_five_inequalities_hold_for_constructed_z():
     params = JensenParams(2, 1, 1)
     for space in (E3, NormedSpaceSpec(3, "sup")):
         rng = rng_from(11, "pairs")
-        X, Y = shell_pairs(space, 0.0, d, 2000, rng)
+        X, Y = shell_pairs(space, 0.0, d, 2000, [rng])
         Z = construct_z_many(space, X, Y, d)
         margins = five_inequality_margins(space, params, X, Y, Z, d)
         assert margins.shape == (2000, 5)
@@ -150,7 +186,7 @@ def test_direct_defect_below_chain():
     f = _noisy_additive(0.3)
     params = JensenParams(2, 3, 1)
     rng = rng_from(7, "chain")
-    X, Y = shell_pairs(E3, 0.0, 2.0, 800, rng)
+    X, Y = shell_pairs(E3, 0.0, 2.0, 800, [rng])
     Z = construct_z_many(E3, X, Y, 2.0)
     direct, chain, terms = five_term_defect_many(f, params, X, Y, Z)
     assert terms.shape == (800, 5)
@@ -196,7 +232,7 @@ def _rich_model(space, linear, seeds=(5, 6)):
 
 
 def _interior_chain(space, n, seed, d=2.0):
-    X, Y = shell_pairs(space, 0.0, d, n, rng_from(seed, "chain"))
+    X, Y = shell_pairs(space, 0.0, d, n, [rng_from(seed, "chain")])
     X[0] = Y[0] = Y[1] = 0.0  # the origin pair, whose z is d·e1, and a zero y
     return X, Y, construct_z_many(space, X, Y, d)
 
@@ -287,7 +323,7 @@ def test_defect_sup_bounded_by_noise_budget():
     f = _noisy_additive(amp)
     params = JensenParams(2, 1, 3)
     rng = rng_from(13, "sup")
-    X, Y = sample_pairs(E3, 600, (0.1, 5.0), rng)
+    X, Y = sample_pairs(E3, 600, [(0.1, 5.0)], [rng])
     budget = (params.r + params.s + params.t) * amp
     assert 0.0 < float(np.max(jensen_defect_many(f, f, f, params, X, Y))) <= budget + 1e-12
 
@@ -305,7 +341,8 @@ def test_exterior_defect_sup_filters():
         "sampler": {"count": 8, "seed": 17, "radius_range": [0.1, 4.0], "pair_count": 400},
     }]})
     f = _noisy_additive(0.1)
-    X, Y = exterior_pairs(E3, 3.0, 400, (0.1, 4.0), rng_from(17, "ext"), axis_period=8)
+    X, Y = exterior_pairs(E3, 3.0, 400, [(0.1, 4.0)], [rng_from(17, "ext")],
+                          axis_period=8)
     assert np.all(norm_many(E3, X) + norm_many(E3, Y) >= 3.0)
     eps_hat, witness = measure_epsilon(cfg, f, f, f, X, Y)
     assert eps_hat == float(np.max(jensen_defect_many(f, f, f, cfg.params, X, Y)))

@@ -200,7 +200,9 @@ def _vectors(n):
 def _configs(draw):
     """Valid experiment configs for every theorem id."""
     tid = draw(st.sampled_from(experiments.THEOREM_IDS))
-    dim, codim, s = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    # on a line only y = 0 is orthogonal to x != 0, so thm5_2 needs dim >= 2
+    dim = draw(st.integers(2 if tid == "thm5_2" else 1, 3))
+    codim, s = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     if tid in ("thm6_1", "thm6_2"):  # s = t and 2(s/r)^2 > 1
         params = JensenParams(draw(st.integers(1, s)), s, s)
     else:
@@ -226,9 +228,7 @@ def _configs(draw):
         domain = DomainRestriction(kind="exterior", d=draw(st.integers(1, 5) | st.floats(0.1, 5.0)))
     space = draw(_spaces(dim))
     if tid == "thm5_2":
-        kinds = ["trivial"]
-        if dim > 1:  # on a line only y = 0 is orthogonal to x != 0
-            kinds += ["birkhoff_james"] + (["inner_product"] if space.has_inner_product else [])
+        kinds = ["trivial", "birkhoff_james"] + (["inner_product"] if space.has_inner_product else [])
         kind = draw(st.sampled_from(kinds))
         relation = OrthogonalityRelation(kind, draw(st.floats(1e-12, 1.0)))
         domain = DomainRestriction(kind="orthogonal", relation=relation)
@@ -424,9 +424,8 @@ class TestConfigParsing:
                 c.model, perturbations=tuple(replace(p, seed=p.seed + 1) for p in perts))),
         }
         assert set(moves) == set(experiments._BATCH_FREE)
-        head = config_to_dict(cfg)
         for move in moves.values():
-            assert list(experiments._differences(head, config_to_dict(move(cfg)))) == []
+            assert list(experiments._differences(experiments._EXPERIMENT, cfg, move(cfg))) == []
 
     def test_negative_shell_edges_rejected(self):
         with pytest.raises(ConfigError, match="edges"):
@@ -504,7 +503,7 @@ class TestCalibration:
         cfg = _cfg("thm2_1", params=params, control=control,
                    model=ModelSettings(perturbations=calibrated_perturbations(params, control, seed=7)))
         f, g, h = build_models(cfg)
-        X, Y = sample_pairs(E3, 800, (0.0, 12.0), rng_from(3, "cal"))
+        X, Y = sample_pairs(E3, 800, [(0.0, 12.0)], [rng_from(3, "cal")])
         defect = jensen_defect_many(f, g, h, params, X, Y)
         phi = control_phi_norms(control, norm_many(E3, X), norm_many(E3, Y))
         assert np.all(defect <= phi * (1.0 + 1e-9) + 1e-12)
@@ -521,7 +520,7 @@ class TestCalibration:
 def test_measure_epsilon_exact_model_is_zero():
     cfg = _cfg("cor2_2", model=ModelSettings())
     f, g, h = build_models(cfg)
-    X, Y = sample_pairs(E3, 200, (0.1, 4.0), rng_from(1, "meas"))
+    X, Y = sample_pairs(E3, 200, [(0.1, 4.0)], [rng_from(1, "meas")])
     eps_hat, witness = measure_epsilon(cfg, f, g, h, X, Y)
     assert eps_hat <= 1e-10
     assert set(witness) == {"defect", "x", "y"}
@@ -530,7 +529,7 @@ def test_measure_epsilon_exact_model_is_zero():
 def test_measure_epsilon_below_declared():
     cfg = _cfg("cor2_2")
     f, g, h = build_models(cfg)
-    X, Y = sample_pairs(E3, 400, (0.1, 6.0), rng_from(2, "meas"))
+    X, Y = sample_pairs(E3, 400, [(0.1, 6.0)], [rng_from(2, "meas")])
     eps_hat, _ = measure_epsilon(cfg, f, g, h, X, Y)
     assert 0.0 < eps_hat <= cfg.control.epsilon * (1.0 + 1e-9)
 
@@ -621,7 +620,7 @@ def test_emitter_matches_json_dumps(n, dim, roles, data):
         column(n, dim), tuple(roles), np.array(role, dtype=int), column(n), column(n), column(n)
     )
     rep = experiments.StabilityReport(
-        theorem_id="thm2_1", config={"seed": 1}, epsilon_effective=0.3, bound_value=math.inf,
+        theorem_id="thm2_1", cfg=_cfg("thm2_1"), epsilon_effective=0.3, bound_value=math.inf,
         max_deviation=-0.0, max_ratio=math.nan, passed=False,
         witnesses=rows.dicts(slice(3)), samples=rows,
         details={"edge": EDGE_FLOATS}, iterations={"max_iterations": 0},
@@ -663,8 +662,9 @@ def _big_report(dim, seed):
         rng.choice(pool, size=(n, dim)), ("f", "g", "odd"), rng.integers(0, 3, n),
         rng.choice([2.2e-16, 0.0, -0.0], size=n), np.full(n, 1e-6), rng.choice(pool, size=n),
     )
+    cfg = _cfg("cor2_2", sampler=SamplerSettings(count=8, seed=seed, radius_range=(0.0, 1.0)))
     return experiments.StabilityReport(
-        theorem_id="thm6_1", config={"seed": seed}, epsilon_effective=0.0, bound_value=1e-6,
+        theorem_id="thm6_1", cfg=cfg, epsilon_effective=0.0, bound_value=1e-6,
         max_deviation=2.2e-16, max_ratio=math.nan, passed=False, witnesses=rows.dicts([0, 7]),
         samples=rows, details={}, iterations={"max_iterations": 0},
     )
@@ -694,7 +694,7 @@ def test_csv_rows_match_csv_writer_at_report_size(dim):
         rng.choice(pool, size=n), rng.choice(pool, size=n), rng.choice(pool, size=n),
     )
     rep = experiments.StabilityReport(
-        theorem_id="prop4_2", config={}, epsilon_effective=0.0, bound_value=0.0,
+        theorem_id="prop4_2", cfg=_cfg("cor2_2"), epsilon_effective=0.0, bound_value=0.0,
         max_deviation=0.0, max_ratio=0.0, passed=True, witnesses=[], samples=rows,
         details={}, iterations={},
     )
@@ -714,7 +714,7 @@ def test_csv_matches_repr_on_edge_floats():
     rows = experiments._Rows(np.stack([edge, edge[::-1]], axis=1), ("f", "odd"),
                              np.arange(n) % 2, edge[::-1], np.roll(edge, 3), -edge)
     rep = experiments.StabilityReport(
-        theorem_id="thm2_1", config={"seed": 1}, epsilon_effective=0.3, bound_value=1.0,
+        theorem_id="thm2_1", cfg=_cfg("thm2_1"), epsilon_effective=0.3, bound_value=1.0,
         max_deviation=0.0, max_ratio=0.0, passed=True, witnesses=[], samples=rows,
         details={}, iterations={"max_iterations": 0},
     )
@@ -750,4 +750,15 @@ def test_adversarial_search_is_deterministic_and_bounded():
 def test_search_settings_reject_empty_restarts(iterations, restarts):
     # restarts=0 used to run no evaluation and report worst_ratio -1.0
     with pytest.raises(ConfigError, match="restarts <= iterations"):
+        SearchSettings(iterations=iterations, restarts=restarts)
+
+
+@pytest.mark.parametrize("iterations, restarts, field", [
+    (7.5, 2, "iterations"), (True, True, "iterations"), (8, 2.0, "restarts"),
+    (6, False, "restarts"), ("6", 1, "iterations"),
+])
+def test_search_settings_reject_non_integers(iterations, restarts, field):
+    # 7.5 used to die in adversarial_search with a TypeError, and True to
+    # report "evaluations": true
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
         SearchSettings(iterations=iterations, restarts=restarts)

@@ -380,6 +380,29 @@ def test_search_digest(name):
     assert _search_digest(name) == SEARCH_DIGESTS[name]
 
 
+# Canonical JSON of ``adversarial_search`` with three restarts, 12 evaluations:
+# three chains in lockstep, so every run_experiment call is a batch of three
+# candidates.  The thm5_2 entries batch inner_product and Birkhoff-James pairs.
+LOCKSTEP_DIGESTS = {
+    "cor2_2-constant": "786dcd93f37e1241a7b38b63d1952cecdbeff99c5a16147f0745b38dd0876dde",
+    "thm3_1": "917f3f0d347e603c6ab033bbf6fdc7531bb29526553d1cd7d03d4c76612bc89c",
+    "thm4_3": "8235708178201d4f25687987f37a2a67f58398702b6a4b59ceb061c073e802b7",
+    "thm5_2": "fcc51e1f495544d1c714f0a656aceade81fd8de223c86b0b6eb33a7ef87e55f6",
+    "thm5_2-bj-sup": "6d07987aecaf5542f869e811473192af1bc115373a37f6bf5e702b5c23aedf17",
+}
+
+
+def _lockstep_digest(name):
+    (cfg,) = parse_config({"schema_version": 1, "experiments": [CONFIGS[name]]})
+    out = adversarial_search(cfg, SearchSettings(iterations=12, restarts=3))
+    return _sha256(json.dumps(out, indent=2, sort_keys=True, default=_json_default) + "\n")
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_DIGESTS))
+def test_lockstep_search_digest(name):
+    assert _lockstep_digest(name) == LOCKSTEP_DIGESTS[name]
+
+
 if __name__ == "__main__":
     # Print ``name old new`` for every digest that no longer matches its table,
     # and exit 1 if any did:
@@ -388,6 +411,7 @@ if __name__ == "__main__":
         ("", DIGESTS, lambda name: _sha256(emit_report(_report(name), fmt="json"))),
         ("axioms:", AXIOM_DIGESTS, _axiom_digest),
         ("search:", SEARCH_DIGESTS, _search_digest),
+        ("lockstep:", LOCKSTEP_DIGESTS, _lockstep_digest),
     ]
     moved = False
     for prefix, table, digest in tables:

@@ -48,7 +48,7 @@ def _orthogonal_defect_sup(f, count, radius_range, seed):
     """Sup of the Jensen defect of (f, f, f) over sampled IP-orthogonal pairs,
     axis pairs (x, 0) and (0, y) included."""
     rng = rng_from(seed, "orthogonal-defect")
-    X, Y = orthogonal_pairs(IP, E3, count, radius_range, rng, axis_period=8)
+    X, Y = orthogonal_pairs(IP, E3, count, [radius_range], [rng], axis_period=8)
     return float(np.max(jensen_defect_many(f, f, f, P111, X, Y)))
 
 
@@ -68,7 +68,7 @@ def test_pexider_reduction_stays_small():
     amp = 0.1
     f = _model(quadratic=[0.5], perts=(PerturbationSpec(kind=BOUNDED, amplitude=amp, seed=7),))
     rng = rng_from(9, "pairs")
-    X, Y = orthogonal_pairs(IP, E3, 400, (0.1, 4.0), rng)
+    X, Y = orthogonal_pairs(IP, E3, 400, [(0.1, 4.0)], [rng])
     res = pexider_reduction_check(f, P111, X, Y)
     true_sup = _orthogonal_defect_sup(f, 400, (0.1, 4.0), seed=9)
     assert res <= 3.0 * max(true_sup, 3 * amp) + 1e-12
@@ -83,7 +83,7 @@ def test_pexider_reduction_per_candidate():
 
     perts = (PerturbationSpec(kind=BOUNDED, amplitude=0.1, seed=(7, 8, 9)),)
     f = _model(quadratic=[0.5], perts=perts, linear=np.stack([L13, 2.0 * L13, -L13]))
-    X, Y = orthogonal_pairs(IP, E3, 90, (0.1, 4.0), rng_from(9, "pairs"))
+    X, Y = orthogonal_pairs(IP, E3, 90, [(0.1, 4.0)], [rng_from(9, "pairs")])
     cand = np.repeat(np.arange(3), 30)
     got = pexider_reduction_check(f, P111, X, Y, cand)
     assert got == [reference(f.candidate(k), X[cand == k], Y[cand == k]) for k in range(3)]
@@ -104,7 +104,7 @@ class TestDecomposeTQ:
 
     def test_exact_model(self):
         f = _model(quadratic=[0.7])
-        X = sample_points(E3, 200, (0.1, 3.0), rng_from(1, "pts"))
+        X = sample_points(E3, 200, [(0.1, 3.0)], [rng_from(1, "pts")])
         T_vals, Q_vals, converged = self._limits(f, X)
         assert converged
         assert np.max(norm_many(E1, f.eval_many(X) - T_vals - Q_vals)) <= 1e-9
@@ -121,7 +121,7 @@ class TestDecomposeTQ:
             quadratic=[0.7],
             perts=(PerturbationSpec(kind=BOUNDED, amplitude=0.05, seed=5),),
         )
-        X = sample_points(E3, 200, (0.1, 3.0), rng_from(2, "pts"))
+        X = sample_points(E3, 200, [(0.1, 3.0)], [rng_from(2, "pts")])
         T_vals, Q_vals, _ = self._limits(f, X)
         # residual stays of the order of the injected noise
         assert np.max(norm_many(E1, f.eval_many(X) - T_vals - Q_vals)) <= 3 * 0.05 + 1e-9

@@ -310,6 +310,17 @@ def test_linearly_independent():
     assert not _independent(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
 
 
+def test_no_pair_on_a_line_is_independent():
+    """A 2x1 matrix has one singular value, which once passed the test against
+    itself: every pair of a line counted as independent, so trivially orthogonal."""
+    line = euclidean_space(1)
+    rel = OrthogonalityRelation(kind="trivial")
+    assert not _independent(np.array([2.0]), np.array([3.0]))
+    assert not is_orthogonal(rel, line, [2.0], [3.0])
+    assert not is_orthogonal(rel, line, [2.0], [-1e-3])
+    assert is_orthogonal(rel, line, [2.0], [0.0]) and is_orthogonal(rel, line, [0.0], [3.0])
+
+
 IP = OrthogonalityRelation(kind="inner_product")
 BJ = OrthogonalityRelation(kind="birkhoff_james")
 
