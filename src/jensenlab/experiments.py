@@ -251,13 +251,13 @@ def _model_seed(cfg: ExperimentConfig) -> int:
 
 
 def _role_perturbations(cfg: ExperimentConfig, role_offset: int) -> tuple:
-    out = []
-    for i, p in enumerate(cfg.model.perturbations):
-        if p.kind == "none":
-            continue
-        seed = p.seed if role_offset == 0 else derive_seed(p.seed, role_offset + i)
-        out.append(replace(p, seed=seed))
-    return tuple(out)
+    """The config's perturbation terms for one role: f (offset 0) keeps the
+    specs as they are, g and h draw from seeds derived per term."""
+    return tuple(
+        p if role_offset == 0 else replace(p, seed=derive_seed(p.seed, role_offset + i))
+        for i, p in enumerate(cfg.model.perturbations)
+        if p.kind != "none"
+    )
 
 
 def calibrated_perturbations(

@@ -123,10 +123,8 @@ def _table_series(table, coefs, args, const_count, prefactor, ratio_base):
     # A row with no positive arg below the last knot gets the minimum n_stop of 8.
     rmax = table.radii[-1]
     smallest = np.min(np.where(scaling, args, rmax), axis=0)
-    steps = np.ceil(np.log(rmax / smallest) / np.log(ratio_base)).astype(np.int64)
-    n_stop = np.maximum(8, steps + 1)
-    if np.any(n_stop > _SERIES_HARD_CAP):
-        raise ControlError("table series truncation exceeds the hard cap")
+    with np.errstate(over="ignore"):  # a subnormal arg: inf, refused in _stop_counts
+        n_stop = _stop_counts(rmax / smallest, ratio_base)
 
     total, s_tail, tail_scale = np.zeros((3,) + n_stop.shape)
     for n in range(int(n_stop.max()) + 1):
@@ -146,6 +144,23 @@ def _table_series(table, coefs, args, const_count, prefactor, ratio_base):
     geo = 1.0 / (1.0 - ratio_base ** (table.q - 1.0))
     tail = prefactor * (s_tail * geo + const_sum * (ratio_base / (ratio_base - 1.0))) / tail_scale
     return total + tail
+
+
+def _stop_counts(ratio, base):
+    """Terms summed per row before the tail: at least 8, and enough that the
+    smallest arg, scaled by base^n, passes the last knot (ratio = last knot /
+    smallest arg).  Refused when a ratio is not finite (a subnormal arg), a
+    count passes the hard cap, or the last scale base^n_stop is past the
+    float range, as the tail assumes every scaled arg has passed the knot."""
+    if np.all(np.isfinite(ratio)):
+        n_stop = np.maximum(8, np.ceil(np.log(ratio) / np.log(base)).astype(np.int64) + 1)
+        if not np.any(n_stop > _SERIES_HARD_CAP):
+            try:
+                base ** int(n_stop.max())
+                return n_stop
+            except OverflowError:
+                pass
+    raise ControlError("table series truncation exceeds the hard cap")
 
 
 def _stop_level(tol):

@@ -127,10 +127,11 @@ def norm_many(space: NormedSpaceSpec, X: np.ndarray) -> np.ndarray:
 
 
 def _column_norms(space: NormedSpaceSpec, C: np.ndarray) -> np.ndarray:
-    """Norms of the columns of a (dim, n) array, bit for bit norm_many of C.T: sup
-    norms, Euclidean ones of dim ≤ 2 and p-norms of dim < 8 add one coordinate at
-    a time in loops of n, as numpy's row reductions do.  Wider rows keep numpy's
-    order (einsum: (x₀² + x₂²) + x₁² at dim 3 on SIMD builds; np.sum: pairwise)."""
+    """Norms of the columns of a (dim, n) array, bit for bit norm_many of C.T:
+    Euclidean norms of dim ≤ 2 and p-norms of dim < 8 add one coordinate at a
+    time in loops of n, as numpy's row reductions do, and sup norms (exact in any
+    order) take the largest.  Wider rows keep numpy's order (einsum:
+    (x₀² + x₂²) + x₁² at dim 3 on SIMD builds; np.sum: pairwise)."""
     if space.norm_kind == SUP:
         return _max_abs(C)
     if space.norm_kind == EUCLIDEAN and C.shape[0] <= 2:
@@ -141,9 +142,11 @@ def _column_norms(space: NormedSpaceSpec, C: np.ndarray) -> np.ndarray:
         return np.sqrt(out, out=out)
     if space.norm_kind == P_NORM and C.shape[0] < 8:
         with np.errstate(over="ignore"):  # |c|^p overflows to inf, as above
-            out = np.abs(C[0]) ** space.p
-            for c in C[1:]:
-                out += np.abs(c) ** space.p
+            A = np.abs(C)
+            A **= space.p
+            out = A[0]
+            for a in A[1:]:
+                out += a
             return out ** (1.0 / space.p)
     X = C.T if C.T.flags.c_contiguous else _rows(C)
     if space.norm_kind == EUCLIDEAN:
@@ -153,6 +156,8 @@ def _column_norms(space: NormedSpaceSpec, C: np.ndarray) -> np.ndarray:
 
 
 def _max_abs(C: np.ndarray) -> np.ndarray:
+    if C.flags.c_contiguous:  # contiguous rows: one reduction down the columns
+        return np.maximum.reduce(np.abs(C), axis=0)
     out = np.abs(C[0])
     for c in C[1:]:
         np.maximum(out, np.abs(c), out=out)
@@ -191,24 +196,28 @@ def bj_margin_many(space: NormedSpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.n
     b = 2.0 * nx / np.where(ny > 0.0, ny, np.inf)
     a = -b
 
-    # the rows twice over, so both probes of a step go through one call
-    XX, YY = np.concatenate([X, X]), np.concatenate([Y, Y])
-
-    def f(lam):
-        return norm_many(space, XX[: lam.size] + lam[:, None] * YY[: lam.size])
-
-    best = nx
+    # Both probes of a step go through one norm call: the rows twice over as
+    # (dim, 2n) columns, λ = (c, d) in one vector, x + λy built in place.
+    n = X.shape[0]
+    XX, YY = np.tile(X.T, 2), np.tile(Y.T, 2)
+    lam = np.empty(2 * n)
+    c, d = lam[:n], lam[n:]
+    probe = np.empty_like(XX)
+    low = np.tile(nx, 2)  # least ‖x + λy‖ so far, from λ = 0 on, at c and at d
     for _ in range(_GOLDEN_ITERS):
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fcd = f(np.concatenate([c, d]))
-        fc, fd = fcd[: c.size], fcd[c.size :]
-        best = np.minimum(best, np.minimum(fc, fd))
-        left = fc < fd
+        w = _INVPHI * (b - a)
+        np.subtract(b, w, out=c)
+        np.add(a, w, out=d)
+        np.multiply(YY, lam, out=probe)
+        probe += XX
+        fcd = _column_norms(space, probe)
+        np.minimum(low, fcd, out=low)
+        left = fcd[:n] < fcd[n:]
         a = np.where(left, a, c)
         b = np.where(left, d, b)
-    best = np.minimum(best, f((a + b) / 2.0))
-    return best - nx
+    mid = np.multiply(YY[:, :n], (a + b) / 2.0, out=probe[:, :n])
+    mid += XX[:, :n]
+    return np.minimum(np.minimum(low[:n], low[n:]), _column_norms(space, mid)) - nx
 
 
 @dataclass(frozen=True)
@@ -284,24 +293,26 @@ def _norming_functionals(space: NormedSpaceSpec, X: np.ndarray) -> np.ndarray:
     return np.sign(X) * A ** (space.p - 1.0) / s[:, None]
 
 
-def _one_sided_derivatives(space: NormedSpaceSpec, U: np.ndarray, V: np.ndarray):
-    """ρ'₋(u; v) and ρ'₊(u; v), the left and right derivatives of s ↦ ‖u + s·v‖ at 0.
+def _lower_derivative(space: NormedSpaceSpec, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """ρ'₋(u; v), the left derivative of s ↦ ‖u + s·v‖ at 0, for each row pair.
 
-    For the sup norm these are the min and max of sign(u_k)·v_k over the
-    coordinates where |u_k| attains ‖u‖.  The p (p > 1) and Euclidean norms
-    are differentiable away from 0, and both equal g(v) for the norming
-    functional g of u (for p = 1, g is one subgradient and g(v) lies between
-    the two).  James (Trans. AMS 61, 1947): u ⊥_BJ v iff
-    ρ'₋(u; v) ≤ 0 ≤ ρ'₊(u; v).
+    For the sup norm it is the min of sign(u_k)·v_k over the coordinates
+    where |u_k| attains ‖u‖.  The p (p > 1) and Euclidean norms are
+    differentiable away from 0, and it is g(v) for the norming functional g
+    of u (for p = 1, g is one subgradient and g(v) lies between ρ'₋ and ρ'₊).
     """
     if space.norm_kind == SUP:
         A = np.abs(U)
-        active = A >= (1.0 - _TIE_RTOL) * np.max(A, axis=1, keepdims=True)
+        active = A >= (1.0 - _TIE_RTOL) * np.maximum.reduce(A, axis=1, keepdims=True)
         S = np.sign(U) * V
-        return (np.min(np.where(active, S, np.inf), axis=1),
-                np.max(np.where(active, S, -np.inf), axis=1))
-    d = _rowdot(_norming_functionals(space, U), V)
-    return d, d
+        return np.minimum.reduce(np.where(active, S, np.inf), axis=1)
+    return _rowdot(_norming_functionals(space, U), V)
+
+
+def _one_sided_derivatives(space: NormedSpaceSpec, U: np.ndarray, V: np.ndarray):
+    """ρ'₋(u; v) and ρ'₊(u; v) = −ρ'₋(u; −v).  James (Trans. AMS 61, 1947):
+    u ⊥_BJ v iff ρ'₋(u; v) ≤ 0 ≤ ρ'₊(u; v)."""
+    return _lower_derivative(space, U, V), -_lower_derivative(space, U, -V)
 
 
 def orthogonal_partners(rel: OrthogonalityRelation, space: NormedSpaceSpec, X, V) -> np.ndarray:
@@ -512,6 +523,7 @@ def _o4_witnesses(rel, space, P1, P2, X, lam):
     LX = lam[:, None] * X
     for _ in range(_BISECT_ITERS):
         t = (a + b) / 2.0
-        neg = _one_sided_derivatives(space, X + t[:, None] * D, LX - t[:, None] * D)[0] <= 0.0
+        TD = t[:, None] * D
+        neg = _lower_derivative(space, X + TD, LX - TD) <= 0.0
         a, b = np.where(neg, a, t), np.where(neg, t, b)
     return b[:, None] * D

@@ -534,6 +534,29 @@ def test_measure_epsilon_below_declared():
     assert 0.0 < eps_hat <= cfg.control.epsilon * (1.0 + 1e-9)
 
 
+def test_f_keeps_its_perturbation_specs(monkeypatch):
+    """f (role offset 0) takes the config's perturbation specs as they are,
+    with no replace call; g and h copy each term once with a derived seed."""
+    cfg = _cfg("thm2_1", control=ControlFunctionSpec(kind="mixed", epsilon=0.4, delta=0.3, p=0.5))
+    perts = cfg.model.perturbations
+    copies = []
+
+    def spy(obj, **changes):
+        copies.append(changes)
+        return replace(obj, **changes)
+
+    monkeypatch.setattr(experiments, "replace", spy)
+    f_terms = experiments._role_perturbations(cfg, 0)
+    assert not copies
+    assert len(f_terms) == len(perts) == 2 and all(a is b for a, b in zip(f_terms, perts))
+    f, g, h = build_models(cfg)
+    assert f.perturbations == f_terms
+    assert len(copies) == 2 * len(perts)
+    assert [t.seed for t in g.perturbations] == [
+        experiments.derive_seed(p.seed, 100 + i) for i, p in enumerate(perts)
+    ]
+
+
 ALL_IDS = (
     "thm2_1", "cor2_2", "thm3_1", "cor3_2", "prop4_1",
     "prop4_2", "thm4_3", "thm5_2", "thm6_1", "thm6_2",

@@ -91,6 +91,7 @@ TABLE = {
 PUNCTURED = {"kind": "punctured"}
 SUP3 = {"dim": 3, "norm_kind": "sup"}
 P3 = {"dim": 3, "norm_kind": "p_norm", "p": 3.0}
+P15 = {"dim": 3, "norm_kind": "p_norm", "p": 1.5}
 SUP2 = {"dim": 2, "norm_kind": "sup"}
 
 
@@ -335,6 +336,7 @@ AXIOM_DIGESTS = {
     "inner-e3": "76851ed9be6d43cacee8099c8c65d7737e1e559b8ca32e843d0ec16a1b072d37",
     "trivial-e2": "8d2baabb2cec243dd0a15a675a925a4c3ae3fd058479a409c26ff07f990e89c9",
     "trivial-sup3": "c0d8bfb4079388e5400b98df28030c56b2363af83be61b17e1007c2bb5309366",
+    "bj-p1.5": "ce6265283a8bff4b51062f9b0e73725a1be79903a4faa326b1a69ac944ec2d57",
 }
 AXIOM_CASES = {
     "sup": ("birkhoff_james", SUP3),
@@ -343,6 +345,8 @@ AXIOM_CASES = {
     "inner-e3": ("inner_product", E3),
     "trivial-e2": ("trivial", E2),
     "trivial-sup3": ("trivial", SUP3),
+    # a non-integer p, where ** takes numpy's general power path
+    "bj-p1.5": ("birkhoff_james", P15),
 }
 
 

@@ -164,6 +164,23 @@ class TestClosedForms:
         for i in range(nx.size):
             assert batch[i] == at_norms(spec, nx[i : i + 1], ny[i : i + 1])[0]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_table_series_refuses_subnormal_scales(self):
+        """At argument norms so small that rmax/‖x‖ or base^n_stop leaves the
+        float range, both table series raise the hard-cap ControlError, with no
+        overflow warning; a little above, they still return their value."""
+        table = RadialControlTable(radii=[0.0, 1.0, 8.0], values=[0.3, 0.4, 0.8], q=0.5)
+        spec = ControlFunctionSpec(kind="table", epsilon=0.1, table=table)
+        dyadic = lambda v: phi_tilde_dyadic_norms(spec, JensenParams(2, 1, 1), [v], [v])
+        triadic = lambda v: phi_tilde_triadic_norms(spec, [v], [v])
+        assert dyadic(1e-305)[0] == pytest.approx(1.05, rel=1e-12)
+        assert triadic(1e-305)[0] == pytest.approx(2.1, rel=1e-12)
+        # 3^647 and 2^1024 overflow; rmax over the smallest scaled arg is inf
+        for series_at, v in [(triadic, 1.6e-307), (dyadic, 5e-308),
+                             (triadic, 5e-308), (dyadic, 1e-310)]:
+            with pytest.raises(ControlError, match="hard cap"):
+                series_at(v)
+
     def test_control_validation(self):
         with pytest.raises(ControlError):
             ControlFunctionSpec(kind="mixed", epsilon=1.0, delta=1.0, p=1.0)

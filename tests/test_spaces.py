@@ -19,6 +19,7 @@ from jensenlab.spaces import (
     norm_many,
     orthogonal_partners,
 )
+import spaces_reference
 
 E2 = euclidean_space(2)
 E3 = euclidean_space(3)
@@ -494,11 +495,11 @@ def test_o4_trial_makes_few_margin_calls(monkeypatch, space):
     share one."""
     for trials in (4, 400):
         calls = _count_calls(
-            monkeypatch, "_one_sided_derivatives", "bj_margin_many", "is_orthogonal"
+            monkeypatch, "_lower_derivative", "bj_margin_many", "is_orthogonal"
         )
         o4 = check_ratz_axioms(BJ, space, trials=trials, seed=5).results["O4"]
         assert o4.passed and o4.trials > 0
-        assert calls["_one_sided_derivatives"] == spaces._BISECT_ITERS
+        assert calls["_lower_derivative"] == spaces._BISECT_ITERS
         # the O4 verifier is the scalar is_orthogonal, one margin search each
         assert 0 < calls["is_orthogonal"] <= 2 * o4.trials
         # O1-O3 share one batched margin search
@@ -552,3 +553,64 @@ def test_o4_drops_degenerate_draws(monkeypatch, drop):
         o4 = check_ratz_axioms(BJ, S2, trials=40, seed=9).results["O4"]
     assert o4.trials == clean.trials - 1
     assert o4.passed and clean.passed
+
+
+KERNEL_SPACES = st.sampled_from(["euclidean", "sup", "p1.5", "p3"])
+
+
+def _space(kind, dim):
+    if kind.startswith("p"):
+        return NormedSpaceSpec(dim, "p_norm", float(kind[1:]))
+    return NormedSpaceSpec(dim, kind)
+
+
+def _scaled_rows(rng, n, dim):
+    """Gaussian rows scaled by 10^±6, a few with sup-norm ties."""
+    X = rng.standard_normal((n, dim))
+    ties = rng.random(n) < 0.1
+    X[ties] = np.sign(X[ties])
+    return X * 10.0 ** rng.uniform(-6.0, 6.0, (n, 1))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(kind=KERNEL_SPACES, dim=st.integers(1, 9), n=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_bj_margin_matches_reference(kind, dim, n, seed):
+    """The margin search gives the reference loop's floats, bit for bit, zero
+    x rows and zero y rows included."""
+    space, rng = _space(kind, dim), np.random.default_rng(seed)
+    X, Y = _scaled_rows(rng, n, dim), _scaled_rows(rng, n, dim)
+    X[rng.random(n) < 0.15] = 0.0
+    Y[rng.random(n) < 0.15] = 0.0
+    got = bj_margin_many(space, X, Y)
+    assert got.tobytes() == spaces_reference.bj_margin_many(space, X, Y).tobytes()
+
+
+def test_bj_margin_makes_one_norm_call_per_step(monkeypatch):
+    """After the norms of x and y, each golden-section step and the final
+    midpoint take one norm call over all their probes."""
+    calls = _count_calls(monkeypatch, "_column_norms")
+    rng = np.random.default_rng(4)
+    bj_margin_many(S3, rng.standard_normal((7, 3)), rng.standard_normal((7, 3)))
+    assert calls["_column_norms"] == 2 + spaces._GOLDEN_ITERS + 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(kind=KERNEL_SPACES, dim=st.integers(2, 9), n=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1), relation=st.sampled_from(["birkhoff_james", "other"]))
+def test_o4_witnesses_match_reference(kind, dim, n, seed, relation):
+    """The O4 bisection gives the reference loop's witnesses, bit for bit."""
+    space, rng = _space(kind, dim), np.random.default_rng(seed)
+    if relation == "other":
+        relation = "inner_product" if space.has_inner_product else "trivial"
+    rel = OrthogonalityRelation(kind=relation)
+    P1, P2 = _scaled_rows(rng, n, dim), _scaled_rows(rng, n, dim)
+    X = rng.uniform(-2.0, 2.0, (n, 1)) * P1 + rng.uniform(-2.0, 2.0, (n, 1)) * P2
+    keep = (spaces._independent_many(P1, P2)
+            & (norm_many(space, X) > 1e-3 * np.maximum(norm_many(space, P1), norm_many(space, P2))))
+    assume(np.any(keep))
+    P1, P2, X = P1[keep], P2[keep], X[keep]
+    lam = 10.0 ** rng.uniform(-2.0, 2.0, X.shape[0])
+    got = spaces._o4_witnesses(rel, space, P1, P2, X, lam)
+    want = spaces_reference.o4_witnesses(rel, space, P1, P2, X, lam)
+    assert got.tobytes() == want.tobytes()
