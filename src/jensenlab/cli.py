@@ -70,17 +70,18 @@ def _select(configs, theorem: str | None):
 
 
 def _cmd_verify(args) -> int:
+    if args.format == "csv" and args.timing:
+        raise ConfigError("--timing needs --format json; csv output has no runtime block")
     configs = _select(load_config(args.config), args.theorem)
     if args.format == "csv" and len(configs) != 1:
         raise ConfigError("csv output needs exactly one experiment; filter with --theorem")
     reports = [run_experiment(c) for c in configs]
-    include_runtime = bool(args.timing)
     if args.format == "csv":
-        _write(emit_report(reports[0], "csv", include_runtime), args.out)
+        _write(emit_report(reports[0], "csv"), args.out)
     elif len(reports) == 1:
-        _write(emit_report(reports[0], "json", include_runtime), args.out)
+        _write(emit_report(reports[0], "json", args.timing), args.out)
     else:
-        _write(emit_reports(reports, include_runtime), args.out)
+        _write(emit_reports(reports, args.timing), args.out)
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         failed = f"; failed: {', '.join(r.failed_checks)}" if r.failed_checks else ""
@@ -101,6 +102,8 @@ def _cmd_axioms(args) -> int:
         raise ConfigError(f"--p only applies to --norm p_norm, not --norm {args.norm}")
     if args.p is not None and not (1.0 <= args.p < math.inf):
         raise ConfigError(f"--p must be a finite number >= 1, got {args.p}")
+    if args.relation == "inner" and args.norm != EUCLIDEAN:
+        raise ConfigError(f"--relation inner needs --norm {EUCLIDEAN}, not --norm {args.norm}")
     space = NormedSpaceSpec(dim=args.dim, norm_kind=args.norm, p=args.p)
     rel = OrthogonalityRelation(kind=_RELATIONS[args.relation])
     report = check_ratz_axioms(rel, space, trials=args.trials, seed=args.seed)

@@ -105,7 +105,8 @@ from .spaces import (
     norm_many,
 )
 
-SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 REPORT_TOL = 1e-7  # relative slack on max_ratio <= 1
 
 
@@ -391,7 +392,7 @@ class _Rows:
     def __len__(self) -> int:
         return len(self.role)
 
-    def dicts(self, idx=slice(None)) -> list:
+    def dicts(self, idx) -> list:
         """Dict rows for the points X[idx], keys in report order."""
         roles = [self.roles[k] for k in self.role[idx].tolist()]
         cols = (self.X[idx].tolist(), roles, self.deviation[idx].tolist(),
@@ -427,8 +428,10 @@ class StabilityReport:
         return config_to_dict(self.cfg)
 
     def to_dict(self, include_runtime: bool = False) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
+        """The report as emit_report writes it: samples as columns, the numeric
+        ones numpy arrays, and every non-finite float spelled by _spelled."""
+        head = {
+            "schema_version": REPORT_SCHEMA_VERSION,
             "theorem_id": self.theorem_id,
             "config": self.config,
             "epsilon_effective": self.epsilon_effective,
@@ -437,28 +440,41 @@ class StabilityReport:
             "max_ratio": self.max_ratio,
             "pass": self.passed,
             "witnesses": self.witnesses,
-            "samples": self.samples.dicts(),
             "details": self.details,
             "iterations": self.iterations,
         }
         if include_runtime and self.runtime is not None:
-            out["runtime"] = self.runtime
-        return out
+            head["runtime"] = self.runtime
+        rows = self.samples
+        return _spelled(head) | {"samples": {
+            "bound": _spelled(rows.bound), "deviation": _spelled(rows.deviation),
+            "ratio": _spelled(rows.ratio), "role": [rows.roles[k] for k in rows.role.tolist()],
+            "x": _spelled(rows.X),
+        }}
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
+def _spelled(o):
+    """o for orjson, which writes a non-finite float as null: such a float
+    becomes the string "inf", "-inf" or "nan", in dicts and lists too.  An
+    array stays a C-contiguous array unless it holds one; then it is a list."""
+    if isinstance(o, (float, np.floating)):
+        return o if math.isfinite(o) else str(float(o))
+    if isinstance(o, dict):
+        return {k: _spelled(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_spelled(v) for v in o]
     if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
+        o = np.ascontiguousarray(o)
+        return o if o.dtype.kind != "f" or np.isfinite(o).all() else _spelled(o.tolist())
+    return o
 
 
-def _float_strs(a: np.ndarray, form=repr) -> list:
-    """repr of each value of a 1-D float64 array; see emit_report for the orjson part.
+def _float_strs(a: np.ndarray) -> list:
+    """repr of each value of a 1-D float64 array, for CSV.
 
-    Values outside orjson's range are written by `form` (repr, or json.dumps
-    for NaN and ±Infinity as JSON spells them), once per distinct value.
+    orjson writes ±0 and 1e-4 <= |x| < 1e16 with the shortest round-trip
+    digits, the closest among them, as repr does; repr writes the rest (where
+    orjson writes 1e16, 0.00001, null for nan), once per distinct value.
     """
     out = orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
     out = out.decode().split(",") if a.size else []
@@ -466,73 +482,25 @@ def _float_strs(a: np.ndarray, form=repr) -> list:
     idx = np.flatnonzero(~((m >= 1e-4) & (m < 1e16)) & (a != 0))
     if idx.size:  # np.unique merges every NaN; all of them are written alike
         vals, inv = np.unique(a[idx], return_inverse=True)
-        strs = list(map(form, vals.tolist()))
+        strs = list(map(repr, vals.tolist()))
         for i, k in zip(idx.tolist(), inv.tolist()):
             out[i] = strs[k]
     return out
 
 
-def _rows_json(rows: _Rows, pad: str) -> str:
-    """The rows as ``json.dumps(indent=2, sort_keys=True)`` writes them under a key at `pad`.
-
-    Column k's strings fill slots 2k+1, 2k+1+W, ... of one list and the text
-    before each value (its row's first slot closes the row before) the slots
-    between; one join writes the lot.
-    """
-    n, dim = rows.X.shape
-    if n == 0:
-        return "[]"
-    a, b = pad + "  ", pad + "    "
-    head = f'\n{a}{{\n{b}"bound": '
-    end = f"\n{b}]\n{a}}}" if dim else f',\n{b}"x": []\n{a}}}'
-    x = [f',\n{b}"x": [\n{b}  ', *[f',\n{b}  '] * (dim - 1)] if dim else []
-    keys = [f"{end},{head}", f',\n{b}"deviation": ', f',\n{b}"ratio": ', f',\n{b}"role": ', *x]
-    roles = [json.dumps(r) for r in rows.roles]
-    floats = [_float_strs(c, json.dumps) for c in (rows.bound, rows.deviation, rows.ratio, *rows.X.T)]
-    cols = [*floats[:3], [roles[k] for k in rows.role.tolist()], *floats[3:]]
-    W = 2 * len(cols)
-    out = [None] * (n * W)
-    for k, (key, col) in enumerate(zip(keys, cols)):
-        out[2 * k::W] = [key] * n
-        out[2 * k + 1::W] = col
-    out[0] = "[" + head
-    out.append(f"{end}\n{pad}]")
-    return "".join(out)
-
-
-def _dumps_with_rows(obj, reports: list, depth: int) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for obj holding the reports'
-    dicts, rows left out, at nesting `depth`; their rows are spliced in from the columns.
-
-    json writes a newline only as indentation, so a newline and the indent of
-    depth-`depth` keys before ``"samples": []`` mark those dicts' empty lists alone.
-    """
-    pad = "  " * (depth + 1)
-    key = f'\n{pad}"samples": '
-    parts = json.dumps(obj, indent=2, sort_keys=True, default=_json_default).split(key + "[]")
-    out = [parts[0]]
-    for report, rest in zip(reports, parts[1:], strict=True):
-        out += [key, _rows_json(report.samples, pad), rest]
-    return "".join(out) + "\n"
+_JSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
 
 def emit_report(report: StabilityReport, fmt: str = "json", include_runtime: bool = False) -> str:
     """Render a report; JSON is canonical (sorted keys) and replayable.
 
     Wall-clock timing is left out unless asked for, so two runs of the same
-    config serialize to identical bytes.  The JSON equals
-    ``json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\\n"``.
-
-    JSON and CSV write row floats with _float_strs: orjson for ±0 and
-    1e-4 <= |x| < 1e16, repr elsewhere, once per distinct value.  Both pick
-    the shortest round-trip digits, the closest among them, so they agree;
-    only outside that range do the forms differ (orjson writes 1e16,
-    0.00001, null for nan).  JSON rows are written by one join that
-    interleaves the column strings with the fixed text between them.
+    config serialize to identical bytes.  The JSON is orjson's writing of
+    report.to_dict() (README, "Report format"); CSV writes one line per point,
+    every float as repr writes it.
     """
     if fmt == "json":
-        head = replace(report, samples=_NO_ROWS).to_dict(include_runtime)
-        return _dumps_with_rows(head, [report], 0)
+        return orjson.dumps(report.to_dict(include_runtime), option=_JSON_OPTIONS).decode() + "\n"
     if fmt != "csv":
         raise ConfigError(f"unknown report format {fmt!r}")
     # csv.writer's CSV: no field (floats, counts, theorem ids, role names) needs quoting
@@ -555,9 +523,10 @@ def emit_report(report: StabilityReport, fmt: str = "json", include_runtime: boo
 
 
 def emit_reports(reports: list, include_runtime: bool = False) -> str:
-    """Several reports as one JSON payload ``{"schema_version": 1, "reports": [...]}``."""
-    heads = [replace(r, samples=_NO_ROWS).to_dict(include_runtime) for r in reports]
-    return _dumps_with_rows({"schema_version": SCHEMA_VERSION, "reports": heads}, reports, 2)
+    """Several reports as one JSON payload ``{"schema_version": 2, "reports": [...]}``."""
+    obj = {"schema_version": REPORT_SCHEMA_VERSION,
+           "reports": [r.to_dict(include_runtime) for r in reports]}
+    return orjson.dumps(obj, option=_JSON_OPTIONS).decode() + "\n"
 
 
 def _ratio_arrays(devs: np.ndarray, bounds: np.ndarray, tol: float) -> np.ndarray:
@@ -1221,6 +1190,8 @@ def _parse_value(t, v, where: str, nullable: bool = False):
         ok = isinstance(v, t)
     if not ok or (isinstance(v, bool) and t is not bool):
         raise ConfigError(f"{where}: expected {_type_name(t)}, got {v!r:.60}")
+    if isinstance(v, int) and not -(2**63) <= v < 2**64:  # orjson's range, for the report
+        raise ConfigError(f"{where}: an integer must fit in 64 bits, got {v!r:.60}")
     return v
 
 
@@ -1254,8 +1225,9 @@ def _make_experiment(space, codomain, model, perturbation, **kw) -> ExperimentCo
 
 
 def _make_config(schema_version, experiments) -> list:
-    if schema_version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {schema_version}, need {SCHEMA_VERSION}")
+    if schema_version != CONFIG_SCHEMA_VERSION:
+        raise ConfigError(
+            f"unsupported schema_version {schema_version}, need {CONFIG_SCHEMA_VERSION}")
     if not experiments:
         raise ConfigError("config needs a non-empty experiments list")
     return list(experiments)
@@ -1371,7 +1343,7 @@ _EXPERIMENT = _Section(
 )
 _CONFIG = _Section(
     _make_config,
-    _Field("schema_version", int, note=f"{SCHEMA_VERSION}"),
+    _Field("schema_version", int, note=f"{CONFIG_SCHEMA_VERSION}"),
     _Field("experiments", [_EXPERIMENT], note="non-empty"),
 )
 

@@ -127,7 +127,7 @@ def _table_series(table, coefs, args, const_count, prefactor, ratio_base):
         n_stop = _stop_counts(rmax / smallest, ratio_base)
 
     total, s_tail, tail_scale = np.zeros((3,) + n_stop.shape)
-    for n in range(int(n_stop.max()) + 1):
+    for n in range(int(n_stop.max(initial=0)) + 1):  # an empty batch: one empty pass
         scale = ratio_base**n
         w = table.eval_many(args * scale)
         # rows before n_stop add a term; rows at n_stop keep the scaling part for the tail
@@ -156,7 +156,7 @@ def _stop_counts(ratio, base):
         n_stop = np.maximum(8, np.ceil(np.log(ratio) / np.log(base)).astype(np.int64) + 1)
         if not np.any(n_stop > _SERIES_HARD_CAP):
             try:
-                base ** int(n_stop.max())
+                base ** int(n_stop.max(initial=0))
                 return n_stop
             except OverflowError:
                 pass

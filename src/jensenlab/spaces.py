@@ -309,12 +309,6 @@ def _lower_derivative(space: NormedSpaceSpec, U: np.ndarray, V: np.ndarray) -> n
     return _rowdot(_norming_functionals(space, U), V)
 
 
-def _one_sided_derivatives(space: NormedSpaceSpec, U: np.ndarray, V: np.ndarray):
-    """ρ'₋(u; v) and ρ'₊(u; v) = −ρ'₋(u; −v).  James (Trans. AMS 61, 1947):
-    u ⊥_BJ v iff ρ'₋(u; v) ≤ 0 ≤ ρ'₊(u; v)."""
-    return _lower_derivative(space, U, V), -_lower_derivative(space, U, -V)
-
-
 def orthogonal_partners(rel: OrthogonalityRelation, space: NormedSpaceSpec, X, V) -> np.ndarray:
     """Rows y with x ⊥ y under rel, one built from each draw v (rows of V).
 

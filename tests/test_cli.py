@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jensenlab.cli import main
-from jensenlab.experiments import load_config, run_experiment
+from jensenlab.experiments import emit_report, emit_reports, load_config, run_experiment
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from test_golden import CONFIGS as GOLDEN  # noqa: E402
@@ -95,15 +95,16 @@ def test_verify_multi_experiment_payload(tmp_path):
 
 
 def test_verify_multi_experiment_bytes(tmp_path):
-    # the payload splices each report's rows in at its own nesting depth
+    # one payload holding each report as emit_report writes it alone
     cfg = _write_config(
         tmp_path / "c.json", _cor2_2_experiment(seed=11), _cor2_2_experiment(seed=12)
     )
     out = tmp_path / "reports.json"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
-    reports = [run_experiment(c).to_dict() for c in load_config(cfg)]
-    payload = {"schema_version": 1, "reports": reports}
-    assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    reports = [run_experiment(c) for c in load_config(cfg)]
+    assert out.read_text() == emit_reports(reports)
+    doc = json.loads(out.read_text())
+    assert doc == {"schema_version": 2, "reports": [json.loads(emit_report(r)) for r in reports]}
 
 
 def test_verify_theorem_filter_and_csv(tmp_path):
@@ -122,6 +123,14 @@ def test_verify_theorem_filter_and_csv(tmp_path):
     assert len(lines) == 120 + 1
     # csv over several experiments has no single table to emit
     assert main(["verify", "--config", cfg, "--format", "csv"]) == 2
+
+
+def test_verify_csv_refuses_timing(tmp_path, capsys):
+    # CSV has no place for the runtime block, so --timing is refused, not dropped
+    cfg = _write_config(tmp_path / "c.json", _cor2_2_experiment())
+    assert main(["verify", "--config", cfg, "--format", "csv", "--timing"]) == 2
+    captured = capsys.readouterr()
+    assert "--timing" in captured.err and captured.out == ""
 
 
 def test_verify_reports_violation(tmp_path, capsys):
@@ -271,6 +280,9 @@ CONFIG_PROBES = [
     (("sampler", "count"), 10.5, "sampler.count"),
     (("sampler", "count"), True, "sampler.count"),
     (("sampler", "seed"), "x", "sampler.seed"),
+    # integers past 64 bits: the report writer cannot echo them
+    (("sampler", "seed"), 2**70, "sampler.seed"),
+    (("control", "epsilon"), 10**20, "control.epsilon"),
     (("sampler", "pair_count"), 0, "pair_count"),
     (("space", "dim"), "3", "space.dim"),
     (("space",), 3, "space"),
@@ -386,6 +398,9 @@ AXIOMS = ["axioms", "--relation", "bj", "--dim", "2"]
         (["search", "--config", "c.json", "--iters", "2", "--restarts", "3"], "--restarts"),
         # O2-O4 are vacuous on a line: refused, not reported as FAIL
         (AXIOMS + ["--dim", "1"], "--dim"),
+        # inner-product orthogonality needs the Euclidean norm: refused, not a FAIL
+        (["axioms", "--relation", "inner", "--norm", "sup"], "--norm"),
+        (["axioms", "--relation", "inner", "--norm", "p_norm", "--p", "3"], "--relation"),
     ],
 )
 def test_flag_errors_exit_2(capsys, argv, flag):

@@ -4,6 +4,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -603,6 +604,35 @@ def test_cor3_2_decay_verdict_for_exact_model():
     assert rep.details["decays"] is True
 
 
+def _assert_same_floats(got, want):
+    """got, parsed from a report, is want bit for bit; a NaN reads back as NaN,
+    its sign and payload not kept."""
+    want = np.asarray(want, dtype=float)
+    got = np.asarray(got, dtype=float)
+    if got.size == want.size == 0:  # no rows of any width read back as []
+        got = got.reshape(want.shape)
+    nan = np.isnan(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _assert_columns(doc, rows):
+    """A parsed report's samples hold rows' columns, x as a list of rows."""
+    cols = doc["samples"]
+    assert sorted(cols) == ["bound", "deviation", "ratio", "role", "x"]
+    for key, want in (("bound", rows.bound), ("deviation", rows.deviation),
+                      ("ratio", rows.ratio), ("x", rows.X)):
+        _assert_same_floats(cols[key], want)
+    assert cols["role"] == [rows.roles[k] for k in rows.role.tolist()]
+
+
+def _assert_canonical(text):
+    """text is orjson's indented, key-sorted writing of what it parses to."""
+    opts = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+    assert orjson.dumps(json.loads(text), option=opts).decode() + "\n" == text
+
+
 def test_report_json_round_trip_and_determinism():
     cfg = _cfg("cor2_2")
     rep1 = run_experiment(cfg)
@@ -610,16 +640,18 @@ def test_report_json_round_trip_and_determinism():
     js1 = emit_report(rep1, fmt="json")
     js2 = emit_report(rep2, fmt="json")
     assert js1 == js2
-    assert "runtime" not in json.loads(js1)
-    assert json.dumps(json.loads(js1), indent=2, sort_keys=True) + "\n" == js1
+    _assert_canonical(js1)
     doc = json.loads(js1)
-    assert doc["schema_version"] == 1
+    assert "runtime" not in doc
+    assert doc["schema_version"] == 2
     assert doc["pass"] is True
+    _assert_columns(doc, rep1.samples)
+    assert doc["witnesses"] == rep1.witnesses
 
 
 EDGE_FLOATS = [
     math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e300, -1e-300,
-    # the ends of the range where orjson writes the floats, and their neighbours
+    # the ends of the range where orjson writes the floats as repr does, and their neighbours
     1e-4, *(float(np.nextafter(v, to)) for v in (1e-4, 1e16) for to in (0.0, math.inf)),
     9999999999999998.0, 1e-5, 1e-7, 2.0**53 + 2, 1e22, -5e-324,
 ]
@@ -627,12 +659,12 @@ EDGE_FLOATS = [
 
 @given(
     st.integers(0, 5),
-    st.integers(1, 4),
+    st.integers(0, 4),
     st.lists(st.sampled_from(["f", "g", "h", "g_h", "odd"]), min_size=1, max_size=3, unique=True),
     st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_emitter_matches_json_dumps(n, dim, roles, data):
+def test_emitter_round_trips_columns(n, dim, roles, data):
     def column(*shape):
         size = int(np.prod(shape))
         floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
@@ -643,16 +675,28 @@ def test_emitter_matches_json_dumps(n, dim, roles, data):
         column(n, dim), tuple(roles), np.array(role, dtype=int), column(n), column(n), column(n)
     )
     rep = experiments.StabilityReport(
-        theorem_id="thm2_1", cfg=_cfg("thm2_1"), epsilon_effective=0.3, bound_value=math.inf,
-        max_deviation=-0.0, max_ratio=math.nan, passed=False,
+        theorem_id="thm2_1", cfg=_cfg("thm2_1"), epsilon_effective=-math.inf,
+        bound_value=math.nan, max_deviation=-0.0, max_ratio=math.inf, passed=False,
         witnesses=rows.dicts(slice(3)), samples=rows,
-        details={"edge": EDGE_FLOATS}, iterations={"max_iterations": 0},
-        runtime={"seconds": 0.25},
+        details={"edge": EDGE_FLOATS, "top": np.float64(-math.inf)},
+        iterations={"max_iterations": 0}, runtime={"seconds": 0.25},
     )
     for include_runtime in (False, True):
-        dumped = json.dumps(rep.to_dict(include_runtime), indent=2, sort_keys=True,
-                            default=experiments._json_default)
-        assert emit_report(rep, include_runtime=include_runtime) == dumped + "\n"
+        text = emit_report(rep, include_runtime=include_runtime)
+        assert text == emit_report(replace(rep), include_runtime=include_runtime)
+        _assert_canonical(text)
+        doc = json.loads(text)
+        _assert_columns(doc, rows)
+        assert (doc["epsilon_effective"], doc["bound_value"], doc["max_ratio"]) == ("-inf", "nan", "inf")
+        assert math.copysign(1.0, doc["max_deviation"]) == -1.0
+        _assert_same_floats(doc["details"]["edge"], EDGE_FLOATS)
+        assert doc["details"]["top"] == "-inf"
+        for got, want in zip(doc["witnesses"], rep.witnesses, strict=True):
+            _assert_same_floats(got["x"], want["x"])
+            _assert_same_floats([got[k] for k in ("deviation", "bound", "ratio")],
+                                [want[k] for k in ("deviation", "bound", "ratio")])
+        assert ("runtime" in doc) == include_runtime
+        assert doc["schema_version"] == experiments.REPORT_SCHEMA_VERSION == 2
 
 
 def test_float_strs_match_repr():
@@ -661,11 +705,10 @@ def test_float_strs_match_repr():
     logs = 10.0 ** rng.uniform(-6, 18, size=100_000) * rng.choice([-1.0, 1.0], size=100_000)
     edge = np.array(EDGE_FLOATS)
     X = np.concatenate([bits, logs]).reshape(-1, 3)
+    # X.T[k] is a strided column; the tiles repeat values repr writes once per distinct value
     tiled = (np.tile(edge, 400), np.tile(bits[:500], 20), np.tile(-edge, 600)[::2])
-    for a in (edge, -edge, bits, logs, *X.T, *tiled):  # X.T[k] is a strided column
+    for a in (edge, -edge, bits, logs, *X.T, *tiled):
         assert experiments._float_strs(a) == list(map(repr, a.tolist()))
-    for a in (edge, *tiled):  # repeats share one string per distinct value
-        assert experiments._float_strs(a, json.dumps) == list(map(json.dumps, a.tolist()))
     assert experiments._float_strs(np.empty(0)) == []
 
 
@@ -676,7 +719,7 @@ NAN_BITS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
 
 
 def _big_report(dim, seed):
-    """A report of 4099 rows whose columns repeat the values the emitter writes with repr."""
+    """A report of 4099 rows whose columns repeat non-finite and out-of-range values."""
     rng = np.random.default_rng(seed)
     n = 4099
     pool = np.concatenate([[1e16, 1e-5, 1.2345e-7, math.inf, -math.inf, 0.0, -0.0, 0.5, 2.5e3],
@@ -695,13 +738,12 @@ def _big_report(dim, seed):
 
 @pytest.mark.parametrize("dim", [1, 3])
 def test_emitter_matches_references_at_report_size(dim):
-    def lines(obj):  # a list of lines, whose diff stops at the first differing line
-        return (json.dumps(obj, indent=2, sort_keys=True) + "\n").split("\n")
-
     reps = [_big_report(dim, 1), _big_report(dim, 2)]
-    assert emit_report(reps[0]).split("\n") == lines(reps[0].to_dict())
-    both = {"schema_version": experiments.SCHEMA_VERSION, "reports": [r.to_dict() for r in reps]}
-    assert experiments.emit_reports(reps).split("\n") == lines(both)
+    text = emit_report(reps[0])
+    _assert_canonical(text)
+    _assert_columns(json.loads(text), reps[0].samples)
+    both = json.loads(experiments.emit_reports(reps))
+    assert both == {"schema_version": 2, "reports": [json.loads(emit_report(r)) for r in reps]}
     assert emit_report(reps[1], fmt="csv").split("\n") == csv_by_repr(reps[1]).split("\n")
 
 

@@ -181,6 +181,15 @@ class TestClosedForms:
             with pytest.raises(ControlError, match="hard cap"):
                 series_at(v)
 
+    def test_series_on_an_empty_batch(self):
+        """No rows in, no rows out, for a table control as for the others."""
+        table = RadialControlTable(radii=[0.0, 1.0, 8.0], values=[0.3, 0.4, 0.8], q=0.5)
+        for spec in (ControlFunctionSpec(kind="table", table=table),
+                     ControlFunctionSpec(kind="mixed", epsilon=0.1, delta=0.2, p=0.5)):
+            for out in (phi_tilde_dyadic_norms(spec, JensenParams(1, 1, 1), [], []),
+                        phi_tilde_triadic_norms(spec, [], [])):
+                assert out.shape == (0,)
+
     def test_control_validation(self):
         with pytest.raises(ControlError):
             ControlFunctionSpec(kind="mixed", epsilon=1.0, delta=1.0, p=1.0)

@@ -424,14 +424,19 @@ def test_o4_witness_many_matches_rows():
         assert empty.shape == (0, 3)
 
 
+def _one_sided_derivatives(space, U, V):
+    """ρ'₋(u; v) and ρ'₊(u; v) = −ρ'₋(u; −v)."""
+    return spaces._lower_derivative(space, U, V), -spaces._lower_derivative(space, U, -V)
+
+
 def test_one_sided_derivatives_match_difference_quotients():
-    lo, hi = spaces._one_sided_derivatives(S2, np.array([[1.0, 1.0], [1.0, 0.5]]),
-                                           np.array([[1.0, -1.0], [0.0, 1.0]]))
+    lo, hi = _one_sided_derivatives(S2, np.array([[1.0, 1.0], [1.0, 0.5]]),
+                                    np.array([[1.0, -1.0], [0.0, 1.0]]))
     assert lo.tolist() == [-1.0, 0.0] and hi.tolist() == [1.0, 0.0]
     rng = np.random.default_rng(8)
     U, V = rng.standard_normal((2, 40, 3))
     for space in (S3, P3, NormedSpaceSpec(3, "p_norm", 1.5), E3):
-        lo, hi = spaces._one_sided_derivatives(space, U, V)
+        lo, hi = _one_sided_derivatives(space, U, V)
         h = 1e-7
         right = (norm_many(space, U + h * V) - norm_many(space, U)) / h
         left = (norm_many(space, U) - norm_many(space, U - h * V)) / h
