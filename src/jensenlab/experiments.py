@@ -72,6 +72,7 @@ from .models import (
     POWER,
     PerturbationSpec,
     ScaledModel,
+    _in_64_bits,
     derive_seed,
     jensen_defect_many,
     odd_even_split,
@@ -126,6 +127,9 @@ class SamplerSettings:
             raise ConfigError("count must be >= 1")
         if self.pair_count is not None and self.pair_count < 1:
             raise ConfigError("pair_count must be >= 1")
+        for key in ("count", "seed", "pair_count"):
+            if not _in_64_bits(getattr(self, key) or 0):
+                raise ConfigError(f"{key} must fit in 64 bits, got {getattr(self, key)!r:.60}")
         lo, hi = self.radius_range
         if not (0.0 <= lo < hi):
             raise ConfigError("radius_range must satisfy 0 <= lo < hi")
@@ -157,6 +161,10 @@ class ModelSettings:
     perturbations: tuple = ()
     seed: int | None = None  # defaults to sampler.seed
 
+    def __post_init__(self):
+        if not _in_64_bits(self.seed or 0):
+            raise ConfigError(f"seed must fit in 64 bits, got {self.seed!r:.60}")
+
 
 @dataclass(frozen=True)
 class BallSettings:
@@ -164,10 +172,11 @@ class BallSettings:
     exclude_origin: bool = False
 
     def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise ConfigError("radius must be positive")
-        if not math.isfinite(self.radius):
-            raise ConfigError(f"radius must be finite, got {self.radius}")
+        # from 2⁻²⁵⁶ the table's knots R²·k/64 are normal floats; past 2⁵² floats
+        # near the ball's edge lie more than 1 apart, so the absolute residual
+        # test reads rounding (and an int radius runs as a numpy object array)
+        if not (2.0**-256 <= self.radius <= 2.0**52):
+            raise ConfigError(f"radius must be in [2**-256, 2**52], got {self.radius!r:.60}")
 
 
 @dataclass(frozen=True)
@@ -497,12 +506,14 @@ def emit_report(report: StabilityReport, fmt: str = "json", include_runtime: boo
     Wall-clock timing is left out unless asked for, so two runs of the same
     config serialize to identical bytes.  The JSON is orjson's writing of
     report.to_dict() (README, "Report format"); CSV writes one line per point,
-    every float as repr writes it.
+    every float as repr writes it, and refuses include_runtime.
     """
     if fmt == "json":
         return orjson.dumps(report.to_dict(include_runtime), option=_JSON_OPTIONS).decode() + "\n"
     if fmt != "csv":
         raise ConfigError(f"unknown report format {fmt!r}")
+    if include_runtime:
+        raise ConfigError("include_runtime needs fmt 'json'; CSV has no runtime block")
     # csv.writer's CSV: no field (floats, counts, theorem ids, role names) needs quoting
     prof = report.details.get("profile")
     if prof is not None:  # a shell profile (cor3_2) is written one shell per line
@@ -659,10 +670,26 @@ class _Batch:
 
     def limit(self, subject, base: float, gain: float, arg_scale: float = 1.0):
         """lim gainⁿ·subject(baseⁿ·x) at X0: (values, iterations, converged),
-        capped per row by n_max(base, arg_scale)."""
-        vals, iters, _, conv = power_limit_many(
-            subject, self.X0, base, gain, self.n_max(base, arg_scale), self.tol, cand=self.cand
-        )
+        capped per row by n_max(base, arg_scale).
+
+        A parity part of f (or a ScaledModel of one) is taken as ½(lim at x ∓
+        lim at −x) of the FunctionModel g, f less the other parity's exact term,
+        in one call on [X0; −X0]: its steps are certified, unlike the part's.  A
+        point's count is the larger of its halves', and it converges when both do."""
+        X, cand, n_max = self.X0, self.cand, self.n_max(base, arg_scale)
+        part = subject.base if type(subject) is ScaledModel else subject
+        split = isinstance(part, (OddPart, EvenPart))
+        if split:
+            f = part.base
+            g = (replace(f, quadratic=None) if part.sign < 0.0
+                 else replace(f, linear=np.zeros_like(f.linear)))
+            subject = g if part is subject else ScaledModel(g, subject.arg_scale, subject.out_scale)
+            X, cand, n_max = np.concatenate([X, -X]), np.tile(cand, 2), np.tile(n_max, 2)
+        vals, iters, _, conv = power_limit_many(subject, X, base, gain, n_max, self.tol, cand=cand)
+        if split:
+            n = len(self.cand)
+            vals = 0.5 * (vals[:n] + part.sign * vals[n:])
+            iters, conv = np.maximum(iters[:n], iters[n:]), conv[:n] & conv[n:]
         return vals, iters, conv
 
     def n_max(self, base: float, arg_scale: float = 1.0):
@@ -1190,7 +1217,7 @@ def _parse_value(t, v, where: str, nullable: bool = False):
         ok = isinstance(v, t)
     if not ok or (isinstance(v, bool) and t is not bool):
         raise ConfigError(f"{where}: expected {_type_name(t)}, got {v!r:.60}")
-    if isinstance(v, int) and not -(2**63) <= v < 2**64:  # orjson's range, for the report
+    if isinstance(v, int) and not _in_64_bits(v):
         raise ConfigError(f"{where}: an integer must fit in 64 bits, got {v!r:.60}")
     return v
 
@@ -1308,7 +1335,7 @@ _PERTURBATION = _Section(
 )
 _BALL = _Section(
     BallSettings,
-    _Field("radius", float, note="> 0"),
+    _Field("radius", float, note="in [2**-256, 2**52]"),
     _Field("exclude_origin", bool, False, "true on thm6_2, false on thm6_1"),
 )
 _SHELLS = _Section(

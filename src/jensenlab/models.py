@@ -55,6 +55,11 @@ class ModelError(ValueError):
     """Raised for malformed model specs."""
 
 
+def _in_64_bits(*values) -> bool:
+    """Every integer lies in [−2⁶³, 2⁶⁴), the range orjson writes into a report."""
+    return all(-(2**63) <= v < 2**64 for v in values)
+
+
 @dataclass(frozen=True)
 class JensenParams:
     """The positive integer coefficients (r, s, t) of the equation."""
@@ -96,6 +101,8 @@ class PerturbationSpec:
         for key in ("amplitude", "delta"):
             if not (0.0 <= getattr(self, key) < np.inf):
                 raise ModelError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        if not _in_64_bits(*(self.seed if isinstance(self.seed, tuple) else (self.seed,))):
+            raise ModelError(f"seed must fit in 64 bits, got {self.seed!r:.60}")
         if self.kind == POWER and not (0.0 <= self.p < 1.0):
             raise ModelError(f"p must lie in [0, 1) for a power perturbation, got {self.p}")
         # a key the kind never reads is refused, as control and domain keys are

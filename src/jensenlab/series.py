@@ -183,8 +183,9 @@ def _certified_steps(f, X, arg, amp, tol, first, last, cand):
     checked at the two ends of the run only.
 
     OddPart and EvenPart get no run: their perturbation part (P(y) ∓ P(−y))/2
-    hashes y and −y apart, and its norm has no positive lower bound, so no
-    part's change is provably above tol at any step."""
+    hashes y and −y apart, and its norm has no positive lower bound.  The
+    theorem runners take a parity part's limit as half the sum or difference
+    of a FunctionModel's limits at x and −x instead (experiments._Batch.limit)."""
     out_scale = arg_scale = 1.0
     while type(f) is ScaledModel:  # exact types: a subclass may evaluate otherwise
         out_scale *= f.out_scale

@@ -8,6 +8,7 @@ restarts as lockstep chains through such batches.
 
 import copy
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from jensenlab.experiments import (
 )
 from jensenlab.models import (
     BOUNDED,
+    DECAY,
     POWER,
     EvenPart,
     FunctionModel,
@@ -32,7 +34,7 @@ from jensenlab.models import (
     OddPart,
     PerturbationSpec,
 )
-from jensenlab.spaces import euclidean_space
+from jensenlab.spaces import NormedSpaceSpec, euclidean_space, norm_many
 from report_reference import assemble_rows, auto_n_max, head_differences
 
 E3 = {"dim": 3, "norm_kind": "euclidean"}
@@ -273,6 +275,55 @@ def test_model_rows_follow_their_candidate():
     for many in (f, seeds_only):
         with pytest.raises(ModelError, match="candidate of each row"):
             many.eval_many(X)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    which=st.sampled_from(["odd", "even", "pexider"]),
+    kind=st.sampled_from([BOUNDED, POWER, DECAY]),
+    size=st.floats(1e-3, 2.0),
+    p=st.floats(0.0, 0.75),  # ρ up to 0.84: every point converges within its cap
+    K=st.integers(1, 3),
+    space=st.sampled_from([E3, SUP3, P3]),
+    quadratic=st.sampled_from([None, [0.3, -0.1]]),
+    seed=st.integers(0, 2**32),
+)
+def test_parity_limits_lie_within_the_contraction_bound(which, kind, size, p, K, space,
+                                                        quadratic, seed):
+    """The odd, even and Pexider odd limits of a FunctionModel with one
+    perturbation term lie within tol·ρ/(1 − ρ) of the exact limit, plus
+    rounding: L·x for the odd limits, q‖x‖² for the even one.  ρ is the term's
+    contraction per step, |gain|·|arg|^p for a power term and |gain| for a
+    bounded or decay term.  Each half, at x and at −x, stops on a gap of at
+    most tol, and a term whose norm shrinks by ρ a step is then at most
+    tol·ρ/(1 − ρ); the half sum or difference of the halves is too."""
+    rng = np.random.default_rng(seed)
+    # the config's term sets each point's iteration cap, as in a theorem run
+    spec = {"kind": kind, "seed": 0, **({"delta": size, "p": p} if kind == POWER
+                                         else {"amplitude": size})}
+    cfgs = [_parse_experiment(dict(_experiment("thm4_3"), perturbation=[spec]))] * K
+    term = replace(cfgs[0].model.perturbations[0], seed=tuple(range(K)))
+    dom, cod = NormedSpaceSpec.from_dict(space), euclidean_space(2)
+    L = rng.uniform(-2.0, 2.0, size=(K, 2, 3))
+    f = FunctionModel(domain=dom, codomain=cod, linear=L, quadratic=quadratic,
+                      perturbations=(term,))
+    X0 = rng.uniform(-3.0, 3.0, size=(5 * K, 3))  # inside the upper sampling radius 6
+    b = experiments._Batch(cfgs, (f, f, f), X0, X0, X0)
+    if which == "pexider":
+        base, gain = 3.0, 1.0 / 3.0
+        vals, _, conv = experiments._pexider_limit(b, OddPart(f))
+    else:
+        base, gain = 2.0, 0.5 if which == "odd" else 0.25
+        vals, _, conv = b.limit((OddPart if which == "odd" else EvenPart)(f), base, gain)
+    if which == "even":
+        exact = np.zeros((len(X0), 2)) if quadratic is None else (
+            norm_many(dom, X0)[:, None] ** 2 * np.array(quadratic))
+    else:
+        exact = np.einsum("kij,kj->ki", L[b.cand], X0)
+    rho = gain * base**p if kind == POWER else gain
+    err = norm_many(cod, vals - exact)
+    assert conv.all()
+    assert np.all(err <= b.tol * rho / (1.0 - rho) + 2.0**-40 * (1.0 + norm_many(cod, exact)))
 
 
 @pytest.mark.parametrize("iters, restarts", [(3, 2), (1, 1), (5, 3)])

@@ -351,6 +351,11 @@ CONFIG_PROBES = [
               ball={"radius": 1.0, "exclude_origin": False}), "ball.exclude_origin"),
     ((), dict(AS_THM6_1, theorem_id="thm6_2", params={"r": 4, "s": 3, "t": 3}),
      "ball.exclude_origin"),
+    # a ball radius whose table knots underflow, whose square overflows, or
+    # past 2**52 (an int there would run as a numpy object array)
+    ((), dict(AS_THM6_1, ball={"radius": 1e-320}), "ball.radius"),
+    ((), dict(AS_THM6_1, ball={"radius": 1e308}), "ball.radius"),
+    ((), dict(AS_THM6_1, ball={"radius": 2**63}), "ball.radius"),
     # a shell below ‖x‖ + ‖y‖ = 0 is empty
     ((), dict(AS_COR3_2, shells={"edges": [-4, -1, 2], "samples_per_shell": 8}), "shells"),
 ]

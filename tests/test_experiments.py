@@ -474,6 +474,29 @@ def test_library_specs_refuse_non_finite_values(make, key):
         make()
 
 
+@pytest.mark.parametrize("make, key", [
+    (lambda c: replace(c, sampler=replace(c.sampler, seed=2**70)), "seed"),
+    (lambda c: replace(c, sampler=replace(c.sampler, count=2**64)), "count"),
+    (lambda c: replace(c, sampler=replace(c.sampler, pair_count=2**64)), "pair_count"),
+    (lambda c: replace(c, sampler=replace(c.sampler, seed=-(2**63) - 1)), "seed"),
+    (lambda c: replace(c, model=replace(c.model, seed=2**64)), "seed"),
+    (lambda c: PerturbationSpec(kind="bounded", amplitude=0.05, seed=2**64), "seed"),
+    (lambda c: PerturbationSpec(kind="bounded", amplitude=0.05, seed=(3, -(2**63) - 1)), "seed"),
+], ids=["sampler-seed", "sampler-count", "sampler-pair_count", "sampler-seed-low", "model-seed",
+        "perturbation-seed", "perturbation-seed-tuple"])
+def test_library_specs_refuse_integers_past_64_bits(make, key):
+    """A spec built in code refuses an integer outside [−2⁶³, 2⁶⁴), as the
+    parser does, instead of running and then failing in emit_report; the
+    ends of the range still construct and emit."""
+    cfg = _cfg("cor2_2")
+    with pytest.raises(ValueError, match=f"^{key} must fit in 64 bits"):
+        make(cfg)
+    for seed in (-(2**63), 2**64 - 1):
+        edge = replace(cfg, sampler=replace(cfg.sampler, seed=seed),
+                       model=replace(cfg.model, seed=seed))
+        assert emit_report(run_experiment(edge))
+
+
 @pytest.mark.parametrize("kind, key, value", [
     ("bounded", "delta", 0.7), ("bounded", "p", 0.5), ("decay", "delta", 0.1),
     ("decay", "p", 0.5), ("power", "amplitude", 0.05),
@@ -663,7 +686,7 @@ EDGE_FLOATS = [
     st.lists(st.sampled_from(["f", "g", "h", "g_h", "odd"]), min_size=1, max_size=3, unique=True),
     st.data(),
 )
-@settings(max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None)
 def test_emitter_round_trips_columns(n, dim, roles, data):
     def column(*shape):
         size = int(np.prod(shape))
@@ -790,6 +813,10 @@ def test_report_includes_runtime_only_on_request():
     rep = run_experiment(_cfg("cor2_2"))
     with_rt = json.loads(emit_report(rep, fmt="json", include_runtime=True))
     assert "runtime" in with_rt and "seconds" in with_rt["runtime"]
+    # CSV has no runtime block: asking for one raises and names the argument,
+    # as ``verify --format csv --timing`` exits 2
+    with pytest.raises(ConfigError, match="include_runtime"):
+        emit_report(rep, fmt="csv", include_runtime=True)
 
 
 def test_report_csv_rows():

@@ -472,7 +472,7 @@ _QUADRATIC = [0.3, -0.1, 0.2]
 _PERTURBATIONS = (
     PerturbationSpec(kind=BOUNDED, amplitude=0.3, seed=4),
     PerturbationSpec(kind=POWER, delta=0.2, p=0.5, seed=9),
-    PerturbationSpec(kind=DECAY, amplitude=0.7, seed=2**64 + 1),
+    PerturbationSpec(kind=DECAY, amplitude=0.7, seed=2**64 - 1),
 )
 
 

@@ -11,8 +11,10 @@ whose seed-1 configs must all load.
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jensenlab
@@ -92,38 +94,73 @@ def test_benchmark_predicted_calls_are_reached(tmp_path, workload):
 
 
 def test_certificate_skips_as_many_verify_rows(tmp_path):
-    """On the seed-1 verify inputs the limit loop evaluates at most 115,087
-    FunctionModel rows in its limits of a FunctionModel or a ScaledModel of
-    one: 113,787 in the four 4000-point limits, whose certified runs are
-    skipped, and 1,300 in the 50-point Pexider limit of the linear_scale 1e8
-    probe, which fits one block.  A leaner certificate may skip other steps,
-    but not fewer of them."""
+    """On the seed-1 verify inputs the limit loop evaluates, per ``_Batch.limit``
+    subject, at most 115,087 FunctionModel rows in its limits of a FunctionModel
+    or a ScaledModel of one (113,787 in the four 4000-point limits, whose
+    certified runs are skipped, and 1,300 in the 50-point Pexider limit of the
+    linear_scale 1e8 probe, which fits one block) and at most 70,000 in its three
+    parity-part limits (61,315: each is taken as the FunctionModel with the
+    other parity's exact term dropped, at x and −x, and its certified runs are
+    skipped too; iterating every step of the parts took 252,869).  A leaner
+    certificate may skip other steps, but not fewer of them."""
     from unittest import mock
 
     from jensenlab import experiments, models
 
     _WL.write_inputs("verify", 1, str(tmp_path))
-    plain, rows = [], [0]
-    limit, evaluate = experiments.power_limit_many, models.FunctionModel.eval_many
+    subjects, rows = [], {"plain": 0, "parity": 0}
+    limit, evaluate = experiments._Batch.limit, models.FunctionModel.eval_many
 
-    def counted_limit(f, *args, **kwargs):
-        base = f
+    def counted_limit(self, subject, *args):
+        base = subject
         while type(base) is models.ScaledModel:
             base = base.base
-        plain.append(type(base) is models.FunctionModel)
+        assert type(base) in (models.FunctionModel, models.OddPart, models.EvenPart)
+        subjects.append("plain" if type(base) is models.FunctionModel else "parity")
         try:
-            return limit(f, *args, **kwargs)
+            return limit(self, subject, *args)
         finally:
-            plain.pop()
+            subjects.pop()
 
     def counted_eval(self, X, cand=None):
-        if plain and plain[-1]:
-            rows[0] += len(X)
+        if subjects:
+            rows[subjects[-1]] += len(X)
         return evaluate(self, X, cand)
 
-    with mock.patch.object(experiments, "power_limit_many", counted_limit), \
+    with mock.patch.object(experiments._Batch, "limit", counted_limit), \
             mock.patch.object(models.FunctionModel, "eval_many", counted_eval):
         for path in sorted(p for p in tmp_path.glob("*.json") if p.name != "plan.json"):
             for cfg in jensenlab.load_config(str(path)):
                 jensenlab.run_experiment(cfg)
-    assert 0 < rows[0] <= 115_087
+    assert 0 < rows["plain"] <= 115_087
+    assert 0 < rows["parity"] <= 70_000
+
+
+def test_parity_limits_lie_within_tol_on_verify_inputs(tmp_path):
+    """On the seed-1 verify inputs every thm4_3 and thm5_2 limit value lies
+    within tol of its exact value: L·x for thm4_3's Pexider limit of the odd
+    part, L·x + q‖x‖² for thm5_2's sum of the odd and even limits.  Taking a
+    parity part's limit as its model's limits at x and −x stops each half on
+    a gap that its certified steps cannot fake; iterating the parts stopped on
+    chance small gaps up to 24·tol away."""
+    from unittest import mock
+
+    from jensenlab import experiments
+
+    _WL.write_inputs("verify", 1, str(tmp_path))
+    taken, limit = {}, experiments._Batch.limit
+
+    def recording_limit(self, *args):
+        out = limit(self, *args)
+        taken.setdefault(id(self), [self]).append(out[0])
+        return out
+
+    with mock.patch.object(experiments._Batch, "limit", recording_limit):
+        for tid in ("thm4_3", "thm5_2"):
+            (path,) = tmp_path.glob(f"exp-*-{tid}.json")
+            for cfg in jensenlab.load_config(str(path)):
+                jensenlab.run_experiment(cfg)
+    assert sorted(len(v) for v in taken.values()) == [2, 3]
+    for b, *values in taken.values():
+        exact = replace(b.f, perturbations=()).eval_many(b.X0, b.cand)
+        assert np.max(b.norm(sum(values) - exact)) <= b.tol
