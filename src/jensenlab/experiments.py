@@ -220,6 +220,18 @@ class ExperimentConfig:
             if not (0.0 < getattr(self, name) < math.inf):
                 raise ConfigError(f"{name} must be positive and finite")
         m, dim, codim = self.model, self.space.dim, self.codomain.dim
+        # One size ceiling, naming the larger factor: no array of a run (points,
+        # pairs or one shell's pairs × space.dim or codomain.dim, and the linear
+        # part) holds over 2**28 floats.
+        size = {"sampler.count": self.sampler.count, "sampler.pair_count": self.sampler.pairs,
+                "shells.samples_per_shell": self.shells.samples_per_shell if self.shells else 0}
+        points = max(size, key=size.get)
+        size |= {"space.dim": dim, "codomain.dim": codim}
+        for a, b in ((points, "space.dim"), (points, "codomain.dim"),
+                     ("codomain.dim", "space.dim")):
+            if size[a] * size[b] > 2**28:
+                raise ConfigError(f"{max(a, b, key=size.get)} is too large: {a} × {b} is"
+                                  f" {size[a] * size[b]} floats, past the ceiling of 2**28")
         if m.linear is not None and np.shape(m.linear) != (codim, dim):
             raise ConfigError(f"model.linear must be {codim} x {dim}")
         if m.quadratic is not None and np.shape(m.quadratic) != (codim,):
@@ -285,24 +297,13 @@ def calibrated_perturbations(
     if control.kind == TABLE:
         raise ConfigError("calibrated_perturbations does not support table controls")
     r, s, t = params.r, params.s, params.t
-    specs = [
-        PerturbationSpec(
-            kind=BOUNDED,
-            amplitude=control.epsilon / (r + s + t),
-            seed=derive_seed(seed, 11),
-        )
-    ]
+    specs = [PerturbationSpec(kind=BOUNDED, amplitude=control.epsilon / (r + s + t),
+                              seed=derive_seed(seed, 11))]
     if control.kind == MIXED and control.delta > 0.0:
         p = control.p
         coeff = max(r ** (1.0 - p) * s**p + s, r ** (1.0 - p) * t**p + t)
-        specs.append(
-            PerturbationSpec(
-                kind=POWER,
-                delta=control.delta / coeff,
-                p=p,
-                seed=derive_seed(seed, 12),
-            )
-        )
+        specs.append(PerturbationSpec(kind=POWER, delta=control.delta / coeff, p=p,
+                                      seed=derive_seed(seed, 12)))
     return tuple(specs)
 
 
@@ -670,26 +671,9 @@ class _Batch:
 
     def limit(self, subject, base: float, gain: float, arg_scale: float = 1.0):
         """lim gainⁿ·subject(baseⁿ·x) at X0: (values, iterations, converged),
-        capped per row by n_max(base, arg_scale).
-
-        A parity part of f (or a ScaledModel of one) is taken as ½(lim at x ∓
-        lim at −x) of the FunctionModel g, f less the other parity's exact term,
-        in one call on [X0; −X0]: its steps are certified, unlike the part's.  A
-        point's count is the larger of its halves', and it converges when both do."""
-        X, cand, n_max = self.X0, self.cand, self.n_max(base, arg_scale)
-        part = subject.base if type(subject) is ScaledModel else subject
-        split = isinstance(part, (OddPart, EvenPart))
-        if split:
-            f = part.base
-            g = (replace(f, quadratic=None) if part.sign < 0.0
-                 else replace(f, linear=np.zeros_like(f.linear)))
-            subject = g if part is subject else ScaledModel(g, subject.arg_scale, subject.out_scale)
-            X, cand, n_max = np.concatenate([X, -X]), np.tile(cand, 2), np.tile(n_max, 2)
-        vals, iters, _, conv = power_limit_many(subject, X, base, gain, n_max, self.tol, cand=cand)
-        if split:
-            n = len(self.cand)
-            vals = 0.5 * (vals[:n] + part.sign * vals[n:])
-            iters, conv = np.maximum(iters[:n], iters[n:]), conv[:n] & conv[n:]
+        capped per row by n_max(base, arg_scale)."""
+        vals, iters, _, conv = power_limit_many(
+            subject, self.X0, base, gain, self.n_max(base, arg_scale), self.tol, cand=self.cand)
         return vals, iters, conv
 
     def n_max(self, base: float, arg_scale: float = 1.0):
@@ -833,22 +817,14 @@ def _run_sikorska(cfg: ExperimentConfig):
     f, _, _ = build_models(cfg)
     exclude = cfg.ball.exclude_origin
     scfg = SikorskaConfig(params=cfg.params, ball_radius=cfg.ball.radius, exclude_origin=exclude)
-    result = sikorska_extend(
-        f,
-        scfg,
-        count=cfg.sampler.count,
-        seed=cfg.sampler.seed,
-        n_max=cfg.limits.n_max,
-        tol=cfg.limits.tol,
-    )
+    result = sikorska_extend(f, scfg, count=cfg.sampler.count, seed=cfg.sampler.seed,
+                             n_max=cfg.limits.n_max, tol=cfg.limits.tol)
     details = {
         "base": scfg.base,
         "ball_radius": cfg.ball.radius,
         "exclude_origin": exclude,
         "max_residual": result.max_residual,
-        "linear_recovery_error": float(
-            np.max(np.abs(result.T_hat.linear - f.linear))
-        ),
+        "linear_recovery_error": float(np.max(np.abs(result.T_hat.linear - f.linear))),
     }
     details["scaling_identity_sup"] = scaling_identity_check(
         f, cfg.params, cfg.ball.radius,

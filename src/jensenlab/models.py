@@ -313,15 +313,6 @@ def _eval_stacked(f, sets, cand=None) -> np.ndarray:
     return F.reshape(len(sets), len(sets[0]), F.shape[1])
 
 
-def _at_plus_minus(f: FunctionModel, X: np.ndarray, nx: np.ndarray, cand):
-    """The perturbations of f at X and at −X, from one evaluation on [X; −X];
-    ‖−x‖ = ‖x‖ bit for bit, so nx, the norms of X, serves both halves."""
-    n, cc = X.shape[0], None if cand is None else np.concatenate([cand, cand])
-    P = perturbation_values(f.perturbations, np.concatenate([X, -X]), f.domain, f.codomain,
-                            cc, np.concatenate([nx, nx]))
-    return P[:n], P[n:]
-
-
 class _Parity:
     """x ↦ (f(x) + sign·f(−x))/2 of a FunctionModel f: odd part (sign −1), even part (+1).
 
@@ -338,6 +329,13 @@ class _Parity:
             raise ModelError(f"parity parts need a FunctionModel, not {type(base).__name__}")
         self.base, self.domain, self.codomain = base, base.domain, base.codomain
 
+    @property
+    def plain(self) -> FunctionModel:
+        """g, f less the other parity's exact term: the part is ½(g(x) + sign·g(−x))."""
+        if self.sign < 0.0:
+            return replace(self.base, quadratic=None)
+        return replace(self.base, linear=np.zeros_like(self.base.linear))
+
     def eval_many(self, X, cand=None):
         X = as_batch(X, self.domain.dim)
         f = self.base
@@ -349,9 +347,11 @@ class _Parity:
             if f.quadratic is not None:
                 for j, c in enumerate(f.quadratic):
                     Y[:, j] += nx**2 * c
-        if f.perturbations:
-            P, Q = _at_plus_minus(f, X, nx, cand)
-            Y += 0.5 * (P + self.sign * Q)
+        if f.perturbations:  # one evaluation on [X; −X]; ‖−x‖ = ‖x‖ bit for bit
+            n, cc = X.shape[0], None if cand is None else np.concatenate([cand, cand])
+            P = perturbation_values(f.perturbations, np.concatenate([X, -X]), f.domain,
+                                    f.codomain, cc, np.concatenate([nx, nx]))
+            Y += 0.5 * (P[:n] + self.sign * P[n:])
         Y[_max_abs(X.T) == 0.0] = 0.0
         return Y
 

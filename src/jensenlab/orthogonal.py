@@ -9,7 +9,9 @@
     punctured) using the scaling identity f((r/s)x) = (r/s)f(x).  With
     λ = s/r and base = 2λ² > 1 the odd part extends through base^n·f(base^{-n}x)
     and the even part through (2·base)^n·f(base^{-n}x); the even part is
-    radial, tabulated as b(u) on [0, R²].
+    radial, tabulated as b(u) on [0, R²].  power_limit_many takes both
+    limits through the part's plain model, at ±x when it is perturbed, as it
+    takes every parity limit (series).
 """
 
 from __future__ import annotations

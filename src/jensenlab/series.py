@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .control import MIXED, TABLE, ControlError, ControlFunctionSpec, _powered
-from .models import DECAY, POWER, FunctionModel, JensenParams, ScaledModel
+from .models import DECAY, POWER, FunctionModel, JensenParams, ScaledModel, _Parity
 from .spaces import _column_norms, _max_abs, _rows, as_batch, norm_many
 
 DEFAULT_TOL = 1e-9
@@ -163,11 +163,6 @@ def _stop_counts(ratio, base):
     raise ControlError("table series truncation exceeds the hard cap")
 
 
-def _stop_level(tol):
-    """The gap at or below which the loop stops, for its test, fast pass and certificate."""
-    return tol
-
-
 def _certified_steps(f, X, arg, amp, tol, first, last, cand):
     """Per point, c and s such that at each m in c+1..s ⊂ [first, last] the gap
     ‖a_m − a_{m−1}‖ is provably above the stop level (c = 2**62: none, as when
@@ -180,12 +175,8 @@ def _certified_steps(f, X, arg, amp, tol, first, last, cand):
     enters the computed gap (Higham 2002, ch. 3).  With A_j the lead's net
     change and B_k the others' bounds, all over R^m, m is certified where
     Σ_k B_k R_k^m < A_j R_j^m; the sum over A_j R_j^m is convex in m, so it is
-    checked at the two ends of the run only.
-
-    OddPart and EvenPart get no run: their perturbation part (P(y) ∓ P(−y))/2
-    hashes y and −y apart, and its norm has no positive lower bound.  The
-    theorem runners take a parity part's limit as half the sum or difference
-    of a FunctionModel's limits at x and −x instead (experiments._Batch.limit)."""
+    checked at the two ends of the run only.  power_limit_many never passes
+    an OddPart or EvenPart here: it iterates the part's plain model at ±x."""
     out_scale = arg_scale = 1.0
     while type(f) is ScaledModel:  # exact types: a subclass may evaluate otherwise
         out_scale *= f.out_scale
@@ -227,7 +218,7 @@ def _certified_steps(f, X, arg, amp, tol, first, last, cand):
             size = (1.0 + 1.0 / R) * c
             rows.append((np.log2(R), step * c * low, step * c if fixed else size, size))
         # the stop level, and a floor above which the computed gap norm does not underflow
-        rows.append((0.0, 0.0, max(_stop_level(tol), 0.0) + 2.0 ** -min(560, 900 / cod_exp), 0.0))
+        rows.append((0.0, 0.0, max(tol, 0.0) + 2.0 ** -min(560, 900 / cod_exp), 0.0))
         log_R, change_low, change_high, size = np.array(rows).T
         col_norms = norm_many(f.codomain, np.swapaxes(L, -1, -2).reshape(-1, L.shape[-2]))
         linear = np.abs(X) @ col_norms.reshape(-1, L.shape[-1]).T  # (points, candidates)
@@ -315,6 +306,32 @@ def power_limit_many(
     cand, when given, holds each point's candidate in a batched model, and
     ``f.eval_many`` gets each evaluated row's entry as its second argument.
 
+    An OddPart or EvenPart of a FunctionModel, or a ScaledModel of one, is
+    iterated as its plain model g (``_Parity.plain``): at X alone when g has no
+    active perturbation term (g(−x) = ∓g(x) exactly), else over [X; −X], taking
+    ½(v₊ ∓ v₋), the larger count and last gap of the two halves, and converged
+    where both halves are.
+    """
+    part = f.base if type(f) is ScaledModel else f
+    if isinstance(part, _Parity):
+        g = part.plain
+        f = g if part is f else ScaledModel(g, f.arg_scale, f.out_scale)
+        if any(p.norm_at(1.0) != 0.0 for p in g.perturbations):
+            X = as_batch(X, f.domain.dim)
+            n = X.shape[0]
+            n_max = np.broadcast_to(np.asarray(n_max, dtype=np.int64), (n,))
+            n_max, n_start, cand = (None if a is None else np.concatenate([a, a])
+                                    for a in (n_max, n_start, cand))
+            v, it, gap, conv = _power_limit(f, np.concatenate([X, -X]), arg_factor, gain, n_max,
+                                            tol, n_start, cand)
+            return (0.5 * (v[:n] + part.sign * v[n:]), np.maximum(it[:n], it[n:]),
+                    np.maximum(gap[:n], gap[n:]), conv[:n] & conv[n:])
+    return _power_limit(f, X, arg_factor, gain, n_max, tol, n_start, cand)
+
+
+def _power_limit(f, X, arg_factor, gain, n_max, tol, n_start, cand):
+    """power_limit_many for a subject that is not a parity part.
+
     Each point's last exponent is fixed up front, and so is a run c+1..s of
     steps whose gaps are provably above tol (_certified_steps): the point
     iterates to c, takes a_s directly (a_n is a function of n) and goes on.
@@ -365,7 +382,7 @@ def power_limit_many(
     # Steps c+1..s cannot stop, and s < the last exponent: a point iterates until
     # a pass takes it to c or past it (short of s), then resumes from a_s.
     c, s = _certified_steps(f, X, arg, amp, tol, n_vec + 1, stop - 2, cands)
-    level, never, values = _stop_level(tol), 2**62, np.empty((f.codomain.dim, n_pts))
+    never, values = 2**62, np.empty((f.codomain.dim, n_pts))
     iterations, last_gap = n_vec.copy(), np.full(n_pts, np.inf)
     converged, jumps = np.zeros(n_pts, dtype=bool), c == n_vec
 
@@ -396,15 +413,14 @@ def power_limit_many(
             if lead:
                 a, new = new[:, 0], new[:, 1:]
             step = np.empty(new.shape)
-            with np.errstate(over="ignore", invalid="ignore"):  # the finite test sorts out ∞
-                np.subtract(new[:, :1], a[:, None], out=step[:, :1])
-                np.subtract(new[:, 1:], new[:, :-1], out=step[:, 1:])
-                gaps = _column_norms(f.codomain, step.reshape(step.shape[0], -1)).reshape(K, -1)
-            if K < min(fewest, soonest) - off and gaps.min() > level and gaps.max() < np.inf:
+            np.subtract(new[:, :1], a[:, None], out=step[:, :1])
+            np.subtract(new[:, 1:], new[:, :-1], out=step[:, 1:])
+            gaps = _column_norms(f.codomain, step.reshape(step.shape[0], -1)).reshape(K, -1)
+            if K < min(fewest, soonest) - off and gaps.min() > tol and gaps.max() < np.inf:
                 off, a = off + K, new[:, -1]  # nobody stops or pauses: exponents are n + off
                 continue
             paused, n, off = off + K >= soonest, n + off, 0
-            done, bad = gaps <= level, ~np.isfinite(gaps)
+            done, bad = gaps <= tol, ~np.isfinite(gaps)
             if bad.any():  # non-finite values have such gaps
                 bad[bad] = ~np.all(np.isfinite(new[:, bad]), axis=0)
             halt = done | bad
@@ -427,10 +443,14 @@ def power_limit_many(
     moves = end > n_vec
     fresh = 2 * np.count_nonzero(moves) <= _BLOCK_ROWS
     at = np.flatnonzero(~jumps & ~moves if fresh else ~jumps)
-    if at.size:
-        values[:, at] = start_values(X[at], cands[at], n_vec[at])
-    iterate(n_vec, end, c, fresh)
-    if jumps.any():
-        iterate(s, np.where(jumps, stop - 1, s), np.full(n_pts, never), True)
+    # A block may run past a point's stop, and below the guard a norm may overflow
+    # (a p = 3 norm near 1e103): such values and gaps turn inf or nan quietly, and
+    # the finite test stops a point there.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if at.size:
+            values[:, at] = start_values(X[at], cands[at], n_vec[at])
+        iterate(n_vec, end, c, fresh)
+        if jumps.any():
+            iterate(s, np.where(jumps, stop - 1, s), np.full(n_pts, never), True)
     return _rows(values), iterations, last_gap, converged
 

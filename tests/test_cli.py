@@ -12,7 +12,7 @@ from jensenlab.cli import main
 from jensenlab.experiments import emit_report, emit_reports, load_config, run_experiment
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from test_golden import CONFIGS as GOLDEN  # noqa: E402
+from test_golden import CONFIGS as GOLDEN, VERDICTS  # noqa: E402
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -142,14 +142,9 @@ def test_verify_reports_violation(tmp_path, capsys):
     assert "cor3_2: FAIL" in err and "; failed: decay_verdict)" in err
 
 
-# The failing golden configs and the checks each one fails.
-FAILED_CHECKS = {
-    "thm3_1-nmax3": "converged",
-    "prop4_1-nmax3": "converged",
-    "thm4_3-nmax3": "converged",
-    "thm5_2-nmax3": "converged",
-    "thm6_1-noisy": "max_ratio, residual",
-}
+# The failing golden configs and the checks each one fails, as their verdicts record them.
+FAILED_CHECKS = {name: ", ".join(failed) for name, (passed, failed) in VERDICTS.items()
+                 if not passed}
 
 
 @pytest.mark.parametrize("name", sorted(FAILED_CHECKS))
@@ -358,6 +353,15 @@ CONFIG_PROBES = [
     ((), dict(AS_THM6_1, ball={"radius": 2**63}), "ball.radius"),
     # a shell below ‖x‖ + ‖y‖ = 0 is empty
     ((), dict(AS_COR3_2, shells={"edges": [-4, -1, 2], "samples_per_shell": 8}), "shells"),
+    # sizes past the ceiling of 2**28 floats in one array (numpy's ValueError
+    # or MemoryError before the ceiling)
+    (("sampler", "count"), 2**63, "sampler.count"),
+    (("sampler", "pair_count"), 2**63, "sampler.pair_count"),
+    (("space", "dim"), 2**63, "space.dim"),
+    (("codomain", "dim"), 2**63, "codomain.dim"),
+    (("codomain", "dim"), 2**40, "codomain.dim"),
+    ((), dict(AS_COR3_2, shells={"edges": [0.5, 1.0, 2.0], "samples_per_shell": 2**63}),
+     "shells.samples_per_shell"),
 ]
 
 

@@ -497,6 +497,24 @@ def test_library_specs_refuse_integers_past_64_bits(make, key):
         assert emit_report(run_experiment(edge))
 
 
+@pytest.mark.parametrize("make, key", [
+    (lambda c: replace(c, sampler=replace(c.sampler, count=2**63)), "sampler.count"),
+    (lambda c: replace(c, sampler=replace(c.sampler, pair_count=2**63)), "sampler.pair_count"),
+    (lambda c: replace(c, space=replace(c.space, dim=2**63)), "space.dim"),
+    (lambda c: replace(c, codomain=replace(c.codomain, dim=2**40)), "codomain.dim"),
+    # the linear part alone: one point, 2**14 + 1 rows of 2**14 columns
+    (lambda c: replace(c, sampler=replace(c.sampler, count=1), space=replace(c.space, dim=2**14),
+                       codomain=replace(c.codomain, dim=2**14 + 1)), "codomain.dim"),
+], ids=["count", "pair_count", "space-dim", "codomain-dim", "linear-part"])
+def test_code_built_configs_refuse_sizes_past_the_ceiling(make, key):
+    """A config built in code refuses an array of more than 2**28 floats, as
+    the parser does, and names the larger key; the ceiling itself builds."""
+    cfg = _cfg("cor2_2")
+    with pytest.raises(ConfigError, match=f"^{key} is too large"):
+        make(cfg)
+    assert replace(cfg, sampler=replace(cfg.sampler, count=2**28 // cfg.space.dim, pair_count=1))
+
+
 @pytest.mark.parametrize("kind, key, value", [
     ("bounded", "delta", 0.7), ("bounded", "p", 0.5), ("decay", "delta", 0.1),
     ("decay", "p", 0.5), ("power", "amplitude", 0.05),

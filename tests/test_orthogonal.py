@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from jensenlab import orthogonal
+from jensenlab.experiments import build_models, parse_config
 from jensenlab.models import (
     BOUNDED,
     FunctionModel,
     JensenParams,
     ModelError,
+    OddPart,
     PerturbationSpec,
     RadialTable,
     jensen_defect_many,
@@ -29,6 +31,8 @@ from jensenlab.spaces import (
     euclidean_space,
     norm_many,
 )
+from series_reference import limit_one_at_a_time
+from test_golden import CONFIGS as GOLDEN
 
 E3 = euclidean_space(3)
 E1 = euclidean_space(1)
@@ -218,3 +222,22 @@ def test_even_part_constancy_matches_row_loop(monkeypatch):
         value = max(value, float(norm_many(E1, f_even.eval_many(x1) - f_even.eval_many(y0))[0]))
     assert value > 0.1
     assert res == value
+
+
+def test_bounded_noise_on_a_line_never_reads_as_converged():
+    """thm6_1-noisy: on a 1-D codomain bounded noise is ±a at every point, so
+    the odd part's noise ½(P(y) − P(−y)) is exactly 0 at about half the steps
+    and iterating the part stops on a chance zero gap, although 2ⁿ·a diverges.
+    The odd limit, taken through the part's plain model at ±e₁, does not
+    converge, and neither does the ball extension's fit of the linear part."""
+    (cfg,) = parse_config({"schema_version": 1, "experiments": [GOLDEN["thm6_1-noisy"]]})
+    f, _, _ = build_models(cfg)
+    scfg = SikorskaConfig(params=cfg.params, ball_radius=cfg.ball.radius)
+    e1 = np.eye(f.domain.dim)[:1]
+    n0 = orthogonal._entry_exponents(norm_many(f.domain, e1), scfg.base, scfg.ball_radius)
+    args = (1.0 / scfg.base, scfg.base, scfg.default_n_max(), cfg.limits.tol)
+    assert limit_one_at_a_time(OddPart(f), e1[0], *args, int(n0[0]))[3]
+    assert not power_limit_many(OddPart(f), e1, *args, n_start=n0)[3][0]
+    result = sikorska_extend(f, scfg, count=cfg.sampler.count, seed=cfg.sampler.seed,
+                             tol=cfg.limits.tol)
+    assert result.iterations["fit_converged"] is False

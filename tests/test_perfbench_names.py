@@ -136,6 +136,53 @@ def test_certificate_skips_as_many_verify_rows(tmp_path):
     assert 0 < rows["parity"] <= 70_000
 
 
+def test_no_limit_evaluates_a_parity_part(tmp_path):
+    """On the seed-1 verify inputs no limit of any id, the ball extension's of
+    thm6_1 and thm6_2 included, evaluates an OddPart or EvenPart row:
+    power_limit_many iterates each parity part as its plain model.  The ball
+    extension's limits evaluate at most 22,707 model rows, as many as when
+    they iterated the parts: their models carry no perturbation, so each
+    part's plain model runs at x alone."""
+    from unittest import mock
+
+    from jensenlab import models, orthogonal, series
+
+    _WL.write_inputs("verify", 1, str(tmp_path))
+    inside, rows = [], {"parity": 0, "ball": 0}
+
+    def tagged(fn, tag):
+        def run(*args, **kwargs):
+            inside.append(tag)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return run
+
+    def counted(evaluate, key, tag):
+        def run(self, X, cand=None):
+            if tag in inside:
+                rows[key] += len(X)
+            return evaluate(self, X, cand)
+        return run
+
+    with mock.patch.object(series, "_power_limit", tagged(series._power_limit, "limit")), \
+            mock.patch.object(orthogonal, "power_limit_many",
+                              tagged(orthogonal.power_limit_many, "ball")), \
+            mock.patch.object(models._Parity, "eval_many",
+                              counted(models._Parity.eval_many, "parity", "limit")), \
+            mock.patch.object(models.FunctionModel, "eval_many",
+                              counted(models.FunctionModel.eval_many, "ball", "ball")):
+        tids = set()
+        for path in sorted(p for p in tmp_path.glob("*.json") if p.name != "plan.json"):
+            for cfg in jensenlab.load_config(str(path)):
+                tids.add(cfg.theorem_id)
+                jensenlab.run_experiment(cfg)
+    assert {"thm4_3", "thm5_2", "thm6_1", "thm6_2"} <= tids
+    assert rows["parity"] == 0
+    assert 0 < rows["ball"] <= 22_707
+
+
 def test_parity_limits_lie_within_tol_on_verify_inputs(tmp_path):
     """On the seed-1 verify inputs every thm4_3 and thm5_2 limit value lies
     within tol of its exact value: L·x for thm4_3's Pexider limit of the odd

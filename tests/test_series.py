@@ -17,8 +17,10 @@ from jensenlab.models import (
     BOUNDED,
     DECAY,
     POWER,
+    EvenPart,
     FunctionModel,
     JensenParams,
+    OddPart,
     PerturbationSpec,
     ScaledModel,
 )
@@ -30,7 +32,7 @@ from jensenlab.series import (
     power_limit_many,
 )
 from jensenlab.spaces import NormedSpaceSpec, euclidean_space, norm_many
-from series_reference import psi
+from series_reference import limit_one_at_a_time, psi
 
 E3 = euclidean_space(3)
 E2 = euclidean_space(2)
@@ -394,33 +396,6 @@ def _limit_models():
 LIMIT_MODELS = _limit_models()
 
 
-def _limit_one_at_a_time(f, x, arg, gain, n_max, tol, n0):
-    """One point, one exponent per step: the stop rules in their order."""
-    arg, gain = np.float64(arg), np.float64(gain)
-
-    def value(n):
-        e = np.array([float(n)])
-        return (gain**e)[:, None] * f.eval_many((arg**e)[:, None] * x[None])
-
-    scale = np.max(np.abs(x))
-    a, n, gap, converged = value(n0), n0, np.inf, False
-    while n + 1 <= n_max:
-        e = np.array([float(n + 1)])
-        if np.any(scale * np.abs(arg) ** e > 1e120) or np.any(np.abs(gain) ** e > 1e120):
-            break
-        new = value(n + 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gap = norm_many(f.codomain, new - a)[0]
-        a, n = new, n + 1
-        finite = bool(np.all(np.isfinite(new)))
-        if gap <= tol:
-            converged = finite
-            break
-        if not finite:
-            break
-    return a[0], n, gap, converged
-
-
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(
     model=st.sampled_from(sorted(LIMIT_MODELS)),
@@ -454,7 +429,7 @@ def test_blocked_limit_equals_one_exponent_iteration(
         got = power_limit_many(
             f, X, arg, gain, n_max, tol, n_start=None if starts is None else n0
         )
-    ref = [_limit_one_at_a_time(f, X[i], arg, gain, n_max, tol, int(n0[i])) for i in range(rows)]
+    ref = [limit_one_at_a_time(f, X[i], arg, gain, n_max, tol, int(n0[i])) for i in range(rows)]
     want = [np.array(column) for column in zip(*ref)]
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
@@ -472,7 +447,7 @@ def test_long_block_guard_raises_no_overflow_warning(kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = power_limit_many(f, x[None], arg, gain, 2000, 0.0)
-    want = _limit_one_at_a_time(f, x, arg, gain, 2000, 0.0, 0)
+    want = limit_one_at_a_time(f, x, arg, gain, 2000, 0.0, 0)
     for g, w in zip(got, want):
         assert np.array_equal(g[0], w)
 
@@ -519,7 +494,7 @@ def test_blocked_limit_per_row_caps_and_candidates(
             THREE, X, arg, gain, n_max, tol, n_start=None if starts is None else n0, cand=cand
         )
     ref = [
-        _limit_one_at_a_time(THREE.candidate(cand[i]), X[i], arg, gain, n_max[i], tol, int(n0[i]))
+        limit_one_at_a_time(THREE.candidate(cand[i]), X[i], arg, gain, n_max[i], tol, int(n0[i]))
         for i in range(rows)
     ]
     want = [np.array(column) for column in zip(*ref)] or [
@@ -567,7 +542,7 @@ def test_large_working_set_equals_one_exponent_iteration(model):
     got = power_limit_many(f, X, 2.0, 0.5, n_max, 1e-9)
     assert np.unique(got[1]).size > 25
     _check_sampled_rows(
-        got, rng, special, lambda i: _limit_one_at_a_time(f, X[i], 2.0, 0.5, n_max[i], 1e-9, 0)
+        got, rng, special, lambda i: limit_one_at_a_time(f, X[i], 2.0, 0.5, n_max[i], 1e-9, 0)
     )
 
 
@@ -583,7 +558,7 @@ def test_large_working_set_with_starts_and_candidates():
         got,
         rng,
         special,
-        lambda i: _limit_one_at_a_time(
+        lambda i: limit_one_at_a_time(
             THREE.candidate(cand[i]), X[i], 2.0, 0.25, n_max[i], 1e-9, int(n0[i])
         ),
     )
@@ -603,7 +578,7 @@ def test_no_step_skipped_where_the_domain_norm_overflows(kind):
     X[::4] /= 1e90
     arg, gain = kind
     got = power_limit_many(f, X, arg, gain, 200, 1e-9)
-    want = [np.array(c) for c in zip(*(_limit_one_at_a_time(f, x, arg, gain, 200, 1e-9, 0)
+    want = [np.array(c) for c in zip(*(limit_one_at_a_time(f, x, arg, gain, 200, 1e-9, 0)
                                         for x in X))]
     assert not np.all(np.isfinite(got[0]))
     for g, w in zip(got, want, strict=True):
@@ -625,7 +600,7 @@ def test_scaled_quadratic_stops_where_the_one_exponent_loop_stops(arg_scale, out
     X *= 10.0 ** rng.uniform(-7.0, -3.0, size=(300, 1)) / np.linalg.norm(X, axis=1)[:, None]
     arg, gain = kind
     got = power_limit_many(f, X, arg, gain, 40, 1e-9)
-    want = [np.array(c) for c in zip(*(_limit_one_at_a_time(f, x, arg, gain, 40, 1e-9, 0)
+    want = [np.array(c) for c in zip(*(limit_one_at_a_time(f, x, arg, gain, 40, 1e-9, 0)
                                         for x in X))]
     assert 0 < np.sum(got[1] == 1) < X.shape[0]
     for g, w in zip(got, want, strict=True):
@@ -649,7 +624,7 @@ def test_scaled_quadratic_cancelling_a_bounded_term(arg_scale, out_scale):
     X *= (np.sqrt(0.5e-7 * 4.0**m0) / arg_scale / np.linalg.norm(X, axis=1))[:, None]
     with mock.patch.object(series, "_BLOCK_ROWS", X.shape[0]):  # one step a pass
         got = power_limit_many(f, X, 0.5, 2.0, 40, 1e-9)
-    want = [np.array(c) for c in zip(*(_limit_one_at_a_time(f, x, 0.5, 2.0, 40, 1e-9, 0)
+    want = [np.array(c) for c in zip(*(limit_one_at_a_time(f, x, 0.5, 2.0, 40, 1e-9, 0)
                                         for x in X))]
     assert np.sum(got[1] == m0) > 30
     for g, w in zip(got, want, strict=True):
@@ -672,7 +647,7 @@ def test_certified_steps_are_not_evaluated(model):
     assert 3 * rows <= np.sum(got[1])
     _check_sampled_rows(
         got, rng, np.empty(0, dtype=np.int64),
-        lambda i: _limit_one_at_a_time(f, X[i], 2.0, 0.5, 60, DEFAULT_TOL, 0),
+        lambda i: limit_one_at_a_time(f, X[i], 2.0, 0.5, 60, DEFAULT_TOL, 0),
     )
 
 
@@ -747,7 +722,7 @@ def test_huge_n_max_needs_no_table_of_that_size(kind):
         finally:
             tracemalloc.stop()
     assert peak < 2**20
-    ref = [_limit_one_at_a_time(f, x, arg, gain, 10**9, 0.0, 0) for x in X]
+    ref = [limit_one_at_a_time(f, x, arg, gain, 10**9, 0.0, 0) for x in X]
     for g, w in zip(got, zip(*ref)):
         assert np.array_equal(g, np.array(w))
 
@@ -798,7 +773,7 @@ def test_guard_on_at_the_first_step_stops_there(kind, start):
     arg, gain = kind
     X = np.array([[1e110, 2.0, -3.0], [0.3, -1.2, 0.8]])
     got = power_limit_many(f, X, arg, gain, 40, 1e-9, n_start=[start, start])
-    ref = [_limit_one_at_a_time(f, x, arg, gain, 40, 1e-9, start) for x in X]
+    ref = [limit_one_at_a_time(f, x, arg, gain, 40, 1e-9, start) for x in X]
     assert got[1][0] == start
     for g, w in zip(got, zip(*ref)):
         assert np.array_equal(g, np.array(w))
@@ -826,7 +801,7 @@ def test_guard_table_only_near_the_limit(kind, start, scales, table):
     with mock.patch.object(series, "_guard_stops", wraps=series._guard_stops) as spy:
         got = power_limit_many(f, X, arg, gain, 60, 1e-9, n_start=np.full(12, start))
     assert spy.called == table
-    ref = [_limit_one_at_a_time(f, x, arg, gain, 60, 1e-9, start) for x in X]
+    ref = [limit_one_at_a_time(f, x, arg, gain, 60, 1e-9, start) for x in X]
     for g, w in zip(got, (np.array(c) for c in zip(*ref)), strict=True):
         assert np.array_equal(g, w, equal_nan=True)
 
@@ -866,7 +841,7 @@ def test_start_and_resume_rows_come_with_their_first_steps(n_pts):
     assert np.all(last >= got[1])  # a block may run past a point's stop
     assert (resumed > 0) == (n_pts >= 240)  # certified jumps need more than one block
     sample = np.arange(n_pts) if n_pts <= 64 else rng.choice(n_pts, 64, replace=False)
-    want = [np.array(c) for c in zip(*(_limit_one_at_a_time(f, X[i], 2.0, 0.5, 60, 1e-9, n0[i])
+    want = [np.array(c) for c in zip(*(limit_one_at_a_time(f, X[i], 2.0, 0.5, 60, 1e-9, n0[i])
                                         for i in sample))]
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g[sample], w, equal_nan=True)
@@ -907,3 +882,78 @@ def test_certified_steps_have_gaps_above_tol(model, kind):
         certified += step.size
     if model in ("noisy", "bounded", "quadratic") and kind in ((2.0, 0.5), (3.0, 1.0 / 3.0)):
         assert certified > 0  # runs that the loop would skip are checked
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    part=st.sampled_from([OddPart, EvenPart]),
+    contracting=st.booleans(),
+    base=st.sampled_from([2.0, 3.0, 1.125, 1.5]),
+    order=st.sampled_from([1, 2]),
+    quadratic=st.booleans(),
+    inactive=st.booleans(),
+    scaled=st.booleans(),
+    space=st.sampled_from([E3, NormedSpaceSpec(3, "sup"), NormedSpaceSpec(3, "p_norm", 3.0)]),
+    rows=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_parity_limit_equals_the_parts_iteration(
+    part, contracting, base, order, quadratic, inactive, scaled, space, rows, seed
+):
+    """With no active perturbation term, a parity part's limit is its plain
+    model's at x alone, and equals, bit for bit, the part's own iteration one
+    exponent at a time: expanding (arg base, gain base^-order) from 0, and
+    contracting (arg 1/base, gain base^order, as the ball extension takes it)
+    from per-row starts.  Order 2 is the odd part's wrong order and order 1
+    the even part's, so diverging points meet the cap and the guard too."""
+    rng = np.random.default_rng(seed)
+    perts = (PerturbationSpec(kind=BOUNDED, amplitude=0.0, seed=3),) if inactive else ()
+    f = FunctionModel(domain=space, codomain=E2, linear=rng.uniform(-2.0, 2.0, size=(2, 3)),
+                      quadratic=[0.3, -0.1] if quadratic else None, perturbations=perts)
+    subject = ScaledModel(part(f), 2.0 / 3.0, 1.5) if scaled else part(f)
+    X = rng.standard_normal((rows, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
+    arg, gain = (1.0 / base, base**order) if contracting else (base, base**-order)
+    n0 = rng.integers(0, 5, size=rows) if contracting else np.zeros(rows, dtype=np.int64)
+    got = power_limit_many(subject, X, arg, gain, 40, 1e-9, n_start=n0)
+    ref = [limit_one_at_a_time(subject, X[i], arg, gain, 40, 1e-9, int(n0[i]))
+           for i in range(rows)]
+    want = [np.array(column) for column in zip(*ref)]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("part", [OddPart, EvenPart])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_noisy_parity_limit_combines_its_halves(part, scaled):
+    """A parity part with an active perturbation term is iterated as its plain
+    model at x and at −x: the value is ½(v₊ ∓ v₋), the count and the last gap
+    are the larger of the two halves', and a point converges when both do;
+    per-row caps, starts and candidates go to both halves."""
+    f = LIMIT_MODELS["quadratic"]
+    g = part(f).plain
+    wrap = (lambda m: ScaledModel(m, 2.0 / 3.0, 1.5)) if scaled else (lambda m: m)
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((30, 3))
+    n_max, n0 = rng.integers(3, 120, size=30), rng.integers(-2, 2, size=30)
+    gain = 0.5 if part is OddPart else 0.25
+    got = power_limit_many(wrap(part(f)), X, 2.0, gain, n_max, 1e-9, n_start=n0)
+    plus, minus = (power_limit_many(wrap(g), Z, 2.0, gain, n_max, 1e-9, n_start=n0)
+                   for Z in (X, -X))
+    assert np.array_equal(got[0], 0.5 * (plus[0] + part.sign * minus[0]))
+    assert np.array_equal(got[1], np.maximum(plus[1], minus[1]))
+    assert np.array_equal(got[2], np.maximum(plus[2], minus[2]))
+    assert np.array_equal(got[3], plus[3] & minus[3])
+    assert not got[3].all() and got[3].any()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_even_limit_on_a_p3_domain_is_quiet():
+    """Past the last step a point needs, a block may scale x to where a p = 3
+    norm overflows (near 1e103, below the 1e120 guard): those values are inf
+    or nan, are never returned, and raise no RuntimeWarning."""
+    f = FunctionModel(domain=NormedSpaceSpec(3, "p_norm", 3.0), codomain=E2,
+                      linear=np.zeros((2, 3)), quadratic=[0.3, -0.1],
+                      perturbations=(PerturbationSpec(kind=POWER, delta=1.0, p=0.5, seed=3),))
+    X = np.random.default_rng(1).uniform(-4.0, 4.0, size=(5, 3))
+    vals, _, _, conv = power_limit_many(EvenPart(f), X, 2.0, 0.25, 600, 1e-9)
+    assert conv.all() and np.isfinite(vals).all()
