@@ -96,6 +96,9 @@ def _cmd_verify(args) -> int:
 def _cmd_axioms(args) -> int:
     if args.dim < 2:
         raise ConfigError(f"--dim must be >= 2 (O2-O4 are vacuous on a line), got {args.dim}")
+    if (size := args.trials * args.dim) > 2**28:  # the config's ceiling, before any array
+        raise ConfigError(f"{'--dim' if args.dim >= args.trials else '--trials'} is too large:"
+                          f" --trials × --dim is {size} floats, past the ceiling of 2**28")
     if args.norm == P_NORM and args.p is None:
         raise ConfigError("--norm p_norm needs --p")
     if args.norm != P_NORM and args.p is not None:

@@ -36,6 +36,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 import orjson
@@ -1036,34 +1037,35 @@ def _finish(cfg, eps_hat, rows, details, iterations, checks) -> StabilityReport:
 _BATCH_FREE = ("sampler.seed", "sampler.radius_range", "model.seed", "perturbation[].seed")
 
 
-def _differences(t, a, b, path: str = "", pattern: str = ""):
-    """The key paths outside _BATCH_FREE at which config_to_dict would write two
-    values of schema type t differently: a's keys in schema order, then those
-    that b alone writes.  pattern is path with each list index written [].
+def _key_getter(sec: _Section, prefix: str = ""):
+    """A getter, derived once from the schema, of an object of section sec (at
+    key path prefix) at its keys outside _BATCH_FREE: one attrgetter reads those
+    with no free key below, then a section with one key by key, a list by item."""
+    plain, parts = [], []
+    for f in sec.fields:
+        key, many = prefix + f.key, isinstance(f.type, list)
+        if not any(p.startswith((key + ".", key + "[")) for p in _BATCH_FREE):
+            plain += [] if key in _BATCH_FREE else [f.key]  # its attribute: no `get` here
+        else:
+            sub = _key_getter(f.type[0] if many else f.type, key + ("[]." if many else "."))
+            parts.append((f.get or attrgetter(f.key), sub, many))
+    read = attrgetter(*plain)
+    return read if not parts else lambda v: (read(v), *(
+        tuple(map(sub, get(v))) if many else sub(get(v)) for get, sub, many in parts))
 
-    The walk reads the objects through the field tables that _emit reads, and
-    skips a part that both share, so a config built by replace() is compared
-    in the sections that replace() gave it.
-    """
-    if a is b or pattern in _BATCH_FREE:
-        return
-    if isinstance(t, _Section) and a is not None and b is not None:
-        fa, fb = _fields(t, a), _fields(t, b)
-        for key in [*fa, *(k for k in fb if k not in fa)]:
-            x, y = fa.get(key), fb.get(key)
-            if x is not y:
-                yield from _differences(t.types[key], x, y, f"{path}.{key}" if path else key,
-                                        f"{pattern}.{key}" if pattern else key)
-    elif isinstance(t, (list, tuple)):
-        seqs = (list, tuple, np.ndarray)
-        if not (isinstance(a, seqs) and isinstance(b, seqs) and len(a) == len(b)):
-            yield path
-            return
-        for i, (x, y) in enumerate(zip(a, b)):
-            yield from _differences(t[0] if isinstance(t, list) else t[i], x, y,
-                                    f"{path}[{i}]", pattern + "[]")
-    elif a != b:
-        yield path
+
+def _head_differences(a, b, path: str = "", pattern: str = "") -> list:
+    """The key paths outside _BATCH_FREE where two config_to_dict heads differ: a's
+    keys first, then b's own, lists index by index (pattern: path with [] indices)."""
+    if a == b or pattern in _BATCH_FREE:
+        return []
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for k in [*a, *(k for k in b if k not in a)] for p in _head_differences(
+            a.get(k), b.get(k), f"{path}.{k}".lstrip("."), f"{pattern}.{k}".lstrip("."))]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b))
+                for p in _head_differences(x, y, f"{path}[{i}]", pattern + "[]")]
+    return [path]
 
 
 def run_experiment(cfg):
@@ -1071,19 +1073,24 @@ def run_experiment(cfg):
 
     cfg may also be a list of configs that differ at most in sampler.seed,
     sampler.radius_range, model.seed and the perturbation seeds; any other
-    difference raises ConfigError naming the key.  The check walks each
-    config against config 0 through the schema's field tables and skips the
-    sections they share (_differences), so it builds no config dict.  The
-    result is then a list of reports, each byte-identical to the report of
-    its config run alone; a report writes its config block only when that is
-    first read.  The limit theorems run such a list as one batch
-    (_run_limit_theorem), the others one config at a time.
+    difference raises ConfigError naming the key.  Configs with equal flat
+    _batch_key values are compatible, so a valid batch builds no config dict;
+    a mismatch builds the two config heads to name the keys.  The result is
+    then a list of reports, each byte-identical to the report of its config
+    run alone; a report writes its config block only when that is first read.
+    The limit theorems run such a list as one batch (_run_limit_theorem), the
+    others one config at a time.
     """
     cfgs = cfg if isinstance(cfg, list) else [cfg]
     if not cfgs:
         raise ConfigError("run_experiment needs at least one config")
+    key = _batch_key(cfgs[0])
     for i, c in enumerate(cfgs[1:], 1):
-        keys = list(_differences(_EXPERIMENT, cfgs[0], c))
+        try:  # a table compares by identity and an array element-wise: the heads decide
+            same = _batch_key(c) == key
+        except ValueError:
+            same = False
+        keys = [] if same else _head_differences(config_to_dict(cfgs[0]), config_to_dict(c))
         if keys:
             raise ConfigError(f"batched configs may differ only in sampler.seed, "
                               f"sampler.radius_range, model.seed and perturbation seeds; "
@@ -1136,7 +1143,6 @@ class _Section:
     def __init__(self, make, *fields: _Field):
         self.make = make  # keyword arguments named after the keys -> section object
         self.fields = fields
-        self.types = {f.key: f.type for f in fields}
 
 
 def _type_name(t) -> str:
@@ -1198,14 +1204,9 @@ def _parse_value(t, v, where: str, nullable: bool = False):
     return v
 
 
-def _fields(sec: _Section, obj) -> dict:
-    """The keys _emit writes for obj, each with its value as obj holds it."""
-    return {f.key: f.get(obj) if f.get else getattr(obj, f.key)
-            for f in sec.fields if f.emit is None or f.emit(obj)}
-
-
 def _emit(sec: _Section, obj) -> dict:
-    return {key: _emit_value(sec.types[key], v) for key, v in _fields(sec, obj).items()}
+    return {f.key: _emit_value(f.type, f.get(obj) if f.get else getattr(obj, f.key))
+            for f in sec.fields if f.emit is None or f.emit(obj)}
 
 
 def _emit_value(t, v):
@@ -1344,6 +1345,7 @@ _EXPERIMENT = _Section(
            emit=lambda c: c.expected_decay is not None),
     _Field("shells", _SHELLS, None, _required_for("shells"), emit=lambda c: c.shells is not None),
 )
+_batch_key = _key_getter(_EXPERIMENT)
 _CONFIG = _Section(
     _make_config,
     _Field("schema_version", int, note=f"{CONFIG_SCHEMA_VERSION}"),

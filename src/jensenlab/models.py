@@ -34,6 +34,7 @@ The generalized Jensen defect measured throughout the lab is
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -329,7 +330,7 @@ class _Parity:
             raise ModelError(f"parity parts need a FunctionModel, not {type(base).__name__}")
         self.base, self.domain, self.codomain = base, base.domain, base.codomain
 
-    @property
+    @cached_property
     def plain(self) -> FunctionModel:
         """g, f less the other parity's exact term: the part is ½(g(x) + sign·g(−x))."""
         if self.sign < 0.0:

@@ -24,10 +24,13 @@ the converged flag, never raised.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .control import MIXED, TABLE, ControlError, ControlFunctionSpec, _powered
-from .models import DECAY, POWER, FunctionModel, JensenParams, ScaledModel, _Parity
+from .models import (DECAY, POWER, FunctionModel, JensenParams, PerturbationSpec, ScaledModel,
+                     _Parity)
 from .spaces import _column_norms, _max_abs, _rows, as_batch, norm_many
 
 DEFAULT_TOL = 1e-9
@@ -175,90 +178,101 @@ def _certified_steps(f, X, arg, amp, tol, first, last, cand):
     enters the computed gap (Higham 2002, ch. 3).  With A_j the lead's net
     change and B_k the others' bounds, all over R^m, m is certified where
     Σ_k B_k R_k^m < A_j R_j^m; the sum over A_j R_j^m is convex in m, so it is
-    checked at the two ends of the run only.  power_limit_many never passes
-    an OddPart or EvenPart here: it iterates the part's plain model at ±x."""
+    checked at the two ends of the run only, and where no part's change can lead
+    (_certificate_rows) no point is looked at.  OddPart and EvenPart never come
+    here: power_limit_many iterates the part's plain model at ±x."""
     out_scale = arg_scale = 1.0
     while type(f) is ScaledModel:  # exact types: a subclass may evaluate otherwise
         out_scale *= f.out_scale
         arg_scale *= f.arg_scale
         f = f.base
-    if type(f) is not FunctionModel or np.sum(last + 2 - first) <= _BLOCK_ROWS:
-        return np.full_like(first, 2**62), first
-    L = np.abs(f.linear)
-    q = np.zeros(1) if f.quadratic is None else f.quadratic
-    perts = [p for p in f.perturbations if p.norm_at(1.0) != 0.0]
     with np.errstate(all="ignore"):
-        so = abs(np.float64(out_scale))
-        sa = abs(np.float64(arg_scale))
-        coefs = [so, sa, 1 / so, 1 / sa, L.max(), *np.abs(q), *(p.amplitude + p.delta for p in perts)]
-        if not (all(c <= 2.0**100 for c in coefs) and 0.0 < abs(amp * arg) < np.inf):
+        rows = (type(f) is FunctionModel and np.add.reduce(last + 2 - first) > _BLOCK_ROWS
+                and _certificate_rows(f.domain, f.codomain, out_scale, arg_scale, amp, arg, tol,
+                                      None if f.quadratic is None else tuple(f.quadratic),
+                                      tuple((p.kind, p.amplitude, p.delta, p.p)
+                                            for p in f.perturbations)))
+        if not (rows and (L := np.abs(f.linear)).max() <= 2.0**100):
             return np.full_like(first, 2**62), first
-        ku = (128 + 16 * (X.shape[1] + f.codomain.dim)) * 2.0**-53
+        j, powers, sa, sosa, b_row, crossing, sig, rate, log_size, sel, limits, coef = rows
+        n, r = X.shape[0], len(b_row)
         nx = sa * norm_many(f.domain, X)  # ‖y‖ = |arg|^m·nx at step m
-        dom_exp, cod_exp = ({"sup": 1.0, "euclidean": 2.0}.get(s.norm_kind, s.p)
-                            for s in (f.domain, f.codomain))
-        # One row per part.  A part's norm at step m is c·w·R^m, R = |P|, with w
-        # per point: the linear bound Σ_i |x_i|·‖L[:, i]‖ ≥ ‖|L|·|x|‖ ≥ ‖L·x‖
-        # (column norms per candidate) in the first row, nx^e in the others.
-        # fixed: P^m times one vector, else a new vector at each step; low: the
-        # norm is also at least that (the linear one may be 0, and a decay
-        # term's only falls from so·amplitude).
-        parts = [(amp * arg, 1.0, None, False, True)]
-        if f.quadratic is not None:
-            parts.append((amp * arg * arg, so * norm_many(f.codomain, q[None])[0], 2.0, True, True))
-        for p in perts:
-            e = p.p if p.kind == POWER else 0.0
-            c = so * (p.delta if p.kind == POWER else p.amplitude)
-            parts.append((abs(amp) * abs(arg) ** e, c, e, p.kind != DECAY, False))
-        # per row: log2 R, and over w·R^m the change's lower and upper bounds
-        # and the size at m and m − 1
-        rows = []
-        for P, c, _, low, fixed in parts:
-            R, step = abs(P), abs(1.0 - 1.0 / P)  # κ·u·size also covers the change's rounding
-            size = (1.0 + 1.0 / R) * c
-            rows.append((np.log2(R), step * c * low, step * c if fixed else size, size))
-        # the stop level, and a floor above which the computed gap norm does not underflow
-        rows.append((0.0, 0.0, max(tol, 0.0) + 2.0 ** -min(560, 900 / cod_exp), 0.0))
-        log_R, change_low, change_high, size = np.array(rows).T
-        col_norms = norm_many(f.codomain, np.swapaxes(L, -1, -2).reshape(-1, L.shape[-2]))
+        col_norms = _column_norms(f.codomain, L.swapaxes(0, -2).reshape(L.shape[-2], -1))
         linear = np.abs(X) @ col_norms.reshape(-1, L.shape[-1]).T  # (points, candidates)
-        W = np.empty((len(rows), X.shape[0]))
-        W[0] = so * sa * (linear[np.arange(X.shape[0]), cand] if L.ndim == 3 else linear[:, 0])
-        np.power(nx, np.array([e for _, _, e, _, _ in parts[1:]] + [0.0])[:, None], out=W[1:])
-        log_W = np.log2(W)
-        net = change_low - ku * size
-        # the lead j: of the parts whose change can lead, the slowest to shrink
-        j = max(np.flatnonzero(net > 0.0), key=lambda k: log_R[k], default=0)
-        # B_k R_k^m = 2^(b_k + m·slope_k) A_j R_j^m
-        b = (np.log2(change_high + ku * size) - np.log2(net[j]))[:, None] + (log_W - log_W[j])
+        # log2 w per row (the linear bound, nx^e, nx^0 = 1), then log2 nx twice
+        log_W = np.zeros((r + 2, n))
+        np.log2(sosa * (linear[np.arange(n), cand] if L.ndim == 3 else linear[:, 0]), out=log_W[0])
+        for k, e in powers:
+            np.log2(np.power(nx, e), out=log_W[k])
+        log_W[r:] = np.log2(nx)
+        b = log_W[:r] - log_W[j] + b_row  # B_k R_k^m = 2^(b_k + m·slope_k) A_j R_j^m
         b[j] = -np.inf
-        slope = log_R - log_R[j]
-        # a start: each term below 1/(others), where it shrinks that way
-        m = (-np.log2(len(rows) - 1) - b) / slope[:, None]
-        ends = np.stack([np.maximum(first, -2.0**20), np.minimum(last, 2.0**20)])
-        lo = np.maximum(ends[0], np.max(np.floor(m[slope < 0]) + 1.0, axis=0, initial=-np.inf))
-        hi = np.minimum(ends[1], np.min(np.ceil(m[slope > 0]) - 1.0, axis=0, initial=np.inf))
-        # move lo down and hi up (way ∓1) while the terms growing that way, at
-        # most 2^rate a step, fit; the other terms only shrink that way
-        way = np.array([[-1.0], [1.0]])
-        e = np.stack([lo, hi])
-        v = np.exp2(b + e[:, None] * slope[:, None])
-        up = way * slope > 0.0
-        grows = np.sum(v, axis=1, where=up[:, :, None])
-        rest = np.sum(v, axis=1) - grows
-        rate = np.max(way * slope, axis=1, keepdims=True)
-        margin = 1.0 - 2.0**-20
-        d = np.fmax(np.floor(np.log2((margin - rest) / grows) / rate), 0.0)
-        d = np.minimum(d, way * (ends - e))
-        lo, hi = e = e + way * d
-        found = np.all(grows * np.exp2(rate * d) + rest < margin, axis=0) & (lo <= hi)
-        # no magnitude near overflow, and 2^-w < ‖y‖ = |arg|^m·nx < 2^w, far from it
-        log_size = np.log2(size)[:, None] + log_W
-        log_top = log_size + np.maximum(lo * log_R[:, None], hi * log_R[:, None])
-        found &= np.all(log_top < 990.0, axis=0)
-        log_y = np.log2(nx) + e * np.log2(abs(arg))
-        found &= np.all(np.abs(log_y) < min(400.0, 800.0 / dom_exp) - 8.0, axis=0)
-    return np.where(found, lo - 1, 2**62).astype(np.int64), np.where(found, hi, first).astype(np.int64)
+        # Both ends at once, as u = way·(lo, hi), way = (−1, 1), σ = way·slope.  A start:
+        # the crossing of 1/(others) of each term growing toward the end (σ > 0),
+        # rounded toward it and one step in, within the clipped ends.
+        Z = np.ceil((crossing[0] - b) / crossing[1]) - 1.0
+        ends = np.minimum([-first, last], 2.0**20)
+        up = sig > 0.0
+        u = np.where(up, Z, ends[:, None]).min(1)  # the lead's row is never up
+        # move each end out while the terms growing that way (at most 2^rate a step) fit
+        v = u[:, None] * sig
+        v += b
+        v = np.exp2(v, out=v)
+        grows = np.add.reduce(v, 1, where=up)
+        rest = np.add.reduce(v, 1) - grows
+        d = np.minimum(np.fmax(np.floor(np.log2((limits[0] - rest) / grows) / rate), 0.0), ends - u)
+        u += d
+        # found: the fit at both ends, lo ≤ hi, no magnitude near overflow (where lo ≤ hi, the
+        # larger of lo·log2 R and hi·log2 R is u_w·|log2 R|) and 2^-w < ‖y‖ = |arg|^m·nx < 2^w
+        log_W[:r] += log_size
+        mags = u[sel] * coef + log_W
+        np.abs(mags[r:], out=mags[r:])
+        found = ((np.exp2(rate * d) * grows + rest < limits[0]).all(0) & (u[0] + u[1] > -1.0)
+                 & (mags < limits[1:]).all(0))
+    return (np.where(found, -1.0 - u[0], 2**62).astype(np.int64),
+            np.where(found, u[1], first).astype(np.int64))
+
+
+@functools.lru_cache(maxsize=64)
+def _certificate_rows(domain, codomain, out_scale, arg_scale, amp, arg, tol, q, terms):
+    """_certified_steps' constants for a model's parts, untouched by its linear map and seeds
+    (terms: (kind, amplitude, delta, p) each), or None if no step certifies; shared, read only."""
+    terms = [t for t in terms if PerturbationSpec(*t).norm_at(1.0) != 0.0]
+    so, sa = abs(np.float64(out_scale)), abs(np.float64(arg_scale))
+    coefs = [so, sa, 1 / so, 1 / sa, *np.abs(q or [0.0]), *(a + d for _, a, d, _ in terms)]
+    ku = (128 + 16 * (domain.dim + codomain.dim)) * 2.0**-53
+    dom_exp, cod_exp = ({"sup": 1.0, "euclidean": 2.0}.get(s.norm_kind, s.p)
+                        for s in (domain, codomain))
+    # One row per part.  A part's norm at step m is c·w·R^m, R = |P|, with w per point:
+    # the linear bound Σ_i |x_i|·‖L[:, i]‖ ≥ ‖|L|·|x|‖ ≥ ‖L·x‖ (column norms per candidate)
+    # in the first row, nx^e in the others.  fixed: P^m times one vector, else a new vector
+    # at each step; low: the norm is also at least that (the linear one may be 0, and a
+    # decay term's only falls from so·amplitude).  The last row is the stop level, and a
+    # floor above which the computed gap norm does not underflow.
+    parts = [(amp * arg, 1.0, 0.0, False, True)]
+    if q is not None:
+        parts.append((amp * arg * arg, so * norm_many(codomain, np.array([q]))[0], 2.0, True, True))
+    parts += [(abs(amp) * abs(arg) ** e, so * c, e, kind != DECAY, False)
+              for kind, a, d, p in terms for e, c in [(p, d) if kind == POWER else (0.0, a)]]
+    P, c, e, low, fixed = map(np.array, zip(*parts, (1.0, 0.0, 0.0, False, True)))
+    # per row: log2 R, and over w·R^m the change's lower and upper bounds and
+    # the size at m and m − 1; κ·u·size also covers the change's rounding
+    R, step = np.abs(P), np.abs(1.0 - 1.0 / P)
+    size = (1.0 + 1.0 / R) * c
+    log_R, change_low, change_high = np.log2(R), step * c * low, np.where(fixed, step * c, size)
+    change_high[-1] = max(tol, 0.0) + 2.0 ** -min(560, 900 / cod_exp)
+    net = change_low - ku * size
+    if not (all(c <= 2.0**100 for c in coefs) and 0.0 < abs(amp * arg) < np.inf and any(net > 0.0)):
+        return None
+    j = max(np.flatnonzero(net > 0.0), key=log_R.__getitem__)  # the lead: slowest to shrink
+    slope = log_R - log_R[j]
+    sig = np.array([-slope, slope])[:, :, None]
+    limits = [1.0 - 2.0**-20] + [990.0] * len(R) + [min(400.0, 800.0 / dom_exp) - 8.0] * 2
+    return (j, [(k, e[k]) for k in np.flatnonzero(e)], sa, so * sa,
+            (np.log2(change_high + ku * size) - np.log2(net[j]))[:, None],
+            (-np.log2(len(R) - 1), np.abs(slope)[:, None]), sig, sig.max(1), np.log2(size)[:, None],
+            np.append(log_R >= 0.0, [0, 1]).astype(int), np.array(limits)[:, None],
+            np.append(np.abs(log_R), np.log2(abs(arg)) * np.array([-1.0, 1.0]))[:, None])
 
 
 def _guard_stops(row_scale, arg, amp, first, stop):

@@ -351,23 +351,52 @@ def _evaluated(cfg, settings):
 
 
 def test_search_builds_one_head_and_diffs_none():
-    """The candidates are compared through the schema tables, not through their
-    heads, and only the best candidate's head is built, once per search."""
+    """The candidates are compared through their flat batch keys, read from
+    the config objects, not through their heads, and only the best
+    candidate's head is built, once per search; a batch that is not valid
+    is still refused, with its keys named."""
     cfg = _parse_experiment(_experiment("thm4_3", count=8))
     heads = mock.Mock(wraps=experiments.config_to_dict)
-    compared = []
-    real = experiments._differences
-
-    def differences(t, a, b, *rest):
-        compared.append((type(a), type(b)))
-        return real(t, a, b, *rest)
-
+    keyed = mock.Mock(wraps=experiments._batch_key)
     with mock.patch.object(experiments, "config_to_dict", heads), \
-            mock.patch.object(experiments, "_differences", differences):
+            mock.patch.object(experiments, "_batch_key", keyed):
         out = adversarial_search(cfg, SearchSettings(iterations=9, restarts=3))
     assert heads.call_count == 1
-    assert compared and not any(dict in pair for pair in compared)
+    compared = [type(c) for (c,), _ in keyed.call_args_list]
+    assert compared and set(compared) == {experiments.ExperimentConfig}
     assert out == adversarial_search(cfg, SearchSettings(iterations=9, restarts=3))
+    bad = replace(cfg, limits=replace(cfg.limits, tol=1e-8), sampler=replace(cfg.sampler, seed=3))
+    with pytest.raises(ConfigError, match=r"config 1 differs from config 0 in limits\.tol$"):
+        run_experiment([cfg, bad])
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    tid=st.sampled_from(LIMIT_IDS + ["cor3_2"]),
+    iterations=st.integers(1, 7),
+    restarts=st.integers(1, 3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_search_batches_differ_only_in_free_keys(tid, iterations, restarts, seed):
+    """Every batch the search passes to run_experiment holds candidates whose
+    heads differ from candidate 0's only in _BATCH_FREE keys."""
+    exp = _experiment(tid)
+    if tid == "cor3_2":
+        exp.update(expected_decay=False, shells={"edges": [0.5, 1.0, 2.0], "samples_per_shell": 4})
+    exp["sampler"]["seed"] = seed
+    batches = []
+    real = experiments.run_experiment
+
+    def spy(cfgs):
+        batches.append([config_to_dict(c) for c in cfgs])
+        return real(cfgs)
+
+    settings_ = SearchSettings(iterations=iterations, restarts=min(restarts, iterations))
+    with mock.patch.object(experiments, "run_experiment", spy):
+        adversarial_search(_parse_experiment(exp), settings_)
+    assert sum(map(len, batches)) == iterations
+    for batch in batches:
+        assert all(head_differences(batch[0], head) == [] for head in batch[1:])
 
 
 def test_chain_zero_walks_as_the_lone_chain():

@@ -410,6 +410,13 @@ AXIOMS = ["axioms", "--relation", "bj", "--dim", "2"]
         # inner-product orthogonality needs the Euclidean norm: refused, not a FAIL
         (["axioms", "--relation", "inner", "--norm", "sup"], "--norm"),
         (["axioms", "--relation", "inner", "--norm", "p_norm", "--p", "3"], "--relation"),
+        # past the 2**28-float ceiling, refused before any array is built, and
+        # naming the larger factor; each product is past what numpy could
+        # allocate, so it would refuse the array without touching memory too
+        (AXIOMS + ["--dim", str(2**63)], "--dim is too large"),
+        (AXIOMS + ["--trials", str(2**63)], "--trials is too large"),
+        (AXIOMS + ["--dim", str(2**40), "--trials", str(2**30)], "--dim is too large"),
+        (AXIOMS + ["--dim", str(2**30), "--trials", str(2**40)], "--trials is too large"),
     ],
 )
 def test_flag_errors_exit_2(capsys, argv, flag):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import jensenlab
+from jensenlab.spaces import norm_many
 
 WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
@@ -134,6 +135,79 @@ def test_certificate_skips_as_many_verify_rows(tmp_path):
                 jensenlab.run_experiment(cfg)
     assert 0 < rows["plain"] <= 115_087
     assert 0 < rows["parity"] <= 70_000
+
+
+def test_certificate_skips_as_many_search_rows(tmp_path):
+    """One pass of the seed-1 search inputs evaluates at most 132,400
+    FunctionModel rows inside its theorem limits (``_Batch.limit``), as many
+    as before the certificate's constants were cached per model."""
+    from unittest import mock
+
+    from jensenlab import experiments, models
+
+    _WL.write_inputs("search", 1, str(tmp_path))
+    ops = _W.prepare(jensenlab, "search", str(tmp_path))
+    inside, rows = [], [0]
+    limit, evaluate = experiments._Batch.limit, models.FunctionModel.eval_many
+
+    def counted_limit(self, *args):
+        inside.append(self)
+        try:
+            return limit(self, *args)
+        finally:
+            inside.pop()
+
+    def counted_eval(self, X, cand=None):
+        rows[0] += len(X) if inside else 0
+        return evaluate(self, X, cand)
+
+    with mock.patch.object(experiments._Batch, "limit", counted_limit), \
+            mock.patch.object(models.FunctionModel, "eval_many", counted_eval):
+        _W.run_pass(ops)
+    assert 0 < rows[0] <= 132_400
+
+
+def test_exact_ball_extension_certifies_no_point_unseen(tmp_path):
+    """The seed-1 verify pass makes four certificate calls in the thm6_1 and
+    thm6_2 ball extensions.  Their models are exact, so no part's change can
+    lead: each returns the reference's (c, s), no step certified, without
+    taking a norm of its points."""
+    from unittest import mock
+
+    from jensenlab import orthogonal, series
+    from series_reference import certified_steps_reference
+
+    _WL.write_inputs("verify", 1, str(tmp_path))
+    inside, calls = [], []
+    extend, certify = orthogonal.power_limit_many, series._certified_steps
+
+    def tagged(*args, **kwargs):
+        inside.append(True)
+        try:
+            return extend(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def recorded(*args):
+        if inside:
+            calls.append(args)
+        return certify(*args)
+
+    with mock.patch.object(orthogonal, "power_limit_many", tagged), \
+            mock.patch.object(series, "_certified_steps", recorded):
+        for tid in ("thm6_1", "thm6_2"):
+            (path,) = tmp_path.glob(f"exp-*-{tid}.json")
+            for cfg in jensenlab.load_config(str(path)):
+                jensenlab.run_experiment(cfg)
+    assert len(calls) == 4
+    for args in calls:
+        rows = []
+        norms = mock.Mock(side_effect=lambda space, X: rows.append(len(X)) or norm_many(space, X))
+        with mock.patch.object(series, "norm_many", norms):
+            got = series._certified_steps(*args)
+        want = certified_steps_reference(*args)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+        assert np.all(got[0] == 2**62) and len(args[1]) not in rows
 
 
 def test_no_limit_evaluates_a_parity_part(tmp_path):

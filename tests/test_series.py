@@ -32,7 +32,7 @@ from jensenlab.series import (
     power_limit_many,
 )
 from jensenlab.spaces import NormedSpaceSpec, euclidean_space, norm_many
-from series_reference import limit_one_at_a_time, psi
+from series_reference import certified_steps_reference, limit_one_at_a_time, psi
 
 E3 = euclidean_space(3)
 E2 = euclidean_space(2)
@@ -884,6 +884,53 @@ def test_certified_steps_have_gaps_above_tol(model, kind):
         assert certified > 0  # runs that the loop would skip are checked
 
 
+_TERMS = st.lists(st.one_of(
+    st.builds(lambda a: PerturbationSpec(kind=BOUNDED, amplitude=a), st.sampled_from([0.0, 0.05, 0.3, 2.0])),
+    st.builds(lambda d, p: PerturbationSpec(kind=POWER, delta=d, p=p),
+              st.sampled_from([0.0, 0.1, 1.0]), st.sampled_from([0.0, 0.25, 0.5, 0.9])),
+    st.builds(lambda a: PerturbationSpec(kind=DECAY, amplitude=a), st.sampled_from([0.0, 0.5]))),
+    max_size=3)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(
+    terms=_TERMS,
+    quadratic=st.sampled_from([None, [0.3, -0.1], [0.0, 0.0]]),
+    candidates=st.sampled_from([0, 3]),
+    space=st.sampled_from([E3, NormedSpaceSpec(3, "sup"), NormedSpaceSpec(3, "p_norm", 3.0)]),
+    codomain=st.sampled_from([E2, NormedSpaceSpec(2, "sup"), NormedSpaceSpec(2, "p_norm", 3.0)]),
+    scales=st.sampled_from([None, (2.0 / 3.0, 1.5), (2.0, 0.5), (1e-40, 1.0), (1.0, -3.0)]),
+    kind=st.sampled_from([(2.0, 0.5), (2.0, 0.25), (3.0, 1.0 / 3.0), (0.5, 2.0), (0.5, 4.0),
+                          (1.125, 0.75), (-2.0, 0.5)]),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-4]),
+    n_pts=st.sampled_from([300, 300, 40]),
+    spans=st.sampled_from([(-2, 80), (30, 61), (-2, 80), (-300, 2**40)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_steps_equal_the_reference(terms, quadratic, candidates, space, codomain, scales,
+                                             kind, tol, n_pts, spans, seed):
+    """The certificate returns, bit for bit, the (c, s) of the one-pass-per-array
+    reference it replaced, for every kind of part leading or competing, inactive
+    terms, scaled models (one past the 2**100 coefficient ceiling), per-candidate
+    linear maps, points from 1e-9 to 1e9 and the origin, and runs from empty to
+    past the 2**20 clip."""
+    rng = np.random.default_rng(seed)
+    shape = (candidates, 2, 3) if candidates else (2, 3)
+    f = FunctionModel(domain=space, codomain=codomain, linear=rng.uniform(-2.0, 2.0, size=shape),
+                      quadratic=quadratic, perturbations=tuple(terms))
+    if scales is not None:
+        f = ScaledModel(f, *scales)
+    X = rng.standard_normal((n_pts, 3)) * 10.0 ** (9.0 * rng.uniform(-1.0, 1.0, size=(n_pts, 1)) ** 3)
+    X[rng.random(n_pts) < 0.05] = 0.0
+    first = rng.integers(-5, 8, size=n_pts)
+    last = first + rng.integers(*spans, size=n_pts)
+    cand = rng.integers(0, max(candidates, 1), size=n_pts)
+    args = (f, X, np.float64(kind[0]), np.float64(kind[1]), tol, first, last, cand)
+    got, want = series._certified_steps(*args), certified_steps_reference(*args)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(
     part=st.sampled_from([OddPart, EvenPart]),
@@ -944,6 +991,11 @@ def test_noisy_parity_limit_combines_its_halves(part, scaled):
     assert np.array_equal(got[2], np.maximum(plus[2], minus[2]))
     assert np.array_equal(got[3], plus[3] & minus[3])
     assert not got[3].all() and got[3].any()
+    # the plain model is built once per part, however many limits take it
+    subject = part(f)
+    assert subject.plain is subject.plain
+    with mock.patch("jensenlab.models.replace", side_effect=AssertionError("rebuilt")):
+        power_limit_many(wrap(subject), X, 2.0, gain, n_max, 1e-9, n_start=n0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
