@@ -5,7 +5,6 @@ from .control import (
     CONSTANT,
     MIXED,
     TABLE,
-    ControlError,
     ControlFunctionSpec,
     RadialControlTable,
     control_phi_norms,
@@ -15,7 +14,6 @@ from .domains import (
     FULL,
     ORTHOGONAL,
     PUNCTURED,
-    DomainError,
     DomainRestriction,
     ShellProfile,
     asymptotic_profile,
@@ -47,7 +45,6 @@ from .experiments import (
 from .models import (
     FunctionModel,
     JensenParams,
-    ModelError,
     PerturbationSpec,
     RadialTable,
     derive_seed,
@@ -78,7 +75,6 @@ from .spaces import (
     AxiomResult,
     NormedSpaceSpec,
     OrthogonalityRelation,
-    SpaceError,
     bj_margin_many,
     check_ratz_axioms,
     euclidean_space,

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spaces import ConfigError
+
 CONSTANT = "constant"
 MIXED = "mixed"
 TABLE = "table"
-
-
-class ControlError(ValueError):
-    """Raised for malformed control specs."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,13 +39,13 @@ class RadialControlTable:
         radii = np.asarray(self.radii, dtype=np.float64)
         values = np.asarray(self.values, dtype=np.float64)
         if radii.ndim != 1 or radii.size < 2 or values.shape != radii.shape:
-            raise ControlError("table needs matching 1-d radii and values, K >= 2")
+            raise ConfigError("table needs matching 1-d radii and values, K >= 2")
         if radii[0] != 0.0 or np.any(np.diff(radii) <= 0):
-            raise ControlError("radii must start at 0 and increase")
+            raise ConfigError("radii must start at 0 and increase")
         if np.any(values < 0.0):
-            raise ControlError("table values must be nonnegative")
+            raise ConfigError("table values must be nonnegative")
         if not (self.q < 1.0):
-            raise ControlError(f"growth exponent must satisfy q < 1, got {self.q}")
+            raise ConfigError(f"growth exponent must satisfy q < 1, got {self.q}")
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
 
@@ -56,7 +54,7 @@ class RadialControlTable:
         inside = np.interp(rho, self.radii, self.values)
         rmax = self.radii[-1]
         vmax = self.values[-1]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rows ≤ rmax drop it
             tail = vmax * (rho / rmax) ** self.q
         return np.where(rho <= rmax, inside, tail)
 
@@ -71,19 +69,19 @@ class ControlFunctionSpec:
 
     def __post_init__(self):
         if self.kind not in (CONSTANT, MIXED, TABLE):
-            raise ControlError(f"unknown control kind {self.kind!r}")
+            raise ConfigError(f"unknown control kind {self.kind!r}")
         for key in ("epsilon", "delta"):
             if not (0.0 <= getattr(self, key) < np.inf):
-                raise ControlError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if self.kind == MIXED and not (0.0 <= self.p < 1.0):
-            raise ControlError(f"p must lie in [0, 1) for a mixed control, got {self.p}")
+            raise ConfigError(f"p must lie in [0, 1) for a mixed control, got {self.p}")
         if self.kind == TABLE and self.table is None:
-            raise ControlError("table control needs a RadialControlTable")
+            raise ConfigError("table control needs a RadialControlTable")
         unread = [k for k in ("delta", "p") if getattr(self, k) != 0.0 and self.kind != MIXED]
         if self.table is not None and self.kind != TABLE:
             unread.append("table")
         if unread:
-            raise ControlError(f"{unread[0]} is not read by a {self.kind} control")
+            raise ConfigError(f"{unread[0]} is not read by a {self.kind} control")
 
 
 def _powered(nrm: np.ndarray, p: float) -> np.ndarray:

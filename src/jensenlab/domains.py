@@ -22,6 +22,7 @@ import numpy as np
 from .models import JensenParams, _eval_stacked, jensen_defect_many
 from .sampling import shell_pairs
 from .spaces import (
+    ConfigError,
     NormedSpaceSpec,
     OrthogonalityRelation,
     as_batch,
@@ -39,10 +40,6 @@ FIVE_INEQ_TOL = 1e-9
 PROFILE_DECREASE_TOL = 1e-9
 
 
-class DomainError(ValueError):
-    """Raised for malformed domain restrictions."""
-
-
 @dataclass(frozen=True)
 class DomainRestriction:
     kind: str
@@ -51,15 +48,15 @@ class DomainRestriction:
 
     def __post_init__(self):
         if self.kind not in (FULL, EXTERIOR, PUNCTURED, ORTHOGONAL):
-            raise DomainError(f"unknown domain kind {self.kind!r}")
+            raise ConfigError(f"unknown domain kind {self.kind!r}")
         if self.kind == EXTERIOR and not (self.d > 0.0):
-            raise DomainError("exterior domain needs d > 0")
+            raise ConfigError("exterior domain needs d > 0")
         if self.kind == ORTHOGONAL and self.relation is None:
-            raise DomainError("orthogonal domain needs a relation")
+            raise ConfigError("orthogonal domain needs a relation")
         if self.d != 0.0 and self.kind != EXTERIOR:
-            raise DomainError(f"d is read by the exterior domain only, not by {self.kind}")
+            raise ConfigError(f"d is read by the exterior domain only, not by {self.kind}")
         if self.relation is not None and self.kind != ORTHOGONAL:
-            raise DomainError(f"relation is read by the orthogonal domain only, not by {self.kind}")
+            raise ConfigError(f"relation is read by the orthogonal domain only, not by {self.kind}")
 
 
 def construct_z_many(space: NormedSpaceSpec, X, Y, d: float) -> np.ndarray:
@@ -176,7 +173,7 @@ def asymptotic_profile(
     """Defect sup per shell of ‖x‖ + ‖y‖ in f.domain; diagnoses decay toward additivity."""
     edges = np.asarray(shell_edges, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0) or not edges[0] >= 0:
-        raise DomainError("shell edges must be increasing from >= 0, with at least two entries")
+        raise ConfigError("shell edges must be increasing from >= 0, with at least two entries")
     sups = np.empty(edges.size - 1)
     for k in range(edges.size - 1):
         X, Y = shell_pairs(f.domain, edges[k], edges[k + 1], samples_per_shell, [rng])

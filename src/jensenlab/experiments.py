@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -67,7 +66,6 @@ from .models import (
     EvenPart,
     FunctionModel,
     JensenParams,
-    ModelError,
     NONE,
     OddPart,
     POWER,
@@ -102,6 +100,7 @@ from .series import (
 from .spaces import (
     EUCLIDEAN,
     INNER_PRODUCT,
+    ConfigError,
     NormedSpaceSpec,
     OrthogonalityRelation,
     norm_many,
@@ -110,10 +109,6 @@ from .spaces import (
 CONFIG_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 2
 REPORT_TOL = 1e-7  # relative slack on max_ratio <= 1
-
-
-class ConfigError(ValueError):
-    """Raised for malformed or unknown configuration input."""
 
 
 @dataclass(frozen=True)
@@ -148,8 +143,9 @@ class LimitSettings:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.n_max is not None and self.n_max < 1:
-            raise ConfigError("n_max must be >= 1")
+        # 2**20 is the exponent clip of the limit's certificate; the automatic cap is <= 600
+        if self.n_max is not None and not 1 <= self.n_max <= 2**20:
+            raise ConfigError(f"n_max must be in [1, 2**20], got {self.n_max!r:.60}")
         if not (0.0 < self.tol < math.inf):
             raise ConfigError("tol must be positive and finite")
 
@@ -254,10 +250,7 @@ class ExperimentConfig:
                 # on a line only y = 0 is orthogonal to x != 0, and no pair is independent
                 raise ConfigError(f"{rel} pairs need space.dim >= 2")
         if self.ball is not None:
-            try:
-                SikorskaConfig(params=self.params, ball_radius=self.ball.radius)
-            except ModelError as e:
-                raise ConfigError(f"{tid}: {e}") from e
+            SikorskaConfig(params=self.params, ball_radius=self.ball.radius)
             punctured = tid == "thm6_2"  # thm6_1 extends from the whole ball
             if self.ball.exclude_origin != punctured:
                 raise ConfigError(f"{tid} needs ball.exclude_origin: {str(punctured).lower()}")
@@ -366,17 +359,19 @@ def measure_epsilon(cfg, f, g, h, X, Y):
     over each config's segment.
     """
     cfgs = cfg if isinstance(cfg, list) else [cfg]
-    K, n = len(cfgs), X.shape[0] // len(cfgs)
-    # an overflowing defect is reported below, not warned about
+    K, n, c = len(cfgs), X.shape[0] // len(cfgs), cfgs[0]
+    scale_y = c.params.t / c.params.s if _THEOREMS[c.theorem_id].scale_y else 1.0
+    part = replace(c.control, epsilon=0.0)
+    # an overflowing defect or control part is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        defects = jensen_defect_many(f, g, h, cfgs[0].params, X, Y, np.repeat(np.arange(K), n))
+        defects = jensen_defect_many(f, g, h, c.params, X, Y, np.repeat(np.arange(K), n))
+        nonconst = control_phi_norms(part, norm_many(c.space, X), norm_many(c.space, Y) * scale_y)
     if not np.all(np.isfinite(defects)):
         raise ConfigError("the sampled Jensen defect overflows; lower sampler.radius_range, "
                           "model.linear_scale or the perturbation amplitudes")
-    c = cfgs[0]
-    scale_y = c.params.t / c.params.s if _THEOREMS[c.theorem_id].scale_y else 1.0
-    part = replace(c.control, epsilon=0.0)
-    nonconst = control_phi_norms(part, norm_many(c.space, X), norm_many(c.space, Y) * scale_y)
+    if not np.all(np.isfinite(nonconst)):
+        raise ConfigError("control: its part overflows at the sampled pairs; lower control.delta"
+                          " or the control.table values")
     adj = np.maximum(defects - nonconst, 0.0).reshape(K, n)
     best = np.argmax(adj, axis=1)
     eps = adj[np.arange(K), best].tolist()
@@ -1110,8 +1105,8 @@ def run_experiment(cfg):
 # One field table per config section.  _parse builds the dataclasses from a
 # JSON dict and _emit writes them back, both from the same tables.  The
 # tables hold the type layer only; range checks stay in each dataclass's
-# __post_init__, and _parse reports their errors under the section's path,
-# or under the key's path when the message opens with the key.
+# __post_init__, and _parse reports their ConfigErrors under the section's
+# path, or under the key's path when the message opens with the key.
 
 _REQUIRED = object()
 _TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string"}
@@ -1123,8 +1118,8 @@ class _Field:
 
     type is int, float, bool, str, a _Section, [t] for a list of t (a
     single object stands for a one-element list of sections), or (t, t)
-    for a list of exactly that length.  float accepts finite ints and
-    floats, keeping ints as written; no number field accepts a bool.
+    for a list of exactly that length.  float accepts finite floats and
+    64-bit ints, keeping ints as written; no number field accepts a bool.
     default is the JSON value an absent key stands for; None also admits
     null.  emit(obj) says whether the key is written (None: always); get
     reads the value where it is not the attribute named key.  note states
@@ -1170,7 +1165,7 @@ def _parse(sec: _Section, d, prefix: str):
         kw[f.key] = _parse_value(f.type, v, prefix + f.key, nullable=f.default is None)
     try:
         return sec.make(**kw)
-    except ValueError as e:
+    except ConfigError as e:
         # a message that opens with one of the section's keys is about that key
         where = prefix if str(e).split(" ", 1)[0] in kw else prefix[:-1] + ": "
         raise ConfigError(where + str(e) if prefix else str(e)) from e
@@ -1193,14 +1188,12 @@ def _parse_value(t, v, where: str, nullable: bool = False):
         if isinstance(t[0], list) and len({len(row) for row in items}) > 1:
             raise ConfigError(f"{where}: rows must have equal length")
         return items
-    if t is float:
-        ok = isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+    if t is float:  # an int is echoed as written, so it must fit in 64 bits
+        ok = _in_64_bits(v) if isinstance(v, int) else isinstance(v, float) and math.isfinite(v)
     else:
         ok = isinstance(v, t)
     if not ok or (isinstance(v, bool) and t is not bool):
         raise ConfigError(f"{where}: expected {_type_name(t)}, got {v!r:.60}")
-    if isinstance(v, int) and not _in_64_bits(v):
-        raise ConfigError(f"{where}: an integer must fit in 64 bits, got {v!r:.60}")
     return v
 
 
@@ -1260,20 +1253,11 @@ _CONTROL = _Section(
     _Field("table", _TABLE, None, "required for table; refused otherwise",
            emit=lambda c: c.kind == TABLE),
 )
-# The Birkhoff-James search interval is worked out from the inputs; the λ
-# grid that schema-1 reports carry is still type-checked, then dropped.
-_GRID = _Section(
-    lambda **kw: None,
-    _Field("lambda_min", float, -1e4, "ignored"),
-    _Field("lambda_max", float, 1e4, "ignored"),
-    _Field("steps", int, 4096, "ignored"),
-)
 _RELATION = _Section(
-    lambda grid, **kw: OrthogonalityRelation(**kw),
+    OrthogonalityRelation,
     _Field("kind", str, note="trivial, inner_product or birkhoff_james"),
     _Field("tolerance", float, 1e-9,
-           "> 0, relative to ‖x‖‖y‖ (inner_product) or ‖x‖ (birkhoff_james)"),
-    _Field("grid", _GRID, {}, "ignored, never emitted", emit=lambda rel: False),
+           "in (0, 1), relative to ‖x‖‖y‖ (inner_product) or ‖x‖ (birkhoff_james)"),
 )
 _DOMAIN = _Section(
     DomainRestriction,
@@ -1292,7 +1276,7 @@ _SAMPLER = _Section(
 )
 _LIMITS = _Section(
     LimitSettings,
-    _Field("n_max", int, None, ">= 1; null: 40/log2(base), more for perturbations"),
+    _Field("n_max", int, None, "in [1, 2**20]; null: 40/log2(base), more for perturbations"),
     _Field("tol", float, 1e-9, "> 0"),
 )
 _MODEL = _Section(

@@ -38,7 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .spaces import NormedSpaceSpec, _column_norms, _max_abs, _rows, as_batch, norm_many
+from .spaces import (ConfigError, NormedSpaceSpec, _column_norms, _max_abs, _rows, as_batch,
+                     norm_many)
 
 NONE = "none"
 BOUNDED = "bounded"
@@ -50,10 +51,6 @@ _SM_GAMMA = _U64(0x9E3779B97F4A7C15)
 _SM_MIX1 = _U64(0xBF58476D1CE4E5B9)
 _SM_MIX2 = _U64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-class ModelError(ValueError):
-    """Raised for malformed model specs."""
 
 
 def _in_64_bits(*values) -> bool:
@@ -72,8 +69,8 @@ class JensenParams:
     def __post_init__(self):
         for name in ("r", "s", "t"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ModelError(f"{name} must be a positive integer, got {v!r}")
+            if not isinstance(v, int) or not 1 <= v < 2**64:
+                raise ConfigError(f"{name} must be an integer in [1, 2**64), got {v!r:.60}")
 
 
 @dataclass(frozen=True)
@@ -98,20 +95,20 @@ class PerturbationSpec:
 
     def __post_init__(self):
         if self.kind not in (NONE, BOUNDED, POWER, DECAY):
-            raise ModelError(f"unknown perturbation kind {self.kind!r}")
+            raise ConfigError(f"unknown perturbation kind {self.kind!r}")
         for key in ("amplitude", "delta"):
             if not (0.0 <= getattr(self, key) < np.inf):
-                raise ModelError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if not _in_64_bits(*(self.seed if isinstance(self.seed, tuple) else (self.seed,))):
-            raise ModelError(f"seed must fit in 64 bits, got {self.seed!r:.60}")
+            raise ConfigError(f"seed must fit in 64 bits, got {self.seed!r:.60}")
         if self.kind == POWER and not (0.0 <= self.p < 1.0):
-            raise ModelError(f"p must lie in [0, 1) for a power perturbation, got {self.p}")
+            raise ConfigError(f"p must lie in [0, 1) for a power perturbation, got {self.p}")
         # a key the kind never reads is refused, as control and domain keys are
         unread = {POWER: ("amplitude",), BOUNDED: ("delta", "p"), DECAY: ("delta", "p")}
         for key in unread.get(self.kind, ()):
             if getattr(self, key) != 0.0:
                 readers = "bounded and decay" if key == "amplitude" else "power"
-                raise ModelError(f"{key} is read by {readers} terms only, not by {self.kind}")
+                raise ConfigError(f"{key} is read by {readers} terms only, not by {self.kind}")
 
     def norm_at(self, nx):
         """‖pert(x)‖ at ‖x‖ = nx > 0: the bound of the table above, attained."""
@@ -125,7 +122,7 @@ class PerturbationSpec:
 def _row_candidates(cand) -> np.ndarray:
     """cand, which a model of several candidates cannot do without."""
     if cand is None:
-        raise ModelError("a model of several candidates needs the candidate of each row")
+        raise ValueError("a model of several candidates needs the candidate of each row")
     return cand
 
 
@@ -230,11 +227,11 @@ class RadialTable:
         knots = np.asarray(self.knots, dtype=np.float64)
         values = np.asarray(self.values, dtype=np.float64)
         if knots.ndim != 1 or knots.size < 2:
-            raise ModelError("radial table needs at least two knots")
+            raise ValueError("radial table needs at least two knots")
         if values.shape[0] != knots.size or values.ndim != 2:
-            raise ModelError("radial table values must be (K, codim)")
+            raise ValueError("radial table values must be (K, codim)")
         if np.any(np.diff(knots) <= 0) or knots[0] < 0.0:
-            raise ModelError("radial table knots must be increasing and >= 0")
+            raise ValueError("radial table knots must be increasing and >= 0")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
 
@@ -269,7 +266,7 @@ class FunctionModel:
     def __post_init__(self):
         L = np.asarray(self.linear, dtype=np.float64)
         if L.ndim not in (2, 3) or L.shape[-2:] != (self.codomain.dim, self.domain.dim):
-            raise ModelError(
+            raise ValueError(
                 f"linear part must have shape ({self.codomain.dim}, {self.domain.dim}),"
                 f" got {L.shape}"
             )
@@ -277,12 +274,12 @@ class FunctionModel:
         if self.quadratic is not None:
             q = np.asarray(self.quadratic, dtype=np.float64)
             if q.shape != (self.codomain.dim,):
-                raise ModelError(f"quadratic coefficient must have shape ({self.codomain.dim},)")
+                raise ValueError(f"quadratic coefficient must have shape ({self.codomain.dim},)")
             object.__setattr__(self, "quadratic", q)
         object.__setattr__(self, "perturbations", _coerce_perturbations(self.perturbations))
         for p in self.perturbations:
             if not isinstance(p, PerturbationSpec):
-                raise ModelError("perturbations must be PerturbationSpec instances")
+                raise ValueError("perturbations must be PerturbationSpec instances")
 
     def eval_many(self, X, cand=None) -> np.ndarray:
         X = as_batch(X, self.domain.dim)
@@ -327,7 +324,7 @@ class _Parity:
 
     def __init__(self, base: FunctionModel):
         if not isinstance(base, FunctionModel):
-            raise ModelError(f"parity parts need a FunctionModel, not {type(base).__name__}")
+            raise ValueError(f"parity parts need a FunctionModel, not {type(base).__name__}")
         self.base, self.domain, self.codomain = base, base.domain, base.codomain
 
     @cached_property
@@ -394,7 +391,7 @@ def jensen_defect_many(f, g, h, params: JensenParams, X, Y, cand=None) -> np.nda
     X = as_batch(X, f.domain.dim)
     Y = as_batch(Y, f.domain.dim)
     if f.codomain != g.codomain or f.codomain != h.codomain:
-        raise ModelError("f, g, h must share a codomain")
+        raise ValueError("f, g, h must share a codomain")
     mid = (params.s * X + params.t * Y) / params.r
     if g is f and h is f:
         fw, gx, hy = _eval_stacked(f, [mid, X, Y], cand)
@@ -410,7 +407,7 @@ def derive_seed(seed: int, index: int) -> int:
     seed + k·γ mod 2^64 (Steele, Lea & Flood, OOPSLA 2014).
     """
     if index < 0:
-        raise ValueError(f"derive_seed needs index >= 0, got {index}")
+        raise ConfigError(f"derive_seed needs index >= 0, got {index}")
     z = (seed + (index + 1) * int(_SM_GAMMA)) & _MASK64
     z = ((z ^ (z >> 30)) * int(_SM_MIX1)) & _MASK64
     z = ((z ^ (z >> 27)) * int(_SM_MIX2)) & _MASK64

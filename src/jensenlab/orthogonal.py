@@ -23,7 +23,6 @@ import numpy as np
 from .models import (
     FunctionModel,
     JensenParams,
-    ModelError,
     RadialTable,
     _eval_stacked,
     odd_even_split,
@@ -31,7 +30,7 @@ from .models import (
 from .sampling import rng_from, sample_points, unit_directions
 from .series import DEFAULT_TOL, power_limit_many
 from .spaces import (
-    SpaceError,
+    ConfigError,
     _quarter_turns,
     _rowdot,
     as_batch,
@@ -52,11 +51,11 @@ class SikorskaConfig:
 
     def __post_init__(self):
         if self.params.s != self.params.t:
-            raise ModelError("ball extension needs s = t")
+            raise ConfigError("the ball extension needs s = t")
         if not (self.ball_radius > 0.0):
-            raise ModelError("ball_radius must be positive")
+            raise ConfigError("ball_radius must be positive")
         if not (self.base > 1.0):
-            raise ModelError(
+            raise ConfigError(
                 f"need 2(s/r)^2 > 1 for the extension, got base {self.base:.4f}"
             )
 
@@ -213,7 +212,7 @@ def even_part_constancy_check(
     """
     space = f.domain
     if not space.has_inner_product:
-        raise SpaceError("the even-part constancy check needs an inner-product space")
+        raise ConfigError("the even-part constancy check needs an inner-product space")
     _, f_even = odd_even_split(f)
     lam = cfg.lam
     cap = cfg.ball_radius / max(1.0, np.sqrt(lam)) * (1.0 - 1e-9)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .spaces import (
     INNER_PRODUCT,
+    ConfigError,
     NormedSpaceSpec,
     OrthogonalityRelation,
     is_orthogonal_many,
@@ -139,17 +140,19 @@ def orthogonal_pairs(
         V = _normals(rngs, [n] * K, dim)
     Y = np.empty_like(X)
     todo = np.arange(K * n)
-    for _ in range(_PARTNER_TRIES):
-        Yd = orthogonal_partners(rel, space, X[todo], V)
-        # inner-product lengths come from np.linalg.norm, on which the sampled pairs' bytes rest
-        ylen = np.linalg.norm(Yd, axis=1) if rel.kind == INNER_PRODUCT else norm_many(space, Yd)
-        ok = ylen >= 1e-12
-        rows = todo[ok]
-        Y[rows] = Yd[ok] / ylen[ok, None] * radii[rows, None]
-        ok[ok] = is_orthogonal_many(rel, space, X[rows], Y[rows])
-        todo = todo[~ok]
-        if todo.size == 0:
-            return _apply_axis_rows(X, Y, n, axis_period)
-        # todo is sorted, so each config's redraws land on its own rows in order
-        V = _normals(rngs, np.bincount(todo // n, minlength=K).tolist(), dim)
-    raise RuntimeError("could not construct an orthogonal partner")
+    with np.errstate(over="ignore", invalid="ignore"):  # huge p or radii: nan partners, redrawn
+        for _ in range(_PARTNER_TRIES):
+            Yd = orthogonal_partners(rel, space, X[todo], V)
+            # inner-product lengths come from np.linalg.norm, on which the sampled pairs' bytes rest
+            ylen = np.linalg.norm(Yd, axis=1) if rel.kind == INNER_PRODUCT else norm_many(space, Yd)
+            ok = ylen >= 1e-12
+            rows = todo[ok]
+            Y[rows] = Yd[ok] / ylen[ok, None] * radii[rows, None]
+            ok[ok] = is_orthogonal_many(rel, space, X[rows], Y[rows])
+            todo = todo[~ok]
+            if todo.size == 0:
+                return _apply_axis_rows(X, Y, n, axis_period)
+            # todo is sorted, so each config's redraws land on its own rows in order
+            V = _normals(rngs, np.bincount(todo // n, minlength=K).tolist(), dim)
+    raise ConfigError(f"domain.relation: no {rel.kind} partner in {_PARTNER_TRIES} draws; lower"
+                      " space.p or sampler.radius_range")

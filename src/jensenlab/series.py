@@ -28,10 +28,10 @@ import functools
 
 import numpy as np
 
-from .control import MIXED, TABLE, ControlError, ControlFunctionSpec, _powered
+from .control import MIXED, TABLE, ControlFunctionSpec, _powered
 from .models import (DECAY, POWER, FunctionModel, JensenParams, PerturbationSpec, ScaledModel,
                      _Parity)
-from .spaces import _column_norms, _max_abs, _rows, as_batch, norm_many
+from .spaces import ConfigError, _column_norms, _max_abs, _rows, as_batch, norm_many
 
 DEFAULT_TOL = 1e-9
 _SERIES_HARD_CAP = 4096
@@ -73,7 +73,7 @@ def cor22_bound_norms(params: JensenParams, spec: ControlFunctionSpec, nx):
     two in the power part).
     """
     if spec.kind == TABLE:
-        raise ControlError("the single-variable bound needs a constant or mixed control")
+        raise ConfigError("the single-variable bound needs a constant or mixed control")
     r, s, t, p = params.r, params.s, params.t, spec.p
     geo = 1.0 / (1.0 - 2.0 ** (p - 1.0))
     coeff = ((r / s) ** p + (r / t) ** p) * 2.0 * spec.delta * geo / r
@@ -110,13 +110,16 @@ def phi_tilde_triadic_norms(spec: ControlFunctionSpec, nx, ny):
     return 3.0 * spec.epsilon + part
 
 
+@np.errstate(over="ignore")
 def _table_series(table, coefs, args, const_count, prefactor, ratio_base):
     """Upper bound on Σ prefactor·base^{-n}·[Σ coef·w(arg·base^n) + const_count·w(0)]
     per row: the truncation plus its geometric tail.
 
     A zero arg contributes coef·w(0) to the constant part.  Each row stops at
     its own n_stop and adds its terms in the order n = 0, 1, ..., so its value
-    does not depend on the other rows.
+    does not depend on the other rows.  Overflow is quiet: a subnormal arg's
+    ratio (refused in _stop_counts), args·scale past a row's n_stop (dropped)
+    and a bound past the float range (inf, which holds).
     """
     args = np.stack(np.broadcast_arrays(*args))
     scaling = args > 0.0
@@ -126,8 +129,7 @@ def _table_series(table, coefs, args, const_count, prefactor, ratio_base):
     # A row with no positive arg below the last knot gets the minimum n_stop of 8.
     rmax = table.radii[-1]
     smallest = np.min(np.where(scaling, args, rmax), axis=0)
-    with np.errstate(over="ignore"):  # a subnormal arg: inf, refused in _stop_counts
-        n_stop = _stop_counts(rmax / smallest, ratio_base)
+    n_stop = _stop_counts(rmax / smallest, ratio_base)
 
     total, s_tail, tail_scale = np.zeros((3,) + n_stop.shape)
     for n in range(int(n_stop.max(initial=0)) + 1):  # an empty batch: one empty pass
@@ -163,7 +165,7 @@ def _stop_counts(ratio, base):
                 return n_stop
             except OverflowError:
                 pass
-    raise ControlError("table series truncation exceeds the hard cap")
+    raise ConfigError("control.table: the series truncation exceeds the hard cap")
 
 
 def _certified_steps(f, X, arg, amp, tol, first, last, cand):
@@ -316,7 +318,7 @@ def power_limit_many(
     (codomain norm) drops to tol, the value turns non-finite, the exponent
     reaches n_max (one bound, or one per point), or the scaled argument
     overflows.  Returns (values, iterations, last_gap, converged) arrays; a
-    zero or non-finite arg_factor or gain raises ValueError.
+    zero or non-finite arg_factor or gain, or an n_max past 2**62, raises ValueError.
     cand, when given, holds each point's candidate in a batched model, and
     ``f.eval_many`` gets each evaluated row's entry as its second argument.
 
@@ -326,6 +328,8 @@ def power_limit_many(
     ½(v₊ ∓ v₋), the larger count and last gap of the two halves, and converged
     where both halves are.
     """
+    if np.any(np.asarray(n_max) > 2**62):  # stop = n_max + 1 must not wrap in int64
+        raise ValueError(f"n_max must be at most 2**62, got {np.max(n_max)}")
     part = f.base if type(f) is ScaledModel else f
     if isinstance(part, _Parity):
         g = part.plain

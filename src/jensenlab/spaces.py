@@ -56,8 +56,8 @@ _BISECT_ITERS = 60
 _TIE_RTOL = 1e-12
 
 
-class SpaceError(ValueError):
-    """Raised for malformed space specs or dimension mismatches."""
+class ConfigError(ValueError):
+    """The one class of refused input, in every module; any other exception is a bug."""
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,14 @@ class NormedSpaceSpec:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise SpaceError(f"space dimension must be >= 1, got {self.dim}")
+            raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.norm_kind not in (EUCLIDEAN, SUP, P_NORM):
-            raise SpaceError(f"unknown norm_kind {self.norm_kind!r}")
+            raise ConfigError(f"unknown norm_kind {self.norm_kind!r}")
         if self.norm_kind == P_NORM:
             if self.p is None or not (1.0 <= self.p < np.inf):
-                raise SpaceError(f"p must be finite and >= 1 for p_norm, got {self.p}")
+                raise ConfigError(f"p must be finite and >= 1 for p_norm, got {self.p}")
         elif self.p is not None:
-            raise SpaceError(f"exponent p only applies to p_norm, got p={self.p}")
+            raise ConfigError(f"p only applies to p_norm, got p={self.p} for {self.norm_kind}")
 
     @property
     def has_inner_product(self) -> bool:
@@ -107,16 +107,16 @@ def as_point(x, dim: int) -> np.ndarray:
     """Validate and convert a vector to a float64 array of the given dimension."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape != (dim,):
-        raise SpaceError(f"expected a vector of dimension {dim}, got shape {arr.shape}")
+        raise ValueError(f"expected a vector of dimension {dim}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise SpaceError("vector has non-finite coordinates")
+        raise ConfigError("vector has non-finite coordinates")
     return arr
 
 
 def as_batch(X, dim: int) -> np.ndarray:
     arr = np.ascontiguousarray(X, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != dim:
-        raise SpaceError(f"expected shape (n, {dim}), got {arr.shape}")
+        raise ValueError(f"expected shape (n, {dim}), got {arr.shape}")
     return arr
 
 
@@ -190,7 +190,7 @@ def bj_margin_many(space: NormedSpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.n
     X = as_batch(X, space.dim)
     Y = as_batch(Y, space.dim)
     if X.shape != Y.shape:
-        raise SpaceError("batch shapes differ")
+        raise ValueError("batch shapes differ")
     nx = norm_many(space, X)
     ny = norm_many(space, Y)
     b = 2.0 * nx / np.where(ny > 0.0, ny, np.inf)
@@ -235,9 +235,9 @@ class OrthogonalityRelation:
 
     def __post_init__(self):
         if self.kind not in (TRIVIAL, INNER_PRODUCT, BIRKHOFF_JAMES):
-            raise SpaceError(f"unknown orthogonality kind {self.kind!r}")
-        if not (self.tolerance > 0.0):
-            raise SpaceError("tolerance must be positive")
+            raise ConfigError(f"unknown orthogonality kind {self.kind!r}")
+        if not (0.0 < self.tolerance < 1.0):  # from 1 on, every pair passes both tests
+            raise ConfigError(f"tolerance must lie in (0, 1), got {self.tolerance}")
 
 
 def _independent_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -257,13 +257,13 @@ def is_orthogonal_many(rel: OrthogonalityRelation, space: NormedSpaceSpec, X, Y)
     X = as_batch(X, space.dim)
     Y = as_batch(Y, space.dim)
     if X.shape != Y.shape:
-        raise SpaceError("batch shapes differ")
+        raise ValueError("batch shapes differ")
     if rel.kind == TRIVIAL:
         axis = ~np.any(X, axis=1) | ~np.any(Y, axis=1)
         return axis | _independent_many(X, Y)
     if rel.kind == INNER_PRODUCT:
         if not space.has_inner_product:
-            raise SpaceError("inner_product orthogonality needs an inner-product space")
+            raise ConfigError("inner_product orthogonality needs an inner-product space")
         limit = rel.tolerance * norm_many(space, X) * norm_many(space, Y)
         return np.abs(np.einsum("ij,ij->i", X, Y)) <= limit
     return bj_margin_many(space, X, Y) >= -rel.tolerance * norm_many(space, X)
@@ -337,13 +337,13 @@ def _quarter_turns(P1: np.ndarray, P2: np.ndarray, X: np.ndarray):
     of that plane.  The turn has the Euclidean length of x, is
     Euclidean-orthogonal to it and lies in the plane, whatever the norm."""
     if not np.all(np.any(P1, axis=1)):
-        raise SpaceError("plane vectors must be nonzero")
+        raise ValueError("plane vectors must be nonzero")
     n1 = np.sqrt(_rowdot(P1, P1))
     E1 = P1 / n1[:, None]
     R2 = P2 - _rowdot(P2, E1)[:, None] * E1
     n2 = np.sqrt(_rowdot(R2, R2))
     if np.any(n2 <= INDEPENDENCE_RTOL * np.sqrt(_rowdot(P2, P2))):
-        raise SpaceError("plane vectors are (numerically) dependent")
+        raise ValueError("plane vectors are (numerically) dependent")
     E2 = R2 / n2[:, None]
     a = _rowdot(X, E1)[:, None]
     b = _rowdot(X, E2)[:, None]
@@ -393,7 +393,10 @@ def _random_points(space, rng, n, lo=0.1, hi=3.0):
     """n points with Gaussian directions and norms uniform in [lo, hi)."""
     V = rng.standard_normal((n, space.dim))
     V[~np.any(V, axis=1), 0] = 1.0
-    return V / norm_many(space, V)[:, None] * rng.uniform(lo, hi, size=n)[:, None]
+    lens = norm_many(space, V)  # |v|^p leaves the float range for a huge p
+    if not np.all((lens > 0.0) & (lens < np.inf)):
+        raise ConfigError(f"p is too large: a sampled point's p-norm is 0 or inf, p={space.p}")
+    return V / lens[:, None] * rng.uniform(lo, hi, size=n)[:, None]
 
 
 def _partnered_points(rel, space, rng, n):
@@ -433,12 +436,16 @@ def check_ratz_axioms(
     (James, Trans. AMS 1947), and the scalar is_orthogonal checks each
     witness.
     Deterministic given the seed.  O2-O4 are vacuous on a line, so the space
-    needs dimension at least 2.
+    needs dimension at least 2; trials × dim is held to the configs' ceiling of
+    2**28 floats, before any array is built.
     """
     if space.dim < 2:
-        raise SpaceError(f"the axioms need a space of dimension >= 2, got {space.dim}")
+        raise ConfigError(f"dim must be >= 2 (O2-O4 are vacuous on a line), got {space.dim}")
     if trials < 1:
-        raise SpaceError(f"trials must be >= 1, got {trials}")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if (size := trials * space.dim) > 2**28:
+        raise ConfigError(f"{'dim' if space.dim >= trials else 'trials'} is too large:"
+                          f" trials × dim is {size} floats, past the ceiling of 2**28")
     results = {}
 
     X1 = _random_points(space, _rng(seed, 101), trials)

@@ -30,7 +30,6 @@ from jensenlab.models import (
     POWER,
     EvenPart,
     FunctionModel,
-    ModelError,
     OddPart,
     PerturbationSpec,
 )
@@ -273,7 +272,7 @@ def test_model_rows_follow_their_candidate():
     seeds_only = FunctionModel(domain=f.domain, codomain=f.codomain, linear=L[0],
                                perturbations=perts)
     for many in (f, seeds_only):
-        with pytest.raises(ModelError, match="candidate of each row"):
+        with pytest.raises(ValueError, match="candidate of each row"):
             many.eval_many(X)
 
 

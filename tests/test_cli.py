@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jensenlab.cli import main
 from jensenlab.experiments import emit_report, emit_reports, load_config, run_experiment
@@ -268,6 +268,14 @@ AS_COR3_2 = {"theorem_id": "cor3_2", "expected_decay": False,
              "shells": {"edges": [0.5, 1.0, 2.0], "samples_per_shell": 8}}
 AS_THM6_1 = {"theorem_id": "thm6_1", "params": {"r": 2, "s": 2, "t": 2},
              "perturbation": [], "ball": {"radius": 1.0}}
+# and a thm2_1 experiment on a table control, and a thm5_2 one on
+# Birkhoff-James pairs in a p-norm space
+AS_THM2_1 = {"theorem_id": "thm2_1", "control": {"kind": "table", "table": {
+    "radii": [0.0, 8.0], "values": [0.3, 0.3], "q": 0.0}}}
+AS_THM5_2 = {"theorem_id": "thm5_2", "params": {"r": 1, "s": 1, "t": 1},
+             "control": {"kind": "constant", "epsilon": 0.3},
+             "space": {"dim": 3, "norm_kind": "p_norm", "p": 3.0},
+             "domain": {"kind": "orthogonal", "relation": {"kind": "birkhoff_james"}}}
 # One wrong value each in a 20-point cor2_2 config: (where, value, key that
 # stderr must name).  None of these may crash or run.
 CONFIG_PROBES = [
@@ -306,9 +314,10 @@ CONFIG_PROBES = [
     # finite values whose defect overflows: a verdict on inf says nothing
     (("sampler", "radius_range"), [0.05, 1e300], "sampler.radius_range"),
     (("model",), {"linear_scale": 1e300}, "model.linear_scale"),
+    # the λ grid of old configs is an unknown key, not type-checked and dropped
     (("domain",), {"kind": "orthogonal", "relation": {"kind": "birkhoff_james",
                                                       "grid": {"steps": "x"}}},
-     "domain.relation.grid.steps"),
+     "domain.relation.grid"),
     # a control or domain key that its kind does not read
     (("control",), {"kind": "constant", "epsilon": 0.3, "delta": 0.2}, "control.delta"),
     (("control",), {"kind": "constant", "epsilon": 0.3, "p": 0.5}, "control.p"),
@@ -362,6 +371,26 @@ CONFIG_PROBES = [
     (("codomain", "dim"), 2**40, "codomain.dim"),
     ((), dict(AS_COR3_2, shells={"edges": [0.5, 1.0, 2.0], "samples_per_shell": 2**63}),
      "shells.samples_per_shell"),
+    # an n_max past the limit's exponent clip of 2**20 (at 2**63 - 1 it crashed
+    # the overflow guard, at 2**63 it wrapped to a FAIL)
+    (("limits",), {"n_max": 2**63 - 1}, "limits.n_max"),
+    (("limits",), {"n_max": 2**63}, "limits.n_max"),
+    # a last table radius whose series passes the float range
+    ((), dict(AS_THM2_1, control={"kind": "table", "table": {
+        "radii": [0.0, 1.7e308], "values": [0.3, 0.3], "q": 0.0}}), "control.table"),
+    # a p so large that no Birkhoff-James partner survives the sampler's draws,
+    # and radii whose trivial partners overflow the independence test
+    ((), dict(AS_THM5_2, space={"dim": 3, "norm_kind": "p_norm", "p": 2000}), "domain.relation"),
+    ((), dict(AS_THM5_2, space=_space(3), domain={"kind": "orthogonal", "relation": {
+        "kind": "trivial"}}, sampler={"count": 20, "seed": 11, "radius_range": [0.05, 1e308]}),
+     "sampler.radius_range"),
+    # a relation tolerance at which every pair passes
+    (("domain",), {"kind": "orthogonal", "relation": {"kind": "inner_product", "tolerance": 1.0}},
+     "domain.relation.tolerance"),
+    # a control part past the float range at the sampled pairs
+    (("control", "delta"), 1e308, "control.delta"),
+    ((), dict(AS_THM2_1, control={"kind": "table", "table": {
+        "radii": [0.0, 8.0], "values": [1e308, 1e308], "q": 0.0}}), "control.table"),
 ]
 
 
@@ -384,7 +413,16 @@ def test_malformed_config_exits_2(tmp_path, capsys, where, value, key):
     assert key in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("sections", [AS_COR3_2, AS_THM6_1], ids=["cor3_2", "thm6_1"])
+# A last table radius of 1e307 is below the table series' hard cap, and its
+# scaled args overflow only in rows past their own stop: the run warns of no
+# overflow.
+NEAR_FLOAT_MAX = dict(AS_THM2_1, control={"kind": "table", "table": {
+    "radii": [0.0, 1e307], "values": [0.3, 0.3], "q": 0.0}})
+
+
+@pytest.mark.parametrize("sections", [AS_COR3_2, AS_THM6_1, AS_THM2_1, AS_THM5_2, NEAR_FLOAT_MAX],
+                         ids=["cor3_2", "thm6_1", "thm2_1", "thm5_2", "thm2_1-table-1e307"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_probe_bases_are_valid(tmp_path, sections):
     # the merged probes fail on their probed key alone
     exp = dict(_cor2_2_experiment(), **sections)
@@ -424,6 +462,14 @@ def test_flag_errors_exit_2(capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["1000", "2000", "1e300"])
+def test_axioms_on_a_huge_p_exit_2(capsys, p):
+    """A p so large that a sampled point's p-norm overflows or underflows to 0
+    once ended in numpy's LinAlgError; it is refused naming --p."""
+    assert main(AXIOMS + ["--norm", "p_norm", "--p", p, "--trials", "20"]) == 2
+    assert "--p is too large" in capsys.readouterr().err
+
+
 def _fuzz_bases():
     """Valid 8-point configs that between them use every config section."""
     sampler = {"count": 8, "seed": 3, "radius_range": [0.2, 4.0]}
@@ -441,8 +487,7 @@ def _fuzz_bases():
     )
     table = {"radii": [0.0, 1.0, 4.0], "values": [0.2, 0.3, 0.5], "q": 0.5}
     thm2_1 = dict(cor2_2, theorem_id="thm2_1", control={"kind": "table", "table": table})
-    relation = {"kind": "inner_product", "tolerance": 1e-9,
-                "grid": {"lambda_min": -1e4, "lambda_max": 1e4, "steps": 4096}}
+    relation = {"kind": "inner_product", "tolerance": 1e-9}
     thm5_2 = {
         "theorem_id": "thm5_2", "space": _space(3), "codomain": _space(2),
         "params": {"r": 1, "s": 1, "t": 1}, "control": {"kind": "constant", "epsilon": 0.3},
@@ -474,19 +519,29 @@ def _nodes(tree, where=()):
 
 FUZZ_BASES = _fuzz_bases()
 FUZZ_VALUES = [True, False, None, "x", 1.5, 7, [1], {"a": 1},
-               float("nan"), float("inf"), float("-inf")]
+               float("nan"), float("inf"), float("-inf"), 0, -1, 0.5, 1e308, -1e308,
+               2**63 - 1, 2**63, 2**64, 1e-320]
+BJ_P_2000 = {"space": {"dim": 3, "norm_kind": "p_norm", "p": 2000},
+             "domain": {"kind": "orthogonal", "relation": {"kind": "birkhoff_james"}}}
 
 
+# pick is a node's index, or in an @example the path of a probe (() merges
+# into the experiment): the probe configs of CONFIG_PROBES above
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(
     base=st.sampled_from(range(len(FUZZ_BASES))),
     pick=st.integers(0, 10**6),
     mutation=st.sampled_from(["delete", "extra_key"] + [("set", v) for v in FUZZ_VALUES]),
 )
+@example(base=1, pick=("control", "table", "radii"), mutation=("set", [0.0, 1.0, 1.7e308]))
+@example(base=0, pick=("limits", "n_max"), mutation=("set", 2**63 - 1))
+@example(base=0, pick=("limits", "n_max"), mutation=("set", 2**63))
+@example(base=2, pick=(), mutation=("set", BJ_P_2000))
+@example(base=2, pick=("domain", "relation", "grid"), mutation=("set", {"steps": 4096}))
 def test_verify_fuzz_exit_codes(tmp_path_factory, base, pick, mutation):
     exp = json.loads(json.dumps(FUZZ_BASES[base]))
     nodes = list(_nodes(exp))
-    where, value = nodes[pick % len(nodes)]
+    where, value = (pick, None) if isinstance(pick, tuple) else nodes[pick % len(nodes)]
     parent = exp
     for k in where[:-1]:
         parent = parent[k]
@@ -494,6 +549,8 @@ def test_verify_fuzz_exit_codes(tmp_path_factory, base, pick, mutation):
         del parent[where[-1]]
     elif mutation == "extra_key":
         (value if isinstance(value, dict) else exp)["zz_extra"] = 1
+    elif not where:
+        exp.update(mutation[1])
     else:
         parent[where[-1]] = mutation[1]
     cfg = _write_config(tmp_path_factory.mktemp("fuzz") / "c.json", exp)

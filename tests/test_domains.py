@@ -6,7 +6,6 @@ from jensenlab.domains import (
     FULL,
     ORTHOGONAL,
     PUNCTURED,
-    DomainError,
     DomainRestriction,
     asymptotic_profile,
     construct_z_many,
@@ -35,6 +34,7 @@ from jensenlab.sampling import (
     shell_pairs,
 )
 from jensenlab.spaces import (
+    ConfigError,
     NormedSpaceSpec,
     OrthogonalityRelation,
     euclidean_space,
@@ -120,13 +120,13 @@ def test_batched_samplers_stack_solo_segments(monkeypatch, name, space, n):
 
 
 def test_domain_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         DomainRestriction(kind="exterior")
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         DomainRestriction(kind="exterior", d=-1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         DomainRestriction(kind="orthogonal")
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         DomainRestriction(kind="annulus")
 
 
@@ -362,7 +362,7 @@ class TestAsymptoticProfile:
         # ‖x‖ + ‖y‖ >= 0, so a shell below 0 is empty and its sup would be made up
         f = FunctionModel(domain=E3, codomain=E2, linear=L23)
         for edges in ((-4.0, -1.0, 2.0), (-0.5, 1.0)):
-            with pytest.raises(DomainError):
+            with pytest.raises(ConfigError):
                 asymptotic_profile(f, JensenParams(2, 1, 1), edges, 10, rng_from(1, "prof"))
         prof = asymptotic_profile(f, JensenParams(2, 1, 1), (0.0, 1.0), 10, rng_from(1, "prof"))
         assert prof.sup_defect.shape == (1,)

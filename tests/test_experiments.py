@@ -320,15 +320,14 @@ class TestConfigParsing:
         again = config_to_dict(_parse_experiment(json.loads(text)))
         assert json.dumps(again, sort_keys=True) == text
 
-    def test_relation_grid_accepted_and_dropped(self):
+    def test_relation_grid_refused(self):
+        # the λ grid of old configs was never read: it is an unknown key now
         d = config_to_dict(_cfg("thm5_2"))
-        grid = {"lambda_min": -1e4, "lambda_max": 1e4, "steps": 4096}
-        d["domain"]["relation"] = {"kind": "birkhoff_james", "grid": grid}
-        out = config_to_dict(_parse_experiment(d))
-        assert out["domain"]["relation"] == {"kind": "birkhoff_james", "tolerance": 1e-9}
-        d["domain"]["relation"]["grid"] = {"steps": "x"}
-        with pytest.raises(ConfigError, match=r"domain\.relation\.grid\.steps"):
-            _parse_experiment(d)
+        assert d["domain"]["relation"] == {"kind": "inner_product", "tolerance": 1e-9}
+        for grid in ({"lambda_min": -1e4, "lambda_max": 1e4, "steps": 4096}, {}):
+            d["domain"]["relation"]["grid"] = grid
+            with pytest.raises(ConfigError, match=r"unknown key.*domain\.relation\.grid'"):
+                _parse_experiment(d)
 
     def test_number_fields_keep_ints(self):
         d = config_to_dict(_cfg("cor2_2"))
@@ -497,6 +496,23 @@ def test_library_specs_refuse_integers_past_64_bits(make, key):
         edge = replace(cfg, sampler=replace(cfg.sampler, seed=seed),
                        model=replace(cfg.model, seed=seed))
         assert emit_report(run_experiment(edge))
+
+
+def test_integer_specs_take_over_the_parsers_range_check():
+    """JensenParams refuses r, s, t outside [1, 2**64) and LimitSettings an n_max
+    outside [1, 2**20], in code as in a file, naming the key; the parser's type
+    layer no longer range-checks integers.  The ends of both ranges build."""
+    for args, key in [((2**64, 1, 1), "r"), ((1, -(2**63) - 1, 1), "s"), ((1, 1, 0), "t")]:
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer in"):
+            JensenParams(*args)
+    assert JensenParams(2**64 - 1, 1, 1) and LimitSettings(n_max=2**20)
+    for n_max in (0, 2**20 + 1, 2**63 - 1, 2**63, 2**70):
+        with pytest.raises(ConfigError, match="^n_max must be in"):
+            LimitSettings(n_max=n_max)
+    d = config_to_dict(_cfg("cor2_2"))
+    for section, key, value in [("params", "r", 2**70), ("limits", "n_max", 2**64)]:
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be "):
+            _parse_experiment(dict(d, **{section: dict(d.get(section, {}), **{key: value})}))
 
 
 @pytest.mark.parametrize("make, key", [

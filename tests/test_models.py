@@ -11,7 +11,6 @@ from jensenlab.models import (
     EvenPart,
     FunctionModel,
     JensenParams,
-    ModelError,
     OddPart,
     POWER,
     PerturbationSpec,
@@ -25,6 +24,7 @@ from jensenlab.models import (
     perturbation_values,
 )
 from jensenlab.spaces import (
+    ConfigError,
     NormedSpaceSpec,
     OrthogonalityRelation,
     euclidean_space,
@@ -43,9 +43,9 @@ def _linear_model(L, domain=E3, codomain=E2, **kw):
 
 def test_params_validation():
     JensenParams(1, 2, 3)
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigError):
         JensenParams(0, 1, 1)
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigError):
         JensenParams(1, 1.5, 1)
 
 
@@ -312,11 +312,11 @@ def test_perturbation_values_adds_terms_in_order():
 
 
 def test_perturbation_validation():
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigError):
         PerturbationSpec(kind="white_noise")
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigError):
         PerturbationSpec(kind=BOUNDED, amplitude=-1.0)
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigError):
         PerturbationSpec(kind=POWER, delta=1.0, p=1.0)
 
 
@@ -330,9 +330,9 @@ def test_radial_table_interpolation():
 
 
 def test_radial_table_validation():
-    with pytest.raises(ModelError):
+    with pytest.raises(ValueError):
         RadialTable(knots=[0.0], values=[[1.0]])
-    with pytest.raises(ModelError):
+    with pytest.raises(ValueError):
         RadialTable(knots=[1.0, 0.5], values=[[1.0], [1.0]])
 
 
@@ -426,7 +426,7 @@ def test_parity_parts_of_a_function_model_only(part):
     FunctionModel's structure; of any other map they are refused."""
     f = FunctionModel(domain=E2, codomain=E2, linear=np.eye(2), quadratic=[1.0, 0.5])
     for other in (ScaledModel(f, arg_scale=3.0), OddPart(f), EvenPart(f)):
-        with pytest.raises(ModelError, match="FunctionModel"):
+        with pytest.raises(ValueError, match="FunctionModel"):
             part(other)
 
 
@@ -453,9 +453,9 @@ def test_perturbed_additive_model_and_exact_part():
 
 
 def test_model_shape_validation():
-    with pytest.raises(ModelError):
+    with pytest.raises(ValueError):
         FunctionModel(domain=E3, codomain=E2, linear=np.zeros((3, 2)))
-    with pytest.raises(ModelError):
+    with pytest.raises(ValueError):
         FunctionModel(domain=E3, codomain=E2, linear=np.zeros((2, 3)), quadratic=[1.0])
 
 

@@ -7,7 +7,6 @@ from jensenlab.models import (
     BOUNDED,
     FunctionModel,
     JensenParams,
-    ModelError,
     OddPart,
     PerturbationSpec,
     RadialTable,
@@ -24,9 +23,9 @@ from jensenlab.orthogonal import (
 from jensenlab.series import power_limit_many
 from jensenlab.sampling import orthogonal_pairs, rng_from, sample_points, unit_directions
 from jensenlab.spaces import (
+    ConfigError,
     NormedSpaceSpec,
     OrthogonalityRelation,
-    SpaceError,
     _quarter_turns,
     euclidean_space,
     norm_many,
@@ -166,9 +165,9 @@ class TestSikorskaExtension:
         assert np.max(np.abs(result.T_hat.linear - L13)) <= 1e-5
 
     def test_rejects_bad_config(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ConfigError):
             SikorskaConfig(params=JensenParams(1, 2, 3), ball_radius=1.0)
-        with pytest.raises(ModelError):
+        with pytest.raises(ConfigError):
             # base 2(s/r)² = 1/2 is not a contraction
             SikorskaConfig(params=JensenParams(2, 1, 1), ball_radius=1.0)
 
@@ -186,7 +185,7 @@ def test_even_part_constancy():
     # the witness is the inner-product sign change, so other norms are refused
     sup_quad = FunctionModel(domain=NormedSpaceSpec(3, "sup"), codomain=E1, linear=L13,
                              quadratic=[1.0])
-    with pytest.raises(SpaceError, match="inner-product"):
+    with pytest.raises(ConfigError, match="inner-product"):
         even_part_constancy_check(sup_quad, cfg2, count=8, seed=2)
 
 

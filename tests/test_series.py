@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from jensenlab import series
 from jensenlab.control import (
-    ControlError,
     ControlFunctionSpec,
     RadialControlTable,
     control_phi_norms,
@@ -31,7 +30,7 @@ from jensenlab.series import (
     phi_tilde_triadic_norms,
     power_limit_many,
 )
-from jensenlab.spaces import NormedSpaceSpec, euclidean_space, norm_many
+from jensenlab.spaces import ConfigError, NormedSpaceSpec, euclidean_space, norm_many
 from series_reference import certified_steps_reference, limit_one_at_a_time, psi
 
 E3 = euclidean_space(3)
@@ -169,7 +168,7 @@ class TestClosedForms:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_table_series_refuses_subnormal_scales(self):
         """At argument norms so small that rmax/‖x‖ or base^n_stop leaves the
-        float range, both table series raise the hard-cap ControlError, with no
+        float range, both table series raise the hard-cap ConfigError, with no
         overflow warning; a little above, they still return their value."""
         table = RadialControlTable(radii=[0.0, 1.0, 8.0], values=[0.3, 0.4, 0.8], q=0.5)
         spec = ControlFunctionSpec(kind="table", epsilon=0.1, table=table)
@@ -180,8 +179,28 @@ class TestClosedForms:
         # 3^647 and 2^1024 overflow; rmax over the smallest scaled arg is inf
         for series_at, v in [(triadic, 1.6e-307), (dyadic, 5e-308),
                              (triadic, 5e-308), (dyadic, 1e-310)]:
-            with pytest.raises(ControlError, match="hard cap"):
+            with pytest.raises(ConfigError, match="hard cap"):
                 series_at(v)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_table_series_quiet_past_a_row_stop(self):
+        """With a last knot at 1e307 a row stops near n = 1020, and args·scale
+        overflows only in rows already past their own stop, whose terms are
+        dropped: no warning escapes, and the bounds stay 3ε/r + 0.9/r and
+        3ε + 1.8 for a flat w = 0.3."""
+        table = RadialControlTable(radii=[0.0, 1e307], values=[0.3, 0.3], q=0.0)
+        spec = ControlFunctionSpec(kind="table", epsilon=0.1, table=table)
+        nx = np.linspace(0.5, 6.0, 12)
+        assert phi_tilde_dyadic_norms(spec, JensenParams(2, 1, 1), nx, nx) == pytest.approx(
+            1.05, rel=1e-12)
+        assert phi_tilde_triadic_norms(spec, nx, nx) == pytest.approx(2.1, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_table_with_a_decaying_tail_is_quiet_at_zero(self):
+        """q < 0: the tail at ρ = 0 is 0^q = inf, in a row inside the last knot
+        that reads no tail; no warning escapes, and the rows past it decay."""
+        table = RadialControlTable(radii=[0.0, 1.0], values=[0.3, 0.5], q=-1.0)
+        assert table.eval_many(np.array([0.0, 0.5, 4.0])).tolist() == [0.3, 0.4, 0.125]
 
     def test_series_on_an_empty_batch(self):
         """No rows in, no rows out, for a table control as for the others."""
@@ -193,20 +212,20 @@ class TestClosedForms:
                 assert out.shape == (0,)
 
     def test_control_validation(self):
-        with pytest.raises(ControlError):
+        with pytest.raises(ConfigError):
             ControlFunctionSpec(kind="mixed", epsilon=1.0, delta=1.0, p=1.0)
-        with pytest.raises(ControlError):
+        with pytest.raises(ConfigError):
             ControlFunctionSpec(kind="constant", epsilon=-0.1)
-        with pytest.raises(ControlError):
+        with pytest.raises(ConfigError):
             RadialControlTable(radii=[0.5, 1.0], values=[1.0, 1.0], q=0.0)
         # a key the kind does not read is refused, and the message opens with it
         table = RadialControlTable(radii=[0.0, 1.0], values=[1.0, 1.0], q=0.0)
         for kind, key, value in [("constant", "delta", 0.5), ("table", "p", 0.5),
                                  ("constant", "table", table), ("mixed", "table", table)]:
             extra = {"table": table} if kind == "table" else {}
-            with pytest.raises(ControlError, match=f"^{key} "):
+            with pytest.raises(ConfigError, match=f"^{key} "):
                 ControlFunctionSpec(kind=kind, **extra, **{key: value})
-        with pytest.raises(ControlError):
+        with pytest.raises(ConfigError):
             cor22_bound_norms(JensenParams(1, 1, 1), ControlFunctionSpec(kind="table", table=table),
                               _n(UNIT_X))
 
@@ -320,6 +339,18 @@ class TestLimits:
         X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, 3))
         with pytest.raises(ValueError, match=name):
             power_limit_many(_additive(), X, arg, gain, 5, n_start=[-2, 0, 1])
+
+    def test_n_max_past_2_62_refused(self):
+        """n_max + 1 must not wrap in int64: up to 2**62 the limit runs as under
+        any cap it never reaches; past it, as an int or a uint64 array, it is
+        refused naming n_max, where 2**63 once wrapped to a zero-step FAIL."""
+        f = _additive((PerturbationSpec(kind=BOUNDED, amplitude=0.1, seed=8),))
+        X = np.random.default_rng(8).uniform(-2.0, 2.0, size=(6, 3))
+        far, capped = (power_limit_many(f, X, 2.0, 0.5, n) for n in (2**62, 600))
+        assert all(np.array_equal(a, b) for a, b in zip(far, capped)) and np.all(far[3])
+        for n_max in (2**62 + 1, 2**63 - 1, np.full(6, 2**63, dtype=np.uint64)):
+            with pytest.raises(ValueError, match="^n_max must be at most 2[*][*]62"):
+                power_limit_many(f, X, 2.0, 0.5, n_max)
 
     @pytest.mark.parametrize(
         "base,factor", [(2.0, 1.5), (3.0, 4.0 / 3.0), (4.0, 5.0 / 4.0)]

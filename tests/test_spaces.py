@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from jensenlab import spaces
 from jensenlab.spaces import (
+    ConfigError,
     NormedSpaceSpec,
     OrthogonalityRelation,
-    SpaceError,
     as_batch,
     as_point,
     bj_margin_many,
@@ -124,11 +124,11 @@ def test_triangle_inequality(xs, ys):
 
 
 def test_space_validation():
-    with pytest.raises(SpaceError):
+    with pytest.raises(ConfigError):
         NormedSpaceSpec(dim=0, norm_kind="euclidean")
-    with pytest.raises(SpaceError):
+    with pytest.raises(ConfigError):
         NormedSpaceSpec(dim=2, norm_kind="banach")
-    with pytest.raises(SpaceError):
+    with pytest.raises(ConfigError):
         NormedSpaceSpec(2, "p_norm", 0.5)
     assert euclidean_space(4).has_inner_product
     assert not NormedSpaceSpec(4, "sup").has_inner_product
@@ -136,9 +136,9 @@ def test_space_validation():
 
 def test_as_point_shape_checks():
     assert as_point([1.0, 2.0], 2).shape == (2,)
-    with pytest.raises(SpaceError):
+    with pytest.raises(ValueError):
         as_point([1.0, 2.0, 3.0], 2)
-    with pytest.raises(SpaceError):
+    with pytest.raises(ValueError):
         as_batch(np.zeros((4, 3)), 2)
 
 
@@ -147,7 +147,7 @@ def test_inner_product():
     rel = OrthogonalityRelation(kind="inner_product")
     X = [[1.0, 2.0], [1.0, 2.0]]
     assert is_orthogonal_many(rel, E2, X, [[3.0, -1.0], [-2.0, 1.0]]).tolist() == [False, True]
-    with pytest.raises(SpaceError):
+    with pytest.raises(ConfigError):
         is_orthogonal_many(rel, S2, [[1.0, 0.0]], [[0.0, 1.0]])
 
 
@@ -292,12 +292,24 @@ def test_trivial_relation():
     assert not is_orthogonal(rel, E2, [1.0, 1.0], [2.0, 2.0])
 
 
+def test_relation_tolerance_below_one():
+    """From tolerance 1 on, every pair passes: |⟨x, y⟩| ≤ ‖x‖‖y‖, and the
+    margin min ‖x + λy‖ − ‖x‖ is at least −‖x‖.  Such a relation is no
+    orthogonality (O2 fails), so it is refused naming the key."""
+    X, Y = [[1.0, 2.0], [3.0, 0.0]], [[2.0, 4.0], [1.0, 0.0]]  # parallel pairs
+    for kind in ("inner_product", "birkhoff_james"):
+        assert not is_orthogonal_many(OrthogonalityRelation(kind, 0.5), E2, X, Y).any()
+        for tolerance in (1.0, 1e308):
+            with pytest.raises(ConfigError, match="^tolerance must lie in"):
+                OrthogonalityRelation(kind=kind, tolerance=tolerance)
+
+
 def test_relation_validation():
-    with pytest.raises(SpaceError):
+    with pytest.raises(ConfigError):
         OrthogonalityRelation(kind="symplectic")
-    with pytest.raises(SpaceError):
+    with pytest.raises(ConfigError):
         OrthogonalityRelation(kind="birkhoff_james", tolerance=0.0)
-    with pytest.raises(SpaceError):
+    with pytest.raises(ConfigError):
         is_orthogonal(OrthogonalityRelation(kind="inner_product"), S2, [1, 0], [0, 1])
 
 
@@ -355,7 +367,7 @@ class TestO4Witness:
     def test_rejects_bad_inputs(self):
         # a zero or dependent plane has no quarter turn
         for plane in (([0.0, 0.0], [0.0, 1.0]), ([1.0, 2.0], [2.0, 4.0])):
-            with pytest.raises(SpaceError, match="plane vectors"):
+            with pytest.raises(ValueError, match="plane vectors"):
                 _o4_row(BJ, S2, plane, [1.0, 2.0], 1.0)
 
 
@@ -386,14 +398,23 @@ class TestRatzAxioms:
     @pytest.mark.parametrize("trials", [0, -3])
     def test_rejects_no_trials(self, trials):
         # O1-O3 would report 0 trials as FAIL while O4 ran one
-        with pytest.raises(SpaceError, match="trials"):
+        with pytest.raises(ConfigError, match="trials"):
             check_ratz_axioms(OrthogonalityRelation(kind="trivial"), E2, trials=trials)
 
     @pytest.mark.parametrize("kind", ["trivial", "inner_product", "birkhoff_james"])
     def test_rejects_a_line(self, kind):
         # O2-O4 are vacuous in dimension 1: refused, not reported as FAIL
-        with pytest.raises(SpaceError, match="dimension >= 2"):
+        with pytest.raises(ConfigError, match="dim must be >= 2"):
             check_ratz_axioms(OrthogonalityRelation(kind=kind), euclidean_space(1), trials=10)
+
+    @pytest.mark.parametrize("dim, trials, key", [
+        (2**40, 2**30, "dim"), (2**30, 2**40, "trials"), (3, 2**63, "trials"),
+    ])
+    def test_rejects_sizes_past_the_ceiling(self, dim, trials, key):
+        # trials × dim past 2**28 floats is refused before any array is built
+        space = NormedSpaceSpec(dim=dim, norm_kind="sup")
+        with pytest.raises(ConfigError, match=f"^{key} is too large"):
+            check_ratz_axioms(OrthogonalityRelation(kind="birkhoff_james"), space, trials=trials)
 
     def test_report_dict(self):
         rel = OrthogonalityRelation(kind="trivial")
