@@ -53,7 +53,6 @@ from .models import (
 )
 from .orthogonal import (
     DecompositionResult,
-    SikorskaConfig,
     even_part_constancy_check,
     pexider_reduction_check,
     scaling_identity_check,

@@ -15,6 +15,7 @@ everywhere, with each chain pair's membership witnessed by an explicit margin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,13 +134,31 @@ def five_term_defect_many(f, params: JensenParams, X, Y, Z, cand=None):
     return defects[0], terms.sum(axis=1), terms
 
 
+@dataclass(frozen=True)
+class ShellSettings:
+    """Shells edges[k] ≤ ‖x‖ + ‖y‖ < edges[k+1], each sampled at samples_per_shell pairs."""
+
+    edges: tuple
+    samples_per_shell: int
+
+    def __post_init__(self):
+        # shells of ‖x‖+‖y‖: an edge below 0 bounds an empty shell
+        if len(self.edges) < 2 or not self.edges[0] >= 0.0 or any(
+            b <= a for a, b in zip(self.edges, self.edges[1:])
+        ):
+            raise ConfigError("edges must be >= 0 and strictly increasing, length >= 2")
+        if not all(math.isfinite(e) for e in self.edges):
+            raise ConfigError(f"edges must be finite, got {self.edges}")
+        if self.samples_per_shell < 1:
+            raise ConfigError("samples_per_shell must be >= 1")
+
+
 @dataclass
 class ShellProfile:
     """Per-shell defect sups over ‖x‖ + ‖y‖ shells, with a decay verdict."""
 
-    edges: np.ndarray  # (K+1,) increasing
-    sup_defect: np.ndarray  # (K,)
-    samples_per_shell: int
+    shells: ShellSettings
+    sup_defect: np.ndarray  # (K,), one per shell
 
     @property
     def decreasing(self) -> bool:
@@ -155,27 +174,25 @@ class ShellProfile:
 
     def to_dict(self) -> dict:
         return {
-            "edges": [float(e) for e in self.edges],
+            "edges": [float(e) for e in self.shells.edges],
             "sup_defect": [float(v) for v in self.sup_defect],
-            "samples_per_shell": self.samples_per_shell,
+            "samples_per_shell": self.shells.samples_per_shell,
             "decreasing": self.decreasing,
             "final_sup": self.final_sup,
         }
 
 
-def asymptotic_profile(
-    f,
-    params: JensenParams,
-    shell_edges,
-    samples_per_shell: int,
-    rng,
-) -> ShellProfile:
-    """Defect sup per shell of ‖x‖ + ‖y‖ in f.domain; diagnoses decay toward additivity."""
-    edges = np.asarray(shell_edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0) or not edges[0] >= 0:
-        raise ConfigError("shell edges must be increasing from >= 0, with at least two entries")
+def asymptotic_profile(f, params: JensenParams, shells: ShellSettings, rng) -> ShellProfile:
+    """Defect sup per shell of ‖x‖ + ‖y‖ in f.domain; diagnoses decay toward additivity.
+
+    A sup past the float range is refused.
+    """
+    edges = np.asarray(shells.edges, dtype=np.float64)
     sups = np.empty(edges.size - 1)
-    for k in range(edges.size - 1):
-        X, Y = shell_pairs(f.domain, edges[k], edges[k + 1], samples_per_shell, [rng])
+    for k in range(sups.size):
+        X, Y = shell_pairs(f.domain, edges[k], edges[k + 1], shells.samples_per_shell, [rng])
         sups[k] = float(np.max(jensen_defect_many(f, f, f, params, X, Y)))
-    return ShellProfile(edges=edges, sup_defect=sups, samples_per_shell=samples_per_shell)
+    if not np.all(np.isfinite(sups)):
+        raise ConfigError("the shell defect overflows; lower shells.edges, model.linear_scale,"
+                          " model.quadratic or the perturbation amplitudes")
+    return ShellProfile(shells=shells, sup_defect=sups)

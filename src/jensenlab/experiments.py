@@ -54,6 +54,7 @@ from .domains import (
     ORTHOGONAL,
     PUNCTURED,
     DomainRestriction,
+    ShellSettings,
     asymptotic_profile,
     construct_z_many,
     five_inequality_margins,
@@ -77,7 +78,8 @@ from .models import (
     odd_even_split,
 )
 from .orthogonal import (
-    SikorskaConfig,
+    BallSettings,
+    _ball_base,
     even_part_constancy_check,
     pexider_reduction_check,
     scaling_identity_check,
@@ -164,36 +166,6 @@ class ModelSettings:
 
 
 @dataclass(frozen=True)
-class BallSettings:
-    radius: float
-    exclude_origin: bool = False
-
-    def __post_init__(self):
-        # from 2⁻²⁵⁶ the table's knots R²·k/64 are normal floats; past 2⁵² floats
-        # near the ball's edge lie more than 1 apart, so the absolute residual
-        # test reads rounding (and an int radius runs as a numpy object array)
-        if not (2.0**-256 <= self.radius <= 2.0**52):
-            raise ConfigError(f"radius must be in [2**-256, 2**52], got {self.radius!r:.60}")
-
-
-@dataclass(frozen=True)
-class ShellSettings:
-    edges: tuple
-    samples_per_shell: int
-
-    def __post_init__(self):
-        # shells of ‖x‖+‖y‖: an edge below 0 bounds an empty shell
-        if len(self.edges) < 2 or not self.edges[0] >= 0.0 or any(
-            b <= a for a, b in zip(self.edges, self.edges[1:])
-        ):
-            raise ConfigError("edges must be >= 0 and strictly increasing, length >= 2")
-        if not all(math.isfinite(e) for e in self.edges):
-            raise ConfigError(f"edges must be finite, got {self.edges}")
-        if self.samples_per_shell < 1:
-            raise ConfigError("samples_per_shell must be >= 1")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     theorem_id: str
     space: NormedSpaceSpec
@@ -250,7 +222,7 @@ class ExperimentConfig:
                 # on a line only y = 0 is orthogonal to x != 0, and no pair is independent
                 raise ConfigError(f"{rel} pairs need space.dim >= 2")
         if self.ball is not None:
-            SikorskaConfig(params=self.params, ball_radius=self.ball.radius)
+            _ball_base(self.params)
             punctured = tid == "thm6_2"  # thm6_1 extends from the whole ball
             if self.ball.exclude_origin != punctured:
                 raise ConfigError(f"{tid} needs ball.exclude_origin: {str(punctured).lower()}")
@@ -791,17 +763,12 @@ def _odd_bound(k: _Run) -> float:
 
 
 def _run_cor3_2(cfg: ExperimentConfig):
-    f, _, _ = build_models(cfg)
-    rng = rng_from(cfg.sampler.seed, "shells")
-    prof = asymptotic_profile(f, cfg.params, cfg.shells.edges, cfg.shells.samples_per_shell, rng)
+    # a huge model or edge overflows the defect: asymptotic_profile refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, _, _ = build_models(cfg)
+        prof = asymptotic_profile(f, cfg.params, cfg.shells, rng_from(cfg.sampler.seed, "shells"))
     decays = prof.is_decaying(cfg.decay_tol)
-    details = {
-        "profile": prof.to_dict(),
-        "decreasing": prof.decreasing,
-        "final_sup": prof.final_sup,
-        "decays": decays,
-        "expected_decay": cfg.expected_decay,
-    }
+    details = {"profile": prof.to_dict(), "decays": decays, "expected_decay": cfg.expected_decay}
     rows = (_NO_ROWS, prof.final_sup, cfg.decay_tol, 0.0, [])
     meta = _limit_meta(np.empty((0, 1, 0)), np.empty((0, 1, 0), bool))[0][0]
     return _finish(cfg, prof.final_sup, rows, details, meta,
@@ -809,39 +776,29 @@ def _run_cor3_2(cfg: ExperimentConfig):
 
 
 def _run_sikorska(cfg: ExperimentConfig):
-    """thm6_1 and thm6_2: exact models on a ball, scaling extension."""
-    f, _, _ = build_models(cfg)
-    exclude = cfg.ball.exclude_origin
-    scfg = SikorskaConfig(params=cfg.params, ball_radius=cfg.ball.radius, exclude_origin=exclude)
-    result = sikorska_extend(f, scfg, count=cfg.sampler.count, seed=cfg.sampler.seed,
-                             n_max=cfg.limits.n_max, tol=cfg.limits.tol)
-    details = {
-        "base": scfg.base,
-        "ball_radius": cfg.ball.radius,
-        "exclude_origin": exclude,
-        "max_residual": result.max_residual,
-        "linear_recovery_error": float(np.max(np.abs(result.T_hat.linear - f.linear))),
-    }
-    details["scaling_identity_sup"] = scaling_identity_check(
-        f, cfg.params, cfg.ball.radius,
-        count=min(cfg.sampler.count, 256), seed=derive_seed(cfg.sampler.seed, 7),
-    )
-    if cfg.space.has_inner_product and cfg.space.dim >= 2:
-        details["even_constancy_sup"] = even_part_constancy_check(
-            f, scfg, count=min(cfg.sampler.count, 128),
-            seed=derive_seed(cfg.sampler.seed, 9),
-        )
-
-    # per-point residual rows at freshly sampled ball points, using the
-    # recovered linear part and radial table as the reconstruction
-    rng = rng_from(cfg.sampler.seed, "rows")
-    lo = 1e-3 * cfg.ball.radius if exclude else 0.0
-    hi = cfg.ball.radius * (1.0 - 1e-9)
-    X0 = sample_points(cfg.space, cfg.sampler.count, [(lo, hi)], [rng])
-    approx = result.T_hat.eval_many(X0) + result.b_hat.eval_many(norm_many(cfg.space, X0) ** 2)
-    dev = norm_many(cfg.codomain, f.eval_many(X0) - approx)
-    bounds = np.full(X0.shape[0], cfg.residual_tol)
-    (rows,) = _assemble_rows(X0, ("extension",), dev[None], bounds[None], cfg.limits.tol, 1)
+    """thm6_1 and thm6_2: exact models on a ball, scaling extension.  One row
+    per residual point of sikorska_extend, compared with residual_tol."""
+    seed, ball = cfg.sampler.seed, cfg.ball
+    # a huge model overflows the residual: sikorska_extend refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, _, _ = build_models(cfg)
+        result = sikorska_extend(f, cfg.params, ball, cfg.sampler.count, seed,
+                                 n_max=cfg.limits.n_max, tol=cfg.limits.tol)
+        details = {
+            "base": _ball_base(cfg.params),
+            "ball_radius": ball.radius,
+            "exclude_origin": ball.exclude_origin,
+            "max_residual": result.max_residual,
+            "linear_recovery_error": float(np.max(np.abs(result.T_hat.linear - f.linear))),
+            "scaling_identity_sup": scaling_identity_check(
+                f, cfg.params, ball, min(cfg.sampler.count, 256), derive_seed(seed, 7)),
+        }
+        if cfg.space.has_inner_product and cfg.space.dim >= 2:
+            details["even_constancy_sup"] = even_part_constancy_check(
+                f, cfg.params, ball, min(cfg.sampler.count, 128), derive_seed(seed, 9))
+    bounds = np.full(len(result.residuals), cfg.residual_tol)
+    (rows,) = _assemble_rows(result.points, ("extension",), result.residuals[None],
+                             bounds[None], cfg.limits.tol, 1)
     checks = [
         ("residual", result.max_residual <= cfg.residual_tol),
         ("linear_recovery",

@@ -42,33 +42,28 @@ _TABLE_KNOTS = 65  # knots of the even-part table b(u) on [0, R²]
 
 
 @dataclass(frozen=True)
-class SikorskaConfig:
-    """Ball-extension configuration; requires s = t and contraction base 2(s/r)² > 1."""
+class BallSettings:
+    """The ball a map is known on: radius R, without its centre when exclude_origin."""
 
-    params: JensenParams
-    ball_radius: float
+    radius: float
     exclude_origin: bool = False
 
     def __post_init__(self):
-        if self.params.s != self.params.t:
-            raise ConfigError("the ball extension needs s = t")
-        if not (self.ball_radius > 0.0):
-            raise ConfigError("ball_radius must be positive")
-        if not (self.base > 1.0):
-            raise ConfigError(
-                f"need 2(s/r)^2 > 1 for the extension, got base {self.base:.4f}"
-            )
+        # from 2⁻²⁵⁶ the table's knots R²·k/64 are normal floats; past 2⁵² floats
+        # near the ball's edge lie more than 1 apart, so the absolute residual
+        # test reads rounding (and an int radius runs as a numpy object array)
+        if not (2.0**-256 <= self.radius <= 2.0**52):
+            raise ConfigError(f"radius must be in [2**-256, 2**52], got {self.radius!r:.60}")
 
-    @property
-    def lam(self) -> float:
-        return self.params.s / self.params.r
 
-    @property
-    def base(self) -> float:
-        return 2.0 * self.lam**2
-
-    def default_n_max(self) -> int:
-        return int(np.ceil(40.0 / np.log2(self.base)))
+def _ball_base(params: JensenParams) -> float:
+    """The extension's contraction base 2(s/r)²; it needs s = t and a base above 1."""
+    if params.s != params.t:
+        raise ConfigError("the ball extension needs s = t")
+    base = 2.0 * (params.s / params.r) ** 2
+    if not (base > 1.0):
+        raise ConfigError(f"need 2(s/r)^2 > 1 for the extension, got base {base:.4f}")
+    return base
 
 
 @dataclass
@@ -77,8 +72,13 @@ class DecompositionResult:
 
     T_hat: FunctionModel
     b_hat: RadialTable
-    max_residual: float
+    points: np.ndarray  # (count, dim) sampled in the ball
+    residuals: np.ndarray  # (count,) ‖f − T_hat − b_hat(‖·‖²)‖ at points
     iterations: dict
+
+    @property
+    def max_residual(self) -> float:
+        return float(np.max(self.residuals)) if self.residuals.size else 0.0
 
 
 def pexider_reduction_check(f, params: JensenParams, X, Y, cand=None) -> float | list:
@@ -103,7 +103,7 @@ def pexider_reduction_check(f, params: JensenParams, X, Y, cand=None) -> float |
 def scaling_identity_check(
     f,
     params: JensenParams,
-    ball_radius: float,
+    ball: BallSettings,
     count: int,
     seed: int,
 ) -> float:
@@ -112,7 +112,7 @@ def scaling_identity_check(
     Sample radii in f.domain are capped so both x and the rescaled arguments stay inside.
     """
     r, s, t = params.r, params.s, params.t
-    cap = ball_radius * min(1.0, s / r, t / r) * (1.0 - 1e-12)
+    cap = ball.radius * min(1.0, s / r, t / r) * (1.0 - 1e-12)
     rng = rng_from(seed, "scaling-identity")
     X = sample_points(f.domain, count, [(cap * 1e-3, cap)], [rng])
     out = np.zeros(X.shape[0])
@@ -140,9 +140,10 @@ def _entry_exponents(norms: np.ndarray, base: float, radius: float) -> np.ndarra
 
 def sikorska_extend(
     f,
-    cfg: SikorskaConfig,
-    count: int = 512,
-    seed: int = 0,
+    params: JensenParams,
+    ball: BallSettings,
+    count: int,
+    seed: int,
     n_max: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> DecompositionResult:
@@ -150,12 +151,14 @@ def sikorska_extend(
 
     The odd part iterates base^n f_odd(base^{-n} x), the even part
     (2·base)^n f_even(base^{-n} x), entering the ball after n0(x) contractions.
-    b_hat tabulates the even part as a function of u = ‖x‖² on [0, R²];
-    max_residual is the sampled in-ball sup of ‖f − T_hat − b_hat(‖·‖²)‖.
+    T_hat is the odd limit at the basis vectors, a linear map; b_hat tabulates
+    the even part as a function of u = ‖x‖² on [0, R²].  The residuals
+    ‖f − T_hat − b_hat(‖·‖²)‖ are taken at count points of one sample of the
+    ball; a residual past the float range is refused.
     """
-    R, space, dim = cfg.ball_radius, f.domain, f.domain.dim
-    base = cfg.base
-    n_max = cfg.default_n_max() if n_max is None else n_max
+    R, space, dim = ball.radius, f.domain, f.domain.dim
+    base = _ball_base(params)
+    n_max = int(np.ceil(40.0 / np.log2(base))) if n_max is None else n_max
     f_odd, f_even = odd_even_split(f)
 
     def limit(part, gain, X):
@@ -171,27 +174,29 @@ def sikorska_extend(
     b_vals, b_it, _, b_conv = limit(f_even, 2.0 * base, knot_pts)
     b_vals[0] = 0.0  # b(0) = 0 by construction
     b_hat = RadialTable(knots=u_knots, values=b_vals)
+    T_vals, T_it, _, T_conv = limit(f_odd, base, np.eye(dim))  # row k: T_hat(e_k)
+    T_hat = FunctionModel(domain=space, codomain=f.codomain, linear=T_vals.T)
 
     rng = rng_from(seed, "sikorska-residual")
-    lo = R * 1e-3 if cfg.exclude_origin else 0.0
+    lo = R * 1e-3 if ball.exclude_origin else 0.0
     X = sample_points(space, count, [(lo, R * (1.0 - 1e-9))], [rng])
-    # one odd limit, rows independent: at the basis vectors (the linear part) and at X
-    vals, its, _, conv = limit(f_odd, base, np.concatenate([np.eye(dim), X]))
-    T_hat = FunctionModel(domain=space, codomain=f.codomain, linear=vals[:dim].T)
-    L_conv, T_vals, T_it, T_conv = conv[:dim], vals[dim:], its[dim:], conv[dim:]
     u = norm_many(space, X) ** 2
-    resid = norm_many(f.codomain, f.eval_many(X) - T_vals - b_hat.eval_many(u))
+    resid = norm_many(f.codomain, f.eval_many(X) - T_hat.eval_many(X) - b_hat.eval_many(u))
+    if not np.all(np.isfinite(resid)):
+        raise ConfigError("the ball residual overflows; lower ball.radius, model.linear_scale,"
+                          " model.quadratic or the perturbation amplitudes")
 
     return DecompositionResult(
         T_hat=T_hat,
         b_hat=b_hat,
-        max_residual=float(np.max(resid)) if resid.size else 0.0,
+        points=X,
+        residuals=resid,
         iterations={
-            "t_max_iterations": int(np.max(T_it)) if T_it.size else 0,
-            "b_max_iterations": int(np.max(b_it)) if b_it.size else 0,
-            "t_converged_fraction": float(np.mean(T_conv)) if T_conv.size else 1.0,
-            "b_converged_fraction": float(np.mean(b_conv)) if b_conv.size else 1.0,
-            "fit_converged": bool(np.all(L_conv)),
+            "t_max_iterations": int(np.max(T_it)),
+            "b_max_iterations": int(np.max(b_it)),
+            "t_converged_fraction": float(np.mean(T_conv)),
+            "b_converged_fraction": float(np.mean(b_conv)),
+            "fit_converged": bool(np.all(T_conv)),
             "n_max": int(n_max),
         },
     )
@@ -199,9 +204,10 @@ def sikorska_extend(
 
 def even_part_constancy_check(
     f,
-    cfg: SikorskaConfig,
-    count: int = 256,
-    seed: int = 0,
+    params: JensenParams,
+    ball: BallSettings,
+    count: int,
+    seed: int,
 ) -> float:
     """sup ‖f_e(x) − f_e(y0)‖ over witnesses y0 ⊥ x in f.domain, ‖y0‖² = λ‖x‖².
 
@@ -213,11 +219,12 @@ def even_part_constancy_check(
     space = f.domain
     if not space.has_inner_product:
         raise ConfigError("the even-part constancy check needs an inner-product space")
+    _ball_base(params)  # the extension's side conditions
     _, f_even = odd_even_split(f)
-    lam = cfg.lam
-    cap = cfg.ball_radius / max(1.0, np.sqrt(lam)) * (1.0 - 1e-9)
+    lam = params.s / params.r
+    cap = ball.radius / max(1.0, np.sqrt(lam)) * (1.0 - 1e-9)
     rng = rng_from(seed, "even-constancy")
-    lo = cap * 1e-3 if cfg.exclude_origin else cap * 1e-6
+    lo = cap * 1e-3 if ball.exclude_origin else cap * 1e-6
     X = sample_points(space, count, [(lo, cap)], [rng])
     V = unit_directions(space, count, [rng])
     # degenerate plane; any independent direction works

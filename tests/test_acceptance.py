@@ -23,7 +23,12 @@ from jensenlab.experiments import (
     run_experiment,
 )
 from jensenlab.models import FunctionModel, JensenParams
-from jensenlab.orthogonal import SikorskaConfig, scaling_identity_check, sikorska_extend
+from jensenlab.orthogonal import (
+    BallSettings,
+    _ball_base,
+    scaling_identity_check,
+    sikorska_extend,
+)
 from jensenlab.sampling import rng_from
 from jensenlab.series import (
     phi_tilde_dyadic_norms,
@@ -378,19 +383,19 @@ def test_07_orthogonal_decomposition_bounds(capsys):
 def test_08_ball_extension(capsys):
     t0 = time.perf_counter()
     f = FunctionModel(domain=E3, codomain=E1, linear=L13, quadratic=[0.3])
-    cfg = SikorskaConfig(params=JensenParams(2, 2, 2), ball_radius=1.0)
-    res = sikorska_extend(f, cfg, count=512, seed=3)
+    res = sikorska_extend(f, JensenParams(2, 2, 2), BallSettings(radius=1.0), count=512, seed=3)
     ok = np.max(np.abs(res.T_hat.linear - L13)) <= 1e-6
     ok &= np.max(np.abs(res.b_hat.values[:, 0] - 0.3 * res.b_hat.knots)) <= 1e-6
     ok &= res.iterations["fit_converged"]
 
-    slow = SikorskaConfig(params=JensenParams(4, 3, 3), ball_radius=1.0, exclude_origin=True)
+    slow = JensenParams(4, 3, 3)
     lin = FunctionModel(domain=E3, codomain=E1, linear=L13)
-    res2 = sikorska_extend(lin, slow, count=192, seed=5)
-    ok &= slow.base == 9.0 / 8.0
+    res2 = sikorska_extend(lin, slow, BallSettings(radius=1.0, exclude_origin=True),
+                           count=192, seed=5)
+    ok &= _ball_base(slow) == 9.0 / 8.0
     ok &= res2.max_residual <= 1e-5
 
-    ok &= scaling_identity_check(lin, JensenParams(4, 3, 3), 2.0, 200, seed=1) <= 1e-9
+    ok &= scaling_identity_check(lin, slow, BallSettings(radius=2.0), 200, seed=1) <= 1e-9
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0
     _verdict(
@@ -498,9 +503,8 @@ def test_10_negative_controls_and_search(capsys):
             __import__("jensenlab").PerturbationSpec(kind="bounded", amplitude=0.05, seed=3),
         ),
     )
-    prof = asymptotic_profile(
-        noisy, JensenParams(2, 1, 1), (0.5, 1.0, 2.0, 4.0, 8.0, 16.0), 200, rng_from(5, "prof")
-    )
+    shells = ShellSettings(edges=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0), samples_per_shell=200)
+    prof = asymptotic_profile(noisy, JensenParams(2, 1, 1), shells, rng_from(5, "prof"))
     ok &= not prof.is_decaying(1e-3)
     ok &= prof.sup_defect[-1] > 1e-3
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -276,6 +277,10 @@ AS_THM5_2 = {"theorem_id": "thm5_2", "params": {"r": 1, "s": 1, "t": 1},
              "control": {"kind": "constant", "epsilon": 0.3},
              "space": {"dim": 3, "norm_kind": "p_norm", "p": 3.0},
              "domain": {"kind": "orthogonal", "relation": {"kind": "birkhoff_james"}}}
+# and a thm6_2 experiment; a bounded term near the float range
+AS_THM6_2 = dict(AS_THM6_1, theorem_id="thm6_2", params={"r": 4, "s": 3, "t": 3},
+                 ball={"radius": 1.0, "exclude_origin": True})
+HUGE_NOISE = [{"kind": "bounded", "amplitude": 1e308, "seed": 3}]
 # One wrong value each in a 20-point cor2_2 config: (where, value, key that
 # stderr must name).  None of these may crash or run.
 CONFIG_PROBES = [
@@ -391,6 +396,17 @@ CONFIG_PROBES = [
     (("control", "delta"), 1e308, "control.delta"),
     ((), dict(AS_THM2_1, control={"kind": "table", "table": {
         "radii": [0.0, 8.0], "values": [1e308, 1e308], "q": 0.0}}), "control.table"),
+    # a shell defect or ball residual past the float range on the ids that
+    # measure no ε̂ (they passed on an infinite profile, or failed on an inf or
+    # NaN residual); a 1-D Euclidean norm squares values past about 1.3e154
+    ((), dict(AS_COR3_2, perturbation=HUGE_NOISE), "perturbation amplitudes"),
+    ((), dict(AS_COR3_2, model={"linear_scale": 1e308}), "model.linear_scale"),
+    ((), dict(AS_COR3_2, shells={"edges": [0, 1, 1e308], "samples_per_shell": 8}),
+     "shells.edges"),
+    ((), dict(AS_THM6_1, perturbation=HUGE_NOISE), "perturbation amplitudes"),
+    ((), dict(AS_THM6_1, codomain=_space(1), model={"quadratic": [1e200]}), "model.quadratic"),
+    ((), dict(AS_THM6_2, codomain=_space(1), model={"linear_scale": 1e200}),
+     "model.linear_scale"),
 ]
 
 
@@ -527,7 +543,7 @@ BJ_P_2000 = {"space": {"dim": 3, "norm_kind": "p_norm", "p": 2000},
 
 # pick is a node's index, or in an @example the path of a probe (() merges
 # into the experiment): the probe configs of CONFIG_PROBES above
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(derandomize=True, max_examples=2000, deadline=None)
 @given(
     base=st.sampled_from(range(len(FUZZ_BASES))),
     pick=st.integers(0, 10**6),
@@ -538,6 +554,12 @@ BJ_P_2000 = {"space": {"dim": 3, "norm_kind": "p_norm", "p": 2000},
 @example(base=0, pick=("limits", "n_max"), mutation=("set", 2**63))
 @example(base=2, pick=(), mutation=("set", BJ_P_2000))
 @example(base=2, pick=("domain", "relation", "grid"), mutation=("set", {"steps": 4096}))
+@example(base=5, pick=("perturbation", 0, "amplitude"), mutation=("set", 1e308))
+@example(base=5, pick=("model",), mutation=("set", {"linear_scale": 1e308}))
+@example(base=5, pick=("shells", "edges"), mutation=("set", [0, 1, 1e308]))
+@example(base=4, pick=(), mutation=("set", dict(AS_THM6_1, perturbation=HUGE_NOISE)))
+@example(base=4, pick=(), mutation=("set", dict(AS_THM6_1, model={"quadratic": [1e200]})))
+@example(base=4, pick=("model",), mutation=("set", {"linear_scale": 1e200}))
 def test_verify_fuzz_exit_codes(tmp_path_factory, base, pick, mutation):
     exp = json.loads(json.dumps(FUZZ_BASES[base]))
     nodes = list(_nodes(exp))
@@ -553,5 +575,9 @@ def test_verify_fuzz_exit_codes(tmp_path_factory, base, pick, mutation):
         exp.update(mutation[1])
     else:
         parent[where[-1]] = mutation[1]
-    cfg = _write_config(tmp_path_factory.mktemp("fuzz") / "c.json", exp)
-    assert main(["verify", "--config", cfg, "--out", os.devnull]) in (0, 1, 2)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg, out = _write_config(tmp / "c.json", exp), tmp / "r.json"
+    code = main(["verify", "--config", cfg, "--out", str(out)])
+    assert code in (0, 1, 2)
+    if code != 2:  # a verdict rests on a measured, finite ε
+        assert math.isfinite(json.loads(out.read_text())["epsilon_effective"])

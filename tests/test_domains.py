@@ -7,6 +7,7 @@ from jensenlab.domains import (
     ORTHOGONAL,
     PUNCTURED,
     DomainRestriction,
+    ShellSettings,
     asymptotic_profile,
     construct_z_many,
     five_inequality_margins,
@@ -351,10 +352,11 @@ def test_exterior_defect_sup_filters():
 
 class TestAsymptoticProfile:
     EDGES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+    SHELLS = ShellSettings(edges=EDGES, samples_per_shell=200)
 
     def test_exact_model_decays(self):
         f = FunctionModel(domain=E3, codomain=E2, linear=L23)
-        prof = asymptotic_profile(f, JensenParams(2, 1, 1), self.EDGES, 200, rng_from(1, "prof"))
+        prof = asymptotic_profile(f, JensenParams(2, 1, 1), self.SHELLS, rng_from(1, "prof"))
         assert prof.sup_defect.shape == (5,)
         assert prof.is_decaying(1e-9)
 
@@ -363,13 +365,23 @@ class TestAsymptoticProfile:
         f = FunctionModel(domain=E3, codomain=E2, linear=L23)
         for edges in ((-4.0, -1.0, 2.0), (-0.5, 1.0)):
             with pytest.raises(ConfigError):
-                asymptotic_profile(f, JensenParams(2, 1, 1), edges, 10, rng_from(1, "prof"))
-        prof = asymptotic_profile(f, JensenParams(2, 1, 1), (0.0, 1.0), 10, rng_from(1, "prof"))
+                ShellSettings(edges=edges, samples_per_shell=10)
+        shells = ShellSettings(edges=(0.0, 1.0), samples_per_shell=10)
+        prof = asymptotic_profile(f, JensenParams(2, 1, 1), shells, rng_from(1, "prof"))
         assert prof.sup_defect.shape == (1,)
+
+    def test_overflowing_shell_is_refused(self):
+        # a finite edge near the float range overflows the defect; the profile
+        # once passed on an infinite sup
+        f = FunctionModel(domain=E3, codomain=E2, linear=L23)
+        shells = ShellSettings(edges=(0.0, 1.0, 1e308), samples_per_shell=10)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ConfigError, match="shell defect overflows; lower shells.edges"):
+            asymptotic_profile(f, JensenParams(2, 1, 1), shells, rng_from(1, "prof"))
 
     def test_constant_noise_plateaus(self):
         f = _noisy_additive(0.2, seed=9)
-        prof = asymptotic_profile(f, JensenParams(2, 1, 1), self.EDGES, 200, rng_from(2, "prof"))
+        prof = asymptotic_profile(f, JensenParams(2, 1, 1), self.SHELLS, rng_from(2, "prof"))
         assert not prof.is_decaying(1e-3)
         assert prof.final_sup > 1e-3
 

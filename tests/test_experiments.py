@@ -463,14 +463,23 @@ class TestConfigParsing:
     (lambda: BallSettings(radius=math.inf), "radius"),
     (lambda: ShellSettings(edges=(0.5, math.inf), samples_per_shell=4), "edges"),
     (lambda: ShellSettings(edges=(0.5, 1.0, math.nan), samples_per_shell=4), "edges"),
+    (lambda: BallSettings(radius=1e308), "radius"),
+    (lambda: BallSettings(radius=1e-320), "radius"),
+    (lambda: BallSettings(radius=2**63), "radius"),
+    (lambda: ShellSettings(edges=(0.5, 1.0), samples_per_shell=0), "samples_per_shell"),
 ], ids=["space-p-inf", "space-p-nan", "control-epsilon-nan", "control-delta-inf",
         "perturbation-amplitude-nan", "perturbation-delta-inf", "tol-inf", "tol-nan",
-        "sampler-radius-inf", "ball-radius-inf", "shell-edge-inf", "shell-edge-nan"])
+        "sampler-radius-inf", "ball-radius-inf", "shell-edge-inf", "shell-edge-nan",
+        "ball-radius-1e308", "ball-radius-1e-320", "ball-radius-2**63", "shell-samples-0"])
 def test_library_specs_refuse_non_finite_values(make, key):
     """A spec built in code refuses the non-finite values that the parser's
     type layer refuses, with a message that opens with the key; the sampler,
     ball and shell bounds raise ConfigError, not numpy's OverflowError in
-    run_experiment."""
+    run_experiment.  The ball and shell specs, the only ball and shell
+    arguments of sikorska_extend and asymptotic_profile, also refuse the
+    finite radii and the count on which those functions once raised
+    OverflowError, a RadialTable ValueError, UFuncTypeError or numpy's
+    ValueError."""
     with pytest.raises(ValueError, match=f"^{key} must be"):
         make()
 

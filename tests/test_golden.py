@@ -73,6 +73,28 @@ it "recovered" the linear part to 2.8e-17, converged, although 2ⁿ·0.01
 diverges.  Its fit now diverges and the report also fails
 ``linear_recovery``.  Every other digest and verdict held.
 
+The thm6_1, thm6_2 and thm6_1-noisy digests were re-recorded once more
+when ``sikorska_extend`` came to sample the ball once: its odd limit runs
+at the basis vectors alone, and the report's rows are its residual points,
+where it evaluates f − T̂ − b̂(‖x‖²) with the fitted linear T̂, instead of a
+second ``"rows"`` sample.  So the rows, the maxima and witnesses, and
+``iterations.t_max_iterations`` (now over the basis vectors) moved, and on
+thm6_1-noisy, whose fit diverges, ``details.max_residual``.  At the same
+time the cor3_2 digest moved because its report states its profile once:
+the copies of ``decreasing`` and ``final_sup`` at the top of ``details``
+are gone, and ``details.profile`` still carries both.  Old → new:
+
+- cor3_2: 7c4cb0b1ce56fd8072818758fc201b770f72a329e834bb89e9ed6e14bb4fd38f
+  → 7bc189ecbaba33d197aaf669ece011d3a381cbcbd33a557adb44656cd58a511f
+- thm6_1: 2c556896c58e67dbb85b411fe34942a154f683df70cc01c6443abea464f6be9e
+  → bc530a3d02db0fb8d2b2c3d7d7fe99d400b52624bfd5e166d66e07b9750347f6
+- thm6_2: 75859a276d350aafc54ad6e6f3042d4e6e51540feeeb36e5207a863ffc587448
+  → 6eb68439bd75144604ab819ff81c6cddfdc31530178e81e833e10e0d4d62bf1e
+- thm6_1-noisy: 778331d4657ce95bc72970676a657f095bfb1673ea99b53762e51c4c354ad130
+  → 8134c4f57a8f992953a404cc2aa127eb550a8a2afe875a36c6efea84848e0c73
+
+Every other digest and ``VERDICTS`` held.
+
 Running this file as a script (``PYTHONPATH=src:tests python
 tests/test_golden.py``) prints ``name old new`` for every digest that no
 longer matches its table and ``verdict:name old new`` for every verdict that
@@ -265,7 +287,7 @@ DIGESTS = {
     "cor2_2-constant": "454d070c725df620d023903a8445e09cc52f21c518ad79d6ec8576b37d65c59e",
     "cor2_2-mixed": "aea8a3bb99a08e4d051a3208455bb58fd2241c6a95be1001ed308f84ec426873",
     "cor2_2-nmax7": "a11c16af10b365046991d1e0b1d27c5d9055223d7bcaaa6d0ac8163544d7ce1e",
-    "cor3_2": "7c4cb0b1ce56fd8072818758fc201b770f72a329e834bb89e9ed6e14bb4fd38f",
+    "cor3_2": "7bc189ecbaba33d197aaf669ece011d3a381cbcbd33a557adb44656cd58a511f",
     "prop4_1-mixed": "3c73d5f2d20c2d89f8e04d308a31a234206680f08b3225f71512890fd9e07ff3",
     "prop4_1-p3": "02c46f2b6a051dee783c7b78c4570e24482a318b5208ad94a1274d55b77310d0",
     "prop4_2": "7c716584ddb5555f0d419d8526c3910131f0d368c9f9d13f9c601e8842888f49",
@@ -279,13 +301,13 @@ DIGESTS = {
     "thm5_2-bj-p3": "a53018bb3a7744fb6deba35edfbaed5cca41f20690d7e4bd072dc54cca691852",
     "thm5_2-bj-sup": "3ccebc5446744957455729b56616a11b590ac020d7e5520bcbdc57d0a81de4ba",
     "thm5_2-trivial": "f1b57224e07f9ecd8db07b050724e53a188f9e0cb7bc651bda45c4ccfcb03871",
-    "thm6_1": "2c556896c58e67dbb85b411fe34942a154f683df70cc01c6443abea464f6be9e",
-    "thm6_2": "75859a276d350aafc54ad6e6f3042d4e6e51540feeeb36e5207a863ffc587448",
+    "thm6_1": "bc530a3d02db0fb8d2b2c3d7d7fe99d400b52624bfd5e166d66e07b9750347f6",
+    "thm6_2": "6eb68439bd75144604ab819ff81c6cddfdc31530178e81e833e10e0d4d62bf1e",
     "thm3_1-nmax3": "f8de55b09966bbcda15ea8c2eeb79032c39ab054f83e13385c68748e447fa1d8",
     "prop4_1-nmax3": "668cfab844d9660f80749c7f2ba5c4571f6feceebec032d4d66e12c2737c4916",
     "thm4_3-nmax3": "30c4a3b0191118b1889426207477e0bc85007cfeb0d7d7f902a1ccdd061514f4",
     "thm5_2-nmax3": "6692e10acfe1483980e1edba04834f4f9114db18ac2bf79f3a89234309987523",
-    "thm6_1-noisy": "778331d4657ce95bc72970676a657f095bfb1673ea99b53762e51c4c354ad130",
+    "thm6_1-noisy": "8134c4f57a8f992953a404cc2aa127eb550a8a2afe875a36c6efea84848e0c73",
     "thm2_1-mixed-y3": "efc7070b6ec49783a1088d658017104f5a07cd01d210fb7180fd1b8d47d86138",
     "thm4_3-ysup2": "8e59fa4174794a7491311207457d8313fdfd063c5018bd38f9f627a12d6079d5",
     "thm4_3-yp3": "528abfd001f906fc7366c018335fe6782af6032c374526b11842fdd89f18c4be",

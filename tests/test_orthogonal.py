@@ -14,7 +14,8 @@ from jensenlab.models import (
     odd_even_split,
 )
 from jensenlab.orthogonal import (
-    SikorskaConfig,
+    BallSettings,
+    _ball_base,
     even_part_constancy_check,
     pexider_reduction_check,
     scaling_identity_check,
@@ -135,18 +136,19 @@ class TestDecomposeTQ:
 def test_scaling_identity_exact_vs_broken():
     params = JensenParams(2, 3, 3)
     additive = _model()
-    assert scaling_identity_check(additive, params, 2.0, 200, seed=1) <= 1e-12
+    ball = BallSettings(radius=2.0)
+    assert scaling_identity_check(additive, params, ball, 200, seed=1) <= 1e-12
     quad = _model(quadratic=[1.0])
     # c‖x‖² violates 1-homogeneity: gap (r/s)(1 - r/s)·c‖x‖² > 0
-    assert scaling_identity_check(quad, params, 2.0, 200, seed=1) > 1e-3
+    assert scaling_identity_check(quad, params, ball, 200, seed=1) > 1e-3
 
 
 class TestSikorskaExtension:
     def test_base2_exact_recovery(self):
-        cfg = SikorskaConfig(params=JensenParams(2, 2, 2), ball_radius=1.0)
+        params = JensenParams(2, 2, 2)
         f = _model(quadratic=[0.3])
-        result = sikorska_extend(f, cfg, count=256, seed=3)
-        assert cfg.base == pytest.approx(2.0)
+        result = sikorska_extend(f, params, BallSettings(radius=1.0), count=256, seed=3)
+        assert _ball_base(params) == pytest.approx(2.0)
         assert result.max_residual <= 1e-6
         assert np.max(np.abs(result.T_hat.linear - L13)) <= 1e-6
         knots = result.b_hat.knots
@@ -155,38 +157,62 @@ class TestSikorskaExtension:
         assert result.iterations["fit_converged"]
 
     def test_punctured_slow_base(self):
-        cfg = SikorskaConfig(
-            params=JensenParams(4, 3, 3), ball_radius=1.0, exclude_origin=True
-        )
-        assert cfg.base == pytest.approx(9.0 / 8.0)
+        params = JensenParams(4, 3, 3)
+        assert _ball_base(params) == pytest.approx(9.0 / 8.0)
         f = _model()
-        result = sikorska_extend(f, cfg, count=192, seed=5)
+        ball = BallSettings(radius=1.0, exclude_origin=True)
+        result = sikorska_extend(f, params, ball, count=192, seed=5)
         assert result.max_residual <= 1e-5
         assert np.max(np.abs(result.T_hat.linear - L13)) <= 1e-5
 
     def test_rejects_bad_config(self):
-        with pytest.raises(ConfigError):
-            SikorskaConfig(params=JensenParams(1, 2, 3), ball_radius=1.0)
-        with pytest.raises(ConfigError):
+        f, ball = _model(), BallSettings(radius=1.0)
+        with pytest.raises(ConfigError, match="s = t"):
+            _ball_base(JensenParams(1, 2, 3))
+        with pytest.raises(ConfigError, match="base 0.5000"):
             # base 2(s/r)² = 1/2 is not a contraction
-            SikorskaConfig(params=JensenParams(2, 1, 1), ball_radius=1.0)
+            _ball_base(JensenParams(2, 1, 1))
+        # the ball functions refuse both through it
+        for params in (JensenParams(1, 2, 3), JensenParams(2, 1, 1)):
+            with pytest.raises(ConfigError):
+                sikorska_extend(f, params, ball, count=8, seed=0)
+            with pytest.raises(ConfigError):
+                even_part_constancy_check(f, params, ball, count=8, seed=0)
+
+    def test_overflowing_residual_is_refused(self):
+        # a 1-D Euclidean norm squares its values, so 1e200·‖x‖² leaves the float range
+        f = _model(quadratic=[1e200])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ConfigError, match="ball residual overflows"):
+            sikorska_extend(f, JensenParams(2, 2, 2), BallSettings(radius=1.0), count=16, seed=0)
+
+    def test_residual_rows_are_the_residual_sample(self):
+        f = _model(perts=(PerturbationSpec(kind=BOUNDED, amplitude=0.01, seed=3),))
+        result = sikorska_extend(f, JensenParams(2, 2, 2), BallSettings(radius=1.0),
+                                 count=40, seed=2)
+        X = result.points
+        assert X.shape == (40, 3) and np.all(norm_many(f.domain, X) < 1.0)
+        gap = f.eval_many(X) - result.T_hat.eval_many(X) - result.b_hat.eval_many(
+            norm_many(f.domain, X) ** 2)
+        assert np.array_equal(result.residuals, norm_many(E1, gap))
+        assert result.max_residual == np.max(result.residuals)
 
 
 def test_even_part_constancy():
-    cfg1 = SikorskaConfig(params=JensenParams(2, 2, 2), ball_radius=1.5)
+    ball, params1 = BallSettings(radius=1.5), JensenParams(2, 2, 2)
     additive = _model()
-    assert even_part_constancy_check(additive, cfg1, count=200, seed=2) <= 1e-12
+    assert even_part_constancy_check(additive, params1, ball, count=200, seed=2) <= 1e-12
     # lam = 1 witnesses share the radius, so c‖x‖² is constant across them
     quad = _model(quadratic=[1.0])
-    assert even_part_constancy_check(quad, cfg1, count=200, seed=2) <= 1e-9
+    assert even_part_constancy_check(quad, params1, ball, count=200, seed=2) <= 1e-9
     # lam = 3/4 shrinks the witness radius and exposes the non-constant even part
-    cfg2 = SikorskaConfig(params=JensenParams(4, 3, 3), ball_radius=1.5)
-    assert even_part_constancy_check(quad, cfg2, count=200, seed=2) > 0.1
+    params2 = JensenParams(4, 3, 3)
+    assert even_part_constancy_check(quad, params2, ball, count=200, seed=2) > 0.1
     # the witness is the inner-product sign change, so other norms are refused
     sup_quad = FunctionModel(domain=NormedSpaceSpec(3, "sup"), codomain=E1, linear=L13,
                              quadratic=[1.0])
     with pytest.raises(ConfigError, match="inner-product"):
-        even_part_constancy_check(sup_quad, cfg2, count=8, seed=2)
+        even_part_constancy_check(sup_quad, params2, ball, count=8, seed=2)
 
 
 def test_even_part_constancy_matches_row_loop(monkeypatch):
@@ -208,8 +234,8 @@ def test_even_part_constancy_matches_row_loop(monkeypatch):
     monkeypatch.setattr(orthogonal, "sample_points", points)
     monkeypatch.setattr(orthogonal, "unit_directions", directions)
     f = _model(quadratic=[1.0], perts=(PerturbationSpec(kind=BOUNDED, amplitude=0.05, seed=4),))
-    cfg = SikorskaConfig(params=JensenParams(4, 3, 3), ball_radius=1.5)
-    res = even_part_constancy_check(f, cfg, count=60, seed=3)
+    params = JensenParams(4, 3, 3)
+    res = even_part_constancy_check(f, params, BallSettings(radius=1.5), count=60, seed=3)
 
     _, f_even = odd_even_split(f)
     value = 0.0
@@ -217,7 +243,7 @@ def test_even_part_constancy_matches_row_loop(monkeypatch):
         if abs(np.dot(x, v)) > (1.0 - 1e-9) * np.linalg.norm(x) * np.linalg.norm(v):
             v = np.roll(v, 1)
         x1 = x[None, :]
-        y0 = np.sqrt(cfg.lam) * _quarter_turns(x1, v[None, :], x1)
+        y0 = np.sqrt(params.s / params.r) * _quarter_turns(x1, v[None, :], x1)
         value = max(value, float(norm_many(E1, f_even.eval_many(x1) - f_even.eval_many(y0))[0]))
     assert value > 0.1
     assert res == value
@@ -231,12 +257,11 @@ def test_bounded_noise_on_a_line_never_reads_as_converged():
     converge, and neither does the ball extension's fit of the linear part."""
     (cfg,) = parse_config({"schema_version": 1, "experiments": [GOLDEN["thm6_1-noisy"]]})
     f, _, _ = build_models(cfg)
-    scfg = SikorskaConfig(params=cfg.params, ball_radius=cfg.ball.radius)
-    e1 = np.eye(f.domain.dim)[:1]
-    n0 = orthogonal._entry_exponents(norm_many(f.domain, e1), scfg.base, scfg.ball_radius)
-    args = (1.0 / scfg.base, scfg.base, scfg.default_n_max(), cfg.limits.tol)
+    result = sikorska_extend(f, cfg.params, cfg.ball, count=cfg.sampler.count,
+                             seed=cfg.sampler.seed, tol=cfg.limits.tol)
+    assert result.iterations["fit_converged"] is False
+    base, e1 = _ball_base(cfg.params), np.eye(f.domain.dim)[:1]
+    n0 = orthogonal._entry_exponents(norm_many(f.domain, e1), base, cfg.ball.radius)
+    args = (1.0 / base, base, result.iterations["n_max"], cfg.limits.tol)
     assert limit_one_at_a_time(OddPart(f), e1[0], *args, int(n0[0]))[3]
     assert not power_limit_many(OddPart(f), e1, *args, n_start=n0)[3][0]
-    result = sikorska_extend(f, scfg, count=cfg.sampler.count, seed=cfg.sampler.seed,
-                             tol=cfg.limits.tol)
-    assert result.iterations["fit_converged"] is False
