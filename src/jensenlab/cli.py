@@ -10,7 +10,7 @@ verify --format csv writes a cor3_2 report as its shell-by-shell profile.
 
 Exit status: 0 when every requested check passes, 1 when a check fails,
 2 for configuration or usage errors.  verify names the failed checks of
-each failing report on stderr.
+each failing report on stderr, each with its value and limit.
 """
 
 from __future__ import annotations
@@ -68,6 +68,13 @@ def _select(configs, theorem: str | None):
     return chosen
 
 
+def _check_text(c: dict) -> str:
+    """A failed check as ``name (value > limit)``, ``!=`` for a limit it must equal (a bool)."""
+    value, limit = (format(v, ".6g") if isinstance(v, float) else json.dumps(v)
+                    for v in (c["value"], c["limit"]))
+    return f"{c['name']} ({value} {'!=' if isinstance(c['limit'], bool) else '>'} {limit})"
+
+
 def _cmd_verify(args) -> int:
     if args.format == "csv" and args.timing:
         raise ConfigError("--timing needs --format json; csv output has no runtime block")
@@ -83,7 +90,8 @@ def _cmd_verify(args) -> int:
         _write(emit_reports(reports, args.timing), args.out)
     for r in reports:
         status = "pass" if r.passed else "FAIL"
-        failed = f"; failed: {', '.join(r.failed_checks)}" if r.failed_checks else ""
+        failed = ", ".join(_check_text(c) for c in r.details["checks"] if not c["passed"])
+        failed = f"; failed: {failed}" if failed else ""
         print(
             f"{r.theorem_id}: {status} (max_ratio {r.max_ratio:.6g}, "
             f"eps_eff {r.epsilon_effective:.6g}{failed})",

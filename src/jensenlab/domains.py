@@ -26,6 +26,7 @@ from .spaces import (
     ConfigError,
     NormedSpaceSpec,
     OrthogonalityRelation,
+    _check_floats,
     as_batch,
     norm_many,
 )
@@ -149,8 +150,7 @@ class ShellSettings:
             raise ConfigError("edges must be >= 0 and strictly increasing, length >= 2")
         if not all(math.isfinite(e) for e in self.edges):
             raise ConfigError(f"edges must be finite, got {self.edges}")
-        if self.samples_per_shell < 1:
-            raise ConfigError("samples_per_shell must be >= 1")
+        _check_floats(("samples_per_shell", self.samples_per_shell))
 
 
 @dataclass
@@ -185,8 +185,11 @@ class ShellProfile:
 def asymptotic_profile(f, params: JensenParams, shells: ShellSettings, rng) -> ShellProfile:
     """Defect sup per shell of ‖x‖ + ‖y‖ in f.domain; diagnoses decay toward additivity.
 
-    A sup past the float range is refused.
+    A sup past the float range is refused, and a shell's pairs or defects past
+    the size ceiling before they are drawn.
     """
+    _check_floats(("samples_per_shell", shells.samples_per_shell),
+                  ("dim", max(f.domain.dim, f.codomain.dim)))
     edges = np.asarray(shells.edges, dtype=np.float64)
     sups = np.empty(edges.size - 1)
     for k in range(sups.size):
@@ -194,5 +197,5 @@ def asymptotic_profile(f, params: JensenParams, shells: ShellSettings, rng) -> S
         sups[k] = float(np.max(jensen_defect_many(f, f, f, params, X, Y)))
     if not np.all(np.isfinite(sups)):
         raise ConfigError("the shell defect overflows; lower shells.edges, model.linear_scale,"
-                          " model.quadratic or the perturbation amplitudes")
+                          " model.quadratic, the perturbation amplitudes or perturbation[].delta")
     return ShellProfile(shells=shells, sup_defect=sups)

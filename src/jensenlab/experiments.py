@@ -10,9 +10,9 @@ a pure function of its config: reports are byte-identical across repeats.
 
 One _THEOREMS entry per theorem id says how it is checked and validated.
 The seven limit theorems share one run path; cor3_2 (a shell profile) and
-thm6_1/thm6_2 (a ball extension) name runners of their own.  A report passes
-when max_ratio <= 1 and every named check holds; failed_checks names the
-failed ones, outside the canonical JSON.
+thm6_1/thm6_2 (a ball extension) name runners of their own.  Each pass/fail
+condition is one record in details["checks"] (_finish), max_ratio <= 1 first;
+a report passes when every one holds, and failed_checks names the others.
 
 Supported theorem ids:
 
@@ -30,6 +30,7 @@ Supported theorem ids:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
@@ -105,11 +106,12 @@ from .spaces import (
     ConfigError,
     NormedSpaceSpec,
     OrthogonalityRelation,
+    _check_floats,
     norm_many,
 )
 
 CONFIG_SCHEMA_VERSION = 1
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 REPORT_TOL = 1e-7  # relative slack on max_ratio <= 1
 
 
@@ -189,18 +191,15 @@ class ExperimentConfig:
             if not (0.0 < getattr(self, name) < math.inf):
                 raise ConfigError(f"{name} must be positive and finite")
         m, dim, codim = self.model, self.space.dim, self.codomain.dim
-        # One size ceiling, naming the larger factor: no array of a run (points,
-        # pairs or one shell's pairs × space.dim or codomain.dim, and the linear
-        # part) holds over 2**28 floats.
+        # no array of a run (points, pairs or one shell's pairs × space.dim or
+        # codomain.dim, and the linear part) holds over 2**28 floats
         size = {"sampler.count": self.sampler.count, "sampler.pair_count": self.sampler.pairs,
                 "shells.samples_per_shell": self.shells.samples_per_shell if self.shells else 0}
         points = max(size, key=size.get)
         size |= {"space.dim": dim, "codomain.dim": codim}
         for a, b in ((points, "space.dim"), (points, "codomain.dim"),
                      ("codomain.dim", "space.dim")):
-            if size[a] * size[b] > 2**28:
-                raise ConfigError(f"{max(a, b, key=size.get)} is too large: {a} × {b} is"
-                                  f" {size[a] * size[b]} floats, past the ceiling of 2**28")
+            _check_floats((a, size[a]), (b, size[b]))
         if m.linear is not None and np.shape(m.linear) != (codim, dim):
             raise ConfigError(f"model.linear must be {codim} x {dim}")
         if m.quadratic is not None and np.shape(m.quadratic) != (codim,):
@@ -340,7 +339,7 @@ def measure_epsilon(cfg, f, g, h, X, Y):
         nonconst = control_phi_norms(part, norm_many(c.space, X), norm_many(c.space, Y) * scale_y)
     if not np.all(np.isfinite(defects)):
         raise ConfigError("the sampled Jensen defect overflows; lower sampler.radius_range, "
-                          "model.linear_scale or the perturbation amplitudes")
+                          "model.linear_scale, the perturbation amplitudes or perturbation[].delta")
     if not np.all(np.isfinite(nonconst)):
         raise ConfigError("control: its part overflows at the sampled pairs; lower control.delta"
                           " or the control.table values")
@@ -378,14 +377,32 @@ class _Rows:
         return [{"x": x, "role": r, "deviation": d, "bound": b, "ratio": q}
                 for x, r, d, b, q in zip(*cols)]
 
+    def digests(self) -> dict:
+        """The report's samples block: the row count, the points of each worst
+        role, and each column's sha256, the roles' over their names joined by
+        "\\n" (the rows themselves are the CSV's)."""
+        counts = np.bincount(self.role, minlength=len(self.roles)).tolist()
+        names = "\n".join(self.roles[k] for k in self.role.tolist()).encode()
+        return {"count": len(self), "roles": dict(zip(self.roles, counts)), "sha256": {
+            "bound": _sha256(self.bound), "deviation": _sha256(self.deviation),
+            "ratio": _sha256(self.ratio), "role": hashlib.sha256(names).hexdigest(),
+            "x": _sha256(self.X)}}
+
+
+def _sha256(col: np.ndarray) -> str:
+    """sha256 of a float column's little-endian float64 bytes, row-major, every
+    NaN the canonical quiet NaN (as float("nan") reads back from the CSV)."""
+    col = np.where(np.isnan(col), np.nan, col).astype("<f8", copy=False)
+    return hashlib.sha256(col.tobytes()).hexdigest()
+
 
 _NO_ROWS = _Rows(np.empty((0, 0)), (), np.empty(0, int), np.empty(0), np.empty(0), np.empty(0))
 
 
 @dataclass
 class StabilityReport:
-    """One config's verdict.  config, the config's canonical dict, is written
-    from cfg when it is first read."""
+    """One config's verdict, read from its check records.  config, the
+    config's canonical dict, is written from cfg when it is first read."""
 
     theorem_id: str
     cfg: ExperimentConfig
@@ -393,21 +410,27 @@ class StabilityReport:
     bound_value: float
     max_deviation: float
     max_ratio: float
-    passed: bool
     witnesses: list
     samples: _Rows
-    details: dict
+    details: dict  # details["checks"]: the check records, which decide the verdict
     iterations: dict
     runtime: dict | None = None
-    failed_checks: tuple = ()  # names of the checks that failed; not emitted
 
     @cached_property
     def config(self) -> dict:
         return config_to_dict(self.cfg)
 
+    @property
+    def failed_checks(self) -> tuple:
+        return tuple(c["name"] for c in self.details["checks"] if not c["passed"])
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed_checks
+
     def to_dict(self, include_runtime: bool = False) -> dict:
-        """The report as emit_report writes it: samples as columns, the numeric
-        ones numpy arrays, and every non-finite float spelled by _spelled."""
+        """The report as emit_report writes it: samples as their digests
+        (_Rows.digests), and every non-finite float spelled by _spelled."""
         head = {
             "schema_version": REPORT_SCHEMA_VERSION,
             "theorem_id": self.theorem_id,
@@ -420,30 +443,22 @@ class StabilityReport:
             "witnesses": self.witnesses,
             "details": self.details,
             "iterations": self.iterations,
+            "samples": self.samples.digests(),
         }
         if include_runtime and self.runtime is not None:
             head["runtime"] = self.runtime
-        rows = self.samples
-        return _spelled(head) | {"samples": {
-            "bound": _spelled(rows.bound), "deviation": _spelled(rows.deviation),
-            "ratio": _spelled(rows.ratio), "role": [rows.roles[k] for k in rows.role.tolist()],
-            "x": _spelled(rows.X),
-        }}
+        return _spelled(head)
 
 
 def _spelled(o):
     """o for orjson, which writes a non-finite float as null: such a float
-    becomes the string "inf", "-inf" or "nan", in dicts and lists too.  An
-    array stays a C-contiguous array unless it holds one; then it is a list."""
+    becomes the string "inf", "-inf" or "nan", in dicts and lists too."""
     if isinstance(o, (float, np.floating)):
         return o if math.isfinite(o) else str(float(o))
     if isinstance(o, dict):
         return {k: _spelled(v) for k, v in o.items()}
     if isinstance(o, (list, tuple)):
         return [_spelled(v) for v in o]
-    if isinstance(o, np.ndarray):
-        o = np.ascontiguousarray(o)
-        return o if o.dtype.kind != "f" or np.isfinite(o).all() else _spelled(o.tolist())
     return o
 
 
@@ -503,7 +518,7 @@ def emit_report(report: StabilityReport, fmt: str = "json", include_runtime: boo
 
 
 def emit_reports(reports: list, include_runtime: bool = False) -> str:
-    """Several reports as one JSON payload ``{"schema_version": 2, "reports": [...]}``."""
+    """Several reports as one JSON payload ``{"schema_version": 3, "reports": [...]}``."""
     obj = {"schema_version": REPORT_SCHEMA_VERSION,
            "reports": [r.to_dict(include_runtime) for r in reports]}
     return orjson.dumps(obj, option=_JSON_OPTIONS).decode() + "\n"
@@ -730,17 +745,11 @@ def _exterior_chain(b: _Batch, runs: list) -> list:
         b.f, b.params, Xi, Yi, Z, np.repeat(np.arange(K), m))[:2])
     chain_max, direct_max = chain.max(axis=1), direct.max(axis=1)
     violations = np.sum(direct > chain + 1e-12 * np.maximum(1.0, chain_max)[:, None], axis=1)
-    return [({
-        "five_inequality_failures": nf,
-        "direct_exceeds_chain": nv,
-        "interior_defect_max": dm,
-        "interior_defect_bound": 5.0 * k.eps,
-        "interior_pairs": m,
-        "chain_defect_max": cm,
-    }, [
-        ("five_inequalities", nf == 0),
-        ("direct_within_chain", nv == 0),
-        ("interior_defect", dm <= 5.0 * k.eps * (1.0 + REPORT_TOL) + 1e-12),
+    return [({"interior_pairs": m, "chain_defect_max": cm}, [
+        {"name": "five_inequalities", "value": nf, "limit": 0, "passed": nf == 0},
+        {"name": "direct_within_chain", "value": nv, "limit": 0, "passed": nv == 0},
+        {"name": "interior_defect", "value": dm, "limit": 5.0 * k.eps,
+         "passed": dm <= 5.0 * k.eps * (1.0 + REPORT_TOL) + 1e-12},
     ]) for k, nf, nv, dm, cm in zip(runs, failures.tolist(), violations.tolist(),
                                     direct_max.tolist(), chain_max.tolist())]
 
@@ -768,11 +777,11 @@ def _run_cor3_2(cfg: ExperimentConfig):
         f, _, _ = build_models(cfg)
         prof = asymptotic_profile(f, cfg.params, cfg.shells, rng_from(cfg.sampler.seed, "shells"))
     decays = prof.is_decaying(cfg.decay_tol)
-    details = {"profile": prof.to_dict(), "decays": decays, "expected_decay": cfg.expected_decay}
     rows = (_NO_ROWS, prof.final_sup, cfg.decay_tol, 0.0, [])
     meta = _limit_meta(np.empty((0, 1, 0)), np.empty((0, 1, 0), bool))[0][0]
-    return _finish(cfg, prof.final_sup, rows, details, meta,
-                   [("decay_verdict", decays == cfg.expected_decay)])
+    return _finish(cfg, prof.final_sup, rows, {"profile": prof.to_dict()}, meta, [
+        {"name": "decay_verdict", "value": decays, "limit": cfg.expected_decay,
+         "passed": decays == cfg.expected_decay}])
 
 
 def _run_sikorska(cfg: ExperimentConfig):
@@ -788,8 +797,6 @@ def _run_sikorska(cfg: ExperimentConfig):
             "base": _ball_base(cfg.params),
             "ball_radius": ball.radius,
             "exclude_origin": ball.exclude_origin,
-            "max_residual": result.max_residual,
-            "linear_recovery_error": float(np.max(np.abs(result.T_hat.linear - f.linear))),
             "scaling_identity_sup": scaling_identity_check(
                 f, cfg.params, ball, min(cfg.sampler.count, 256), derive_seed(seed, 7)),
         }
@@ -799,12 +806,12 @@ def _run_sikorska(cfg: ExperimentConfig):
     bounds = np.full(len(result.residuals), cfg.residual_tol)
     (rows,) = _assemble_rows(result.points, ("extension",), result.residuals[None],
                              bounds[None], cfg.limits.tol, 1)
-    checks = [
-        ("residual", result.max_residual <= cfg.residual_tol),
-        ("linear_recovery",
-         details["linear_recovery_error"] <= max(cfg.residual_tol, 1e-6)),
-    ]
-    return _finish(cfg, 0.0, rows, details, dict(result.iterations), checks)
+    res, tol = result.max_residual, cfg.residual_tol
+    fit, fit_tol = float(np.max(np.abs(result.T_hat.linear - f.linear))), max(tol, 1e-6)
+    return _finish(cfg, 0.0, rows, details, dict(result.iterations), [
+        {"name": "residual", "value": res, "limit": tol, "passed": res <= tol},
+        {"name": "linear_recovery", "value": fit, "limit": fit_tol, "passed": fit <= fit_tol},
+    ])
 
 
 @dataclass(frozen=True)
@@ -825,7 +832,7 @@ class _Theorem:
     deviation(b), bound(k)) per compared role: the deviations at all of X0,
     the bound at one config's points (k its _Run).  extras(b, runs) ->
     [(details, checks)], one per config (runs: each config's _Run), adds
-    report details and named (name, passed) checks.
+    report details and check records ({"name", "value", "limit", "passed"}).
     """
 
     domain: str
@@ -956,19 +963,20 @@ def _run_limit_theorem(cfgs: list, thm: _Theorem) -> list:
     for i, (k, (details, checks)) in enumerate(zip(runs, extras)):
         details["hypothesis_witness"] = wits[i]
         details["pair_count"] = m
-        if diverged[i]:
-            details["diverged_points"] = diverged[i]
-        checks.append(("converged", diverged[i] == 0))
+        checks.append({"name": "converged", "value": diverged[i], "limit": 0,
+                       "passed": diverged[i] == 0})
         reports.append(_finish(k.cfg, eps[i], rows[i], details, metas[i], checks))
     return reports
 
 
 def _finish(cfg, eps_hat, rows, details, iterations, checks) -> StabilityReport:
-    """The report of cfg's _assemble_rows result; it passes when max_ratio
-    <= 1 (within REPORT_TOL) and every named (name, passed) check holds."""
+    """The report of cfg's _assemble_rows result.  details["checks"] gets the
+    check records, max_ratio <= 1 (within REPORT_TOL) first; they decide the
+    verdict.  A record's limit is the bound its value is held to; its verdict
+    may allow a slack past it (REPORT_TOL)."""
     samples, max_dev, bound_value, max_ratio, wits = rows
-    checks = [("max_ratio", max_ratio <= 1.0 + REPORT_TOL), *checks]
-    failed = tuple(name for name, ok in checks if not ok)
+    details["checks"] = [{"name": "max_ratio", "value": max_ratio, "limit": 1.0,
+                          "passed": max_ratio <= 1.0 + REPORT_TOL}, *checks]
     return StabilityReport(
         theorem_id=cfg.theorem_id,
         cfg=cfg,
@@ -976,12 +984,10 @@ def _finish(cfg, eps_hat, rows, details, iterations, checks) -> StabilityReport:
         bound_value=float(bound_value),
         max_deviation=float(max_dev),
         max_ratio=float(max_ratio),
-        passed=not failed,
         witnesses=wits,
         samples=samples,
         details=details,
         iterations=iterations,
-        failed_checks=failed,
     )
 
 

@@ -31,6 +31,7 @@ from .sampling import rng_from, sample_points, unit_directions
 from .series import DEFAULT_TOL, power_limit_many
 from .spaces import (
     ConfigError,
+    _check_floats,
     _quarter_turns,
     _rowdot,
     as_batch,
@@ -154,9 +155,11 @@ def sikorska_extend(
     T_hat is the odd limit at the basis vectors, a linear map; b_hat tabulates
     the even part as a function of u = ‖x‖² on [0, R²].  The residuals
     ‖f − T_hat − b_hat(‖·‖²)‖ are taken at count points of one sample of the
-    ball; a residual past the float range is refused.
+    ball; a residual past the float range is refused, and a sample past the
+    size ceiling before any limit runs.
     """
     R, space, dim = ball.radius, f.domain, f.domain.dim
+    _check_floats(("count", count), ("dim", max(dim, f.codomain.dim)))
     base = _ball_base(params)
     n_max = int(np.ceil(40.0 / np.log2(base))) if n_max is None else n_max
     f_odd, f_even = odd_even_split(f)
@@ -184,7 +187,7 @@ def sikorska_extend(
     resid = norm_many(f.codomain, f.eval_many(X) - T_hat.eval_many(X) - b_hat.eval_many(u))
     if not np.all(np.isfinite(resid)):
         raise ConfigError("the ball residual overflows; lower ball.radius, model.linear_scale,"
-                          " model.quadratic or the perturbation amplitudes")
+                          " model.quadratic, the perturbation amplitudes or perturbation[].delta")
 
     return DecompositionResult(
         T_hat=T_hat,

@@ -32,7 +32,8 @@ its plane (_quarter_turns), and one batched bisection serves all trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,6 +59,22 @@ _TIE_RTOL = 1e-12
 
 class ConfigError(ValueError):
     """The one class of refused input, in every module; any other exception is a bug."""
+
+
+def _check_floats(*factors) -> None:
+    """The one size ceiling: refuse an array of more than 2**28 floats before it is built.
+
+    factors are (name, count) pairs whose product is the array's size; each
+    count must be an integer >= 1, not a bool.  The message names the largest
+    factor, the first of equal ones.
+    """
+    for name, n in factors:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {n!r:.60}")
+    if (size := math.prod(int(n) for _, n in factors)) > 2**28:
+        raise ConfigError(f"{max(factors, key=lambda f: f[1])[0]} is too large: "
+                          f"{' × '.join(name for name, _ in factors)} is {size} floats,"
+                          " past the ceiling of 2**28")
 
 
 @dataclass(frozen=True)
@@ -369,20 +386,9 @@ class AxiomReport:
         return all(r.passed for r in self.results.values())
 
     def to_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "space": self.space.to_dict(),
-            "results": {
-                name: {
-                    "passed": r.passed,
-                    "trials": r.trials,
-                    "failures": r.failures,
-                    "counterexample": r.counterexample,
-                }
-                for name, r in sorted(self.results.items())
-            },
-            "all_passed": self.all_passed,
-        }
+        return {"relation": self.relation, "space": self.space.to_dict(),
+                "results": {name: asdict(r) for name, r in sorted(self.results.items())},
+                "all_passed": self.all_passed}
 
 
 def _rng(seed: int, salt: int) -> np.random.Generator:
@@ -436,16 +442,12 @@ def check_ratz_axioms(
     (James, Trans. AMS 1947), and the scalar is_orthogonal checks each
     witness.
     Deterministic given the seed.  O2-O4 are vacuous on a line, so the space
-    needs dimension at least 2; trials × dim is held to the configs' ceiling of
-    2**28 floats, before any array is built.
+    needs dimension at least 2; dim × trials is held to the one ceiling of
+    2**28 floats (_check_floats), before any array is built.
     """
     if space.dim < 2:
         raise ConfigError(f"dim must be >= 2 (O2-O4 are vacuous on a line), got {space.dim}")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    if (size := trials * space.dim) > 2**28:
-        raise ConfigError(f"{'dim' if space.dim >= trials else 'trials'} is too large:"
-                          f" trials × dim is {size} floats, past the ceiling of 2**28")
+    _check_floats(("dim", space.dim), ("trials", trials))
     results = {}
 
     X1 = _random_points(space, _rng(seed, 101), trials)

@@ -1,8 +1,11 @@
 """Reference renderings and per-config report code the report tests compare the library against."""
 
 import csv
+import hashlib
 import io
+import math
 import re
+import struct
 
 import numpy as np
 
@@ -30,6 +33,27 @@ def csv_by_repr(report) -> str:
                   float(rows.ratio[i])]
         w.writerow([report.theorem_id, i, rows.roles[rows.role[i]], *map(repr, floats)])
     return buf.getvalue()
+
+
+def float_digest(values) -> str:
+    """sha256 of floats packed as little-endian doubles, every NaN as float("nan")."""
+    values = [math.nan if v != v else v for v in values]
+    return hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
+
+
+def sample_digests(text: str) -> dict:
+    """The schema-3 ``samples.sha256`` block recomputed from a report's CSV
+    (``emit_report(report, fmt="csv")``): x row-major, roles joined by "\\n".
+    A shell profile's CSV holds no sample rows."""
+    head, *body = csv.reader(io.StringIO(text))
+    if head[0] != "theorem_id":
+        head, body = ["theorem_id", "index", "role", "deviation", "bound", "ratio"], []
+    col = {key: [row[i] for row in body] for i, key in enumerate(head)}
+    xs = [i for i, key in enumerate(head) if re.fullmatch(r"x\d+", key)]
+    out = {key: float_digest(map(float, col[key])) for key in ("bound", "deviation", "ratio")}
+    out["x"] = float_digest(float(row[i]) for row in body for i in xs)
+    out["role"] = hashlib.sha256("\n".join(col["role"]).encode()).hexdigest()
+    return out
 
 
 def assemble_rows(X, role_data, tol):

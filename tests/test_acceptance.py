@@ -210,12 +210,12 @@ def test_03_exterior_domain_sweep(capsys):
     t0 = time.perf_counter()
     jsons, reports = _run_exterior_suite()
     _CACHE["exterior_jsons"] = jsons
-    ineq_failures = sum(r.details["five_inequality_failures"] for r in reports)
+    checks = [{c["name"]: c for c in r.details["checks"]} for r in reports]
+    ineq_failures = sum(c["five_inequalities"]["value"] for c in checks)
     pair_ok = all(r.details["interior_pairs"] == 10000 for r in reports)
     interior_ok = all(
-        r.details["interior_defect_max"]
-        <= r.details["interior_defect_bound"] * (1.0 + REL_TOL)
-        for r in reports
+        c["interior_defect"]["value"] <= c["interior_defect"]["limit"] * (1.0 + REL_TOL)
+        for c in checks
     )
     failed = sum(not r.passed for r in reports)
     elapsed = time.perf_counter() - t0

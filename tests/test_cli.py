@@ -105,7 +105,7 @@ def test_verify_multi_experiment_bytes(tmp_path):
     reports = [run_experiment(c) for c in load_config(cfg)]
     assert out.read_text() == emit_reports(reports)
     doc = json.loads(out.read_text())
-    assert doc == {"schema_version": 2, "reports": [json.loads(emit_report(r)) for r in reports]}
+    assert doc == {"schema_version": 3, "reports": [json.loads(emit_report(r)) for r in reports]}
 
 
 def test_verify_theorem_filter_and_csv(tmp_path):
@@ -140,22 +140,27 @@ def test_verify_reports_violation(tmp_path, capsys):
     )
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
-    assert "cor3_2: FAIL" in err and "; failed: decay_verdict)" in err
+    assert "cor3_2: FAIL" in err and "; failed: decay_verdict (false != true))" in err
 
 
 # The failing golden configs and the checks each one fails, as their verdicts record them.
-FAILED_CHECKS = {name: ", ".join(failed) for name, (passed, failed) in VERDICTS.items()
-                 if not passed}
+FAILED_CHECKS = {name: failed for name, (passed, failed) in VERDICTS.items() if not passed}
 
 
 @pytest.mark.parametrize("name", sorted(FAILED_CHECKS))
 def test_verify_names_failed_checks(tmp_path, capsys, name):
+    """The stderr line names each failed check with its value and limit, read
+    from the report's check records."""
+    out = tmp_path / "r.json"
     cfg = _write_config(tmp_path / "c.json", GOLDEN[name])
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     tid = GOLDEN[name]["theorem_id"]
+    failed = [c for c in json.loads(out.read_text())["details"]["checks"] if not c["passed"]]
+    assert tuple(c["name"] for c in failed) == FAILED_CHECKS[name]
+    named = ", ".join(f"{c['name']} ({c['value']:.6g} > {c['limit']:.6g})" for c in failed)
     assert err.startswith(f"{tid}: FAIL (max_ratio ")
-    assert err.endswith(f"; failed: {FAILED_CHECKS[name]})\n")
+    assert err.endswith(f"; failed: {named})\n")
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -394,6 +399,8 @@ CONFIG_PROBES = [
      "domain.relation.tolerance"),
     # a control part past the float range at the sampled pairs
     (("control", "delta"), 1e308, "control.delta"),
+    # a power perturbation whose defect passes the float range names its key
+    (("perturbation", 1, "delta"), 1e308, "perturbation[].delta"),
     ((), dict(AS_THM2_1, control={"kind": "table", "table": {
         "radii": [0.0, 8.0], "values": [1e308, 1e308], "q": 0.0}}), "control.table"),
     # a shell defect or ball residual past the float range on the ids that

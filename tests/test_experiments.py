@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -8,9 +9,9 @@ import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jensenlab import experiments
+from jensenlab import domains, experiments, orthogonal
 from jensenlab.control import ControlFunctionSpec, RadialControlTable
-from jensenlab.domains import DomainRestriction
+from jensenlab.domains import DomainRestriction, asymptotic_profile
 from jensenlab.experiments import (
     BallSettings,
     ConfigError,
@@ -29,8 +30,9 @@ from jensenlab.experiments import (
     parse_config,
     run_experiment,
 )
-from jensenlab.models import JensenParams, PerturbationSpec
-from report_reference import csv_by_repr
+from jensenlab.models import FunctionModel, JensenParams, PerturbationSpec
+from jensenlab.orthogonal import sikorska_extend
+from report_reference import csv_by_repr, float_digest
 from jensenlab.sampling import rng_from, sample_pairs
 from jensenlab.series import cor22_bound_norms
 from jensenlab.models import jensen_defect_many
@@ -542,6 +544,36 @@ def test_code_built_configs_refuse_sizes_past_the_ceiling(make, key):
     assert replace(cfg, sampler=replace(cfg.sampler, count=2**28 // cfg.space.dim, pair_count=1))
 
 
+class _NoNumpy:
+    """Stands in for a module's numpy: any use of it is an array built too early."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached before the size ceiling")
+
+
+@pytest.mark.parametrize("call, key", [
+    (lambda f: asymptotic_profile(f, JensenParams(2, 1, 1), ShellSettings(
+        edges=(0.0, 1.0), samples_per_shell=2**63), rng_from(1, "shells")),
+     "^samples_per_shell is too large"),
+    # a count the spec admits, past the ceiling only in pairs × dim
+    (lambda f: asymptotic_profile(f, JensenParams(2, 1, 1), ShellSettings(
+        edges=(0.0, 1.0), samples_per_shell=2**28), rng_from(1, "shells")),
+     "^samples_per_shell is too large: samples_per_shell × dim"),
+    (lambda f: sikorska_extend(f, JensenParams(2, 2, 2), BallSettings(1.0), 2**40, 1),
+     "^count is too large: count × dim"),
+    (lambda f: ShellSettings(edges=(0.0, 1.0), samples_per_shell=True),
+     "^samples_per_shell must be an integer >= 1, got True"),
+], ids=["profile-2**63", "profile-2**28", "sikorska-2**40", "shells-bool"])
+def test_own_runners_refuse_sizes_past_the_ceiling(monkeypatch, call, key):
+    """The ball extension and the shell profile hold the configs' one size
+    ceiling, and a shell count refuses a bool, before any array is built."""
+    f = FunctionModel(domain=E2, codomain=euclidean_space(1), linear=np.ones((1, 2)))
+    for module in (domains, orthogonal):
+        monkeypatch.setattr(module, "np", _NoNumpy())
+    with pytest.raises(ConfigError, match=key):
+        call(f)
+
+
 @pytest.mark.parametrize("kind, key, value", [
     ("bounded", "delta", 0.7), ("bounded", "p", 0.5), ("decay", "delta", 0.1),
     ("decay", "p", 0.5), ("power", "amplitude", 0.05),
@@ -645,7 +677,8 @@ def test_diverged_points_count_points():
     cfg = _cfg("thm5_2", limits=experiments.LimitSettings(n_max=3))
     rep = run_experiment(cfg)
     assert rep.failed_checks == ("converged",) and not rep.passed
-    assert rep.details["diverged_points"] == cfg.sampler.count
+    assert _check_of(rep, "converged") == {
+        "name": "converged", "value": cfg.sampler.count, "limit": 0, "passed": False}
     assert rep.iterations["converged_fraction"] == 0.0
 
 
@@ -669,7 +702,14 @@ def test_cor3_2_decay_verdict_for_exact_model():
     )
     rep = run_experiment(cfg)
     assert rep.passed
-    assert rep.details["decays"] is True
+    assert _check_of(rep, "decay_verdict") == {
+        "name": "decay_verdict", "value": True, "limit": True, "passed": True}
+
+
+def _check_of(rep, name):
+    """The report's check record of that name."""
+    (check,) = [c for c in rep.details["checks"] if c["name"] == name]
+    return check
 
 
 def _assert_same_floats(got, want):
@@ -685,14 +725,20 @@ def _assert_same_floats(got, want):
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
-def _assert_columns(doc, rows):
-    """A parsed report's samples hold rows' columns, x as a list of rows."""
-    cols = doc["samples"]
-    assert sorted(cols) == ["bound", "deviation", "ratio", "role", "x"]
-    for key, want in (("bound", rows.bound), ("deviation", rows.deviation),
-                      ("ratio", rows.ratio), ("x", rows.X)):
-        _assert_same_floats(cols[key], want)
-    assert cols["role"] == [rows.roles[k] for k in rows.role.tolist()]
+def _assert_digests(doc, rows):
+    """A parsed report's samples pin rows: the count, the points per worst
+    role, and each column's digest, that of the column with every NaN made
+    canonical (x row-major)."""
+    names = [rows.roles[k] for k in rows.role.tolist()]
+    assert doc["samples"] == {
+        "count": len(names),
+        "roles": {role: names.count(role) for role in rows.roles},
+        "sha256": {"bound": float_digest(rows.bound.tolist()),
+                   "deviation": float_digest(rows.deviation.tolist()),
+                   "ratio": float_digest(rows.ratio.tolist()),
+                   "role": hashlib.sha256("\n".join(names).encode()).hexdigest(),
+                   "x": float_digest(rows.X.ravel().tolist())},
+    }
 
 
 def _assert_canonical(text):
@@ -711,9 +757,9 @@ def test_report_json_round_trip_and_determinism():
     _assert_canonical(js1)
     doc = json.loads(js1)
     assert "runtime" not in doc
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["pass"] is True
-    _assert_columns(doc, rep1.samples)
+    _assert_digests(doc, rep1.samples)
     assert doc["witnesses"] == rep1.witnesses
 
 
@@ -725,6 +771,27 @@ EDGE_FLOATS = [
 ]
 
 
+# a failed check record, its value NaN, for reports built in a test
+FAILED = {"name": "max_ratio", "value": math.nan, "limit": 1.0, "passed": False}
+PASSED = {"name": "max_ratio", "value": 0.0, "limit": 1.0, "passed": True}
+
+
+def _spelled(check):
+    return {k: "nan" if isinstance(v, float) and math.isnan(v) else v for k, v in check.items()}
+
+
+def _count_digits(text):
+    """The digits of a report's row count and role counts."""
+    samples = json.loads(text)["samples"]
+    return sum(len(str(n)) for n in [samples["count"], *samples["roles"].values()])
+
+
+def _head_rows(rows, n):
+    """The first n of rows."""
+    return experiments._Rows(rows.X[:n], rows.roles, rows.role[:n], rows.deviation[:n],
+                             rows.bound[:n], rows.ratio[:n])
+
+
 @given(
     st.integers(0, 5),
     st.integers(0, 4),
@@ -733,9 +800,12 @@ EDGE_FLOATS = [
 )
 @settings(derandomize=True, max_examples=60, deadline=None)
 def test_emitter_round_trips_columns(n, dim, roles, data):
+    """Each column's digest is that of the column with every NaN made canonical
+    (edge floats, ±0.0 and NaN payloads), and the samples block does not grow
+    with the rows; the rest of the report reads back bit for bit."""
     def column(*shape):
         size = int(np.prod(shape))
-        floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+        floats = st.one_of(st.sampled_from([*EDGE_FLOATS, *NAN_BITS.tolist()]), st.floats())
         return np.array(data.draw(st.lists(floats, min_size=size, max_size=size))).reshape(shape)
 
     role = data.draw(st.lists(st.integers(0, len(roles) - 1), min_size=n, max_size=n))
@@ -744,17 +814,22 @@ def test_emitter_round_trips_columns(n, dim, roles, data):
     )
     rep = experiments.StabilityReport(
         theorem_id="thm2_1", cfg=_cfg("thm2_1"), epsilon_effective=-math.inf,
-        bound_value=math.nan, max_deviation=-0.0, max_ratio=math.inf, passed=False,
+        bound_value=math.nan, max_deviation=-0.0, max_ratio=math.inf,
         witnesses=rows.dicts(slice(3)), samples=rows,
-        details={"edge": EDGE_FLOATS, "top": np.float64(-math.inf)},
+        details={"edge": EDGE_FLOATS, "top": np.float64(-math.inf), "checks": [FAILED]},
         iterations={"max_iterations": 0}, runtime={"seconds": 0.25},
     )
+    # the samples block does not grow with the rows: n rows read as long as
+    # one, but for the digits of the counts
+    one = emit_report(replace(rep, samples=_head_rows(rows, min(n, 1))))
+    assert len(emit_report(rep)) - _count_digits(emit_report(rep)) == len(one) - _count_digits(one)
     for include_runtime in (False, True):
         text = emit_report(rep, include_runtime=include_runtime)
         assert text == emit_report(replace(rep), include_runtime=include_runtime)
         _assert_canonical(text)
         doc = json.loads(text)
-        _assert_columns(doc, rows)
+        _assert_digests(doc, rows)
+        assert doc["pass"] is False and doc["details"]["checks"] == [_spelled(FAILED)]
         assert (doc["epsilon_effective"], doc["bound_value"], doc["max_ratio"]) == ("-inf", "nan", "inf")
         assert math.copysign(1.0, doc["max_deviation"]) == -1.0
         _assert_same_floats(doc["details"]["edge"], EDGE_FLOATS)
@@ -764,7 +839,7 @@ def test_emitter_round_trips_columns(n, dim, roles, data):
             _assert_same_floats([got[k] for k in ("deviation", "bound", "ratio")],
                                 [want[k] for k in ("deviation", "bound", "ratio")])
         assert ("runtime" in doc) == include_runtime
-        assert doc["schema_version"] == experiments.REPORT_SCHEMA_VERSION == 2
+        assert doc["schema_version"] == experiments.REPORT_SCHEMA_VERSION == 3
 
 
 def test_float_strs_match_repr():
@@ -799,8 +874,8 @@ def _big_report(dim, seed):
     cfg = _cfg("cor2_2", sampler=SamplerSettings(count=8, seed=seed, radius_range=(0.0, 1.0)))
     return experiments.StabilityReport(
         theorem_id="thm6_1", cfg=cfg, epsilon_effective=0.0, bound_value=1e-6,
-        max_deviation=2.2e-16, max_ratio=math.nan, passed=False, witnesses=rows.dicts([0, 7]),
-        samples=rows, details={}, iterations={"max_iterations": 0},
+        max_deviation=2.2e-16, max_ratio=math.nan, witnesses=rows.dicts([0, 7]),
+        samples=rows, details={"checks": [FAILED]}, iterations={"max_iterations": 0},
     )
 
 
@@ -809,9 +884,13 @@ def test_emitter_matches_references_at_report_size(dim):
     reps = [_big_report(dim, 1), _big_report(dim, 2)]
     text = emit_report(reps[0])
     _assert_canonical(text)
-    _assert_columns(json.loads(text), reps[0].samples)
+    _assert_digests(json.loads(text), reps[0].samples)
+    # 4099 rows of NaN payloads, ±0 and ±inf take the bytes of 1000 rows, but
+    # for the digits of the counts
+    short = emit_report(replace(reps[0], samples=_head_rows(reps[0].samples, 1000)))
+    assert len(text) - _count_digits(text) == len(short) - _count_digits(short) < 4096
     both = json.loads(experiments.emit_reports(reps))
-    assert both == {"schema_version": 2, "reports": [json.loads(emit_report(r)) for r in reps]}
+    assert both == {"schema_version": 3, "reports": [json.loads(emit_report(r)) for r in reps]}
     assert emit_report(reps[1], fmt="csv").split("\n") == csv_by_repr(reps[1]).split("\n")
 
 
@@ -828,8 +907,8 @@ def test_csv_rows_match_csv_writer_at_report_size(dim):
     )
     rep = experiments.StabilityReport(
         theorem_id="prop4_2", cfg=_cfg("cor2_2"), epsilon_effective=0.0, bound_value=0.0,
-        max_deviation=0.0, max_ratio=0.0, passed=True, witnesses=[], samples=rows,
-        details={}, iterations={},
+        max_deviation=0.0, max_ratio=0.0, witnesses=[], samples=rows,
+        details={"checks": [PASSED]}, iterations={},
     )
     assert emit_report(rep, fmt="csv").split("\n") == csv_by_repr(rep).split("\n")
     empty = replace(rep, samples=experiments._Rows(np.empty((0, dim)), (), np.empty(0, int),
@@ -837,7 +916,7 @@ def test_csv_rows_match_csv_writer_at_report_size(dim):
     assert emit_report(empty, fmt="csv") == csv_by_repr(empty)
     profile = {"edges": [0.5, 1.0, 2.0, math.inf], "sup_defect": [math.nan, -0.0, 1e-300],
                "samples_per_shell": 7}
-    shells = replace(rep, details={"profile": profile})
+    shells = replace(rep, details={"profile": profile, "checks": [PASSED]})
     assert emit_report(shells, fmt="csv") == csv_by_repr(shells)
 
 
@@ -848,8 +927,8 @@ def test_csv_matches_repr_on_edge_floats():
                              np.arange(n) % 2, edge[::-1], np.roll(edge, 3), -edge)
     rep = experiments.StabilityReport(
         theorem_id="thm2_1", cfg=_cfg("thm2_1"), epsilon_effective=0.3, bound_value=1.0,
-        max_deviation=0.0, max_ratio=0.0, passed=True, witnesses=[], samples=rows,
-        details={}, iterations={"max_iterations": 0},
+        max_deviation=0.0, max_ratio=0.0, witnesses=[], samples=rows,
+        details={"checks": [PASSED]}, iterations={"max_iterations": 0},
     )
     assert emit_report(rep, fmt="csv") == csv_by_repr(rep)
 

@@ -25,10 +25,11 @@ every limit of thm3_1, prop4_1, thm4_3 and thm5_2 at three iterations, so
 the convergence check fails while every ratio stays under 1, and
 ``thm6_1-noisy`` gives the ball map a bounded perturbation whose residual
 exceeds ``residual_tol`` and whose linear fit diverges.  thm5_2 iterates two limits per point (T and Q);
-``thm5_2-nmax3`` counts a point once in ``diverged_points`` when either fails.
-Like every limit theorem's report, thm3_1's carries ``details.pair_count``
-and, when a limit fails, ``details.diverged_points``; its two digests were
-re-recorded when those keys were added, with every other byte unchanged.
+``thm5_2-nmax3`` counts a point once in the ``converged`` check's value when
+either fails.  Like every limit theorem's report, thm3_1's carries
+``details.pair_count``; its two digests were re-recorded when that key and
+``details.diverged_points`` (now the ``converged`` check's value) were
+added, with every other byte unchanged.
 
 The ``-y*`` entries give the model another codomain: Euclidean of dimension
 3 (``thm2_1-mixed-y3``), sup of dimension 2 (``thm4_3-ysup2``) and p = 3 of
@@ -95,6 +96,75 @@ are gone, and ``details.profile`` still carries both.  Old → new:
 
 Every other digest and ``VERDICTS`` held.
 
+Every report digest was re-recorded once more when reports moved to schema 3
+(README, "Report format").  ``samples`` holds the row count, the points of
+each worst role and one sha256 per column; the rows themselves are written
+once, by the CSV, whose bytes held, and ``test_sample_digests_pin_the_csv``
+recomputes each digest from them.  Each pass/fail condition became one
+record in ``details.checks`` with its value and limit, and the ``details``
+keys those records now carry went: ``five_inequality_failures``,
+``direct_exceeds_chain``, ``interior_defect_max`` and
+``interior_defect_bound`` (thm3_1), ``diverged_points`` (the ``converged``
+check's value), ``max_residual`` and ``linear_recovery_error`` (thm6_*), and
+``decays`` and ``expected_decay`` (cor3_2).  Every other key, each column's
+numbers and ``VERDICTS`` held, as did the axiom, search and lockstep
+digests.  Old → new:
+
+- cor2_2-constant: 454d070c725df620d023903a8445e09cc52f21c518ad79d6ec8576b37d65c59e
+  → 7320b82c5209cabc6e5598b17268d5bc695c951165b13ae0fb792b27c51983b7
+- cor2_2-mixed: aea8a3bb99a08e4d051a3208455bb58fd2241c6a95be1001ed308f84ec426873
+  → b086d9929bf8756ee489c48b95aa6b6a5c6915d550bd41e111f9faf3fc864f3c
+- cor2_2-nmax7: a11c16af10b365046991d1e0b1d27c5d9055223d7bcaaa6d0ac8163544d7ce1e
+  → ab57fd1351ac0d48e7f8325b71fcd44fcc3a3392e3769efddf8d8fbe1f0e4aa6
+- cor3_2: 7bc189ecbaba33d197aaf669ece011d3a381cbcbd33a557adb44656cd58a511f
+  → e34fe5d62884bd76ebecfdb849a4b448a4d51d4a64e853af9f401ff90caef471
+- prop4_1-mixed: 3c73d5f2d20c2d89f8e04d308a31a234206680f08b3225f71512890fd9e07ff3
+  → df50faa41e46eccca7cb02062013f2e4c620773cf0f1655d7b2cf1269617ce76
+- prop4_1-nmax3: 668cfab844d9660f80749c7f2ba5c4571f6feceebec032d4d66e12c2737c4916
+  → b26a1961483be7e7fd2c97080b5d88e7abbfa8a76c17463434f932ed73b9c311
+- prop4_1-p3: 02c46f2b6a051dee783c7b78c4570e24482a318b5208ad94a1274d55b77310d0
+  → 9d140f6426cef417b7e06e723b638d0a6eb61e88d65cf36a775e0faa243a21f2
+- prop4_2: 7c716584ddb5555f0d419d8526c3910131f0d368c9f9d13f9c601e8842888f49
+  → 426ca5d63d5a36727b0fb3de90202053e80f604f5b405c5e271345796f3883d3
+- thm2_1-mixed: 20e1dd883e1afbd681b5a299db9a45dae03723341fe9ba090e168a962fc1bc65
+  → 2a22c9190f4ffde54747b8a01e0c71b6d669a2df89878641fa45cad115b30686
+- thm2_1-mixed-y3: efc7070b6ec49783a1088d658017104f5a07cd01d210fb7180fd1b8d47d86138
+  → c50ebfce73061e00592c77468d62a93116e89c88291c478671f7391cb995dd0e
+- thm2_1-quadratic-cap: ec5a8c3e317b08d5e164aafa1ccd47ba291d4d584ddc90b03319f3f350c93353
+  → 0e9b0c76e4b6f28f9099dc9e99d11a4f5b43087d4d67d3b0b04335567d5d5279
+- thm2_1-table: e4621aaa633765bcd9c08919cbc956cece78373f76e61694c22988a24d0d3acb
+  → 78e26facb9b87434e10c2301e51f5e40b6d68f8965175066496fa7ab656a3af5
+- thm3_1: 28ccdd3928f9785b60edaf1e0336ebbc642752b667fda8b2f49e25232fd0a1aa
+  → 073cdbe7e7cfc8de2d673cf589246f1e2432d3c0084f533b07517f9fb0a850f9
+- thm3_1-nmax3: f8de55b09966bbcda15ea8c2eeb79032c39ab054f83e13385c68748e447fa1d8
+  → 402b42c5635bbe6b71c22dd3f18cfc8ed795f19f4e251c98f6e2cdc8a9759d6d
+- thm4_3: 64ec58430e6277e302941b09ed37c14cc7118963c5aa3162700fa2d7442a6d76
+  → 43b7ca411eb0b267dd76c25b606d514754fa1a108aacaf2dd14e2f88f5e21b93
+- thm4_3-nmax3: 30c4a3b0191118b1889426207477e0bc85007cfeb0d7d7f902a1ccdd061514f4
+  → 6c08fcc5e5020749b7c729c3fdd65819cc2c3b8bdb76ea66202593d0de940512
+- thm4_3-p3: b5bd03211abf829cd34a88013ecd3a57db0afb746f1339e5f88748f1c37d0c83
+  → 8a82611fff92cde5fb6c7aac63ce92b9506cf9ceca64fc457b761be72150b873
+- thm4_3-yp3: 528abfd001f906fc7366c018335fe6782af6032c374526b11842fdd89f18c4be
+  → a7de378c541d1642459ac08a6facbeecc0ba4135e1b8f544fd5985067fad96d0
+- thm4_3-ysup2: 8e59fa4174794a7491311207457d8313fdfd063c5018bd38f9f627a12d6079d5
+  → 8fd3c4526545809befddf409e31c88ce1191c4d49cae6aaaf635ac90dce30118
+- thm5_2: ac25600cd8aa924008263317fc701f0cd51e360111f6a2c022014caaa92a5f1b
+  → 2c85f94c0b0ef0fb3459f87e7875c8ddea29643f6dbca2ef7ae43cf69cd81209
+- thm5_2-bj-p3: a53018bb3a7744fb6deba35edfbaed5cca41f20690d7e4bd072dc54cca691852
+  → 10c24d28a84c48393e15cb7255f88e6466cd77d5533ab4ee582693285b8c162e
+- thm5_2-bj-sup: 3ccebc5446744957455729b56616a11b590ac020d7e5520bcbdc57d0a81de4ba
+  → a49a87729b113a503313ecd49bf83d1437063fe4c0c88a524fd831bc3c93828b
+- thm5_2-nmax3: 6692e10acfe1483980e1edba04834f4f9114db18ac2bf79f3a89234309987523
+  → f19fd93ab35e7f588c4dce2f3f7e469a859a5719387409100526d0563204c9b4
+- thm5_2-trivial: f1b57224e07f9ecd8db07b050724e53a188f9e0cb7bc651bda45c4ccfcb03871
+  → dac12422ebe4cb113e74a0417e259b194532f8952be38e0e91a4b3d32db8c474
+- thm6_1: bc530a3d02db0fb8d2b2c3d7d7fe99d400b52624bfd5e166d66e07b9750347f6
+  → 6c348d415adcf9133e8b22e54fe46f62c89fe5f9f09f4cca91e6a224926552f0
+- thm6_1-noisy: 8134c4f57a8f992953a404cc2aa127eb550a8a2afe875a36c6efea84848e0c73
+  → ae8daf3f24ed3d0675553f6ccaf56b9aaa572de957cfd550a3618b4427dcfa1f
+- thm6_2: 6eb68439bd75144604ab819ff81c6cddfdc31530178e81e833e10e0d4d62bf1e
+  → 8bb34568129693e4c29d1a0280b3dfb4c6078c78249629bda53500aa45bc177c
+
 Running this file as a script (``PYTHONPATH=src:tests python
 tests/test_golden.py``) prints ``name old new`` for every digest that no
 longer matches its table and ``verdict:name old new`` for every verdict that
@@ -107,6 +177,7 @@ other numpy builds; a mismatch there needs a look at the report, not
 necessarily a code fix.
 """
 
+import functools
 import hashlib
 import json
 import sys
@@ -122,7 +193,7 @@ from jensenlab.experiments import (
     run_experiment,
 )
 from jensenlab.spaces import NormedSpaceSpec, OrthogonalityRelation, check_ratz_axioms
-from report_reference import csv_by_repr
+from report_reference import csv_by_repr, sample_digests
 
 E3 = {"dim": 3, "norm_kind": "euclidean"}
 E2 = {"dim": 2, "norm_kind": "euclidean"}
@@ -284,33 +355,33 @@ CONFIGS["thm4_3-ysup2"] = dict(CONFIGS["thm4_3"], codomain=SUP2)
 CONFIGS["thm4_3-yp3"] = dict(CONFIGS["thm4_3"], codomain=P3)
 
 DIGESTS = {
-    "cor2_2-constant": "454d070c725df620d023903a8445e09cc52f21c518ad79d6ec8576b37d65c59e",
-    "cor2_2-mixed": "aea8a3bb99a08e4d051a3208455bb58fd2241c6a95be1001ed308f84ec426873",
-    "cor2_2-nmax7": "a11c16af10b365046991d1e0b1d27c5d9055223d7bcaaa6d0ac8163544d7ce1e",
-    "cor3_2": "7bc189ecbaba33d197aaf669ece011d3a381cbcbd33a557adb44656cd58a511f",
-    "prop4_1-mixed": "3c73d5f2d20c2d89f8e04d308a31a234206680f08b3225f71512890fd9e07ff3",
-    "prop4_1-p3": "02c46f2b6a051dee783c7b78c4570e24482a318b5208ad94a1274d55b77310d0",
-    "prop4_2": "7c716584ddb5555f0d419d8526c3910131f0d368c9f9d13f9c601e8842888f49",
-    "thm2_1-mixed": "20e1dd883e1afbd681b5a299db9a45dae03723341fe9ba090e168a962fc1bc65",
-    "thm2_1-quadratic-cap": "ec5a8c3e317b08d5e164aafa1ccd47ba291d4d584ddc90b03319f3f350c93353",
-    "thm2_1-table": "e4621aaa633765bcd9c08919cbc956cece78373f76e61694c22988a24d0d3acb",
-    "thm3_1": "28ccdd3928f9785b60edaf1e0336ebbc642752b667fda8b2f49e25232fd0a1aa",
-    "thm4_3": "64ec58430e6277e302941b09ed37c14cc7118963c5aa3162700fa2d7442a6d76",
-    "thm4_3-p3": "b5bd03211abf829cd34a88013ecd3a57db0afb746f1339e5f88748f1c37d0c83",
-    "thm5_2": "ac25600cd8aa924008263317fc701f0cd51e360111f6a2c022014caaa92a5f1b",
-    "thm5_2-bj-p3": "a53018bb3a7744fb6deba35edfbaed5cca41f20690d7e4bd072dc54cca691852",
-    "thm5_2-bj-sup": "3ccebc5446744957455729b56616a11b590ac020d7e5520bcbdc57d0a81de4ba",
-    "thm5_2-trivial": "f1b57224e07f9ecd8db07b050724e53a188f9e0cb7bc651bda45c4ccfcb03871",
-    "thm6_1": "bc530a3d02db0fb8d2b2c3d7d7fe99d400b52624bfd5e166d66e07b9750347f6",
-    "thm6_2": "6eb68439bd75144604ab819ff81c6cddfdc31530178e81e833e10e0d4d62bf1e",
-    "thm3_1-nmax3": "f8de55b09966bbcda15ea8c2eeb79032c39ab054f83e13385c68748e447fa1d8",
-    "prop4_1-nmax3": "668cfab844d9660f80749c7f2ba5c4571f6feceebec032d4d66e12c2737c4916",
-    "thm4_3-nmax3": "30c4a3b0191118b1889426207477e0bc85007cfeb0d7d7f902a1ccdd061514f4",
-    "thm5_2-nmax3": "6692e10acfe1483980e1edba04834f4f9114db18ac2bf79f3a89234309987523",
-    "thm6_1-noisy": "8134c4f57a8f992953a404cc2aa127eb550a8a2afe875a36c6efea84848e0c73",
-    "thm2_1-mixed-y3": "efc7070b6ec49783a1088d658017104f5a07cd01d210fb7180fd1b8d47d86138",
-    "thm4_3-ysup2": "8e59fa4174794a7491311207457d8313fdfd063c5018bd38f9f627a12d6079d5",
-    "thm4_3-yp3": "528abfd001f906fc7366c018335fe6782af6032c374526b11842fdd89f18c4be",
+    "cor2_2-constant": "7320b82c5209cabc6e5598b17268d5bc695c951165b13ae0fb792b27c51983b7",
+    "cor2_2-mixed": "b086d9929bf8756ee489c48b95aa6b6a5c6915d550bd41e111f9faf3fc864f3c",
+    "cor2_2-nmax7": "ab57fd1351ac0d48e7f8325b71fcd44fcc3a3392e3769efddf8d8fbe1f0e4aa6",
+    "cor3_2": "e34fe5d62884bd76ebecfdb849a4b448a4d51d4a64e853af9f401ff90caef471",
+    "prop4_1-mixed": "df50faa41e46eccca7cb02062013f2e4c620773cf0f1655d7b2cf1269617ce76",
+    "prop4_1-p3": "9d140f6426cef417b7e06e723b638d0a6eb61e88d65cf36a775e0faa243a21f2",
+    "prop4_2": "426ca5d63d5a36727b0fb3de90202053e80f604f5b405c5e271345796f3883d3",
+    "thm2_1-mixed": "2a22c9190f4ffde54747b8a01e0c71b6d669a2df89878641fa45cad115b30686",
+    "thm2_1-quadratic-cap": "0e9b0c76e4b6f28f9099dc9e99d11a4f5b43087d4d67d3b0b04335567d5d5279",
+    "thm2_1-table": "78e26facb9b87434e10c2301e51f5e40b6d68f8965175066496fa7ab656a3af5",
+    "thm3_1": "073cdbe7e7cfc8de2d673cf589246f1e2432d3c0084f533b07517f9fb0a850f9",
+    "thm4_3": "43b7ca411eb0b267dd76c25b606d514754fa1a108aacaf2dd14e2f88f5e21b93",
+    "thm4_3-p3": "8a82611fff92cde5fb6c7aac63ce92b9506cf9ceca64fc457b761be72150b873",
+    "thm5_2": "2c85f94c0b0ef0fb3459f87e7875c8ddea29643f6dbca2ef7ae43cf69cd81209",
+    "thm5_2-bj-p3": "10c24d28a84c48393e15cb7255f88e6466cd77d5533ab4ee582693285b8c162e",
+    "thm5_2-bj-sup": "a49a87729b113a503313ecd49bf83d1437063fe4c0c88a524fd831bc3c93828b",
+    "thm5_2-trivial": "dac12422ebe4cb113e74a0417e259b194532f8952be38e0e91a4b3d32db8c474",
+    "thm6_1": "6c348d415adcf9133e8b22e54fe46f62c89fe5f9f09f4cca91e6a224926552f0",
+    "thm6_2": "8bb34568129693e4c29d1a0280b3dfb4c6078c78249629bda53500aa45bc177c",
+    "thm3_1-nmax3": "402b42c5635bbe6b71c22dd3f18cfc8ed795f19f4e251c98f6e2cdc8a9759d6d",
+    "prop4_1-nmax3": "b26a1961483be7e7fd2c97080b5d88e7abbfa8a76c17463434f932ed73b9c311",
+    "thm4_3-nmax3": "6c08fcc5e5020749b7c729c3fdd65819cc2c3b8bdb76ea66202593d0de940512",
+    "thm5_2-nmax3": "f19fd93ab35e7f588c4dce2f3f7e469a859a5719387409100526d0563204c9b4",
+    "thm6_1-noisy": "ae8daf3f24ed3d0675553f6ccaf56b9aaa572de957cfd550a3618b4427dcfa1f",
+    "thm2_1-mixed-y3": "c50ebfce73061e00592c77468d62a93116e89c88291c478671f7391cb995dd0e",
+    "thm4_3-ysup2": "8fd3c4526545809befddf409e31c88ce1191c4d49cae6aaaf635ac90dce30118",
+    "thm4_3-yp3": "a7de378c541d1642459ac08a6facbeecc0ba4135e1b8f544fd5985067fad96d0",
 }
 
 
@@ -347,6 +418,7 @@ VERDICTS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _report(name):
     (cfg,) = parse_config({"schema_version": 1, "experiments": [CONFIGS[name]]})
     return run_experiment(cfg)
@@ -365,6 +437,16 @@ def test_report_digest(name):
     assert emit_report(report, fmt="csv") == csv_by_repr(report)
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_sample_digests_pin_the_csv(name):
+    """Each schema-3 column digest is recomputed from the report's CSV rows."""
+    report = _report(name)
+    samples = json.loads(emit_report(report, fmt="json"))["samples"]
+    assert samples["sha256"] == sample_digests(emit_report(report, fmt="csv"))
+    assert samples["count"] == sum(samples["roles"].values()) == len(report.samples)
+    assert len(emit_report(report, fmt="json")) < 16384
+
+
 def _verdict(name):
     report = _report(name)
     return report.passed, report.failed_checks
@@ -373,6 +455,17 @@ def _verdict(name):
 def test_verdicts():
     assert sorted(VERDICTS) == sorted(CONFIGS)
     assert {name: _verdict(name) for name in CONFIGS} == VERDICTS
+
+
+@pytest.mark.parametrize("name", sorted(k for k, (ok, _) in VERDICTS.items() if not ok))
+def test_failing_reports_name_their_checks(name):
+    """A FAIL report names each failed check in details.checks, with the value
+    that broke its limit."""
+    checks = json.loads(emit_report(_report(name), fmt="json"))["details"]["checks"]
+    assert all(sorted(c) == ["limit", "name", "passed", "value"] for c in checks)
+    failed = [c for c in checks if not c["passed"]]
+    assert tuple(c["name"] for c in failed) == VERDICTS[name][1]
+    assert all(c["value"] > c["limit"] for c in failed)
 
 
 AXIOM_DIGESTS = {
